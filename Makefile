@@ -14,9 +14,10 @@ test:
 bench:
 	go test -bench=. -benchmem
 
-# Run all benchmarks, write BENCH_PR9.json, and fail on a >10%
-# trials/s regression against the last committed BENCH_*.json
-# (scripts/bench.sh; schema in EXPERIMENTS.md).
+# Run all benchmarks and fail on a >10% trials/s regression against
+# the last committed BENCH_*.json; BENCH_OUT=BENCH_PRn.json also keeps
+# the results as a new baseline to commit (scripts/bench.sh; schema in
+# EXPERIMENTS.md).
 bench-compare:
 	sh scripts/bench.sh
 
@@ -46,20 +47,17 @@ check-golden:
 
 # Pipeline smoke: a small survey campaign through the JSONL exporter
 # with a mid-campaign stop and a checkpointed resume, verifying the
-# resumed output is byte-identical to an uninterrupted run. The
-# reference run pins the inline writer (-export-queue -1) while the
-# kill/resume legs pin the pipelined export stage, so the final cmp
-# also proves the async writer produces the inline path's exact bytes
-# across a mid-campaign kill. Mirrors the CI pipeline-smoke step;
-# campaign scratch lives in campaigns/ (gitignored).
+# resumed output is byte-identical to an uninterrupted run. Mirrors
+# the CI pipeline-smoke step; campaign scratch lives in campaigns/
+# (gitignored).
 survey-smoke:
 	@rm -rf campaigns/smoke && mkdir -p campaigns/smoke
-	go run ./cmd/h2attack -survey -corpus 40 -export-queue -1 \
+	go run ./cmd/h2attack -survey -corpus 40 \
 		-export jsonl=campaigns/smoke/ref.jsonl > /dev/null
-	go run ./cmd/h2attack -survey -corpus 40 -export-queue 64 -export-buf 4096 \
+	go run ./cmd/h2attack -survey -corpus 40 \
 		-export summary,jsonl=campaigns/smoke/out.jsonl \
 		-checkpoint campaigns/smoke/ck.json -checkpoint-every 7 -max-trials 17 > /dev/null
-	go run ./cmd/h2attack -survey -corpus 40 -export-queue 64 -export-buf 4096 \
+	go run ./cmd/h2attack -survey -corpus 40 \
 		-export summary,jsonl=campaigns/smoke/out.jsonl \
 		-checkpoint campaigns/smoke/ck.json -checkpoint-every 7
 	cmp campaigns/smoke/ref.jsonl campaigns/smoke/out.jsonl && echo "survey-smoke OK"

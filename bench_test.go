@@ -496,7 +496,7 @@ func reportLinesPerSec(b *testing.B, linesPerIter int) {
 
 // benchExportDir returns a scratch directory for export benchmarks,
 // preferring tmpfs (/dev/shm) so the measurement tracks the export
-// stack — encode, queueing, syscall batching — rather than the
+// stack — encode and syscall batching — rather than the
 // machine's disk bandwidth, which would cap both configurations
 // identically.
 func benchExportDir(b *testing.B) string {
@@ -537,12 +537,10 @@ func benchTrialResult() experiment.TrialResult {
 
 // BenchmarkCampaignExport measures the full export leg at campaign
 // scale with a near-free trial body, so encode+write dominate: the
-// zero-alloc appender through the pipelined writer with the shard
-// writer buffer ("fast", the sharded sweep's production
-// configuration) against the reflection encoder inline on the emit
-// goroutine with the old hard-coded 64 KiB buffer ("baseline", the
-// pre-fast-path configuration). The ≥3x lines/s gap between the two
-// is this PR's acceptance metric.
+// zero-alloc appender with the shard writer buffer ("fast", the
+// sharded sweep's production configuration) against the reflection
+// encoder with the default 64 KiB buffer ("baseline", the
+// pre-fast-path configuration).
 func BenchmarkCampaignExport(b *testing.B) {
 	const lines = 1 << 13
 	r := benchTrialResult()
@@ -558,7 +556,7 @@ func BenchmarkCampaignExport(b *testing.B) {
 		return out
 	}
 	noState := func() struct{} { return struct{}{} }
-	run := func(b *testing.B, mk func(path string) *pipeline.JSONL[experiment.TrialParams, experiment.TrialResult], queue, wbuf int) {
+	run := func(b *testing.B, mk func(path string) *pipeline.JSONL[experiment.TrialParams, experiment.TrialResult]) {
 		dir := benchExportDir(b)
 		for i := 0; i < b.N; i++ {
 			// Alternate between two output paths and reclaim the stale
@@ -568,7 +566,7 @@ func BenchmarkCampaignExport(b *testing.B) {
 			b.StopTimer()
 			os.Remove(path)
 			b.StartTimer()
-			sum, err := pipeline.Run(pipeline.Config{Workers: 1, ExportQueue: queue, WriterBuf: wbuf}, gen, noState, trial, mk(path))
+			sum, err := pipeline.Run(pipeline.Config{Workers: 1}, gen, noState, trial, mk(path))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -584,14 +582,14 @@ func BenchmarkCampaignExport(b *testing.B) {
 				return r, nil
 			}).WithAppender(pipeline.AppendFunc[experiment.TrialParams, experiment.TrialResult](experiment.AppendTrialResultLine)).
 				WithBufferSize(experiment.ShardWriterBuf)
-		}, 0, 0)
+		})
 	})
 	b.Run("baseline", func(b *testing.B) {
 		run(b, func(path string) *pipeline.JSONL[experiment.TrialParams, experiment.TrialResult] {
 			return pipeline.NewJSONL(path, func(i int, p experiment.TrialParams, r experiment.TrialResult) (any, error) {
 				return r, nil
 			})
-		}, -1, 0)
+		})
 	})
 }
 

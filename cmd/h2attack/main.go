@@ -75,50 +75,115 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	var (
-		table1     = flag.Bool("table1", false, "reproduce Table I (jitter sweep)")
-		fig5       = flag.Bool("fig5", false, "reproduce Figure 5 (bandwidth sweep)")
-		drops      = flag.Bool("drops", false, "reproduce section IV-D (targeted drops)")
-		table2     = flag.Bool("table2", false, "reproduce Table II (full attack)")
-		delay      = flag.Bool("delay", false, "run the section IV-A uniform-delay control")
-		defenses   = flag.Bool("defenses", false, "evaluate the section VII defence proposals")
-		all        = flag.Bool("all", false, "run every experiment")
-		trial      = flag.Bool("trial", false, "run one verbose full-attack trial")
-		metrics    = flag.Bool("metrics", false, "print a cross-layer metrics summary after each sweep")
-		metricsOut = flag.String("metrics-json", "", "write every sweep's metrics snapshot into this one JSON file")
-		events     = flag.String("events", "", "dump one full-attack trial's flight-recorder events (value: seed=N or N)")
-		evTrace    = flag.String("events-trace", "", "write one trial's flight recorder as Perfetto trace_event JSON to this file (trial from -events, else -seed)")
-		status     = flag.String("status", "", "serve live campaign telemetry on this address (/metrics, /status, /events?seed=N); never affects campaign output")
-		trials     = flag.Int("trials", 100, "page loads per configuration")
-		seed       = flag.Int64("seed", 1, "base seed (trial i uses seed+i)")
-		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "trial worker goroutines per sweep (1 = serial)")
-		progress   = flag.Bool("progress", false, "report sweep completion and ETA on stderr")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+// cliFlags holds every h2attack flag value.
+type cliFlags struct {
+	table1     bool
+	fig5       bool
+	drops      bool
+	table2     bool
+	delay      bool
+	defenses   bool
+	all        bool
+	trial      bool
+	metrics    bool
+	metricsOut string
+	events     string
+	evTrace    string
+	status     string
+	trials     int
+	seed       int64
+	jobs       int
+	progress   bool
+	cpuprofile string
+	memprofile string
+	shardSpec  string
+	shardDir   string
+	mergeDirs  string
+	survey     bool
+	corpus     int
+	siteTrials int
+	export     string
+	checkpoint string
+	ckptEvery  int
+	maxTrials  int
+}
 
-		shardSpec = flag.String("shard", "", "run slice i/N (1-based) of every selected campaign and write a bundle into -shard-dir")
-		shardDir  = flag.String("shard-dir", "", "shard: bundle output directory (holds JSONL slices, obs snapshots, checkpoints, manifest)")
-		mergeDirs = flag.String("merge", "", "merge completed shard bundles (comma-separated directories); output is byte-identical to a single-process run")
+// defineFlags registers every h2attack flag on fs (the README flag
+// table is checked against this set).
+func defineFlags(fs *flag.FlagSet) *cliFlags {
+	c := &cliFlags{}
+	fs.BoolVar(&c.table1, "table1", false, "reproduce Table I (jitter sweep)")
+	fs.BoolVar(&c.fig5, "fig5", false, "reproduce Figure 5 (bandwidth sweep)")
+	fs.BoolVar(&c.drops, "drops", false, "reproduce section IV-D (targeted drops)")
+	fs.BoolVar(&c.table2, "table2", false, "reproduce Table II (full attack)")
+	fs.BoolVar(&c.delay, "delay", false, "run the section IV-A uniform-delay control")
+	fs.BoolVar(&c.defenses, "defenses", false, "evaluate the section VII defence proposals")
+	fs.BoolVar(&c.all, "all", false, "run every experiment")
+	fs.BoolVar(&c.trial, "trial", false, "run one verbose full-attack trial")
+	fs.BoolVar(&c.metrics, "metrics", false, "print a cross-layer metrics summary after each sweep")
+	fs.StringVar(&c.metricsOut, "metrics-json", "", "write every sweep's metrics snapshot into this one JSON file")
+	fs.StringVar(&c.events, "events", "", "dump one full-attack trial's flight-recorder events (value: seed=N or N)")
+	fs.StringVar(&c.evTrace, "events-trace", "", "write one trial's flight recorder as Perfetto trace_event JSON to this file (trial from -events, else -seed)")
+	fs.StringVar(&c.status, "status", "", "serve live campaign telemetry on this address (/metrics, /status, /events?seed=N); never affects campaign output")
+	fs.IntVar(&c.trials, "trials", 100, "page loads per configuration")
+	fs.Int64Var(&c.seed, "seed", 1, "base seed (trial i uses seed+i)")
+	fs.IntVar(&c.jobs, "j", runtime.GOMAXPROCS(0), "trial worker goroutines per sweep (1 = serial)")
+	fs.BoolVar(&c.progress, "progress", false, "report sweep completion and ETA on stderr")
+	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&c.memprofile, "memprofile", "", "write an allocation profile to this file on exit")
+	fs.StringVar(&c.shardSpec, "shard", "", "run slice i/N (1-based) of every selected campaign and write a bundle into -shard-dir")
+	fs.StringVar(&c.shardDir, "shard-dir", "", "shard: bundle output directory (holds JSONL slices, obs snapshots, checkpoints, manifest)")
+	fs.StringVar(&c.mergeDirs, "merge", "", "merge completed shard bundles (comma-separated directories); output is byte-identical to a single-process run")
+	fs.BoolVar(&c.survey, "survey", false, "run a survey campaign against a synthetic site corpus")
+	fs.IntVar(&c.corpus, "corpus", 1000, "survey: number of synthetic sites")
+	fs.IntVar(&c.siteTrials, "site-trials", 1, "survey: attack repetitions per site")
+	fs.StringVar(&c.export, "export", "summary", "survey: comma-separated exporters (summary, jsonl=FILE, obs=FILE)")
+	fs.StringVar(&c.checkpoint, "checkpoint", "", "survey: checkpoint file for resumable campaigns")
+	fs.IntVar(&c.ckptEvery, "checkpoint-every", 1000, "survey: trials between checkpoint writes")
+	fs.IntVar(&c.maxTrials, "max-trials", 0, "survey: stop (checkpointing) after this many trials this run; 0 = no limit")
+	return c
+}
 
-		survey     = flag.Bool("survey", false, "run a survey campaign against a synthetic site corpus")
-		corpus     = flag.Int("corpus", 1000, "survey: number of synthetic sites")
-		siteTrials = flag.Int("site-trials", 1, "survey: attack repetitions per site")
-		export     = flag.String("export", "summary", "survey: comma-separated exporters (summary, jsonl=FILE, obs=FILE)")
-		checkpoint = flag.String("checkpoint", "", "survey: checkpoint file for resumable campaigns")
-		ckptEvery  = flag.Int("checkpoint-every", 1000, "survey: trials between checkpoint writes")
-		maxTrials  = flag.Int("max-trials", 0, "survey: stop (checkpointing) after this many trials this run; 0 = no limit")
+func run(args []string) int {
+	fs := flag.NewFlagSet("h2attack", flag.ContinueOnError)
+	cli := defineFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
-		exportQueue = flag.Int("export-queue", 0, "depth of the pipelined export queue (0 = default 256, negative = write inline on the emit goroutine); never affects exported bytes")
-		exportBuf   = flag.Int("export-buf", 0, "results writer buffer in bytes (0 = exporter default); never affects exported bytes")
-	)
-	flag.Parse()
+	if cli.all {
+		cli.table1, cli.fig5, cli.drops, cli.table2, cli.delay, cli.defenses = true, true, true, true, true, true
+	}
+	// The fixed sweeps are driven through their shardable definitions
+	// (experiment.Sweeps) so single-process, shard, and merge modes all
+	// agree on campaign names, fingerprints, and rendered tables.
+	selected := map[string]bool{
+		"table1": cli.table1, "fig5": cli.fig5, "drops": cli.drops,
+		"table2": cli.table2, "delay": cli.delay, "defenses": cli.defenses,
+	}
+	var defs []experiment.SweepDef
+	for _, d := range experiment.Sweeps(cli.trials, cli.seed) {
+		if selected[d.Name] {
+			defs = append(defs, d)
+		}
+	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if len(defs) > 0 && cli.trials < 1 {
+		// The tables divide by the trial count: zero trials would print
+		// NaN% cells, not results.
+		fmt.Fprintf(os.Stderr, "h2attack: -trials must be at least 1 when a sweep is selected, got %d\n", cli.trials)
+		fs.Usage()
+		return 2
+	}
+
+	if cli.cpuprofile != "" {
+		f, err := os.Create(cli.cpuprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "h2attack: -cpuprofile: %v\n", err)
 			return 1
@@ -130,8 +195,8 @@ func run() int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
+	if cli.memprofile != "" {
+		f, err := os.Create(cli.memprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "h2attack: -memprofile: %v\n", err)
 			return 1
@@ -150,7 +215,7 @@ func run() int {
 	// The telemetry plane is wall-side only: with -status unset it is
 	// inert (nil gauges, no server); either way campaign output is
 	// byte-identical.
-	tp, err := startTelemetry(*status)
+	tp, err := startTelemetry(cli.status)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "h2attack: -status: %v\n", err)
 		return 1
@@ -162,12 +227,12 @@ func run() int {
 	// plane when -status is live. Results do not depend on any of them
 	// (trial seeds derive from the trial index).
 	sweepOpts := func(name string) []experiment.Option {
-		opts := []experiment.Option{experiment.Workers(*jobs)}
+		opts := []experiment.Option{experiment.Workers(cli.jobs)}
 		if g := tp.liveGauges(); g != nil {
 			opts = append(opts, experiment.Telemetry(g))
 		}
 		var inner func(runner.Progress)
-		if *progress {
+		if cli.progress {
 			inner = progressPrinter(name)
 		}
 		if cb := tp.progress(inner); cb != nil {
@@ -176,51 +241,32 @@ func run() int {
 		return opts
 	}
 
-	if *all {
-		*table1, *fig5, *drops, *table2, *delay, *defenses = true, true, true, true, true, true
-	}
-	// The fixed sweeps are driven through their shardable definitions
-	// (experiment.Sweeps) so single-process, shard, and merge modes all
-	// agree on campaign names, fingerprints, and rendered tables.
-	selected := map[string]bool{
-		"table1": *table1, "fig5": *fig5, "drops": *drops,
-		"table2": *table2, "delay": *delay, "defenses": *defenses,
-	}
-	var defs []experiment.SweepDef
-	for _, d := range experiment.Sweeps(*trials, *seed) {
-		if selected[d.Name] {
-			defs = append(defs, d)
-		}
-	}
-
-	if *shardSpec != "" && *mergeDirs != "" {
+	if cli.shardSpec != "" && cli.mergeDirs != "" {
 		fmt.Fprintln(os.Stderr, "h2attack: -shard and -merge are mutually exclusive")
 		return 2
 	}
-	if *shardSpec != "" || *mergeDirs != "" {
+	if cli.shardSpec != "" || cli.mergeDirs != "" {
 		smf := shardModeFlags{
 			defs:            defs,
 			plane:           tp,
-			survey:          *survey,
-			corpus:          *corpus,
-			siteTrials:      *siteTrials,
-			seed:            *seed,
-			jobs:            *jobs,
-			progress:        *progress,
-			metrics:         *metrics,
-			metricsOut:      *metricsOut,
-			export:          *export,
-			checkpointEvery: *ckptEvery,
-			maxTrials:       *maxTrials,
-			exportQueue:     *exportQueue,
-			exportBuf:       *exportBuf,
+			survey:          cli.survey,
+			corpus:          cli.corpus,
+			siteTrials:      cli.siteTrials,
+			seed:            cli.seed,
+			jobs:            cli.jobs,
+			progress:        cli.progress,
+			metrics:         cli.metrics,
+			metricsOut:      cli.metricsOut,
+			export:          cli.export,
+			checkpointEvery: cli.ckptEvery,
+			maxTrials:       cli.maxTrials,
 		}
-		if *shardSpec != "" {
-			if err := runShardMode(*shardSpec, *shardDir, smf); err != nil {
+		if cli.shardSpec != "" {
+			if err := runShardMode(cli.shardSpec, cli.shardDir, smf); err != nil {
 				fmt.Fprintf(os.Stderr, "h2attack: -shard: %v\n", err)
 				return 1
 			}
-		} else if err := runMergeMode(*mergeDirs, smf); err != nil {
+		} else if err := runMergeMode(cli.mergeDirs, smf); err != nil {
 			fmt.Fprintf(os.Stderr, "h2attack: -merge: %v\n", err)
 			return 1
 		}
@@ -234,7 +280,7 @@ func run() int {
 	runSweep := func(name string, fn func(opts []experiment.Option) string) {
 		opts := sweepOpts(name)
 		var reg *obs.Registry
-		if *metrics || *metricsOut != "" {
+		if cli.metrics || cli.metricsOut != "" {
 			reg = obs.NewRegistry()
 			opts = append(opts, experiment.Metrics(reg))
 		}
@@ -243,7 +289,7 @@ func run() int {
 		if reg != nil {
 			snap := reg.Snapshot()
 			snaps[name] = snap
-			if *metrics {
+			if cli.metrics {
 				fmt.Printf("metrics: %s\n%s\n", name, snap.Text())
 			}
 		}
@@ -255,21 +301,19 @@ func run() int {
 			return d.Format(d.Run(opts...))
 		})
 	}
-	if *survey {
+	if cli.survey {
 		err := runSurvey(surveyFlags{
 			plane:           tp,
-			corpus:          *corpus,
-			siteTrials:      *siteTrials,
-			seed:            *seed,
-			jobs:            *jobs,
-			progress:        *progress,
-			metrics:         *metrics,
-			export:          *export,
-			checkpoint:      *checkpoint,
-			checkpointEvery: *ckptEvery,
-			maxTrials:       *maxTrials,
-			exportQueue:     *exportQueue,
-			exportBuf:       *exportBuf,
+			corpus:          cli.corpus,
+			siteTrials:      cli.siteTrials,
+			seed:            cli.seed,
+			jobs:            cli.jobs,
+			progress:        cli.progress,
+			metrics:         cli.metrics,
+			export:          cli.export,
+			checkpoint:      cli.checkpoint,
+			checkpointEvery: cli.ckptEvery,
+			maxTrials:       cli.maxTrials,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "h2attack: -survey: %v\n", err)
@@ -277,37 +321,37 @@ func run() int {
 		}
 		ran = true
 	}
-	if *trial {
-		runOneTrial(*seed)
+	if cli.trial {
+		runOneTrial(cli.seed)
 		ran = true
 	}
-	if *events != "" {
-		if err := runEventDump(*events); err != nil {
+	if cli.events != "" {
+		if err := runEventDump(cli.events); err != nil {
 			fmt.Fprintf(os.Stderr, "h2attack: -events: %v\n", err)
 			return 1
 		}
 		ran = true
 	}
-	if *evTrace != "" {
-		if err := runEventsTrace(*events, *seed, *evTrace); err != nil {
+	if cli.evTrace != "" {
+		if err := runEventsTrace(cli.events, cli.seed, cli.evTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "h2attack: -events-trace: %v\n", err)
 			return 1
 		}
 		ran = true
 	}
-	if *metricsOut != "" && len(snaps) > 0 {
+	if cli.metricsOut != "" && len(snaps) > 0 {
 		data, err := obs.MarshalSweeps(snaps)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "h2attack: -metrics-json: %v\n", err)
 			return 1
 		}
-		if err := os.WriteFile(*metricsOut, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(cli.metricsOut, append(data, '\n'), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "h2attack: -metrics-json: %v\n", err)
 			return 1
 		}
 	}
 	if !ran {
-		flag.Usage()
+		fs.Usage()
 		return 2
 	}
 	return 0

@@ -44,8 +44,6 @@ type shardModeFlags struct {
 
 	checkpointEvery int
 	maxTrials       int
-	exportQueue     int
-	exportBuf       int
 }
 
 // parseShardSpec parses "i/N" (1-based, as printed by -shard's usage)
@@ -159,8 +157,6 @@ func runShardMode(spec, dir string, f shardModeFlags) error {
 			MaxTrials:       f.maxTrials,
 			Stop:            stop,
 			OnProgress:      f.progressFn(name),
-			ExportQueue:     f.exportQueue,
-			WriterBuf:       f.exportBuf,
 			Gauges:          f.plane.liveGauges(),
 		}
 		sum, err := run(cfg, st, filepath.Join(dir, cm.Results))

@@ -27,8 +27,6 @@ type surveyFlags struct {
 	checkpoint      string
 	checkpointEvery int
 	maxTrials       int
-	exportQueue     int
-	exportBuf       int
 }
 
 // runSurvey executes a survey campaign: the paper's attack against a
@@ -96,8 +94,6 @@ func runSurvey(f surveyFlags) error {
 		CheckpointEvery: f.checkpointEvery,
 		MaxTrials:       f.maxTrials,
 		Stop:            interruptChannel(),
-		ExportQueue:     f.exportQueue,
-		WriterBuf:       f.exportBuf,
 		Gauges:          f.plane.liveGauges(),
 	}
 	var inner func(runner.Progress)

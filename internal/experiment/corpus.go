@@ -115,10 +115,12 @@ func objectBucket(n int) int {
 // Spec.TargetID) and the predictor scores against the site's own size
 // table.
 func (w *World) RunSiteTrial(gs *website.GeneratedSite, p CorpusTrialParams) SurveyResult {
-	// Trial latency feeds the worker's own shard, lock-free (see
+	// Metric writes happen under the shard's trial lock (see
 	// World.RunTrial).
 	var wallStart time.Time
 	if w.shard != nil {
+		w.shard.Lock()
+		defer w.shard.Unlock()
 		wallStart = time.Now()
 	}
 	w.rng.Seed(p.Seed)

@@ -90,9 +90,9 @@ func runTrials(n int, opts []Option, mk func(i int) TrialParams) []TrialResult {
 		reg := cfg.metrics
 		newState = func() *World {
 			w := NewWorld()
-			// The world times its own trials into the shard's lock-free
-			// wall histogram; no per-trial registry lock on the
-			// dispatch path.
+			// The world times its own trials into the shard's wall
+			// histogram; no per-trial registry lock on the dispatch
+			// path.
 			w.SetMetrics(reg.NewShard())
 			return w
 		}

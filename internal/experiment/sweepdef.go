@@ -83,12 +83,9 @@ func Sweeps(trials int, seed0 int64) []SweepDef {
 	}
 }
 
-// ShardWriterBuf is the default JSONL writer buffer for sweep shard
-// bundles: TrialResult lines carry the full request log (~2.5 KB
-// each), so shards batch ~100 lines per write — on the async export
-// stage this also sets the write-behind chunk size, where 256 KiB
-// keeps encode and file I/O overlapped at fine enough grain
-// (Config.WriterBuf overrides it).
+// ShardWriterBuf is the JSONL writer buffer for sweep shard bundles:
+// TrialResult lines carry the full request log (~2.5 KB each), so
+// shards batch ~100 lines per write.
 const ShardWriterBuf = 1 << 18
 
 // RunShard executes the [cfg.Start, cfg.End) slice of the sweep

@@ -64,11 +64,13 @@ func (w *World) SetRecorder(rec *obs.Recorder) { w.rec = rec }
 // RunTrial executes one trial in this world. Equivalent to the
 // package-level RunTrial(p), amortizing construction across calls.
 func (w *World) RunTrial(p TrialParams) TrialResult {
-	// Trial latency feeds the worker's own shard (lock-free; merged
-	// into the registry's wall section at snapshot time). No defer:
-	// the method is on the dispatch hot path.
+	// The trial's metric writes, latency included, happen under the
+	// shard's trial lock (uncontended unless a checkpoint is merging
+	// the shard); the deferred unlock also covers a panicking trial.
 	var wallStart time.Time
 	if w.shard != nil {
+		w.shard.Lock()
+		defer w.shard.Unlock()
 		wallStart = time.Now()
 	}
 	// Re-seeding replays the exact stream a fresh

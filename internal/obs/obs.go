@@ -31,6 +31,7 @@ package obs
 
 import (
 	"math/bits"
+	"sync"
 	"time"
 )
 
@@ -264,10 +265,14 @@ func (b *block) merge(o *block) {
 }
 
 // Shard is one worker's private metric cells, preallocated with one
-// block per registry segment. A shard is not safe for concurrent use;
-// the runner keeps one per worker goroutine (the same ownership rule
-// as experiment.World).
+// block per registry segment. Only its owning worker writes it (the
+// runner keeps one per worker goroutine, the same ownership rule as
+// experiment.World), bracketing each trial's writes with Lock and
+// Unlock so a Registry.Snapshot taken mid-campaign — a checkpoint
+// while other workers are mid-trial — reads whole trials and never
+// races the writer.
 type Shard struct {
+	mu   sync.Mutex
 	segs []block
 
 	// wall is the worker's private trial-latency histogram (the only
@@ -279,9 +284,25 @@ type Shard struct {
 	wall Hist
 }
 
+// Lock starts one trial's writes to the shard; a nil shard ignores
+// it. The owning worker holds the lock for the whole trial, so the
+// lock is uncontended except while a snapshot merges the shard.
+func (s *Shard) Lock() {
+	if s != nil {
+		s.mu.Lock()
+	}
+}
+
+// Unlock ends the trial's writes started by Lock.
+func (s *Shard) Unlock() {
+	if s != nil {
+		s.mu.Unlock()
+	}
+}
+
 // ObserveTrialWall folds one trial's wall-clock latency into the
-// shard's private wall histogram, lock-free. A nil shard ignores the
-// sample.
+// shard's private wall histogram; call it before the trial's Unlock.
+// A nil shard ignores the sample.
 func (s *Shard) ObserveTrialWall(d time.Duration) {
 	if s == nil {
 		return

@@ -63,7 +63,7 @@ func (r *Registry) NewShard() *Shard {
 
 // ObserveTrialWall folds one trial's wall-clock latency into the wall
 // section under the registry lock. Safe for concurrent use, but the
-// hot path should prefer the lock-free Shard.ObserveTrialWall — the
+// hot path should prefer the worker's Shard.ObserveTrialWall — the
 // snapshot merges both.
 func (r *Registry) ObserveTrialWall(d time.Duration) {
 	r.mu.Lock()
@@ -75,25 +75,29 @@ func (r *Registry) ObserveTrialWall(d time.Duration) {
 // Snapshot merges every shard into one aggregate. Because all cells
 // are integers and merging is addition, the sim-domain sections are
 // identical for any partition of the same trials across shards — the
-// worker-count determinism guarantee.
+// worker-count determinism guarantee. Each shard is merged under its
+// trial lock, so a snapshot taken while workers run covers whole
+// trials only.
 func (r *Registry) Snapshot() *Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	snap := &Snapshot{Elapsed: time.Since(r.start)}
-	for i, label := range r.labels {
-		var merged block
-		for _, s := range r.shards {
-			if i < len(s.segs) {
-				merged.merge(&s.segs[i])
-			}
-		}
-		snap.Segments = append(snap.Segments, segmentFromBlock(label, &merged))
-	}
+	merged := make([]block, len(r.labels))
 	wall := r.wallHist
 	trials := r.wallCount
 	for _, s := range r.shards {
+		s.Lock()
+		for i := range merged {
+			if i < len(s.segs) {
+				merged[i].merge(&s.segs[i])
+			}
+		}
 		wall.Merge(&s.wall)
 		trials += s.wall.Count
+		s.Unlock()
+	}
+	for i, label := range r.labels {
+		snap.Segments = append(snap.Segments, segmentFromBlock(label, &merged[i]))
 	}
 	if trials > 0 {
 		snap.Wall = &WallSnapshot{Trials: trials, Hist: wall}

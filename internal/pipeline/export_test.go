@@ -49,38 +49,6 @@ func TestAppenderMatchesFallbackBytes(t *testing.T) {
 	}
 }
 
-// TestExportQueueByteIdentity pins the async/sync equivalence: any
-// queue depth (including the backpressure-heavy depth 1) and writer
-// buffer size must export the same bytes as the inline path.
-func TestExportQueueByteIdentity(t *testing.T) {
-	const n = 123
-	run := func(cfg Config) []byte {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "out.jsonl")
-		exp := NewJSONL(path, func(i int, p int, r string) (any, error) { return r, nil }).
-			WithAppender(stringAppender())
-		if _, err := Run(cfg, testGen(n, ""), noState, testTrial, exp); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	want := run(Config{Workers: 4, ExportQueue: -1}) // inline
-	for _, cfg := range []Config{
-		{Workers: 4},                                // default async depth
-		{Workers: 4, ExportQueue: 1},                // maximal backpressure
-		{Workers: 1, ExportQueue: 7, WriterBuf: 32}, // serial runner, tiny buffer
-		{Workers: 8, ExportQueue: 512, WriterBuf: 1 << 20},
-	} {
-		if got := run(cfg); !bytes.Equal(got, want) {
-			t.Fatalf("config %+v exported different bytes", cfg)
-		}
-	}
-}
-
 // TestEncodeErrorAbortsAndLeavesRestorableCheckpoint fails the
 // appender mid-campaign: the run must surface the error, and the
 // checkpoint left behind must resume to a byte-identical file.

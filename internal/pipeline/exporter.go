@@ -23,19 +23,6 @@ type Meta struct {
 	// checkpoint before Begin.
 	Resumed bool
 
-	// WriterBuf, when positive, is the campaign's requested writer
-	// buffer size in bytes (Config.WriterBuf). File-backed exporters
-	// should prefer it over their own defaults; it never affects the
-	// bytes written, only how they are batched.
-	WriterBuf int
-
-	// AsyncExport reports that the campaign runs its exporters on the
-	// pipelined export stage (Config.ExportQueue >= 0). File-backed
-	// exporters may use write-behind buffering — their writes already
-	// happen off the emit goroutine, so an extra flusher goroutine
-	// overlaps encode with file I/O without reordering anything.
-	AsyncExport bool
-
 	// Gauges is the campaign's live telemetry block (nil when the
 	// plane is off). Exporters that write files publish their byte
 	// cursor through it (e.g. JSONL sets GExportBytes); write-only —

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -30,24 +29,13 @@ type JSONL[P, R any] struct {
 	app    Appender[P, R]
 
 	file    *os.File
-	w       lineWriter
-	wb      *writeBehind // non-nil when w is the write-behind buffer
+	w       *bufio.Writer
 	bufSize int
 	scratch []byte
 	offset  int64
 	lines   int64
 	resumed bool
 	gauges  *telemetry.Gauges // campaign telemetry (nil when off)
-}
-
-// lineWriter is the buffered writer behind Export: a plain
-// bufio.Writer on the inline path, or the write-behind buffer when
-// the campaign runs the pipelined export stage. Flush must leave
-// every written byte in the file (checkpoints record offsets as
-// durable bytes).
-type lineWriter interface {
-	io.Writer
-	Flush() error
 }
 
 // Appender is the zero-allocation encoding contract: AppendLine
@@ -84,11 +72,10 @@ func (j *JSONL[P, R]) WithAppender(app Appender[P, R]) *JSONL[P, R] {
 	return j
 }
 
-// WithBufferSize sets the exporter's default bufio.Writer size used
-// at Begin (normally 1<<16); a positive Config.WriterBuf on the
-// campaign still takes precedence. Larger buffers amortize syscalls
-// for shard bundles whose lines are long; values < 1 keep the
-// default. Returns j for chaining.
+// WithBufferSize sets the exporter's bufio.Writer size (default
+// 1<<16). Larger buffers amortize syscalls for shard bundles whose
+// lines are long; values < 1 keep the default. Never affects the
+// bytes written. Returns j for chaining.
 func (j *JSONL[P, R]) WithBufferSize(n int) *JSONL[P, R] {
 	j.bufSize = n
 	return j
@@ -136,27 +123,11 @@ func (j *JSONL[P, R]) Begin(m Meta) error {
 		return err
 	}
 	j.file = f
-	// Buffer size precedence: the campaign config's explicit request
-	// (Config.WriterBuf via Meta) beats the exporter's own default
-	// (WithBufferSize), which beats 64 KiB. None affect the bytes
-	// written, only syscall batching.
-	size := m.WriterBuf
-	if size < 1 {
-		size = j.bufSize
-	}
+	size := j.bufSize
 	if size < 1 {
 		size = 1 << 16
 	}
-	// On the pipelined export stage the Export calls already run off
-	// the emit goroutine, so buffer with write-behind: a flusher
-	// goroutine performs the file writes, overlapping encode with
-	// I/O. Inline campaigns keep the plain bufio.Writer.
-	if m.AsyncExport {
-		j.wb = newWriteBehind(f, size, m.Gauges)
-		j.w = j.wb
-	} else {
-		j.w = bufio.NewWriterSize(f, size)
-	}
+	j.w = bufio.NewWriterSize(f, size)
 	j.gauges = m.Gauges
 	j.gauges.Set(telemetry.GExportBytes, j.offset)
 	return nil
@@ -168,23 +139,6 @@ func (j *JSONL[P, R]) Begin(m Meta) error {
 // marshalled through encoding/json.
 func (j *JSONL[P, R]) Export(i int, p P, r R) error {
 	if j.app != nil {
-		// With the write-behind buffer the line is encoded directly
-		// into the outgoing chunk — no scratch copy. On an encode
-		// error the chunk's length is never advanced, so the partial
-		// append is simply never committed.
-		if j.wb != nil {
-			buf := j.wb.appendBuf()
-			start := len(buf)
-			line, err := j.app.AppendLine(buf, i, p, r)
-			if err != nil {
-				return err
-			}
-			line = append(line, '\n')
-			j.offset += int64(len(line) - start)
-			j.lines++
-			j.gauges.Set(telemetry.GExportBytes, j.offset)
-			return j.wb.commitAppend(line)
-		}
 		line, err := j.app.AppendLine(j.scratch[:0], i, p, r)
 		if err != nil {
 			return err
@@ -228,17 +182,13 @@ func (j *JSONL[P, R]) Checkpoint() (json.RawMessage, error) {
 	return json.Marshal(jsonlState{Offset: j.offset, Lines: j.lines})
 }
 
-// Close implements Exporter. The flusher goroutine (if any) is
-// stopped even when the final flush fails.
+// Close implements Exporter. The file is closed even when the final
+// flush fails.
 func (j *JSONL[P, R]) Close(bool) error {
 	if j.file == nil {
 		return nil
 	}
 	ferr := j.w.Flush()
-	if j.wb != nil {
-		j.wb.stop()
-		j.wb = nil
-	}
 	cerr := j.file.Close()
 	j.file, j.w = nil, nil
 	if ferr != nil {

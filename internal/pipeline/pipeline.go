@@ -13,8 +13,8 @@
 //   - The runner (internal/runner.StreamWith) fans trial indices
 //     across a worker pool, each worker holding one reusable state
 //     arena, and delivers results in strict index order through a
-//     bounded reorder window — at most Window trials are in flight or
-//     parked, no matter how long the campaign runs.
+//     bounded reorder window, so memory stays bounded no matter how
+//     long the campaign runs.
 //   - Exporters consume the ordered (index, params, result) stream:
 //     accumulate a table, append a JSONL line, feed a metrics
 //     registry. Because the stream order is index order, an
@@ -43,7 +43,6 @@ package pipeline
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/runner"
 	"repro/internal/telemetry"
@@ -56,11 +55,6 @@ type Config struct {
 	// <=0 means GOMAXPROCS, 1 is the serial path).
 	Workers int
 
-	// Window bounds how many trials may be in flight or parked ahead
-	// of the export cursor (internal/runner.StreamOptions.Window).
-	// Zero selects the runner default, max(64, 4*workers).
-	Window int
-
 	// Batch is the number of consecutive trial indices one worker
 	// claims at a time (internal/runner.StreamOptions.Batch). Set it
 	// to the campaign's parameter period — e.g. the survey's
@@ -71,12 +65,6 @@ type Config struct {
 
 	// OnProgress receives completion/ETA snapshots (serialized).
 	OnProgress func(runner.Progress)
-
-	// OnTrialDone receives each trial's index and wall-clock duration
-	// (serialized; runner semantics). The experiment layer times its
-	// trials into per-worker obs shards instead, so this is for
-	// external consumers.
-	OnTrialDone func(index int, elapsed time.Duration)
 
 	// Start is the first trial index this invocation executes (default
 	// 0). A checkpointed resume overrides it with the recorded next
@@ -120,26 +108,8 @@ type Config struct {
 	// (metrics shards) exact across the stop/resume boundary.
 	Stop <-chan struct{}
 
-	// ExportQueue tunes the pipelined export stage: a bounded,
-	// order-preserving queue hands each trial from the emit goroutine
-	// to a dedicated writer goroutine, so encode+write overlap trial
-	// compute. Zero selects DefaultExportQueue (256) items; positive
-	// values set the depth; negative disables the stage and exports
-	// run inline on the emit goroutine. Periodic checkpoints ride the
-	// queue as tokens, so a checkpoint always records the durable
-	// bytes of exactly the trials before it — output bytes and
-	// resume/kill semantics are identical on both paths.
-	ExportQueue int
-
-	// WriterBuf, when positive, is handed to exporters via
-	// Meta.WriterBuf as the preferred writer buffer size in bytes
-	// (JSONL uses it for its bufio.Writer, overriding its default).
-	// Batching only; never affects exported bytes.
-	WriterBuf int
-
 	// Gauges, when non-nil, receives live pipeline health samples —
-	// export-queue depth and high-water, write-behind backlog,
-	// exported-trial/byte cursors, and checkpoint lag — alongside the
+	// exported-trial/byte cursors and checkpoint lag — alongside the
 	// runner gauges (the same *Gauges is handed down to the worker
 	// pool). Write-only from the pipeline's perspective: the telemetry
 	// status server samples it, nothing is read back, so exported
@@ -263,47 +233,11 @@ func Run[P, R, S any](cfg Config, gen Generator[P], newState func() S, trial fun
 		return nil
 	}
 
-	meta := Meta{
-		Name: gen.Name(), Trials: n, Start: sum.Start, Resumed: resumed,
-		WriterBuf: cfg.WriterBuf, AsyncExport: cfg.ExportQueue >= 0,
-		Gauges: cfg.Gauges,
-	}
+	meta := Meta{Name: gen.Name(), Trials: n, Start: sum.Start, Resumed: resumed, Gauges: cfg.Gauges}
 	for _, e := range exporters {
 		if err := e.Begin(meta); err != nil {
 			return sum, fmt.Errorf("pipeline: exporter %q: %w", e.Name(), err)
 		}
-	}
-
-	// doExport streams one trial to every exporter, serialized and in
-	// index order on whichever goroutine owns the export stage.
-	doExport := func(i int, p *P, r *R) error {
-		for _, e := range exporters {
-			if err := e.Export(i, *p, *r); err != nil {
-				return fmt.Errorf("pipeline: exporter %q at trial %d: %w", e.Name(), i, err)
-			}
-		}
-		return nil
-	}
-
-	// The pipelined export stage (unless disabled): trials and
-	// periodic checkpoint tokens flow through a bounded FIFO to one
-	// writer goroutine, which is then the only goroutine touching the
-	// exporters until close() drains it. Exported bytes, checkpoint
-	// contents, and error semantics match the inline path exactly —
-	// only the overlap with trial compute differs.
-	var q *exportQueue[R]
-	if cfg.ExportQueue >= 0 {
-		depth := cfg.ExportQueue
-		if depth == 0 {
-			depth = DefaultExportQueue
-		}
-		q = newExportQueue(depth, cfg.Gauges, func(it *exportItem[R]) error {
-			if it.ckpt {
-				return saveCheckpoint(it.i, false)
-			}
-			p := gen.Params(it.i)
-			return doExport(it.i, &p, &it.r)
-		})
 	}
 
 	every := cfg.CheckpointEvery
@@ -320,36 +254,24 @@ func Run[P, R, S any](cfg Config, gen Generator[P], newState func() S, trial fun
 	exported := 0
 	var runErr error
 	runner.StreamWith(execEnd, runner.StreamOptions{
-		Options: runner.Options{Workers: cfg.Workers, OnProgress: cfg.OnProgress, OnTrialDone: cfg.OnTrialDone, Gauges: cfg.Gauges},
+		Options: runner.Options{Workers: cfg.Workers, OnProgress: cfg.OnProgress, Gauges: cfg.Gauges},
 		Start:   sum.Start,
-		Window:  cfg.Window,
 		Batch:   cfg.Batch,
 		Stop:    cfg.Stop,
 	}, newState, func(s S, i int) R {
 		return trial(s, gen.Params(i))
 	}, func(i int, result R, err *runner.TrialError) bool {
+		// Exporters run here, on the runner's serialized, index-ordered
+		// emit callback.
 		if err != nil {
 			sum.Failures = append(sum.Failures, err)
 		}
-		if q != nil {
-			if !q.putTrial(i, &result) {
-				runErr = q.err()
+		p := gen.Params(i)
+		for _, e := range exporters {
+			if expErr := e.Export(i, p, result); expErr != nil {
+				runErr = fmt.Errorf("pipeline: exporter %q at trial %d: %w", e.Name(), i, expErr)
 				return false
 			}
-			exported++
-			g.Set(telemetry.GExportedTrials, int64(i+1))
-			if ck != nil && exported%every == 0 {
-				if !q.putCkpt(i + 1) {
-					runErr = q.err()
-					return false
-				}
-			}
-			return true
-		}
-		p := gen.Params(i)
-		if expErr := doExport(i, &p, &result); expErr != nil {
-			runErr = expErr
-			return false
 		}
 		exported++
 		g.Set(telemetry.GExportedTrials, int64(i+1))
@@ -361,14 +283,6 @@ func Run[P, R, S any](cfg Config, gen Generator[P], newState func() S, trial fun
 		}
 		return true
 	})
-	if q != nil {
-		// Drain the writer before any final checkpoint or Close: after
-		// this, every executed trial's bytes have reached the
-		// exporters and no other goroutine touches them.
-		if qErr := q.close(); qErr != nil && runErr == nil {
-			runErr = qErr
-		}
-	}
 
 	sum.Exported = sum.Start + exported
 	if runErr != nil {
@@ -380,7 +294,7 @@ func Run[P, R, S any](cfg Config, gen Generator[P], newState func() S, trial fun
 		}
 		return sum, runErr
 	}
-	sum.Done = runErr == nil && sum.Exported == end
+	sum.Done = sum.Exported == end
 	if ck != nil {
 		if err := saveCheckpoint(sum.Exported, sum.Done); err != nil {
 			return sum, err

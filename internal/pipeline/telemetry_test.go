@@ -9,20 +9,19 @@ import (
 
 // TestGaugesByteIdenticalOutput pins the wall-vs-deterministic
 // boundary at the pipeline level: JSONL output with the telemetry
-// plane enabled is byte-identical to the plane-off reference, on both
-// the inline and the pipelined export stage and at several worker
-// counts. The gauges are write-only samples; nothing downstream may
-// read them back into the byte stream.
+// plane enabled is byte-identical to the plane-off reference at
+// several worker counts. The gauges are write-only samples; nothing
+// downstream may read them back into the byte stream.
 func TestGaugesByteIdenticalOutput(t *testing.T) {
 	const n = 83
-	_, want := runJSONL(t, t.TempDir(), n, Config{Workers: 1, ExportQueue: -1})
+	_, want := runJSONL(t, t.TempDir(), n, Config{Workers: 1})
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"inline-j4", Config{Workers: 4, ExportQueue: -1, Gauges: &telemetry.Gauges{}}},
-		{"queued-j1", Config{Workers: 1, ExportQueue: 8, Gauges: &telemetry.Gauges{}}},
-		{"queued-j8", Config{Workers: 8, ExportQueue: 8, WriterBuf: 128, Gauges: &telemetry.Gauges{}}},
+		{"j1", Config{Workers: 1, Gauges: &telemetry.Gauges{}}},
+		{"j4", Config{Workers: 4, Gauges: &telemetry.Gauges{}}},
+		{"j8", Config{Workers: 8, Gauges: &telemetry.Gauges{}}},
 	} {
 		_, got := runJSONL(t, t.TempDir(), n, tc.cfg)
 		if !bytes.Equal(got, want) {
@@ -34,14 +33,14 @@ func TestGaugesByteIdenticalOutput(t *testing.T) {
 
 // TestGaugesPipelineCursors verifies the export-side gauges after a
 // campaign: the exported-trials and checkpoint cursors agree with the
-// summary, export bytes match the file, and the queue drained.
+// summary, and export bytes match the file.
 func TestGaugesPipelineCursors(t *testing.T) {
 	const n = 64
 	g := &telemetry.Gauges{}
 	dir := t.TempDir()
 	ckpt := dir + "/ck.json"
 	sum, data := runJSONL(t, dir, n, Config{
-		Workers: 4, ExportQueue: 8, Checkpoint: ckpt, CheckpointEvery: 10, Gauges: g,
+		Workers: 4, Checkpoint: ckpt, CheckpointEvery: 10, Gauges: g,
 	})
 	if !sum.Done {
 		t.Fatalf("campaign not done: %+v", sum)
@@ -59,11 +58,5 @@ func TestGaugesPipelineCursors(t *testing.T) {
 	}
 	if got := g.Load(telemetry.GCkptBytes); got != int64(len(data)) {
 		t.Errorf("GCkptBytes = %d, want %d", got, len(data))
-	}
-	if got := g.Load(telemetry.GExportQueueDepth); got != 0 {
-		t.Errorf("GExportQueueDepth = %d after drain, want 0", got)
-	}
-	if hw := g.Load(telemetry.GExportQueueHighWater); hw < 1 {
-		t.Errorf("GExportQueueHighWater = %d, want >= 1", hw)
 	}
 }

@@ -65,23 +65,13 @@ type Options struct {
 	// goroutine under the runner's lock; keep it cheap.
 	OnProgress func(Progress)
 
-	// OnTrialDone, when non-nil, is invoked after every trial with its
-	// index and wall-clock duration (the trial function alone, lock
-	// wait excluded). Like OnProgress it runs serialized under the
-	// runner's lock; keep it cheap. Trial timing is only measured when
-	// this is set, so the default path pays nothing. Wall-clock
-	// durations are inherently non-deterministic — consumers (e.g. the
-	// metrics registry's wall section) must keep them out of any
-	// deterministic aggregate.
-	OnTrialDone func(index int, elapsed time.Duration)
-
 	// Gauges, when non-nil, receives live health samples: worker-pool
 	// size and busy count, cumulative trials/claims/busy-nanoseconds,
 	// and reorder-ring occupancy (in-flight and parked trials). The
 	// runner only writes gauges — they are sampled by the telemetry
 	// status server and never read back, so they cannot influence the
 	// emitted stream. Nil (the default) disables the plane at zero
-	// cost; setting it enables per-trial wall timing like OnTrialDone.
+	// cost; setting it enables per-trial wall timing (the busy clock).
 	Gauges *telemetry.Gauges
 }
 
@@ -152,35 +142,34 @@ func RunWith[S, T any](n int, opts Options, newState func() S, fn func(state S, 
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // state is the mutable completion bookkeeping shared by the workers
-// of one Run/StreamWith: completion counts and the progress/timing
-// callbacks, serialized under one lock.
+// of one Run/StreamWith: completion counts and the progress callback,
+// serialized under one lock.
 type state struct {
-	mu          sync.Mutex
-	completed   int
-	failed      int
-	total       int
-	start       time.Time
-	onProgress  func(Progress)
-	onTrialDone func(int, time.Duration)
-	gauges      *telemetry.Gauges
+	mu         sync.Mutex
+	completed  int
+	failed     int
+	total      int
+	start      time.Time
+	onProgress func(Progress)
+	gauges     *telemetry.Gauges
 }
 
 // newRunState builds the completion bookkeeping for a batch of total
 // trials.
 func newRunState(total int, opts Options) *state {
-	return &state{total: total, start: time.Now(), onProgress: opts.OnProgress, onTrialDone: opts.OnTrialDone, gauges: opts.Gauges}
+	return &state{total: total, start: time.Now(), onProgress: opts.OnProgress, gauges: opts.Gauges}
 }
 
-// timed reports whether trials must be wall-clock timed (only when a
-// consumer asked — the progress-timing callback or the telemetry
-// busy-fraction gauges — so the default path pays nothing).
-func (st *state) timed() bool { return st.onTrialDone != nil || st.gauges != nil }
+// timed reports whether trials must be wall-clock timed (only when
+// the telemetry busy-clock gauge is live, so the default path pays
+// nothing).
+func (st *state) timed() bool { return st.gauges != nil }
 
-// finishOne records one trial completion and fires the callbacks,
-// serialized under the state lock.
-func (st *state) finishOne(i int, failure *TrialError, elapsed time.Duration) {
+// finishOne records one trial completion and fires the progress
+// callback, serialized under the state lock.
+func (st *state) finishOne(failure *TrialError, elapsed time.Duration) {
 	st.mu.Lock()
-	st.finishLocked(i, failure, elapsed)
+	st.finishLocked(failure, elapsed)
 	st.mu.Unlock()
 }
 
@@ -190,18 +179,15 @@ func (st *state) finishOne(i int, failure *TrialError, elapsed time.Duration) {
 func (st *state) beginFinish() { st.mu.Lock() }
 func (st *state) endFinish()   { st.mu.Unlock() }
 
-// finishLocked is finishOne's body; the caller holds st.mu. Callbacks
-// still fire once per trial.
-func (st *state) finishLocked(i int, failure *TrialError, elapsed time.Duration) {
+// finishLocked is finishOne's body; the caller holds st.mu. The
+// progress callback still fires once per trial.
+func (st *state) finishLocked(failure *TrialError, elapsed time.Duration) {
 	st.completed++
 	if failure != nil {
 		st.failed++
 	}
 	st.gauges.Add(telemetry.GTrialsDone, 1)
 	st.gauges.Add(telemetry.GBusyNanos, int64(elapsed))
-	if st.onTrialDone != nil {
-		st.onTrialDone(i, elapsed)
-	}
 	if st.onProgress != nil {
 		st.onProgress(st.progressLocked())
 	}

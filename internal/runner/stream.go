@@ -126,7 +126,7 @@ func StreamWith[S, T any](n int, opts StreamOptions, newState func() S, fn func(
 			g.Set(telemetry.GWorkersBusy, 1)
 			result, failure, elapsed := runTimed(st, i, ws, fn)
 			g.Set(telemetry.GWorkersBusy, 0)
-			st.finishOne(i, failure, elapsed)
+			st.finishOne(failure, elapsed)
 			if !emit(i, result, failure) {
 				return
 			}
@@ -285,7 +285,7 @@ func (sw *streamState[T]) deliverChunk(start int, chunk []chunkResult[T], emit f
 	st := sw.runState
 	st.beginFinish()
 	for k := range chunk {
-		st.finishLocked(start+k, chunk[k].err, chunk[k].elapsed)
+		st.finishLocked(chunk[k].err, chunk[k].elapsed)
 	}
 	st.endFinish()
 	if sw.stopped {

@@ -9,8 +9,7 @@ import (
 // TestGaugesEndState verifies the runner leaves the telemetry plane
 // consistent after a run: every trial counted, nothing left in
 // flight or parked, the pool and ring dimensions published, and the
-// busy clock advanced (gauges enable per-trial timing the way
-// OnTrialDone does).
+// busy clock advanced (gauges enable per-trial timing).
 func TestGaugesEndState(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		g := &telemetry.Gauges{}

@@ -42,15 +42,11 @@ const (
 	GRingCapacity                // reorder ring capacity (the admission window)
 	GRingParked                  // completed trials parked in the ring awaiting an earlier index
 
-	// pipeline (internal/pipeline): export-stage backlog and
-	// checkpoint lag.
-	GExportQueueDepth     // trials + checkpoint tokens queued for the export writer
-	GExportQueueHighWater // maximum export-queue depth seen this campaign
-	GWriteBehindPending   // write-behind chunks queued for the flusher
-	GExportBytes          // cumulative bytes handed to the results writer
-	GExportedTrials       // trials emitted to the export stage so far (campaign index)
-	GCkptTrials           // campaign index recorded by the last checkpoint
-	GCkptBytes            // GExportBytes at the last checkpoint
+	// pipeline (internal/pipeline): export cursors and checkpoint lag.
+	GExportBytes    // cumulative bytes handed to the results writer
+	GExportedTrials // trials exported so far (campaign index)
+	GCkptTrials     // campaign index recorded by the last checkpoint
+	GCkptBytes      // GExportBytes at the last checkpoint
 
 	// shard (cmd/h2attack -shard): this process's slice of the
 	// campaign.
@@ -87,13 +83,10 @@ var gaugeInfos = [gaugeCount]gaugeInfo{
 	GRingCapacity: {"runner_reorder_ring_capacity", "Reorder ring capacity (admission window)."},
 	GRingParked:   {"runner_reorder_ring_parked", "Completed trials parked awaiting an earlier index."},
 
-	GExportQueueDepth:     {"pipeline_export_queue_depth", "Items queued for the export writer goroutine."},
-	GExportQueueHighWater: {"pipeline_export_queue_high_water", "Maximum export-queue depth seen this campaign."},
-	GWriteBehindPending:   {"pipeline_write_behind_chunks", "Write-behind chunks queued for the flusher."},
-	GExportBytes:          {"pipeline_export_bytes", "Bytes handed to the results writer."},
-	GExportedTrials:       {"pipeline_exported_trials", "Trials emitted to the export stage (campaign index)."},
-	GCkptTrials:           {"pipeline_checkpoint_trials", "Campaign index recorded by the last checkpoint."},
-	GCkptBytes:            {"pipeline_checkpoint_bytes", "Export bytes recorded by the last checkpoint."},
+	GExportBytes:    {"pipeline_export_bytes", "Bytes handed to the results writer."},
+	GExportedTrials: {"pipeline_exported_trials", "Trials exported so far (campaign index)."},
+	GCkptTrials:     {"pipeline_checkpoint_trials", "Campaign index recorded by the last checkpoint."},
+	GCkptBytes:      {"pipeline_checkpoint_bytes", "Export bytes recorded by the last checkpoint."},
 
 	GShardIndex: {"shard_index", "This process's 1-based shard index."},
 	GShardCount: {"shard_count", "Total shard count of the fan-out."},
@@ -140,25 +133,10 @@ func (g *Gauges) Set(id GaugeID, v int64) {
 	}
 }
 
-// Add adds delta to the gauge and returns the new value (0 when
-// disabled).
-func (g *Gauges) Add(id GaugeID, delta int64) int64 {
-	if g == nil {
-		return 0
-	}
-	return g.cells[id].Add(delta)
-}
-
-// SetMax raises the gauge to v if v is larger (the high-water update).
-func (g *Gauges) SetMax(id GaugeID, v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.cells[id].Load()
-		if v <= cur || g.cells[id].CompareAndSwap(cur, v) {
-			return
-		}
+// Add adds delta to the gauge.
+func (g *Gauges) Add(id GaugeID, delta int64) {
+	if g != nil {
+		g.cells[id].Add(delta)
 	}
 }
 

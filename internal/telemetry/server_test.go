@@ -50,7 +50,7 @@ func get(t *testing.T, url string) (int, string) {
 func TestServerMetricsAndStatus(t *testing.T) {
 	s, g, tr := startTestServer(t, nil)
 	g.Set(GWorkers, 8)
-	g.Set(GExportQueueDepth, 13)
+	g.Set(GExportBytes, 13)
 	g.Add(GTrialsDone, 250)
 	tr.SetCampaign("survey", "survey/sites=1000", "", 4000)
 	tr.SetProgress(250, 1, 4000, 125.5, 30*time.Second)
@@ -61,7 +61,7 @@ func TestServerMetricsAndStatus(t *testing.T) {
 	}
 	for _, want := range []string{
 		"h2attack_runner_workers 8\n",
-		"h2attack_pipeline_export_queue_depth 13\n",
+		"h2attack_pipeline_export_bytes 13\n",
 		"h2attack_runner_trials_done_total 250\n",
 		"h2attack_trials_done 250\n",
 		"h2attack_trials_total 4000\n",
@@ -93,7 +93,7 @@ func TestServerMetricsAndStatus(t *testing.T) {
 	if st.ETASeconds != 30 {
 		t.Errorf("eta = %v", st.ETASeconds)
 	}
-	if st.Gauges["runner_workers"] != 8 || st.Gauges["pipeline_export_queue_depth"] != 13 {
+	if st.Gauges["runner_workers"] != 8 || st.Gauges["pipeline_export_bytes"] != 13 {
 		t.Errorf("gauge snapshot = %v", st.Gauges)
 	}
 	if st.Runtime.GoMaxProcs < 1 || st.Runtime.Goroutines < 1 {

@@ -4,21 +4,22 @@
 # Runs every benchmark (the experiment sweeps report trials/s as a
 # custom metric; the substrate packages report ns/op + allocs/op),
 # converts the output into a structured baseline via cmd/benchjson,
-# writes it to BENCH_PR9.json, and compares against the most recently
-# committed BENCH_*.json: a sweep whose trials/s throughput dropped
-# more than 10% fails the script.
+# and compares it against the most recently committed BENCH_*.json: a
+# sweep whose trials/s throughput dropped more than 10% fails the
+# script. Without BENCH_OUT the baseline goes to a temporary file and
+# is only compared; BENCH_OUT names a baseline file to commit.
 #
 # Usage: scripts/bench.sh              (or: make bench-compare)
-#   BENCH_OUT=BENCH_PR10.json scripts/bench.sh  # name a new baseline
+#   BENCH_OUT=BENCH_PRn.json scripts/bench.sh  # write a new baseline
 #
 # The JSON schema and the gate policy are documented in EXPERIMENTS.md.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-out=${BENCH_OUT:-BENCH_PR9.json}
 raw=$(mktemp)
-trap 'rm -f "$raw" "$raw.base"' EXIT
+trap 'rm -f "$raw" "$raw.base" "$raw.json"' EXIT
+out=${BENCH_OUT:-$raw.json}
 
 echo "==> go test -bench (this takes a minute or two)"
 go test -bench=. -benchmem -run '^$' -timeout 60m . ./internal/... | tee "$raw"

@@ -52,10 +52,8 @@ for j in 1 8; do
 	done
 
 	# Scrape mid-run. Poll until the campaign has completed at least
-	# one trial AND the export writer has flushed bytes, so the
-	# assertions below see live values, not startup zeros (the first
-	# exported trial sits briefly in the async queue before the writer
-	# advances the byte gauge).
+	# one trial AND exported its first line, so the assertions below
+	# see live values, not startup zeros.
 	tries=0
 	while :; do
 		curl -fsS "http://$addr/status" >"$DIR/status.$j.json"
