@@ -2,19 +2,22 @@
 // header compression (RFC 7541) from scratch on top of the standard
 // library only.
 //
-// The package provides three layers:
+// The package provides two layers:
 //
-//   - Framing: FrameHeader, the concrete Frame types, and Framer, which
-//     reads and writes frames over any io.ReadWriter.
-//   - HPACK: Encoder and Decoder with the full static table, a dynamic
-//     table, and canonical Huffman coding.
-//   - Endpoints: Server and Client, which speak HTTP/2 over any net.Conn
-//     (cleartext, prior-knowledge mode) with stream multiplexing and
-//     flow control.
+//   - Framing: FrameHeader, the concrete Frame types, AppendFrame and
+//     MarshalFrame for encoding, and FrameScanner, which splits a byte
+//     stream fed in arbitrary chunks into decoded frames.
+//   - HPACK: HpackEncoder and HpackDecoder with the full static table,
+//     a dynamic table, and canonical Huffman coding.
 //
-// The same framing and HPACK layers are reused by the discrete-event
-// simulation endpoints in internal/h2sim, so the bytes on the simulated
-// wire are genuine RFC 7540 bytes.
+// The discrete-event simulation endpoints in internal/h2sim build
+// their sessions on these two layers, so the bytes on the simulated
+// wire are genuine RFC 7540 frames carrying RFC 7541 header blocks.
+//
+// Two small protocol models sit beside the layers as executable
+// references for the rules an endpoint applies to the frames:
+// StreamStateMachine (the RFC 7540 section 5.1 stream lifecycle) and
+// FlowWindow (the section 5.2 flow-control window).
 package h2
 
 import (
@@ -103,19 +106,11 @@ func (e StreamError) Error() string {
 	return fmt.Sprintf("h2: stream %d error: %s: %s", e.StreamID, e.Code, e.Reason)
 }
 
-// Sentinel errors returned by framing and endpoint operations.
+// Sentinel errors returned by the frame scanner and the HPACK decoder.
 var (
-	// ErrFrameTooLarge is returned when a frame exceeds the reader's
-	// SETTINGS_MAX_FRAME_SIZE.
+	// ErrFrameTooLarge is returned when a frame exceeds the scanner's
+	// MaxFrameSize.
 	ErrFrameTooLarge = errors.New("h2: frame too large")
-
-	// ErrClosed is returned by operations on a closed connection or
-	// stream.
-	ErrClosed = errors.New("h2: closed")
-
-	// ErrBadPreface is returned by a server when the client connection
-	// preface is malformed.
-	ErrBadPreface = errors.New("h2: bad client preface")
 
 	// ErrHeaderListTooLong is returned by the HPACK decoder when the
 	// decoded header list exceeds the configured limit.

@@ -3,12 +3,7 @@ package h2
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 )
-
-// ClientPreface is the fixed sequence of bytes a client must send first
-// on every HTTP/2 connection (RFC 7540 section 3.5).
-const ClientPreface = "PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n"
 
 // Frame size constants from RFC 7540 section 4.2.
 const (
@@ -22,10 +17,6 @@ const (
 	// MaxAllowedFrameSize is the largest value SETTINGS_MAX_FRAME_SIZE
 	// may take (2^24 - 1).
 	MaxAllowedFrameSize = 1<<24 - 1
-
-	// DefaultInitialWindowSize is the initial flow-control window for
-	// both connections and streams.
-	DefaultInitialWindowSize = 65535
 
 	// MaxWindowSize is the largest flow-control window permitted
 	// (2^31 - 1).
@@ -168,9 +159,6 @@ type PriorityParam struct {
 	// weights 1..256).
 	Weight uint8
 }
-
-// IsZero reports whether the priority parameters are all defaults.
-func (p PriorityParam) IsZero() bool { return p == PriorityParam{} }
 
 // DataFrame carries stream payload bytes (RFC 7540 section 6.1).
 type DataFrame struct {
@@ -495,65 +483,6 @@ func MarshalFrame(f Frame) []byte {
 	return AppendFrame(make([]byte, 0, h.WireLen()), f)
 }
 
-// Framer reads and writes HTTP/2 frames over an io.ReadWriter. The
-// zero value is not usable; construct with NewFramer.
-//
-// Framer performs structural validation (lengths, reserved bits,
-// stream-id parity rules are left to the connection layer) and
-// enforces MaxReadFrameSize on reads.
-type Framer struct {
-	r io.Reader
-	w io.Writer
-
-	// MaxReadFrameSize caps the payload length accepted by ReadFrame.
-	// Defaults to DefaultMaxFrameSize.
-	MaxReadFrameSize uint32
-
-	readBuf  []byte
-	writeBuf []byte
-}
-
-// NewFramer returns a Framer that writes to w and reads from r. Either
-// may be nil if only one direction is used.
-func NewFramer(w io.Writer, r io.Reader) *Framer {
-	return &Framer{
-		r:                r,
-		w:                w,
-		MaxReadFrameSize: DefaultMaxFrameSize,
-	}
-}
-
-// WriteFrame serializes f and writes it to the underlying writer.
-func (fr *Framer) WriteFrame(f Frame) error {
-	fr.writeBuf = AppendFrame(fr.writeBuf[:0], f)
-	if _, err := fr.w.Write(fr.writeBuf); err != nil {
-		return fmt.Errorf("h2: write %v frame: %w", f.Header().Type, err)
-	}
-	return nil
-}
-
-// ReadFrame reads and decodes the next frame from the underlying
-// reader. The returned frame's byte slices are only valid until the
-// next call to ReadFrame.
-func (fr *Framer) ReadFrame() (Frame, error) {
-	var hbuf [FrameHeaderLen]byte
-	if _, err := io.ReadFull(fr.r, hbuf[:]); err != nil {
-		return nil, err
-	}
-	h := parseFrameHeader(hbuf[:])
-	if h.Length > fr.MaxReadFrameSize {
-		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, h.Length, fr.MaxReadFrameSize)
-	}
-	if cap(fr.readBuf) < int(h.Length) {
-		fr.readBuf = make([]byte, h.Length)
-	}
-	payload := fr.readBuf[:h.Length]
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		return nil, fmt.Errorf("h2: read %v payload: %w", h.Type, err)
-	}
-	return ParseFramePayload(h, payload)
-}
-
 // ParseFramePayload decodes a frame payload given its already-parsed
 // header. The returned frame aliases payload.
 func ParseFramePayload(h FrameHeader, payload []byte) (Frame, error) {
@@ -586,9 +515,8 @@ func ParseFramePayload(h FrameHeader, payload []byte) (Frame, error) {
 	}
 }
 
-// FrameScanner incrementally splits a byte stream into frames. Feed
-// arbitrary chunks; complete frames come out. Unlike Framer it does
-// not need an io.Reader, which suits event-driven transports.
+// FrameScanner incrementally splits a byte stream into frames: feed
+// it arbitrary chunks and complete frames come out.
 type FrameScanner struct {
 	buf []byte
 	off int // parse position within buf

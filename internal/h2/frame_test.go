@@ -3,25 +3,24 @@ package h2
 import (
 	"bytes"
 	"errors"
-	"io"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
 
-// roundTrip writes f through a Framer and reads it back.
+// roundTrip encodes f and decodes it back through a FrameScanner,
+// requiring exactly one frame and nothing left buffered.
 func roundTrip(t *testing.T, f Frame) Frame {
 	t.Helper()
-	var buf bytes.Buffer
-	fr := NewFramer(&buf, &buf)
-	if err := fr.WriteFrame(f); err != nil {
-		t.Fatalf("write %v: %v", f.Header(), err)
-	}
-	got, err := fr.ReadFrame()
+	var sc FrameScanner
+	got, err := sc.Feed(MarshalFrame(f))
 	if err != nil {
-		t.Fatalf("read back %v: %v", f.Header(), err)
+		t.Fatalf("decode %v: %v", f.Header(), err)
 	}
-	return got
+	if len(got) != 1 || sc.Buffered() != 0 {
+		t.Fatalf("decode %v: %d frames, %d bytes left buffered", f.Header(), len(got), sc.Buffered())
+	}
+	return got[0]
 }
 
 func TestFrameRoundTripAllTypes(t *testing.T) {
@@ -54,8 +53,7 @@ func TestFrameRoundTripAllTypes(t *testing.T) {
 	}
 	for _, f := range frames {
 		got := roundTrip(t, f)
-		// Clear alias-only differences: decoded slices point into the
-		// framer buffer, so compare by deep equality of values.
+		// Feed copies payloads, so compare by deep equality of values.
 		if !reflect.DeepEqual(got, f) {
 			t.Errorf("round trip %v:\n got %#v\nwant %#v", f.Header(), got, f)
 		}
@@ -87,32 +85,43 @@ func TestFrameHeaderReservedBitMasked(t *testing.T) {
 }
 
 func TestFramerRejectsOversizedFrame(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewFramer(&buf, nil)
-	if err := w.WriteFrame(&DataFrame{StreamID: 1, Data: make([]byte, 2048)}); err != nil {
-		t.Fatal(err)
-	}
-	r := NewFramer(nil, &buf)
-	r.MaxReadFrameSize = 1024
-	if _, err := r.ReadFrame(); !errors.Is(err, ErrFrameTooLarge) {
+	wire := MarshalFrame(&DataFrame{StreamID: 1, Data: make([]byte, 2048)})
+	sc := FrameScanner{MaxFrameSize: 1024}
+	if _, err := sc.Feed(wire); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
+	}
+	// The zero MaxFrameSize means DefaultMaxFrameSize.
+	var over, at FrameScanner
+	if _, err := over.Feed(MarshalFrame(&DataFrame{StreamID: 1, Data: make([]byte, DefaultMaxFrameSize+1)})); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("default limit: err = %v, want ErrFrameTooLarge", err)
+	}
+	if _, err := at.Feed(MarshalFrame(&DataFrame{StreamID: 1, Data: make([]byte, DefaultMaxFrameSize)})); err != nil {
+		t.Errorf("frame at the default limit rejected: %v", err)
 	}
 }
 
+// TestFramerEOF checks that a truncated header or payload
+// yields no frame and no error, and that the frame comes out once its
+// last byte arrives.
 func TestFramerEOF(t *testing.T) {
-	r := NewFramer(nil, bytes.NewReader(nil))
-	if _, err := r.ReadFrame(); !errors.Is(err, io.EOF) {
-		t.Errorf("err = %v, want io.EOF", err)
-	}
-	// Truncated header / payload yield ErrUnexpectedEOF.
-	r = NewFramer(nil, bytes.NewReader([]byte{0, 0}))
-	if _, err := r.ReadFrame(); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("truncated header err = %v, want ErrUnexpectedEOF", err)
-	}
-	full := MarshalFrame(&PingFrame{})
-	r = NewFramer(nil, bytes.NewReader(full[:len(full)-1]))
-	if _, err := r.ReadFrame(); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("truncated payload err = %v, want ErrUnexpectedEOF", err)
+	want := &PingFrame{Data: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}}
+	full := MarshalFrame(want)
+	for _, cut := range []int{0, 2, FrameHeaderLen, len(full) - 1} {
+		var sc FrameScanner
+		got, err := sc.Feed(full[:cut])
+		if err != nil || len(got) != 0 {
+			t.Fatalf("first %d bytes: %d frames, err %v; want none", cut, len(got), err)
+		}
+		if sc.Buffered() != cut {
+			t.Errorf("first %d bytes: Buffered = %d", cut, sc.Buffered())
+		}
+		got, err = sc.Feed(full[cut:])
+		if err != nil || len(got) != 1 {
+			t.Fatalf("rest after %d bytes: %d frames, err %v; want one", cut, len(got), err)
+		}
+		if !reflect.DeepEqual(got[0], want) {
+			t.Errorf("rest after %d bytes: got %#v", cut, got[0])
+		}
 	}
 }
 
@@ -202,31 +211,6 @@ func TestSettingValidation(t *testing.T) {
 	}
 }
 
-func TestSettingsApplyAndDiff(t *testing.T) {
-	s := DefaultSettings()
-	frame := &SettingsFrame{Settings: []Setting{
-		{SettingInitialWindowSize, 1 << 20},
-		{SettingEnablePush, 0},
-		{SettingMaxConcurrentStreams, 100},
-	}}
-	if err := s.Apply(frame); err != nil {
-		t.Fatal(err)
-	}
-	if s.InitialWindowSize != 1<<20 || s.EnablePush || s.MaxConcurrentStreams != 100 {
-		t.Errorf("applied settings = %+v", s)
-	}
-	var round Settings = DefaultSettings()
-	if err := round.Apply(&SettingsFrame{Settings: s.Diff()}); err != nil {
-		t.Fatal(err)
-	}
-	if round != s {
-		t.Errorf("Diff round trip = %+v, want %+v", round, s)
-	}
-	if len(DefaultSettings().Diff()) != 0 {
-		t.Error("DefaultSettings().Diff() not empty")
-	}
-}
-
 func TestDataFrameQuickRoundTrip(t *testing.T) {
 	f := func(stream uint32, data []byte, end bool, padLen uint8) bool {
 		if stream == 0 {
@@ -239,17 +223,12 @@ func TestDataFrameQuickRoundTrip(t *testing.T) {
 			Padded:    true,
 			PadLength: padLen,
 		}
-		var buf bytes.Buffer
-		fr := NewFramer(&buf, &buf)
-		fr.MaxReadFrameSize = MaxAllowedFrameSize
-		if err := fr.WriteFrame(in); err != nil {
+		sc := FrameScanner{MaxFrameSize: MaxAllowedFrameSize}
+		out, err := sc.Feed(MarshalFrame(in))
+		if err != nil || len(out) != 1 {
 			return false
 		}
-		out, err := fr.ReadFrame()
-		if err != nil {
-			return false
-		}
-		got, ok := out.(*DataFrame)
+		got, ok := out[0].(*DataFrame)
 		if !ok {
 			return false
 		}

@@ -51,96 +51,3 @@ func (s Setting) Valid() error {
 	}
 	return nil
 }
-
-// Settings holds an endpoint's view of its peer's (or its own)
-// SETTINGS parameters. The zero value is not meaningful; construct
-// with DefaultSettings.
-type Settings struct {
-	// HeaderTableSize is the HPACK dynamic table size.
-	HeaderTableSize uint32
-
-	// EnablePush permits PUSH_PROMISE frames.
-	EnablePush bool
-
-	// MaxConcurrentStreams caps concurrently open streams. Zero means
-	// unlimited (the RFC leaves it initially unset).
-	MaxConcurrentStreams uint32
-
-	// InitialWindowSize is the initial per-stream flow-control window.
-	InitialWindowSize uint32
-
-	// MaxFrameSize is the largest frame payload the endpoint accepts.
-	MaxFrameSize uint32
-
-	// MaxHeaderListSize advises a cap on decoded header lists. Zero
-	// means unset.
-	MaxHeaderListSize uint32
-}
-
-// DefaultSettings returns the initial values mandated by RFC 7540
-// section 6.5.2.
-func DefaultSettings() Settings {
-	return Settings{
-		HeaderTableSize:      4096,
-		EnablePush:           true,
-		MaxConcurrentStreams: 0,
-		InitialWindowSize:    DefaultInitialWindowSize,
-		MaxFrameSize:         DefaultMaxFrameSize,
-		MaxHeaderListSize:    0,
-	}
-}
-
-// Apply folds the parameters carried by f into s, returning the first
-// validation error encountered.
-func (s *Settings) Apply(f *SettingsFrame) error {
-	for _, st := range f.Settings {
-		if err := st.Valid(); err != nil {
-			return err
-		}
-		switch st.ID {
-		case SettingHeaderTableSize:
-			s.HeaderTableSize = st.Val
-		case SettingEnablePush:
-			s.EnablePush = st.Val == 1
-		case SettingMaxConcurrentStreams:
-			s.MaxConcurrentStreams = st.Val
-		case SettingInitialWindowSize:
-			s.InitialWindowSize = st.Val
-		case SettingMaxFrameSize:
-			s.MaxFrameSize = st.Val
-		case SettingMaxHeaderListSize:
-			s.MaxHeaderListSize = st.Val
-		}
-	}
-	return nil
-}
-
-// Diff returns the settings list that transforms DefaultSettings into
-// s, suitable for the first SETTINGS frame of a connection.
-func (s Settings) Diff() []Setting {
-	def := DefaultSettings()
-	var out []Setting
-	if s.HeaderTableSize != def.HeaderTableSize {
-		out = append(out, Setting{SettingHeaderTableSize, s.HeaderTableSize})
-	}
-	if s.EnablePush != def.EnablePush {
-		v := uint32(0)
-		if s.EnablePush {
-			v = 1
-		}
-		out = append(out, Setting{SettingEnablePush, v})
-	}
-	if s.MaxConcurrentStreams != def.MaxConcurrentStreams {
-		out = append(out, Setting{SettingMaxConcurrentStreams, s.MaxConcurrentStreams})
-	}
-	if s.InitialWindowSize != def.InitialWindowSize {
-		out = append(out, Setting{SettingInitialWindowSize, s.InitialWindowSize})
-	}
-	if s.MaxFrameSize != def.MaxFrameSize {
-		out = append(out, Setting{SettingMaxFrameSize, s.MaxFrameSize})
-	}
-	if s.MaxHeaderListSize != def.MaxHeaderListSize {
-		out = append(out, Setting{SettingMaxHeaderListSize, s.MaxHeaderListSize})
-	}
-	return out
-}

@@ -80,7 +80,8 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 }
 
 // verify guards a resume: the checkpoint must describe exactly the
-// campaign — and the index range — the caller is about to continue.
+// campaign — and the index range — the caller is about to continue,
+// with a resume index inside that range (at its end when done).
 func (ck *checkpoint) verify(campaign, fingerprint string, trials, start, end int) error {
 	if ck.Campaign != campaign {
 		return fmt.Errorf("pipeline: checkpoint %s is for campaign %q, not %q", ck.path, ck.Campaign, campaign)
@@ -99,6 +100,14 @@ func (ck *checkpoint) verify(campaign, fingerprint string, trials, start, end in
 	if ck.RangeStart != start || ckEnd != end {
 		return fmt.Errorf("pipeline: checkpoint %s covers range [%d, %d), run requested [%d, %d)",
 			ck.path, ck.RangeStart, ckEnd, start, end)
+	}
+	if ck.Next < start || ck.Next > end {
+		return fmt.Errorf("pipeline: checkpoint %s resumes at trial %d, outside [%d, %d]",
+			ck.path, ck.Next, start, end)
+	}
+	if ck.DoneFlag && ck.Next != end {
+		return fmt.Errorf("pipeline: checkpoint %s is marked done at trial %d, not at its range end %d",
+			ck.path, ck.Next, end)
 	}
 	return nil
 }

@@ -34,7 +34,6 @@ type JSONL[P, R any] struct {
 	scratch []byte
 	offset  int64
 	lines   int64
-	resumed bool
 	gauges  *telemetry.Gauges // campaign telemetry (nil when off)
 }
 
@@ -97,13 +96,14 @@ func (j *JSONL[P, R]) Restore(state json.RawMessage) error {
 	if err := json.Unmarshal(state, &s); err != nil {
 		return fmt.Errorf("jsonl state: %w", err)
 	}
-	j.offset, j.lines, j.resumed = s.Offset, s.Lines, true
+	j.offset, j.lines = s.Offset, s.Lines
 	return nil
 }
 
 // Begin implements Exporter: open (or reopen) the file. On resume the
-// file is truncated to the checkpointed offset; on a fresh campaign
-// it is truncated to empty.
+// file is truncated to the checkpointed offset, and a file shorter
+// than that offset is an error; on a fresh campaign it is truncated
+// to empty.
 func (j *JSONL[P, R]) Begin(m Meta) error {
 	if dir := filepath.Dir(j.path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -113,6 +113,18 @@ func (j *JSONL[P, R]) Begin(m Meta) error {
 	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return err
+	}
+	// Truncate would extend a file shorter than the checkpointed
+	// offset with NUL bytes; such a file lost lines the checkpoint
+	// counts.
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return err
+	}
+	if fi.Size() < j.offset {
+		f.Close()
+		return fmt.Errorf("%s holds %d bytes, checkpoint expects at least %d", j.path, fi.Size(), j.offset)
 	}
 	if err := f.Truncate(j.offset); err != nil {
 		f.Close()
