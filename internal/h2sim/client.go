@@ -516,10 +516,10 @@ func (c *Client) OnTCPRetransmit(seqStart, seqEnd uint32) {
 }
 
 // OnBytes is the TCP delivery callback. Records and frames are parsed
-// on recycled scratch (Opener.FeedReuse, FrameScanner.FeedInto);
+// on recycled scratch (Opener.Feed, FrameScanner.FeedInto);
 // handleFrame never retains frame memory past the call.
 func (c *Client) OnBytes(b []byte) {
-	recs, err := c.opener.FeedReuse(b)
+	recs, err := c.opener.Feed(b)
 	if err != nil {
 		return
 	}

@@ -297,10 +297,10 @@ func (sv *Server) writeRecord(contentType uint8, plaintext []byte) (int64, int) 
 
 // OnBytes is the TCP delivery callback (ordered inbound byte stream).
 // The record and frame parse paths run on recycled scratch
-// (Opener.FeedReuse, FrameScanner.FeedInto), which is safe because
+// (Opener.Feed, FrameScanner.FeedInto), which is safe because
 // handleFrame never retains frame memory past the call.
 func (sv *Server) OnBytes(b []byte) {
-	recs, err := sv.opener.FeedReuse(b)
+	recs, err := sv.opener.Feed(b)
 	if err != nil {
 		return // corrupted stream: drop silently, TCP sim shouldn't produce this
 	}

@@ -158,14 +158,23 @@ func packBuckets(h *Hist) []histBucketJSON {
 }
 
 // unpackBuckets reverses packBuckets into a zeroed histogram's bucket
-// array (count and sum are carried separately on the wire).
+// array. Count and sum are carried separately on the wire, so the
+// bucket counts must sum to h.Count: a document where they do not is
+// rejected rather than merged into nonsense quantiles.
 func unpackBuckets(h *Hist, bs []histBucketJSON) error {
+	var total, carry uint64
 	for _, b := range bs {
 		i := bits.Len64(b.UpperBound)
 		if i >= histBuckets || b.UpperBound != 1<<uint(i)-1 {
 			return fmt.Errorf("obs: bad histogram bucket bound %d", b.UpperBound)
 		}
+		if total, carry = bits.Add64(total, b.Count, 0); carry != 0 {
+			return fmt.Errorf("obs: histogram bucket counts overflow")
+		}
 		h.Buckets[i] += b.Count
+	}
+	if total != h.Count {
+		return fmt.Errorf("obs: histogram bucket counts sum to %d, count is %d", total, h.Count)
 	}
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 // workload populates a registry with a deterministic slice [lo, hi) of
 // a synthetic trial stream — the single-process reference is
 // workload(0, n), a sharded run is workload(0,k) + workload(k,n).
-func workload(t *testing.T, lo, hi int) *Registry {
+func workload(t testing.TB, lo, hi int) *Registry {
 	t.Helper()
 	r := NewRegistry()
 	r.SetSegments("s0", "s1")
@@ -193,5 +193,40 @@ func TestSnapshotUnmarshalRejectsUnknownNames(t *testing.T) {
 	}
 	if err := s.Merge(&Snapshot{Segments: []SegmentSnapshot{{Label: "a"}}}); err == nil {
 		t.Fatal("want unknown-counter error from merge")
+	}
+}
+
+// TestSnapshotUnmarshalRejectsInconsistentHist pins the on-disk
+// consistency check: a histogram (or wall section) whose bucket counts
+// do not sum to its declared count is rejected at decode time instead
+// of merging into quantiles drawn from empty buckets.
+func TestSnapshotUnmarshalRejectsInconsistentHist(t *testing.T) {
+	seg := func(hist string) string {
+		return `{"segments":[{"label":"a","histograms":[` + hist + `]}]}`
+	}
+	cases := []struct {
+		name string
+		doc  string
+		ok   bool
+	}{
+		{"consistent", seg(`{"name":"tcp.cwnd_bytes","count":3,"sum":12,"buckets":[{"le":1,"count":1},{"le":7,"count":2}]}`), true},
+		{"count without buckets", seg(`{"name":"tcp.cwnd_bytes","count":5,"sum":10}`), false},
+		{"count above buckets", seg(`{"name":"tcp.cwnd_bytes","count":4,"sum":12,"buckets":[{"le":7,"count":3}]}`), false},
+		{"count below buckets", seg(`{"name":"tcp.cwnd_bytes","count":1,"sum":12,"buckets":[{"le":7,"count":3}]}`), false},
+		{"bucket counts overflow", seg(`{"name":"tcp.cwnd_bytes","count":1,"sum":1,"buckets":[{"le":1,"count":18446744073709551615},{"le":3,"count":2}]}`), false},
+		{"wall consistent", `{"segments":[],"wall":{"trials":2,"sum_ns":6,"buckets":[{"le":3,"count":2}]}}`, true},
+		{"wall trials without buckets", `{"segments":[],"wall":{"trials":5,"sum_ns":10}}`, false},
+		{"wall trials below buckets", `{"segments":[],"wall":{"trials":1,"sum_ns":6,"buckets":[{"le":3,"count":2}]}}`, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := json.Unmarshal([]byte(tc.doc), &Snapshot{})
+			if tc.ok && err != nil {
+				t.Fatalf("consistent snapshot rejected: %v", err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatal("inconsistent snapshot accepted")
+			}
+		})
 	}
 }

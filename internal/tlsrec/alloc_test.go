@@ -18,32 +18,33 @@ func TestSealReuseZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFeedReuseZeroAlloc proves the scratch-returning parse path is
-// allocation-free in steady state.
+// TestFeedReuseZeroAlloc proves Opener.Feed, which returns scratch
+// records whose bodies alias its buffer, is allocation-free in steady
+// state.
 func TestFeedReuseZeroAlloc(t *testing.T) {
 	var s Sealer
 	var o Opener
 	wire := s.Seal(nil, TypeAppData, make([]byte, 1400))
-	// Warm up scratch (records slice, plaintext arena, stream buffer).
+	// Warm up scratch (records slice, stream buffer).
 	for i := 0; i < 8; i++ {
-		if _, err := o.FeedReuse(wire); err != nil {
+		if _, err := o.Feed(wire); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		recs, err := o.FeedReuse(wire)
+		recs, err := o.Feed(wire)
 		if err != nil || len(recs) != 1 {
 			t.Fatalf("recs=%d err=%v", len(recs), err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("FeedReuse steady state: %.1f allocs/op, want 0", allocs)
+		t.Errorf("Feed steady state: %.1f allocs/op, want 0", allocs)
 	}
 }
 
 // TestFeedReuseSplitDelivery checks scratch parsing across records
-// split at arbitrary chunk boundaries, including bodies handed out of
-// the arena staying intact within one call.
+// split at arbitrary chunk boundaries. Bodies alias the Opener's
+// buffer, so each is copied out before the next Feed.
 func TestFeedReuseSplitDelivery(t *testing.T) {
 	var s Sealer
 	s.MaxPlain = 100
@@ -59,7 +60,7 @@ func TestFeedReuseSplitDelivery(t *testing.T) {
 		if end > len(wire) {
 			end = len(wire)
 		}
-		recs, err := o.FeedReuse(wire[i:end])
+		recs, err := o.Feed(wire[i:end])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func BenchmarkSealOpen(b *testing.B) {
 	b.SetBytes(1400)
 	for i := 0; i < b.N; i++ {
 		buf = s.Seal(buf[:0], TypeAppData, plain)
-		if _, err := o.FeedReuse(buf); err != nil {
+		if _, err := o.Feed(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

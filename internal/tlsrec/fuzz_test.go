@@ -28,7 +28,10 @@ func FuzzOpener(f *testing.F) {
 			}
 			var got []Record
 			got, perr = piecewise.Feed(data[off:end])
-			pr = append(pr, got...)
+			// Bodies are scratch: copy them out before the next Feed.
+			for _, r := range got {
+				pr = append(pr, Record{ContentType: r.ContentType, Body: bytes.Clone(r.Body)})
+			}
 		}
 		if (werr == nil) != (perr == nil) {
 			t.Fatalf("error mismatch: %v vs %v", werr, perr)
@@ -37,8 +40,8 @@ func FuzzOpener(f *testing.F) {
 			t.Fatalf("record count mismatch: %d vs %d", len(wr), len(pr))
 		}
 		for i := range pr {
-			if werr == nil && !bytes.Equal(wr[i].Body, pr[i].Body) {
-				t.Fatal("body mismatch under chunking")
+			if werr == nil && (wr[i].ContentType != pr[i].ContentType || !bytes.Equal(wr[i].Body, pr[i].Body)) {
+				t.Fatal("record mismatch under chunking")
 			}
 		}
 	})

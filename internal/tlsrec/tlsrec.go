@@ -1,20 +1,23 @@
-// Package tlsrec simulates the TLS record layer with size-preserving
-// opacity: plaintext is framed into records with the standard 5-byte
+// Package tlsrec simulates the TLS record layer as a passive observer
+// sees it: plaintext is framed into records with the standard 5-byte
 // cleartext header (content type, version, length) and a fixed
-// per-record ciphertext expansion, and the body is lightly scrambled
-// so nothing downstream can accidentally depend on payload content.
+// per-record ciphertext expansion (explicit-nonce and AEAD-tag
+// placeholders). Record bodies travel as plaintext.
 //
-// This preserves exactly the observables a passive adversary has
-// against real TLS — record boundaries, content types, ciphertext
-// lengths, direction, and timing — which is all the reproduced attack
-// uses (the paper's section II primer and its tshark-based monitor,
-// section V). (See DESIGN.md, substitutions table.)
+// Only the observables a passive adversary has against real TLS —
+// record boundaries, content types, ciphertext lengths, direction, and
+// timing — reach the reproduced attack (the paper's section II primer
+// and its tshark-based monitor, section V). Payload-blindness is
+// enforced by types, not by transforming bytes: the monitor parses
+// headers only (StreamParser yields HeaderInfo) and the predictor
+// consumes trace.RecordObs, and neither carries a body. A test in
+// internal/core pins this. (See DESIGN.md, substitutions table.)
 //
 // The record path is built for the simulation hot loop: Seal appends
-// into a caller-recycled buffer, Opener.FeedReuse and
-// StreamParser.Feed return scratch storage reused across calls, and
-// both parsers consume their buffers by offset with compaction rather
-// than reslicing.
+// into a caller-recycled buffer, Opener.Feed and StreamParser.Feed
+// return scratch storage reused across calls (Opener record bodies
+// alias its stream buffer), and both parsers consume their buffers by
+// offset with compaction rather than reslicing.
 //
 // Key types: Sealer and Opener (the endpoint halves), Record,
 // HeaderInfo (what a sniffer reads from the 5 cleartext header
@@ -35,7 +38,7 @@ const (
 
 	// Overhead is the per-record ciphertext expansion (8-byte explicit
 	// nonce + 16-byte AEAD tag, as in TLS 1.2 AES-GCM).
-	Overhead = 24
+	Overhead = nonceLen + tagLen
 
 	// MaxPlaintext is the largest plaintext fragment per record
 	// (RFC 5246 section 6.2.1).
@@ -44,6 +47,9 @@ const (
 	// Version is the wire version written into record headers
 	// (TLS 1.2 = 0x0303).
 	Version = 0x0303
+
+	nonceLen = 8
+	tagLen   = 16
 )
 
 // Content types.
@@ -62,27 +68,7 @@ var ErrRecordTooLarge = errors.New("tlsrec: record exceeds maximum size")
 // allocate them per record.
 var zeros [Overhead]byte
 
-// scramblePattern is the involution key 0x5a replicated across a
-// 64-bit word for the vectorized path.
-const scramblePattern = 0x5a5a5a5a5a5a5a5a
-
-// scramble applies a fixed involutive byte transform so "ciphertext"
-// differs from plaintext while Seal/Open stay inverses without key
-// state. It XORs eight bytes per iteration (the byte-at-a-time loop
-// was a measurable slice of whole-trial CPU) with a byte-wise tail,
-// and is safe when dst and src alias exactly (Seal scrambles in
-// place). TestScrambleEquivalence pins it against the reference loop.
-func scramble(dst, src []byte) {
-	n := len(src) &^ 7
-	for i := 0; i < n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(src[i:])^scramblePattern)
-	}
-	for i := n; i < len(src); i++ {
-		dst[i] = src[i] ^ 0x5a
-	}
-}
-
-// Sealer frames plaintext into encrypted records.
+// Sealer frames plaintext into records.
 type Sealer struct {
 	// MaxPlain caps the plaintext per record; zero means MaxPlaintext.
 	// Real stacks often use smaller fragments; the simulation's server
@@ -97,27 +83,12 @@ func (s *Sealer) maxPlain() int {
 	return s.MaxPlain
 }
 
-// SealedLen returns the total wire size Seal produces for n plaintext
-// bytes.
-func (s *Sealer) SealedLen(n int) int {
-	mp := s.maxPlain()
-	if n == 0 {
-		return HeaderLen + Overhead
-	}
-	full := n / mp
-	rem := n % mp
-	total := full * (HeaderLen + Overhead + mp)
-	if rem > 0 {
-		total += HeaderLen + Overhead + rem
-	}
-	return total
-}
-
 // Seal appends the record encoding of plaintext (split into fragments
-// of at most MaxPlain) to dst and returns the extended slice. An empty
-// plaintext produces a single empty record. Passing a recycled
-// dst[:0] makes Seal allocation-free once the buffer has reached its
-// high-water capacity.
+// of at most MaxPlain) to dst and returns the extended slice. Each
+// fragment is written unchanged between the nonce and tag
+// placeholders. An empty plaintext produces a single empty record.
+// Passing a recycled dst[:0] makes Seal allocation-free once the
+// buffer has reached its high-water capacity.
 func (s *Sealer) Seal(dst []byte, contentType uint8, plaintext []byte) []byte {
 	mp := s.maxPlain()
 	first := true
@@ -130,13 +101,9 @@ func (s *Sealer) Seal(dst []byte, contentType uint8, plaintext []byte) []byte {
 		bodyLen := len(frag) + Overhead
 		dst = append(dst, contentType, byte(Version>>8), byte(Version&0xff))
 		dst = binary.BigEndian.AppendUint16(dst, uint16(bodyLen))
-		// Explicit nonce placeholder.
-		dst = append(dst, zeros[:8]...)
-		off := len(dst)
+		dst = append(dst, zeros[:nonceLen]...)
 		dst = append(dst, frag...)
-		scramble(dst[off:], dst[off:])
-		// AEAD tag placeholder.
-		dst = append(dst, zeros[:16]...)
+		dst = append(dst, zeros[:tagLen]...)
 		first = false
 	}
 	return dst
@@ -145,37 +112,26 @@ func (s *Sealer) Seal(dst []byte, contentType uint8, plaintext []byte) []byte {
 // Record is one parsed record.
 type Record struct {
 	ContentType uint8
-	// Body is the decrypted plaintext (Opener) or nil (StreamParser).
+	// Body is the plaintext fragment. It aliases the Opener's stream
+	// buffer and is valid only until the next Feed.
 	Body []byte
-	// CipherLen is the body length on the wire (including Overhead).
-	CipherLen int
 }
 
-// Opener incrementally parses and decrypts a record stream. Feed
-// arbitrary byte chunks; complete records come out.
+// Opener incrementally parses a record stream. Feed arbitrary byte
+// chunks; complete records come out.
 type Opener struct {
 	buf  []byte
 	off  int      // parse position within buf
-	recs []Record // FeedReuse scratch
-	body []byte   // FeedReuse plaintext arena
+	recs []Record // Feed scratch
 }
 
 // Feed appends stream bytes and returns all newly complete records.
-// The returned records own their memory and stay valid indefinitely;
-// the allocation-free variant is FeedReuse.
+// The returned slice and the bodies it points into are scratch owned
+// by the Opener, valid only until the next Feed: copy a body out if it
+// must survive. In steady state Feed allocates nothing. A malformed
+// header stops the parse; the records before it are returned with the
+// error.
 func (o *Opener) Feed(b []byte) ([]Record, error) {
-	return o.feed(b, false)
-}
-
-// FeedReuse is Feed with recycled storage: the returned slice and the
-// record bodies it points into are scratch owned by the Opener, valid
-// only until the next Feed/FeedReuse call. In steady state it
-// allocates nothing.
-func (o *Opener) FeedReuse(b []byte) ([]Record, error) {
-	return o.feed(b, true)
-}
-
-func (o *Opener) feed(b []byte, reuse bool) ([]Record, error) {
 	if o.off > 0 {
 		// Compact the consumed prefix (at most one partial record plus
 		// whatever arrived mid-parse) so the buffer is reused instead
@@ -185,70 +141,28 @@ func (o *Opener) feed(b []byte, reuse bool) ([]Record, error) {
 		o.off = 0
 	}
 	o.buf = append(o.buf, b...)
-	var out []Record
-	var arena []byte
-	if reuse {
-		out = o.recs[:0]
-		// Size the plaintext arena for every complete buffered record
-		// before parsing: growing it mid-loop would reallocate and
-		// dangle the Body slices already handed out.
-		need := 0
-		for off := 0; len(o.buf)-off >= HeaderLen; {
-			bodyLen := int(binary.BigEndian.Uint16(o.buf[off+3 : off+5]))
-			if bodyLen > MaxPlaintext+Overhead || bodyLen < Overhead ||
-				len(o.buf)-off < HeaderLen+bodyLen {
-				break
-			}
-			need += bodyLen - Overhead
-			off += HeaderLen + bodyLen
-		}
-		if cap(o.body) < need {
-			o.body = make([]byte, 0, need)
-		}
-		arena = o.body[:0]
-	}
-	for {
-		if len(o.buf)-o.off < HeaderLen {
-			break
-		}
+	out := o.recs[:0]
+	var err error
+	for len(o.buf)-o.off >= HeaderLen {
 		bodyLen := int(binary.BigEndian.Uint16(o.buf[o.off+3 : o.off+5]))
 		if bodyLen > MaxPlaintext+Overhead {
-			o.saveScratch(reuse, out, arena)
-			return out, fmt.Errorf("%w: %d", ErrRecordTooLarge, bodyLen)
+			err = fmt.Errorf("%w: %d", ErrRecordTooLarge, bodyLen)
+			break
 		}
 		if bodyLen < Overhead {
-			o.saveScratch(reuse, out, arena)
-			return out, fmt.Errorf("tlsrec: body %d shorter than overhead", bodyLen)
+			err = fmt.Errorf("tlsrec: body %d shorter than overhead", bodyLen)
+			break
 		}
 		if len(o.buf)-o.off < HeaderLen+bodyLen {
 			break
 		}
-		ct := o.buf[o.off]
-		cipher := o.buf[o.off+HeaderLen : o.off+HeaderLen+bodyLen]
-		n := bodyLen - Overhead
-		var plain []byte
-		if reuse {
-			start := len(arena)
-			arena = arena[:start+n]
-			plain = arena[start : start+n]
-		} else {
-			plain = make([]byte, n)
-		}
-		scramble(plain, cipher[8:8+n])
-		out = append(out, Record{ContentType: ct, Body: plain, CipherLen: bodyLen})
+		start := o.off + HeaderLen + nonceLen
+		end := o.off + HeaderLen + bodyLen - tagLen
+		out = append(out, Record{ContentType: o.buf[o.off], Body: o.buf[start:end:end]})
 		o.off += HeaderLen + bodyLen
 	}
-	o.saveScratch(reuse, out, arena)
-	return out, nil
-}
-
-// saveScratch stows the scratch slices back on the Opener so their
-// capacity carries over to the next FeedReuse call.
-func (o *Opener) saveScratch(reuse bool, out []Record, arena []byte) {
-	if reuse {
-		o.recs = out
-		o.body = arena
-	}
+	o.recs = out
+	return out, err
 }
 
 // Buffered returns the number of bytes awaiting a complete record.
