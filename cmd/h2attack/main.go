@@ -53,10 +53,12 @@
 // on or off.
 //
 // -metrics prints a cross-layer metrics summary after each sweep
-// (counters and histograms per configuration segment, plus wall-clock
-// throughput); -metrics-json FILE exports the same snapshots as JSON
-// next to the BENCH_*.json baselines. The sim-domain portion of both
-// is byte-identical at every -j.
+// (counters and histograms per configuration segment); -metrics-json
+// FILE exports the same snapshots as JSON next to the BENCH_*.json
+// baselines. Both are byte-identical at every -j. Trials/s is on
+// -progress and /status; mean trial latency is
+// h2attack_runner_busy_nanos_total / h2attack_runner_trials_done_total
+// on /metrics.
 package main
 
 import (

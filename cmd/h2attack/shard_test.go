@@ -11,9 +11,10 @@ import (
 	"repro/internal/obs"
 )
 
-// readWallTrials parses a bundle snapshot file and returns its wall
-// trial count — the quickest proof the snapshot covers real work.
-func readWallTrials(t *testing.T, path string) uint64 {
+// readTrialCount parses a bundle snapshot file and returns its
+// trial.count counter summed over segments — the quickest proof the
+// snapshot covers real work.
+func readTrialCount(t *testing.T, path string) uint64 {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -23,10 +24,11 @@ func readWallTrials(t *testing.T, path string) uint64 {
 	if err := json.Unmarshal(data, snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Wall == nil {
-		return 0
+	var n uint64
+	for i := range snap.Segments {
+		n += snap.Segments[i].Counter(obs.CTrial.String())
 	}
-	return snap.Wall.Trials
+	return n
 }
 
 // TestShardModeRerunKeepsSnapshot pins the resume contract of a shard
@@ -48,7 +50,7 @@ func TestShardModeRerunKeepsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := readWallTrials(t, snapPath); got != uint64(defs[0].Trials) {
+	if got := readTrialCount(t, snapPath); got != uint64(defs[0].Trials) {
 		t.Fatalf("fresh bundle snapshot covers %d trials, want %d", got, defs[0].Trials)
 	}
 	jsonlBefore, err := os.ReadFile(filepath.Join(dir, name+".jsonl"))
@@ -99,7 +101,7 @@ func TestShardModeRecoversSnapshotFromCheckpoint(t *testing.T) {
 	if err := runShardMode("1/1", dir, f); err != nil {
 		t.Fatal(err)
 	}
-	if got := readWallTrials(t, snapPath); got != uint64(defs[0].Trials) {
+	if got := readTrialCount(t, snapPath); got != uint64(defs[0].Trials) {
 		t.Fatalf("recovered snapshot covers %d trials, want %d", got, defs[0].Trials)
 	}
 }

@@ -117,11 +117,9 @@ func objectBucket(n int) int {
 func (w *World) RunSiteTrial(gs *website.GeneratedSite, p CorpusTrialParams) SurveyResult {
 	// Metric writes happen under the shard's trial lock (see
 	// World.RunTrial).
-	var wallStart time.Time
 	if w.shard != nil {
 		w.shard.Lock()
 		defer w.shard.Unlock()
-		wallStart = time.Now()
 	}
 	w.rng.Seed(p.Seed)
 	path, _ := ambient(w.rng) // think time is baked into the site's schedule
@@ -203,9 +201,6 @@ func (w *World) RunSiteTrial(gs *website.GeneratedSite, p CorpusTrialParams) Sur
 	}
 	if res.PageComplete {
 		sink.Inc(obs.CTrialComplete)
-	}
-	if w.shard != nil {
-		w.shard.ObserveTrialWall(time.Since(wallStart))
 	}
 	return res
 }
@@ -314,8 +309,8 @@ func (s *Survey) Run(cfg pipeline.Config, exporters ...pipeline.Exporter[CorpusT
 	newState := func() *surveyWorker {
 		w := NewWorld()
 		if s.metrics != nil {
-			// Trial latency lands in the worker's own shard (see
-			// World.RunSiteTrial); no per-trial registry lock.
+			// Each worker counts into its own shard; no per-trial
+			// registry lock.
 			w.SetMetrics(s.metrics.NewShard())
 		}
 		return &surveyWorker{w: w, s: s}

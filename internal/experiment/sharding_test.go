@@ -5,8 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/shard"
 )
@@ -151,13 +151,21 @@ func TestShardObsExactAcrossInterrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.DeterministicText() != want.DeterministicText() {
-		t.Fatalf("resumed metrics differ from uninterrupted run:\n%s\nvs\n%s",
-			got.DeterministicText(), want.DeterministicText())
+	if got.Text() != want.Text() {
+		t.Fatalf("resumed metrics differ from uninterrupted run:\n%s\nvs\n%s", got.Text(), want.Text())
 	}
-	if got.Wall == nil || want.Wall == nil || got.Wall.Trials != want.Wall.Trials {
-		t.Fatalf("resumed wall = %+v, want %+v", got.Wall, want.Wall)
+	if n := trialCount(got); n != uint64(d.Trials) {
+		t.Fatalf("resumed trial.count = %d, want %d", n, d.Trials)
 	}
+}
+
+// trialCount sums the trial.count counter over a snapshot's segments.
+func trialCount(s *obs.Snapshot) uint64 {
+	var n uint64
+	for i := range s.Segments {
+		n += s.Segments[i].Counter(obs.CTrial.String())
+	}
+	return n
 }
 
 // TestObsStateSurvivesRestart pins the shard-resume metrics contract:
@@ -167,11 +175,24 @@ func TestObsStateSurvivesRestart(t *testing.T) {
 	whole := NewObsState()
 	whole.Reg.SetSegments("a", "b")
 
+	// trial feeds one synthetic trial into both segments of a fresh
+	// worker shard of each registry.
+	trial := func(i int, regs ...*obs.Registry) {
+		for _, r := range regs {
+			s := r.NewShard()
+			for seg := 0; seg < 2; seg++ {
+				k := s.Sink(seg)
+				k.Inc(obs.CTrial)
+				k.Add(obs.CH2Request, uint64(i%4+seg))
+				k.Observe(obs.HTCPCwnd, int64(1000*i+seg))
+			}
+		}
+	}
+
 	first := NewObsState()
 	first.Reg.SetSegments("a", "b")
 	for i := 0; i < 10; i++ {
-		first.Reg.NewShard().ObserveTrialWall(time.Millisecond)
-		whole.Reg.NewShard().ObserveTrialWall(time.Millisecond)
+		trial(i, first.Reg, whole.Reg)
 	}
 	state, err := first.checkpoint()
 	if err != nil {
@@ -183,9 +204,8 @@ func TestObsStateSurvivesRestart(t *testing.T) {
 	if err := second.restore(state); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 7; i++ {
-		second.Reg.NewShard().ObserveTrialWall(2 * time.Millisecond)
-		whole.Reg.NewShard().ObserveTrialWall(2 * time.Millisecond)
+	for i := 10; i < 17; i++ {
+		trial(i, second.Reg, whole.Reg)
 	}
 
 	got, err := second.Snapshot()
@@ -196,22 +216,18 @@ func TestObsStateSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Wall == nil || got.Wall.Trials != want.Wall.Trials {
-		t.Fatalf("restarted wall trials = %+v, want %d", got.Wall, want.Wall.Trials)
+	if n := trialCount(got); n != 2*17 {
+		t.Fatalf("restarted trial.count = %d, want %d", n, 2*17)
 	}
-	if got.Wall.Hist.Sum != want.Wall.Hist.Sum {
-		t.Fatalf("restarted wall sum = %d, want %d", got.Wall.Hist.Sum, want.Wall.Hist.Sum)
-	}
-	if got.DeterministicText() != want.DeterministicText() {
-		t.Fatalf("restarted deterministic text differs:\n%s\nvs\n%s",
-			got.DeterministicText(), want.DeterministicText())
+	if got.Text() != want.Text() {
+		t.Fatalf("restarted text differs:\n%s\nvs\n%s", got.Text(), want.Text())
 	}
 	// Repeated snapshots must not double-count the restored base.
 	again, err := second.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Wall.Trials != got.Wall.Trials {
-		t.Fatalf("second Snapshot() changed wall trials: %d vs %d", again.Wall.Trials, got.Wall.Trials)
+	if again.Text() != got.Text() {
+		t.Fatalf("second Snapshot() changed the text:\n%s\nvs\n%s", again.Text(), got.Text())
 	}
 }

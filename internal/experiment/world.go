@@ -64,14 +64,12 @@ func (w *World) SetRecorder(rec *obs.Recorder) { w.rec = rec }
 // RunTrial executes one trial in this world. Equivalent to the
 // package-level RunTrial(p), amortizing construction across calls.
 func (w *World) RunTrial(p TrialParams) TrialResult {
-	// The trial's metric writes, latency included, happen under the
-	// shard's trial lock (uncontended unless a checkpoint is merging
-	// the shard); the deferred unlock also covers a panicking trial.
-	var wallStart time.Time
+	// The trial's metric writes happen under the shard's trial lock
+	// (uncontended unless a checkpoint is merging the shard); the
+	// deferred unlock also covers a panicking trial.
 	if w.shard != nil {
 		w.shard.Lock()
 		defer w.shard.Unlock()
-		wallStart = time.Now()
 	}
 	// Re-seeding replays the exact stream a fresh
 	// rand.New(rand.NewSource(p.Seed)) would produce, so the survey
@@ -169,9 +167,6 @@ func (w *World) RunTrial(p TrialParams) TrialResult {
 	}
 	if res.PageComplete {
 		sink.Inc(obs.CTrialComplete)
-	}
-	if w.shard != nil {
-		w.shard.ObserveTrialWall(time.Since(wallStart))
 	}
 	return res
 }

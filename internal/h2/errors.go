@@ -13,11 +13,9 @@
 // The discrete-event simulation endpoints in internal/h2sim build
 // their sessions on these two layers, so the bytes on the simulated
 // wire are genuine RFC 7540 frames carrying RFC 7541 header blocks.
-//
-// Two small protocol models sit beside the layers as executable
-// references for the rules an endpoint applies to the frames:
-// StreamStateMachine (the RFC 7540 section 5.1 stream lifecycle) and
-// FlowWindow (the section 5.2 flow-control window).
+// Stream lifecycle and flow control are the endpoints' business:
+// h2sim tracks its own streams and advertises a window large enough
+// that flow control never binds.
 package h2
 
 import (

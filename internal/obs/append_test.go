@@ -23,7 +23,7 @@ func marshalSweepsReference(sweeps map[string]*Snapshot) ([]byte, error) {
 		Sweeps []entry `json:"sweeps"`
 	}{}
 	for _, n := range names {
-		out.Sweeps = append(out.Sweeps, entry{Sweep: n, Snapshot: sweeps[n].Deterministic()})
+		out.Sweeps = append(out.Sweeps, entry{Sweep: n, Snapshot: sweeps[n]})
 	}
 	return json.MarshalIndent(out, "", "  ")
 }

@@ -43,12 +43,6 @@ func FuzzSnapshotMerge(f *testing.F) {
 				consistent(seg.Label+"/"+seg.Hists[i].Name, &seg.Hists[i].Hist)
 			}
 		}
-		if sa.Wall != nil {
-			consistent("wall", &sa.Wall.Hist)
-			if sa.Wall.Trials != sa.Wall.Hist.Count {
-				t.Fatalf("merged wall trials %d, histogram count %d", sa.Wall.Trials, sa.Wall.Hist.Count)
-			}
-		}
 		_ = sa.Text()
 		_ = AppendSweeps(nil, map[string]*Snapshot{"fuzz": &sa})
 	})

@@ -9,10 +9,9 @@
 // worker owns one Shard, every simulated event increments plain
 // integer cells in that shard, and Registry.Snapshot merges the
 // shards by integer addition — which is commutative, so the merged
-// totals do not depend on which worker ran which trial. The only
-// non-deterministic quantities (wall-clock trial latency, trials/s)
-// live in a separate wall section that the deterministic snapshot
-// text excludes.
+// totals do not depend on which worker ran which trial. Nothing in
+// obs reads the wall clock: trial latency and trials/s belong to
+// internal/telemetry and runner.Progress.
 //
 // Zero cost when disabled is the other constraint. Layers hold an
 // obs.Sink by value; the zero Sink is valid and every method on it is
@@ -274,14 +273,6 @@ func (b *block) merge(o *block) {
 type Shard struct {
 	mu   sync.Mutex
 	segs []block
-
-	// wall is the worker's private trial-latency histogram (the only
-	// wall-clock cell in the shard). Keeping it here instead of behind
-	// the registry mutex means trial completion never takes a lock:
-	// the registry folds all shard walls together at Snapshot time,
-	// and histogram merge is commutative, so the aggregate is the same
-	// as the old centrally-locked accumulation.
-	wall Hist
 }
 
 // Lock starts one trial's writes to the shard; a nil shard ignores
@@ -298,16 +289,6 @@ func (s *Shard) Unlock() {
 	if s != nil {
 		s.mu.Unlock()
 	}
-}
-
-// ObserveTrialWall folds one trial's wall-clock latency into the
-// shard's private wall histogram; call it before the trial's Unlock.
-// A nil shard ignores the sample.
-func (s *Shard) ObserveTrialWall(d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.wall.Observe(int64(d))
 }
 
 // Sink returns the increment handle for one segment of the shard,

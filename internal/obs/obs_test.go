@@ -142,7 +142,7 @@ func TestRegistryMergeDeterminism(t *testing.T) {
 			k.Add(CH2Request, uint64(trial%7))
 			k.Observe(HTCPCwnd, int64(trial*trial))
 		}
-		return r.Snapshot().DeterministicText()
+		return r.Snapshot().Text()
 	}
 	ref := run(1)
 	for _, n := range []int{2, 3, 8} {
@@ -152,22 +152,6 @@ func TestRegistryMergeDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(ref, "trial.count") || !strings.Contains(ref, "tcp.cwnd_bytes") {
 		t.Fatalf("snapshot text missing expected metrics:\n%s", ref)
-	}
-}
-
-func TestSnapshotWallSectionExcludedFromDeterministicText(t *testing.T) {
-	r := NewRegistry()
-	s := r.NewShard()
-	s.Sink(0).Inc(CTrial)
-	r.ObserveTrialWall(2 * time.Millisecond)
-	snap := r.Snapshot()
-	det := snap.DeterministicText()
-	full := snap.Text()
-	if strings.Contains(det, "wall clock") {
-		t.Fatal("deterministic text contains wall section")
-	}
-	if !strings.Contains(full, "wall clock") || !strings.Contains(full, "trials/s") {
-		t.Fatalf("full text missing wall section:\n%s", full)
 	}
 }
 

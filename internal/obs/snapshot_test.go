@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 )
 
 // workload populates a registry with a deterministic slice [lo, hi) of
@@ -20,7 +19,6 @@ func workload(t testing.TB, lo, hi int) *Registry {
 		k.Inc(CTrial)
 		k.Add(CH2Request, uint64(i%5))
 		k.Observe(HTCPCwnd, int64(i*i))
-		s.ObserveTrialWall(time.Duration(i+1) * time.Millisecond)
 	}
 	return r
 }
@@ -40,21 +38,11 @@ func roundTrip(t *testing.T, s *Snapshot) *Snapshot {
 	return out
 }
 
-func TestSnapshotJSONRoundTripPreservesDeterministicText(t *testing.T) {
+func TestSnapshotJSONRoundTripPreservesText(t *testing.T) {
 	snap := workload(t, 0, 50).Snapshot()
 	got := roundTrip(t, snap)
-	if got.DeterministicText() != snap.DeterministicText() {
-		t.Fatalf("round trip changed deterministic text:\n%s\nvs\n%s",
-			got.DeterministicText(), snap.DeterministicText())
-	}
-	if got.Wall == nil || got.Wall.Trials != snap.Wall.Trials {
-		t.Fatalf("round trip lost wall trials: %+v vs %+v", got.Wall, snap.Wall)
-	}
-	if got.Wall.Hist.Count != snap.Wall.Hist.Count || got.Wall.Hist.Sum != snap.Wall.Hist.Sum {
-		t.Fatalf("round trip lost wall histogram: %+v vs %+v", got.Wall.Hist, snap.Wall.Hist)
-	}
-	if got.Elapsed != snap.Elapsed {
-		t.Fatalf("round trip changed elapsed: %v vs %v", got.Elapsed, snap.Elapsed)
+	if got.Text() != snap.Text() {
+		t.Fatalf("round trip changed text:\n%s\nvs\n%s", got.Text(), snap.Text())
 	}
 }
 
@@ -78,15 +66,8 @@ func TestSnapshotMergePartitionInvariance(t *testing.T) {
 				t.Fatalf("cuts %v: merge: %v", cuts, err)
 			}
 		}
-		if merged.DeterministicText() != ref.DeterministicText() {
-			t.Fatalf("cuts %v: merged deterministic text differs:\n%s\nvs\n%s",
-				cuts, merged.DeterministicText(), ref.DeterministicText())
-		}
-		if merged.Wall.Trials != ref.Wall.Trials {
-			t.Fatalf("cuts %v: wall trials %d, want %d", cuts, merged.Wall.Trials, ref.Wall.Trials)
-		}
-		if merged.Wall.Hist.Count != ref.Wall.Hist.Count || merged.Wall.Hist.Sum != ref.Wall.Hist.Sum {
-			t.Fatalf("cuts %v: wall hist %+v, want %+v", cuts, merged.Wall.Hist, ref.Wall.Hist)
+		if merged.Text() != ref.Text() {
+			t.Fatalf("cuts %v: merged text differs:\n%s\nvs\n%s", cuts, merged.Text(), ref.Text())
 		}
 	}
 }
@@ -102,70 +83,64 @@ func TestSnapshotMergeCommutes(t *testing.T) {
 	if err := b2.Merge(a2); err != nil {
 		t.Fatal(err)
 	}
-	if a1.DeterministicText() != b2.DeterministicText() {
-		t.Fatalf("merge order changed deterministic text:\n%s\nvs\n%s",
-			a1.DeterministicText(), b2.DeterministicText())
-	}
-	if a1.Wall.Trials != b2.Wall.Trials || a1.Wall.Hist.Sum != b2.Wall.Hist.Sum {
-		t.Fatal("merge order changed wall aggregation")
+	if a1.Text() != b2.Text() {
+		t.Fatalf("merge order changed text:\n%s\nvs\n%s", a1.Text(), b2.Text())
 	}
 }
 
-// TestSnapshotMergeAggregatesWall pins the multi-process wall-section
-// contract: a merged snapshot's wall covers every shard's trials (sum
-// of counts, merged latency histogram, max elapsed) — never one
-// shard's values kept and the others dropped.
-func TestSnapshotMergeAggregatesWall(t *testing.T) {
-	a := &Snapshot{Elapsed: 5 * time.Second, Wall: &WallSnapshot{Trials: 10}}
-	b := &Snapshot{Elapsed: 9 * time.Second, Wall: &WallSnapshot{Trials: 30}}
-	for i := 0; i < 10; i++ {
-		a.Wall.Hist.Observe(int64(time.Millisecond))
-	}
-	for i := 0; i < 30; i++ {
-		b.Wall.Hist.Observe(int64(4 * time.Millisecond))
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Wall.Trials != 40 {
-		t.Fatalf("merged wall trials = %d, want 40", a.Wall.Trials)
-	}
-	if a.Wall.Hist.Count != 40 {
-		t.Fatalf("merged wall hist count = %d, want 40", a.Wall.Hist.Count)
-	}
-	if want := uint64(10*time.Millisecond + 120*time.Millisecond); a.Wall.Hist.Sum != want {
-		t.Fatalf("merged wall hist sum = %d, want %d", a.Wall.Hist.Sum, want)
-	}
-	if a.Elapsed != 9*time.Second {
-		t.Fatalf("merged elapsed = %v, want the max (9s)", a.Elapsed)
-	}
-
-	// One-sided wall: merging a wall-less snapshot must keep the other
-	// side's section intact.
-	c := &Snapshot{}
-	if err := c.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	if c.Wall == nil || c.Wall.Trials != 40 {
-		t.Fatalf("merge into wall-less snapshot lost the wall: %+v", c.Wall)
-	}
-}
-
-// TestMarshalSweepsStripsWall pins the other half of the satellite:
-// the JSON export paths (-metrics-json, survey obs=) must not carry
-// any shard's wall section — aggregate or drop, never silently keep
-// one process's values. MarshalSweeps drops.
+// TestMarshalSweepsStripsWall pins backward compatibility with shard
+// bundles and checkpoints written while snapshots still carried a
+// wall-clock section: a document with "wall" and "elapsed_ns" keys
+// decodes, merges with a current one, and exports through
+// MarshalSweeps byte-identically to the same document without those
+// keys — and to the unpartitioned run.
 func TestMarshalSweepsStripsWall(t *testing.T) {
-	snap := workload(t, 0, 10).Snapshot()
-	if snap.Wall == nil {
-		t.Fatal("workload produced no wall section")
-	}
-	data, err := MarshalSweeps(map[string]*Snapshot{"x": snap})
+	current, err := json.Marshal(workload(t, 0, 10).Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), `"wall"`) || strings.Contains(string(data), `"elapsed_ns"`) {
-		t.Fatalf("sweep export carries wall-clock sections:\n%s", data)
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(current, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["wall"] = json.RawMessage(`{"trials":10,"sum_ns":55000000,"mean_ns":5500000,` +
+		`"p50_le_ns":8388607,"p99_le_ns":16777215,` +
+		`"buckets":[{"le":1048575,"count":1},{"le":2097151,"count":1},{"le":4194303,"count":2},` +
+		`{"le":8388607,"count":4},{"le":16777215,"count":2}]}`)
+	doc["elapsed_ns"] = json.RawMessage(`123456789`)
+	legacy, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	export := func(first []byte) []byte {
+		t.Helper()
+		snap := &Snapshot{}
+		if err := json.Unmarshal(first, snap); err != nil {
+			t.Fatalf("decode: %v\n%s", err, first)
+		}
+		if err := snap.Merge(roundTrip(t, workload(t, 10, 20).Snapshot())); err != nil {
+			t.Fatalf("merge: %v", err)
+		}
+		data, err := MarshalSweeps(map[string]*Snapshot{"x": snap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	got, want := export(legacy), export(current)
+	if string(got) != string(want) {
+		t.Fatalf("legacy wall keys changed the export:\n%s\nvs\n%s", got, want)
+	}
+	whole, err := MarshalSweeps(map[string]*Snapshot{"x": workload(t, 0, 20).Snapshot()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(whole) {
+		t.Fatalf("merged legacy export differs from the unpartitioned run:\n%s\nvs\n%s", got, whole)
+	}
+	if strings.Contains(string(got), `"wall"`) || strings.Contains(string(got), `"elapsed_ns"`) {
+		t.Fatalf("sweep export carries legacy wall-clock keys:\n%s", got)
 	}
 }
 
@@ -197,7 +172,7 @@ func TestSnapshotUnmarshalRejectsUnknownNames(t *testing.T) {
 }
 
 // TestSnapshotUnmarshalRejectsInconsistentHist pins the on-disk
-// consistency check: a histogram (or wall section) whose bucket counts
+// consistency check: a histogram whose bucket counts
 // do not sum to its declared count is rejected at decode time instead
 // of merging into quantiles drawn from empty buckets.
 func TestSnapshotUnmarshalRejectsInconsistentHist(t *testing.T) {
@@ -214,9 +189,6 @@ func TestSnapshotUnmarshalRejectsInconsistentHist(t *testing.T) {
 		{"count above buckets", seg(`{"name":"tcp.cwnd_bytes","count":4,"sum":12,"buckets":[{"le":7,"count":3}]}`), false},
 		{"count below buckets", seg(`{"name":"tcp.cwnd_bytes","count":1,"sum":12,"buckets":[{"le":7,"count":3}]}`), false},
 		{"bucket counts overflow", seg(`{"name":"tcp.cwnd_bytes","count":1,"sum":1,"buckets":[{"le":1,"count":18446744073709551615},{"le":3,"count":2}]}`), false},
-		{"wall consistent", `{"segments":[],"wall":{"trials":2,"sum_ns":6,"buckets":[{"le":3,"count":2}]}}`, true},
-		{"wall trials without buckets", `{"segments":[],"wall":{"trials":5,"sum_ns":10}}`, false},
-		{"wall trials below buckets", `{"segments":[],"wall":{"trials":1,"sum_ns":6,"buckets":[{"le":3,"count":2}]}}`, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

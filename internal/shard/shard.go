@@ -18,6 +18,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -134,10 +135,10 @@ type Set struct {
 }
 
 // LoadSet loads and validates the bundles in dirs: every shard index
-// 0..N-1 present exactly once, all bundles agreeing on the shard
-// count and on each campaign's identity (name set, fingerprint, total
-// trials), and each campaign's ranges tiling [0, Trials) in shard
-// order. The returned set is sorted by shard index.
+// 0..N-1 present exactly once, no campaign listed twice in one
+// bundle, all bundles agreeing on the shard count and on each
+// campaign's identity (name set, fingerprint, total trials), and each
+// campaign's ranges tiling [0, Trials) in shard order. The returned set is sorted by shard index.
 func LoadSet(dirs []string) (*Set, error) {
 	if len(dirs) == 0 {
 		return nil, fmt.Errorf("shard: no bundle directories")
@@ -163,6 +164,13 @@ func LoadSet(dirs []string) (*Set, error) {
 		}
 		if set.Manifests[m.Shard] != nil {
 			return nil, fmt.Errorf("shard: duplicate bundle for shard %d (%s and %s)", m.Shard, set.Dirs[m.Shard], dir)
+		}
+		seen := make(map[string]bool, len(m.Campaigns))
+		for _, cm := range m.Campaigns {
+			if seen[cm.Campaign] {
+				return nil, fmt.Errorf("shard: %s lists campaign %q twice", dir, cm.Campaign)
+			}
+			seen[cm.Campaign] = true
 		}
 		set.Dirs[m.Shard] = dir
 		set.Manifests[m.Shard] = m
@@ -259,18 +267,16 @@ func (s *Set) Campaign(name string) ([]CampaignManifest, error) {
 // ConcatResults streams one campaign's JSONL slices to w in shard
 // order — because slices are contiguous and index-ordered, the output
 // is byte-identical to the single-process export. Empty slices
-// (shards whose range was empty) are skipped.
+// (shards whose range was empty) are skipped. Each slice must hold
+// exactly End-Start newline-terminated lines: a short or long slice
+// would shift every later trial onto the wrong index, so it is an
+// error even when the total comes out right.
 func (s *Set) ConcatResults(name string, w io.Writer) error {
 	slices, err := s.Campaign(name)
 	if err != nil {
 		return err
 	}
-	// One 1 MiB copy buffer reused across every slice: multi-gigabyte
-	// bundle merges move in large reads instead of io.Copy's default
-	// 32 KiB chunks (w is typically not a ReaderFrom here, so the
-	// buffer is what sets the syscall granularity).
-	var buf []byte
-	for _, cm := range slices {
+	for i, cm := range slices {
 		if cm.Start == cm.End {
 			continue
 		}
@@ -281,14 +287,37 @@ func (s *Set) ConcatResults(name string, w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("shard: %w", err)
 		}
-		if buf == nil {
-			buf = make([]byte, 1<<20)
-		}
-		_, err = io.CopyBuffer(w, f, buf)
+		lc := &lineCounter{r: f}
+		_, err = io.Copy(w, lc)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("shard: concat %s: %w", cm.Results, err)
 		}
+		if want := cm.End - cm.Start; lc.lines != want {
+			return fmt.Errorf("shard: bundle %s campaign %q: %s has %d lines, want %d for range [%d, %d)",
+				s.Dirs[i], name, cm.Results, lc.lines, want, cm.Start, cm.End)
+		}
+		if lc.last != '\n' {
+			return fmt.Errorf("shard: bundle %s campaign %q: %s does not end in a newline", s.Dirs[i], name, cm.Results)
+		}
 	}
 	return nil
+}
+
+// lineCounter counts the newlines in, and keeps the last byte of,
+// everything read through it. Counting in the read buffer itself
+// keeps the check to the one pass the copy already makes.
+type lineCounter struct {
+	r     io.Reader
+	lines int
+	last  byte
+}
+
+func (c *lineCounter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	if n > 0 {
+		c.lines += bytes.Count(p[:n], []byte{'\n'})
+		c.last = p[n-1]
+	}
+	return n, err
 }

@@ -238,3 +238,64 @@ func TestLoadSetRejectsCampaignSetMismatch(t *testing.T) {
 		t.Fatal("want campaign set mismatch error")
 	}
 }
+
+// TestConcatResultsRejectsMisalignedSlices pins the per-slice line
+// check: a slice whose line count differs from its range, or whose
+// last line is unterminated, is an error even when the concatenated
+// total is right — otherwise every later trial lands on the wrong
+// index, or a stray line reaches the merged JSONL.
+func TestConcatResultsRejectsMisalignedSlices(t *testing.T) {
+	var lines []string
+	for k := 0; k < 10; k++ {
+		lines = append(lines, "t "+strings.Repeat("x", k%3)+"line\n")
+	}
+	join := func(ls []string) string { return strings.Join(ls, "") }
+	cases := []struct {
+		name          string
+		first, second string
+		ok            bool
+	}{
+		{"aligned", join(lines[:5]), join(lines[5:]), true},
+		{"short then long with the right total", join(lines[:4]), join(lines[4:]), false},
+		{"extra trailing line in the last slice", join(lines[:5]), join(lines[5:]) + "t extra\n", false},
+		{"missing final newline", join(lines[:5]), strings.TrimSuffix(join(lines[5:]), "\n"), false},
+		{"unterminated extra line", join(lines[:5]), join(lines[5:]) + "t extra", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			slices := campaignSlices("t", "fp", 10, 2)
+			dirs := make([]string, 2)
+			for i, content := range []string{tc.first, tc.second} {
+				dirs[i] = filepath.Join(t.TempDir(), "s")
+				writeBundle(t, dirs[i], i, 2, slices[i])
+				if err := os.WriteFile(filepath.Join(dirs[i], "t.jsonl"), []byte(content), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			set, err := LoadSet(dirs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var merged bytes.Buffer
+			err = set.ConcatResults("t", &merged)
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("aligned slices rejected: %v", err)
+				}
+				if merged.String() != join(lines) {
+					t.Fatalf("concat = %q, want %q", merged.String(), join(lines))
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("misaligned slices accepted")
+			}
+			if !strings.Contains(err.Error(), dirs[1]) && !strings.Contains(err.Error(), dirs[0]) {
+				t.Fatalf("error does not name the bundle: %v", err)
+			}
+			if !strings.Contains(err.Error(), `"t"`) {
+				t.Fatalf("error does not name the campaign: %v", err)
+			}
+		})
+	}
+}
