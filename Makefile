@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain go tooling underneath.
 
-.PHONY: ci test bench bench-compare bench-profile check-golden experiments profile survey-smoke shard-smoke telemetry-smoke
+.PHONY: ci test bench bench-profile check-golden experiments profile survey-smoke shard-smoke telemetry-smoke
 
 # The CI gate: vet + build + race-enabled tests (scripts/ci.sh).
 ci:
@@ -13,13 +13,6 @@ test:
 # Experiment sweeps as custom bench metrics + substrate micro-benches.
 bench:
 	go test -bench=. -benchmem
-
-# Run all benchmarks and fail on a >10% trials/s regression against
-# the last committed BENCH_*.json; BENCH_OUT=BENCH_PRn.json also keeps
-# the results as a new baseline to commit (scripts/bench.sh; schema in
-# EXPERIMENTS.md).
-bench-compare:
-	sh scripts/bench.sh
 
 # Regenerate the profile inputs (profiles/ is gitignored; this
 # refreshes them locally) so the next perf PR starts from profiles of

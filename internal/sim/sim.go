@@ -10,39 +10,47 @@
 //
 // # Scheduler internals
 //
-// The event queue is a calendar queue (a single-level timer wheel with
-// an overflow heap), replacing the earlier slice-backed binary heap:
+// Each pending event lives in one slot of a shared pool and does not
+// move until it is dispatched; a freelist recycles the slots, so the
+// pool grows only to the max-pending high-water mark. What the queue
+// orders is a 24-byte, pointer-free key (at, seq, slot index), in a
+// calendar queue (a single-level timer wheel with an overflow heap):
 //
 //   - Virtual time is divided into ticks of 2^tickBits ns (~524 µs). A
 //     wheel of wheelSize buckets covers the next ~2.1 s of ticks; each
-//     bucket is an unsorted intrusive list of nodes in one shared pool
-//     (so queue capacity amortizes at the max-pending high-water mark,
-//     not per bucket), and a bitmap records which buckets are
-//     occupied, so finding the next non-empty tick is a word scan, not
-//     a search.
-//   - Events within the tick currently being dispatched live in a
-//     small binary heap (`cur`) ordered by (at, seq); same-tick
-//     scheduling during dispatch pushes into it. A bucket is heapified
-//     once when the wheel reaches its tick.
+//     bucket is an unsorted intrusive list threaded through the pool
+//     slots, and a bitmap records which buckets are occupied, so
+//     finding the next non-empty tick is a word scan, not a search.
+//   - The keys of the tick currently being dispatched live in a small
+//     binary heap (`cur`) ordered by (at, seq); same-tick scheduling
+//     during dispatch pushes into it. When the wheel reaches a tick,
+//     its bucket's keys are appended to cur and heapified once.
 //   - Events beyond the wheel horizon (stall-timer backoffs, RTO
-//     exponential backoff, page time limits) go to an overflow heap
-//     and migrate into buckets as the wheel slides forward.
+//     exponential backoff, page time limits) keep their key in an
+//     overflow heap (`far`) and are linked into buckets as the wheel
+//     slides forward.
+//   - Dispatch pops the minimal key, copies the callback out of its
+//     slot and frees the slot before running it.
 //
 // Scheduling and dispatch are therefore amortized O(1) for the hot
 // paths (packet delivery, worker steps, ACK clocking — all within the
 // wheel horizon), with the exact (at, seq) total order of the original
 // heap: the dispatch sequence is byte-for-byte identical, which the
 // wheel-vs-reference-heap property tests in sim_order_test.go pin
-// down.
+// down. A heap sift moves 24-byte keys that hold no pointers, so it
+// pays neither a large copy nor a GC write barrier; the callbacks and
+// payloads stay put in the pool. EventCounts splits the dispatched
+// events by kind, and a test in internal/experiment pins them for
+// fixed seeds, so a queue change is shown to move only the cost per
+// event.
 //
-// The queue stays off the garbage collector's books: events are stored
-// by value (no per-event allocation, no container/heap interface
-// boxing), timers schedule themselves without closures, and AfterArg
-// carries a payload pointer through the queue so packet delivery needs
-// no per-packet closure either. In steady state — once buckets and
-// heaps have grown to the simulation's high-water mark — At, After,
-// AfterArg, and Timer.Reset allocate zero bytes (see
-// sim_alloc_test.go).
+// The queue stays off the garbage collector's books: there is no
+// per-event allocation and no container/heap interface boxing, timers
+// schedule themselves without closures, and AfterArg carries a payload
+// pointer through the queue so packet delivery needs no per-packet
+// closure either. In steady state — once the pool and heaps have grown
+// to the simulation's high-water mark — At, After, AfterArg, and
+// Timer.Reset allocate zero bytes (see sim_alloc_test.go).
 //
 // Key types: Simulator (clock + event queue + seeded RNG streams) and
 // Timer (a restartable scheduled callback). The package replaces the
@@ -72,11 +80,11 @@ const (
 	occWords  = wheelSize / 64
 )
 
-// event is one scheduled callback, stored by value in the queue.
-// Exactly one of the three dispatch forms is used: fn (a plain
-// closure), pfn+parg (a closure-free callback with argument), or
-// timer+gen (a Timer firing, validated against the timer's current
-// generation at dispatch time).
+// event is one scheduled callback, held in a pool slot that does not
+// move while the event is pending. Exactly one of the three dispatch
+// forms is used: fn (a plain closure), pfn+parg (a closure-free
+// callback with argument), or timer+gen (a Timer firing, validated
+// against the timer's current generation at dispatch time).
 type event struct {
 	at    time.Duration
 	seq   uint64 // tie-breaker: FIFO among same-time events
@@ -85,80 +93,81 @@ type event struct {
 	parg  any
 	timer *Timer
 	gen   uint64
+	next  int32 // pool index of the next slot in the bucket or freelist, -1 = end
 }
 
-// before orders events by (at, seq) — the same total order the
-// original binary heap used, so dispatch order (and therefore every
-// simulation result) is unchanged by the calendar-queue layout.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+// key is what the cur and far heaps order: an event's (at, seq) and
+// the pool slot holding the rest of it. It holds no pointers, so a
+// sift moves 24 bytes and pays no write barrier.
+type key struct {
+	at  time.Duration
+	seq uint64
+	idx int32
+}
+
+// before orders keys by (at, seq) — the same total order the original
+// binary heap used, so dispatch order (and therefore every simulation
+// result) is unchanged by the queue layout.
+func (k *key) before(o *key) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return e.seq < o.seq
+	return k.seq < o.seq
 }
 
-// heapPush inserts e into the (at, seq) min-heap h (sift-up). The only
+// heapPush inserts k into the (at, seq) min-heap h (sift-up). The only
 // allocation is the amortized growth of the backing slice, which stops
 // once the heap reaches its high-water mark.
-func heapPush(h []event, e event) []event {
-	h = append(h, e)
+func heapPush(h []key, k key) []key {
+	h = append(h, k)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h[i].before(&h[parent]) {
+		if !k.before(&h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = k
 	return h
 }
 
-// heapPop removes and returns the minimum event (sift-down). The
-// vacated tail slot is zeroed so the heap does not pin dead closures.
-func heapPop(h []event) (event, []event) {
+// heapPop removes and returns the minimum key (sift-down).
+func heapPop(h []key) (key, []key) {
 	min := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{}
-	h = h[:n]
-	siftDown(h, 0)
-	return min, h
+	if n > 0 {
+		siftDown(h[:n], 0, h[n])
+	}
+	return min, h[:n]
 }
 
-func siftDown(h []event, i int) {
+// siftDown places k in the hole at i, moving smaller children up.
+func siftDown(h []key, i int, k key) {
 	n := len(h)
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		small := l
-		if r := l + 1; r < n && h[r].before(&h[l]) {
-			small = r
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
 		}
-		if !h[small].before(&h[i]) {
+		if !h[c].before(&k) {
 			break
 		}
-		h[i], h[small] = h[small], h[i]
-		i = small
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = k
 }
 
 // heapify establishes the heap invariant over an unsorted bucket.
-func heapify(h []event) {
+func heapify(h []key) {
 	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
+		siftDown(h, i, h[i])
 	}
-}
-
-// node is one bucketed event in the shared pool, linked intrusively
-// into its tick's bucket list. Bucket lists are unordered (LIFO push);
-// the (at, seq) order is established by heapifying into cur when the
-// wheel reaches the tick, so list order never affects dispatch order.
-type node struct {
-	ev   event
-	next int32 // pool index of the next node in the bucket, -1 = end
 }
 
 // Simulator is a single-threaded discrete-event scheduler. It is not
@@ -169,24 +178,28 @@ type Simulator struct {
 	seq uint64
 	rng *rand.Rand
 
-	// Calendar queue state. cur holds the events of tick curTick as an
-	// (at, seq) min-heap; bh[t & wheelMask] heads the intrusive list of
-	// pool nodes for a pending tick t in (curTick, curTick+wheelSize];
-	// occ is the bucket-occupancy bitmap; far is the overflow min-heap
-	// for ticks beyond the wheel horizon. count is the total number of
-	// pending events across all three.
+	// Calendar queue state. Every pending event sits in a pool slot
+	// that stays put until the event is dispatched. cur holds the keys
+	// of tick curTick as an (at, seq) min-heap; bh[t & wheelMask] heads
+	// the intrusive list of pool slots for a pending tick t in
+	// (curTick, curTick+wheelSize]; occ is the bucket-occupancy bitmap;
+	// far is the overflow min-heap of keys for ticks beyond the wheel
+	// horizon. count is the total number of pending events across all
+	// three.
 	curTick int64
-	cur     []event
+	cur     []key
 	bh      []int32 // bucket heads, len wheelSize, -1 = empty
-	pool    []node
+	pool    []event
 	free    int32 // pool freelist head, -1 = none
 	occ     [occWords]uint64
-	near    int // events currently stored in buckets
-	far     []event
+	near    int // events currently linked into buckets
+	far     []key
 	count   int
 
-	// Steps counts executed events, to bound runaway simulations.
-	steps uint64
+	// Steps counts executed events, to bound runaway simulations;
+	// counts splits them by dispatch kind.
+	steps  uint64
+	counts EventCounts
 
 	// MaxSteps aborts Run with a panic after this many events; zero
 	// means no limit. Used to catch livelocks in tests.
@@ -215,13 +228,7 @@ func New(seed int64) *Simulator {
 // stream a fresh rand.New(rand.NewSource(seed)) would, so trial
 // results do not depend on whether the simulator was reused.
 func (s *Simulator) Reset(seed int64) {
-	for i := range s.cur {
-		s.cur[i] = event{} // unpin dead closures and payloads
-	}
 	s.cur = s.cur[:0]
-	for i := range s.far {
-		s.far[i] = event{}
-	}
 	s.far = s.far[:0]
 	for w := range s.occ {
 		for word := s.occ[w]; word != 0; word &= word - 1 {
@@ -229,12 +236,12 @@ func (s *Simulator) Reset(seed int64) {
 		}
 		s.occ[w] = 0
 	}
-	// Rebuild the pool freelist over the whole node array, zeroing the
-	// events so dead closures and payloads are unpinned. Freelist order
-	// only selects storage slots, never dispatch order, so this cannot
+	// Rebuild the pool freelist over every slot, zeroing the events so
+	// dead closures and payloads are unpinned. Freelist order only
+	// selects storage slots, never dispatch order, so this cannot
 	// perturb results.
 	for i := range s.pool {
-		s.pool[i] = node{next: int32(i) - 1}
+		s.pool[i] = event{next: int32(i) - 1}
 	}
 	if len(s.pool) > 0 {
 		s.free = int32(len(s.pool)) - 1
@@ -247,6 +254,7 @@ func (s *Simulator) Reset(seed int64) {
 	s.now = 0
 	s.seq = 0
 	s.steps = 0
+	s.counts = EventCounts{}
 	s.MaxSteps = 0
 	s.rng.Seed(seed)
 }
@@ -254,26 +262,14 @@ func (s *Simulator) Reset(seed int64) {
 // ForEachPendingArg visits the payload of every pending AfterArg
 // event, in unspecified order. It exists so object pools can recover
 // in-flight payloads (e.g. netem packets still "on the wire") before
-// Reset discards the queue.
+// Reset discards the queue. Dispatch zeroes a slot, so every slot
+// with a payload holds a pending event.
 func (s *Simulator) ForEachPendingArg(f func(any)) {
-	visit := func(evs []event) {
-		for i := range evs {
-			if evs[i].parg != nil {
-				f(evs[i].parg)
-			}
+	for i := range s.pool {
+		if s.pool[i].parg != nil {
+			f(s.pool[i].parg)
 		}
 	}
-	visit(s.cur)
-	for w := range s.occ {
-		for word := s.occ[w]; word != 0; word &= word - 1 {
-			for n := s.bh[w<<6+bits.TrailingZeros64(word)]; n >= 0; n = s.pool[n].next {
-				if s.pool[n].ev.parg != nil {
-					f(s.pool[n].ev.parg)
-				}
-			}
-		}
-	}
-	visit(s.far)
 }
 
 // Now returns the current virtual time (elapsed since simulation
@@ -286,44 +282,60 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // Steps reports how many events have executed.
 func (s *Simulator) Steps() uint64 { return s.steps }
 
-// schedule routes e to the cur heap (current tick — or, defensively,
-// any past tick), a wheel bucket (within the horizon), or the far
-// heap (beyond it). All three paths are allocation-free once their
-// backing storage has reached its high-water mark.
-func (s *Simulator) schedule(e event) {
+// EventCounts splits the executed events by dispatch kind. The four
+// counts sum to Steps. They depend only on the seed and the model, not
+// on the host or the queue layout, so tests pin them exactly.
+type EventCounts struct {
+	TimerLive  uint64 // Timer firings that ran the timer's callback
+	TimerStale uint64 // Timer events superseded by a later Reset or Stop
+	Arg        uint64 // AfterArg callbacks
+	Func       uint64 // At and After callbacks
+}
+
+// EventCounts reports the executed events by dispatch kind.
+func (s *Simulator) EventCounts() EventCounts { return s.counts }
+
+// schedule takes a pool slot for an event at time at with the next
+// seq, routes its key to the cur heap (current tick — or, defensively,
+// any past tick), a wheel bucket (within the horizon) or the far heap
+// (beyond it), and returns the slot for the caller to fill in before
+// anything else is scheduled. Every path is allocation-free once the
+// pool and heaps have reached their high-water marks.
+func (s *Simulator) schedule(at time.Duration) *event {
+	s.seq++
 	s.count++
-	tk := int64(e.at) >> tickBits
+	idx := s.free
+	if idx >= 0 {
+		s.free = s.pool[idx].next
+	} else {
+		s.pool = append(s.pool, event{})
+		idx = int32(len(s.pool)) - 1
+	}
+	e := &s.pool[idx]
+	e.at, e.seq = at, s.seq
+	tk := int64(at) >> tickBits
 	d := tk - s.curTick
 	switch {
 	case d <= 0:
 		// Current tick (or an already-passed tick, which cannot arise
 		// from the public API but is safe regardless): the cur heap
 		// dispatches strictly by (at, seq), so ordering is exact.
-		s.cur = heapPush(s.cur, e)
+		s.cur = heapPush(s.cur, key{at: at, seq: s.seq, idx: idx})
 	case d <= wheelSize:
-		s.bucketPush(tk&wheelMask, e)
+		s.bucketPush(tk&wheelMask, idx)
 	default:
-		s.far = heapPush(s.far, e)
+		s.far = heapPush(s.far, key{at: at, seq: s.seq, idx: idx})
 	}
+	return e
 }
 
-// bucketPush links e into the bucket at wheel index i, taking a node
-// from the freelist (or growing the shared pool toward its high-water
-// mark — the queue's only steady-state allocation source).
-func (s *Simulator) bucketPush(i int64, e event) {
-	n := s.free
-	if n >= 0 {
-		s.free = s.pool[n].next
-		s.pool[n].ev = e
-	} else {
-		s.pool = append(s.pool, node{ev: e})
-		n = int32(len(s.pool)) - 1
-	}
-	s.pool[n].next = s.bh[i]
+// bucketPush links pool slot idx into the bucket at wheel index i.
+func (s *Simulator) bucketPush(i int64, idx int32) {
+	s.pool[idx].next = s.bh[i]
 	if s.bh[i] < 0 {
 		s.occ[i>>6] |= 1 << uint(i&63)
 	}
-	s.bh[i] = n
+	s.bh[i] = idx
 	s.near++
 }
 
@@ -345,11 +357,11 @@ func (s *Simulator) scanNext() int64 {
 	panic("sim: occupancy bitmap inconsistent with near count")
 }
 
-// advanceTo moves the wheel to tick tk: the far heap is drained into
-// any buckets now inside the horizon, and tk's bucket list is drained
-// into the cur heap (freeing its nodes) and heapified. cur's backing
-// array keeps its high-water capacity across ticks, so steady state
-// allocates nothing here.
+// advanceTo moves the wheel to tick tk: tk's bucket list is appended
+// to the cur heap as keys and heapified, and the far heap is drained
+// into any buckets now inside the horizon. The events stay in their
+// pool slots; cur's backing array keeps its high-water capacity across
+// ticks, so steady state allocates nothing here.
 func (s *Simulator) advanceTo(tk int64) {
 	s.curTick = tk
 	// Drain tick tk's bucket BEFORE migrating far events: a far event
@@ -358,13 +370,8 @@ func (s *Simulator) advanceTo(tk int64) {
 	// early, dispatching it ahead of nearer buckets.
 	i := tk & wheelMask
 	s.occ[i>>6] &^= 1 << uint(i&63)
-	for n := s.bh[i]; n >= 0; {
-		s.cur = append(s.cur, s.pool[n].ev)
-		s.pool[n].ev = event{} // unpin
-		nx := s.pool[n].next
-		s.pool[n].next = s.free
-		s.free = n
-		n = nx
+	for n := s.bh[i]; n >= 0; n = s.pool[n].next {
+		s.cur = append(s.cur, key{at: s.pool[n].at, seq: s.pool[n].seq, idx: n})
 	}
 	s.bh[i] = -1
 	s.near -= len(s.cur)
@@ -379,21 +386,22 @@ func (s *Simulator) advanceTo(tk int64) {
 func (s *Simulator) drainFar() {
 	limit := s.curTick + wheelSize
 	for len(s.far) > 0 && int64(s.far[0].at)>>tickBits <= limit {
-		var e event
-		e, s.far = heapPop(s.far)
-		s.bucketPush((int64(e.at)>>tickBits)&wheelMask, e)
+		var k key
+		k, s.far = heapPop(s.far)
+		s.bucketPush((int64(k.at)>>tickBits)&wheelMask, k.idx)
 	}
 }
 
-// pop removes and returns the globally minimal (at, seq) event.
+// pop removes and returns the key of the globally minimal (at, seq)
+// event, whose slot stays occupied until the caller frees it.
 // Callers must ensure s.count > 0.
-func (s *Simulator) pop() event {
+func (s *Simulator) pop() key {
 	for {
 		if len(s.cur) > 0 {
-			var e event
-			e, s.cur = heapPop(s.cur)
+			var k key
+			k, s.cur = heapPop(s.cur)
 			s.count--
-			return e
+			return k
 		}
 		if s.near > 0 {
 			s.advanceTo(s.scanNext())
@@ -414,9 +422,9 @@ func (s *Simulator) peekAt() (time.Duration, bool) {
 	}
 	if s.near > 0 {
 		n := s.bh[s.scanNext()&wheelMask]
-		min := s.pool[n].ev.at
+		min := s.pool[n].at
 		for n = s.pool[n].next; n >= 0; n = s.pool[n].next {
-			if at := s.pool[n].ev.at; at < min {
+			if at := s.pool[n].at; at < min {
 				min = at
 			}
 		}
@@ -435,8 +443,7 @@ func (s *Simulator) At(t time.Duration, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
-	s.seq++
-	s.schedule(event{at: t, seq: s.seq, fn: fn})
+	s.schedule(t).fn = fn
 }
 
 // After schedules fn d from now. Negative d behaves like zero.
@@ -457,8 +464,8 @@ func (s *Simulator) AfterArg(d time.Duration, fn func(any), arg any) {
 	if d < 0 {
 		d = 0
 	}
-	s.seq++
-	s.schedule(event{at: s.now + d, seq: s.seq, pfn: fn, parg: arg})
+	e := s.schedule(s.now + d)
+	e.pfn, e.parg = fn, arg
 }
 
 // step executes the earliest pending event and returns false when the
@@ -467,23 +474,33 @@ func (s *Simulator) step() bool {
 	if s.count == 0 {
 		return false
 	}
-	e := s.pop()
-	s.now = e.at
+	k := s.pop()
+	s.now = k.at
 	s.steps++
 	if s.MaxSteps != 0 && s.steps > s.MaxSteps {
 		panic(fmt.Sprintf("sim: exceeded %d steps at t=%v", s.MaxSteps, s.now))
 	}
+	// Free the slot before dispatch, so the callback's own scheduling
+	// can reuse it and the pool does not pin dead closures.
+	e := &s.pool[k.idx]
+	fn, pfn, parg, timer, gen := e.fn, e.pfn, e.parg, e.timer, e.gen
+	*e = event{next: s.free}
+	s.free = k.idx
 	switch {
-	case e.timer != nil:
-		t := e.timer
-		if t.gen == e.gen && t.set {
-			t.set = false
-			t.fn()
+	case timer != nil:
+		if timer.gen == gen && timer.set {
+			s.counts.TimerLive++
+			timer.set = false
+			timer.fn()
+		} else {
+			s.counts.TimerStale++
 		}
-	case e.pfn != nil:
-		e.pfn(e.parg)
+	case pfn != nil:
+		s.counts.Arg++
+		pfn(parg)
 	default:
-		e.fn()
+		s.counts.Func++
+		fn()
 	}
 	return true
 }
@@ -547,8 +564,8 @@ func (t *Timer) Reset(d time.Duration) {
 	if at < s.now {
 		at = s.now
 	}
-	s.seq++
-	s.schedule(event{at: at, seq: s.seq, timer: t, gen: t.gen})
+	e := s.schedule(at)
+	e.timer, e.gen = t, t.gen
 }
 
 // Stop disarms the timer. It is safe to stop a stopped timer.

@@ -18,6 +18,8 @@ type refEvent struct {
 	at    time.Duration
 	seq   uint64
 	fn    func()
+	pfn   func(any)
+	parg  any
 	timer *refTimer
 	gen   uint64
 }
@@ -87,6 +89,14 @@ func (r *refSim) After(d time.Duration, fn func()) {
 	r.At(r.now+d, fn)
 }
 
+func (r *refSim) AfterArg(d time.Duration, fn func(any), arg any) {
+	if d < 0 {
+		d = 0
+	}
+	r.seq++
+	r.push(refEvent{at: r.now + d, seq: r.seq, pfn: fn, parg: arg})
+}
+
 func (r *refSim) step() bool {
 	if len(r.events) == 0 {
 		return false
@@ -99,6 +109,10 @@ func (r *refSim) step() bool {
 			t.set = false
 			t.fn()
 		}
+		return true
+	}
+	if e.pfn != nil {
+		e.pfn(e.parg)
 		return true
 	}
 	e.fn()
@@ -156,6 +170,7 @@ type engine struct {
 	now      func() time.Duration
 	after    func(time.Duration, func())
 	at       func(time.Duration, func())
+	afterArg func(time.Duration, func(any), any)
 	runUntil func(time.Duration)
 	run      func()
 	timerSet func(i int, d time.Duration)
@@ -167,6 +182,7 @@ func wheelEngine(s *Simulator, timers []*Timer) engine {
 		now:      s.Now,
 		after:    s.After,
 		at:       s.At,
+		afterArg: s.AfterArg,
 		runUntil: s.RunUntil,
 		run:      s.Run,
 		timerSet: func(i int, d time.Duration) { timers[i].Reset(d) },
@@ -179,6 +195,7 @@ func refEngine(r *refSim, timers []*refTimer) engine {
 		now:      func() time.Duration { return r.now },
 		after:    r.After,
 		at:       r.At,
+		afterArg: r.AfterArg,
 		runUntil: r.RunUntil,
 		run:      r.Run,
 		timerSet: func(i int, d time.Duration) { timers[i].Reset(d) },
@@ -217,10 +234,13 @@ func workloadDelay(w uint64) time.Duration {
 // same decisions at the same points.
 func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
 	var fire func(id uint64)
+	// fireArg is built once, as AfterArg's callers do: the id rides
+	// through the queue as the payload.
+	fireArg := func(a any) { fire(a.(uint64)) }
 	fire = func(id uint64) {
 		*log = append(*log, fmt.Sprintf("%d@%d", id, e.now()))
 		w := splitmix64(key ^ id)
-		switch w % 5 {
+		switch w % 6 {
 		case 0: // chain a follow-up event
 			child := id*2 + 1
 			if child < uint64(nSeed)*8 {
@@ -236,12 +256,21 @@ func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
 				at := e.now() + workloadDelay(splitmix64(w+2)) - time.Millisecond
 				e.at(at, func() { fire(child) })
 			}
+		case 4: // payload-carrying schedule
+			child := id*2 + 1
+			if child < uint64(nSeed)*8 {
+				e.afterArg(workloadDelay(splitmix64(w+3)), fireArg, child)
+			}
 		}
 	}
 	for i := 0; i < nSeed; i++ {
 		w := splitmix64(key + uint64(i)*0x51ed2701)
 		id := uint64(i)
-		e.after(workloadDelay(w), func() { fire(id) })
+		if w>>60 < 4 {
+			e.afterArg(workloadDelay(w), fireArg, id)
+		} else {
+			e.after(workloadDelay(w), func() { fire(id) })
+		}
 	}
 	for i := 0; i < nTimers; i++ {
 		e.timerSet(i, workloadDelay(splitmix64(key+uint64(i)*0xabcd)))

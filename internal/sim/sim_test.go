@@ -241,3 +241,90 @@ func TestStepsCounter(t *testing.T) {
 		t.Errorf("steps = %d, want 5", s.Steps())
 	}
 }
+
+// TestEventCountsByKind checks that every dispatch lands in exactly one
+// kind and that Reset zeroes the counts.
+func TestEventCountsByKind(t *testing.T) {
+	s := New(1)
+	s.After(time.Millisecond, func() {})
+	s.At(2*time.Millisecond, func() {})
+	s.AfterArg(time.Millisecond, func(any) {}, new(int))
+	live := s.NewTimer(func() {})
+	live.Reset(time.Millisecond)
+	stale := s.NewTimer(func() {})
+	stale.Reset(time.Millisecond)
+	stale.Reset(2 * time.Millisecond) // the first event goes stale
+	stale.Stop()                      // and so does the second
+	s.Run()
+	want := EventCounts{TimerLive: 1, TimerStale: 2, Arg: 1, Func: 2}
+	if got := s.EventCounts(); got != want {
+		t.Errorf("counts = %+v, want %+v", got, want)
+	}
+	if s.Steps() != 6 {
+		t.Errorf("steps = %d, want 6", s.Steps())
+	}
+	s.Reset(2)
+	if got := s.EventCounts(); got != (EventCounts{}) {
+		t.Errorf("counts after Reset = %+v, want zero", got)
+	}
+}
+
+// TestForEachPendingArgVisitsExactlyPending places payloads in every
+// region of the queue — the cur heap (directly and as the rest of a
+// drained bucket), wheel buckets (directly and migrated from far) and
+// the far heap — dispatches some of them, and checks that each
+// payload still pending is visited exactly once and no dispatched one
+// is, and that nothing is visited after Reset.
+func TestForEachPendingArgVisitsExactlyPending(t *testing.T) {
+	s := New(1)
+	pending := map[*int]bool{}
+	fn := func(a any) { delete(pending, a.(*int)) }
+	add := func(at time.Duration) {
+		p := new(int)
+		pending[p] = true
+		s.AfterArg(at-s.Now(), fn, p)
+	}
+	const tick = time.Duration(1) << tickBits
+	for _, at := range []time.Duration{
+		0, 10, 20, // cur heap of tick 0
+		5 * tick, 5*tick + 100, 5*tick + 200, // one bucket, drained into cur part way
+		10 * tick,                // a bucket the wheel reaches
+		300 * tick, 300*tick + 1, // a bucket the wheel never reaches
+		(wheelSize + 8) * tick,   // far, migrates into a bucket at tick 10
+		(wheelSize + 900) * tick, // far throughout
+	} {
+		add(at)
+	}
+	s.After(7*tick, func() {}) // plain events carry no payload
+	check := func(label string) {
+		t.Helper()
+		seen := map[*int]int{}
+		s.ForEachPendingArg(func(a any) { seen[a.(*int)]++ })
+		for p, n := range seen {
+			if !pending[p] {
+				t.Errorf("%s: visited a payload that is not pending", label)
+			} else if n != 1 {
+				t.Errorf("%s: visited a pending payload %d times", label, n)
+			}
+		}
+		if len(seen) != len(pending) {
+			t.Errorf("%s: visited %d payloads, %d pending", label, len(seen), len(pending))
+		}
+	}
+	check("before dispatch")
+	s.RunUntil(5*tick + 100)
+	if len(pending) != 6 {
+		t.Fatalf("setup: %d payloads pending after the first window, want 6", len(pending))
+	}
+	check("bucket drained part way")
+	s.RunUntil(10 * tick)
+	if len(pending) != 4 {
+		t.Fatalf("setup: %d payloads pending after the second window, want 4", len(pending))
+	}
+	check("far event migrated")
+	s.Reset(2)
+	s.ForEachPendingArg(func(any) { t.Error("visited a payload after Reset") })
+	pending = map[*int]bool{}
+	add(time.Millisecond)
+	check("after Reset")
+}

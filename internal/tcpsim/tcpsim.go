@@ -125,8 +125,10 @@ type Endpoint struct {
 
 	// Send state. sendBuf[sendOff:] holds bytes [sndUna, sndUna+len).
 	// Acked bytes advance sendOff instead of reslicing, so the backing
-	// array is reused instead of drifting; Write compacts the buffer
-	// before appending.
+	// array is reused instead of drifting. Write compacts the buffer
+	// before appending only once the acked prefix is at least as long
+	// as the live bytes, so each live byte is copied O(1) times and the
+	// buffer stays within about twice the buffered high-water mark.
 	sndUna, sndNxt uint32
 	sendBuf        []byte
 	sendOff        int
@@ -254,7 +256,7 @@ func (e *Endpoint) Write(b []byte) {
 	if e.broken || len(b) == 0 {
 		return
 	}
-	if e.sendOff > 0 {
+	if e.sendOff > 0 && 2*e.sendOff >= len(e.sendBuf) {
 		n := copy(e.sendBuf, e.sendBuf[e.sendOff:])
 		e.sendBuf = e.sendBuf[:n]
 		e.sendOff = 0

@@ -271,3 +271,46 @@ func TestDeterministicTransfers(t *testing.T) {
 		t.Errorf("same seed diverged: (%d,%d) vs (%d,%d)", r1, s1, r2, s2)
 	}
 }
+
+// TestSendBufferCompaction interleaves many small writes with the
+// partial ACKs of a running transfer. Write compacts the send buffer
+// only once the acked prefix outweighs the live bytes, so the delivered
+// stream must still equal the written one, and the buffer must stay
+// within about twice the buffered high-water mark instead of sliding
+// forward through memory.
+func TestSendBufferCompaction(t *testing.T) {
+	s := sim.New(13)
+	s.MaxSteps = 5_000_000
+	var rcv, sent bytes.Buffer
+	conn := NewConn(s, defaultPath(), Config{}, func(b []byte) { rcv.Write(b) }, nil)
+	e := conn.Server
+	var hwm, maxLen, maxCap int
+	for i := 0; sent.Len() < 4<<20; i++ {
+		if e.BufferedSend() < 48<<10 {
+			chunk := make([]byte, 1+(i*7919)%3000)
+			for j := range chunk {
+				chunk[j] = byte(i + j*31)
+			}
+			sent.Write(chunk)
+			e.Write(chunk)
+			hwm = max(hwm, e.BufferedSend())
+			maxLen = max(maxLen, len(e.sendBuf))
+			maxCap = max(maxCap, cap(e.sendBuf))
+		}
+		s.RunUntil(s.Now() + 200*time.Microsecond)
+	}
+	s.Run()
+	if conn.Broken() || !bytes.Equal(rcv.Bytes(), sent.Bytes()) {
+		t.Fatalf("delivered %d bytes (broken=%v), want the %d written", rcv.Len(), conn.Broken(), sent.Len())
+	}
+	if maxLen > 2*hwm {
+		t.Errorf("send buffer length peaked at %d, want <= 2 x high-water mark %d", maxLen, hwm)
+	}
+	// append's growth step and size-class rounding may overshoot the
+	// length bound; a buffer sliding through memory would exceed it
+	// many times over.
+	if maxCap > 3*hwm {
+		t.Errorf("send buffer capacity peaked at %d, want about <= 2 x high-water mark %d", maxCap, hwm)
+	}
+	t.Logf("high-water %d, peak len %d, peak cap %d", hwm, maxLen, maxCap)
+}
