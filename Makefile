@@ -40,20 +40,34 @@ check-golden:
 
 # Pipeline smoke: a small survey campaign through the JSONL exporter
 # with a mid-campaign stop and a checkpointed resume, verifying the
-# resumed output is byte-identical to an uninterrupted run. Mirrors
-# the CI pipeline-smoke step; campaign scratch lives in campaigns/
-# (gitignored).
+# resumed output is byte-identical to an uninterrupted run: the JSONL,
+# the obs= snapshot, and stdout after the status line (summary table
+# and -metrics, which must cover the whole campaign). A rerun of the
+# finished campaign must print the same table and metrics again.
+# Mirrors the CI pipeline-smoke step; campaign scratch lives in
+# campaigns/ (gitignored).
 survey-smoke:
 	@rm -rf campaigns/smoke && mkdir -p campaigns/smoke
-	go run ./cmd/h2attack -survey -corpus 40 \
-		-export jsonl=campaigns/smoke/ref.jsonl > /dev/null
-	go run ./cmd/h2attack -survey -corpus 40 \
-		-export summary,jsonl=campaigns/smoke/out.jsonl \
+	go run ./cmd/h2attack -survey -corpus 40 -metrics \
+		-export summary,jsonl=campaigns/smoke/ref.jsonl,obs=campaigns/smoke/ref.obs.json \
+		> campaigns/smoke/ref.out
+	go run ./cmd/h2attack -survey -corpus 40 -metrics \
+		-export summary,jsonl=campaigns/smoke/out.jsonl,obs=campaigns/smoke/out.obs.json \
 		-checkpoint campaigns/smoke/ck.json -checkpoint-every 7 -max-trials 17 > /dev/null
-	go run ./cmd/h2attack -survey -corpus 40 \
-		-export summary,jsonl=campaigns/smoke/out.jsonl \
-		-checkpoint campaigns/smoke/ck.json -checkpoint-every 7
-	cmp campaigns/smoke/ref.jsonl campaigns/smoke/out.jsonl && echo "survey-smoke OK"
+	go run ./cmd/h2attack -survey -corpus 40 -metrics \
+		-export summary,jsonl=campaigns/smoke/out.jsonl,obs=campaigns/smoke/out.obs.json \
+		-checkpoint campaigns/smoke/ck.json -checkpoint-every 7 \
+		> campaigns/smoke/resumed.out
+	go run ./cmd/h2attack -survey -corpus 40 -metrics \
+		-export summary,jsonl=campaigns/smoke/out.jsonl,obs=campaigns/smoke/out.obs.json \
+		-checkpoint campaigns/smoke/ck.json -checkpoint-every 7 \
+		> campaigns/smoke/rerun.out
+	cmp campaigns/smoke/ref.jsonl campaigns/smoke/out.jsonl
+	cmp campaigns/smoke/ref.obs.json campaigns/smoke/out.obs.json
+	tail -n +2 campaigns/smoke/ref.out > campaigns/smoke/ref.body
+	tail -n +2 campaigns/smoke/resumed.out | cmp campaigns/smoke/ref.body -
+	tail -n +2 campaigns/smoke/rerun.out | cmp campaigns/smoke/ref.body -
+	@echo "survey-smoke OK"
 
 # Scale-out smoke: the same campaign (two sweeps + a small survey)
 # run single-process and as three shard processes via scripts/shard.sh

@@ -72,6 +72,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/runner"
 	"repro/internal/website"
 )
@@ -224,51 +225,19 @@ func run(args []string) int {
 	}
 	defer tp.shutdown()
 
-	// sweepOpts builds the per-sweep execution options: the worker
-	// count plus, with -progress, a stderr ticker, plus the telemetry
-	// plane when -status is live. Results do not depend on any of them
-	// (trial seeds derive from the trial index).
-	sweepOpts := func(name string) []experiment.Option {
-		opts := []experiment.Option{experiment.Workers(cli.jobs)}
-		if g := tp.liveGauges(); g != nil {
-			opts = append(opts, experiment.Telemetry(g))
-		}
-		var inner func(runner.Progress)
-		if cli.progress {
-			inner = progressPrinter(name)
-		}
-		if cb := tp.progress(inner); cb != nil {
-			opts = append(opts, experiment.OnProgress(cb))
-		}
-		return opts
-	}
-
 	if cli.shardSpec != "" && cli.mergeDirs != "" {
 		fmt.Fprintln(os.Stderr, "h2attack: -shard and -merge are mutually exclusive")
 		return 2
 	}
-	if cli.shardSpec != "" || cli.mergeDirs != "" {
-		smf := shardModeFlags{
-			defs:            defs,
-			plane:           tp,
-			survey:          cli.survey,
-			corpus:          cli.corpus,
-			siteTrials:      cli.siteTrials,
-			seed:            cli.seed,
-			jobs:            cli.jobs,
-			progress:        cli.progress,
-			metrics:         cli.metrics,
-			metricsOut:      cli.metricsOut,
-			export:          cli.export,
-			checkpointEvery: cli.ckptEvery,
-			maxTrials:       cli.maxTrials,
+	if cli.shardSpec != "" {
+		if err := runShardMode(cli, defs, tp); err != nil {
+			fmt.Fprintf(os.Stderr, "h2attack: -shard: %v\n", err)
+			return 1
 		}
-		if cli.shardSpec != "" {
-			if err := runShardMode(cli.shardSpec, cli.shardDir, smf); err != nil {
-				fmt.Fprintf(os.Stderr, "h2attack: -shard: %v\n", err)
-				return 1
-			}
-		} else if err := runMergeMode(cli.mergeDirs, smf); err != nil {
+		return 0
+	}
+	if cli.mergeDirs != "" {
+		if err := runMergeMode(cli, defs); err != nil {
 			fmt.Fprintf(os.Stderr, "h2attack: -merge: %v\n", err)
 			return 1
 		}
@@ -276,48 +245,31 @@ func run(args []string) int {
 	}
 	ran := false
 	snaps := map[string]*obs.Snapshot{}
-	// runSweep executes one sweep, attaching a fresh metrics registry
-	// when -metrics or -metrics-json asked for one, and prints the
-	// sweep's table followed by its metrics summary.
-	runSweep := func(name string, fn func(opts []experiment.Option) string) {
-		opts := sweepOpts(name)
+	for _, d := range defs {
+		// Results do not depend on the worker count, the progress
+		// callback or the telemetry plane (trial seeds derive from the
+		// trial index).
+		cfg := cli.campaignConfig(tp, d.Name, d.Fingerprint(), "", d.Trials)
+		opts := []experiment.Option{
+			experiment.Workers(cfg.Workers),
+			experiment.OnProgress(cfg.OnProgress),
+			experiment.Telemetry(cfg.Gauges),
+		}
 		var reg *obs.Registry
 		if cli.metrics || cli.metricsOut != "" {
 			reg = obs.NewRegistry()
 			opts = append(opts, experiment.Metrics(reg))
 		}
-		fmt.Print(fn(opts))
-		fmt.Println()
+		results := d.Run(opts...)
+		var snap *obs.Snapshot
 		if reg != nil {
-			snap := reg.Snapshot()
-			snaps[name] = snap
-			if cli.metrics {
-				fmt.Printf("metrics: %s\n%s\n", name, snap.Text())
-			}
+			snap = reg.Snapshot()
 		}
+		reportSweep(cli, snaps, d.Name, d.Format(results), snap)
 		ran = true
 	}
-	for _, d := range defs {
-		runSweep(d.Name, func(opts []experiment.Option) string {
-			tp.campaign(d.Name, d.Fingerprint(), "", d.Trials)
-			return d.Format(d.Run(opts...))
-		})
-	}
 	if cli.survey {
-		err := runSurvey(surveyFlags{
-			plane:           tp,
-			corpus:          cli.corpus,
-			siteTrials:      cli.siteTrials,
-			seed:            cli.seed,
-			jobs:            cli.jobs,
-			progress:        cli.progress,
-			metrics:         cli.metrics,
-			export:          cli.export,
-			checkpoint:      cli.checkpoint,
-			checkpointEvery: cli.ckptEvery,
-			maxTrials:       cli.maxTrials,
-		})
-		if err != nil {
+		if err := runSurvey(cli, tp); err != nil {
 			fmt.Fprintf(os.Stderr, "h2attack: -survey: %v\n", err)
 			return 1
 		}
@@ -341,22 +293,65 @@ func run(args []string) int {
 		}
 		ran = true
 	}
-	if cli.metricsOut != "" && len(snaps) > 0 {
-		data, err := obs.MarshalSweeps(snaps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "h2attack: -metrics-json: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(cli.metricsOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "h2attack: -metrics-json: %v\n", err)
-			return 1
-		}
+	if err := writeMetricsJSON(cli.metricsOut, snaps); err != nil {
+		fmt.Fprintf(os.Stderr, "h2attack: -metrics-json: %v\n", err)
+		return 1
 	}
 	if !ran {
 		fs.Usage()
 		return 2
 	}
 	return 0
+}
+
+// campaignConfig announces one campaign to the telemetry plane and
+// builds the pipeline configuration every mode runs it under: -j,
+// -checkpoint-every, -max-trials, the live gauges, and one progress
+// callback feeding the -progress line, the /status tracker and, for a
+// shard slice (slice "i/N"; "" for a whole campaign), the range
+// gauge. Callers add the checkpoint path, the stop channel and a
+// shard's index range.
+func (cli *cliFlags) campaignConfig(tp *telemetryPlane, name, fingerprint, slice string, total int) pipeline.Config {
+	tp.campaign(name, fingerprint, slice, total)
+	var inner func(runner.Progress)
+	if cli.progress {
+		inner = progressPrinter(name)
+	}
+	return pipeline.Config{
+		Workers:         cli.jobs,
+		CheckpointEvery: cli.ckptEvery,
+		MaxTrials:       cli.maxTrials,
+		OnProgress:      tp.progress(inner, slice != ""),
+		Gauges:          tp.liveGauges(),
+	}
+}
+
+// reportSweep prints one sweep's table followed, with -metrics, by its
+// metrics summary, and keeps a non-nil snapshot for -metrics-json.
+// Single-process and -merge runs both report through it.
+func reportSweep(cli *cliFlags, snaps map[string]*obs.Snapshot, name, table string, snap *obs.Snapshot) {
+	fmt.Print(table)
+	fmt.Println()
+	if snap == nil {
+		return
+	}
+	snaps[name] = snap
+	if cli.metrics {
+		fmt.Printf("metrics: %s\n%s\n", name, snap.Text())
+	}
+}
+
+// writeMetricsJSON writes every sweep's snapshot into the -metrics-json
+// file; a no-op without the flag or without sweeps.
+func writeMetricsJSON(path string, snaps map[string]*obs.Snapshot) error {
+	if path == "" || len(snaps) == 0 {
+		return nil
+	}
+	data, err := obs.MarshalSweeps(snaps)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // parseSeedSpec parses a trial selector: the seed, optionally

@@ -11,10 +11,8 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/runner"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
-	"repro/internal/website"
 )
 
 // This file is the multi-process scale-out driver. `-shard i/N
@@ -23,28 +21,6 @@ import (
 // dir1,dir2,...` validates a complete bundle set and reassembles it —
 // tables, JSONL exports, and -metrics-json output byte-identical to
 // the same flags run in a single process (see internal/shard).
-
-// shardModeFlags carries the -shard / -merge configuration out of
-// main. defs holds the flag-selected sweep definitions; the survey
-// fields mirror the -survey flags.
-type shardModeFlags struct {
-	defs  []experiment.SweepDef
-	plane *telemetryPlane
-
-	survey     bool
-	corpus     int
-	siteTrials int
-	seed       int64
-
-	jobs       int
-	progress   bool
-	metrics    bool
-	metricsOut string
-	export     string
-
-	checkpointEvery int
-	maxTrials       int
-}
 
 // parseShardSpec parses "i/N" (1-based, as printed by -shard's usage)
 // into a 0-based shard index and the shard count.
@@ -59,60 +35,21 @@ func parseShardSpec(spec string) (idx, count int, err error) {
 	return i - 1, n, nil
 }
 
-// newSurvey builds the survey campaign exactly as runSurvey does, so
-// shard and merge modes agree with single-process runs on the
-// fingerprint.
-func (f *shardModeFlags) newSurvey() (*experiment.Survey, error) {
-	if f.corpus <= 0 {
-		return nil, fmt.Errorf("-corpus must be positive, got %d", f.corpus)
-	}
-	st := f.siteTrials
-	if st <= 0 {
-		st = 1
-	}
-	return experiment.NewSurvey(experiment.SurveyConfig{
-		Corpus:     website.CorpusConfig{Seed: uint64(f.seed), Sites: f.corpus},
-		SiteTrials: st,
-		Seed:       f.seed,
-	}), nil
-}
-
-// progressFn builds the progress reporter for one campaign slice: the
-// shared stderr line (same rendering as the single-process modes) plus
-// the telemetry plane's range gauge and tracker feed when -status is
-// live.
-func (f *shardModeFlags) progressFn(name string) func(runner.Progress) {
-	var inner func(runner.Progress)
-	if f.progress {
-		inner = progressPrinter(name)
-	}
-	g := f.plane.liveGauges()
-	cb := f.plane.progress(inner)
-	if g == nil {
-		return cb
-	}
-	return func(p runner.Progress) {
-		g.Set(telemetry.GRangeDone, int64(p.Completed))
-		if cb != nil {
-			cb(p)
-		}
-	}
-}
-
 // runShardMode executes one shard's slice of every selected campaign
 // into a bundle directory. Each campaign slice is checkpointed inside
 // the bundle, so an interrupted shard resumes with the same command;
 // the manifest is written only once every slice completed, marking
 // the bundle ready to merge.
-func runShardMode(spec, dir string, f shardModeFlags) error {
-	idx, count, err := parseShardSpec(spec)
+func runShardMode(cli *cliFlags, defs []experiment.SweepDef, tp *telemetryPlane) error {
+	idx, count, err := parseShardSpec(cli.shardSpec)
 	if err != nil {
 		return err
 	}
+	dir := cli.shardDir
 	if dir == "" {
 		return fmt.Errorf("-shard requires -shard-dir DIR (the bundle output directory)")
 	}
-	if len(f.defs) == 0 && !f.survey {
+	if len(defs) == 0 && !cli.survey {
 		return fmt.Errorf("-shard: no campaigns selected (add -table1..-defenses, -all, or -survey)")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -128,42 +65,34 @@ func runShardMode(spec, dir string, f shardModeFlags) error {
 	runSlice := func(name, fingerprint string, trials int,
 		run func(cfg pipeline.Config, st *experiment.ObsState, jsonl string) (pipeline.Summary, error)) error {
 		r := shard.Plan(trials, count)[idx]
-		if g := f.plane.liveGauges(); g != nil {
+		if g := tp.liveGauges(); g != nil {
 			g.Set(telemetry.GShardIndex, int64(idx+1))
 			g.Set(telemetry.GShardCount, int64(count))
 			g.Set(telemetry.GRangeStart, int64(r.Start))
 			g.Set(telemetry.GRangeEnd, int64(r.End))
 			g.Set(telemetry.GRangeDone, 0)
 		}
-		f.plane.campaign(name, fingerprint, fmt.Sprintf("%d/%d", idx+1, count), r.End-r.Start)
 		cm := shard.CampaignManifest{
 			Campaign:    name,
 			Fingerprint: fingerprint,
 			Trials:      trials,
 			Start:       r.Start,
 			End:         r.End,
-			SeedBase:    f.seed,
+			SeedBase:    cli.seed,
 			Results:     name + ".jsonl",
 			Snapshot:    name + ".obs.json",
 			Checkpoint:  name + ".ck.json",
 		}
+		cfg := cli.campaignConfig(tp, name, fingerprint, fmt.Sprintf("%d/%d", idx+1, count), r.End-r.Start)
+		cfg.Start, cfg.End = r.Start, r.End
+		cfg.Checkpoint = filepath.Join(dir, cm.Checkpoint)
+		cfg.Stop = stop
 		st := experiment.NewObsState()
-		cfg := pipeline.Config{
-			Workers:         f.jobs,
-			Start:           r.Start,
-			End:             r.End,
-			Checkpoint:      filepath.Join(dir, cm.Checkpoint),
-			CheckpointEvery: f.checkpointEvery,
-			MaxTrials:       f.maxTrials,
-			Stop:            stop,
-			OnProgress:      f.progressFn(name),
-			Gauges:          f.plane.liveGauges(),
-		}
 		sum, err := run(cfg, st, filepath.Join(dir, cm.Results))
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		if err := writeSliceSnapshot(dir, cm, sum, st, cfg.Checkpoint); err != nil {
+		if err := writeSliceSnapshot(filepath.Join(dir, cm.Snapshot), st); err != nil {
 			return fmt.Errorf("%s: snapshot: %w", name, err)
 		}
 		man.Campaigns = append(man.Campaigns, cm)
@@ -177,25 +106,19 @@ func runShardMode(spec, dir string, f shardModeFlags) error {
 		return nil
 	}
 
-	for _, d := range f.defs {
-		err := runSlice(d.Name, d.Fingerprint(), d.Trials,
-			func(cfg pipeline.Config, st *experiment.ObsState, jsonl string) (pipeline.Summary, error) {
-				return d.RunShard(cfg, st, jsonl)
-			})
-		if err != nil {
+	for _, d := range defs {
+		if err := runSlice(d.Name, d.Fingerprint(), d.Trials, d.RunShard); err != nil {
 			return err
 		}
 	}
-	if f.survey {
-		s, err := f.newSurvey()
+	if cli.survey {
+		s, err := cli.newSurvey()
 		if err != nil {
 			return err
 		}
 		err = runSlice(s.Name(), s.Fingerprint(), s.Trials(),
 			func(cfg pipeline.Config, st *experiment.ObsState, jsonl string) (pipeline.Summary, error) {
-				s.SetMetrics(st.Reg)
-				return s.Run(cfg, experiment.SurveyJSONL(jsonl),
-					experiment.ObsStateExporter[experiment.CorpusTrialParams, experiment.SurveyResult](st))
+				return runSurveyCampaign(s, cfg, st, experiment.SurveyJSONL(jsonl))
 			})
 		if err != nil {
 			return err
@@ -214,37 +137,13 @@ func runShardMode(spec, dir string, f shardModeFlags) error {
 	return nil
 }
 
-// writeSliceSnapshot writes one slice's obs snapshot file. A slice
-// whose checkpoint already said done short-circuits the pipeline
-// without restoring any exporter, so the live ObsState is empty — in
-// that case the bundle's existing snapshot is kept (a rerun of a
-// complete shard must not wipe its metrics), falling back to the
-// snapshot recorded inside the done checkpoint if the file is missing
-// (process killed between the final checkpoint and the snapshot
-// write).
-func writeSliceSnapshot(dir string, cm shard.CampaignManifest, sum pipeline.Summary, st *experiment.ObsState, ckPath string) error {
-	path := filepath.Join(dir, cm.Snapshot)
-	shortCircuited := sum.Done && sum.Start >= sum.End
-	if shortCircuited {
-		if _, err := os.Stat(path); err == nil {
-			return nil
-		}
-		if state, ok, err := pipeline.CheckpointExporterState(ckPath, "obs-state"); err != nil {
-			return err
-		} else if ok {
-			// Re-marshal through the snapshot type: the checkpoint file
-			// is indented, the bundle snapshot is compact.
-			snap := &obs.Snapshot{}
-			if err := json.Unmarshal(state, snap); err != nil {
-				return err
-			}
-			data, err := json.Marshal(snap)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(path, append(data, '\n'), 0o644)
-		}
-	}
+// writeSliceSnapshot writes one slice's obs snapshot file. The
+// ObsState rides the slice checkpoint, so the snapshot covers the
+// whole range however often the shard restarted; a rerun of a finished
+// slice restores it from the done checkpoint and rewrites the same
+// bytes (or recreates a file lost to a kill after the final
+// checkpoint).
+func writeSliceSnapshot(path string, st *experiment.ObsState) error {
 	snap, err := st.Snapshot()
 	if err != nil {
 		return err
@@ -297,9 +196,9 @@ func mergeSnapshots(slices []shard.CampaignManifest) (*obs.Snapshot, error) {
 // the survey's exporters re-fed from the concatenated lines, metrics
 // from the merged snapshots. stdout and every file export are
 // byte-identical to the same flags run in a single process.
-func runMergeMode(dirList string, f shardModeFlags) error {
+func runMergeMode(cli *cliFlags, defs []experiment.SweepDef) error {
 	var dirs []string
-	for _, d := range strings.Split(dirList, ",") {
+	for _, d := range strings.Split(cli.mergeDirs, ",") {
 		if d = strings.TrimSpace(d); d != "" {
 			dirs = append(dirs, d)
 		}
@@ -308,21 +207,15 @@ func runMergeMode(dirList string, f shardModeFlags) error {
 	if err != nil {
 		return err
 	}
-	if len(f.defs) == 0 && !f.survey {
+	if len(defs) == 0 && !cli.survey {
 		return fmt.Errorf("-merge: no campaigns selected (add the same campaign flags the shards ran with)")
 	}
 
 	snaps := map[string]*obs.Snapshot{}
-	for _, d := range f.defs {
-		slices, err := set.Campaign(d.Name)
+	for _, d := range defs {
+		slices, err := campaignSlices(set, d.Name, d.Fingerprint())
 		if err != nil {
 			return err
-		}
-		// The bundles agree with each other (shard.LoadSet); they must
-		// also agree with this invocation's -trials/-seed.
-		if got, want := slices[0].Fingerprint, d.Fingerprint(); got != want {
-			return fmt.Errorf("campaign %q was sharded under a different configuration:\n  bundles: %s\n  -merge:  %s",
-				d.Name, got, want)
 		}
 		var buf bytes.Buffer
 		if err := set.ConcatResults(d.Name, &buf); err != nil {
@@ -332,97 +225,67 @@ func runMergeMode(dirList string, f shardModeFlags) error {
 		if err != nil {
 			return fmt.Errorf("campaign %q: %w", d.Name, err)
 		}
-		fmt.Print(d.Format(results))
-		fmt.Println()
-		if f.metrics || f.metricsOut != "" {
-			snap, err := mergeSnapshots(slices)
-			if err != nil {
+		var snap *obs.Snapshot
+		if cli.metrics || cli.metricsOut != "" {
+			if snap, err = mergeSnapshots(slices); err != nil {
 				return err
 			}
-			snaps[d.Name] = snap
-			if f.metrics {
-				fmt.Printf("metrics: %s\n%s\n", d.Name, snap.Text())
-			}
 		}
+		reportSweep(cli, snaps, d.Name, d.Format(results), snap)
 	}
 
-	if f.survey {
-		if err := mergeSurvey(set, f); err != nil {
+	if cli.survey {
+		if err := mergeSurvey(set, cli); err != nil {
 			return err
 		}
 	}
+	return writeMetricsJSON(cli.metricsOut, snaps)
+}
 
-	if f.metricsOut != "" && len(snaps) > 0 {
-		data, err := obs.MarshalSweeps(snaps)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(f.metricsOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
+// campaignSlices returns one campaign's bundle slices in shard order.
+// The bundles agree with each other (shard.LoadSet); they must also
+// agree with this invocation's flags.
+func campaignSlices(set *shard.Set, name, fingerprint string) ([]shard.CampaignManifest, error) {
+	slices, err := set.Campaign(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if got := slices[0].Fingerprint; got != fingerprint {
+		return nil, fmt.Errorf("campaign %q was sharded under a different configuration:\n  bundles: %s\n  -merge:  %s",
+			name, got, fingerprint)
+	}
+	return slices, nil
 }
 
 // mergeSurvey reassembles the survey campaign: concatenated JSONL
 // lines re-fed through the same exporters a single-process run wires
 // from -export, so the summary table and every file export match
 // byte-for-byte.
-func mergeSurvey(set *shard.Set, f shardModeFlags) error {
-	s, err := f.newSurvey()
+func mergeSurvey(set *shard.Set, cli *cliFlags) error {
+	s, err := cli.newSurvey()
 	if err != nil {
 		return err
 	}
-	slices, err := set.Campaign(s.Name())
+	ex, err := cli.parseExport()
 	if err != nil {
 		return err
 	}
-	if got, want := slices[0].Fingerprint, s.Fingerprint(); got != want {
-		return fmt.Errorf("campaign %q was sharded under a different configuration:\n  bundles: %s\n  -merge:  %s",
-			s.Name(), got, want)
+	slices, err := campaignSlices(set, s.Name(), s.Fingerprint())
+	if err != nil {
+		return err
 	}
-
 	var lines bytes.Buffer
 	if err := set.ConcatResults(s.Name(), &lines); err != nil {
 		return err
 	}
 
-	var (
-		summary   *experiment.SurveySummary
-		jsonlOut  []string
-		obsOut    []string
-		wantObs   bool
-		wantLines = lines.Bytes()
-	)
-	for _, spec := range strings.Split(f.export, ",") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			continue
-		}
-		name, arg, hasArg := strings.Cut(spec, "=")
-		switch {
-		case name == "summary" && !hasArg:
-			if summary == nil {
-				summary = experiment.NewSurveySummary()
-			}
-		case name == "jsonl" && hasArg:
-			jsonlOut = append(jsonlOut, arg)
-		case name == "obs" && hasArg:
-			obsOut = append(obsOut, arg)
-			wantObs = true
-		default:
-			return fmt.Errorf("-export: unknown spec %q (want summary, jsonl=FILE, or obs=FILE)", spec)
-		}
-	}
-	if summary == nil && len(jsonlOut) == 0 && len(obsOut) == 0 {
-		return fmt.Errorf("-export: no exporters configured")
-	}
-
 	trials := slices[0].Trials
-	if summary != nil {
+	var summary *experiment.SurveySummary
+	if ex.summary {
 		// Re-feed the concatenated lines through the summary exporter —
 		// the same aggregation path Export runs per live trial.
-		sc := json.NewDecoder(bytes.NewReader(wantLines))
+		summary = experiment.NewSurveySummary()
+		sc := json.NewDecoder(bytes.NewReader(lines.Bytes()))
 		for i := 0; i < trials; i++ {
 			var r experiment.SurveyResult
 			if err := sc.Decode(&r); err != nil {
@@ -433,36 +296,17 @@ func mergeSurvey(set *shard.Set, f shardModeFlags) error {
 			}
 		}
 	}
-	for _, path := range jsonlOut {
-		if err := os.WriteFile(path, wantLines, 0o644); err != nil {
+	for _, path := range ex.jsonl {
+		if err := os.WriteFile(path, lines.Bytes(), 0o644); err != nil {
 			return err
 		}
 	}
 	var snap *obs.Snapshot
-	if wantObs || f.metrics {
+	if len(ex.obs) > 0 || cli.metrics {
 		if snap, err = mergeSnapshots(slices); err != nil {
 			return err
 		}
 	}
-	for _, path := range obsOut {
-		data, err := obs.MarshalSweeps(map[string]*obs.Snapshot{"survey": snap})
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-	}
-
-	// The status line a completed single-process campaign prints.
-	fmt.Printf("survey: %d sites x %d trials, %d/%d trials exported (this run: %d)\n",
-		f.corpus, trials/f.corpus, trials, trials, trials)
-	if summary != nil {
-		fmt.Println()
-		fmt.Print(summary.Format())
-	}
-	if f.metrics {
-		fmt.Printf("\nmetrics: survey\n%s\n", snap.Text())
-	}
-	return nil
+	// Report as the completed single-process campaign would.
+	return reportSurvey(cli, ex, pipeline.Summary{Trials: trials, End: trials, Exported: trials, Done: true}, summary, snap)
 }

@@ -32,16 +32,16 @@ func readTrialCount(t *testing.T, path string) uint64 {
 }
 
 // TestShardModeRerunKeepsSnapshot pins the resume contract of a shard
-// that already finished: rerunning the same command must short-circuit
-// on the done checkpoint and leave the bundle byte-identical — in
-// particular it must NOT overwrite the obs snapshot with the fresh
-// (empty) ObsState the short-circuited pipeline never populated.
+// that already finished: rerunning the same command resumes from the
+// done checkpoint without running a trial and must leave the bundle
+// byte-identical — in particular the obs snapshot it rewrites must be
+// the whole-range one restored from the checkpoint, not an empty one.
 func TestShardModeRerunKeepsSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	defs := experiment.Sweeps(2, 1)[4:5] // delay sweep, 2 trials/config
-	f := shardModeFlags{defs: defs, jobs: 2, checkpointEvery: 2}
+	f := &cliFlags{shardSpec: "1/1", shardDir: dir, jobs: 2, ckptEvery: 2}
 
-	if err := runShardMode("1/1", dir, f); err != nil {
+	if err := runShardMode(f, defs, nil); err != nil {
 		t.Fatal(err)
 	}
 	name := defs[0].Name
@@ -58,7 +58,7 @@ func TestShardModeRerunKeepsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := runShardMode("1/1", dir, f); err != nil {
+	if err := runShardMode(f, defs, nil); err != nil {
 		t.Fatal(err)
 	}
 	after, err := os.ReadFile(snapPath)
@@ -82,14 +82,14 @@ func TestShardModeRerunKeepsSnapshot(t *testing.T) {
 
 // TestShardModeRecoversSnapshotFromCheckpoint covers the crash window
 // between the final done checkpoint and the snapshot file write: the
-// rerun short-circuits, finds no snapshot file, and must reconstruct
-// it from the obs-state recorded inside the done checkpoint.
+// rerun runs no trial, finds no snapshot file, and must reconstruct it
+// from the obs-state recorded inside the done checkpoint.
 func TestShardModeRecoversSnapshotFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	defs := experiment.Sweeps(2, 1)[4:5]
-	f := shardModeFlags{defs: defs, jobs: 2, checkpointEvery: 2}
+	f := &cliFlags{shardSpec: "1/1", shardDir: dir, jobs: 2, ckptEvery: 2}
 
-	if err := runShardMode("1/1", dir, f); err != nil {
+	if err := runShardMode(f, defs, nil); err != nil {
 		t.Fatal(err)
 	}
 	name := defs[0].Name
@@ -98,7 +98,7 @@ func TestShardModeRecoversSnapshotFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := runShardMode("1/1", dir, f); err != nil {
+	if err := runShardMode(f, defs, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := readTrialCount(t, snapPath); got != uint64(defs[0].Trials) {

@@ -9,55 +9,34 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/runner"
 	"repro/internal/website"
 )
 
-// surveyFlags carries the -survey mode's configuration out of main.
-type surveyFlags struct {
-	plane      *telemetryPlane
-	corpus     int
-	siteTrials int
-	seed       int64
-	jobs       int
-	progress   bool
-	metrics    bool
-
-	export          string
-	checkpoint      string
-	checkpointEvery int
-	maxTrials       int
+// newSurvey builds the -survey campaign from the flags. Single-process,
+// shard and merge runs all build it here, so they agree on the
+// fingerprint.
+func (cli *cliFlags) newSurvey() (*experiment.Survey, error) {
+	if cli.corpus <= 0 {
+		return nil, fmt.Errorf("-corpus must be positive, got %d", cli.corpus)
+	}
+	return experiment.NewSurvey(experiment.SurveyConfig{
+		Corpus:     website.CorpusConfig{Seed: uint64(cli.seed), Sites: cli.corpus},
+		SiteTrials: cli.siteTrials,
+		Seed:       cli.seed,
+	}), nil
 }
 
-// runSurvey executes a survey campaign: the paper's attack against a
-// synthetic site corpus, streamed through the pipeline to the
-// exporters named by -export, with optional checkpoint/resume.
-func runSurvey(f surveyFlags) error {
-	if f.corpus <= 0 {
-		return fmt.Errorf("-corpus must be positive, got %d", f.corpus)
-	}
-	if f.siteTrials <= 0 {
-		f.siteTrials = 1
-	}
-	cfg := experiment.SurveyConfig{
-		Corpus: website.CorpusConfig{
-			Seed:  uint64(f.seed),
-			Sites: f.corpus,
-		},
-		SiteTrials: f.siteTrials,
-		Seed:       f.seed,
-	}
-	s := experiment.NewSurvey(cfg)
+// surveyExports is the parsed -export list.
+type surveyExports struct {
+	summary bool
+	jsonl   []string // jsonl=FILE paths
+	obs     []string // obs=FILE paths
+}
 
-	var (
-		exporters []pipeline.Exporter[experiment.CorpusTrialParams, experiment.SurveyResult]
-		summary   *experiment.SurveySummary
-		reg       *obs.Registry
-	)
-	if f.metrics {
-		reg = obs.NewRegistry()
-	}
-	for _, spec := range strings.Split(f.export, ",") {
+// parseExport parses -export.
+func (cli *cliFlags) parseExport() (surveyExports, error) {
+	var ex surveyExports
+	for _, spec := range strings.Split(cli.export, ",") {
 		spec = strings.TrimSpace(spec)
 		if spec == "" {
 			continue
@@ -65,67 +44,111 @@ func runSurvey(f surveyFlags) error {
 		name, arg, hasArg := strings.Cut(spec, "=")
 		switch {
 		case name == "summary" && !hasArg:
-			if summary == nil {
-				summary = experiment.NewSurveySummary()
-				exporters = append(exporters, summary)
-			}
+			ex.summary = true
 		case name == "jsonl" && hasArg:
-			exporters = append(exporters, experiment.SurveyJSONL(arg))
+			ex.jsonl = append(ex.jsonl, arg)
 		case name == "obs" && hasArg:
-			if reg == nil {
-				reg = obs.NewRegistry()
-			}
-			exporters = append(exporters, experiment.SurveyObsExport(reg, arg))
+			ex.obs = append(ex.obs, arg)
 		default:
-			return fmt.Errorf("-export: unknown spec %q (want summary, jsonl=FILE, or obs=FILE)", spec)
+			return ex, fmt.Errorf("-export: unknown spec %q (want summary, jsonl=FILE, or obs=FILE)", spec)
 		}
 	}
-	if len(exporters) == 0 {
-		return fmt.Errorf("-export: no exporters configured")
+	if !ex.summary && len(ex.jsonl) == 0 && len(ex.obs) == 0 {
+		return ex, fmt.Errorf("-export: no exporters configured")
 	}
-	if reg != nil {
-		s.SetMetrics(reg)
-	}
+	return ex, nil
+}
 
-	f.plane.campaign(s.Name(), s.Fingerprint(), "", s.Trials())
-	pcfg := pipeline.Config{
-		Workers:         f.jobs,
-		Checkpoint:      f.checkpoint,
-		CheckpointEvery: f.checkpointEvery,
-		MaxTrials:       f.maxTrials,
-		Stop:            interruptChannel(),
-		Gauges:          f.plane.liveGauges(),
+// runSurveyCampaign runs the survey through the pipeline. With st
+// non-nil the campaign's metrics collect into st, which rides the
+// checkpoint, so they cover every trial across resumes.
+func runSurveyCampaign(s *experiment.Survey, cfg pipeline.Config, st *experiment.ObsState,
+	exporters ...pipeline.Exporter[experiment.CorpusTrialParams, experiment.SurveyResult]) (pipeline.Summary, error) {
+	if st != nil {
+		s.SetMetrics(st.Reg)
+		exporters = append(exporters, experiment.ObsStateExporter[experiment.CorpusTrialParams, experiment.SurveyResult](st))
 	}
-	var inner func(runner.Progress)
-	if f.progress {
-		inner = progressPrinter("survey")
-	}
-	pcfg.OnProgress = f.plane.progress(inner)
+	return s.Run(cfg, exporters...)
+}
 
-	sum, err := s.Run(pcfg, exporters...)
+// runSurvey executes a survey campaign: the paper's attack against a
+// synthetic site corpus, streamed through the pipeline to the
+// exporters named by -export, with optional checkpoint/resume.
+func runSurvey(cli *cliFlags, tp *telemetryPlane) error {
+	s, err := cli.newSurvey()
 	if err != nil {
 		return err
 	}
+	ex, err := cli.parseExport()
+	if err != nil {
+		return err
+	}
+	var (
+		exporters []pipeline.Exporter[experiment.CorpusTrialParams, experiment.SurveyResult]
+		summary   *experiment.SurveySummary
+		st        *experiment.ObsState
+	)
+	if ex.summary {
+		summary = experiment.NewSurveySummary()
+		exporters = append(exporters, summary)
+	}
+	for _, path := range ex.jsonl {
+		exporters = append(exporters, experiment.SurveyJSONL(path))
+	}
+	if cli.metrics || len(ex.obs) > 0 {
+		st = experiment.NewObsState()
+	}
+
+	cfg := cli.campaignConfig(tp, s.Name(), s.Fingerprint(), "", s.Trials())
+	cfg.Checkpoint = cli.checkpoint
+	cfg.Stop = interruptChannel()
+	sum, err := runSurveyCampaign(s, cfg, st, exporters...)
+	if err != nil {
+		return err
+	}
+	var snap *obs.Snapshot
+	if st != nil && sum.Done {
+		if snap, err = st.Snapshot(); err != nil {
+			return err
+		}
+	}
+	return reportSurvey(cli, ex, sum, summary, snap)
+}
+
+// reportSurvey finishes a survey run: it prints the status line and,
+// once the campaign is done, writes the obs= files and prints the
+// summary table and the -metrics summary. Single-process and -merge
+// runs both finish here.
+func reportSurvey(cli *cliFlags, ex surveyExports, sum pipeline.Summary, summary *experiment.SurveySummary, snap *obs.Snapshot) error {
 	fmt.Printf("survey: %d sites x %d trials, %d/%d trials exported (this run: %d)\n",
-		f.corpus, s.Trials()/f.corpus, sum.Exported, sum.Trials, sum.Exported-sum.Start)
+		cli.corpus, sum.Trials/cli.corpus, sum.Exported, sum.Trials, sum.Exported-sum.Start)
 	if len(sum.Failures) > 0 {
 		fmt.Printf("survey: %d trials panicked and were exported as zero results\n", len(sum.Failures))
 	}
 	if !sum.Done {
-		if f.checkpoint != "" {
+		if cli.checkpoint != "" {
 			fmt.Printf("survey: stopped at trial %d; rerun with the same flags and -checkpoint %s to resume\n",
-				sum.Exported, f.checkpoint)
+				sum.Exported, cli.checkpoint)
 		} else {
 			fmt.Println("survey: stopped (no -checkpoint, progress not saved)")
 		}
 		return nil
 	}
+	for _, path := range ex.obs {
+		data, err := obs.MarshalSweeps(map[string]*obs.Snapshot{"survey": snap})
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return err
+		}
+	}
 	if summary != nil {
 		fmt.Println()
 		fmt.Print(summary.Format())
 	}
-	if reg != nil && f.metrics {
-		fmt.Printf("\nmetrics: survey\n%s\n", reg.Snapshot().Text())
+	if cli.metrics {
+		fmt.Printf("\nmetrics: survey\n%s\n", snap.Text())
 	}
 	return nil
 }

@@ -91,15 +91,19 @@ func (p *telemetryPlane) campaign(name, fingerprint, shard string, total int) {
 }
 
 // progress wraps a progress callback so every update also feeds the
-// tracker (the /status progress source). inner may be nil; the result
-// is nil when both the plane and inner are disabled, so callers can
-// assign it to OnProgress unconditionally.
-func (p *telemetryPlane) progress(inner func(runner.Progress)) func(runner.Progress) {
+// tracker (the /status progress source) and, for a shard slice
+// (inRange), the range-done gauge. inner may be nil; the result is nil
+// when both the plane and inner are disabled, so callers can assign it
+// to OnProgress unconditionally.
+func (p *telemetryPlane) progress(inner func(runner.Progress), inRange bool) func(runner.Progress) {
 	if p == nil || p.tracker == nil {
 		return inner
 	}
-	t := p.tracker
+	t, g := p.tracker, p.gauges
 	return func(pr runner.Progress) {
+		if inRange {
+			g.Set(telemetry.GRangeDone, int64(pr.Completed))
+		}
 		t.SetProgress(pr.Completed, pr.Failed, pr.Total, pr.TrialsPerSec, pr.Remaining)
 		if inner != nil {
 			inner(pr)

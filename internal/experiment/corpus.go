@@ -3,7 +3,6 @@ package experiment
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -23,7 +22,7 @@ import (
 // the one survey site. The pieces are a Generator over (site, rep)
 // trials, a World-based trial executor with per-worker site caching,
 // and the campaign exporters (JSONL lines, a checkpointable summary
-// table, an obs snapshot).
+// table); metrics ride ObsState like every other campaign's.
 
 // CorpusTrialParams identifies one survey-campaign trial: repetition
 // Rep of the attack against corpus site Site. It is the pipeline's P
@@ -247,7 +246,9 @@ func (s *Survey) Corpus() *website.Corpus { return s.corpus }
 
 // SetMetrics collects the campaign's cross-layer metrics into reg,
 // segmented by site-size bucket (sweep Metrics-option semantics).
-// On a resumed campaign the snapshot covers only the resumed portion.
+// A registry only sees the trials this process runs; to cover a
+// campaign across checkpointed resumes, pass an ObsState's Reg and
+// add its ObsStateExporter to Run's exporters.
 func (s *Survey) SetMetrics(reg *obs.Registry) {
 	if reg != nil {
 		reg.SetSegments(objectBucketLabels...)
@@ -469,25 +470,4 @@ func (s *SurveySummary) Format() string {
 	}
 	row("total", s.st.Total)
 	return b.String()
-}
-
-// SurveyObsExport is the obs-snapshot exporter: at campaign
-// completion it writes reg's deterministic merged snapshot to path as
-// JSON (MarshalSweeps format, one "survey" sweep). It is stateless —
-// on a resumed campaign the snapshot covers only the trials run since
-// the resume, because worker shards live in memory.
-func SurveyObsExport(reg *obs.Registry, path string) pipeline.Exporter[CorpusTrialParams, SurveyResult] {
-	return pipeline.Funcs[CorpusTrialParams, SurveyResult]{
-		ExporterName: "obs",
-		OnClose: func(done bool) error {
-			if !done {
-				return nil
-			}
-			data, err := obs.MarshalSweeps(map[string]*obs.Snapshot{"survey": reg.Snapshot()})
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(path, data, 0o644)
-		},
-	}
 }

@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -106,6 +108,91 @@ func TestSurveyResumeByteIdentical(t *testing.T) {
 	trials, _ := resumedSummary.Total()
 	if trials != 17 {
 		t.Fatalf("resumed summary counted %d trials, want 17", trials)
+	}
+}
+
+// TestSurveyRerunOfDoneCampaignRestoresSummary pins that rerunning a
+// finished, checkpointed survey reproduces its summary table: the done
+// checkpoint restores the summary state, no trial runs, and the JSONL
+// is left as it was.
+func TestSurveyRerunOfDoneCampaignRestoresSummary(t *testing.T) {
+	cfg := testSurveyConfig(9)
+	dir := t.TempDir()
+	pcfg := pipeline.Config{Workers: 2, Checkpoint: filepath.Join(dir, "ck.json")}
+	path := filepath.Join(dir, "out.jsonl")
+	run := func() (pipeline.Summary, string, []byte) {
+		t.Helper()
+		summary := NewSurveySummary()
+		sum, err := NewSurvey(cfg).Run(pcfg, SurveyJSONL(path), summary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum, summary.Format(), data
+	}
+	_, first, firstLines := run()
+	if rows := strings.Count(first, "\n"); rows < 3 {
+		t.Fatalf("first run printed no summary rows:\n%s", first)
+	}
+	sum, again, againLines := run()
+	if !sum.Done || sum.Start != 9 || sum.Exported != 9 {
+		t.Fatalf("rerun summary = %+v, want done at 9 with nothing run", sum)
+	}
+	if again != first {
+		t.Fatalf("rerun summary differs:\n%s\nvs first run:\n%s", again, first)
+	}
+	if !bytes.Equal(againLines, firstLines) {
+		t.Fatal("rerun of a done survey modified its JSONL")
+	}
+}
+
+// TestSurveyMetricsExactAcrossResume pins the survey's whole-campaign
+// metrics: with an ObsState riding the checkpoint, a survey stopped by
+// MaxTrials and resumed — and then rerun once finished — reports the
+// same snapshot JSON as an uninterrupted run.
+func TestSurveyMetricsExactAcrossResume(t *testing.T) {
+	cfg := testSurveyConfig(13)
+	dir := t.TempDir()
+	runObs := func(pcfg pipeline.Config, jsonl string) (pipeline.Summary, []byte) {
+		t.Helper()
+		st := NewObsState()
+		s := NewSurvey(cfg)
+		s.SetMetrics(st.Reg)
+		sum, err := s.Run(pcfg, SurveyJSONL(filepath.Join(dir, jsonl)),
+			ObsStateExporter[CorpusTrialParams, SurveyResult](st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := st.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum, data
+	}
+	_, want := runObs(pipeline.Config{Workers: 4}, "ref.jsonl")
+
+	ck := filepath.Join(dir, "ck.json")
+	sum, _ := runObs(pipeline.Config{Workers: 4, Checkpoint: ck, CheckpointEvery: 3, MaxTrials: 5}, "out.jsonl")
+	if sum.Done || sum.Exported != 5 {
+		t.Fatalf("interrupted survey: %+v, want exactly 5 exports", sum)
+	}
+	sum, got := runObs(pipeline.Config{Workers: 4, Checkpoint: ck, CheckpointEvery: 3}, "out.jsonl")
+	if !sum.Done || sum.Start != 5 {
+		t.Fatalf("resumed survey: %+v", sum)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed survey metrics differ from an uninterrupted run:\n%s\nvs\n%s", got, want)
+	}
+	_, again := runObs(pipeline.Config{Workers: 4, Checkpoint: ck, CheckpointEvery: 3}, "out.jsonl")
+	if !bytes.Equal(again, want) {
+		t.Fatalf("rerun of the finished survey reports different metrics:\n%s\nvs\n%s", again, want)
 	}
 }
 

@@ -10,13 +10,14 @@ import (
 
 // ObsState is a metrics registry whose accumulated snapshot survives
 // checkpointed process restarts. A live obs.Registry only covers the
-// current process; a shard campaign that is interrupted and resumed
-// would otherwise write a bundle snapshot missing every pre-restart
-// trial, and the merged metrics would no longer match a
-// single-process run. ObsState checkpoints the combined snapshot
-// (restored base ⊕ live registry) alongside the campaign's other
-// exporter state, so the bundle snapshot covers the whole shard range
-// no matter how many times the process restarted.
+// current process; a campaign that is interrupted and resumed would
+// otherwise report metrics missing every pre-restart trial, and a
+// merged shard set would no longer match a single-process run.
+// ObsState checkpoints the combined snapshot (restored base ⊕ live
+// registry) alongside the campaign's other exporter state, so a
+// survey's -metrics and obs= export and a shard bundle's snapshot
+// cover the whole campaign or range no matter how many times the
+// process restarted.
 type ObsState struct {
 	// Reg is the live registry: point worker shards
 	// (Registry.NewShard) and segment labels at it as usual.

@@ -19,7 +19,7 @@ import (
 // the state-leak regression tests pin down.
 //
 // A World is not safe for concurrent use; the runner keeps one per
-// worker goroutine (see runner.RunWith).
+// worker goroutine (see runner.StreamWith).
 type World struct {
 	rng *rand.Rand
 	sb  website.SurveyBuilder

@@ -112,22 +112,6 @@ func (ck *checkpoint) verify(campaign, fingerprint string, trials, start, end in
 	return nil
 }
 
-// CheckpointExporterState reads the serialized state one exporter had
-// at the checkpoint file's last save. ok is false when the file does
-// not exist or records no state for that exporter. A campaign whose
-// checkpoint says done short-circuits Run without touching the
-// exporters; callers that derive output files from exporter state (the
-// shard bundle's obs snapshot) use this to recover that state from the
-// done checkpoint instead of re-running the campaign.
-func CheckpointExporterState(path, exporter string) (json.RawMessage, bool, error) {
-	ck, err := loadCheckpoint(path)
-	if err != nil || ck == nil {
-		return nil, false, err
-	}
-	state, ok := ck.Exporters[exporter]
-	return state, ok, nil
-}
-
 // save atomically rewrites the checkpoint file with next as the
 // resume index and the exporter states collected by the caller.
 func (ck *checkpoint) save(next int, done bool, states map[string]json.RawMessage) error {

@@ -31,12 +31,14 @@
 // checkpoints loses at most CheckpointEvery trials of work, never
 // output integrity: exporters whose sinks can hold partial trailing
 // data (the JSONL file) truncate back to their checkpointed state on
-// restore.
+// restore. A checkpoint marked done resumes the same way with nothing
+// left to run, so rerunning a finished campaign restores and closes
+// every exporter and reproduces the campaign's final output.
 //
 // Every sweep in this repository executes through Run — the paper's
 // six fixed sweeps (via experiment's Fixed generators and a Collector
 // exporter) and the synthetic-corpus survey campaigns (via the
-// website corpus generator and the JSONL/summary/obs exporters) are
+// website corpus generator and the JSONL/summary/obs-state exporters) are
 // configurations of this one path, not separate harnesses.
 package pipeline
 
@@ -156,8 +158,10 @@ type Summary struct {
 // With cfg.Checkpoint set, Run resumes from an existing checkpoint
 // file (restoring exporter state and the next index, after verifying
 // the generator fingerprint) and periodically checkpoints progress.
-// A campaign whose checkpoint says done returns immediately without
-// touching the exporters.
+// A campaign whose checkpoint says done is resumed like any other: its
+// exporters are restored, no trial executes, and they close with
+// done=true, so a rerun of a finished campaign reproduces its final
+// output instead of an empty one.
 func Run[P, R, S any](cfg Config, gen Generator[P], newState func() S, trial func(state S, p P) R, exporters ...Exporter[P, R]) (Summary, error) {
 	n := gen.Trials()
 	end := cfg.End
@@ -180,10 +184,6 @@ func Run[P, R, S any](cfg Config, gen Generator[P], newState func() S, trial fun
 		if loaded != nil {
 			if err := loaded.verify(gen.Name(), gen.Fingerprint(), n, cfg.Start, end); err != nil {
 				return sum, err
-			}
-			if loaded.DoneFlag {
-				sum.Start, sum.Exported, sum.Done = loaded.Next, loaded.Next, true
-				return sum, nil
 			}
 			for _, e := range exporters {
 				state, ok := loaded.Exporters[e.Name()]

@@ -176,6 +176,10 @@ func TestResumeRefusesFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestDoneCheckpointShortCircuits pins the rerun contract of a
+// finished campaign: no trial executes, every exporter is restored and
+// closed as done (so aggregates reappear), the summary reports done at
+// the end index, and neither the JSONL nor the checkpoint changes.
 func TestDoneCheckpointShortCircuits(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "ck.json")
@@ -183,22 +187,47 @@ func TestDoneCheckpointShortCircuits(t *testing.T) {
 	mk := func() Exporter[int, string] {
 		return NewJSONL(path, func(i int, p int, r string) (any, error) { return r, nil })
 	}
-	if _, err := Run(Config{Checkpoint: ckpt}, testGen(10, "fp"), noState, testTrial, mk()); err != nil {
+	// count is a checkpointable exporter standing in for an aggregate
+	// (the survey summary): its state must survive the rerun.
+	count := func(n *int, closedDone *bool) Exporter[int, string] {
+		return Funcs[int, string]{
+			ExporterName: "count",
+			OnExport:     func(int, int, string) error { *n++; return nil },
+			OnCheckpoint: func() (json.RawMessage, error) { return json.Marshal(*n) },
+			OnRestore:    func(state json.RawMessage) error { return json.Unmarshal(state, n) },
+			OnClose:      func(done bool) error { *closedDone = done; return nil },
+		}
+	}
+	var first int
+	var firstDone bool
+	if _, err := Run(Config{Checkpoint: ckpt}, testGen(10, "fp"), noState, testTrial, mk(), count(&first, &firstDone)); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := os.ReadFile(path)
-	touched := false
-	spy := Funcs[int, string]{ExporterName: "spy", OnBegin: func(Meta) error { touched = true; return nil }}
-	sum, err := Run(Config{Checkpoint: ckpt}, testGen(10, "fp"), noState, testTrial, mk(), spy)
+	jsonlBefore, _ := os.ReadFile(path)
+	ckBefore, _ := os.ReadFile(ckpt)
+
+	ran := false
+	trial := func(s struct{}, p int) string { ran = true; return testTrial(s, p) }
+	var again int
+	var againDone bool
+	sum, err := Run(Config{Checkpoint: ckpt}, testGen(10, "fp"), noState, trial, mk(), count(&again, &againDone))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sum.Done || sum.Exported != 10 || touched {
-		t.Fatalf("done campaign re-ran: sum=%+v exporterTouched=%v", sum, touched)
+	if ran {
+		t.Fatal("rerun of a done campaign executed a trial")
 	}
-	after, _ := os.ReadFile(path)
-	if !bytes.Equal(before, after) {
-		t.Fatal("done campaign modified exporter output")
+	if !sum.Done || sum.Start != 10 || sum.End != 10 || sum.Exported != 10 {
+		t.Fatalf("rerun summary = %+v, want done at index 10", sum)
+	}
+	if again != first || !againDone {
+		t.Fatalf("rerun exporter: count %d closed done=%v, want the restored count %d closed done", again, againDone, first)
+	}
+	if jsonlAfter, _ := os.ReadFile(path); !bytes.Equal(jsonlBefore, jsonlAfter) {
+		t.Fatal("rerun of a done campaign modified the JSONL")
+	}
+	if ckAfter, _ := os.ReadFile(ckpt); !bytes.Equal(ckBefore, ckAfter) {
+		t.Fatalf("rerun of a done campaign modified the checkpoint:\n%s\nvs\n%s", ckAfter, ckBefore)
 	}
 }
 

@@ -2,17 +2,19 @@
 // across a worker pool while preserving the deterministic aggregate
 // output of a serial run.
 //
-// Every sweep in this repository (Tables I/II, Figure 5, the §IV-A
-// and §IV-D experiments, the §VII defence evaluation) is N
-// independent single-threaded discrete-event simulations, each driven
-// entirely by its trial index — a trivially parallel workload. Run
-// fans the indices [0,n) across Workers goroutines and collects the
-// results into an index-ordered slice, so downstream aggregation
-// visits trials in exactly the order a serial loop would and produces
-// byte-identical tables at any worker count. Determinism therefore
-// rests on one caller-side rule: a trial's behaviour must be a pure
-// function of its index (derive the seed from the index, never from
-// worker identity or shared state).
+// Every campaign in this repository (Tables I/II, Figure 5, the §IV-A
+// and §IV-D experiments, the §VII defence evaluation, the survey) is
+// N independent single-threaded discrete-event simulations, each
+// driven entirely by its trial index — a trivially parallel workload.
+// StreamWith, which internal/pipeline runs every campaign through,
+// fans the indices across Workers goroutines, each holding one
+// reusable per-worker state, and emits the results in index order,
+// so downstream aggregation visits trials in exactly the order a
+// serial loop would and produces byte-identical tables at any worker
+// count. Determinism therefore rests on one caller-side rule: a
+// trial's behaviour must be a pure function of its index (derive the
+// seed from the index, never from worker identity or shared state),
+// with the worker state treated purely as a reusable arena.
 //
 // A panic inside one trial is captured with its stack and reported as
 // a TrialError instead of killing the sweep; the remaining trials
@@ -39,7 +41,7 @@ type Progress struct {
 	Failed int
 	// Total is the batch size n.
 	Total int
-	// Elapsed is the wall-clock time since Run started.
+	// Elapsed is the wall-clock time since the run started.
 	Elapsed time.Duration
 	// Remaining estimates the wall-clock time left, extrapolating
 	// from the mean per-trial cost so far (0 until one trial is done).
@@ -53,7 +55,7 @@ type Progress struct {
 	TrialsPerSec float64
 }
 
-// Options configures a Run.
+// Options configures a StreamWith run.
 type Options struct {
 	// Workers is the number of concurrent trial executors. Zero or
 	// negative means runtime.GOMAXPROCS(0). Workers == 1 runs the
@@ -90,59 +92,11 @@ func (e *TrialError) Error() string {
 	return fmt.Sprintf("runner: trial %d panicked: %v", e.Index, e.Value)
 }
 
-// Run executes fn(i) for every i in [0,n) across a worker pool and
-// returns the results in index order. Trials that panic leave the
-// zero value of T at their index and are reported in the second
-// return value, ordered by trial index (nil when every trial
-// succeeded). Run itself never panics on a trial failure.
-//
-// fn must treat its index argument as the trial's only identity: with
-// index-derived seeds the returned slice is identical for every
-// worker count.
-func Run[T any](n int, opts Options, fn func(index int) T) ([]T, []*TrialError) {
-	return RunWith(n, opts,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) T { return fn(i) })
-}
-
-// RunWith is Run with per-worker reusable state: newState builds one
-// S per worker goroutine (one total on the serial path) and fn
-// receives that worker's state alongside the trial index. This is how
-// the sweeps amortize expensive per-trial setup — each worker keeps
-// one reusable trial world and resets it per index.
-//
-// The determinism contract extends accordingly: fn(state, i) must
-// return a result that depends only on i, treating state purely as a
-// reusable arena (re-initialized from the index-derived seed), never
-// as a channel between trials. Which worker's state a trial sees
-// depends on scheduling; any state leak shows up as worker-count-
-// dependent output.
-//
-// RunWith is the collect-everything convenience over StreamWith: it
-// allocates the full result slice up front. Callers that must stay
-// in bounded memory (long campaigns) use StreamWith directly.
-func RunWith[S, T any](n int, opts Options, newState func() S, fn func(state S, index int) T) ([]T, []*TrialError) {
-	if n <= 0 {
-		return nil, nil
-	}
-	results := make([]T, n)
-	var failures []*TrialError
-	StreamWith(n, StreamOptions{Options: opts}, newState, fn,
-		func(i int, result T, err *TrialError) bool {
-			results[i] = result
-			if err != nil {
-				failures = append(failures, err)
-			}
-			return true
-		})
-	return results, failures
-}
-
 // defaultWorkers resolves the Workers zero value.
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // state is the mutable completion bookkeeping shared by the workers
-// of one Run/StreamWith: completion counts and the progress callback,
+// of one StreamWith: completion counts and the progress callback,
 // serialized under one lock.
 type state struct {
 	mu         sync.Mutex

@@ -8,6 +8,29 @@ import (
 	"time"
 )
 
+// collect runs fn over [0, n) through StreamWith and gathers the
+// emitted results into an index-ordered slice (nil when n <= 0) plus
+// the failures in emit order — how a caller that wants every result
+// uses the streaming core.
+func collect[T any](n int, opts Options, fn func(index int) T) ([]T, []*TrialError) {
+	var results []T
+	if n > 0 {
+		results = make([]T, n)
+	}
+	var failures []*TrialError
+	StreamWith(n, StreamOptions{Options: opts},
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, i int) T { return fn(i) },
+		func(i int, r T, err *TrialError) bool {
+			results[i] = r
+			if err != nil {
+				failures = append(failures, err)
+			}
+			return true
+		})
+	return results, failures
+}
+
 // trial is a stand-in for a seeded simulation: an expensive-ish pure
 // function of the trial index alone.
 func trial(i int) int64 {
@@ -21,12 +44,12 @@ func trial(i int) int64 {
 
 func TestSerialAndParallelIdentical(t *testing.T) {
 	const n = 200
-	serial, errs1 := Run(n, Options{Workers: 1}, trial)
+	serial, errs1 := collect(n, Options{Workers: 1}, trial)
 	if errs1 != nil {
 		t.Fatalf("serial run failed: %v", errs1)
 	}
 	for _, workers := range []int{2, 8, 17} {
-		par, errs := Run(n, Options{Workers: workers}, trial)
+		par, errs := collect(n, Options{Workers: workers}, trial)
 		if errs != nil {
 			t.Fatalf("workers=%d run failed: %v", workers, errs)
 		}
@@ -45,7 +68,7 @@ func TestSerialAndParallelIdentical(t *testing.T) {
 func TestPanicIsolatedToOneTrial(t *testing.T) {
 	const n = 50
 	for _, workers := range []int{1, 8} {
-		results, errs := Run(n, Options{Workers: workers}, func(i int) int {
+		results, errs := collect(n, Options{Workers: workers}, func(i int) int {
 			if i == 17 {
 				panic("trial 17 exploded")
 			}
@@ -80,7 +103,7 @@ func TestPanicIsolatedToOneTrial(t *testing.T) {
 }
 
 func TestFailuresSortedByIndex(t *testing.T) {
-	_, errs := Run(100, Options{Workers: 8}, func(i int) int {
+	_, errs := collect(100, Options{Workers: 8}, func(i int) int {
 		if i%7 == 0 {
 			panic(i)
 		}
@@ -98,7 +121,7 @@ func TestFailuresSortedByIndex(t *testing.T) {
 
 func TestZeroAndNegativeTrials(t *testing.T) {
 	for _, n := range []int{0, -3} {
-		results, errs := Run(n, Options{Workers: 8}, func(i int) int {
+		results, errs := collect(n, Options{Workers: 8}, func(i int) int {
 			t.Errorf("trial fn called for n=%d", n)
 			return 0
 		})
@@ -109,7 +132,7 @@ func TestZeroAndNegativeTrials(t *testing.T) {
 }
 
 func TestSingleTrial(t *testing.T) {
-	results, errs := Run(1, Options{Workers: 8}, func(i int) int { return 41 + i })
+	results, errs := collect(1, Options{Workers: 8}, func(i int) int { return 41 + i })
 	if errs != nil {
 		t.Fatalf("unexpected failures: %v", errs)
 	}
@@ -121,7 +144,7 @@ func TestSingleTrial(t *testing.T) {
 func TestDefaultWorkerCount(t *testing.T) {
 	// Workers <= 0 must still run everything exactly once.
 	var calls atomic.Int64
-	results, errs := Run(100, Options{}, func(i int) int {
+	results, errs := collect(100, Options{}, func(i int) int {
 		calls.Add(1)
 		return i
 	})
@@ -140,7 +163,7 @@ func TestDefaultWorkerCount(t *testing.T) {
 
 func TestProgressReporting(t *testing.T) {
 	var snaps []Progress
-	_, errs := Run(30, Options{
+	_, errs := collect(30, Options{
 		Workers:    4,
 		OnProgress: func(p Progress) { snaps = append(snaps, p) },
 	}, func(i int) int {
@@ -176,7 +199,7 @@ func TestProgressReporting(t *testing.T) {
 func TestWorkersCappedAtTrialCount(t *testing.T) {
 	// More workers than trials must not deadlock or double-run.
 	var calls atomic.Int64
-	results, _ := Run(3, Options{Workers: 64}, func(i int) int {
+	results, _ := collect(3, Options{Workers: 64}, func(i int) int {
 		calls.Add(1)
 		return i
 	})

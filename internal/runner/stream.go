@@ -9,8 +9,8 @@ import (
 )
 
 // StreamOptions configures a StreamWith run. The embedded Options
-// carry the worker count and the progress/timing callbacks with the
-// same semantics as Run/RunWith.
+// carry the worker count, the progress callback and the telemetry
+// gauges.
 type StreamOptions struct {
 	Options
 
@@ -77,8 +77,8 @@ func (o StreamOptions) windowFor(workers int) int {
 
 // StreamWith executes fn(state, i) for every i in [opts.Start, n)
 // across a worker pool and delivers each result to emit in strict
-// index order — the streaming core under internal/pipeline. Unlike
-// RunWith it never accumulates results: completed trials are parked
+// index order — the streaming core under internal/pipeline. It never
+// accumulates results: completed trials are parked
 // in a fixed-size reorder ring (capacity opts.Window) until every
 // earlier index has been emitted, so a million-trial campaign holds
 // at most Window results in memory.
@@ -91,10 +91,16 @@ func (o StreamOptions) windowFor(workers int) int {
 // discarded (a resumed run will re-execute them; with index-derived
 // seeds they reproduce exactly).
 //
-// The determinism contract is RunWith's: fn(state, i) must depend
-// only on i, treating state purely as a reusable per-worker arena.
-// Under that contract the emitted (index, result) stream is identical
-// at every worker count and every window size.
+// newState builds one S per worker goroutine (one total on the serial
+// path), and fn receives that worker's state alongside the trial
+// index — how campaigns amortize expensive per-trial setup. The
+// determinism contract: fn(state, i) must depend only on i, treating
+// state purely as a reusable arena (re-initialized from the
+// index-derived seed), never as a channel between trials. Which
+// worker's state a trial sees depends on scheduling; any state leak
+// shows up as worker-count-dependent output. Under that contract the
+// emitted (index, result) stream is identical at every worker count
+// and every window size.
 func StreamWith[S, T any](n int, opts StreamOptions, newState func() S, fn func(state S, index int) T, emit func(index int, result T, err *TrialError) bool) {
 	if n <= opts.Start {
 		return

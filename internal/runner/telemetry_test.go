@@ -86,7 +86,7 @@ func TestGaugesDoNotAffectStream(t *testing.T) {
 // code path feeds both the -progress line and /status).
 func TestProgressTrialsPerSec(t *testing.T) {
 	var last Progress
-	Run(50, Options{Workers: 2, OnProgress: func(p Progress) { last = p }},
+	collect(50, Options{Workers: 2, OnProgress: func(p Progress) { last = p }},
 		func(i int) int { return i })
 	if last.Completed != 50 {
 		t.Fatalf("final progress completed = %d", last.Completed)

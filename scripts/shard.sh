@@ -16,8 +16,8 @@
 #
 # An interrupted shard leaves its per-campaign checkpoints in its
 # bundle directory; rerun the same command and every shard resumes
-# where it stopped (completed shards short-circuit on their done
-# checkpoints).
+# where it stopped (completed shards run no trial and rewrite their
+# bundles with the same bytes from their done checkpoints).
 set -eu
 
 if [ "$#" -lt 3 ]; then
