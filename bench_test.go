@@ -199,10 +199,13 @@ func BenchmarkBaselineTrial(b *testing.B) {
 // BenchmarkFramerRoundTrip measures frame encode+decode throughput.
 func BenchmarkFramerRoundTrip(b *testing.B) {
 	f := &h2.DataFrame{StreamID: 1, Data: make([]byte, 1400)}
+	var sc h2.FrameScanner
+	var wire []byte
+	emit := func(h2.Frame) error { return nil }
 	b.SetBytes(1400)
 	for i := 0; i < b.N; i++ {
-		wire := h2.MarshalFrame(f)
-		if _, err := h2.ParseFramePayload(f.Header(), wire[h2.FrameHeaderLen:]); err != nil {
+		wire = h2.AppendFrame(wire[:0], f)
+		if err := sc.FeedInto(wire, emit); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -76,10 +76,6 @@ type TrialParams struct {
 	// directions (the paper's section IV-A control experiment).
 	UniformDelay time.Duration
 
-	// FixedAmbient disables per-trial ambient randomization (for
-	// focused unit tests).
-	FixedAmbient bool
-
 	// TimeLimit bounds the trial. Zero = session default.
 	TimeLimit time.Duration
 

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"math/rand"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -79,9 +78,6 @@ func (w *World) RunTrial(p TrialParams) TrialResult {
 	order := website.RandomPermutation(rng)
 
 	path, htmlGap := ambient(rng)
-	if p.FixedAmbient {
-		path, htmlGap = h2sim.DefaultPath(), 250*time.Millisecond
-	}
 	if p.UniformDelay > 0 {
 		path.ClientSide.PropDelay += p.UniformDelay / 2
 		path.ServerSide.PropDelay += p.UniformDelay / 2

@@ -1,14 +1,21 @@
-// Package h2 implements the HTTP/2 wire protocol (RFC 7540) and HPACK
-// header compression (RFC 7541) from scratch on top of the standard
+// Package h2 implements the part of the HTTP/2 wire protocol
+// (RFC 7540) and HPACK header compression (RFC 7541) that the
+// simulated sessions exchange, from scratch on top of the standard
 // library only.
 //
 // The package provides two layers:
 //
-//   - Framing: FrameHeader, the concrete Frame types, AppendFrame and
-//     MarshalFrame for encoding, and FrameScanner, which splits a byte
-//     stream fed in arbitrary chunks into decoded frames.
+//   - Framing: FrameHeader, the five frame types the sessions send
+//     (DATA, HEADERS, RST_STREAM, SETTINGS, PUSH_PROMISE), AppendFrame
+//     and MarshalFrame for encoding, and FrameScanner, which splits a
+//     byte stream fed in arbitrary chunks into those frames through
+//     one zero-copy path (FeedInto). Other frame types are consumed
+//     and skipped; padding, priority fields and CONTINUATION-split
+//     header blocks are refused rather than decoded.
 //   - HPACK: HpackEncoder and HpackDecoder with the full static table,
-//     a dynamic table, and canonical Huffman coding.
+//     a dynamic table, and canonical Huffman coding. The encoder emits
+//     indexed and incrementally indexed literal representations; the
+//     decoder accepts every RFC 7541 representation.
 //
 // The discrete-event simulation endpoints in internal/h2sim build
 // their sessions on these two layers, so the bytes on the simulated
@@ -87,30 +94,6 @@ func (e ConnectionError) Error() string {
 	return fmt.Sprintf("h2: connection error: %s: %s", e.Code, e.Reason)
 }
 
-// StreamError is a stream-level protocol error (RFC 7540 section
-// 5.4.2). A StreamError requires the endpoint to send a RST_STREAM
-// frame for the affected stream.
-type StreamError struct {
-	StreamID uint32
-	Code     ErrCode
-	Reason   string
-}
-
-// Error implements the error interface.
-func (e StreamError) Error() string {
-	if e.Reason == "" {
-		return fmt.Sprintf("h2: stream %d error: %s", e.StreamID, e.Code)
-	}
-	return fmt.Sprintf("h2: stream %d error: %s: %s", e.StreamID, e.Code, e.Reason)
-}
-
-// Sentinel errors returned by the frame scanner and the HPACK decoder.
-var (
-	// ErrFrameTooLarge is returned when a frame exceeds the scanner's
-	// MaxFrameSize.
-	ErrFrameTooLarge = errors.New("h2: frame too large")
-
-	// ErrHeaderListTooLong is returned by the HPACK decoder when the
-	// decoded header list exceeds the configured limit.
-	ErrHeaderListTooLong = errors.New("h2: header list too long")
-)
+// ErrFrameTooLarge is returned by the frame scanner when a frame's
+// payload exceeds DefaultMaxFrameSize.
+var ErrFrameTooLarge = errors.New("h2: frame too large")

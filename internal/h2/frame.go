@@ -81,11 +81,11 @@ const (
 	FlagEndHeaders Flags = 0x4
 
 	// FlagPadded indicates the frame carries padding (DATA, HEADERS,
-	// PUSH_PROMISE).
+	// PUSH_PROMISE). The scanner refuses it.
 	FlagPadded Flags = 0x8
 
 	// FlagPriority indicates the HEADERS frame carries priority
-	// information.
+	// information. The scanner refuses it.
 	FlagPriority Flags = 0x20
 )
 
@@ -135,7 +135,7 @@ func parseFrameHeader(buf []byte) FrameHeader {
 	}
 }
 
-// Frame is the interface implemented by all decoded HTTP/2 frames.
+// Frame is the interface implemented by the five decoded frame types.
 type Frame interface {
 	// Header returns the frame's header.
 	Header() FrameHeader
@@ -146,126 +146,46 @@ type Frame interface {
 	appendPayload(b []byte) []byte
 }
 
-// PriorityParam carries the stream dependency fields of PRIORITY and
-// HEADERS frames (RFC 7540 section 5.3).
-type PriorityParam struct {
-	// StreamDep is the stream this stream depends on.
-	StreamDep uint32
-
-	// Exclusive marks the dependency as exclusive.
-	Exclusive bool
-
-	// Weight is the dependency weight minus one (0..255 encodes
-	// weights 1..256).
-	Weight uint8
-}
-
 // DataFrame carries stream payload bytes (RFC 7540 section 6.1).
 type DataFrame struct {
 	StreamID  uint32
 	EndStream bool
 	Data      []byte
-	PadLength uint8
-	Padded    bool
 }
 
 // Header implements Frame.
 func (f *DataFrame) Header() FrameHeader {
 	var flags Flags
-	length := uint32(len(f.Data))
 	if f.EndStream {
 		flags |= FlagEndStream
 	}
-	if f.Padded {
-		flags |= FlagPadded
-		length += 1 + uint32(f.PadLength)
-	}
-	return FrameHeader{Length: length, Type: FrameData, Flags: flags, StreamID: f.StreamID}
+	return FrameHeader{Length: uint32(len(f.Data)), Type: FrameData, Flags: flags, StreamID: f.StreamID}
 }
 
-func (f *DataFrame) appendPayload(b []byte) []byte {
-	if f.Padded {
-		b = append(b, f.PadLength)
-	}
-	b = append(b, f.Data...)
-	if f.Padded {
-		b = append(b, make([]byte, f.PadLength)...)
-	}
-	return b
-}
+func (f *DataFrame) appendPayload(b []byte) []byte { return append(b, f.Data...) }
 
 // HeadersFrame opens a stream and carries an HPACK-encoded header
-// block fragment (RFC 7540 section 6.2).
+// block (RFC 7540 section 6.2).
 type HeadersFrame struct {
 	StreamID      uint32
 	EndStream     bool
 	EndHeaders    bool
 	BlockFragment []byte
-	Priority      PriorityParam
-	HasPriority   bool
-	PadLength     uint8
-	Padded        bool
 }
 
 // Header implements Frame.
 func (f *HeadersFrame) Header() FrameHeader {
 	var flags Flags
-	length := uint32(len(f.BlockFragment))
 	if f.EndStream {
 		flags |= FlagEndStream
 	}
 	if f.EndHeaders {
 		flags |= FlagEndHeaders
 	}
-	if f.HasPriority {
-		flags |= FlagPriority
-		length += 5
-	}
-	if f.Padded {
-		flags |= FlagPadded
-		length += 1 + uint32(f.PadLength)
-	}
-	return FrameHeader{Length: length, Type: FrameHeaders, Flags: flags, StreamID: f.StreamID}
+	return FrameHeader{Length: uint32(len(f.BlockFragment)), Type: FrameHeaders, Flags: flags, StreamID: f.StreamID}
 }
 
-func (f *HeadersFrame) appendPayload(b []byte) []byte {
-	if f.Padded {
-		b = append(b, f.PadLength)
-	}
-	if f.HasPriority {
-		dep := f.Priority.StreamDep & 0x7fffffff
-		if f.Priority.Exclusive {
-			dep |= 1 << 31
-		}
-		b = binary.BigEndian.AppendUint32(b, dep)
-		b = append(b, f.Priority.Weight)
-	}
-	b = append(b, f.BlockFragment...)
-	if f.Padded {
-		b = append(b, make([]byte, f.PadLength)...)
-	}
-	return b
-}
-
-// PriorityFrame reprioritizes a stream (RFC 7540 section 6.3).
-type PriorityFrame struct {
-	StreamID uint32
-	Priority PriorityParam
-}
-
-// Header implements Frame.
-func (f *PriorityFrame) Header() FrameHeader {
-	return FrameHeader{Length: 5, Type: FramePriority, StreamID: f.StreamID}
-}
-
-func (f *PriorityFrame) appendPayload(b []byte) []byte {
-	dep := f.Priority.StreamDep & 0x7fffffff
-	if f.Priority.Exclusive {
-		dep |= 1 << 31
-	}
-	b = binary.BigEndian.AppendUint32(b, dep)
-	return append(b, f.Priority.Weight)
-}
+func (f *HeadersFrame) appendPayload(b []byte) []byte { return append(b, f.BlockFragment...) }
 
 // RSTStreamFrame abruptly terminates a stream (RFC 7540 section 6.4).
 type RSTStreamFrame struct {
@@ -315,160 +235,27 @@ func (f *SettingsFrame) appendPayload(b []byte) []byte {
 	return b
 }
 
-// Value returns the value of the given setting and whether it was
-// present in the frame. The last occurrence wins, per RFC 7540
-// section 6.5.3.
-func (f *SettingsFrame) Value(id SettingID) (uint32, bool) {
-	var (
-		val   uint32
-		found bool
-	)
-	for _, s := range f.Settings {
-		if s.ID == id {
-			val, found = s.Val, true
-		}
-	}
-	return val, found
-}
-
 // PushPromiseFrame announces a server push (RFC 7540 section 6.6).
 type PushPromiseFrame struct {
 	StreamID      uint32
 	PromiseID     uint32
 	EndHeaders    bool
 	BlockFragment []byte
-	PadLength     uint8
-	Padded        bool
 }
 
 // Header implements Frame.
 func (f *PushPromiseFrame) Header() FrameHeader {
 	var flags Flags
-	length := uint32(4 + len(f.BlockFragment))
 	if f.EndHeaders {
 		flags |= FlagEndHeaders
 	}
-	if f.Padded {
-		flags |= FlagPadded
-		length += 1 + uint32(f.PadLength)
-	}
-	return FrameHeader{Length: length, Type: FramePushPromise, Flags: flags, StreamID: f.StreamID}
+	return FrameHeader{Length: uint32(4 + len(f.BlockFragment)), Type: FramePushPromise, Flags: flags, StreamID: f.StreamID}
 }
 
 func (f *PushPromiseFrame) appendPayload(b []byte) []byte {
-	if f.Padded {
-		b = append(b, f.PadLength)
-	}
 	b = binary.BigEndian.AppendUint32(b, f.PromiseID&0x7fffffff)
-	b = append(b, f.BlockFragment...)
-	if f.Padded {
-		b = append(b, make([]byte, f.PadLength)...)
-	}
-	return b
+	return append(b, f.BlockFragment...)
 }
-
-// PingFrame measures round-trip time or checks liveness (RFC 7540
-// section 6.7).
-type PingFrame struct {
-	Ack  bool
-	Data [8]byte
-}
-
-// Header implements Frame.
-func (f *PingFrame) Header() FrameHeader {
-	var flags Flags
-	if f.Ack {
-		flags |= FlagAck
-	}
-	return FrameHeader{Length: 8, Type: FramePing, Flags: flags}
-}
-
-func (f *PingFrame) appendPayload(b []byte) []byte { return append(b, f.Data[:]...) }
-
-// GoAwayFrame initiates connection shutdown (RFC 7540 section 6.8).
-type GoAwayFrame struct {
-	LastStreamID uint32
-	Code         ErrCode
-	DebugData    []byte
-}
-
-// Header implements Frame.
-func (f *GoAwayFrame) Header() FrameHeader {
-	return FrameHeader{Length: uint32(8 + len(f.DebugData)), Type: FrameGoAway}
-}
-
-func (f *GoAwayFrame) appendPayload(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, f.LastStreamID&0x7fffffff)
-	b = binary.BigEndian.AppendUint32(b, uint32(f.Code))
-	return append(b, f.DebugData...)
-}
-
-// WindowUpdateFrame replenishes a flow-control window (RFC 7540
-// section 6.9). StreamID zero updates the connection window.
-type WindowUpdateFrame struct {
-	StreamID  uint32
-	Increment uint32
-}
-
-// Header implements Frame.
-func (f *WindowUpdateFrame) Header() FrameHeader {
-	return FrameHeader{Length: 4, Type: FrameWindowUpdate, StreamID: f.StreamID}
-}
-
-func (f *WindowUpdateFrame) appendPayload(b []byte) []byte {
-	return binary.BigEndian.AppendUint32(b, f.Increment&0x7fffffff)
-}
-
-// ContinuationFrame continues a header block started by HEADERS or
-// PUSH_PROMISE (RFC 7540 section 6.10).
-type ContinuationFrame struct {
-	StreamID      uint32
-	EndHeaders    bool
-	BlockFragment []byte
-}
-
-// Header implements Frame.
-func (f *ContinuationFrame) Header() FrameHeader {
-	var flags Flags
-	if f.EndHeaders {
-		flags |= FlagEndHeaders
-	}
-	return FrameHeader{Length: uint32(len(f.BlockFragment)), Type: FrameContinuation, Flags: flags, StreamID: f.StreamID}
-}
-
-func (f *ContinuationFrame) appendPayload(b []byte) []byte { return append(b, f.BlockFragment...) }
-
-// UnknownFrame preserves frames with an unrecognized type so they can
-// be ignored but re-serialized (RFC 7540 requires ignoring unknown
-// types).
-type UnknownFrame struct {
-	FH      FrameHeader
-	Payload []byte
-}
-
-// Header implements Frame.
-func (f *UnknownFrame) Header() FrameHeader {
-	h := f.FH
-	h.Length = uint32(len(f.Payload))
-	return h
-}
-
-func (f *UnknownFrame) appendPayload(b []byte) []byte { return append(b, f.Payload...) }
-
-// Interface compliance checks.
-var (
-	_ Frame = (*DataFrame)(nil)
-	_ Frame = (*HeadersFrame)(nil)
-	_ Frame = (*PriorityFrame)(nil)
-	_ Frame = (*RSTStreamFrame)(nil)
-	_ Frame = (*SettingsFrame)(nil)
-	_ Frame = (*PushPromiseFrame)(nil)
-	_ Frame = (*PingFrame)(nil)
-	_ Frame = (*GoAwayFrame)(nil)
-	_ Frame = (*WindowUpdateFrame)(nil)
-	_ Frame = (*ContinuationFrame)(nil)
-	_ Frame = (*UnknownFrame)(nil)
-)
 
 // AppendFrame appends the full wire encoding (header + payload) of f
 // to b and returns the extended slice.
@@ -483,50 +270,21 @@ func MarshalFrame(f Frame) []byte {
 	return AppendFrame(make([]byte, 0, h.WireLen()), f)
 }
 
-// ParseFramePayload decodes a frame payload given its already-parsed
-// header. The returned frame aliases payload.
-func ParseFramePayload(h FrameHeader, payload []byte) (Frame, error) {
-	if int(h.Length) != len(payload) {
-		return nil, ConnectionError{Code: ErrCodeFrameSize, Reason: "payload length mismatch"}
-	}
-	switch h.Type {
-	case FrameData:
-		return parseDataFrame(h, payload)
-	case FrameHeaders:
-		return parseHeadersFrame(h, payload)
-	case FramePriority:
-		return parsePriorityFrame(h, payload)
-	case FrameRSTStream:
-		return parseRSTStreamFrame(h, payload)
-	case FrameSettings:
-		return parseSettingsFrame(h, payload)
-	case FramePushPromise:
-		return parsePushPromiseFrame(h, payload)
-	case FramePing:
-		return parsePingFrame(h, payload)
-	case FrameGoAway:
-		return parseGoAwayFrame(h, payload)
-	case FrameWindowUpdate:
-		return parseWindowUpdateFrame(h, payload)
-	case FrameContinuation:
-		return parseContinuationFrame(h, payload)
-	default:
-		return &UnknownFrame{FH: h, Payload: payload}, nil
-	}
-}
-
 // FrameScanner incrementally splits a byte stream into frames: feed
-// it arbitrary chunks and complete frames come out.
+// it arbitrary chunks and complete frames come out. It decodes the
+// five frame types the simulated sessions exchange (DATA, HEADERS,
+// RST_STREAM, SETTINGS, PUSH_PROMISE) and consumes every other type
+// without emitting it. Features those sessions never use are refused
+// with a ConnectionError rather than misparsed: the PADDED and
+// PRIORITY flags, and a header block continued in CONTINUATION
+// frames (HEADERS or PUSH_PROMISE without END_HEADERS). Payloads
+// longer than DefaultMaxFrameSize are refused with ErrFrameTooLarge.
 type FrameScanner struct {
 	buf []byte
 	off int // parse position within buf
 
-	// MaxFrameSize caps accepted payload lengths; zero means
-	// DefaultMaxFrameSize.
-	MaxFrameSize uint32
-
-	// FeedInto scratch values, one per frame type the simulated
-	// sessions exchange, so steady-state scanning allocates nothing.
+	// Scratch values, one per decoded frame type, so steady-state
+	// scanning allocates nothing.
 	data     DataFrame
 	headers  HeadersFrame
 	rst      RSTStreamFrame
@@ -536,305 +294,119 @@ type FrameScanner struct {
 
 // Reset discards buffered partial-frame bytes so the scanner can
 // start a fresh stream, keeping the buffer capacity and scratch
-// frames. MaxFrameSize is preserved.
+// frames.
 func (sc *FrameScanner) Reset() {
 	sc.buf = sc.buf[:0]
 	sc.off = 0
 }
 
-func (sc *FrameScanner) maxSize() uint32 {
-	if sc.MaxFrameSize == 0 {
-		return DefaultMaxFrameSize
-	}
-	return sc.MaxFrameSize
-}
+// Buffered returns the number of bytes awaiting a complete frame.
+func (sc *FrameScanner) Buffered() int { return len(sc.buf) - sc.off }
 
-// ingest compacts the consumed prefix and appends the new bytes, so
-// the buffer's backing array is recycled instead of growing behind an
-// advancing offset.
-func (sc *FrameScanner) ingest(b []byte) {
+// FeedInto appends stream bytes and invokes emit once per newly
+// complete frame of a decoded type, in order, stopping at the first
+// error (emit's or the scanner's). It does not copy payloads: the
+// frame passed to emit is a scratch value reused across calls whose
+// slices alias the scanner's buffer, so it is valid only during the
+// callback. In steady state scanning costs zero allocations, which is
+// what the HTTP/2 session layers ride.
+func (sc *FrameScanner) FeedInto(b []byte, emit func(Frame) error) error {
+	// Compact the consumed prefix before appending, so the buffer's
+	// backing array is recycled instead of growing behind an
+	// advancing offset.
 	if sc.off > 0 {
 		n := copy(sc.buf, sc.buf[sc.off:])
 		sc.buf = sc.buf[:n]
 		sc.off = 0
 	}
 	sc.buf = append(sc.buf, b...)
-}
-
-// next parses the header of the next complete buffered frame. ok is
-// false when more bytes are needed.
-func (sc *FrameScanner) next() (h FrameHeader, ok bool, err error) {
-	if len(sc.buf)-sc.off < FrameHeaderLen {
-		return h, false, nil
-	}
-	h = parseFrameHeader(sc.buf[sc.off:])
-	if h.Length > sc.maxSize() {
-		return h, false, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, h.Length, sc.maxSize())
-	}
-	if len(sc.buf)-sc.off < FrameHeaderLen+int(h.Length) {
-		return h, false, nil
-	}
-	return h, true, nil
-}
-
-// Feed appends stream bytes and returns all newly complete frames.
-// Returned frames own their memory (safe to retain). For the
-// allocation-free variant see FeedInto.
-func (sc *FrameScanner) Feed(b []byte) ([]Frame, error) {
-	sc.ingest(b)
-	var out []Frame
-	for {
-		h, ok, err := sc.next()
-		if err != nil || !ok {
-			return out, err
+	for len(sc.buf)-sc.off >= FrameHeaderLen {
+		h := parseFrameHeader(sc.buf[sc.off:])
+		if h.Length > DefaultMaxFrameSize {
+			return fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, h.Length, DefaultMaxFrameSize)
 		}
 		start := sc.off + FrameHeaderLen
-		payload := make([]byte, h.Length)
-		copy(payload, sc.buf[start:start+int(h.Length)])
-		sc.off = start + int(h.Length)
-		f, err := ParseFramePayload(h, payload)
-		if err != nil {
-			return out, err
+		end := start + int(h.Length)
+		if len(sc.buf) < end {
+			return nil
 		}
-		out = append(out, f)
-	}
-}
-
-// FeedInto appends stream bytes and invokes emit once per newly
-// complete frame, in order, stopping at the first error (emit's or
-// the scanner's). Unlike Feed it does not copy payloads: the frame
-// passed to emit aliases the scanner's buffer — and for the frame
-// types the simulated sessions exchange (DATA, HEADERS, RST_STREAM,
-// SETTINGS, PUSH_PROMISE) is itself a scratch value reused across
-// calls — so it is valid only during the callback. In steady state
-// those frame types cost zero allocations, which is what the HTTP/2
-// session layers ride.
-func (sc *FrameScanner) FeedInto(b []byte, emit func(Frame) error) error {
-	sc.ingest(b)
-	for {
-		h, ok, err := sc.next()
-		if err != nil || !ok {
-			return err
-		}
-		start := sc.off + FrameHeaderLen
-		payload := sc.buf[start : start+int(h.Length)]
-		sc.off = start + int(h.Length)
+		sc.off = end
+		payload := sc.buf[start:end]
 		var f Frame
+		var err error
 		switch h.Type {
 		case FrameData:
-			// Mirror parseDataFrame into the scratch frame.
-			if h.StreamID == 0 {
-				return ConnectionError{Code: ErrCodeProtocol, Reason: "DATA on stream 0"}
-			}
-			body, padLen, err := stripPadding(h, payload)
-			if err != nil {
-				return err
-			}
-			sc.data = DataFrame{
-				StreamID:  h.StreamID,
-				EndStream: h.Flags.Has(FlagEndStream),
-				Data:      body,
-				PadLength: padLen,
-				Padded:    h.Flags.Has(FlagPadded),
-			}
-			f = &sc.data
+			f, err = sc.parseData(h, payload)
 		case FrameHeaders:
-			// Mirror parseHeadersFrame.
-			if h.StreamID == 0 {
-				return ConnectionError{Code: ErrCodeProtocol, Reason: "HEADERS on stream 0"}
-			}
-			body, padLen, err := stripPadding(h, payload)
-			if err != nil {
-				return err
-			}
-			sc.headers = HeadersFrame{
-				StreamID:   h.StreamID,
-				EndStream:  h.Flags.Has(FlagEndStream),
-				EndHeaders: h.Flags.Has(FlagEndHeaders),
-				PadLength:  padLen,
-				Padded:     h.Flags.Has(FlagPadded),
-			}
-			if h.Flags.Has(FlagPriority) {
-				if len(body) < 5 {
-					return ConnectionError{Code: ErrCodeFrameSize, Reason: "HEADERS priority fields truncated"}
-				}
-				dep := binary.BigEndian.Uint32(body[:4])
-				sc.headers.HasPriority = true
-				sc.headers.Priority = PriorityParam{
-					StreamDep: dep & 0x7fffffff,
-					Exclusive: dep>>31 == 1,
-					Weight:    body[4],
-				}
-				body = body[5:]
-			}
-			sc.headers.BlockFragment = body
-			f = &sc.headers
+			f, err = sc.parseHeaders(h, payload)
 		case FrameRSTStream:
-			// Mirror parseRSTStreamFrame.
-			if h.StreamID == 0 {
-				return ConnectionError{Code: ErrCodeProtocol, Reason: "RST_STREAM on stream 0"}
-			}
-			if len(payload) != 4 {
-				return ConnectionError{Code: ErrCodeFrameSize, Reason: "RST_STREAM length != 4"}
-			}
-			sc.rst = RSTStreamFrame{StreamID: h.StreamID, Code: ErrCode(binary.BigEndian.Uint32(payload))}
-			f = &sc.rst
+			f, err = sc.parseRSTStream(h, payload)
 		case FrameSettings:
-			// Mirror parseSettingsFrame, reusing the Settings slice.
-			if h.StreamID != 0 {
-				return ConnectionError{Code: ErrCodeProtocol, Reason: "SETTINGS on nonzero stream"}
-			}
-			if h.Flags.Has(FlagAck) && len(payload) != 0 {
-				return ConnectionError{Code: ErrCodeFrameSize, Reason: "SETTINGS ack with payload"}
-			}
-			if len(payload)%6 != 0 {
-				return ConnectionError{Code: ErrCodeFrameSize, Reason: "SETTINGS length not multiple of 6"}
-			}
-			sc.settings.Ack = h.Flags.Has(FlagAck)
-			sc.settings.Settings = sc.settings.Settings[:0]
-			for i := 0; i < len(payload); i += 6 {
-				s := Setting{
-					ID:  SettingID(binary.BigEndian.Uint16(payload[i : i+2])),
-					Val: binary.BigEndian.Uint32(payload[i+2 : i+6]),
-				}
-				if err := s.Valid(); err != nil {
-					return err
-				}
-				sc.settings.Settings = append(sc.settings.Settings, s)
-			}
-			f = &sc.settings
+			f, err = sc.parseSettings(h, payload)
 		case FramePushPromise:
-			// Mirror parsePushPromiseFrame.
-			if h.StreamID == 0 {
-				return ConnectionError{Code: ErrCodeProtocol, Reason: "PUSH_PROMISE on stream 0"}
-			}
-			body, padLen, err := stripPadding(h, payload)
-			if err != nil {
-				return err
-			}
-			if len(body) < 4 {
-				return ConnectionError{Code: ErrCodeFrameSize, Reason: "PUSH_PROMISE truncated"}
-			}
-			sc.push = PushPromiseFrame{
-				StreamID:      h.StreamID,
-				PromiseID:     binary.BigEndian.Uint32(body[:4]) & 0x7fffffff,
-				EndHeaders:    h.Flags.Has(FlagEndHeaders),
-				BlockFragment: body[4:],
-				PadLength:     padLen,
-				Padded:        h.Flags.Has(FlagPadded),
-			}
-			f = &sc.push
+			f, err = sc.parsePushPromise(h, payload)
 		default:
-			f, err = ParseFramePayload(h, payload)
-			if err != nil {
-				return err
-			}
+			continue // a type the sessions never send: skip it
+		}
+		if err != nil {
+			return err
 		}
 		if err := emit(f); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
-// Buffered returns the number of bytes awaiting a complete frame.
-func (sc *FrameScanner) Buffered() int { return len(sc.buf) - sc.off }
-
-// stripPadding removes the pad-length octet and trailing padding from
-// a padded payload.
-func stripPadding(h FrameHeader, payload []byte) (body []byte, padLen uint8, err error) {
-	if !h.Flags.Has(FlagPadded) {
-		return payload, 0, nil
-	}
-	if len(payload) < 1 {
-		return nil, 0, ConnectionError{Code: ErrCodeFrameSize, Reason: "padded frame too short"}
-	}
-	padLen = payload[0]
-	body = payload[1:]
-	if int(padLen) >= len(body)+1 {
-		// RFC 7540 6.1: padding >= remaining payload is a protocol error.
-		return nil, 0, ConnectionError{Code: ErrCodeProtocol, Reason: "padding exceeds payload"}
-	}
-	return body[:len(body)-int(padLen)], padLen, nil
-}
-
-func parseDataFrame(h FrameHeader, payload []byte) (Frame, error) {
+// checkStream refuses a stream-scoped frame on stream 0 and the
+// frame flags the scanner does not decode.
+func checkStream(h FrameHeader, refused Flags) error {
 	if h.StreamID == 0 {
-		return nil, ConnectionError{Code: ErrCodeProtocol, Reason: "DATA on stream 0"}
+		return ConnectionError{Code: ErrCodeProtocol, Reason: fmt.Sprintf("%v on stream 0", h.Type)}
 	}
-	body, padLen, err := stripPadding(h, payload)
-	if err != nil {
+	if h.Flags&refused != 0 {
+		return ConnectionError{Code: ErrCodeProtocol, Reason: fmt.Sprintf("%v flags 0x%x not supported", h.Type, uint8(h.Flags&refused))}
+	}
+	return nil
+}
+
+func (sc *FrameScanner) parseData(h FrameHeader, payload []byte) (Frame, error) {
+	if err := checkStream(h, FlagPadded); err != nil {
 		return nil, err
 	}
-	return &DataFrame{
-		StreamID:  h.StreamID,
-		EndStream: h.Flags.Has(FlagEndStream),
-		Data:      body,
-		PadLength: padLen,
-		Padded:    h.Flags.Has(FlagPadded),
-	}, nil
+	sc.data = DataFrame{StreamID: h.StreamID, EndStream: h.Flags.Has(FlagEndStream), Data: payload}
+	return &sc.data, nil
 }
 
-func parseHeadersFrame(h FrameHeader, payload []byte) (Frame, error) {
-	if h.StreamID == 0 {
-		return nil, ConnectionError{Code: ErrCodeProtocol, Reason: "HEADERS on stream 0"}
-	}
-	body, padLen, err := stripPadding(h, payload)
-	if err != nil {
+func (sc *FrameScanner) parseHeaders(h FrameHeader, payload []byte) (Frame, error) {
+	if err := checkStream(h, FlagPadded|FlagPriority); err != nil {
 		return nil, err
 	}
-	f := &HeadersFrame{
-		StreamID:   h.StreamID,
-		EndStream:  h.Flags.Has(FlagEndStream),
-		EndHeaders: h.Flags.Has(FlagEndHeaders),
-		PadLength:  padLen,
-		Padded:     h.Flags.Has(FlagPadded),
+	if !h.Flags.Has(FlagEndHeaders) {
+		return nil, ConnectionError{Code: ErrCodeProtocol, Reason: "HEADERS without END_HEADERS not supported"}
 	}
-	if h.Flags.Has(FlagPriority) {
-		if len(body) < 5 {
-			return nil, ConnectionError{Code: ErrCodeFrameSize, Reason: "HEADERS priority fields truncated"}
-		}
-		dep := binary.BigEndian.Uint32(body[:4])
-		f.HasPriority = true
-		f.Priority = PriorityParam{
-			StreamDep: dep & 0x7fffffff,
-			Exclusive: dep>>31 == 1,
-			Weight:    body[4],
-		}
-		body = body[5:]
+	sc.headers = HeadersFrame{
+		StreamID:      h.StreamID,
+		EndStream:     h.Flags.Has(FlagEndStream),
+		EndHeaders:    true,
+		BlockFragment: payload,
 	}
-	f.BlockFragment = body
-	return f, nil
+	return &sc.headers, nil
 }
 
-func parsePriorityFrame(h FrameHeader, payload []byte) (Frame, error) {
-	if h.StreamID == 0 {
-		return nil, ConnectionError{Code: ErrCodeProtocol, Reason: "PRIORITY on stream 0"}
-	}
-	if len(payload) != 5 {
-		return nil, StreamError{StreamID: h.StreamID, Code: ErrCodeFrameSize, Reason: "PRIORITY length != 5"}
-	}
-	dep := binary.BigEndian.Uint32(payload[:4])
-	return &PriorityFrame{
-		StreamID: h.StreamID,
-		Priority: PriorityParam{
-			StreamDep: dep & 0x7fffffff,
-			Exclusive: dep>>31 == 1,
-			Weight:    payload[4],
-		},
-	}, nil
-}
-
-func parseRSTStreamFrame(h FrameHeader, payload []byte) (Frame, error) {
-	if h.StreamID == 0 {
-		return nil, ConnectionError{Code: ErrCodeProtocol, Reason: "RST_STREAM on stream 0"}
+func (sc *FrameScanner) parseRSTStream(h FrameHeader, payload []byte) (Frame, error) {
+	if err := checkStream(h, 0); err != nil {
+		return nil, err
 	}
 	if len(payload) != 4 {
 		return nil, ConnectionError{Code: ErrCodeFrameSize, Reason: "RST_STREAM length != 4"}
 	}
-	return &RSTStreamFrame{StreamID: h.StreamID, Code: ErrCode(binary.BigEndian.Uint32(payload))}, nil
+	sc.rst = RSTStreamFrame{StreamID: h.StreamID, Code: ErrCode(binary.BigEndian.Uint32(payload))}
+	return &sc.rst, nil
 }
 
-func parseSettingsFrame(h FrameHeader, payload []byte) (Frame, error) {
+// parseSettings reuses the scratch frame's Settings slice.
+func (sc *FrameScanner) parseSettings(h FrameHeader, payload []byte) (Frame, error) {
 	if h.StreamID != 0 {
 		return nil, ConnectionError{Code: ErrCodeProtocol, Reason: "SETTINGS on nonzero stream"}
 	}
@@ -844,7 +416,8 @@ func parseSettingsFrame(h FrameHeader, payload []byte) (Frame, error) {
 	if len(payload)%6 != 0 {
 		return nil, ConnectionError{Code: ErrCodeFrameSize, Reason: "SETTINGS length not multiple of 6"}
 	}
-	f := &SettingsFrame{Ack: h.Flags.Has(FlagAck)}
+	sc.settings.Ack = h.Flags.Has(FlagAck)
+	sc.settings.Settings = sc.settings.Settings[:0]
 	for i := 0; i < len(payload); i += 6 {
 		s := Setting{
 			ID:  SettingID(binary.BigEndian.Uint16(payload[i : i+2])),
@@ -853,79 +426,26 @@ func parseSettingsFrame(h FrameHeader, payload []byte) (Frame, error) {
 		if err := s.Valid(); err != nil {
 			return nil, err
 		}
-		f.Settings = append(f.Settings, s)
+		sc.settings.Settings = append(sc.settings.Settings, s)
 	}
-	return f, nil
+	return &sc.settings, nil
 }
 
-func parsePushPromiseFrame(h FrameHeader, payload []byte) (Frame, error) {
-	if h.StreamID == 0 {
-		return nil, ConnectionError{Code: ErrCodeProtocol, Reason: "PUSH_PROMISE on stream 0"}
-	}
-	body, padLen, err := stripPadding(h, payload)
-	if err != nil {
+func (sc *FrameScanner) parsePushPromise(h FrameHeader, payload []byte) (Frame, error) {
+	if err := checkStream(h, FlagPadded); err != nil {
 		return nil, err
 	}
-	if len(body) < 4 {
+	if !h.Flags.Has(FlagEndHeaders) {
+		return nil, ConnectionError{Code: ErrCodeProtocol, Reason: "PUSH_PROMISE without END_HEADERS not supported"}
+	}
+	if len(payload) < 4 {
 		return nil, ConnectionError{Code: ErrCodeFrameSize, Reason: "PUSH_PROMISE truncated"}
 	}
-	return &PushPromiseFrame{
+	sc.push = PushPromiseFrame{
 		StreamID:      h.StreamID,
-		PromiseID:     binary.BigEndian.Uint32(body[:4]) & 0x7fffffff,
-		EndHeaders:    h.Flags.Has(FlagEndHeaders),
-		BlockFragment: body[4:],
-		PadLength:     padLen,
-		Padded:        h.Flags.Has(FlagPadded),
-	}, nil
-}
-
-func parsePingFrame(h FrameHeader, payload []byte) (Frame, error) {
-	if h.StreamID != 0 {
-		return nil, ConnectionError{Code: ErrCodeProtocol, Reason: "PING on nonzero stream"}
+		PromiseID:     binary.BigEndian.Uint32(payload[:4]) & 0x7fffffff,
+		EndHeaders:    true,
+		BlockFragment: payload[4:],
 	}
-	if len(payload) != 8 {
-		return nil, ConnectionError{Code: ErrCodeFrameSize, Reason: "PING length != 8"}
-	}
-	f := &PingFrame{Ack: h.Flags.Has(FlagAck)}
-	copy(f.Data[:], payload)
-	return f, nil
-}
-
-func parseGoAwayFrame(h FrameHeader, payload []byte) (Frame, error) {
-	if h.StreamID != 0 {
-		return nil, ConnectionError{Code: ErrCodeProtocol, Reason: "GOAWAY on nonzero stream"}
-	}
-	if len(payload) < 8 {
-		return nil, ConnectionError{Code: ErrCodeFrameSize, Reason: "GOAWAY truncated"}
-	}
-	return &GoAwayFrame{
-		LastStreamID: binary.BigEndian.Uint32(payload[:4]) & 0x7fffffff,
-		Code:         ErrCode(binary.BigEndian.Uint32(payload[4:8])),
-		DebugData:    payload[8:],
-	}, nil
-}
-
-func parseWindowUpdateFrame(h FrameHeader, payload []byte) (Frame, error) {
-	if len(payload) != 4 {
-		return nil, ConnectionError{Code: ErrCodeFrameSize, Reason: "WINDOW_UPDATE length != 4"}
-	}
-	inc := binary.BigEndian.Uint32(payload) & 0x7fffffff
-	if inc == 0 {
-		if h.StreamID == 0 {
-			return nil, ConnectionError{Code: ErrCodeProtocol, Reason: "WINDOW_UPDATE increment 0"}
-		}
-		return nil, StreamError{StreamID: h.StreamID, Code: ErrCodeProtocol, Reason: "WINDOW_UPDATE increment 0"}
-	}
-	return &WindowUpdateFrame{StreamID: h.StreamID, Increment: inc}, nil
-}
-
-func parseContinuationFrame(h FrameHeader, payload []byte) (Frame, error) {
-	if h.StreamID == 0 {
-		return nil, ConnectionError{Code: ErrCodeProtocol, Reason: "CONTINUATION on stream 0"}
-	}
-	return &ContinuationFrame{
-		StreamID:      h.StreamID,
-		EndHeaders:    h.Flags.Has(FlagEndHeaders),
-		BlockFragment: payload,
-	}, nil
+	return &sc.push, nil
 }

@@ -34,35 +34,33 @@ func FuzzHpackDecode(f *testing.F) {
 }
 
 // FuzzFrameScanner ensures arbitrary byte streams never panic the
-// scanner and that chunking does not change the result.
+// scanner and that chunking does not change the result: the whole
+// stream and the stream fed in chunks emit the same frames (compared
+// by header and a copy of the payload, via their re-encoding), end in
+// the same error and leave the same bytes buffered.
 func FuzzFrameScanner(f *testing.F) {
-	f.Add(MarshalFrame(&PingFrame{}), 1)
+	f.Add(rawFrame(FrameHeader{Type: FramePing}, make([]byte, 8)), 1)
 	f.Add(MarshalFrame(&DataFrame{StreamID: 1, Data: []byte("abc")}), 3)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, 2)
 	f.Fuzz(func(t *testing.T, data []byte, chunk int) {
 		if chunk <= 0 {
 			chunk = 1
 		}
-		var whole FrameScanner
-		wf, werr := whole.Feed(data)
-
-		var piecewise FrameScanner
-		var pf []Frame
-		var perr error
-		for off := 0; off < len(data) && perr == nil; off += chunk {
-			end := off + chunk
-			if end > len(data) {
-				end = len(data)
-			}
-			var got []Frame
-			got, perr = piecewise.Feed(data[off:end])
-			pf = append(pf, got...)
-		}
-		if (werr == nil) != (perr == nil) {
+		wf, wbuf, werr := scan(data, max(len(data), 1))
+		pf, pbuf, perr := scan(data, chunk)
+		if (werr == nil) != (perr == nil) || (werr != nil && werr.Error() != perr.Error()) {
 			t.Fatalf("error mismatch: whole=%v piecewise=%v", werr, perr)
 		}
-		if werr == nil && len(wf) != len(pf) {
+		if len(wf) != len(pf) {
 			t.Fatalf("frame count mismatch: whole=%d piecewise=%d", len(wf), len(pf))
+		}
+		for i := range wf {
+			if w, p := MarshalFrame(wf[i]), MarshalFrame(pf[i]); !bytes.Equal(w, p) {
+				t.Fatalf("frame %d mismatch: whole=%x piecewise=%x", i, w, p)
+			}
+		}
+		if werr == nil && wbuf != pbuf {
+			t.Fatalf("buffered mismatch: whole=%d piecewise=%d", wbuf, pbuf)
 		}
 	})
 }

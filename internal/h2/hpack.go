@@ -9,10 +9,6 @@ import (
 type HeaderField struct {
 	Name  string
 	Value string
-
-	// Sensitive marks the field as never-indexed (RFC 7541 section
-	// 6.2.3); intermediaries must not add it to any table.
-	Sensitive bool
 }
 
 // String renders the field as "name: value".
@@ -246,37 +242,10 @@ func appendHpackString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// readHpackString decodes an HPACK string literal.
-func readHpackString(b []byte) (s string, rest []byte, err error) {
-	if len(b) == 0 {
-		return "", nil, errNeedMore
-	}
-	huff := b[0]&0x80 != 0
-	n, b, err := readHpackInt(b, 7)
-	if err != nil {
-		return "", nil, err
-	}
-	if uint64(len(b)) < n {
-		return "", nil, errNeedMore
-	}
-	raw, rest := b[:n], b[n:]
-	if !huff {
-		return string(raw), rest, nil
-	}
-	dec, err := HuffmanDecode(nil, raw)
-	if err != nil {
-		return "", nil, err
-	}
-	return string(dec), rest, nil
-}
-
 // HpackEncoder compresses header lists into HPACK header blocks. The
 // zero value is not usable; construct with NewHpackEncoder.
 type HpackEncoder struct {
-	table       dynamicTable
-	minTableCap uint32 // pending table-size reduction to signal
-	pendingCap  bool
-
+	table  dynamicTable
 	keyBuf []byte // scratch for the static-index lookup key
 }
 
@@ -293,25 +262,12 @@ func NewHpackEncoder(maxTableSize uint32) *HpackEncoder {
 // a reused encoder compresses without re-allocating it.
 func (e *HpackEncoder) Reset(maxTableSize uint32) {
 	e.table.reset(maxTableSize)
-	e.minTableCap = 0
-	e.pendingCap = false
 }
 
-// SetMaxDynamicTableSize changes the dynamic table capacity; the
-// change is signalled at the start of the next header block as
-// required by RFC 7541 section 6.3.
-func (e *HpackEncoder) SetMaxDynamicTableSize(v uint32) {
-	e.table.setMaxSize(v)
-	e.minTableCap = v
-	e.pendingCap = true
-}
-
-// AppendHeaderBlock appends the HPACK encoding of fields to b.
+// AppendHeaderBlock appends the HPACK encoding of fields to b. Each
+// field is sent indexed when a table holds it exactly, and otherwise
+// as a literal with incremental indexing.
 func (e *HpackEncoder) AppendHeaderBlock(b []byte, fields []HeaderField) []byte {
-	if e.pendingCap {
-		b = appendHpackInt(b, 0x20, 5, uint64(e.minTableCap))
-		e.pendingCap = false
-	}
 	for _, f := range fields {
 		b = e.appendField(b, f)
 	}
@@ -319,16 +275,6 @@ func (e *HpackEncoder) AppendHeaderBlock(b []byte, fields []HeaderField) []byte 
 }
 
 func (e *HpackEncoder) appendField(b []byte, f HeaderField) []byte {
-	if f.Sensitive {
-		// Literal never-indexed (0001xxxx), name possibly indexed.
-		nameIdx := e.nameIndex(f.Name)
-		b = appendHpackInt(b, 0x10, 4, nameIdx)
-		if nameIdx == 0 {
-			b = appendHpackString(b, f.Name)
-		}
-		return appendHpackString(b, f.Value)
-	}
-
 	// Exact match: indexed representation (1xxxxxxx). The key is
 	// assembled in a scratch buffer; the map probe with a string(...)
 	// conversion compiles without a temporary string allocation.
@@ -372,14 +318,10 @@ type HpackDecoder struct {
 	// the local SETTINGS_HEADER_TABLE_SIZE.
 	maxAllowedTableSize uint32
 
-	// MaxHeaderListSize caps the total decoded size (sum of
-	// RFC 7541 entry sizes). Zero means no limit.
-	MaxHeaderListSize uint32
-
-	// fields is the DecodeFullReuse scratch; huffBuf is the Huffman
-	// decode scratch; strings interns decoded literals so repeated
-	// header values (paths, status codes) cost one allocation ever
-	// rather than one per block.
+	// fields is the DecodeFull scratch; huffBuf is the Huffman decode
+	// scratch; strings interns decoded literals so repeated header
+	// values (paths, status codes) cost one allocation per cache
+	// generation rather than one per block.
 	fields  []HeaderField
 	huffBuf []byte
 	strings map[string]string
@@ -397,21 +339,29 @@ func NewHpackDecoder(maxTableSize uint32) *HpackDecoder {
 // what NewHpackDecoder(maxTableSize) would produce, so a reused
 // decoder tracks a fresh peer encoder. Decode scratch and the string
 // intern cache are deliberately kept: they hold no protocol state,
-// and identical literals decode to equal strings either way.
+// identical literals decode to equal strings either way, and intern
+// bounds the cache on its own.
 func (d *HpackDecoder) Reset(maxTableSize uint32) {
 	d.table.reset(maxTableSize)
 	d.maxAllowedTableSize = maxTableSize
 }
 
+// internCap bounds the intern cache. A session's recurring literals
+// (status codes, authorities, a site's paths) number a few dozen, but
+// a decoder reused across many sites sees every path of every site.
+const internCap = 1024
+
 // intern returns a string equal to b, reusing a previously decoded
-// instance when available. The cache only ever grows, which is fine
-// for the simulator's closed header vocabulary.
+// instance when available. A full cache is emptied before the next
+// insert, so it holds at most internCap strings and keeps recent ones.
 func (d *HpackDecoder) intern(b []byte) string {
 	if s, ok := d.strings[string(b)]; ok { // no-alloc map probe
 		return s
 	}
 	if d.strings == nil {
 		d.strings = make(map[string]string)
+	} else if len(d.strings) >= internCap {
+		clear(d.strings)
 	}
 	s := string(b)
 	d.strings[s] = s
@@ -446,22 +396,11 @@ func (d *HpackDecoder) readString(b []byte) (s string, rest []byte, err error) {
 }
 
 // DecodeFull decodes a complete header block (all fragments already
-// concatenated). The returned slice is freshly allocated and owned by
-// the caller; the allocation-free variant is DecodeFullReuse.
+// concatenated). The returned slice is scratch owned by the decoder,
+// valid only until the next DecodeFull call. In steady state (every
+// literal seen before) it allocates nothing.
 func (d *HpackDecoder) DecodeFull(block []byte) ([]HeaderField, error) {
-	fields, err := d.decodeFull(nil, block)
-	if err != nil {
-		return nil, err
-	}
-	return fields, nil
-}
-
-// DecodeFullReuse is DecodeFull with recycled storage: the returned
-// slice is scratch owned by the decoder, valid only until the next
-// decode call. In steady state (every literal seen before) it
-// allocates nothing.
-func (d *HpackDecoder) DecodeFullReuse(block []byte) ([]HeaderField, error) {
-	fields, err := d.decodeFull(d.fields[:0], block)
+	fields, err := d.decode(d.fields[:0], block)
 	d.fields = fields
 	if err != nil {
 		return nil, err
@@ -469,9 +408,7 @@ func (d *HpackDecoder) DecodeFullReuse(block []byte) ([]HeaderField, error) {
 	return fields, nil
 }
 
-func (d *HpackDecoder) decodeFull(fields []HeaderField, block []byte) ([]HeaderField, error) {
-	var listSize uint32
-	b := block
+func (d *HpackDecoder) decode(fields []HeaderField, b []byte) ([]HeaderField, error) {
 	seenField := false
 	for len(b) > 0 {
 		octet := b[0]
@@ -486,7 +423,7 @@ func (d *HpackDecoder) decodeFull(fields []HeaderField, block []byte) ([]HeaderF
 			if err != nil {
 				return fields, err
 			}
-			fields, listSize = append(fields, f), listSize+f.size()
+			fields = append(fields, f)
 			seenField = true
 
 		case octet&0xc0 == 0x40: // literal, incremental indexing
@@ -496,7 +433,7 @@ func (d *HpackDecoder) decodeFull(fields []HeaderField, block []byte) ([]HeaderF
 			}
 			b = rest
 			d.table.add(f)
-			fields, listSize = append(fields, f), listSize+f.size()
+			fields = append(fields, f)
 			seenField = true
 
 		case octet&0xe0 == 0x20: // dynamic table size update
@@ -518,13 +455,9 @@ func (d *HpackDecoder) decodeFull(fields []HeaderField, block []byte) ([]HeaderF
 			if err != nil {
 				return fields, d.wrap(err)
 			}
-			f.Sensitive = octet&0x10 != 0
 			b = rest
-			fields, listSize = append(fields, f), listSize+f.size()
+			fields = append(fields, f)
 			seenField = true
-		}
-		if d.MaxHeaderListSize != 0 && listSize > d.MaxHeaderListSize {
-			return fields, ErrHeaderListTooLong
 		}
 	}
 	return fields, nil

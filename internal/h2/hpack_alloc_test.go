@@ -5,9 +5,9 @@ import "testing"
 // TestHpackRoundTripZeroAlloc pins the steady-state cost of the
 // encoder/decoder pair on a realistic request block: after the
 // dynamic tables and intern caches are warm, encoding into a reused
-// buffer and decoding via DecodeFullReuse allocate nothing. This
-// covers the encoder's static-table probe (scratch key buffer, not a
-// per-field string concat) and the decoder's recycled field slice.
+// buffer and decoding via DecodeFull allocate nothing. This covers the
+// encoder's static-table probe (scratch key buffer, not a per-field
+// string concat) and the decoder's recycled field slice.
 func TestHpackRoundTripZeroAlloc(t *testing.T) {
 	fields := []HeaderField{
 		{Name: ":method", Value: "GET"},
@@ -22,7 +22,7 @@ func TestHpackRoundTripZeroAlloc(t *testing.T) {
 	var block []byte
 	roundTrip := func() {
 		block = enc.AppendHeaderBlock(block[:0], fields)
-		if _, err := dec.DecodeFullReuse(block); err != nil {
+		if _, err := dec.DecodeFull(block); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package h2
 
 import (
 	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -78,7 +79,7 @@ func TestHpackStringPlainWhenHuffmanLonger(t *testing.T) {
 	if enc[0]&0x80 != 0 {
 		t.Fatalf("string %q encoded with huffman bit set", s)
 	}
-	got, rest, err := readHpackString(enc)
+	got, rest, err := NewHpackDecoder(4096).readString(enc)
 	if err != nil || got != s || len(rest) != 0 {
 		t.Fatalf("decode = (%q, %d, %v), want (%q, 0, nil)", got, len(rest), err, s)
 	}
@@ -92,7 +93,7 @@ func TestHpackDecodeC2(t *testing.T) {
 	}{
 		{"400a637573746f6d2d6b65790d637573746f6d2d686561646572", HeaderField{Name: "custom-key", Value: "custom-header"}},
 		{"040c2f73616d706c652f70617468", HeaderField{Name: ":path", Value: "/sample/path"}},
-		{"100870617373776f726406736563726574", HeaderField{Name: "password", Value: "secret", Sensitive: true}},
+		{"100870617373776f726406736563726574", HeaderField{Name: "password", Value: "secret"}},
 		{"82", HeaderField{Name: ":method", Value: "GET"}},
 	}
 	for _, c := range cases {
@@ -270,39 +271,36 @@ func TestHpackRoundTripQuick(t *testing.T) {
 	}
 }
 
+// TestHpackSensitiveNeverIndexed decodes a never-indexed literal
+// (RFC 7541 C.2.3, the representation peers use for sensitive
+// values) and checks it stays out of the decoder's dynamic table.
 func TestHpackSensitiveNeverIndexed(t *testing.T) {
-	e := NewHpackEncoder(4096)
-	fields := []HeaderField{{Name: "authorization", Value: "Bearer tok", Sensitive: true}}
-	blk := e.AppendHeaderBlock(nil, fields)
-	if blk[0]&0xf0 != 0x10 {
-		t.Fatalf("sensitive field first octet = 0x%x, want never-indexed (0x1X)", blk[0])
+	d := NewHpackDecoder(4096)
+	got, err := d.DecodeFull(mustHex(t, "100870617373776f726406736563726574"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e.table.len() != 0 {
-		t.Error("sensitive field was added to the encoder dynamic table")
+	if len(got) != 1 || got[0] != (HeaderField{Name: "password", Value: "secret"}) {
+		t.Errorf("decoded %+v, want [password: secret]", got)
 	}
+	if d.table.len() != 0 {
+		t.Error("never-indexed field was added to the decoder dynamic table")
+	}
+}
+
+// TestHpackTableSizeUpdateSignalled checks that a dynamic table size
+// update at the start of a block (RFC 7541 section 6.3) resizes the
+// decoder's table before the fields that follow it.
+func TestHpackTableSizeUpdateSignalled(t *testing.T) {
+	blk := appendHpackInt(nil, 0x20, 5, 0)
+	blk = append(blk, 0x82)
 	d := NewHpackDecoder(4096)
 	got, err := d.DecodeFull(blk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got[0].Sensitive {
-		t.Error("decoded field lost Sensitive bit")
-	}
-	if d.table.len() != 0 {
-		t.Error("sensitive field was added to the decoder dynamic table")
-	}
-}
-
-func TestHpackTableSizeUpdateSignalled(t *testing.T) {
-	e := NewHpackEncoder(4096)
-	e.SetMaxDynamicTableSize(0)
-	blk := e.AppendHeaderBlock(nil, []HeaderField{{Name: ":method", Value: "GET"}})
-	if blk[0]&0xe0 != 0x20 {
-		t.Fatalf("first octet = 0x%x, want dynamic table size update (0x2X)", blk[0])
-	}
-	d := NewHpackDecoder(4096)
-	if _, err := d.DecodeFull(blk); err != nil {
-		t.Fatal(err)
+	if len(got) != 1 || got[0] != (HeaderField{Name: ":method", Value: "GET"}) {
+		t.Errorf("decoded %+v, want [:method: GET]", got)
 	}
 	if d.table.maxSize != 0 {
 		t.Errorf("decoder table max = %d, want 0", d.table.maxSize)
@@ -338,16 +336,26 @@ func TestHpackDecoderRejectsBadIndex(t *testing.T) {
 	}
 }
 
-func TestHpackMaxHeaderListSize(t *testing.T) {
-	d := NewHpackDecoder(4096)
-	d.MaxHeaderListSize = 40 // one small field fits, two don't
-	e := NewHpackEncoder(4096)
-	blk := e.AppendHeaderBlock(nil, []HeaderField{
-		{Name: "a", Value: "b"},
-		{Name: "c", Value: "d"},
-	})
-	if _, err := d.DecodeFull(blk); err == nil {
-		t.Error("oversized header list accepted, want error")
+// TestHpackInternCacheBounded decodes far more distinct literals
+// than the intern cache holds, the way a server decoder reused across
+// many survey sites sees every site's paths: the cache stays within
+// internCap and every value still decodes intact.
+func TestHpackInternCacheBounded(t *testing.T) {
+	enc := NewHpackEncoder(4096)
+	dec := NewHpackDecoder(4096)
+	for i := 0; i < 4*internCap; i++ {
+		path := fmt.Sprintf("/corpus/site-%d/object-%d.png", i/40, i%40)
+		block := enc.AppendHeaderBlock(nil, []HeaderField{{Name: ":method", Value: "GET"}, {Name: ":path", Value: path}})
+		got, err := dec.DecodeFull(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 || got[1].Value != path {
+			t.Fatalf("request %d decoded %+v, want :path %s", i, got, path)
+		}
+		if n := len(dec.strings); n > internCap {
+			t.Fatalf("after %d requests the intern cache holds %d strings, want at most %d", i+1, n, internCap)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ type ClientConfig struct {
 	// smoothed RTT: timeout = max(StallBase, factor*SRTT) * backoff.
 	// Throttled (queue-inflated) paths therefore re-request less —
 	// the mechanism behind the paper's Figure 5 retransmission
-	// decline. Default 6.
+	// decline. Default 10.
 	StallRTTFactor int
 
 	// MaxReRequests bounds duplicate requests per object. Default 3.
@@ -37,7 +37,7 @@ type ClientConfig struct {
 	// ResetGrace is the pause between resetting and re-requesting,
 	// while the transport recovers and the stale backlog drains (the
 	// paper: after a reset "the client's TCP also waits for a longer
-	// time"). Default 1.5s.
+	// time"). Default 3.5s.
 	ResetGrace time.Duration
 
 	// MaxResets caps reset rounds per page load. Default 4.
@@ -573,7 +573,7 @@ func (c *Client) handleFrame(f h2.Frame) {
 // response will arrive on PromiseID, and the client will not request
 // the resource itself.
 func (c *Client) handlePushPromise(f *h2.PushPromiseFrame) {
-	fields, err := c.hdec.DecodeFullReuse(f.BlockFragment)
+	fields, err := c.hdec.DecodeFull(f.BlockFragment)
 	if err != nil {
 		return
 	}

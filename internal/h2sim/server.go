@@ -55,7 +55,7 @@ type ServerConfig struct {
 	// bytes, so the enqueue (interleaving) order tracks the wire pace.
 	// This is what lets slow-start over a long-RTT path stretch early
 	// object transmissions across later requests — the baseline
-	// multiplexing source. Default 24 KiB.
+	// multiplexing source. Default 56 KiB.
 	SendBufLimit int
 
 	// DisableDuplicates suppresses the paper-observed behaviour of
@@ -335,7 +335,7 @@ func (sv *Server) handleFrame(f h2.Frame) {
 			sv.writeRecord(tlsrec.TypeAppData, h2.MarshalFrame(&h2.SettingsFrame{Ack: true}))
 		}
 	default:
-		// PING/WINDOW_UPDATE/PRIORITY are irrelevant to the model.
+		// The client sends no DATA or PUSH_PROMISE.
 	}
 }
 
@@ -344,7 +344,7 @@ func (sv *Server) handleFrame(f h2.Frame) {
 // duplicates from client re-requests — the multi-threaded behaviour
 // the paper observed causing intensified multiplexing.
 func (sv *Server) handleRequest(f *h2.HeadersFrame) {
-	fields, err := sv.hdec.DecodeFullReuse(f.BlockFragment)
+	fields, err := sv.hdec.DecodeFull(f.BlockFragment)
 	if err != nil {
 		return
 	}

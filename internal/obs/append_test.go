@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// marshalSweepsReference is the reflection encoding AppendSweeps
-// replaced — kept verbatim as the equivalence oracle.
+// marshalSweepsReference is a frozen copy of the -metrics-json
+// encoding, kept verbatim as the oracle that pins MarshalSweeps' wire
+// form.
 func marshalSweepsReference(sweeps map[string]*Snapshot) ([]byte, error) {
 	names := make([]string, 0, len(sweeps))
 	for n := range sweeps {
@@ -59,8 +60,8 @@ func randomSnapshot(rng *rand.Rand) *Snapshot {
 	return s
 }
 
-// TestAppendSweepsMatchesReference pins the append encoder against
-// the reflection encoding byte-for-byte: the shard-merge gate cmp's
+// TestAppendSweepsMatchesReference pins MarshalSweeps against the
+// frozen reference byte-for-byte: the shard-merge gate cmp's
 // -metrics-json files, so any drift is output corruption.
 func TestAppendSweepsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))

@@ -44,6 +44,8 @@ func FuzzSnapshotMerge(f *testing.F) {
 			}
 		}
 		_ = sa.Text()
-		_ = AppendSweeps(nil, map[string]*Snapshot{"fuzz": &sa})
+		if _, err := MarshalSweeps(map[string]*Snapshot{"fuzz": &sa}); err != nil {
+			t.Fatalf("MarshalSweeps of a merged snapshot: %v", err)
+		}
 	})
 }

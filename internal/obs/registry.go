@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
+	"sort"
 	"strings"
 	"sync"
 )
@@ -320,9 +321,21 @@ func (s *Snapshot) Text() string {
 // flow (one object per sweep under a top-level key). The file is
 // byte-identical for the same trials at any worker count and for any
 // process sharding — the property the shard-merge CI gate cmp's.
-// The document is built by the append fast path (AppendSweeps); the
-// equivalence test pins it byte-for-byte against the reflection
-// encoding it replaced.
 func MarshalSweeps(sweeps map[string]*Snapshot) ([]byte, error) {
-	return AppendSweeps(nil, sweeps), nil
+	names := make([]string, 0, len(sweeps))
+	for n := range sweeps {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	type entry struct {
+		Sweep string `json:"sweep"`
+		*Snapshot
+	}
+	out := struct {
+		Sweeps []entry `json:"sweeps"`
+	}{}
+	for _, n := range names {
+		out.Sweeps = append(out.Sweeps, entry{Sweep: n, Snapshot: sweeps[n]})
+	}
+	return json.MarshalIndent(out, "", "  ")
 }
