@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -192,7 +193,7 @@ func mergeSnapshots(slices []shard.CampaignManifest) (*obs.Snapshot, error) {
 }
 
 // runMergeMode validates a bundle set and reassembles the selected
-// campaigns: sweep tables re-rendered from the concatenated results,
+// campaigns: sweep tables re-rendered from the streamed results,
 // the survey's exporters re-fed from the concatenated lines, metrics
 // from the merged snapshots. stdout and every file export are
 // byte-identical to the same flags run in a single process.
@@ -217,11 +218,7 @@ func runMergeMode(cli *cliFlags, defs []experiment.SweepDef) error {
 		if err != nil {
 			return err
 		}
-		var buf bytes.Buffer
-		if err := set.ConcatResults(d.Name, &buf); err != nil {
-			return err
-		}
-		results, err := experiment.DecodeTrialResults(&buf, d.Trials)
+		results, err := decodeSweep(set, d)
 		if err != nil {
 			return fmt.Errorf("campaign %q: %w", d.Name, err)
 		}
@@ -240,6 +237,25 @@ func runMergeMode(cli *cliFlags, defs []experiment.SweepDef) error {
 		}
 	}
 	return writeMetricsJSON(cli.metricsOut, snaps)
+}
+
+// decodeSweep decodes one sweep's results as its slices stream off
+// disk, never holding the campaign's JSONL in memory. ConcatResults'
+// own refusals (a slice with the wrong line count or no final newline)
+// reach the decoder as the pipe's read error; a refused record closes
+// the read end, which fails the copy's next write, so the copy always
+// returns and is waited for.
+func decodeSweep(set *shard.Set, d experiment.SweepDef) ([]experiment.TrialResult, error) {
+	pr, pw := io.Pipe()
+	copied := make(chan struct{})
+	go func() {
+		defer close(copied)
+		pw.CloseWithError(set.ConcatResults(d.Name, pw))
+	}()
+	results, err := experiment.DecodeTrialResults(pr, d.Trials)
+	pr.Close()
+	<-copied
+	return results, err
 }
 
 // campaignSlices returns one campaign's bundle slices in shard order.
@@ -282,15 +298,23 @@ func mergeSurvey(set *shard.Set, cli *cliFlags) error {
 	trials := slices[0].Trials
 	var summary *experiment.SurveySummary
 	if ex.summary {
-		// Re-feed the concatenated lines through the summary exporter —
-		// the same aggregation path Export runs per live trial.
 		summary = experiment.NewSurveySummary()
-		sc := json.NewDecoder(bytes.NewReader(lines.Bytes()))
-		for i := 0; i < trials; i++ {
-			var r experiment.SurveyResult
-			if err := sc.Decode(&r); err != nil {
-				return fmt.Errorf("survey record %d: %w", i, err)
-			}
+	}
+	// Every line must hold exactly one record, summary or not:
+	// ConcatResults counts lines per slice, so a line holding two
+	// records beside a blank one passes its count but would shift
+	// every later record onto the wrong trial index. The lines that
+	// pass are re-fed through the summary exporter — the aggregation
+	// Export runs per live trial.
+	rest := lines.Bytes()
+	for i := 0; i < trials; i++ {
+		line, tail, _ := bytes.Cut(rest, []byte{'\n'})
+		rest = tail
+		var r experiment.SurveyResult
+		if err := json.Unmarshal(line, &r); err != nil {
+			return fmt.Errorf("campaign %q: survey record %d: %w", s.Name(), i, err)
+		}
+		if summary != nil {
 			if err := summary.Export(i, experiment.CorpusTrialParams{}, r); err != nil {
 				return err
 			}

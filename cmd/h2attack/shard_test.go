@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/experiment"
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // readTrialCount parses a bundle snapshot file and returns its
@@ -103,5 +106,142 @@ func TestShardModeRecoversSnapshotFromCheckpoint(t *testing.T) {
 	}
 	if got := readTrialCount(t, snapPath); got != uint64(defs[0].Trials) {
 		t.Fatalf("recovered snapshot covers %d trials, want %d", got, defs[0].Trials)
+	}
+}
+
+// captureStdout runs fn with os.Stdout sent to a file and returns what
+// it printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	runErr := fn()
+	os.Stdout = saved
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
+}
+
+// writeBundles runs the campaign flags in f as a two-shard job and
+// returns the two bundle directories.
+func writeBundles(t *testing.T, f cliFlags, defs []experiment.SweepDef) []string {
+	t.Helper()
+	root := t.TempDir()
+	var dirs []string
+	for i, spec := range []string{"1/2", "2/2"} {
+		f.shardSpec, f.shardDir = spec, filepath.Join(root, fmt.Sprintf("b%d", i+1))
+		if _, err := captureStdout(t, func() error { return runShardMode(&f, defs, nil) }); err != nil {
+			t.Fatal(err)
+		}
+		dirs = append(dirs, f.shardDir)
+	}
+	return dirs
+}
+
+// editLine rewrites line k of a JSONL file through edit.
+func editLine(t *testing.T, path string, k int, edit func(line string) string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	if k >= len(lines)-1 {
+		t.Fatalf("%s has no line %d", path, k)
+	}
+	lines[k] = edit(lines[k])
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMergeRefusesHostileSweepBundles corrupts one result line of a
+// two-shard sweep bundle set in three ways. Each -merge must fail with
+// an error naming the campaign and the record, and print no table.
+// The flipped byte turns a key's first letter to lower case; it and
+// the inserted space are forms encoding/json accepted.
+func TestMergeRefusesHostileSweepBundles(t *testing.T) {
+	defs := experiment.Sweeps(2, 1)[4:5] // delay sweep, 2 trials/config
+	name := defs[0].Name
+	shards := cliFlags{jobs: 2, ckptEvery: 4}
+	first := shard.Plan(defs[0].Trials, 2)[0].End // records in bundle 1
+
+	dirs := writeBundles(t, shards, defs)
+	out, err := captureStdout(t, func() error {
+		return runMergeMode(&cliFlags{mergeDirs: strings.Join(dirs, ",")}, defs)
+	})
+	if err != nil || out == "" {
+		t.Fatalf("intact bundles: err %v, printed %q", err, out)
+	}
+
+	cases := []struct {
+		name   string
+		bundle int
+		line   int
+		edit   func(string) string
+		record int
+	}{
+		{"flipped byte", 0, 1, func(l string) string {
+			i := strings.Index(l, `"Resets"`) + 1
+			return l[:i] + string(l[i]^0x20) + l[i+1:]
+		}, 1},
+		{"truncated last line", 1, defs[0].Trials - first - 1, func(l string) string { return l[:len(l)-10] }, defs[0].Trials - 1},
+		{"space after colon", 1, 0, func(l string) string { return strings.Replace(l, `"Broken":`, `"Broken": `, 1) }, first},
+	}
+	for _, c := range cases {
+		bad := writeBundles(t, shards, defs)
+		editLine(t, filepath.Join(bad[c.bundle], name+".jsonl"), c.line, c.edit)
+		out, err := captureStdout(t, func() error {
+			return runMergeMode(&cliFlags{mergeDirs: strings.Join(bad, ",")}, defs)
+		})
+		if err == nil {
+			t.Errorf("%s: merge accepted the corrupt bundle", c.name)
+			continue
+		}
+		for _, want := range []string{fmt.Sprintf("campaign %q", name), fmt.Sprintf("trial record %d ", c.record)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %s", c.name, err, want)
+			}
+		}
+		if out != "" {
+			t.Errorf("%s: refused merge printed %q", c.name, out)
+		}
+	}
+}
+
+// TestMergeRefusesSurveyLineWithTwoRecords crafts a survey slice whose
+// first line holds two records and whose second is blank. The slice
+// keeps its line count, so only decoding one record per line catches
+// the shift that would misalign every later record.
+func TestMergeRefusesSurveyLineWithTwoRecords(t *testing.T) {
+	f := cliFlags{survey: true, corpus: 6, siteTrials: 1, seed: 1, jobs: 2, ckptEvery: 4, export: "summary"}
+	dirs := writeBundles(t, f, nil)
+	path := filepath.Join(dirs[0], "survey.jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	lines[0], lines[1] = strings.TrimSuffix(lines[0], "\n")+lines[1], "\n"
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, export := range []string{"summary", "jsonl=" + filepath.Join(t.TempDir(), "out.jsonl")} {
+		f.export, f.mergeDirs = export, strings.Join(dirs, ",")
+		out, err := captureStdout(t, func() error { return runMergeMode(&f, nil) })
+		if err == nil || !strings.Contains(err.Error(), "survey record 0") {
+			t.Errorf("-export %s: merge of a shifted survey slice: err %v, want survey record 0 refused", export, err)
+		}
+		if out != "" {
+			t.Errorf("-export %s: refused merge printed %q", export, out)
+		}
 	}
 }

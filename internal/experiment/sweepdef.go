@@ -1,10 +1,7 @@
 package experiment
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/pipeline"
 )
@@ -127,26 +124,4 @@ func brokenOnPanic(w *World, p TrialParams) (r TrialResult) {
 		}
 	}()
 	return w.RunTrial(p)
-}
-
-// DecodeTrialResults reads exactly n JSON-marshalled TrialResult
-// lines — the reassembled shard slices of one sweep, in index order.
-func DecodeTrialResults(r io.Reader, n int) ([]TrialResult, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	results := make([]TrialResult, 0, n)
-	for sc.Scan() {
-		var tr TrialResult
-		if err := json.Unmarshal(sc.Bytes(), &tr); err != nil {
-			return nil, fmt.Errorf("experiment: trial record %d: %w", len(results), err)
-		}
-		results = append(results, tr)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(results) != n {
-		return nil, fmt.Errorf("experiment: got %d trial records, want %d", len(results), n)
-	}
-	return results, nil
 }
