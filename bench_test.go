@@ -270,10 +270,11 @@ func BenchmarkDegreeOfMultiplexing(b *testing.B) {
 	}
 }
 
-// benchRecordStream captures one full-attack trial's observed record
-// stream and its site, the shared fixture of the inference benches.
-func benchRecordStream(b *testing.B) (*website.Site, []trace.RecordObs) {
-	b.Helper()
+// BenchmarkInferStreaming measures the inference engine over one
+// full-attack trial's observed record stream: Start + Observe per
+// record + Inferences, with primed table and reused buffers
+// (zero-alloc steady state).
+func BenchmarkInferStreaming(b *testing.B) {
 	site := website.Survey(website.IdentityPermutation())
 	sess := h2sim.NewSession(site, h2sim.SessionConfig{Seed: 42, RandomizeAmbient: true})
 	atk := core.Install(sess, core.PaperAttack())
@@ -282,28 +283,6 @@ func benchRecordStream(b *testing.B) (*website.Site, []trace.RecordObs) {
 	if len(recs) == 0 {
 		b.Fatal("captured no records")
 	}
-	return site, recs
-}
-
-// BenchmarkInferPostHoc measures the reference inference path: the
-// linear-scan Predictor.Infer pass over a stored trial capture (the
-// pre-PR7 per-trial cost, allocating its result slice each call).
-func BenchmarkInferPostHoc(b *testing.B) {
-	site, recs := benchRecordStream(b)
-	p := core.NewPredictor(site)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(p.Infer(recs)) == 0 {
-			b.Fatal("no inferences")
-		}
-	}
-}
-
-// BenchmarkInferStreaming measures the online engine on the same
-// stream: Start + Observe per record + Inferences, with primed table
-// and reused buffers (zero-alloc steady state).
-func BenchmarkInferStreaming(b *testing.B) {
-	site, recs := benchRecordStream(b)
 	p := core.NewPredictor(site)
 	var eng core.StreamInference
 	b.ResetTimer()
@@ -316,26 +295,6 @@ func BenchmarkInferStreaming(b *testing.B) {
 			b.Fatal("no inferences")
 		}
 	}
-}
-
-// BenchmarkInferBatch measures the batched API amortizing size-table
-// setup across the K same-site trials a survey worker runs.
-func BenchmarkInferBatch(b *testing.B) {
-	site, recs := benchRecordStream(b)
-	p := core.NewPredictor(site)
-	const k = 8 // a typical -site-trials batch
-	streams := make([][]trace.RecordObs, k)
-	for i := range streams {
-		streams[i] = recs
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := p.InferBatch(streams)
-		if len(out) != k || len(out[0]) == 0 {
-			b.Fatal("bad batch result")
-		}
-	}
-	reportTrialsPerSec(b, k)
 }
 
 // BenchmarkStreamDispatch isolates the worker pool's dispatch and

@@ -51,26 +51,21 @@ type CopyTransmission struct {
 
 // CopyTransmissions groups ground-truth frame events by copy and
 // computes each copy's degree of multiplexing. Results are ordered by
-// first wire byte. Every returned transmission is freshly allocated
-// (the results outlive the trace they were computed from). Hot loops
+// first wire byte. It scores with a fresh Analyzer, so the returned
+// transmissions belong to the caller and may be retained. Hot loops
 // that score one trace per trial should keep an Analyzer instead and
-// amortize the indexing scratch.
+// reuse its arena.
 func CopyTransmissions(tr *trace.Trace) []*CopyTransmission {
 	var a Analyzer
 	return a.Copies(tr)
 }
 
-// Analyzer reconstructs copy transmissions with reused internal
-// scratch (the copy index, the sorted wire-frame buffer, the sorters),
-// so a trial world that scores one ground-truth trace per trial pays
-// no per-trial indexing allocations once the scratch has grown to its
-// high-water mark. An Analyzer is not safe for concurrent use; keep
-// one per worker, like experiment.World.
-//
-// Copies allocates the returned transmissions fresh (safe to retain,
-// the CopyTransmissions contract); CopiesReused returns arena-backed
-// results valid only until the next call, for consumers that extract
-// verdicts immediately.
+// Analyzer reconstructs copy transmissions into reused internal
+// storage (the copy index, the sorted wire-frame buffer, the sorters
+// and the transmission arena), so a trial world that scores one
+// ground-truth trace per trial allocates nothing once the storage has
+// grown to its high-water mark. An Analyzer is not safe for concurrent
+// use; keep one per worker, like experiment.World.
 type Analyzer struct {
 	byKey map[CopyKey]int
 	wire  []trace.FrameEvent
@@ -81,22 +76,10 @@ type Analyzer struct {
 	orderSorter copiesByStart
 }
 
-// Copies is CopyTransmissions with amortized scratch: the returned
-// transmissions (arena and pointer slice) are freshly allocated and
-// safe to retain; only the analyzer's internal indexing state is
-// reused between calls.
+// Copies is CopyTransmissions over the analyzer's arena: the returned
+// transmissions are valid only until the next Copies call on the same
+// analyzer, for consumers that extract verdicts immediately.
 func (a *Analyzer) Copies(tr *trace.Trace) []*CopyTransmission {
-	return a.analyze(tr, false)
-}
-
-// CopiesReused is the zero-steady-state-allocation variant: results
-// live in the analyzer's own arena and are valid only until the next
-// Copies/CopiesReused call. Byte-for-byte the same content as Copies.
-func (a *Analyzer) CopiesReused(tr *trace.Trace) []*CopyTransmission {
-	return a.analyze(tr, true)
-}
-
-func (a *Analyzer) analyze(tr *trace.Trace, reuse bool) []*CopyTransmission {
 	// Pass 1: count the wire (Len>0) frames and the distinct copies,
 	// so the arena and scratch below are sized exactly once.
 	if a.byKey == nil {
@@ -123,26 +106,19 @@ func (a *Analyzer) analyze(tr *trace.Trace, reuse bool) []*CopyTransmission {
 	// were assigned in first-occurrence order, so while iterating the
 	// frames in the same order, index inited is hit exactly when its
 	// copy's first frame appears.
-	var arena []CopyTransmission
-	var order []*CopyTransmission
-	if reuse {
-		if cap(a.arena) < len(byKey) {
-			a.arena = make([]CopyTransmission, len(byKey))
-		} else {
-			a.arena = a.arena[:len(byKey)]
-			for i := range a.arena {
-				a.arena[i] = CopyTransmission{}
-			}
-		}
-		if cap(a.order) < len(byKey) {
-			a.order = make([]*CopyTransmission, len(byKey))
-		}
-		a.order = a.order[:len(byKey)]
-		arena, order = a.arena, a.order
+	if cap(a.arena) < len(byKey) {
+		a.arena = make([]CopyTransmission, len(byKey))
 	} else {
-		arena = make([]CopyTransmission, len(byKey))
-		order = make([]*CopyTransmission, len(byKey))
+		a.arena = a.arena[:len(byKey)]
+		for i := range a.arena {
+			a.arena[i] = CopyTransmission{}
+		}
 	}
+	if cap(a.order) < len(byKey) {
+		a.order = make([]*CopyTransmission, len(byKey))
+	}
+	a.order = a.order[:len(byKey)]
+	arena, order := a.arena, a.order
 	wire := a.wire[:0]
 	if cap(wire) < nWire {
 		wire = make([]trace.FrameEvent, 0, nWire)
@@ -273,29 +249,4 @@ func OriginalDegree(copies []*CopyTransmission, objectID int) float64 {
 		}
 	}
 	return -1
-}
-
-// MeanDegree averages the degree of multiplexing over all complete
-// copies of the object (used for the paper's "default degree of
-// multiplexing ~98%" observation).
-func MeanDegree(copies []*CopyTransmission, objectID int) float64 {
-	var sum float64
-	var n int
-	for _, c := range CopiesOf(copies, objectID) {
-		if !c.Complete {
-			continue
-		}
-		sum += c.Degree
-		n++
-	}
-	if n == 0 {
-		return -1
-	}
-	return sum / float64(n)
-}
-
-// CopyCount returns the number of transmissions (original +
-// duplicates) of the object that reached the wire.
-func CopyCount(copies []*CopyTransmission, objectID int) int {
-	return len(CopiesOf(copies, objectID))
 }

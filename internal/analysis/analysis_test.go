@@ -93,7 +93,7 @@ func TestDuplicateCopiesInterfere(t *testing.T) {
 	if anyClean || origClean {
 		t.Error("interleaved duplicates reported clean")
 	}
-	if CopyCount(copies, 7) != 2 {
+	if len(CopiesOf(copies, 7)) != 2 {
 		t.Error("copy count wrong")
 	}
 }
@@ -146,22 +146,6 @@ func TestOriginalDegreeMissingObject(t *testing.T) {
 	if d := OriginalDegree(nil, 42); d != -1 {
 		t.Errorf("missing object degree = %v, want -1", d)
 	}
-	if d := MeanDegree(nil, 42); d != -1 {
-		t.Errorf("missing object mean degree = %v, want -1", d)
-	}
-}
-
-func TestMeanDegree(t *testing.T) {
-	tr := &trace.Trace{}
-	// Copy 0 clean, copy 1 fully interleaved with object 9.
-	tr.AddFrame(mkFrame(7, 0, 1, 0, 1000, 0, true))
-	tr.AddFrame(mkFrame(9, 0, 5, 2000, 1000, 1, false))
-	tr.AddFrame(mkFrame(7, 1, 3, 3038, 1000, 2, true))
-	tr.AddFrame(mkFrame(9, 0, 5, 4076, 1000, 3, true))
-	copies := CopyTransmissions(tr)
-	if m := MeanDegree(copies, 7); m != 0.5 {
-		t.Errorf("mean degree = %v, want 0.5", m)
-	}
 }
 
 func TestCopiesOrderedByWireOffset(t *testing.T) {
@@ -171,19 +155,5 @@ func TestCopiesOrderedByWireOffset(t *testing.T) {
 	copies := CopyTransmissions(tr)
 	if copies[0].Key.ObjectID != 1 || copies[1].Key.ObjectID != 2 {
 		t.Errorf("copies not offset-ordered: %+v", copies)
-	}
-}
-
-func TestTraceCounters(t *testing.T) {
-	tr := &trace.Trace{}
-	tr.AddPacket(trace.PacketObs{Dir: trace.ClientToServer, Retransmit: true})
-	tr.AddPacket(trace.PacketObs{Dir: trace.ServerToClient})
-	tr.AddRecord(trace.RecordObs{Dir: trace.ClientToServer, ContentType: 23})
-	tr.AddRecord(trace.RecordObs{Dir: trace.ClientToServer, ContentType: 22})
-	if tr.AppDataCount(trace.ClientToServer) != 1 {
-		t.Error("AppDataCount wrong")
-	}
-	if tr.RetransmitCount(trace.ClientToServer) != 1 || tr.RetransmitCount(trace.ServerToClient) != 0 {
-		t.Error("RetransmitCount wrong")
 	}
 }

@@ -13,13 +13,12 @@ import (
 // runs of full-size records (Figure 1's size-estimation procedure) as
 // they happen, not from a stored capture. Segmenter is that engine:
 // zero state allocation, one call per observed record, a completed
-// run returned the moment its delimiting record arrives. The batch
-// Segment helper replays a stored record slice through the same state
-// machine, so post-hoc and streaming consumers provably agree.
+// run returned the moment its delimiting record arrives.
 
 // SegmentConfig is the protocol knowledge the segmentation engine
-// needs. It mirrors the predictor's tuning fields (core.Predictor);
-// the zero value is not useful — callers supply explicit values.
+// needs. It mirrors the predictor's protocol constants (package
+// core); the zero value is not useful — callers supply explicit
+// values.
 type SegmentConfig struct {
 	// FullCipher is the ciphertext length of a full data record. A
 	// data record shorter than this delimits (ends) the current run.
@@ -80,8 +79,8 @@ func (g *Segmenter) Reset(cfg SegmentConfig) {
 // (a sub-full data record), the completed run is returned with
 // ok=true; every other record returns ok=false. An unterminated run —
 // cut off by a control-size record, an idle gap, or end of stream —
-// is silently discarded, exactly as the post-hoc inference pass does:
-// without its delimiter the size is not observable.
+// is silently discarded: without its delimiter the size is not
+// observable.
 func (g *Segmenter) Feed(r trace.RecordObs) (run Run, ok bool) {
 	if !r.IsResponseData() {
 		return Run{}, false
@@ -113,18 +112,4 @@ func (g *Segmenter) Feed(r trace.RecordObs) (run Run, ok bool) {
 		return run, true
 	}
 	return Run{}, false
-}
-
-// Segment replays a stored record slice through the state machine and
-// appends every completed run to dst (which may be nil). The
-// segmenter is Reset with cfg first, so the result is exactly what a
-// streaming consumer would have accumulated from the same records.
-func (g *Segmenter) Segment(dst []Run, cfg SegmentConfig, records []trace.RecordObs) []Run {
-	g.Reset(cfg)
-	for _, r := range records {
-		if run, ok := g.Feed(r); ok {
-			dst = append(dst, run)
-		}
-	}
-	return dst
 }

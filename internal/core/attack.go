@@ -147,10 +147,6 @@ func InstallPassive(sess *h2sim.Session) *Attack {
 	return a
 }
 
-// Phase reports the current attack phase (0 static, 1 before
-// trigger, 2 drop phase, 3 after).
-func (a *Attack) Phase() int { return a.phase }
-
 func (a *Attack) onGet(count int) {
 	if a.phase != 1 || count != a.cfg.TriggerGet {
 		return
@@ -186,20 +182,11 @@ func (a *Attack) enterPhase3() {
 }
 
 // Infer returns what the streaming engine classified during the
-// trial: the runs were segmented and matched online as the monitor
-// tapped each record, so this is a read of accumulated results, not a
-// pass over the capture. Predictions are byte-identical to the
-// post-hoc Predictor.Infer over Monitor.ResponseRecords. The returned
-// slice is backed by scratch owned by the attack: it is valid until
-// the next Arm call and must not be retained across trials.
-func (a *Attack) Infer() []Inference {
-	infs := a.stream.Inferences()
-	for i := range infs {
-		if infs[i].Object != nil {
-			a.Obs.Inc(obs.CPredIdentified)
-		} else {
-			a.Obs.Inc(obs.CPredUnknown)
-		}
-	}
-	return infs
-}
+// trial: the runs were segmented, matched and counted online as the
+// monitor tapped each record, so this is a read of accumulated
+// results, not a pass over stored records, and calling it again
+// changes nothing. Predictions equal Predictor.Infer over
+// Monitor.ResponseRecords. The returned slice is backed by scratch
+// owned by the attack: it is valid until the next Arm call and must
+// not be retained across trials.
+func (a *Attack) Infer() []Inference { return a.stream.Inferences() }

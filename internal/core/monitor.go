@@ -1,12 +1,24 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tlsrec"
 	"repro/internal/trace"
+)
+
+// The monitor's client-record classification thresholds.
+const (
+	// resetMinCipher is the ciphertext length at or above which a
+	// client record is classified as a reset burst.
+	resetMinCipher = 300
+
+	// minGetCipher/maxGetCipher bound the ciphertext length of
+	// records classified as GET requests. Records below the minimum
+	// are control chatter (SETTINGS acks, lone RST_STREAM); HTTP/2
+	// GETs are small thanks to HPACK.
+	minGetCipher = 45
+	maxGetCipher = 200
 )
 
 // Monitor is the adversary's passive observation arm: it reassembles
@@ -35,17 +47,6 @@ type Monitor struct {
 	// Records — the streaming inference engine's tap point.
 	OnRecord func(trace.RecordObs)
 
-	// ResetMinCipher is the ciphertext length above which a client
-	// record is classified as a reset burst. Default 300.
-	ResetMinCipher int
-
-	// MinGetCipher/MaxGetCipher bound the ciphertext length of
-	// records classified as GET requests. Records below the minimum
-	// are control chatter (SETTINGS acks, lone RST_STREAM); HTTP/2
-	// GETs are small thanks to HPACK. Defaults 45/200.
-	MinGetCipher int
-	MaxGetCipher int
-
 	parserC2S tlsrec.StreamParser
 	parserS2C tlsrec.StreamParser
 
@@ -60,12 +61,12 @@ type Monitor struct {
 
 // NewMonitor builds a monitor. Wire Tap as the middlebox byte tap.
 func NewMonitor(s *sim.Simulator) *Monitor {
-	return &Monitor{s: s, MinGetCipher: 45, MaxGetCipher: 200, ResetMinCipher: 300}
+	return &Monitor{s: s}
 }
 
 // Reset returns the monitor to its just-built state for a new trial:
 // observations cleared (backing arrays kept), stream parsers rewound,
-// callbacks detached. The classification thresholds are preserved.
+// callbacks detached.
 func (m *Monitor) Reset() {
 	m.Records = m.Records[:0]
 	m.OnGet = nil
@@ -110,14 +111,14 @@ func (m *Monitor) classifyClientRecord(h tlsrec.HeaderInfo) {
 		m.seenFirstC = true
 		return
 	}
-	if h.Length >= m.ResetMinCipher {
+	if h.Length >= resetMinCipher {
 		m.Obs.Inc(obs.CMonResetBurst)
 		if m.OnResetBurst != nil {
 			m.OnResetBurst()
 		}
 		return
 	}
-	if h.Length < m.MinGetCipher || h.Length > m.MaxGetCipher {
+	if h.Length < minGetCipher || h.Length > maxGetCipher {
 		return
 	}
 	m.getCount++
@@ -143,26 +144,5 @@ func (m *Monitor) ResponseRecords() []trace.RecordObs {
 		}
 	}
 	m.respScratch = out
-	return out
-}
-
-// RequestTimes returns the observation time of each counted GET.
-func (m *Monitor) RequestTimes() []time.Duration {
-	var out []time.Duration
-	count := 0
-	seenFirst := false
-	for _, r := range m.Records {
-		if r.Dir != trace.ClientToServer || !r.IsAppData() {
-			continue
-		}
-		if !seenFirst {
-			seenFirst = true
-			continue
-		}
-		if r.Length >= m.MinGetCipher && r.Length <= m.MaxGetCipher {
-			count++
-			out = append(out, r.Time)
-		}
-	}
 	return out
 }

@@ -70,7 +70,7 @@ func (p *Predictor) InferPairs(records []trace.RecordObs) []PairInference {
 // contributes its own estimation error). Ambiguous totals return
 // false.
 func (p *Predictor) uniquePair(total int) ([]*website.Object, bool) {
-	tol := 2 * p.Tolerance
+	tol := 2 * tolerance
 	var found []*website.Object
 	objs := p.Site.Objects
 	for a := 0; a < len(objs); a++ {

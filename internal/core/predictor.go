@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/obs"
 	"repro/internal/tlsrec"
 	"repro/internal/trace"
 	"repro/internal/website"
@@ -27,6 +28,38 @@ type Inference struct {
 	Records int
 }
 
+// The predictor's protocol knowledge: the size-match window and the
+// record-length thresholds that carve Figure 1's delimiter-bounded
+// runs out of the server→client record stream.
+const (
+	// tolerance is the size-match window in bytes.
+	tolerance = 32
+
+	// fullCipher is the ciphertext length of a full data record
+	// (ChunkPlain + frame header + record overhead). Runs end at any
+	// data record shorter than this.
+	fullCipher = 1400 + 9 + tlsrec.Overhead
+
+	// minDataCipher separates control/HEADERS records from data
+	// records.
+	minDataCipher = 120
+
+	// idleGap discards an unterminated run when the stream goes quiet
+	// longer than this (a transfer cut off without its delimiter, e.g.
+	// by a stream reset, leaves a run that must not absorb the next
+	// object).
+	idleGap = 600 * time.Millisecond
+)
+
+// segmentConfig is the predictor's protocol knowledge expressed as
+// the segmentation engine's config.
+var segmentConfig = analysis.SegmentConfig{
+	FullCipher:        fullCipher,
+	MinDataCipher:     minDataCipher,
+	PerRecordOverhead: tlsrec.Overhead + 9,
+	IdleGap:           idleGap,
+}
+
 // Predictor is the adversary's size-inference arm. It knows the
 // protocol constants (record overhead, frame header size, the
 // server's full-record size) and carries the precompiled size→object
@@ -35,30 +68,13 @@ type Predictor struct {
 	// Site supplies the size table.
 	Site *website.Site
 
-	// Tolerance is the size-match window in bytes. Default 32.
-	Tolerance int
-
-	// FullCipher is the ciphertext length of a full data record
-	// (ChunkPlain + frame header + record overhead). Runs end at any
-	// data record shorter than this. Default 1400+9+24.
-	FullCipher int
-
-	// MinDataCipher separates control/HEADERS records from data
-	// records. Default 120.
-	MinDataCipher int
-
-	// IdleGap discards an unterminated run when the stream goes quiet
-	// longer than this (a transfer cut off without its delimiter, e.g.
-	// by a stream reset, leaves a run that must not absorb the next
-	// object). Default 600ms.
-	IdleGap time.Duration
-
 	// table is the compiled size→object index: entries sorted by size
 	// with duplicate sizes collapsed to the lowest-index object, so
-	// matchPrimed's two binary-search neighbors reproduce the linear
-	// scan's first-wins tie-break exactly. tableSite keys the cache:
-	// the survey builder only changes object sizes by rebuilding the
-	// site (a new pointer), so pointer identity is a sound key.
+	// matchPrimed's two binary-search neighbors pick the closest
+	// object with a first-declared-wins tie-break. tableSite keys the
+	// cache: the survey builder only changes object sizes by
+	// rebuilding the site (a new pointer), so pointer identity is a
+	// sound key.
 	table     []sizeEntry
 	tableSite *website.Site
 }
@@ -70,15 +86,9 @@ type sizeEntry struct {
 	obj  *website.Object
 }
 
-// NewPredictor builds a predictor with protocol defaults for site.
+// NewPredictor builds a predictor for site.
 func NewPredictor(site *website.Site) *Predictor {
-	return &Predictor{
-		Site:          site,
-		Tolerance:     32,
-		FullCipher:    1400 + 9 + tlsrec.Overhead,
-		MinDataCipher: 120,
-		IdleGap:       600 * time.Millisecond,
-	}
+	return &Predictor{Site: site}
 }
 
 // Infer scans server→client application records for delimiter-bounded
@@ -89,94 +99,23 @@ func NewPredictor(site *website.Site) *Predictor {
 // Two kinds of separator discard an unterminated run: a control-size
 // record (every serialized response opens with a small HEADERS
 // record, so a run still open when one appears was cut off without
-// its delimiter) and an idle gap longer than IdleGap.
+// its delimiter) and an idle gap longer than idleGap.
+//
+// Infer replays the records through the same StreamInference engine
+// an armed Attack runs online, and returns a freshly allocated slice.
 func (p *Predictor) Infer(records []trace.RecordObs) []Inference {
-	return p.inferAppend(nil, records)
-}
-
-// inferAppend is Infer with a caller-supplied destination, letting a
-// reused world amortize the inference slice across trials.
-func (p *Predictor) inferAppend(out []Inference, records []trace.RecordObs) []Inference {
-	var (
-		runSize  int
-		runRecs  int
-		start    time.Duration
-		lastSeen time.Duration
-	)
-	flush := func(end time.Duration) {
-		if runRecs == 0 {
-			return
-		}
-		inf := Inference{EstSize: runSize, Start: start, End: end, Records: runRecs}
-		inf.Object = p.match(runSize)
-		out = append(out, inf)
-		runSize, runRecs = 0, 0
-	}
-	discard := func() { runSize, runRecs = 0, 0 }
+	var s StreamInference
+	s.Start(p, obs.Sink{})
 	for _, r := range records {
-		if r.Dir != trace.ServerToClient || !r.IsAppData() {
-			continue
-		}
-		if runRecs > 0 && p.IdleGap > 0 && r.Time-lastSeen > p.IdleGap {
-			discard()
-		}
-		lastSeen = r.Time
-		if r.Length < p.MinDataCipher {
-			// Control or HEADERS record: a new response is starting,
-			// so an unterminated run was a cut-off transfer.
-			discard()
-			continue
-		}
-		if runRecs == 0 {
-			start = r.Time
-		}
-		// Plain bytes carried: ciphertext minus record overhead minus
-		// the DATA frame header.
-		payload := r.Length - tlsrec.Overhead - 9
-		if payload < 0 {
-			payload = 0
-		}
-		runSize += payload
-		runRecs++
-		if r.Length < p.FullCipher {
-			// Sub-full record: the delimiting packet that ends an
-			// object's transmission.
-			flush(r.Time)
-		}
+		s.Observe(r)
 	}
-	// An unterminated trailing run is not flushed: without its
-	// delimiter the size is not observable.
-	return out
-}
-
-// match finds the site object whose size is within tolerance, or nil.
-// Among candidates the closest wins; on an exact diff tie the
-// lowest-index object wins (the strict < keeps the first seen). This
-// linear scan is the reference semantics — matchPrimed must agree on
-// every input (TestPrimedMatchEquivalence).
-func (p *Predictor) match(est int) *website.Object {
-	var best *website.Object
-	bestDiff := p.Tolerance + 1
-	for i := range p.Site.Objects {
-		o := &p.Site.Objects[i]
-		diff := o.Size - est
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff < bestDiff {
-			best, bestDiff = o, diff
-		}
-	}
-	return best
+	return s.Inferences()
 }
 
 // Prime compiles the size table for the current Site if it is not
 // already compiled. Matching after Prime is a two-neighbor binary
-// search instead of a full scan; the batched and streaming inference
-// paths call it once per site and amortize the sort across the K
-// trials a worker runs there. Infer itself never requires priming —
-// the reference path stays scan-based so equivalence tests retain an
-// independent oracle.
+// search; StreamInference.Start calls it, so the sort is paid once
+// per site across the trials a worker runs there.
 func (p *Predictor) Prime() {
 	if p.tableSite == p.Site && p.table != nil {
 		return
@@ -193,8 +132,8 @@ func (p *Predictor) Prime() {
 		}
 		return a.idx < b.idx
 	})
-	// Collapse duplicate sizes to the lowest original index — the
-	// entry the linear scan's strict < would have kept.
+	// Collapse duplicate sizes to the lowest original index, the
+	// object a first-wins scan over Site.Objects would keep.
 	out := p.table[:0]
 	for _, e := range p.table {
 		if len(out) > 0 && out[len(out)-1].size == e.size {
@@ -206,10 +145,12 @@ func (p *Predictor) Prime() {
 	p.tableSite = p.Site
 }
 
-// matchPrimed is match against the compiled table: only the floor and
-// ceiling neighbors of est can hold the minimal diff, and on an exact
-// tie between them the lower original index wins, replicating the
-// scan order. Callers must Prime first.
+// matchPrimed finds the site object whose size is within tolerance of
+// est, or nil. Among candidates the closest wins; on an exact diff tie
+// the lowest-index object wins. Only the floor and ceiling neighbors
+// of est in the compiled table can hold the minimal diff, and on a tie
+// between them the lower original index wins (TestPrimedMatchEquivalence
+// pins this against a linear scan). Callers must Prime first.
 func (p *Predictor) matchPrimed(est int) *website.Object {
 	t := p.table
 	// First entry with size >= est.
@@ -223,7 +164,7 @@ func (p *Predictor) matchPrimed(est int) *website.Object {
 		}
 	}
 	var best *website.Object
-	bestDiff := p.Tolerance + 1
+	bestDiff := tolerance + 1
 	bestIdx := 0
 	if lo < len(t) {
 		if diff := t[lo].size - est; diff < bestDiff {
@@ -233,51 +174,11 @@ func (p *Predictor) matchPrimed(est int) *website.Object {
 	if lo > 0 {
 		e := t[lo-1]
 		diff := est - e.size
-		if diff <= p.Tolerance && (diff < bestDiff || (diff == bestDiff && e.idx < bestIdx)) {
+		if diff <= tolerance && (diff < bestDiff || (diff == bestDiff && e.idx < bestIdx)) {
 			best = e.obj
 		}
 	}
 	return best
-}
-
-// segmentConfig is the predictor's tuning expressed as the streaming
-// segmentation engine's config. Both inference paths derive their
-// constants from here, so they cannot drift.
-func (p *Predictor) segmentConfig() analysis.SegmentConfig {
-	return analysis.SegmentConfig{
-		FullCipher:        p.FullCipher,
-		MinDataCipher:     p.MinDataCipher,
-		PerRecordOverhead: tlsrec.Overhead + 9,
-		IdleGap:           p.IdleGap,
-	}
-}
-
-// InferBatch classifies K record streams against one site, priming
-// the size table once and reusing the segmentation state across the
-// batch. Results are element-wise identical to calling Infer on each
-// stream. Use it when a worker runs several trials of the same site
-// (the survey's SiteTrials repetitions): the per-call table setup
-// that Infer's scan path pays per inference is amortized to one sort
-// per site.
-func (p *Predictor) InferBatch(streams [][]trace.RecordObs) [][]Inference {
-	p.Prime()
-	out := make([][]Inference, len(streams))
-	var seg analysis.Segmenter
-	for i, recs := range streams {
-		seg.Reset(p.segmentConfig())
-		var infs []Inference
-		for _, r := range recs {
-			run, ok := seg.Feed(r)
-			if !ok {
-				continue
-			}
-			inf := Inference{EstSize: run.Size, Start: run.Start, End: run.End, Records: run.Records}
-			inf.Object = p.matchPrimed(run.Size)
-			infs = append(infs, inf)
-		}
-		out[i] = infs
-	}
-	return out
 }
 
 // PredictEmblemOrder extracts the predicted survey outcome: the

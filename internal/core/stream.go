@@ -6,19 +6,19 @@ import (
 	"repro/internal/trace"
 )
 
-// StreamInference is the adversary's online inference engine: the
-// paper's size side channel evaluated as the records appear on the
-// wire instead of from a stored capture. It feeds every tapped record
-// through the incremental segmentation engine (analysis.Segmenter)
-// and matches each completed run against the predictor's primed size
-// table the moment its delimiting record arrives, emitting an
-// obs.EvPredRun flight-recorder event per run.
+// StreamInference is the adversary's inference engine: the paper's
+// size side channel evaluated as the records appear on the wire. It
+// feeds every tapped record through the incremental segmentation
+// engine (analysis.Segmenter) and matches each completed run against
+// the predictor's primed size table the moment its delimiting record
+// arrives, counting it as identified or unknown and emitting an
+// obs.EvPredRun flight-recorder event per run. An armed Attack runs
+// one online; Predictor.Infer replays a stored record slice through a
+// fresh one.
 //
 // The engine owns its inference slice and segmentation state and
 // reuses both across trials, so once grown to a trial's high-water
-// mark a steady-state trial infers without allocating. Results are
-// byte-identical to the post-hoc Predictor.Infer pass over the same
-// records (TestStreamingMatchesPostHoc).
+// mark a steady-state trial infers without allocating.
 type StreamInference struct {
 	p    *Predictor
 	seg  analysis.Segmenter
@@ -27,14 +27,14 @@ type StreamInference struct {
 }
 
 // Start rewinds the engine for a new trial: the predictor's size
-// table is primed (a no-op when the site is unchanged — the batching
-// win when a worker runs K trials per site), the segmenter reset with
-// the predictor's current tuning, and the inference buffer emptied.
+// table is primed (a no-op when the site is unchanged, so a worker
+// running K trials per site sorts it once), the segmenter reset and
+// the inference buffer emptied.
 func (s *StreamInference) Start(p *Predictor, sink obs.Sink) {
 	s.p = p
 	s.sink = sink
 	p.Prime()
-	s.seg.Reset(p.segmentConfig())
+	s.seg.Reset(segmentConfig)
 	s.infs = s.infs[:0]
 }
 
@@ -52,6 +52,9 @@ func (s *StreamInference) Observe(r trace.RecordObs) {
 	obj := int64(-1)
 	if inf.Object != nil {
 		obj = int64(inf.Object.ID)
+		s.sink.Inc(obs.CPredIdentified)
+	} else {
+		s.sink.Inc(obs.CPredUnknown)
 	}
 	s.sink.Event(run.End, obs.EvPredRun, int64(run.Size), obj)
 }

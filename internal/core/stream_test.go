@@ -8,17 +8,17 @@ import (
 
 	"repro/internal/h2sim"
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/website"
 )
 
 // TestStreamingMatchesPostHoc runs full attack sessions and checks
 // that the online inference the attack accumulated while the monitor
 // tapped records is identical — fields and matched-object pointers —
-// to the post-hoc reference pass (linear-scan Predictor.Infer over
-// the stored capture). This is the end-to-end half of the equivalence
-// suite; internal/analysis covers the segmentation state machine on
-// synthetic streams.
+// to the post-hoc reference pass (the test-only inferAppend with its
+// linear-scan match, over the stored records), and that
+// Predictor.Infer's replay of the same records agrees too. This is
+// the end-to-end half of the equivalence suite; internal/analysis
+// covers the segmentation state machine on synthetic streams.
 func TestStreamingMatchesPostHoc(t *testing.T) {
 	cases := []struct {
 		name string
@@ -38,21 +38,29 @@ func TestStreamingMatchesPostHoc(t *testing.T) {
 				sess.Run()
 
 				streamed := atk.Infer()
-				posthoc := atk.Predictor.Infer(atk.Monitor.ResponseRecords())
+				posthoc := atk.Predictor.inferAppend(nil, atk.Monitor.Records)
 				if len(posthoc) == 0 && tc.name != "passive" {
 					t.Fatalf("seed %d: no inferences — degenerate trial", seed)
 				}
-				if !reflect.DeepEqual(streamed, posthoc) && !(len(streamed) == 0 && len(posthoc) == 0) {
-					t.Fatalf("seed %d: streaming inference diverges from post-hoc\n got %+v\nwant %+v",
-						seed, streamed, posthoc)
-				}
-				for i := range streamed {
-					if streamed[i].Object != posthoc[i].Object {
-						t.Fatalf("seed %d run %d: matched object pointers differ", seed, i)
-					}
-				}
+				sameInferences(t, seed, "streaming", streamed, posthoc)
+				replayed := NewPredictor(site).Infer(atk.Monitor.Records)
+				sameInferences(t, seed, "Predictor.Infer", replayed, posthoc)
 			}
 		})
+	}
+}
+
+// sameInferences fails the test unless got equals want field by field
+// with the same matched-object pointers.
+func sameInferences(t *testing.T, seed int64, name string, got, want []Inference) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
+		t.Fatalf("seed %d: %s inference diverges from post-hoc\n got %+v\nwant %+v", seed, name, got, want)
+	}
+	for i := range got {
+		if got[i].Object != want[i].Object {
+			t.Fatalf("seed %d run %d: %s matched object pointers differ", seed, i, name)
+		}
 	}
 }
 
@@ -67,11 +75,40 @@ func TestStreamingSurvivesRearm(t *testing.T) {
 		sess.Reset(website.Survey(website.IdentityPermutation()), h2sim.SessionConfig{Seed: seed, RandomizeAmbient: true})
 		atk.Arm(PaperAttack())
 		sess.Run()
-		streamed := atk.Infer()
-		posthoc := atk.Predictor.Infer(atk.Monitor.ResponseRecords())
-		if !reflect.DeepEqual(streamed, posthoc) && !(len(streamed) == 0 && len(posthoc) == 0) {
-			t.Fatalf("seed %d: re-armed streaming inference diverges", seed)
+		sameInferences(t, seed, "re-armed streaming", atk.Infer(),
+			atk.Predictor.inferAppend(nil, atk.Monitor.Records))
+	}
+}
+
+// TestAttackInferCountsOnce checks that the prediction counters count
+// each classified run once, when it is classified: reading the
+// inferences again in the same trial must not add to them.
+func TestAttackInferCountsOnce(t *testing.T) {
+	site := website.Survey(website.IdentityPermutation())
+	sess := h2sim.NewSession(site, h2sim.SessionConfig{Seed: 3, RandomizeAmbient: true})
+	atk := NewAttack(sess)
+	reg := obs.NewRegistry()
+	atk.Obs = reg.NewShard().Sink(0)
+	atk.Arm(PaperAttack())
+	sess.Run()
+	var identified, unknown uint64
+	for _, inf := range atk.Infer() {
+		if inf.Object != nil {
+			identified++
+		} else {
+			unknown++
 		}
+	}
+	if identified == 0 || unknown == 0 {
+		t.Fatalf("degenerate trial: %d identified, %d unknown runs", identified, unknown)
+	}
+	atk.Infer()
+	seg := reg.Snapshot().Segment("all")
+	if got := seg.Counter("attack.pred.identified"); got != identified {
+		t.Errorf("attack.pred.identified = %d after two Infer calls, want %d", got, identified)
+	}
+	if got := seg.Counter("attack.pred.unknown"); got != unknown {
+		t.Errorf("attack.pred.unknown = %d after two Infer calls, want %d", got, unknown)
 	}
 }
 
@@ -149,8 +186,8 @@ func TestPrimedMatchEquivalence(t *testing.T) {
 		p.Prime()
 		lo, hi := -10, 10
 		for _, o := range site.Objects {
-			if o.Size+p.Tolerance+2 > hi {
-				hi = o.Size + p.Tolerance + 2
+			if o.Size+tolerance+2 > hi {
+				hi = o.Size + tolerance + 2
 			}
 		}
 		for est := lo; est <= hi; est++ {
@@ -180,30 +217,5 @@ func TestPrimeInvalidatesOnSiteChange(t *testing.T) {
 	}
 	if got := p.matchPrimed(1000); got != nil {
 		t.Fatalf("stale s1 entry survived reprime: %v", got)
-	}
-}
-
-// TestInferBatch checks the batched API equals element-wise Infer.
-func TestInferBatch(t *testing.T) {
-	site := website.Survey(website.IdentityPermutation())
-	var streams [][]trace.RecordObs
-	for seed := int64(1); seed <= 4; seed++ {
-		sess := h2sim.NewSession(site, h2sim.SessionConfig{Seed: seed, RandomizeAmbient: true})
-		atk := InstallPassive(sess)
-		sess.Run()
-		streams = append(streams, append([]trace.RecordObs(nil), atk.Monitor.Records...))
-	}
-	streams = append(streams, nil) // empty stream stays empty
-
-	p := NewPredictor(site)
-	got := p.InferBatch(streams)
-	if len(got) != len(streams) {
-		t.Fatalf("InferBatch returned %d results for %d streams", len(got), len(streams))
-	}
-	for i, recs := range streams {
-		want := p.Infer(recs)
-		if !reflect.DeepEqual(got[i], want) && !(len(got[i]) == 0 && len(want) == 0) {
-			t.Fatalf("stream %d: InferBatch diverges from Infer\n got %+v\nwant %+v", i, got[i], want)
-		}
 	}
 }

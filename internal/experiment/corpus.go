@@ -175,9 +175,9 @@ func (w *World) RunSiteTrial(gs *website.GeneratedSite, p CorpusTrialParams) Sur
 	if lt := sess.Client.CompletedAt(lastID); lt > 0 {
 		res.LoadTimeMs = float64(lt) / float64(time.Millisecond)
 	}
-	// The survey result keeps no transmission pointers, so the
-	// zero-alloc arena-reused variant is safe here.
-	copies := w.an.CopiesReused(sess.GroundTruth)
+	// The survey result keeps no transmission pointers, so scoring
+	// from the analyzer's arena is safe here.
+	copies := w.an.Copies(sess.GroundTruth)
 	res.TargetClean, res.TargetCleanOrig = analysis.CleanCopy(copies, targetID)
 	res.TargetDegree = analysis.OriginalDegree(copies, targetID)
 

@@ -116,8 +116,8 @@ func appendRequestLog(dst []byte, l h2sim.RequestLog) []byte {
 }
 
 // AppendTrialResult appends r's JSON object, byte-identical to
-// json.Marshal(r): untagged Go field names in declaration order,
-// Copies excluded (json:"-"), nil Requests encoding as null.
+// json.Marshal(r): untagged Go field names in declaration order, nil
+// Requests encoding as null.
 func AppendTrialResult(dst []byte, r TrialResult) ([]byte, error) {
 	var err error
 	dst = append(dst, `{"Broken":`...)

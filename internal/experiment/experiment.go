@@ -20,7 +20,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/h2sim"
 	"repro/internal/netem"
@@ -121,12 +120,6 @@ type TrialResult struct {
 	Resets          int
 	PageComplete    bool
 	LoadTime        time.Duration
-
-	// Copies gives the ground-truth transmissions for deeper digs.
-	// Excluded from the JSON form (sharded sweeps serialize results
-	// across process boundaries): no sweep aggregator reads them, and
-	// they dwarf the rest of the record.
-	Copies []*analysis.CopyTransmission `json:"-"`
 
 	// Requests is the client's request log (issue times, objects,
 	// re-issues), used for Table II's inter-request timing rows.

@@ -289,11 +289,12 @@ func TestTruthOrderMatchesPermutation(t *testing.T) {
 }
 
 func TestGroundTruthConsistency(t *testing.T) {
-	r := RunTrial(TrialParams{Seed: 53000, Mode: ModePassive})
+	w := NewWorld()
+	r := w.RunTrial(TrialParams{Seed: 53000, Mode: ModePassive})
 	if !r.PageComplete {
 		t.Fatal("baseline page incomplete")
 	}
-	copies := r.Copies
+	copies := analysis.CopyTransmissions(w.sess.GroundTruth)
 	// Original copy byte counts equal object sizes for complete copies.
 	site := website.Survey(r.TruthOrder)
 	for _, spec := range site.Schedule {
@@ -425,9 +426,11 @@ func TestBaselineImageDegreesHigh(t *testing.T) {
 	var sum float64
 	var n int
 	for i := 0; i < 20; i++ {
-		r := RunTrial(TrialParams{Seed: int64(95000 + i), Mode: ModePassive})
+		w := NewWorld()
+		w.RunTrial(TrialParams{Seed: int64(95000 + i), Mode: ModePassive})
+		copies := analysis.CopyTransmissions(w.sess.GroundTruth)
 		for p := 0; p < website.PartyCount; p++ {
-			d := analysis.OriginalDegree(r.Copies, website.EmblemID(p))
+			d := analysis.OriginalDegree(copies, website.EmblemID(p))
 			if d >= 0 {
 				sum += d
 				n++

@@ -87,13 +87,13 @@ const ShardWriterBuf = 1 << 18
 
 // RunShard executes the [cfg.Start, cfg.End) slice of the sweep
 // through the checkpointable pipeline, writing one JSON-marshalled
-// TrialResult per trial (Copies excluded — no aggregator reads them)
-// as a line of jsonlPath. st, when non-nil, receives the slice's
-// metrics (segment labels set here) and rides the checkpoint cycle so
-// the snapshot covers the whole range across restarts. A trial that
-// panics is recorded as TrialResult{Broken: true}, matching what
-// runTrials feeds the in-process aggregators, so a merged shard set
-// aggregates identically to a single-process run.
+// TrialResult per trial as a line of jsonlPath. st, when non-nil,
+// receives the slice's metrics (segment labels set here) and rides the
+// checkpoint cycle so the snapshot covers the whole range across
+// restarts. A trial that panics is recorded as
+// TrialResult{Broken: true}, matching what runTrials feeds the
+// in-process aggregators, so a merged shard set aggregates
+// identically to a single-process run.
 func (d SweepDef) RunShard(cfg pipeline.Config, st *ObsState, jsonlPath string) (pipeline.Summary, error) {
 	newState := NewWorld
 	jsonl := pipeline.NewJSONL(jsonlPath, func(_ int, _ TrialParams, r TrialResult) (any, error) {

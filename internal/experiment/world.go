@@ -143,18 +143,17 @@ func (w *World) RunTrial(p TrialParams) TrialResult {
 		LoadTime:        sess.Client.CompletedAt(45), // the trailing beacon
 	}
 	res.Requests = sess.Client.Requests
-	// Copies escape the trial (the result is collected), so they are
-	// freshly allocated; only the analyzer's indexing scratch is
-	// reused.
-	res.Copies = w.an.Copies(sess.GroundTruth)
-	res.HTMLCleanAny, res.HTMLCleanOrig = analysis.CleanCopy(res.Copies, website.ResultHTMLID)
-	res.HTMLDegree = analysis.OriginalDegree(res.Copies, website.ResultHTMLID)
+	// The result keeps verdicts, not transmissions, so scoring from
+	// the analyzer's arena is safe here.
+	copies := w.an.Copies(sess.GroundTruth)
+	res.HTMLCleanAny, res.HTMLCleanOrig = analysis.CleanCopy(copies, website.ResultHTMLID)
+	res.HTMLDegree = analysis.OriginalDegree(copies, website.ResultHTMLID)
 
 	infs := atk.Infer()
 	res.HTMLIdentified = atk.Predictor.IdentifiedHTML(infs)
 	res.PredOrder = atk.Predictor.PredictEmblemOrder(infs)
 	for i, party := range res.TruthOrder {
-		clean, _ := analysis.CleanCopy(res.Copies, website.EmblemID(party))
+		clean, _ := analysis.CleanCopy(copies, website.EmblemID(party))
 		res.ImageClean[i] = clean
 	}
 	sink.Inc(obs.CTrial)

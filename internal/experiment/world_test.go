@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/h2sim"
 	"repro/internal/obs"
@@ -14,7 +15,8 @@ import (
 
 // TestWorldMatchesFreshTrial is the reuse-correctness contract of the
 // trial world: for every adversary mode, a trial run in a reused
-// world must equal the same trial run in a fresh world, bit for bit.
+// world must equal the same trial run in a fresh world, bit for bit —
+// the result and every copy transmission of the ground truth.
 func TestWorldMatchesFreshTrial(t *testing.T) {
 	params := []TrialParams{
 		{Seed: 7, Mode: ModePassive},
@@ -27,12 +29,14 @@ func TestWorldMatchesFreshTrial(t *testing.T) {
 	}
 	w := NewWorld()
 	for _, p := range params {
-		fresh := RunTrial(p)
+		fw := NewWorld()
+		fresh := fw.RunTrial(p)
 		reused := w.RunTrial(p)
 		if !reflect.DeepEqual(fresh, reused) {
 			t.Errorf("params %+v: reused-world result differs from fresh world\nfresh:  %+v\nreused: %+v",
 				p, fresh, reused)
 		}
+		sameCopies(t, fw, w)
 	}
 }
 
@@ -44,7 +48,8 @@ func TestWorldMatchesFreshTrial(t *testing.T) {
 // regression gate for every Reset method in the stack.
 func TestWorldNoStateLeak(t *testing.T) {
 	target := TrialParams{Seed: 42, Mode: ModeFullAttack}
-	want := NewWorld().RunTrial(target)
+	fw := NewWorld()
+	want := fw.RunTrial(target)
 
 	// A near-certain-drop attack phase against a transport with no
 	// retry budget: the dirtying trial must end with a broken
@@ -78,6 +83,21 @@ func TestWorldNoStateLeak(t *testing.T) {
 	got := w.RunTrial(target)
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("world state leaked across trials\nfresh:  %+v\ndirty world: %+v", want, got)
+	}
+	sameCopies(t, fw, w)
+}
+
+// sameCopies checks that two worlds' last trials put the same copy
+// transmissions on the wire, compared field by field.
+func sameCopies(t *testing.T, fresh, reused *World) {
+	t.Helper()
+	want := analysis.CopyTransmissions(fresh.sess.GroundTruth)
+	got := analysis.CopyTransmissions(reused.sess.GroundTruth)
+	if len(want) == 0 {
+		t.Fatal("fresh trial transmitted no copies")
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("copy transmissions differ\nfresh:  %+v\nreused: %+v", want, got)
 	}
 }
 

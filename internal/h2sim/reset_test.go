@@ -3,43 +3,69 @@ package h2sim
 import (
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/netem"
 	"repro/internal/trace"
 	"repro/internal/website"
 )
 
-// tracesEqual compares two traces element-wise (capacity and nilness
-// of the backing arrays are irrelevant — a reused trace keeps its
-// arrays, a fresh one grows them).
-func tracesEqual(t *testing.T, name string, a, b *trace.Trace) {
+// packetObs is one packet as it crossed the middlebox.
+type packetObs struct {
+	Time       time.Duration
+	Dir        trace.Direction
+	Seq        uint32
+	PayloadLen int
+	WireLen    int
+	Retransmit bool
+}
+
+// recordPackets installs a pass-through interceptor on the session's
+// middlebox that logs every packet crossing it. Session.Reset clears
+// the interceptor, so call it again after each Reset.
+func recordPackets(sess *Session) *[]packetObs {
+	var log []packetObs
+	sess.Middlebox().Interceptor = func(dir trace.Direction, p *netem.Packet) netem.Decision {
+		log = append(log, packetObs{
+			Time:       sess.Sim.Now(),
+			Dir:        dir,
+			Seq:        p.Seq,
+			PayloadLen: len(p.Payload),
+			WireLen:    p.WireLen(),
+			Retransmit: p.Retransmit,
+		})
+		return netem.Pass()
+	}
+	return &log
+}
+
+// packetsEqual compares two packet logs element-wise.
+func packetsEqual(t *testing.T, a, b []packetObs) {
 	t.Helper()
-	if len(a.Packets) != len(b.Packets) {
-		t.Errorf("%s: packet count %d != %d", name, len(a.Packets), len(b.Packets))
+	if len(a) != len(b) {
+		t.Errorf("packet count %d != %d", len(a), len(b))
 		return
 	}
-	for i := range a.Packets {
-		if a.Packets[i] != b.Packets[i] {
-			t.Errorf("%s: packet %d: %+v != %+v", name, i, a.Packets[i], b.Packets[i])
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("packet %d: %+v != %+v", i, a[i], b[i])
 			return
 		}
 	}
-	if len(a.Records) != len(b.Records) {
-		t.Errorf("%s: record count %d != %d", name, len(a.Records), len(b.Records))
-		return
-	}
-	for i := range a.Records {
-		if a.Records[i] != b.Records[i] {
-			t.Errorf("%s: record %d: %+v != %+v", name, i, a.Records[i], b.Records[i])
-			return
-		}
-	}
+}
+
+// framesEqual compares two ground-truth traces element-wise (capacity
+// and nilness of the backing arrays are irrelevant — a reused trace
+// keeps its arrays, a fresh one grows them).
+func framesEqual(t *testing.T, a, b *trace.Trace) {
+	t.Helper()
 	if len(a.Frames) != len(b.Frames) {
-		t.Errorf("%s: frame count %d != %d", name, len(a.Frames), len(b.Frames))
+		t.Errorf("frame count %d != %d", len(a.Frames), len(b.Frames))
 		return
 	}
 	for i := range a.Frames {
 		if a.Frames[i] != b.Frames[i] {
-			t.Errorf("%s: frame %d: %+v != %+v", name, i, a.Frames[i], b.Frames[i])
+			t.Errorf("frame %d: %+v != %+v", i, a.Frames[i], b.Frames[i])
 			return
 		}
 	}
@@ -55,18 +81,25 @@ func TestSessionResetReplaysFreshRun(t *testing.T) {
 	targetCfg := SessionConfig{Seed: 77, RandomizeAmbient: true}
 
 	fresh := NewSession(site, targetCfg)
+	freshPackets := recordPackets(fresh)
 	fresh.Run()
+	if len(*freshPackets) == 0 {
+		t.Fatal("no packets crossed the middlebox")
+	}
 
 	reused := NewSession(site, SessionConfig{Seed: 5, RandomizeAmbient: true})
+	recordPackets(reused)
 	reused.Run()
 	otherSite := website.Survey(website.RandomPermutation(rand.New(rand.NewSource(9))))
 	reused.Reset(otherSite, SessionConfig{Seed: 6})
+	recordPackets(reused)
 	reused.Run()
 	reused.Reset(site, targetCfg)
+	reusedPackets := recordPackets(reused)
 	reused.Run()
 
-	tracesEqual(t, "capture", fresh.Capture, reused.Capture)
-	tracesEqual(t, "ground truth", fresh.GroundTruth, reused.GroundTruth)
+	packetsEqual(t, *freshPackets, *reusedPackets)
+	framesEqual(t, fresh.GroundTruth, reused.GroundTruth)
 	if fresh.Client.Stats != reused.Client.Stats {
 		t.Errorf("client stats: fresh %+v != reused %+v", fresh.Client.Stats, reused.Client.Stats)
 	}

@@ -96,10 +96,8 @@ type Session struct {
 	Client *Client
 	Site   *website.Site
 
-	// Capture is the middlebox's packet/record observation trace (the
-	// adversary's view). GroundTruth is the server's frame
-	// attribution trace (the evaluator's view).
-	Capture     *trace.Trace
+	// GroundTruth is the server's frame attribution trace (the
+	// evaluator's view; the adversary sees only the middlebox).
 	GroundTruth *trace.Trace
 
 	cfg SessionConfig
@@ -113,7 +111,6 @@ func NewSession(site *website.Site, cfg SessionConfig) *Session {
 	s := sim.New(0)
 	sess := &Session{
 		Sim:         s,
-		Capture:     &trace.Trace{},
 		GroundTruth: &trace.Trace{},
 	}
 	sess.Server = NewServer(s, ServerConfig{}, site)
@@ -152,7 +149,6 @@ func (sess *Session) Reset(site *website.Site, cfg SessionConfig) {
 	}
 	sess.Site = site
 	sess.cfg = cfg
-	sess.Capture.Reset()
 	sess.GroundTruth.Reset()
 	sess.Server.Reset(cfg.Server, site)
 	sess.Client.Reset(cfg.Client, site)
@@ -163,7 +159,6 @@ func (sess *Session) Reset(site *website.Site, cfg SessionConfig) {
 	sess.Conn.SetObs(cfg.Obs)
 	sess.Client.Obs = cfg.Obs
 	sess.Server.Obs = cfg.Obs
-	sess.Conn.Path.Mbox.Capture = sess.Capture
 	sess.Client.Attach(sess.Conn.Client)
 	sess.Server.Attach(sess.Conn.Server)
 	sess.Conn.Client.OnRetransmit = sess.Client.OnTCPRetransmit

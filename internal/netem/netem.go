@@ -316,9 +316,9 @@ type Interceptor func(dir trace.Direction, p *Packet) Decision
 type ByteTap func(dir trace.Direction, b []byte)
 
 // Middlebox is the compromised on-path device: it observes every
-// packet (feeding the capture trace and the byte-stream taps), applies
-// the interceptor verdict, and forwards survivors to the outgoing
-// link of the packet's direction.
+// packet (feeding the byte-stream tap), applies the interceptor
+// verdict, and forwards survivors to the outgoing link of the
+// packet's direction.
 type Middlebox struct {
 	sim       *sim.Simulator
 	forwardFn func(any) // reused AfterArg callback for delayed packets
@@ -332,9 +332,6 @@ type Middlebox struct {
 
 	// Tap receives reassembled payload bytes per direction; may be nil.
 	Tap ByteTap
-
-	// Capture, when non-nil, receives packet observations.
-	Capture *trace.Trace
 
 	// Stats counts interceptor outcomes.
 	Stats struct {
@@ -364,7 +361,6 @@ func (m *Middlebox) SetPool(pp *PacketPool) { m.pool = pp }
 func (m *Middlebox) Reset() {
 	m.Interceptor = nil
 	m.Tap = nil
-	m.Capture = nil
 	m.Stats.Passed, m.Stats.Dropped, m.Stats.Delayed = 0, 0, 0
 	m.asmC2S.reset()
 	m.asmS2C.reset()
@@ -380,16 +376,6 @@ func (m *Middlebox) linkFor(dir trace.Direction) *Link {
 
 // HandlePacket is the middlebox's link-delivery entry point.
 func (m *Middlebox) HandlePacket(p *Packet) {
-	if m.Capture != nil {
-		m.Capture.AddPacket(trace.PacketObs{
-			Time:       m.sim.Now(),
-			Dir:        p.Dir,
-			Seq:        p.Seq,
-			PayloadLen: len(p.Payload),
-			WireLen:    p.WireLen(),
-			Retransmit: p.Retransmit,
-		})
-	}
 	if m.Tap != nil && len(p.Payload) > 0 {
 		var fresh []byte
 		if p.Dir == trace.ClientToServer {

@@ -1,14 +1,14 @@
 // Package trace defines the observation records shared by the network
-// simulation, the adversary, and the offline analysis: packets as seen
-// on the wire at a vantage point, TLS records parsed from the byte
-// stream, and ground-truth HTTP/2 frame events emitted by the
-// instrumented endpoints.
+// simulation, the adversary, and the offline analysis: TLS records
+// parsed from the tapped byte stream, and ground-truth HTTP/2 frame
+// events emitted by the instrumented server.
 //
-// Key types: PacketObs and RecordObs (what the paper's gateway
-// monitor captures, section V), FrameEvent (server-side ground truth
-// the adversary never sees, used only for scoring, as in the paper's
-// section VI evaluation), and Trace (a trial's full capture, exported
-// by cmd/h2trace).
+// Key types: Direction (which way a packet travels), RecordObs (what
+// the paper's gateway monitor observes, section V: the cleartext
+// header of each TLS record), FrameEvent (server-side ground truth the
+// adversary never sees, used only for scoring, as in the paper's
+// section VI evaluation), and Trace (a trial's ground-truth frame log,
+// scored by package analysis and exported by cmd/h2trace).
 package trace
 
 import (
@@ -47,19 +47,6 @@ func (d Direction) Reverse() Direction {
 	return ClientToServer
 }
 
-// PacketObs is one packet observed at a vantage point (the
-// compromised middlebox). Payload is the TCP payload bytes — for an
-// HTTPS connection these are TLS records, whose 5-byte headers are
-// cleartext; everything inside is opaque.
-type PacketObs struct {
-	Time       time.Duration
-	Dir        Direction
-	Seq        uint32
-	PayloadLen int
-	WireLen    int
-	Retransmit bool
-}
-
 // RecordObs is one TLS record reassembled from the observed TCP byte
 // stream. Only the cleartext header fields are available to an
 // observer.
@@ -77,9 +64,8 @@ func (r RecordObs) IsAppData() bool { return r.ContentType == 23 }
 
 // IsResponseData reports whether the record is server→client
 // application data — the subset the size-inference side channel
-// consumes. The monitor's batch filter and the streaming segmentation
-// engine share this predicate so the two inference paths see exactly
-// the same records.
+// consumes. The monitor's ResponseRecords filter and the segmentation
+// engine share this predicate.
 func (r RecordObs) IsResponseData() bool {
 	return r.Dir == ServerToClient && r.IsAppData()
 }
@@ -113,51 +99,15 @@ type FrameEvent struct {
 	End bool
 }
 
-// Trace accumulates the three observation kinds for one trial.
+// Trace is one trial's ground-truth frame log.
 type Trace struct {
-	Packets []PacketObs
-	Records []RecordObs
-	Frames  []FrameEvent
+	Frames []FrameEvent
 }
 
-// Reset empties all three observation streams, keeping their backing
-// arrays so a reused trace records allocation-free once it has grown
-// to a trial's high-water mark.
-func (t *Trace) Reset() {
-	t.Packets = t.Packets[:0]
-	t.Records = t.Records[:0]
-	t.Frames = t.Frames[:0]
-}
-
-// AddPacket appends a packet observation.
-func (t *Trace) AddPacket(p PacketObs) { t.Packets = append(t.Packets, p) }
-
-// AddRecord appends a TLS record observation.
-func (t *Trace) AddRecord(r RecordObs) { t.Records = append(t.Records, r) }
+// Reset empties the log, keeping its backing array so a reused trace
+// records allocation-free once it has grown to a trial's high-water
+// mark.
+func (t *Trace) Reset() { t.Frames = t.Frames[:0] }
 
 // AddFrame appends a ground-truth frame event.
 func (t *Trace) AddFrame(f FrameEvent) { t.Frames = append(t.Frames, f) }
-
-// AppDataCount returns the number of application-data records seen in
-// the given direction.
-func (t *Trace) AppDataCount(dir Direction) int {
-	n := 0
-	for _, r := range t.Records {
-		if r.Dir == dir && r.IsAppData() {
-			n++
-		}
-	}
-	return n
-}
-
-// RetransmitCount returns the number of packets flagged as
-// transport-layer retransmissions in the given direction.
-func (t *Trace) RetransmitCount(dir Direction) int {
-	n := 0
-	for _, p := range t.Packets {
-		if p.Dir == dir && p.Retransmit {
-			n++
-		}
-	}
-	return n
-}

@@ -28,85 +28,37 @@ func TestRecordObsIsAppData(t *testing.T) {
 
 func TestTraceAccumulators(t *testing.T) {
 	tr := &Trace{}
-	tr.AddPacket(PacketObs{Time: time.Second, Dir: ClientToServer, PayloadLen: 10, Retransmit: true})
-	tr.AddPacket(PacketObs{Time: 2 * time.Second, Dir: ClientToServer, PayloadLen: 20})
-	tr.AddPacket(PacketObs{Time: 3 * time.Second, Dir: ServerToClient, PayloadLen: 30, Retransmit: true})
-	tr.AddRecord(RecordObs{Dir: ServerToClient, ContentType: 23, Length: 100})
-	tr.AddRecord(RecordObs{Dir: ServerToClient, ContentType: 21, Length: 2})
-	tr.AddRecord(RecordObs{Dir: ClientToServer, ContentType: 23, Length: 50})
-	tr.AddFrame(FrameEvent{ObjectID: 1, Len: 100})
+	tr.AddFrame(FrameEvent{Time: time.Second, ObjectID: 1, Len: 100})
+	tr.AddFrame(FrameEvent{Time: 2 * time.Second, ObjectID: 2, CopyID: 1, Len: 0})
+	tr.AddFrame(FrameEvent{Time: 3 * time.Second, ObjectID: 1, Len: 50, End: true})
 
-	if len(tr.Packets) != 3 || len(tr.Records) != 3 || len(tr.Frames) != 1 {
-		t.Fatalf("sizes: %d %d %d", len(tr.Packets), len(tr.Records), len(tr.Frames))
+	if len(tr.Frames) != 3 {
+		t.Fatalf("frames = %d, want 3", len(tr.Frames))
 	}
-	if tr.AppDataCount(ServerToClient) != 1 || tr.AppDataCount(ClientToServer) != 1 {
-		t.Error("AppDataCount wrong")
-	}
-	if tr.RetransmitCount(ClientToServer) != 1 || tr.RetransmitCount(ServerToClient) != 1 {
-		t.Error("RetransmitCount wrong")
-	}
-}
-
-func TestTraceCountsEmpty(t *testing.T) {
-	tr := &Trace{}
-	for _, dir := range []Direction{ClientToServer, ServerToClient} {
-		if tr.AppDataCount(dir) != 0 {
-			t.Errorf("AppDataCount(%v) on empty trace = %d", dir, tr.AppDataCount(dir))
-		}
-		if tr.RetransmitCount(dir) != 0 {
-			t.Errorf("RetransmitCount(%v) on empty trace = %d", dir, tr.RetransmitCount(dir))
-		}
-	}
-}
-
-// TestTraceCountsFilterDirection pins the direction filter: records
-// and packets of the opposite direction, and non-app-data records,
-// must not leak into a direction's counts.
-func TestTraceCountsFilterDirection(t *testing.T) {
-	tr := &Trace{}
-	for i := 0; i < 3; i++ {
-		tr.AddRecord(RecordObs{Dir: ClientToServer, ContentType: 23})
-		tr.AddRecord(RecordObs{Dir: ClientToServer, ContentType: 22}) // handshake: not app data
-		tr.AddPacket(PacketObs{Dir: ServerToClient, Retransmit: true})
-		tr.AddPacket(PacketObs{Dir: ServerToClient}) // original transmission
-	}
-	if got := tr.AppDataCount(ClientToServer); got != 3 {
-		t.Errorf("AppDataCount(c->s) = %d, want 3", got)
-	}
-	if got := tr.AppDataCount(ServerToClient); got != 0 {
-		t.Errorf("AppDataCount(s->c) = %d, want 0", got)
-	}
-	if got := tr.RetransmitCount(ServerToClient); got != 3 {
-		t.Errorf("RetransmitCount(s->c) = %d, want 3", got)
-	}
-	if got := tr.RetransmitCount(ClientToServer); got != 0 {
-		t.Errorf("RetransmitCount(c->s) = %d, want 0", got)
+	if tr.Frames[1].CopyID != 1 || !tr.Frames[2].End || tr.Frames[2].Time != 3*time.Second {
+		t.Errorf("frames not kept in order: %+v", tr.Frames)
 	}
 }
 
 // TestTraceResetKeepsCapacity pins the reuse contract: Reset empties
-// the three streams but keeps their backing arrays, so a reused trace
+// the frame log but keeps its backing array, so a reused trace
 // records allocation-free at its high-water mark.
 func TestTraceResetKeepsCapacity(t *testing.T) {
 	tr := &Trace{}
 	for i := 0; i < 100; i++ {
-		tr.AddPacket(PacketObs{Dir: ClientToServer})
-		tr.AddRecord(RecordObs{Dir: ClientToServer, ContentType: 23})
 		tr.AddFrame(FrameEvent{ObjectID: i})
 	}
-	cp, cr, cf := cap(tr.Packets), cap(tr.Records), cap(tr.Frames)
+	cf := cap(tr.Frames)
 	tr.Reset()
-	if len(tr.Packets) != 0 || len(tr.Records) != 0 || len(tr.Frames) != 0 {
-		t.Fatal("Reset must empty all three streams")
+	if len(tr.Frames) != 0 {
+		t.Fatal("Reset must empty the frame log")
 	}
-	if cap(tr.Packets) != cp || cap(tr.Records) != cr || cap(tr.Frames) != cf {
-		t.Error("Reset must keep the backing arrays")
+	if cap(tr.Frames) != cf {
+		t.Error("Reset must keep the backing array")
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		tr.Reset()
 		for i := 0; i < 100; i++ {
-			tr.AddPacket(PacketObs{Dir: ClientToServer})
-			tr.AddRecord(RecordObs{Dir: ClientToServer, ContentType: 23})
 			tr.AddFrame(FrameEvent{ObjectID: i})
 		}
 	})
