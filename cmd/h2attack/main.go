@@ -372,13 +372,11 @@ func runEventDump(spec string) error {
 	if err != nil {
 		return err
 	}
-	w := experiment.NewWorld()
-	rec := obs.NewRecorder(4096)
-	w.SetRecorder(rec)
-	r := w.RunTrial(experiment.TrialParams{Seed: seed, Mode: experiment.ModeFullAttack})
+	var tr trialReplayer
+	r := tr.replay(seed)
 	fmt.Printf("seed %d: flight recorder, full paper attack (broken=%v resets=%d re-requests=%d retransmissions=%d)\n",
 		seed, r.Broken, r.Resets, r.ReRequests, r.Retransmissions)
-	fmt.Print(rec.Dump())
+	fmt.Print(tr.rec.Dump())
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"repro/internal/experiment"
@@ -24,10 +25,13 @@ import (
 // the same flags run in a single process (see internal/shard).
 
 // parseShardSpec parses "i/N" (1-based, as printed by -shard's usage)
-// into a 0-based shard index and the shard count.
+// into a 0-based shard index and the shard count. Both numbers are
+// plain decimal digits; anything else, a sign included, is refused.
 func parseShardSpec(spec string) (idx, count int, err error) {
-	var i, n int
-	if _, err := fmt.Sscanf(spec, "%d/%d", &i, &n); err != nil {
+	is, ns, ok := strings.Cut(spec, "/")
+	i, ierr := strconv.Atoi(is)
+	n, nerr := strconv.Atoi(ns)
+	if !ok || ierr != nil || nerr != nil || strings.ContainsAny(spec, "+-") {
 		return 0, 0, fmt.Errorf("-shard: want i/N (e.g. 2/3), got %q", spec)
 	}
 	if n < 1 || i < 1 || i > n {

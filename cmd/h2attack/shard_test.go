@@ -245,3 +245,32 @@ func TestMergeRefusesSurveyLineWithTwoRecords(t *testing.T) {
 		}
 	}
 }
+
+// TestParseShardSpec pins the -shard grammar: "i/N" with 1 <= i <= N,
+// both plain decimal numbers, and nothing around or between them.
+func TestParseShardSpec(t *testing.T) {
+	for _, c := range []struct {
+		spec       string
+		idx, count int
+	}{
+		{"1/1", 0, 1},
+		{"1/3", 0, 3},
+		{"2/3", 1, 3},
+		{"3/3", 2, 3},
+		{"10/12", 9, 12},
+	} {
+		idx, count, err := parseShardSpec(c.spec)
+		if err != nil || idx != c.idx || count != c.count {
+			t.Errorf("parseShardSpec(%q) = %d, %d, %v; want %d, %d", c.spec, idx, count, err, c.idx, c.count)
+		}
+	}
+	for _, spec := range []string{
+		"", "1", "/", "/3", "1/", "1/3/5", "1/3x", "x1/3", "1/ 3", " 1/3", "1 /3", "1/3 ",
+		"+1/3", "1/+3", "-1/3", "1/-3", "1.0/3", "a/b", "1:3",
+		"0/3", "4/3", "1/0", "0/0",
+	} {
+		if idx, count, err := parseShardSpec(spec); err == nil {
+			t.Errorf("parseShardSpec(%q) = %d, %d; want an error", spec, idx, count)
+		}
+	}
+}

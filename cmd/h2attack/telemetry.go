@@ -49,25 +49,33 @@ func startTelemetry(addr string) (*telemetryPlane, error) {
 	return p, nil
 }
 
-// newEventReplayer builds the /events hook: a lazily-constructed
-// reusable world plus flight recorder, replaying the requested seed's
-// full-attack trial. Trials are pure functions of the seed, so the
-// replayed ring is exactly what the campaign's own execution of that
-// trial recorded. The server serializes calls (Server.replayMu), so
-// one world is safe.
+// trialReplayer is the one trial replay behind -events,
+// -events-trace and the /events endpoint: a world with a 4096-event
+// flight recorder attached, both built on first use and reused after.
+// Trials are pure functions of the seed, so the replayed ring is
+// exactly what a campaign's own execution of that trial recorded.
+type trialReplayer struct {
+	w   *experiment.World
+	rec *obs.Recorder
+}
+
+// replay runs seed's full-attack trial; rec then holds its events.
+func (tr *trialReplayer) replay(seed int64) experiment.TrialResult {
+	if tr.w == nil {
+		tr.w = experiment.NewWorld()
+		tr.rec = obs.NewRecorder(4096)
+		tr.w.SetRecorder(tr.rec)
+	}
+	return tr.w.RunTrial(experiment.TrialParams{Seed: seed, Mode: experiment.ModeFullAttack})
+}
+
+// newEventReplayer builds the /events hook. The server serializes
+// calls (Server.replayMu), so one replayer is safe.
 func newEventReplayer() func(seed int64) ([]obs.Event, error) {
-	var (
-		w   *experiment.World
-		rec *obs.Recorder
-	)
+	tr := &trialReplayer{}
 	return func(seed int64) ([]obs.Event, error) {
-		if w == nil {
-			w = experiment.NewWorld()
-			rec = obs.NewRecorder(4096)
-			w.SetRecorder(rec)
-		}
-		w.RunTrial(experiment.TrialParams{Seed: seed, Mode: experiment.ModeFullAttack})
-		return rec.Events(), nil
+		tr.replay(seed)
+		return tr.rec.Events(), nil
 	}
 }
 
@@ -155,11 +163,9 @@ func runEventsTrace(spec string, seed int64, path string) error {
 		}
 		seed = s
 	}
-	w := experiment.NewWorld()
-	rec := obs.NewRecorder(4096)
-	w.SetRecorder(rec)
-	w.RunTrial(experiment.TrialParams{Seed: seed, Mode: experiment.ModeFullAttack})
-	events := rec.Events()
+	var tr trialReplayer
+	tr.replay(seed)
+	events := tr.rec.Events()
 	data := telemetry.AppendTrace(nil, events, fmt.Sprintf("seed %d", seed))
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err

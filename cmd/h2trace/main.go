@@ -35,17 +35,23 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run() int {
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("h2trace", flag.ContinueOnError)
 	var (
-		seed   = flag.Int64("seed", 1, "trial seed")
-		mode   = flag.String("mode", "attack", "adversary: passive | jitter | attack")
-		out    = flag.String("out", "trace", "output prefix (csv) or file (perfetto); - for stdout")
-		format = flag.String("format", "csv", "export format: csv | perfetto")
+		seed   = fs.Int64("seed", 1, "trial seed")
+		mode   = fs.String("mode", "attack", "adversary: passive | jitter | attack")
+		out    = fs.String("out", "trace", "output prefix (csv) or file (perfetto); - for stdout")
+		format = fs.String("format", "csv", "export format: csv | perfetto")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	var rec *obs.Recorder
 	cfg := h2sim.SessionConfig{Seed: *seed}
@@ -82,7 +88,7 @@ func run() int {
 	sess.Run()
 
 	if rec != nil {
-		if err := writePerfetto(rec, *seed, *mode, *out); err != nil {
+		if err := writePerfetto(stdout, rec, *seed, *mode, *out); err != nil {
 			fmt.Fprintf(os.Stderr, "h2trace: %v\n", err)
 			return 1
 		}
@@ -90,31 +96,35 @@ func run() int {
 	}
 
 	if *out == "-" {
-		if err := writeRecords(os.Stdout, atk); err != nil {
+		if err := writeRecords(stdout, atk); err != nil {
 			fmt.Fprintf(os.Stderr, "h2trace: %v\n", err)
 			return 1
 		}
 		return 0
 	}
-	files := map[string]func(io.Writer) error{
-		*out + "-records.csv":    func(w io.Writer) error { return writeRecords(w, atk) },
-		*out + "-frames.csv":     func(w io.Writer) error { return writeFrames(w, sess) },
-		*out + "-copies.csv":     func(w io.Writer) error { return writeCopies(w, sess, site) },
-		*out + "-inferences.csv": func(w io.Writer) error { return writeInferences(w, atk) },
+	files := []struct {
+		suffix string
+		write  func(io.Writer) error
+	}{
+		{"-records.csv", func(w io.Writer) error { return writeRecords(w, atk) }},
+		{"-frames.csv", func(w io.Writer) error { return writeFrames(w, sess) }},
+		{"-copies.csv", func(w io.Writer) error { return writeCopies(w, sess, site) }},
+		{"-inferences.csv", func(w io.Writer) error { return writeInferences(w, atk) }},
 	}
-	for name, fn := range files {
+	for _, file := range files {
+		name := *out + file.suffix
 		f, err := os.Create(name)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "h2trace: %v\n", err)
 			return 1
 		}
-		werr := fn(f)
+		werr := file.write(f)
 		cerr := f.Close()
 		if werr != nil || cerr != nil {
 			fmt.Fprintf(os.Stderr, "h2trace: writing %s: %v %v\n", name, werr, cerr)
 			return 1
 		}
-		fmt.Printf("wrote %s\n", name)
+		fmt.Fprintf(stdout, "wrote %s\n", name)
 	}
 	return 0
 }
@@ -122,11 +132,11 @@ func run() int {
 // writePerfetto renders the trial's flight-recorder ring as
 // trace_event JSON. out is the target file (".json" is appended to a
 // bare prefix so the default -out writes trace.json), or - for stdout.
-func writePerfetto(rec *obs.Recorder, seed int64, mode, out string) error {
+func writePerfetto(stdout io.Writer, rec *obs.Recorder, seed int64, mode, out string) error {
 	data := telemetry.AppendTrace(nil, rec.Events(), fmt.Sprintf("seed %d %s", seed, mode))
 	data = append(data, '\n')
 	if out == "-" {
-		_, err := os.Stdout.Write(data)
+		_, err := stdout.Write(data)
 		return err
 	}
 	if !strings.HasSuffix(out, ".json") {
@@ -135,7 +145,7 @@ func writePerfetto(rec *obs.Recorder, seed int64, mode, out string) error {
 	if err := os.WriteFile(out, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", out)
+	fmt.Fprintf(stdout, "wrote %s\n", out)
 	return nil
 }
 

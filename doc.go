@@ -8,5 +8,6 @@
 // The repository root holds bench_test.go, whose benchmarks
 // regenerate every table and figure of the paper's evaluation; the
 // library lives under internal/ (see DESIGN.md for the system
-// inventory) and runnable demonstrations under examples/ and cmd/.
+// inventory), the command-line tools under cmd/, and the quickstart
+// and pair-inference demonstrations in example_test.go.
 package repro

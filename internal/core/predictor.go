@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/h2"
+	"repro/internal/h2sim"
 	"repro/internal/obs"
 	"repro/internal/tlsrec"
 	"repro/internal/trace"
@@ -35,10 +37,14 @@ const (
 	// tolerance is the size-match window in bytes.
 	tolerance = 32
 
-	// fullCipher is the ciphertext length of a full data record
-	// (ChunkPlain + frame header + record overhead). Runs end at any
-	// data record shorter than this.
-	fullCipher = 1400 + 9 + tlsrec.Overhead
+	// perRecordOverhead is the ciphertext a data record carries
+	// beyond its DATA payload: the frame header and the AEAD overhead.
+	perRecordOverhead = h2.FrameHeaderLen + tlsrec.Overhead
+
+	// fullCipher is the ciphertext length of a full data record (the
+	// server's ChunkPlain payload plus perRecordOverhead). Runs end at
+	// any data record shorter than this.
+	fullCipher = h2sim.ChunkPlain + perRecordOverhead
 
 	// minDataCipher separates control/HEADERS records from data
 	// records.
@@ -56,7 +62,7 @@ const (
 var segmentConfig = analysis.SegmentConfig{
 	FullCipher:        fullCipher,
 	MinDataCipher:     minDataCipher,
-	PerRecordOverhead: tlsrec.Overhead + 9,
+	PerRecordOverhead: perRecordOverhead,
 	IdleGap:           idleGap,
 }
 

@@ -17,7 +17,7 @@ import (
 // This file holds the hand-rolled append encoders behind the export
 // fast path: byte-for-byte replacements for json.Marshal over the
 // campaign line types (SurveyResult for the survey, TrialResult for
-// all six fixed sweeps, CorpusTrialParams for trial identities).
+// all six fixed sweeps).
 // Field order follows struct declaration order — embedded SiteSpec
 // fields promote inline first — exactly as encoding/json's reflection
 // encoder walks them; the equivalence suite in encoders_test.go pins
@@ -28,20 +28,6 @@ import (
 // DecodeTrialResults is AppendTrialResult's inverse and sits beside
 // it so that a field added to one is visibly missing from the other.
 // It accepts exactly the bytes the encoder writes and nothing else.
-
-// AppendCorpusTrialParams appends p's JSON object, byte-identical to
-// json.Marshal(p).
-func AppendCorpusTrialParams(dst []byte, p CorpusTrialParams) []byte {
-	dst = append(dst, `{"Site":`...)
-	dst = jsonenc.AppendInt(dst, int64(p.Site))
-	dst = append(dst, `,"Rep":`...)
-	dst = jsonenc.AppendInt(dst, int64(p.Rep))
-	dst = append(dst, `,"Seed":`...)
-	dst = jsonenc.AppendInt(dst, p.Seed)
-	dst = append(dst, `,"Mode":`...)
-	dst = jsonenc.AppendUint(dst, uint64(p.Mode))
-	return append(dst, '}')
-}
 
 // AppendSurveyResult appends r's JSON object, byte-identical to
 // json.Marshal(r). The embedded website.SiteSpec's tagged fields lead

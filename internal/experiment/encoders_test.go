@@ -126,20 +126,6 @@ func TestAppendEncodersMatchJSON(t *testing.T) {
 		if !reflect.DeepEqual(dec[0], tr) {
 			t.Fatalf("TrialResult round trip:\n got %+v\nwant %+v", dec[0], tr)
 		}
-
-		p := CorpusTrialParams{
-			Site: rng.Intn(1 << 20),
-			Rep:  rng.Intn(64),
-			Seed: rng.Int63() - rng.Int63(),
-			Mode: AdversaryMode(rng.Intn(5)),
-		}
-		want, err = json.Marshal(p)
-		if err != nil {
-			t.Fatalf("json.Marshal(CorpusTrialParams): %v", err)
-		}
-		if got := AppendCorpusTrialParams(nil, p); string(got) != string(want) {
-			t.Fatalf("CorpusTrialParams drift:\n got %s\nwant %s", got, want)
-		}
 	}
 }
 

@@ -9,11 +9,10 @@
 // the result HTML, the ambient network conditions of that session,
 // and all packet-level noise — the variation the paper's ~500
 // volunteer sessions exhibit. RunTrial executes one such page load;
-// the sweep functions (TableI, Fig5, DropSweep, TableII, DelaySweep,
-// Defenses) fan their trials across an internal/runner worker pool
-// (configure with Workers and OnProgress) and, because every trial's
-// seed derives from its trial index, return byte-identical tables at
-// any worker count.
+// Sweeps returns the six fixed sweeps as SweepDefs, whose Run fans the
+// trials across an internal/runner worker pool (configure with
+// Workers and OnProgress) and, because every trial's seed derives from
+// its trial index, returns byte-identical results at any worker count.
 package experiment
 
 import (

@@ -93,7 +93,7 @@ func TestUniformDelayDoesNotHelpAdversary(t *testing.T) {
 	// spacing, so it never raises the non-multiplexed fraction (in the
 	// simulation it actually lowers it, by slowing the drain); the
 	// paper accordingly rejects delay as an attack knob.
-	rows := DelaySweep(40, 42000)
+	rows := delayRows(40, delayDef(40, 42000).Run())
 	base := rows[0].NotMultiplexedPct
 	for _, r := range rows[1:] {
 		if r.NotMultiplexedPct > base+12 { // noise bound for 40 trials

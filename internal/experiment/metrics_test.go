@@ -18,7 +18,7 @@ func TestSweepMetricsDeterminism(t *testing.T) {
 	}
 	run := func(workers int) (string, []TableIRow) {
 		reg := obs.NewRegistry()
-		rows := TableI(6, 7000, Workers(workers), Metrics(reg))
+		rows := tableIRows(6, tableIDef(6, 7000).Run(Workers(workers), Metrics(reg)))
 		return reg.Snapshot().Text(), rows
 	}
 	text1, rows1 := run(1)
@@ -38,9 +38,9 @@ func TestSweepMetricsDoNotChangeResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	plain := TableI(4, 7100, Workers(2))
+	plain := tableIRows(4, tableIDef(4, 7100).Run(Workers(2)))
 	reg := obs.NewRegistry()
-	metered := TableI(4, 7100, Workers(2), Metrics(reg))
+	metered := tableIRows(4, tableIDef(4, 7100).Run(Workers(2), Metrics(reg)))
 	if !reflect.DeepEqual(plain, metered) {
 		t.Error("metrics collection changed sweep results")
 	}

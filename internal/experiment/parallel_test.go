@@ -8,29 +8,21 @@ import (
 )
 
 // The worker pool must be invisible in the results: every sweep's
-// rows are a pure function of (trials, seed0), so running the same
-// sweep serially and at 8 workers must produce deeply equal output.
-// Trial counts are small; the 100-trial equivalence is checked on the
-// full CLI output in EXPERIMENTS.md.
+// trial results are a pure function of (trials, seed0), so running the
+// same sweep serially and at 8 workers must produce deeply equal
+// results, and so equal rows from every aggregator. Trial counts are
+// small; the 100-trial equivalence is checked on the full CLI output
+// in EXPERIMENTS.md.
 
 func TestSweepsIdenticalAcrossWorkerCounts(t *testing.T) {
-	if s, p := TableI(6, 1, Workers(1)), TableI(6, 1, Workers(8)); !reflect.DeepEqual(s, p) {
-		t.Errorf("TableI differs across worker counts:\nserial:   %+v\nparallel: %+v", s, p)
-	}
-	if s, p := Fig5(3, 1, Workers(1)), Fig5(3, 1, Workers(8)); !reflect.DeepEqual(s, p) {
-		t.Errorf("Fig5 differs across worker counts:\nserial:   %+v\nparallel: %+v", s, p)
-	}
-	if s, p := DropSweep(4, 1, Workers(1)), DropSweep(4, 1, Workers(8)); !reflect.DeepEqual(s, p) {
-		t.Errorf("DropSweep differs across worker counts:\nserial:   %+v\nparallel: %+v", s, p)
-	}
-	if s, p := TableII(8, 1, Workers(1)), TableII(8, 1, Workers(8)); !reflect.DeepEqual(s, p) {
-		t.Errorf("TableII differs across worker counts:\nserial:   %+v\nparallel: %+v", s, p)
-	}
-	if s, p := DelaySweep(4, 1, Workers(1)), DelaySweep(4, 1, Workers(8)); !reflect.DeepEqual(s, p) {
-		t.Errorf("DelaySweep differs across worker counts:\nserial:   %+v\nparallel: %+v", s, p)
-	}
-	if s, p := Defenses(3, 1, Workers(1)), Defenses(3, 1, Workers(8)); !reflect.DeepEqual(s, p) {
-		t.Errorf("Defenses differs across worker counts:\nserial:   %+v\nparallel: %+v", s, p)
+	for _, d := range Sweeps(3, 1) {
+		s, p := d.Run(Workers(1)), d.Run(Workers(8))
+		if !reflect.DeepEqual(s, p) {
+			t.Errorf("%s results differ across worker counts:\nserial:   %+v\nparallel: %+v", d.Name, s, p)
+		}
+		if d.Format(s) != d.Format(p) {
+			t.Errorf("%s table differs across worker counts", d.Name)
+		}
 	}
 }
 
@@ -40,7 +32,7 @@ func TestSweepProgressCoversWholeSweep(t *testing.T) {
 	// must end exactly at completion.
 	var last runner.Progress
 	calls := 0
-	TableI(3, 1, Workers(2), OnProgress(func(p runner.Progress) {
+	tableIDef(3, 1).Run(Workers(2), OnProgress(func(p runner.Progress) {
 		last = p
 		calls++
 	}))
@@ -55,7 +47,7 @@ func TestSweepProgressCoversWholeSweep(t *testing.T) {
 func TestZeroTrialSweep(t *testing.T) {
 	// A zero-trial sweep must not panic or hang; rows carry NaN
 	// percentages (0/0) exactly as the serial code always did.
-	rows := TableI(0, 1, Workers(8))
+	rows := tableIRows(0, tableIDef(0, 1).Run(Workers(8)))
 	if len(rows) != 4 {
 		t.Errorf("zero-trial TableI rows = %d, want 4", len(rows))
 	}

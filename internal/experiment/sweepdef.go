@@ -39,15 +39,31 @@ type SweepDef struct {
 	Format func(results []TrialResult) string
 
 	// fingerprint identifies the configuration for checkpoint/merge
-	// validation (see sweepFingerprint).
+	// validation (see grid).
 	fingerprint string
 }
 
-// sweepFingerprint builds the stable campaign fingerprint recorded in
-// shard manifests and checkpoints: two runs agree on it exactly when
-// they would produce identical trial streams.
-func sweepFingerprint(name string, trials int, seed0 int64) string {
-	return fmt.Sprintf("sweep{name=%s trials=%d seed0=%d}", name, trials, seed0)
+// grid declares a sweep of trials page loads per configuration, one
+// configuration per segment label: trial i runs configuration
+// c = i/trials with seed seed0 + i%trials, and config(c) supplies
+// everything else. The fingerprint recorded in shard manifests and
+// checkpoints is derived here, from the name, so two runs agree on it
+// exactly when they would produce identical trial streams.
+func grid(name string, trials int, seed0 int64, segments []string,
+	config func(c int) TrialParams, format func(results []TrialResult) string) SweepDef {
+	return SweepDef{
+		Name:     name,
+		Trials:   len(segments) * trials,
+		Segments: segments,
+		Params: func(i int) TrialParams {
+			p := config(i / trials)
+			p.Seed = seed0 + int64(i%trials)
+			p.ObsSegment = i / trials
+			return p
+		},
+		Format:      format,
+		fingerprint: fmt.Sprintf("sweep{name=%s trials=%d seed0=%d}", name, trials, seed0),
+	}
 }
 
 // Fingerprint identifies the sweep's full configuration; shard merge
@@ -60,7 +76,7 @@ func (d SweepDef) generator() pipeline.Fixed[TrialParams] {
 }
 
 // Run executes the whole sweep in-process and returns the results in
-// trial order — the execution path behind TableI, Fig5, etc.
+// trial order; Format (or the sweep's row aggregator) consumes them.
 func (d SweepDef) Run(opts ...Option) []TrialResult {
 	setSegments(opts, d.Segments...)
 	return runTrials(d.Trials, opts, d.Params)

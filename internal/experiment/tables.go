@@ -19,40 +19,33 @@ type TableIRow struct {
 	Broken             int
 }
 
-// TableI reproduces the paper's Table I: the effect of inter-request
-// jitter on the result HTML's multiplexing and on retransmission
-// volume. trials page loads per jitter value (the paper used 100).
-func TableI(trials int, seed0 int64, opts ...Option) []TableIRow {
-	return tableIRows(trials, tableIDef(trials, seed0).Run(opts...))
-}
+// tableIJitters is Table I's configuration axis: the inter-request
+// jitter (0 = the passive baseline).
+var tableIJitters = []time.Duration{0, 25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
 
-// tableIDef is Table I as a shardable sweep definition.
+// tableIDef is the paper's Table I: the effect of inter-request jitter
+// on the result HTML's multiplexing and on retransmission volume.
+// trials page loads per jitter value (the paper used 100).
 func tableIDef(trials int, seed0 int64) SweepDef {
-	jitters := []time.Duration{0, 25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
-	return SweepDef{
-		Name:     "table1",
-		Trials:   len(jitters) * trials,
-		Segments: []string{"jitter=0ms", "jitter=25ms", "jitter=50ms", "jitter=100ms"},
-		Params: func(i int) TrialParams {
-			p := TrialParams{Seed: seed0 + int64(i%trials), Mode: ModeJitter, Spacing: jitters[i/trials], ObsSegment: i / trials}
-			if p.Spacing == 0 {
-				p.Mode = ModePassive
-			}
-			return p
-		},
-		Format: func(results []TrialResult) string {
-			return FormatTableI(tableIRows(trials, results))
-		},
-		fingerprint: sweepFingerprint("table1", trials, seed0),
+	segs := make([]string, len(tableIJitters))
+	for c, j := range tableIJitters {
+		segs[c] = fmt.Sprintf("jitter=%dms", j/time.Millisecond)
 	}
+	return grid("table1", trials, seed0, segs,
+		func(c int) TrialParams {
+			if tableIJitters[c] == 0 {
+				return TrialParams{Mode: ModePassive}
+			}
+			return TrialParams{Mode: ModeJitter, Spacing: tableIJitters[c]}
+		},
+		func(results []TrialResult) string { return FormatTableI(tableIRows(trials, results)) })
 }
 
 // tableIRows aggregates a complete Table I result set.
 func tableIRows(trials int, results []TrialResult) []TableIRow {
-	jitters := []time.Duration{0, 25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
-	rows := make([]TableIRow, 0, len(jitters))
+	rows := make([]TableIRow, 0, len(tableIJitters))
 	baseRetrans := 0
-	for ji, j := range jitters {
+	for ji, j := range tableIJitters {
 		row := TableIRow{Jitter: j}
 		clean := 0
 		for _, r := range results[ji*trials : (ji+1)*trials] {
@@ -114,46 +107,34 @@ type Fig5Row struct {
 // to saturation as the paper's. See EXPERIMENTS.md.
 const Fig5Scale = 12_500
 
-// Fig5 reproduces Figure 5: bandwidth limitation (with 50ms request
+// fig5Labels is Figure 5's configuration axis: the paper's bandwidth
+// labels in Mbps (each throttles to label * Fig5Scale).
+var fig5Labels = []int{1000, 800, 500, 100, 1}
+
+// fig5Def is Figure 5: bandwidth limitation (with 50ms request
 // spacing active, extending the section IV-B setup) versus
 // retransmissions and success cases.
-func Fig5(trials int, seed0 int64, opts ...Option) []Fig5Row {
-	return fig5Rows(trials, fig5Def(trials, seed0).Run(opts...))
-}
-
-// fig5Def is Figure 5 as a shardable sweep definition.
 func fig5Def(trials int, seed0 int64) SweepDef {
-	labels := []int{1000, 800, 500, 100, 1}
-	segs := make([]string, len(labels))
-	for i, l := range labels {
-		segs[i] = fmt.Sprintf("bw=%dMbps", l)
+	segs := make([]string, len(fig5Labels))
+	for c, l := range fig5Labels {
+		segs[c] = fmt.Sprintf("bw=%dMbps", l)
 	}
-	return SweepDef{
-		Name:     "fig5",
-		Trials:   len(labels) * trials,
-		Segments: segs,
-		Params: func(i int) TrialParams {
+	return grid("fig5", trials, seed0, segs,
+		func(c int) TrialParams {
 			return TrialParams{
-				Seed:       seed0 + int64(i%trials),
-				Mode:       ModeJitterThrottle,
-				Spacing:    50 * time.Millisecond,
-				Bandwidth:  int64(labels[i/trials]) * Fig5Scale,
-				TimeLimit:  45 * time.Second,
-				ObsSegment: i / trials,
+				Mode:      ModeJitterThrottle,
+				Spacing:   50 * time.Millisecond,
+				Bandwidth: int64(fig5Labels[c]) * Fig5Scale,
+				TimeLimit: 45 * time.Second,
 			}
 		},
-		Format: func(results []TrialResult) string {
-			return FormatFig5(fig5Rows(trials, results))
-		},
-		fingerprint: sweepFingerprint("fig5", trials, seed0),
-	}
+		func(results []TrialResult) string { return FormatFig5(fig5Rows(trials, results)) })
 }
 
 // fig5Rows aggregates a complete Figure 5 result set.
 func fig5Rows(trials int, results []TrialResult) []Fig5Row {
-	labels := []int{1000, 800, 500, 100, 1}
-	rows := make([]Fig5Row, 0, len(labels))
-	for li, label := range labels {
+	rows := make([]Fig5Row, 0, len(fig5Labels))
+	for li, label := range fig5Labels {
 		bw := int64(label) * Fig5Scale
 		row := Fig5Row{LabelMbps: label, Bandwidth: bw}
 		succ, orig := 0, 0
@@ -214,41 +195,35 @@ type DropRow struct {
 	Broken     int
 }
 
-// DropSweep reproduces section IV-D: targeted server→client drops
-// (with jitter and the 800 Mbps throttle applied) forcing HTTP/2
-// stream resets. The paper reports ~90% success at an 80% drop rate
-// and a broken connection beyond it.
-func DropSweep(trials int, seed0 int64, opts ...Option) []DropRow {
-	return dropRows(trials, dropDef(trials, seed0).Run(opts...))
-}
+// dropRates is the drop sweep's configuration axis: the targeted
+// server→client drop rate.
+var dropRates = []float64{0, 0.4, 0.8, 0.95}
 
-// dropDef is the §IV-D drop sweep as a shardable sweep definition.
+// dropDef is section IV-D: targeted server→client drops (with jitter
+// and the 800 Mbps throttle applied) forcing HTTP/2 stream resets.
+// The paper reports ~90% success at an 80% drop rate and a broken
+// connection beyond it.
 func dropDef(trials int, seed0 int64) SweepDef {
-	rates := []float64{0, 0.4, 0.8, 0.95}
-	return SweepDef{
-		Name:     "drops",
-		Trials:   len(rates) * trials,
-		Segments: []string{"drop=0%", "drop=40%", "drop=80%", "drop=95%"},
-		Params: func(i int) TrialParams {
+	segs := make([]string, len(dropRates))
+	for c, rate := range dropRates {
+		segs[c] = fmt.Sprintf("drop=%.0f%%", 100*rate)
+	}
+	return grid("drops", trials, seed0, segs,
+		func(c int) TrialParams {
 			cfg := core.PaperAttack()
-			cfg.DropRate = rates[i/trials]
+			cfg.DropRate = dropRates[c]
 			if cfg.DropRate == 0 {
 				cfg.DropDuration = time.Millisecond // phases advance, drops are moot
 			}
-			return TrialParams{Seed: seed0 + int64(i%trials), Mode: ModeFullAttack, Attack: cfg, ObsSegment: i / trials}
+			return TrialParams{Mode: ModeFullAttack, Attack: cfg}
 		},
-		Format: func(results []TrialResult) string {
-			return FormatDropSweep(dropRows(trials, results))
-		},
-		fingerprint: sweepFingerprint("drops", trials, seed0),
-	}
+		func(results []TrialResult) string { return FormatDropSweep(dropRows(trials, results)) })
 }
 
 // dropRows aggregates a complete drop-sweep result set.
 func dropRows(trials int, results []TrialResult) []DropRow {
-	rates := []float64{0, 0.4, 0.8, 0.95}
-	rows := make([]DropRow, 0, len(rates))
-	for ri, rate := range rates {
+	rows := make([]DropRow, 0, len(dropRates))
+	for ri, rate := range dropRates {
 		row := DropRow{DropRate: rate}
 		succ, resets := 0, 0
 		for _, r := range results[ri*trials : (ri+1)*trials] {
@@ -305,25 +280,12 @@ type TableIIResult struct {
 	Broken int
 }
 
-// TableII reproduces the paper's Table II with the composed attack.
-func TableII(trials int, seed0 int64, opts ...Option) TableIIResult {
-	return tableIIFromResults(trials, tableIIDef(trials, seed0).Run(opts...))
-}
-
-// tableIIDef is Table II as a shardable sweep definition.
+// tableIIDef is the paper's Table II: the composed attack, one
+// configuration.
 func tableIIDef(trials int, seed0 int64) SweepDef {
-	return SweepDef{
-		Name:     "table2",
-		Trials:   trials,
-		Segments: []string{"full-attack"},
-		Params: func(i int) TrialParams {
-			return TrialParams{Seed: seed0 + int64(i), Mode: ModeFullAttack}
-		},
-		Format: func(results []TrialResult) string {
-			return FormatTableII(tableIIFromResults(trials, results))
-		},
-		fingerprint: sweepFingerprint("table2", trials, seed0),
-	}
+	return grid("table2", trials, seed0, []string{"full-attack"},
+		func(int) TrialParams { return TrialParams{Mode: ModeFullAttack} },
+		func(results []TrialResult) string { return FormatTableII(tableIIFromResults(trials, results)) })
 }
 
 // tableIIFromResults aggregates a complete Table II result set.
@@ -442,37 +404,28 @@ type DelayRow struct {
 	NotMultiplexedPct float64
 }
 
-// DelaySweep reproduces section IV-A: uniform added delay cannot
-// increase inter-arrival spacing, so it gives the adversary nothing
-// (the paper rejects it as an attack knob; in the simulation extra
-// delay actually deepens multiplexing by slowing the drain).
-func DelaySweep(trials int, seed0 int64, opts ...Option) []DelayRow {
-	return delayRows(trials, delayDef(trials, seed0).Run(opts...))
-}
+// uniformDelays is the delay control's configuration axis: the
+// uniform delay added to every packet.
+var uniformDelays = []time.Duration{0, 25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
 
-// delayDef is the §IV-A uniform-delay control as a shardable sweep
-// definition.
+// delayDef is section IV-A: uniform added delay cannot increase
+// inter-arrival spacing, so it gives the adversary nothing (the paper
+// rejects it as an attack knob; in the simulation extra delay actually
+// deepens multiplexing by slowing the drain).
 func delayDef(trials int, seed0 int64) SweepDef {
-	delays := []time.Duration{0, 25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
-	return SweepDef{
-		Name:     "delay",
-		Trials:   len(delays) * trials,
-		Segments: []string{"delay=0ms", "delay=25ms", "delay=50ms", "delay=100ms"},
-		Params: func(i int) TrialParams {
-			return TrialParams{Seed: seed0 + int64(i%trials), Mode: ModePassive, UniformDelay: delays[i/trials], ObsSegment: i / trials}
-		},
-		Format: func(results []TrialResult) string {
-			return FormatDelaySweep(delayRows(trials, results))
-		},
-		fingerprint: sweepFingerprint("delay", trials, seed0),
+	segs := make([]string, len(uniformDelays))
+	for c, d := range uniformDelays {
+		segs[c] = fmt.Sprintf("delay=%dms", d/time.Millisecond)
 	}
+	return grid("delay", trials, seed0, segs,
+		func(c int) TrialParams { return TrialParams{Mode: ModePassive, UniformDelay: uniformDelays[c]} },
+		func(results []TrialResult) string { return FormatDelaySweep(delayRows(trials, results)) })
 }
 
 // delayRows aggregates a complete delay-sweep result set.
 func delayRows(trials int, results []TrialResult) []DelayRow {
-	delays := []time.Duration{0, 25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
-	rows := make([]DelayRow, 0, len(delays))
-	for di, d := range delays {
+	rows := make([]DelayRow, 0, len(uniformDelays))
+	for di, d := range uniformDelays {
 		clean := 0
 		for _, r := range results[di*trials : (di+1)*trials] {
 			if r.HTMLCleanAny {
@@ -507,8 +460,10 @@ type DefenseRow struct {
 	PosAccuracyPct float64
 }
 
-// defenseConfigs is the §VII defence evaluation grid, shared by the
-// sweep definition and its aggregator.
+// defenseConfigs is the §VII defence evaluation grid: requesting the
+// emblem images in a fixed canonical order (so the request sequence
+// carries no secret), pushing them, padding all object sizes to 4 KiB
+// buckets, and ordering plus padding.
 var defenseConfigs = []struct {
 	name      string
 	canonical bool
@@ -522,49 +477,30 @@ var defenseConfigs = []struct {
 	{"order + padding", true, 4096, false},
 }
 
-// Defenses evaluates the paper's section VII mitigation proposals
-// against the full composed attack: requesting the emblem images in a
-// fixed canonical order (so the request sequence carries no secret),
-// padding all object sizes to 4 KiB buckets, and both together.
-func Defenses(trials int, seed0 int64, opts ...Option) []DefenseRow {
-	return defenseRows(trials, defensesDef(trials, seed0).Run(opts...))
-}
-
-// defensesDef is the defence evaluation as a shardable sweep
-// definition.
+// defensesDef evaluates the paper's section VII mitigation proposals
+// against the full composed attack.
 func defensesDef(trials int, seed0 int64) SweepDef {
-	configs := defenseConfigs
-	segs := make([]string, len(configs))
-	for i, cfg := range configs {
-		segs[i] = cfg.name
+	segs := make([]string, len(defenseConfigs))
+	for c, cfg := range defenseConfigs {
+		segs[c] = cfg.name
 	}
-	return SweepDef{
-		Name:     "defenses",
-		Trials:   len(configs) * trials,
-		Segments: segs,
-		Params: func(i int) TrialParams {
-			cfg := configs[i/trials]
+	return grid("defenses", trials, seed0, segs,
+		func(c int) TrialParams {
+			cfg := defenseConfigs[c]
 			return TrialParams{
-				Seed:           seed0 + int64(i%trials),
 				Mode:           ModeFullAttack,
 				CanonicalOrder: cfg.canonical,
 				PadBucket:      cfg.pad,
 				PushEmblems:    cfg.push,
-				ObsSegment:     i / trials,
 			}
 		},
-		Format: func(results []TrialResult) string {
-			return FormatDefenses(defenseRows(trials, results))
-		},
-		fingerprint: sweepFingerprint("defenses", trials, seed0),
-	}
+		func(results []TrialResult) string { return FormatDefenses(defenseRows(trials, results)) })
 }
 
 // defenseRows aggregates a complete defence-evaluation result set.
 func defenseRows(trials int, results []TrialResult) []DefenseRow {
-	configs := defenseConfigs
-	rows := make([]DefenseRow, 0, len(configs))
-	for ci, cfg := range configs {
+	rows := make([]DefenseRow, 0, len(defenseConfigs))
+	for ci, cfg := range defenseConfigs {
 		htmlOK, posOK := 0, 0
 		for _, r := range results[ci*trials : (ci+1)*trials] {
 			if r.HTMLSuccess() {

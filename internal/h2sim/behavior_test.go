@@ -246,9 +246,9 @@ func TestRetransmitTriggeredDuplicate(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		sess2.Client.OnTCPRetransmit(0, 1<<30)
 	}
-	if sess2.Client.Stats.ReRequests > sess2.Client.cfg.MaxReRequests+1 {
+	if sess2.Client.Stats.ReRequests > maxReRequests+1 {
 		t.Errorf("re-requests %d exceeded budget %d",
-			sess2.Client.Stats.ReRequests, sess2.Client.cfg.MaxReRequests)
+			sess2.Client.Stats.ReRequests, maxReRequests)
 	}
 }
 

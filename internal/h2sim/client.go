@@ -11,37 +11,40 @@ import (
 	"repro/internal/website"
 )
 
+// The browser's calibration: the paper's testbed (section V) is one
+// fixed Chrome client, so these are constants, not knobs.
+const (
+	// stallRTTFactor scales the stall timeout with the transport's
+	// smoothed RTT: timeout = max(StallBase, factor*SRTT) * backoff.
+	// Throttled (queue-inflated) paths therefore re-request less —
+	// the mechanism behind the paper's Figure 5 retransmission
+	// decline.
+	stallRTTFactor = 10
+
+	// maxReRequests bounds duplicate requests per object.
+	maxReRequests = 3
+
+	// resetAfterStalls is how many post-exhaustion stalls an object
+	// tolerates before the client resets every open stream (the
+	// paper's RST_STREAM response to a persistently lossy channel).
+	resetAfterStalls = 1
+
+	// resetGrace is the pause between resetting and re-requesting,
+	// while the transport recovers and the stale backlog drains (the
+	// paper: after a reset "the client's TCP also waits for a longer
+	// time").
+	resetGrace = 3500 * time.Millisecond
+
+	// maxResets caps reset rounds per page load.
+	maxResets = 4
+)
+
 // ClientConfig tunes the browser model.
 type ClientConfig struct {
 	// StallBase is the floor of the per-stream stall timeout. Default
 	// 2s (a browser-scale response deadline; baseline loads must not
 	// trip it).
 	StallBase time.Duration
-
-	// StallRTTFactor scales the stall timeout with the transport's
-	// smoothed RTT: timeout = max(StallBase, factor*SRTT) * backoff.
-	// Throttled (queue-inflated) paths therefore re-request less —
-	// the mechanism behind the paper's Figure 5 retransmission
-	// decline. Default 10.
-	StallRTTFactor int
-
-	// MaxReRequests bounds duplicate requests per object. Default 3.
-	MaxReRequests int
-
-	// ResetAfterStalls is how many post-exhaustion stalls an object
-	// tolerates before the client resets every open stream (the
-	// paper's RST_STREAM response to a persistently lossy channel).
-	// Default 1.
-	ResetAfterStalls int
-
-	// ResetGrace is the pause between resetting and re-requesting,
-	// while the transport recovers and the stale backlog drains (the
-	// paper: after a reset "the client's TCP also waits for a longer
-	// time"). Default 3.5s.
-	ResetGrace time.Duration
-
-	// MaxResets caps reset rounds per page load. Default 4.
-	MaxResets int
 
 	// StallsForReset triggers a reset when this many stream stalls
 	// burst (within 2.5s of one another) without any object
@@ -69,21 +72,6 @@ type ClientConfig struct {
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.StallBase == 0 {
 		c.StallBase = 2 * time.Second
-	}
-	if c.StallRTTFactor == 0 {
-		c.StallRTTFactor = 10
-	}
-	if c.MaxReRequests == 0 {
-		c.MaxReRequests = 3
-	}
-	if c.ResetAfterStalls == 0 {
-		c.ResetAfterStalls = 1
-	}
-	if c.ResetGrace == 0 {
-		c.ResetGrace = 3500 * time.Millisecond
-	}
-	if c.MaxResets == 0 {
-		c.MaxResets = 4
 	}
 	if c.StallsForReset == 0 {
 		c.StallsForReset = 6
@@ -480,7 +468,7 @@ func (c *Client) issue(objectID int, reissue bool) {
 
 // stallTimeout derives the adaptive stall deadline.
 func (c *Client) stallTimeout() time.Duration {
-	d := time.Duration(c.cfg.StallRTTFactor) * c.tcp.SRTT()
+	d := stallRTTFactor * c.tcp.SRTT()
 	if d < c.cfg.StallBase {
 		d = c.cfg.StallBase
 	}
@@ -504,7 +492,7 @@ func (c *Client) OnTCPRetransmit(seqStart, seqEnd uint32) {
 			continue
 		}
 		os := c.object(st.objectID)
-		if os == nil || os.complete || os.reRequests >= c.cfg.MaxReRequests {
+		if os == nil || os.complete || os.reRequests >= maxReRequests {
 			continue
 		}
 		st.reRequested = true
@@ -686,11 +674,11 @@ func (c *Client) onStall(st *clientStream) {
 	}
 	c.lastStall = c.s.Now()
 	c.dryStalls++
-	if !c.cfg.DisableReset && c.dryStalls >= c.cfg.StallsForReset && c.Stats.Resets < c.cfg.MaxResets {
+	if !c.cfg.DisableReset && c.dryStalls >= c.cfg.StallsForReset && c.Stats.Resets < maxResets {
 		c.resetAll()
 		return
 	}
-	if !c.cfg.DisableReRequest && os.reRequests < c.cfg.MaxReRequests {
+	if !c.cfg.DisableReRequest && os.reRequests < maxReRequests {
 		os.reRequests++
 		c.Stats.ReRequests++
 		c.Obs.Inc(obs.CH2ReRequest)
@@ -699,7 +687,7 @@ func (c *Client) onStall(st *clientStream) {
 		return
 	}
 	os.exhaustedStalls++
-	if !c.cfg.DisableReset && os.exhaustedStalls >= c.cfg.ResetAfterStalls && c.Stats.Resets < c.cfg.MaxResets {
+	if !c.cfg.DisableReset && os.exhaustedStalls >= resetAfterStalls && c.Stats.Resets < maxResets {
 		c.resetAll()
 		return
 	}
@@ -733,10 +721,10 @@ func (c *Client) resetAll() {
 	c.tcp.BackoffRTO(2)
 	c.stallMult *= 2
 	c.dryStalls = 0
-	// Wait out the channel: at least ResetGrace, and longer on
+	// Wait out the channel: at least resetGrace, and longer on
 	// long-RTT paths where the server's backed-off retransmission
 	// timer takes proportionally longer to recover.
-	grace := c.cfg.ResetGrace
+	grace := resetGrace
 	if byRTT := 14 * c.tcp.SRTT(); byRTT > grace {
 		grace = byRTT
 	}

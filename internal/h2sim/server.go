@@ -31,25 +31,37 @@ import (
 	"repro/internal/website"
 )
 
+// The server's calibration: the paper's testbed (section V) is one
+// fixed Apache origin, so these are constants, not knobs.
+const (
+	// ChunkPlain is the DATA payload per frame/record, sized so one
+	// full record fits one TCP segment (checked below).
+	ChunkPlain = 1400
+
+	// serviceTime is the per-chunk processing time of a worker thread
+	// (disk read + TLS sealing). Concurrency of workers over this
+	// interval is what interleaves objects.
+	serviceTime = 500 * time.Microsecond
+
+	// serviceJitter adds uniform [0, serviceJitter) noise per chunk.
+	serviceJitter = 200 * time.Microsecond
+
+	// headerDelay is the request-processing latency before the
+	// response HEADERS frame.
+	headerDelay = 300 * time.Microsecond
+)
+
+// A full record (header, AEAD overhead, frame header, ChunkPlain
+// payload) must fit one MSS-sized TCP segment; the constant
+// conversion fails to compile if it does not.
+const _ = uint(tcpsim.MSS - (tlsrec.HeaderLen + tlsrec.Overhead + h2.FrameHeaderLen + ChunkPlain))
+
+// zeroBody is the synthetic DATA payload every chunk slices: content
+// never varies, only size (the side-channel). Read-only.
+var zeroBody [ChunkPlain]byte
+
 // ServerConfig tunes the server model.
 type ServerConfig struct {
-	// ChunkPlain is the DATA payload per frame/record; sized so one
-	// record fits one TCP segment. Default 1400.
-	ChunkPlain int
-
-	// ServiceTime is the per-chunk processing time of a worker thread
-	// (disk read + TLS sealing). Concurrency of workers over this
-	// interval is what interleaves objects. Default 500µs.
-	ServiceTime time.Duration
-
-	// ServiceJitter adds uniform [0, ServiceJitter) noise per chunk.
-	// Default 200µs.
-	ServiceJitter time.Duration
-
-	// HeaderDelay is the request-processing latency before the
-	// response HEADERS frame. Default 300µs.
-	HeaderDelay time.Duration
-
 	// SendBufLimit is the socket-buffer backpressure threshold: a
 	// worker pauses while the TCP send buffer holds at least this many
 	// bytes, so the enqueue (interleaving) order tracks the wire pace.
@@ -77,18 +89,6 @@ type ServerConfig struct {
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
-	if c.ChunkPlain == 0 {
-		c.ChunkPlain = 1400
-	}
-	if c.ServiceTime == 0 {
-		c.ServiceTime = 500 * time.Microsecond
-	}
-	if c.ServiceJitter == 0 {
-		c.ServiceJitter = 200 * time.Microsecond
-	}
-	if c.HeaderDelay == 0 {
-		c.HeaderDelay = 300 * time.Microsecond
-	}
 	if c.SendBufLimit == 0 {
 		c.SendBufLimit = 56 << 10
 	}
@@ -124,12 +124,10 @@ type Server struct {
 	offset int64 // bytes written to the TCP stream so far
 
 	// Dense worker/copy tables, indexed by raw stream ID and object ID
-	// (see the Client's tables for the indexing rationale); active
-	// counts the non-nil workers so ActiveWorkers is O(1).
+	// (see the Client's tables for the indexing rationale).
 	workers       []*worker // by stream ID; nil = no worker on that stream
 	copies        []int     // by object ID: copies spawned
-	active        int
-	nextPushID    uint32 // next server-initiated (even) stream id
+	nextPushID    uint32    // next server-initiated (even) stream id
 	pushedAlready map[string]bool
 
 	// Worker recycling. wfree holds workers ready for reuse; parked
@@ -141,14 +139,12 @@ type Server struct {
 
 	// Per-chunk scratch, hoisted so the steady-state transmit path
 	// (worker.step → writeRecord) allocates nothing: record/frame/
-	// header-block build buffers, the synthetic body (content never
-	// varies, only size), a reusable DATA frame value, and the FeedInto
-	// callback built once.
+	// header-block build buffers, a reusable DATA frame value, and the
+	// FeedInto callback built once.
 	recBuf   []byte
 	frameBuf []byte
 	blockBuf []byte
 	hdrFrame h2.HeadersFrame // scratch: a stack literal would escape through AppendFrame
-	zeroBody []byte
 	dataF    h2.DataFrame
 	frameCb  func(h2.Frame) error
 
@@ -203,7 +199,6 @@ func (sv *Server) Reset(cfg ServerConfig, site *website.Site) {
 			sv.workers[id] = nil
 		}
 	}
-	sv.active = 0
 	for i, w := range sv.parked {
 		sv.wfree = append(sv.wfree, w)
 		sv.parked[i] = nil
@@ -214,11 +209,6 @@ func (sv *Server) Reset(cfg ServerConfig, site *website.Site) {
 	}
 	sv.nextPushID = 2
 	clear(sv.pushedAlready)
-	if cap(sv.zeroBody) < sv.cfg.ChunkPlain {
-		sv.zeroBody = make([]byte, sv.cfg.ChunkPlain)
-	} else {
-		sv.zeroBody = sv.zeroBody[:sv.cfg.ChunkPlain]
-	}
 	sv.Stats = ServerStats{}
 	sv.Obs = obs.Sink{}
 }
@@ -237,13 +227,11 @@ func (sv *Server) putWorker(streamID uint32, w *worker) {
 		sv.workers = growTable(sv.workers, int(streamID)+1)
 	}
 	sv.workers[streamID] = w
-	sv.active++
 }
 
 // delWorker removes a stream's worker. The stream must be present.
 func (sv *Server) delWorker(streamID uint32) {
 	sv.workers[streamID] = nil
-	sv.active--
 }
 
 // nextCopy returns and advances the object's spawned-copy counter.
@@ -375,7 +363,7 @@ func (sv *Server) handleRequest(f *h2.HeadersFrame) {
 	w := sv.getWorker(f.StreamID, obj, copyID)
 	sv.putWorker(f.StreamID, w)
 	sv.Obs.Inc(obs.CH2SrvWorker)
-	sv.s.After(sv.cfg.HeaderDelay, w.sendFn)
+	sv.s.After(headerDelay, w.sendFn)
 	sv.pushFor(obj.Path, f.StreamID)
 }
 
@@ -410,7 +398,7 @@ func (sv *Server) pushFor(path string, parentStream uint32) {
 		sv.putWorker(promiseID, w)
 		sv.Obs.Inc(obs.CH2SrvPush)
 		sv.Obs.Inc(obs.CH2SrvWorker)
-		sv.s.After(sv.cfg.HeaderDelay, w.sendFn)
+		sv.s.After(headerDelay, w.sendFn)
 	}
 }
 
@@ -434,11 +422,7 @@ func (sv *Server) respondBodyless(streamID uint32, status string) {
 
 // serviceInterval draws one per-chunk service time.
 func (sv *Server) serviceInterval() time.Duration {
-	d := sv.cfg.ServiceTime
-	if sv.cfg.ServiceJitter > 0 {
-		d += time.Duration(sv.s.Rand().Int63n(int64(sv.cfg.ServiceJitter)))
-	}
-	return d
+	return serviceTime + time.Duration(sv.s.Rand().Int63n(int64(serviceJitter)))
 }
 
 // worker is one server "thread" streaming one object copy. Workers
@@ -506,7 +490,7 @@ func (w *worker) step() {
 		sv.s.After(retry, w.stepFn)
 		return
 	}
-	n := sv.cfg.ChunkPlain
+	n := ChunkPlain
 	if rem := w.obj.Size - w.sent; n > rem {
 		n = rem
 	}
@@ -515,7 +499,7 @@ func (w *worker) step() {
 	// side-channel.
 	sv.dataF = h2.DataFrame{
 		StreamID:  w.streamID,
-		Data:      sv.zeroBody[:n],
+		Data:      zeroBody[:n],
 		EndStream: end,
 	}
 	sv.frameBuf = h2.AppendFrame(sv.frameBuf[:0], &sv.dataF)
@@ -544,7 +528,3 @@ func (w *worker) step() {
 	}
 	sv.s.After(sv.serviceInterval(), w.stepFn)
 }
-
-// ActiveWorkers reports how many object transmissions are in flight.
-// O(1): the counter tracks dense-table inserts and removals.
-func (sv *Server) ActiveWorkers() int { return sv.active }

@@ -208,9 +208,6 @@ func (l *Link) Rate() int64 { return l.cfg.RateBitsPerSec }
 // SetLoss changes the random loss probability.
 func (l *Link) SetLoss(p float64) { l.cfg.Loss = p }
 
-// SetMaxQueueDelay changes the transmit-backlog bound.
-func (l *Link) SetMaxQueueDelay(d time.Duration) { l.cfg.MaxQueueDelay = d }
-
 // txTime returns the serialization time of n wire bytes.
 func (l *Link) txTime(n int) time.Duration {
 	if l.cfg.RateBitsPerSec <= 0 {

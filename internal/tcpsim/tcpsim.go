@@ -36,53 +36,39 @@ import (
 // retry budget is exhausted (the paper's "broken connection").
 var ErrConnectionBroken = errors.New("tcpsim: connection broken: retransmission retries exhausted")
 
+// The transport's calibration: the paper's testbed (section V) runs
+// one fixed Linux TCP, so these are constants, not knobs.
+const (
+	// MSS is the maximum segment payload size.
+	MSS = 1460
+
+	// initialCwnd is the initial congestion window in segments
+	// (RFC 6928).
+	initialCwnd = 10
+
+	// rtoInit is the initial retransmission timeout.
+	rtoInit = time.Second
+
+	// rtoMin floors the adaptive RTO.
+	rtoMin = 200 * time.Millisecond
+
+	// rtoMax caps the backed-off RTO.
+	rtoMax = 60 * time.Second
+
+	// dupAckThreshold triggers fast retransmit.
+	dupAckThreshold = 3
+)
+
 // Config tunes an endpoint. The zero value means defaults.
 type Config struct {
-	// MSS is the maximum segment payload size. Default 1460.
-	MSS int
-
-	// InitialCwnd is the initial congestion window in segments.
-	// Default 10 (RFC 6928).
-	InitialCwnd int
-
-	// RTOInit is the initial retransmission timeout. Default 1s.
-	RTOInit time.Duration
-
-	// RTOMin floors the adaptive RTO. Default 200ms.
-	RTOMin time.Duration
-
-	// RTOMax caps the backed-off RTO. Default 60s.
-	RTOMax time.Duration
-
 	// MaxRetries is the number of consecutive RTO expiries tolerated
 	// before the connection is declared broken. Default 6.
 	MaxRetries int
-
-	// DupAckThreshold triggers fast retransmit. Default 3.
-	DupAckThreshold int
 }
 
 func (c Config) withDefaults() Config {
-	if c.MSS == 0 {
-		c.MSS = 1460
-	}
-	if c.InitialCwnd == 0 {
-		c.InitialCwnd = 10
-	}
-	if c.RTOInit == 0 {
-		c.RTOInit = time.Second
-	}
-	if c.RTOMin == 0 {
-		c.RTOMin = 200 * time.Millisecond
-	}
-	if c.RTOMax == 0 {
-		c.RTOMax = 60 * time.Second
-	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 6
-	}
-	if c.DupAckThreshold == 0 {
-		c.DupAckThreshold = 3
 	}
 	return c
 }
@@ -187,9 +173,9 @@ func New(s *sim.Simulator, cfg Config, name string, out func(*netem.Packet), app
 		out:  out,
 		app:  app,
 	}
-	e.cwnd = float64(e.cfg.InitialCwnd * e.cfg.MSS)
+	e.cwnd = float64(initialCwnd * MSS)
 	e.ssthresh = 1 << 30
-	e.rto = e.cfg.RTOInit
+	e.rto = rtoInit
 	e.rtoTimer = s.NewTimer(e.onRTO)
 	return e
 }
@@ -211,12 +197,12 @@ func (e *Endpoint) Reset(cfg Config) {
 	e.sndUna, e.sndNxt = 0, 0
 	e.sendBuf = e.sendBuf[:0]
 	e.sendOff = 0
-	e.cwnd = float64(e.cfg.InitialCwnd * e.cfg.MSS)
+	e.cwnd = float64(initialCwnd * MSS)
 	e.ssthresh = 1 << 30
 	e.dupAcks = 0
 	e.retries = 0
 	e.rtoTimer.Stop()
-	e.rto = e.cfg.RTOInit
+	e.rto = rtoInit
 	e.srtt, e.rttvar = 0, 0
 	e.sentQ = e.sentQ[:0]
 	e.sentOff = 0
@@ -235,9 +221,6 @@ func (e *Endpoint) Reset(cfg Config) {
 	e.Obs = obs.Sink{}
 	e.pktID = 0
 }
-
-// MSS returns the configured segment size.
-func (e *Endpoint) MSS() int { return e.cfg.MSS }
 
 // Cwnd returns the current congestion window in bytes.
 func (e *Endpoint) Cwnd() int { return int(e.cwnd) }
@@ -280,7 +263,7 @@ func (e *Endpoint) trySend() {
 		if win <= 0 {
 			break
 		}
-		n := e.cfg.MSS
+		n := MSS
 		if n > avail {
 			n = avail
 		}
@@ -330,7 +313,7 @@ func (e *Endpoint) emit(seq uint32, payload []byte, retransmit bool) {
 
 // retransmitHead resends the segment starting at sndUna.
 func (e *Endpoint) retransmitHead() {
-	n := e.cfg.MSS
+	n := MSS
 	if pending := len(e.sendBuf) - e.sendOff; n > pending {
 		n = pending
 	}
@@ -364,12 +347,12 @@ func (e *Endpoint) onRTO() {
 	e.Obs.Inc(obs.CTCPTimeoutRetx)
 	e.Obs.Event(e.s.Now(), obs.EvTCPTimeoutRetx, int64(e.sndUna), int64(e.retries))
 	flight := float64(e.Outstanding())
-	e.ssthresh = maxf(flight/2, float64(2*e.cfg.MSS))
-	e.cwnd = float64(e.cfg.MSS)
+	e.ssthresh = maxf(flight/2, float64(2*MSS))
+	e.cwnd = float64(MSS)
 	e.dupAcks = 0
 	e.rto *= 2
-	if e.rto > e.cfg.RTOMax {
-		e.rto = e.cfg.RTOMax
+	if e.rto > rtoMax {
+		e.rto = rtoMax
 	}
 	e.retransmitHead()
 	e.rtoTimer.Reset(e.rto)
@@ -442,9 +425,9 @@ func (e *Endpoint) handleAck(ack uint32, pureAck bool) {
 		e.rto = e.clampRTO(e.computeRTO())
 		// Congestion window growth.
 		if e.cwnd < e.ssthresh {
-			e.cwnd += float64(minInt(int(acked), e.cfg.MSS)) // slow start
+			e.cwnd += float64(minInt(int(acked), MSS)) // slow start
 		} else {
-			e.cwnd += float64(e.cfg.MSS) * float64(e.cfg.MSS) / e.cwnd // AIMD
+			e.cwnd += float64(MSS) * float64(MSS) / e.cwnd // AIMD
 		}
 		e.Obs.Observe(obs.HTCPCwnd, int64(e.cwnd))
 		if e.Outstanding() == 0 {
@@ -460,12 +443,12 @@ func (e *Endpoint) handleAck(ack uint32, pureAck bool) {
 		e.dupAcks++
 		e.Stats.DupAcksRecvd++
 		e.Obs.Inc(obs.CTCPDupAckRecvd)
-		if e.dupAcks == e.cfg.DupAckThreshold {
+		if e.dupAcks == dupAckThreshold {
 			// Fast retransmit + fast recovery entry.
 			e.Stats.FastRetransmits++
 			flight := float64(e.Outstanding())
-			e.ssthresh = maxf(flight/2, float64(2*e.cfg.MSS))
-			e.cwnd = e.ssthresh + float64(e.cfg.DupAckThreshold*e.cfg.MSS)
+			e.ssthresh = maxf(flight/2, float64(2*MSS))
+			e.cwnd = e.ssthresh + float64(dupAckThreshold*MSS)
 			e.Obs.Inc(obs.CTCPFastRetx)
 			e.Obs.Event(e.s.Now(), obs.EvTCPFastRetx, int64(e.sndUna), int64(e.cwnd))
 			e.retransmitHead()
@@ -595,17 +578,17 @@ func (e *Endpoint) updateRTT(sample time.Duration) {
 
 func (e *Endpoint) computeRTO() time.Duration {
 	if e.srtt == 0 {
-		return e.cfg.RTOInit
+		return rtoInit
 	}
 	return e.srtt + 4*e.rttvar
 }
 
 func (e *Endpoint) clampRTO(d time.Duration) time.Duration {
-	if d < e.cfg.RTOMin {
-		return e.cfg.RTOMin
+	if d < rtoMin {
+		return rtoMin
 	}
-	if d > e.cfg.RTOMax {
-		return e.cfg.RTOMax
+	if d > rtoMax {
+		return rtoMax
 	}
 	return d
 }

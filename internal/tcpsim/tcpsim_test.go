@@ -191,7 +191,7 @@ func TestRTTEstimation(t *testing.T) {
 	if srtt < 15*time.Millisecond || srtt > 30*time.Millisecond {
 		t.Errorf("SRTT = %v, want ~20ms", srtt)
 	}
-	if rto := conn.Server.RTO(); rto < conn.Server.cfg.RTOMin {
+	if rto := conn.Server.RTO(); rto < rtoMin {
 		t.Errorf("RTO = %v below floor", rto)
 	}
 }
@@ -212,9 +212,9 @@ func TestBackoffRTO(t *testing.T) {
 
 func TestCwndGrowsDuringTransfer(t *testing.T) {
 	conn, _, _ := runTransfer(t, 10, defaultPath(), 300<<10)
-	if conn.Server.Cwnd() <= conn.Server.cfg.InitialCwnd*conn.Server.cfg.MSS {
+	if conn.Server.Cwnd() <= initialCwnd*MSS {
 		t.Errorf("cwnd = %d did not grow past initial %d",
-			conn.Server.Cwnd(), conn.Server.cfg.InitialCwnd*conn.Server.cfg.MSS)
+			conn.Server.Cwnd(), initialCwnd*MSS)
 	}
 }
 

@@ -41,7 +41,8 @@ func (s ScheduleShape) String() string {
 	return fmt.Sprintf("ScheduleShape(%d)", uint8(s))
 }
 
-// AllShapes lists every schedule shape, the default corpus mix.
+// AllShapes lists every schedule shape, the mix corpus sites are drawn
+// from.
 var AllShapes = []ScheduleShape{ShapeBurst, ShapePaced, ShapeWaves}
 
 // CorpusConfig parameterizes a synthetic site population. Every field
@@ -61,25 +62,25 @@ type CorpusConfig struct {
 	// (inclusive). Defaults 8 and 64.
 	MinObjects int
 	MaxObjects int
-
-	// MinSize/MaxSize bound object body sizes in bytes; sizes are
-	// drawn log-uniformly so small assets dominate, as in real
-	// inventories. Defaults 300 and 150000.
-	MinSize int
-	MaxSize int
-
-	// MinSizeGap is the minimum pairwise distance between object
-	// sizes on one site. The default 48 keeps every site's size table
-	// unambiguous under the predictor's ±32-byte record-matching
-	// tolerance, so identification failures measure the attack, not
-	// corpus degeneracy. Set it to 0..32 to deliberately generate
-	// colliding inventories.
-	MinSizeGap int
-
-	// Shapes is the schedule-shape mix sites are drawn from.
-	// Defaults to AllShapes.
-	Shapes []ScheduleShape
 }
+
+// The corpus's object-size model. Every site draws from the same
+// range and the AllShapes schedule mix, so these are constants, not
+// knobs.
+const (
+	// minSize/maxSize bound object body sizes in bytes; sizes are
+	// drawn log-uniformly so small assets dominate, as in real
+	// inventories.
+	minSize = 300
+	maxSize = 150000
+
+	// minSizeGap is the minimum pairwise distance between object
+	// sizes on one site. It keeps every site's size table unambiguous
+	// under the predictor's ±32-byte record-matching tolerance, so
+	// identification failures measure the attack, not corpus
+	// degeneracy.
+	minSizeGap = 48
+)
 
 // Normalize fills defaults and returns the effective configuration.
 func (c CorpusConfig) Normalize() CorpusConfig {
@@ -92,38 +93,24 @@ func (c CorpusConfig) Normalize() CorpusConfig {
 	if c.MaxObjects < c.MinObjects {
 		c.MaxObjects = c.MinObjects
 	}
-	if c.MinSize <= 0 {
-		c.MinSize = 300
-	}
-	if c.MaxSize <= 0 {
-		c.MaxSize = 150000
-	}
-	if c.MaxSize < c.MinSize {
-		c.MaxSize = c.MinSize
-	}
-	if c.MinSizeGap <= 0 {
-		c.MinSizeGap = 48
-	}
-	if len(c.Shapes) == 0 {
-		c.Shapes = AllShapes
-	}
 	return c
 }
 
 // Fingerprint is a stable one-line description of the full
 // configuration, recorded in campaign checkpoints to refuse resuming
-// under a different population.
+// under a different population. It also prints the size-model
+// constants, so it names the whole population.
 func (c CorpusConfig) Fingerprint() string {
 	c = c.Normalize()
 	shapes := ""
-	for i, s := range c.Shapes {
+	for i, s := range AllShapes {
 		if i > 0 {
 			shapes += ","
 		}
 		shapes += s.String()
 	}
 	return fmt.Sprintf("corpus{seed=%d sites=%d objects=%d..%d size=%d..%d gap=%d shapes=%s}",
-		c.Seed, c.Sites, c.MinObjects, c.MaxObjects, c.MinSize, c.MaxSize, c.MinSizeGap, shapes)
+		c.Seed, c.Sites, c.MinObjects, c.MaxObjects, minSize, maxSize, minSizeGap, shapes)
 }
 
 // SiteSpec summarizes one generated site — the fields a survey
@@ -204,7 +191,7 @@ func (c *Corpus) Build(i int) *GeneratedSite {
 	rng := rand.New(rand.NewSource(int64(seed)))
 
 	nObjects := cfg.MinObjects + rng.Intn(cfg.MaxObjects-cfg.MinObjects+1)
-	shape := cfg.Shapes[rng.Intn(len(cfg.Shapes))]
+	shape := AllShapes[rng.Intn(len(AllShapes))]
 
 	// The attacked HTML document sits mid-schedule — late enough that
 	// skeleton objects precede it (the attack throttles during them),
@@ -218,9 +205,8 @@ func (c *Corpus) Build(i int) *GeneratedSite {
 	}
 
 	// Draw object sizes log-uniformly, keeping every pair at least
-	// MinSizeGap apart so the site's size table is as ambiguous as the
-	// config asks for and no more.
-	logMin, logMax := math.Log(float64(cfg.MinSize)), math.Log(float64(cfg.MaxSize))
+	// minSizeGap apart so the site's size table stays unambiguous.
+	logMin, logMax := math.Log(minSize), math.Log(maxSize)
 	used := make(map[int]bool, nObjects)
 	distinct := func(want int) int {
 		for {
@@ -230,7 +216,7 @@ func (c *Corpus) Build(i int) *GeneratedSite {
 				if d < 0 {
 					d = -d
 				}
-				if d < cfg.MinSizeGap {
+				if d < minSizeGap {
 					ok = false
 					break
 				}
@@ -239,7 +225,7 @@ func (c *Corpus) Build(i int) *GeneratedSite {
 				used[want] = true
 				return want
 			}
-			want += cfg.MinSizeGap + 1
+			want += minSizeGap + 1
 		}
 	}
 	drawSize := func() int {

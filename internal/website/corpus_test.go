@@ -81,7 +81,7 @@ func TestCorpusSiteInvariants(t *testing.T) {
 			if o.ID != j+1 {
 				t.Fatalf("site %d: object %d has ID %d", i, j, o.ID)
 			}
-			if o.Size < cfg.MinSize {
+			if o.Size < minSize {
 				t.Fatalf("site %d: object %d size %d below min", i, j, o.Size)
 			}
 		}
@@ -105,9 +105,9 @@ func TestCorpusSiteInvariants(t *testing.T) {
 				if d < 0 {
 					d = -d
 				}
-				if d < cfg.MinSizeGap {
+				if d < minSizeGap {
 					t.Fatalf("site %d: sizes %d and %d closer than %d",
-						i, site.Objects[a].Size, site.Objects[b].Size, cfg.MinSizeGap)
+						i, site.Objects[a].Size, site.Objects[b].Size, minSizeGap)
 				}
 			}
 		}

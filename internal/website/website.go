@@ -101,17 +101,6 @@ func (s *Site) Object(id int) (Object, bool) {
 	return Object{}, false
 }
 
-// SizeTable returns the size -> object mapping the paper's adversary
-// precompiles ("a pre-compiled list of image size to political party
-// mapping").
-func (s *Site) SizeTable() map[int]Object {
-	m := make(map[int]Object, len(s.Objects))
-	for _, o := range s.Objects {
-		m[o.Size] = o
-	}
-	return m
-}
-
 // ScheduleIndex returns the position (1-based) of the first request
 // for objectID in the schedule, or 0 if absent.
 func (s *Site) ScheduleIndex(objectID int) int {

@@ -147,10 +147,6 @@ func TestLookupHelpers(t *testing.T) {
 	if _, ok := site.Object(99999); ok {
 		t.Error("unknown id resolved")
 	}
-	tbl := site.SizeTable()
-	if o, ok := tbl[ResultHTMLSize]; !ok || o.ID != ResultHTMLID {
-		t.Error("size table misses the HTML")
-	}
 	if site.ScheduleIndex(-5) != 0 {
 		t.Error("ScheduleIndex of absent object should be 0")
 	}
