@@ -52,8 +52,11 @@ func startTelemetry(addr string) (*telemetryPlane, error) {
 // trialReplayer is the one trial replay behind -events,
 // -events-trace and the /events endpoint: a world with a 4096-event
 // flight recorder attached, both built on first use and reused after.
-// Trials are pure functions of the seed, so the replayed ring is
-// exactly what a campaign's own execution of that trial recorded.
+// It always runs the full-attack trial on the paper site, which is
+// -table2's trial at that seed and no other campaign's: table1, fig5,
+// drops, delay, defenses and every survey run a different trial at the
+// same seed. Trials are pure functions of their parameters, so for
+// -table2 the replayed ring is what that campaign's trial recorded.
 type trialReplayer struct {
 	w   *experiment.World
 	rec *obs.Recorder

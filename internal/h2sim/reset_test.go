@@ -17,7 +17,6 @@ type packetObs struct {
 	Seq        uint32
 	PayloadLen int
 	WireLen    int
-	Retransmit bool
 }
 
 // recordPackets installs a pass-through interceptor on the session's
@@ -32,7 +31,6 @@ func recordPackets(sess *Session) *[]packetObs {
 			Seq:        p.Seq,
 			PayloadLen: len(p.Payload),
 			WireLen:    p.WireLen(),
-			Retransmit: p.Retransmit,
 		})
 		return netem.Pass()
 	}

@@ -68,18 +68,19 @@ func TestMiddleboxPathZeroAlloc(t *testing.T) {
 }
 
 // TestReassemblerSteadyStateZeroAlloc holds out-of-order segments and
-// drains them repeatedly: held-buffer and scratch recycling must make
-// the loop allocation-free after warm-up.
+// drains them repeatedly: held-buffer recycling must make the loop
+// allocation-free after warm-up.
 func TestReassemblerSteadyStateZeroAlloc(t *testing.T) {
-	var r reassembler
+	var r Reassembler
 	seg := make([]byte, 64)
-	next := uint32(0)
+	delivered := 0
+	deliver := func(b []byte) { delivered += len(b) }
 	cycle := func() {
 		// Arrivals 2,3 out of order, then 1 fills the gap.
-		r.push(next+64, seg)
-		r.push(next+128, seg)
-		r.push(next, seg)
-		next += 192
+		next := r.Next
+		r.Push(next+64, seg, deliver)
+		r.Push(next+128, seg, deliver)
+		r.Push(next, seg, deliver)
 	}
 	for i := 0; i < 32; i++ {
 		cycle()
@@ -87,6 +88,9 @@ func TestReassemblerSteadyStateZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, cycle)
 	if allocs != 0 {
 		t.Errorf("reassembler steady state: %.1f allocs/op, want 0", allocs)
+	}
+	if want := 192 * (32 + 201); delivered != want || r.Next != uint32(want) {
+		t.Errorf("delivered %d bytes, Next %d, want %d", delivered, r.Next, want)
 	}
 }
 

@@ -18,15 +18,15 @@
 // The forwarding plane is allocation-free in steady state: packets and
 // their payload buffers are recycled through a per-Path PacketPool,
 // links schedule deliveries with sim.AfterArg instead of per-packet
-// closures, and the middlebox reassemblers hold out-of-order segments
-// in pooled, sorted slices rather than maps (which also removes a
-// per-drain sort).
+// closures, and the Reassembler holds out-of-order segments in a
+// pooled, sorted slice rather than a map.
 //
 // Key types: Link (rate/delay/jitter/loss/queue), Path (the four-link
 // topology above), Middlebox (per-direction Interceptor and ByteTap
-// hooks), Packet, and PacketPool. This is the paper's threat model
-// (section III): a compromised gateway — their OpenWrt router — on the
-// client's path.
+// hooks), Reassembler (the one TCP byte-stream reassembler, shared by
+// the middlebox tap and the tcpsim receiver), Packet, and PacketPool.
+// This is the paper's threat model (section III): a compromised
+// gateway — their OpenWrt router — on the client's path.
 package netem
 
 import (
@@ -44,7 +44,6 @@ const HeaderOverhead = 40
 
 // Packet is one TCP segment on the simulated wire.
 type Packet struct {
-	ID  uint64
 	Dir trace.Direction
 
 	// Seq is the TCP sequence number of the first payload byte.
@@ -53,16 +52,6 @@ type Packet struct {
 	Ack uint32
 
 	Payload []byte
-
-	// SYN/FIN/RST model the TCP control flags used by the simulation.
-	SYN, FIN, RST bool
-
-	// Retransmit is ground-truth sender annotation used by traces; a
-	// real observer would infer it from sequence numbers.
-	Retransmit bool
-
-	// SentAt is when the sender handed the packet to its link.
-	SentAt time.Duration
 }
 
 // WireLen is the packet's size on the wire including header overhead.
@@ -122,14 +111,11 @@ type LinkConfig struct {
 	// PropDelay is the fixed propagation delay.
 	PropDelay time.Duration
 
-	// Jitter, when non-nil, returns a per-packet extra delay.
+	// Jitter, when non-nil, returns a per-packet extra delay. The link
+	// stays FIFO: jitter varies delay but preserves order, as real
+	// queues do. (On-path adversarial reordering comes from middlebox
+	// Delay decisions, which bypass this.)
 	Jitter func(rng *rand.Rand) time.Duration
-
-	// AllowReorder lets jittered packets overtake one another. By
-	// default the link is FIFO: jitter varies delay but preserves
-	// order, as real queues do. (On-path adversarial reordering comes
-	// from middlebox hold decisions, which bypass this.)
-	AllowReorder bool
 
 	// Loss is the probability in [0,1] that a packet is dropped.
 	Loss float64
@@ -251,7 +237,7 @@ func (l *Link) Send(p *Packet) {
 		delay += j
 	}
 	arrival := now + delay
-	if !l.cfg.AllowReorder && arrival < l.lastArrival {
+	if arrival < l.lastArrival {
 		arrival = l.lastArrival
 		delay = arrival - now
 	}
@@ -307,9 +293,9 @@ func Delay(d time.Duration) Decision { return Decision{Action: ActDelay, Delay: 
 type Interceptor func(dir trace.Direction, p *Packet) Decision
 
 // ByteTap receives the reassembled in-order TCP payload byte stream
-// of one direction, as a passive observer would reconstruct it. The
-// slice is scratch owned by the middlebox: copy it if it must survive
-// the call.
+// of one direction, as a passive observer would reconstruct it, one
+// contiguous run per call. The slice is only valid for the call: copy
+// it if it must survive.
 type ByteTap func(dir trace.Direction, b []byte)
 
 // Middlebox is the compromised on-path device: it observes every
@@ -335,8 +321,12 @@ type Middlebox struct {
 		Passed, Dropped, Delayed int
 	}
 
-	asmC2S reassembler
-	asmS2C reassembler
+	// Per-direction tap state, indexed by Dir-1. A direction's stream
+	// starts at the first payload packet seen after Reset, as a sniffer
+	// joining mid-connection would.
+	asm    [2]Reassembler
+	seeded [2]bool
+	tapFns [2]func([]byte) // reused Push callbacks: Tap(dir, b)
 }
 
 // NewMiddlebox wires a middlebox to its two outgoing links.
@@ -345,6 +335,10 @@ func NewMiddlebox(s *sim.Simulator, toServer, toClient *Link) *Middlebox {
 	m.forwardFn = func(x any) {
 		p := x.(*Packet)
 		m.linkFor(p.Dir).Send(p)
+	}
+	for i := range m.tapFns {
+		dir := trace.Direction(i + 1)
+		m.tapFns[i] = func(b []byte) { m.Tap(dir, b) }
 	}
 	return m
 }
@@ -359,8 +353,10 @@ func (m *Middlebox) Reset() {
 	m.Interceptor = nil
 	m.Tap = nil
 	m.Stats.Passed, m.Stats.Dropped, m.Stats.Delayed = 0, 0, 0
-	m.asmC2S.reset()
-	m.asmS2C.reset()
+	for i := range m.asm {
+		m.asm[i].Reset(0)
+		m.seeded[i] = false
+	}
 }
 
 // linkFor returns the outgoing link for a direction.
@@ -374,15 +370,12 @@ func (m *Middlebox) linkFor(dir trace.Direction) *Link {
 // HandlePacket is the middlebox's link-delivery entry point.
 func (m *Middlebox) HandlePacket(p *Packet) {
 	if m.Tap != nil && len(p.Payload) > 0 {
-		var fresh []byte
-		if p.Dir == trace.ClientToServer {
-			fresh = m.asmC2S.push(p.Seq, p.Payload)
-		} else {
-			fresh = m.asmS2C.push(p.Seq, p.Payload)
+		i := p.Dir - 1
+		if !m.seeded[i] {
+			m.seeded[i] = true
+			m.asm[i].Reset(p.Seq)
 		}
-		if len(fresh) > 0 {
-			m.Tap(p.Dir, fresh)
-		}
+		m.asm[i].Push(p.Seq, p.Payload, m.tapFns[i])
 	}
 
 	dec := Pass()
@@ -401,126 +394,6 @@ func (m *Middlebox) HandlePacket(p *Packet) {
 		m.linkFor(p.Dir).Send(p)
 	}
 }
-
-// heldSeg is one out-of-order segment waiting for its gap to fill.
-type heldSeg struct {
-	seq uint32
-	buf []byte
-}
-
-// reassembler rebuilds an in-order byte stream from possibly
-// out-of-order, duplicated TCP segments, the way a passive sniffer
-// does. Held segments live in a slice kept sorted by sequence-space
-// distance from the next expected byte (wrap-safe), so draining needs
-// no per-call sort and no map iteration; hold buffers and the
-// contiguous-bytes scratch are recycled across pushes.
-type reassembler struct {
-	next    uint32
-	started bool
-	held    []heldSeg // sorted ascending by (seq - next)
-	spare   [][]byte  // recycled hold buffers
-	scratch []byte    // reusable contiguous-bytes buffer handed out by push
-}
-
-// push ingests one segment and returns any newly contiguous bytes.
-// The returned slice is scratch, valid only until the next push.
-func (r *reassembler) push(seq uint32, payload []byte) []byte {
-	if !r.started {
-		r.next = seq
-		r.started = true
-	}
-	end := seq + uint32(len(payload))
-	if seqLEQ(end, r.next) {
-		return nil // pure duplicate
-	}
-	if seqLess(r.next, seq) {
-		r.hold(seq, payload)
-		return nil
-	}
-	// Overlapping or exactly next: take the fresh suffix, then drain
-	// any now-contiguous held segments in stream order.
-	fresh := append(r.scratch[:0], payload[r.next-seq:]...)
-	r.next = end
-	for len(r.held) > 0 {
-		h := r.held[0]
-		hend := h.seq + uint32(len(h.buf))
-		if seqLEQ(hend, r.next) {
-			r.dropHead() // fully superseded
-			continue
-		}
-		if seqLess(r.next, h.seq) {
-			break // gap remains
-		}
-		fresh = append(fresh, h.buf[r.next-h.seq:]...)
-		r.next = hend
-		r.dropHead()
-	}
-	r.scratch = fresh
-	return fresh
-}
-
-// hold files a future segment in sorted position, keeping the longest
-// copy for a duplicated slot (the same rule the map version applied).
-func (r *reassembler) hold(seq uint32, payload []byte) {
-	d := seq - r.next
-	i := 0
-	for i < len(r.held) && r.held[i].seq-r.next < d {
-		i++
-	}
-	if i < len(r.held) && r.held[i].seq == seq {
-		if len(payload) > len(r.held[i].buf) {
-			r.held[i].buf = append(r.held[i].buf[:0], payload...)
-		}
-		return
-	}
-	buf := append(r.getSpare(), payload...)
-	r.held = append(r.held, heldSeg{})
-	copy(r.held[i+1:], r.held[i:])
-	r.held[i] = heldSeg{seq: seq, buf: buf}
-}
-
-// dropHead removes the first held segment, recycling its buffer.
-func (r *reassembler) dropHead() {
-	buf := r.held[0].buf
-	n := len(r.held)
-	copy(r.held, r.held[1:])
-	r.held[n-1] = heldSeg{}
-	r.held = r.held[:n-1]
-	if buf != nil {
-		r.spare = append(r.spare, buf[:0])
-	}
-}
-
-// reset forgets stream position and held segments, recycling their
-// buffers (and keeping the scratch) for the next stream.
-func (r *reassembler) reset() {
-	r.next = 0
-	r.started = false
-	for i := range r.held {
-		if buf := r.held[i].buf; buf != nil {
-			r.spare = append(r.spare, buf[:0])
-		}
-		r.held[i] = heldSeg{}
-	}
-	r.held = r.held[:0]
-}
-
-// getSpare returns a recycled zero-length hold buffer, or nil.
-func (r *reassembler) getSpare() []byte {
-	if n := len(r.spare); n > 0 {
-		b := r.spare[n-1]
-		r.spare[n-1] = nil
-		r.spare = r.spare[:n-1]
-		return b
-	}
-	return nil
-}
-
-// seqLess is modular 32-bit sequence comparison (RFC 793 style).
-func seqLess(a, b uint32) bool { return int32(a-b) < 0 }
-
-// seqLEQ is modular less-or-equal.
-func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
 
 // Path assembles the full client↔server topology around one
 // middlebox.

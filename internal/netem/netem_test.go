@@ -93,35 +93,6 @@ func TestLinkLoss(t *testing.T) {
 	}
 }
 
-func TestLinkJitterReorders(t *testing.T) {
-	s := sim.New(3)
-	var order []uint64
-	l := NewLink(s, LinkConfig{
-		PropDelay:    time.Millisecond,
-		Jitter:       UniformJitter(20 * time.Millisecond),
-		AllowReorder: true,
-	}, func(p *Packet) { order = append(order, p.ID) })
-	for i := 0; i < 50; i++ {
-		id := uint64(i)
-		l.Send(&Packet{ID: id, Payload: []byte("x")})
-		s.RunUntil(s.Now() + 100*time.Microsecond)
-	}
-	s.Run()
-	if len(order) != 50 {
-		t.Fatalf("delivered %d, want 50", len(order))
-	}
-	inOrder := true
-	for i := 1; i < len(order); i++ {
-		if order[i] < order[i-1] {
-			inOrder = false
-			break
-		}
-	}
-	if inOrder {
-		t.Error("heavy jitter never reordered packets")
-	}
-}
-
 func TestUniformJitterZero(t *testing.T) {
 	if UniformJitter(0) != nil {
 		t.Error("UniformJitter(0) should be nil (no jitter)")
@@ -200,7 +171,7 @@ func TestMiddleboxCaptureAndStats(t *testing.T) {
 	p.Mbox.Tap = func(dir trace.Direction, b []byte) { got = append(got, tapped{dir, string(b)}) }
 	p.SendFromClient(&Packet{Seq: 0, Payload: []byte("abcd")})
 	s.Run()
-	p.SendFromClient(&Packet{Seq: 0, Payload: []byte("abcd"), Retransmit: true})
+	p.SendFromClient(&Packet{Seq: 0, Payload: []byte("abcd")}) // retransmission
 	p.SendFromServer(&Packet{Seq: 0, Payload: []byte("efgh")})
 	s.Run()
 	want := []tapped{{trace.ClientToServer, "abcd"}, {trace.ServerToClient, "efgh"}}
@@ -219,7 +190,7 @@ func TestMiddleboxInterceptorDropAndDelay(t *testing.T) {
 		deliveries = append(deliveries, s.Now())
 	})
 	p.Mbox.Interceptor = func(dir trace.Direction, pkt *Packet) Decision {
-		switch pkt.ID {
+		switch pkt.Seq {
 		case 1:
 			return Drop()
 		case 2:
@@ -228,9 +199,9 @@ func TestMiddleboxInterceptorDropAndDelay(t *testing.T) {
 			return Pass()
 		}
 	}
-	p.SendFromClient(&Packet{ID: 1, Payload: []byte("dropme")})
-	p.SendFromClient(&Packet{ID: 2, Payload: []byte("delayme")})
-	p.SendFromClient(&Packet{ID: 3, Payload: []byte("passme")})
+	p.SendFromClient(&Packet{Seq: 1, Payload: []byte("dropme")})
+	p.SendFromClient(&Packet{Seq: 2, Payload: []byte("delayme")})
+	p.SendFromClient(&Packet{Seq: 3, Payload: []byte("passme")})
 	s.Run()
 	if len(deliveries) != 2 {
 		t.Fatalf("delivered %d packets, want 2 (one dropped)", len(deliveries))
@@ -265,29 +236,6 @@ func TestMiddleboxByteTapReassembly(t *testing.T) {
 	s.Run()
 	if got.String() != "hello world attack" {
 		t.Errorf("tap saw %q, want %q", got.String(), "hello world attack")
-	}
-}
-
-func TestReassemblerOverlap(t *testing.T) {
-	// push returns scratch valid only until the next push, so the
-	// accumulator must copy each result out.
-	var r reassembler
-	var out []byte
-	out = append(out, r.push(0, []byte("abcd"))...)
-	out = append(out, r.push(2, []byte("cdef"))...) // overlaps 2 bytes
-	if string(out) != "abcdef" {
-		t.Errorf("reassembled %q, want abcdef", out)
-	}
-}
-
-func TestReassemblerWraparound(t *testing.T) {
-	var r reassembler
-	var out []byte
-	start := uint32(0xfffffffe)
-	out = append(out, r.push(start, []byte("ab"))...) // ends at 0
-	out = append(out, r.push(0, []byte("cd"))...)     // wraps
-	if string(out) != "abcd" {
-		t.Errorf("reassembled %q, want abcd", out)
 	}
 }
 
@@ -326,15 +274,15 @@ func TestDirectionHelpers(t *testing.T) {
 }
 
 func TestLinkFIFOByDefault(t *testing.T) {
-	// Heavy jitter without AllowReorder must never reorder.
+	// Heavy jitter must never reorder.
 	s := sim.New(9)
-	var order []uint64
+	var order []uint32
 	l := NewLink(s, LinkConfig{
 		PropDelay: time.Millisecond,
 		Jitter:    UniformJitter(30 * time.Millisecond),
-	}, func(p *Packet) { order = append(order, p.ID) })
+	}, func(p *Packet) { order = append(order, p.Seq) })
 	for i := 0; i < 80; i++ {
-		l.Send(&Packet{ID: uint64(i), Payload: []byte("x")})
+		l.Send(&Packet{Seq: uint32(i), Payload: []byte("x")})
 		s.RunUntil(s.Now() + 200*time.Microsecond)
 	}
 	s.Run()

@@ -11,26 +11,28 @@ import (
 )
 
 // TestDeliveryIntegrityQuick is the transport's core property: under
-// arbitrary (bounded) loss, jitter, reordering, and bandwidth, every
-// byte written is delivered exactly once, in order, unless the
-// connection breaks.
+// arbitrary (bounded) loss, jitter, and reordering, every byte written
+// is delivered exactly once, in order, unless the connection breaks.
 func TestDeliveryIntegrityQuick(t *testing.T) {
-	f := func(seed int64, lossPct, jitterMs, sizeKB uint8, reorder bool) bool {
+	f := func(seed int64, lossPct, jitterMs, sizeKB uint8, reordered bool) bool {
 		loss := float64(lossPct%8) / 100 // 0-7%
 		size := (int(sizeKB)%64 + 1) << 10
+		jitter := time.Duration(jitterMs%20) * time.Millisecond
 		cfg := netem.PathConfig{
 			ClientSide: netem.LinkConfig{PropDelay: 2 * time.Millisecond},
 			ServerSide: netem.LinkConfig{
-				PropDelay:    5 * time.Millisecond,
-				Loss:         loss,
-				Jitter:       netem.UniformJitter(time.Duration(jitterMs%20) * time.Millisecond),
-				AllowReorder: reorder,
+				PropDelay: 5 * time.Millisecond,
+				Loss:      loss,
+				Jitter:    netem.UniformJitter(jitter),
 			},
 		}
 		s := sim.New(seed)
 		s.MaxSteps = 10_000_000
 		var rcv bytes.Buffer
 		conn := NewConn(s, cfg, Config{}, func(b []byte) { rcv.Write(b) }, nil)
+		if reordered {
+			reorder(conn, s, jitter+time.Millisecond)
+		}
 		payload := make([]byte, size)
 		for i := range payload {
 			payload[i] = byte(i*7 + int(seed))

@@ -15,8 +15,8 @@
 // The data path is allocation-free in steady state: segments are
 // emitted as pooled netem.Packets whose payload buffers are recycled,
 // the send buffer is consumed by offset (no reslicing churn), and
-// out-of-order receive segments are held in a pooled, sorted slice
-// rather than a map (which also removes the per-drain key sort).
+// inbound segments go through netem.Reassembler, the same reassembler
+// the middlebox's sniffer tap uses.
 //
 // Key types: Endpoint (one side's send/receive state machine, with
 // retransmit and break callbacks) and Conn (a client/server Endpoint
@@ -76,20 +76,11 @@ func (c Config) withDefaults() Config {
 // Stats counts transport events on one endpoint.
 type Stats struct {
 	SegmentsSent       int
-	BytesSent          int64
 	Retransmits        int // all retransmitted segments
 	FastRetransmits    int
 	TimeoutRetransmits int
 	DupAcksSent        int
-	DupAcksRecvd       int
 	AcksSent           int
-}
-
-// heldSeg is one out-of-order inbound segment waiting for its gap to
-// fill. The buf is an owned copy of the wire payload.
-type heldSeg struct {
-	seq uint32
-	buf []byte
 }
 
 // sentStamp is one Karn RTT bookkeeping entry: the end sequence of a
@@ -102,7 +93,6 @@ type sentStamp struct {
 // Endpoint is one side of a simulated TCP connection. Not safe for
 // concurrent use; it runs entirely on the simulator goroutine.
 type Endpoint struct {
-	name string
 	s    *sim.Simulator
 	cfg  Config
 	out  func(*netem.Packet) // inject into the network
@@ -136,11 +126,8 @@ type Endpoint struct {
 	sentQ   []sentStamp
 	sentOff int
 
-	// Receive state. held is kept sorted ascending by wrap-safe
-	// distance (seq - rcvNxt); spare recycles hold buffers.
-	rcvNxt uint32
-	held   []heldSeg
-	spare  [][]byte
+	// Receive state: rcv.Next is the next expected inbound byte.
+	rcv netem.Reassembler
 
 	// OnBreak is called once when the connection breaks. May be nil.
 	OnBreak func(error)
@@ -158,20 +145,20 @@ type Endpoint struct {
 	// Obs receives metric increments and flight events; the zero Sink
 	// discards them.
 	Obs obs.Sink
-
-	pktID uint64
 }
 
 // New creates an endpoint. out injects packets toward the peer; app
 // receives the ordered inbound byte stream (the slice is only valid
-// for the duration of the callback). name labels diagnostics.
-func New(s *sim.Simulator, cfg Config, name string, out func(*netem.Packet), app func([]byte)) *Endpoint {
+// for the duration of the callback); it may be nil.
+func New(s *sim.Simulator, cfg Config, out func(*netem.Packet), app func([]byte)) *Endpoint {
+	if app == nil {
+		app = func([]byte) {}
+	}
 	e := &Endpoint{
-		name: name,
-		s:    s,
-		cfg:  cfg.withDefaults(),
-		out:  out,
-		app:  app,
+		s:   s,
+		cfg: cfg.withDefaults(),
+		out: out,
+		app: app,
 	}
 	e.cwnd = float64(initialCwnd * MSS)
 	e.ssthresh = 1 << 30
@@ -187,7 +174,7 @@ func (e *Endpoint) SetPool(pp *netem.PacketPool) { e.pool = pp }
 
 // Reset returns the endpoint to the state New would produce with cfg,
 // keeping the simulator wiring, pool, timer object, and every buffer's
-// capacity (send buffer, held segments, spares, the RTT queue). The
+// capacity (send buffer, reassembler, the RTT queue). The
 // OnBreak and OnRetransmit callbacks are cleared, matching a freshly
 // constructed endpoint; rewire them after Reset. Must be called after
 // the owning simulator has been Reset, so the stale RTO timer
@@ -207,19 +194,11 @@ func (e *Endpoint) Reset(cfg Config) {
 	e.sentQ = e.sentQ[:0]
 	e.sentOff = 0
 	e.broken = false
-	e.rcvNxt = 0
-	for i := range e.held {
-		if buf := e.held[i].buf; buf != nil {
-			e.spare = append(e.spare, buf[:0])
-		}
-		e.held[i] = heldSeg{}
-	}
-	e.held = e.held[:0]
+	e.rcv.Reset(0)
 	e.OnBreak = nil
 	e.OnRetransmit = nil
 	e.Stats = Stats{}
 	e.Obs = obs.Sink{}
-	e.pktID = 0
 }
 
 // Cwnd returns the current congestion window in bytes.
@@ -289,17 +268,12 @@ func (e *Endpoint) trySend() {
 // payload is copied into the packet's recycled buffer, so callers may
 // pass send-buffer subslices directly.
 func (e *Endpoint) emit(seq uint32, payload []byte, retransmit bool) {
-	e.pktID++
 	p := e.pool.Get()
-	p.ID = e.pktID
 	p.Seq = seq
-	p.Ack = e.rcvNxt
+	p.Ack = e.rcv.Next
 	p.Payload = append(p.Payload[:0], payload...)
-	p.Retransmit = retransmit
-	p.SentAt = e.s.Now()
 	if len(payload) > 0 {
 		e.Stats.SegmentsSent++
-		e.Stats.BytesSent += int64(len(payload))
 		e.Obs.Inc(obs.CTCPSegSent)
 		if retransmit {
 			e.Stats.Retransmits++
@@ -381,7 +355,12 @@ func (e *Endpoint) HandlePacket(p *netem.Packet) {
 	}
 	e.handleAck(p.Ack, len(p.Payload) == 0)
 	if len(p.Payload) > 0 {
-		e.handleData(p.Seq, p.Payload)
+		// Acknowledge every data segment; one held out of order gets
+		// a duplicate ACK, since rcv.Next has not moved.
+		if e.rcv.Push(p.Seq, p.Payload, e.app) {
+			e.Stats.DupAcksSent++
+		}
+		e.emit(e.sndNxt, nil, false)
 	}
 }
 
@@ -441,7 +420,6 @@ func (e *Endpoint) handleAck(ack uint32, pureAck bool) {
 	}
 	if pureAck && ack == e.sndUna && e.Outstanding() > 0 {
 		e.dupAcks++
-		e.Stats.DupAcksRecvd++
 		e.Obs.Inc(obs.CTCPDupAckRecvd)
 		if e.dupAcks == dupAckThreshold {
 			// Fast retransmit + fast recovery entry.
@@ -455,106 +433,6 @@ func (e *Endpoint) handleAck(ack uint32, pureAck bool) {
 			e.rtoTimer.Reset(e.rto)
 		}
 	}
-}
-
-// handleData processes inbound payload and acknowledges.
-func (e *Endpoint) handleData(seq uint32, payload []byte) {
-	switch {
-	case seq == e.rcvNxt:
-		e.deliver(payload)
-		e.drainHeld()
-		e.sendAck(false)
-	case seqLess(e.rcvNxt, seq):
-		// Out of order: hold and send a duplicate ACK.
-		e.hold(seq, payload)
-		e.Stats.DupAcksSent++
-		e.sendAck(true)
-	default:
-		// Old or overlapping segment.
-		end := seq + uint32(len(payload))
-		if seqLess(e.rcvNxt, end) {
-			e.deliver(payload[e.rcvNxt-seq:])
-			e.drainHeld()
-		}
-		e.sendAck(false)
-	}
-}
-
-func (e *Endpoint) deliver(b []byte) {
-	e.rcvNxt += uint32(len(b))
-	if e.app != nil {
-		e.app(b)
-	}
-}
-
-// hold files a future segment at its sorted position (ascending
-// wrap-safe distance from rcvNxt), copying the payload into a
-// recycled buffer. A duplicate of an already-held sequence is ignored
-// (first copy wins, matching the original map behaviour).
-func (e *Endpoint) hold(seq uint32, payload []byte) {
-	d := seq - e.rcvNxt
-	i := 0
-	for i < len(e.held) && e.held[i].seq-e.rcvNxt < d {
-		i++
-	}
-	if i < len(e.held) && e.held[i].seq == seq {
-		return
-	}
-	buf := append(e.getSpare(), payload...)
-	e.held = append(e.held, heldSeg{})
-	copy(e.held[i+1:], e.held[i:])
-	e.held[i] = heldSeg{seq: seq, buf: buf}
-}
-
-// drainHeld delivers held segments made contiguous by an advance of
-// rcvNxt. The slice is sorted in stream order (distance from rcvNxt
-// in sequence space, wrap-safe), so a front scan visits segments in
-// the same deterministic order the map version achieved by sorting
-// its keys per call — the sort is simply no longer needed.
-func (e *Endpoint) drainHeld() {
-	for len(e.held) > 0 {
-		h := e.held[0]
-		end := h.seq + uint32(len(h.buf))
-		if seqLEQ(end, e.rcvNxt) {
-			e.dropHead() // fully superseded duplicate
-			continue
-		}
-		if seqLess(e.rcvNxt, h.seq) {
-			return // gap remains
-		}
-		e.deliver(h.buf[e.rcvNxt-h.seq:])
-		e.dropHead()
-	}
-}
-
-// dropHead removes the first held segment, recycling its buffer.
-func (e *Endpoint) dropHead() {
-	buf := e.held[0].buf
-	n := len(e.held)
-	copy(e.held, e.held[1:])
-	e.held[n-1] = heldSeg{}
-	e.held = e.held[:n-1]
-	if buf != nil {
-		e.spare = append(e.spare, buf[:0])
-	}
-}
-
-// getSpare returns a recycled zero-length hold buffer, or nil.
-func (e *Endpoint) getSpare() []byte {
-	if n := len(e.spare); n > 0 {
-		b := e.spare[n-1]
-		e.spare[n-1] = nil
-		e.spare = e.spare[:n-1]
-		return b
-	}
-	return nil
-}
-
-// sendAck emits a pure ACK; dup marks it as a duplicate for stats
-// only (the wire format is identical).
-func (e *Endpoint) sendAck(dup bool) {
-	_ = dup
-	e.emit(e.sndNxt, nil, false)
 }
 
 // updateRTT folds one sample into SRTT/RTTVAR (RFC 6298).
@@ -652,8 +530,8 @@ func NewConn(s *sim.Simulator, pathCfg netem.PathConfig, tcpCfg Config, clientAp
 		},
 	)
 	c.Path = path
-	c.Client = New(s, tcpCfg, "client", path.SendFromClient, clientApp)
-	c.Server = New(s, tcpCfg, "server", path.SendFromServer, serverApp)
+	c.Client = New(s, tcpCfg, path.SendFromClient, clientApp)
+	c.Server = New(s, tcpCfg, path.SendFromServer, serverApp)
 	c.Client.SetPool(path.Pool)
 	c.Server.SetPool(path.Pool)
 	return c

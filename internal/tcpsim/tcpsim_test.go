@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/netem"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func defaultPath() netem.PathConfig {
@@ -34,6 +35,15 @@ func runTransfer(t *testing.T, seed int64, pathCfg netem.PathConfig, size int) (
 		t.Fatalf("transfer corrupted: got %d bytes, want %d", rcv.Len(), size)
 	}
 	return conn, &rcv, s
+}
+
+// reorder makes the middlebox hold every packet for a uniform random
+// delay in [0, max], so later packets overtake earlier ones: the
+// on-path adversary's reordering (links themselves stay FIFO).
+func reorder(conn *Conn, s *sim.Simulator, max time.Duration) {
+	conn.Path.Mbox.Interceptor = func(trace.Direction, *netem.Packet) netem.Decision {
+		return netem.Delay(time.Duration(s.Rand().Int63n(int64(max) + 1)))
+	}
 }
 
 func TestBulkTransferClean(t *testing.T) {
@@ -86,17 +96,14 @@ func TestHeavyLossBreaksConnection(t *testing.T) {
 }
 
 func TestReorderingCausesDupAcksAndSpuriousRetransmits(t *testing.T) {
-	// Strong reordering jitter on the client->server direction (as an
-	// on-path adversary's per-packet holds produce) makes the server
-	// emit dup-ACKs and the client fast-retransmit — the paper's
-	// section IV-B side effect.
-	cfg := defaultPath()
-	cfg.ClientSide.Jitter = netem.UniformJitter(40 * time.Millisecond)
-	cfg.ClientSide.AllowReorder = true
+	// Strong reordering by the middlebox's per-packet holds makes the
+	// server emit dup-ACKs and the client fast-retransmit — the
+	// paper's section IV-B side effect.
 	s := sim.New(4)
 	s.MaxSteps = 5_000_000
 	var rcv bytes.Buffer
-	conn := NewConn(s, cfg, Config{}, nil, func(b []byte) { rcv.Write(b) })
+	conn := NewConn(s, defaultPath(), Config{}, nil, func(b []byte) { rcv.Write(b) })
+	reorder(conn, s, 40*time.Millisecond)
 	// Many small writes spaced closely, like a burst of GETs.
 	total := 0
 	for i := 0; i < 60; i++ {
