@@ -49,7 +49,18 @@ const (
 	// headerDelay is the request-processing latency before the
 	// response HEADERS frame.
 	headerDelay = 300 * time.Microsecond
+
+	// blockedPoll is how long a worker blocked on a full socket buffer
+	// waits before it looks again, so a stalled transport (e.g. during
+	// the attack's drop phase) does not turn blocked workers into an
+	// event storm.
+	blockedPoll = 10 * time.Millisecond
 )
+
+// Every service interval is shorter than blockedPoll, so a blocked
+// re-poll always waits exactly blockedPoll and the server's poll lane
+// stays FIFO; the constant conversion fails to compile otherwise.
+const _ = uint(blockedPoll - (serviceTime + serviceJitter))
 
 // A full record (header, AEAD overhead, frame header, ChunkPlain
 // payload) must fit one MSS-sized TCP segment; the constant
@@ -137,6 +148,10 @@ type Server struct {
 	wfree  []*worker
 	parked []*worker
 
+	// polls queues the blocked workers' re-polls: each waits exactly
+	// blockedPoll, so their times never decrease and they run FIFO.
+	polls *sim.Lane
+
 	// Per-chunk scratch, hoisted so the steady-state transmit path
 	// (worker.step → writeRecord) allocates nothing: record/frame/
 	// header-block build buffers, a reusable DATA frame value, and the
@@ -166,6 +181,7 @@ func NewServer(s *sim.Simulator, cfg ServerConfig, site *website.Site) *Server {
 		hdec:          h2.NewHpackDecoder(4096),
 		henc:          h2.NewHpackEncoder(4096),
 		pushedAlready: make(map[string]bool),
+		polls:         s.NewLane(),
 	}
 	sv.frameCb = func(f h2.Frame) error {
 		sv.handleFrame(f)
@@ -479,15 +495,13 @@ func (w *worker) step() {
 	}
 	sv := w.sv
 	if !sv.cfg.DisableBackpressure && sv.tcp.BufferedSend() >= sv.cfg.SendBufLimit {
-		// Socket buffer full: wait for the wire to drain before
-		// producing the next chunk. Poll no faster than 10ms so a
-		// stalled transport (e.g. during the attack's drop phase) does
-		// not turn blocked workers into an event storm.
-		retry := sv.serviceInterval()
-		if retry < 10*time.Millisecond {
-			retry = 10 * time.Millisecond
-		}
-		sv.s.After(retry, w.stepFn)
+		// Socket buffer full: wait blockedPoll for the wire to drain
+		// before producing the next chunk. The discarded draw only
+		// keeps the rand stream, and so every output byte, as it was;
+		// it can go when blocked workers wake on ACK instead, which
+		// rebases the golden output anyway.
+		_ = sv.serviceInterval()
+		sv.polls.After(blockedPoll, w.stepFn)
 		return
 	}
 	n := ChunkPlain

@@ -17,9 +17,10 @@
 //
 // The forwarding plane is allocation-free in steady state: packets and
 // their payload buffers are recycled through a per-Path PacketPool,
-// links schedule deliveries with sim.AfterArg instead of per-packet
-// closures, and the Reassembler holds out-of-order segments in a
-// pooled, sorted slice rather than a map.
+// each link schedules its deliveries on its own sim.Lane (a FIFO ring
+// beside the simulator's calendar queue) with AfterArg instead of
+// per-packet closures, and the Reassembler holds out-of-order
+// segments in a pooled, sorted slice rather than a map.
 //
 // Key types: Link (rate/delay/jitter/loss/queue), Path (the four-link
 // topology above), Middlebox (per-direction Interceptor and ByteTap
@@ -148,6 +149,7 @@ type Link struct {
 	cfg         LinkConfig
 	dst         Handler
 	deliverFn   func(any) // reused AfterArg callback: dst(p)
+	deliveries  *sim.Lane // arrivals never decrease, so they queue FIFO
 	pool        *PacketPool
 	nextFree    time.Duration
 	lastArrival time.Duration
@@ -162,7 +164,7 @@ type Link struct {
 
 // NewLink returns a link delivering packets to dst.
 func NewLink(s *sim.Simulator, cfg LinkConfig, dst Handler) *Link {
-	l := &Link{sim: s, cfg: cfg.withDefaults(), dst: dst}
+	l := &Link{sim: s, cfg: cfg.withDefaults(), dst: dst, deliveries: s.NewLane()}
 	l.deliverFn = func(x any) { l.dst(x.(*Packet)) }
 	return l
 }
@@ -245,7 +247,7 @@ func (l *Link) Send(p *Packet) {
 	l.Stats.Sent++
 	l.Stats.Bytes += int64(p.WireLen())
 	l.Obs.Inc(obs.CNetemLinkSend)
-	l.sim.AfterArg(delay, l.deliverFn, p)
+	l.deliveries.AfterArg(delay, l.deliverFn, p)
 }
 
 // UniformJitter returns a jitter function drawing uniformly from

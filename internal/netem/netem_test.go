@@ -325,3 +325,68 @@ func TestLinkStatsAccounting(t *testing.T) {
 		t.Errorf("bytes = %d", l.Stats.Bytes)
 	}
 }
+
+// TestPathReclaimPending leaves packets in flight on all four links
+// and one held by a middlebox Delay, then checks that ReclaimPending
+// returns each of them to the pool exactly once, and that after
+// sim.Reset nothing is left to visit or deliver.
+func TestPathReclaimPending(t *testing.T) {
+	s := sim.New(1)
+	delivered := 0
+	var p *Path
+	recv := func(pkt *Packet) { delivered++; p.Pool.Put(pkt) }
+	p = newTestPath(s, recv, recv)
+	p.Mbox.Interceptor = func(_ trace.Direction, pkt *Packet) Decision {
+		if pkt.Seq == 5 {
+			return Delay(time.Second)
+		}
+		return Pass()
+	}
+	sent := map[*Packet]bool{}
+	get := func(seq uint32) *Packet {
+		pkt := p.Pool.Get()
+		pkt.Seq = seq
+		pkt.Payload = append(pkt.Payload[:0], "payload"...)
+		sent[pkt] = true
+		return pkt
+	}
+	p.SendFromClient(get(1)) // forwarded onto LinkM2S at 1ms
+	p.SendFromClient(get(5)) // held by the middlebox at 1ms
+	s.RunUntil(time.Millisecond)
+	p.SendFromServer(get(2)) // on LinkS2M
+	p.SendFromClient(get(6)) // on LinkC2M
+	toServer, toClient := get(3), get(4)
+	toServer.Dir, toClient.Dir = trace.ClientToServer, trace.ServerToClient
+	p.LinkM2S.Send(toServer)
+	p.LinkM2C.Send(toClient)
+	if delivered != 0 || p.Mbox.Stats.Delayed != 1 || p.Mbox.Stats.Passed != 1 {
+		t.Fatalf("setup: delivered %d, middlebox stats %+v", delivered, p.Mbox.Stats)
+	}
+	for _, l := range []*Link{p.LinkC2M, p.LinkM2S, p.LinkS2M, p.LinkM2C} {
+		if l.Stats.Sent == 0 {
+			t.Fatalf("setup: a link carries no packet")
+		}
+	}
+
+	p.ReclaimPending(s)
+	if p.Pool.Len() != len(sent) {
+		t.Fatalf("pool holds %d packets, want the %d in flight", p.Pool.Len(), len(sent))
+	}
+	for p.Pool.Len() > 0 {
+		pkt := p.Pool.Get()
+		if !sent[pkt] {
+			t.Fatal("pool returned a packet that was never in flight")
+		}
+		delete(sent, pkt)
+	}
+	if len(sent) != 0 {
+		t.Fatalf("%d packets reclaimed twice or not at all", len(sent))
+	}
+
+	s.Reset(2)
+	s.ForEachPendingArg(func(any) { t.Error("visited a payload after sim.Reset") })
+	s.Run()
+	if delivered != 0 || s.Steps() != 0 {
+		t.Errorf("after sim.Reset: %d packets delivered, %d events run", delivered, s.Steps())
+	}
+}

@@ -44,19 +44,39 @@
 // fixed seeds, so a queue change is shown to move only the cost per
 // event.
 //
+// # Lanes
+//
+// Most events need no priority queue at all. A link delivers in the
+// order it sends (arrivals are clamped to the previous one), and a
+// blocked server worker re-polls a fixed interval later, so in both
+// sources the event times never decrease in scheduling order. Such a
+// source schedules through a Lane (Simulator.NewLane): a FIFO ring
+// beside the calendar queue. Each lane entry takes the (at, seq) key
+// After or AfterArg would have given it, from the same seq counter,
+// and dispatch takes the global (at, seq) minimum over the main
+// queue's head and every lane's head. A lane is sorted because its
+// pushes are, so the dispatch order is exactly the one the main queue
+// alone would produce; a push earlier than the lane's newest entry
+// (which the two sources never make) goes to the main queue instead,
+// so no caller contract has to hold for the order to stay exact.
+// Lane events never touch the wheel, the pool or a heap.
+//
 // The queue stays off the garbage collector's books: there is no
 // per-event allocation and no container/heap interface boxing, timers
 // schedule themselves without closures, and AfterArg carries a payload
 // pointer through the queue so packet delivery needs no per-packet
 // closure either. In steady state — once the pool and heaps have grown
-// to the simulation's high-water mark — At, After, AfterArg, and
-// Timer.Reset allocate zero bytes (see sim_alloc_test.go).
+// to the simulation's high-water mark — At, After, AfterArg,
+// Timer.Reset, Lane.After and Lane.AfterArg allocate zero bytes (see
+// sim_alloc_test.go).
 //
-// Key types: Simulator (clock + event queue + seeded RNG streams) and
-// Timer (a restartable scheduled callback). The package replaces the
-// paper's physical testbed (section V): one Simulator hosts one page
-// load, and every sweep trial owns a private Simulator, which is what
-// lets internal/runner execute trials concurrently without sharing.
+// Key types: Simulator (clock + event queue + seeded RNG streams),
+// Timer (a restartable scheduled callback) and Lane (a FIFO side
+// queue for a source whose event times never decrease). The package
+// replaces the paper's physical testbed (section V): one Simulator
+// hosts one page load, and every sweep trial owns a private
+// Simulator, which is what lets internal/runner execute trials
+// concurrently without sharing.
 package sim
 
 import (
@@ -196,6 +216,10 @@ type Simulator struct {
 	far     []key
 	count   int
 
+	// lanes are the FIFO side queues made by NewLane; they persist
+	// across Reset, which empties them.
+	lanes []*Lane
+
 	// Steps counts executed events, to bound runaway simulations;
 	// counts splits them by dispatch kind.
 	steps  uint64
@@ -248,6 +272,9 @@ func (s *Simulator) Reset(seed int64) {
 	} else {
 		s.free = -1
 	}
+	for _, l := range s.lanes {
+		l.reset()
+	}
 	s.near = 0
 	s.count = 0
 	s.curTick = 0
@@ -260,14 +287,21 @@ func (s *Simulator) Reset(seed int64) {
 }
 
 // ForEachPendingArg visits the payload of every pending AfterArg
-// event, in unspecified order. It exists so object pools can recover
-// in-flight payloads (e.g. netem packets still "on the wire") before
-// Reset discards the queue. Dispatch zeroes a slot, so every slot
-// with a payload holds a pending event.
+// event, lanes included, in unspecified order. It exists so object
+// pools can recover in-flight payloads (e.g. netem packets still "on
+// the wire") before Reset discards the queue. Dispatch zeroes a slot,
+// so every slot with a payload holds a pending event.
 func (s *Simulator) ForEachPendingArg(f func(any)) {
 	for i := range s.pool {
 		if s.pool[i].parg != nil {
 			f(s.pool[i].parg)
+		}
+	}
+	for _, l := range s.lanes {
+		for i := 0; i < l.n; i++ {
+			if e := &l.ring[(l.head+i)&(len(l.ring)-1)]; e.parg != nil {
+				f(e.parg)
+			}
 		}
 	}
 }
@@ -392,16 +426,15 @@ func (s *Simulator) drainFar() {
 	}
 }
 
-// pop removes and returns the key of the globally minimal (at, seq)
-// event, whose slot stays occupied until the caller frees it.
-// Callers must ensure s.count > 0.
-func (s *Simulator) pop() key {
+// mainHead moves the wheel until the cur heap holds the main queue's
+// minimal (at, seq) key and returns that key, left in place. Moving
+// the wheel ahead of a pending lane event is safe: anything later
+// scheduled for a tick the wheel has passed lands in cur, which
+// dispatches strictly by (at, seq). Callers must ensure s.count > 0.
+func (s *Simulator) mainHead() *key {
 	for {
 		if len(s.cur) > 0 {
-			var k key
-			k, s.cur = heapPop(s.cur)
-			s.count--
-			return k
+			return &s.cur[0]
 		}
 		if s.near > 0 {
 			s.advanceTo(s.scanNext())
@@ -414,9 +447,22 @@ func (s *Simulator) pop() key {
 	}
 }
 
-// peekAt returns the virtual time of the next pending event without
-// dispatching it (and without moving the wheel).
+// peekAt returns the virtual time of the next pending event, lanes
+// included, without dispatching it (and without moving the wheel).
 func (s *Simulator) peekAt() (time.Duration, bool) {
+	min, ok := s.peekMain()
+	for _, l := range s.lanes {
+		if l.n > 0 {
+			if at := l.ring[l.head].at; !ok || at < min {
+				min, ok = at, true
+			}
+		}
+	}
+	return min, ok
+}
+
+// peekMain is peekAt over the main queue alone.
+func (s *Simulator) peekMain() (time.Duration, bool) {
 	if len(s.cur) > 0 {
 		return s.cur[0].at, true
 	}
@@ -468,24 +514,52 @@ func (s *Simulator) AfterArg(d time.Duration, fn func(any), arg any) {
 	e.pfn, e.parg = fn, arg
 }
 
-// step executes the earliest pending event and returns false when the
-// queue is empty.
+// step executes the earliest pending event — the (at, seq) minimum
+// over the main queue's head and every lane's head — and returns
+// false when nothing is pending.
 func (s *Simulator) step() bool {
-	if s.count == 0 {
+	var lane *Lane
+	var lk *laneEntry
+	for _, l := range s.lanes {
+		if l.n > 0 {
+			if e := &l.ring[l.head]; lk == nil || e.before(lk.at, lk.seq) {
+				lane, lk = l, e
+			}
+		}
+	}
+	var (
+		at    time.Duration
+		fn    func()
+		pfn   func(any)
+		parg  any
+		timer *Timer
+		gen   uint64
+	)
+	if k := s.mainFirst(lk); k != nil {
+		// Free the slot before dispatch, so the callback's own
+		// scheduling can reuse it and the pool does not pin dead
+		// closures.
+		idx := k.idx
+		at = k.at
+		_, s.cur = heapPop(s.cur)
+		s.count--
+		e := &s.pool[idx]
+		fn, pfn, parg, timer, gen = e.fn, e.pfn, e.parg, e.timer, e.gen
+		*e = event{next: s.free}
+		s.free = idx
+	} else if lane != nil {
+		at, fn, pfn, parg = lk.at, lk.fn, lk.pfn, lk.parg
+		*lk = laneEntry{}
+		lane.head = (lane.head + 1) & (len(lane.ring) - 1)
+		lane.n--
+	} else {
 		return false
 	}
-	k := s.pop()
-	s.now = k.at
+	s.now = at
 	s.steps++
 	if s.MaxSteps != 0 && s.steps > s.MaxSteps {
 		panic(fmt.Sprintf("sim: exceeded %d steps at t=%v", s.MaxSteps, s.now))
 	}
-	// Free the slot before dispatch, so the callback's own scheduling
-	// can reuse it and the pool does not pin dead closures.
-	e := &s.pool[k.idx]
-	fn, pfn, parg, timer, gen := e.fn, e.pfn, e.parg, e.timer, e.gen
-	*e = event{next: s.free}
-	s.free = k.idx
 	switch {
 	case timer != nil:
 		if timer.gen == gen && timer.set {
@@ -503,6 +577,20 @@ func (s *Simulator) step() bool {
 		fn()
 	}
 	return true
+}
+
+// mainFirst returns the main queue's head key when it precedes the
+// lane head lk (nil: no lane event pending), or nil when the main
+// queue is empty or the lane head comes first.
+func (s *Simulator) mainFirst(lk *laneEntry) *key {
+	if s.count == 0 {
+		return nil
+	}
+	k := s.mainHead()
+	if lk != nil && lk.before(k.at, k.seq) {
+		return nil
+	}
+	return k
 }
 
 // Run executes events until the queue drains.
@@ -556,15 +644,13 @@ func (s *Simulator) NewTimer(fn func()) *Timer {
 // Reset (re)arms the timer to fire d from now, cancelling any earlier
 // deadline. Negative d fires "now", like After.
 func (t *Timer) Reset(d time.Duration) {
-	t.gen++
-	s := t.s
-	t.at = s.now + d
-	t.set = true
-	at := t.at
-	if at < s.now {
-		at = s.now
+	if d < 0 {
+		d = 0
 	}
-	e := s.schedule(at)
+	t.gen++
+	t.set = true
+	t.at = t.s.now + d
+	e := t.s.schedule(t.at)
 	e.timer, e.gen = t, t.gen
 }
 
@@ -579,3 +665,104 @@ func (t *Timer) Armed() bool { return t.set }
 
 // Deadline returns the pending fire time; valid only while Armed.
 func (t *Timer) Deadline() time.Duration { return t.at }
+
+// Lane is a FIFO side queue of a Simulator for a source whose event
+// times never decrease in scheduling order (see "Lanes" in the package
+// doc). After and AfterArg behave exactly as the Simulator's own: the
+// same (at, seq) key, the same dispatch order, the same EventCounts
+// kind. A push earlier than the lane's newest pending entry falls back
+// to the main queue. Like the Simulator, a Lane is not safe for
+// concurrent use.
+type Lane struct {
+	s    *Simulator
+	ring []laneEntry // len is zero or a power of two
+	head int         // ring index of the earliest pending entry
+	n    int         // pending entries
+}
+
+// laneEntry is one pending lane event: an After (fn) or an AfterArg
+// (pfn, parg) callback with its (at, seq) key.
+type laneEntry struct {
+	at   time.Duration
+	seq  uint64
+	fn   func()
+	pfn  func(any)
+	parg any
+}
+
+// before orders a lane entry against the key (at, seq) in the main
+// queue's total order.
+func (e *laneEntry) before(at time.Duration, seq uint64) bool {
+	return e.at < at || (e.at == at && e.seq < seq)
+}
+
+// NewLane returns an empty lane dispatched by s. The lane lives as
+// long as s: Reset empties it but keeps its ring's capacity, so a
+// reused simulator's lanes schedule allocation-free.
+func (s *Simulator) NewLane() *Lane {
+	l := &Lane{s: s}
+	s.lanes = append(s.lanes, l)
+	return l
+}
+
+// After schedules fn d from now, exactly as Simulator.After does.
+func (l *Lane) After(d time.Duration, fn func()) {
+	if d < 0 {
+		d = 0
+	}
+	at := l.s.now + d
+	if l.beforeTail(at) {
+		l.s.schedule(at).fn = fn
+		return
+	}
+	l.push(at).fn = fn
+}
+
+// AfterArg schedules fn(arg) d from now, exactly as
+// Simulator.AfterArg does.
+func (l *Lane) AfterArg(d time.Duration, fn func(any), arg any) {
+	if d < 0 {
+		d = 0
+	}
+	at := l.s.now + d
+	if l.beforeTail(at) {
+		e := l.s.schedule(at)
+		e.pfn, e.parg = fn, arg
+		return
+	}
+	e := l.push(at)
+	e.pfn, e.parg = fn, arg
+}
+
+// beforeTail reports whether at is earlier than the newest pending
+// entry, so that pushing it would break the lane's order.
+func (l *Lane) beforeTail(at time.Duration) bool {
+	return l.n > 0 && at < l.ring[(l.head+l.n-1)&(len(l.ring)-1)].at
+}
+
+// push appends an entry at time at with the simulator's next seq,
+// doubling the ring when it is full, and returns it for the caller to
+// fill in.
+func (l *Lane) push(at time.Duration) *laneEntry {
+	if l.n == len(l.ring) {
+		ring := make([]laneEntry, max(8, 2*len(l.ring)))
+		for i := 0; i < l.n; i++ {
+			ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+		}
+		l.ring, l.head = ring, 0
+	}
+	l.s.seq++
+	e := &l.ring[(l.head+l.n)&(len(l.ring)-1)]
+	l.n++
+	e.at, e.seq = at, l.s.seq
+	return e
+}
+
+// reset discards the pending entries, zeroing them so dead closures
+// and payloads are unpinned, and keeps the ring.
+func (l *Lane) reset() {
+	for i := 0; i < l.n; i++ {
+		l.ring[(l.head+i)&(len(l.ring)-1)] = laneEntry{}
+	}
+	l.head, l.n = 0, 0
+}

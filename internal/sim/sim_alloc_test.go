@@ -119,6 +119,30 @@ func TestCrossTickZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestLaneZeroAlloc proves a lane schedules and dispatches without
+// allocating once its ring has reached its high-water mark, for plain
+// and payload-carrying callbacks alike — the per-packet path of every
+// netem link and the blocked-worker poll path of the h2sim server.
+func TestLaneZeroAlloc(t *testing.T) {
+	s := New(1)
+	lane := s.NewLane()
+	fn := func() {}
+	pfn := func(any) {}
+	arg := new(int)
+	burst := func() {
+		for i := 0; i < 32; i++ {
+			lane.After(time.Duration(i)*time.Microsecond, fn)
+			lane.AfterArg(time.Duration(i)*time.Microsecond, pfn, arg)
+		}
+		s.Run()
+	}
+	burst() // warm: grows the ring to 64 entries
+	allocs := testing.AllocsPerRun(200, burst)
+	if allocs != 0 {
+		t.Errorf("Lane.After/AfterArg + Run: %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // BenchmarkAfter measures raw schedule+dispatch cost of the event
 // queue.
 func BenchmarkAfter(b *testing.B) {
@@ -127,6 +151,23 @@ func BenchmarkAfter(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.After(time.Microsecond, fn)
+		if i%64 == 63 {
+			s.Run()
+		}
+	}
+	s.Run()
+}
+
+// BenchmarkLaneAfterArg measures schedule+dispatch through a lane,
+// the path a link delivery takes.
+func BenchmarkLaneAfterArg(b *testing.B) {
+	s := New(1)
+	lane := s.NewLane()
+	fn := func(any) {}
+	arg := new(int)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		lane.AfterArg(time.Microsecond, fn, arg)
 		if i%64 == 63 {
 			s.Run()
 		}

@@ -166,40 +166,60 @@ func splitmix64(x uint64) uint64 {
 }
 
 // engine abstracts the two schedulers so one workload drives both.
+// The lane hooks schedule on lane i of the wheel Simulator (numLanes
+// of them); the reference heap has no lanes, so it maps them to its
+// plain After and AfterArg, which is exactly what a lane must equal.
 type engine struct {
-	now      func() time.Duration
-	after    func(time.Duration, func())
-	at       func(time.Duration, func())
-	afterArg func(time.Duration, func(any), any)
-	runUntil func(time.Duration)
-	run      func()
-	timerSet func(i int, d time.Duration)
-	timerCut func(i int)
+	now          func() time.Duration
+	after        func(time.Duration, func())
+	at           func(time.Duration, func())
+	afterArg     func(time.Duration, func(any), any)
+	laneAfter    func(i int, d time.Duration, fn func())
+	laneAfterArg func(i int, d time.Duration, fn func(any), arg any)
+	runUntil     func(time.Duration)
+	run          func()
+	timerSet     func(i int, d time.Duration)
+	timerCut     func(i int)
 }
 
-func wheelEngine(s *Simulator, timers []*Timer) engine {
+// The workload's lanes: fifoLane is fed one constant delay per
+// workload, so its pushes never go back in time and all stay in its
+// ring, the way a link's deliveries and a server's blocked polls do;
+// mixedLane is fed workloadDelay, so many of its pushes are earlier
+// than its tail and take the fallback to the main queue.
+const (
+	fifoLane  = 0
+	mixedLane = 1
+	numLanes  = 2
+)
+
+func wheelEngine(s *Simulator, timers []*Timer, lanes []*Lane) engine {
 	return engine{
-		now:      s.Now,
-		after:    s.After,
-		at:       s.At,
-		afterArg: s.AfterArg,
-		runUntil: s.RunUntil,
-		run:      s.Run,
-		timerSet: func(i int, d time.Duration) { timers[i].Reset(d) },
-		timerCut: func(i int) { timers[i].Stop() },
+		now:          s.Now,
+		after:        s.After,
+		at:           s.At,
+		afterArg:     s.AfterArg,
+		laneAfter:    func(i int, d time.Duration, fn func()) { lanes[i].After(d, fn) },
+		laneAfterArg: func(i int, d time.Duration, fn func(any), arg any) { lanes[i].AfterArg(d, fn, arg) },
+		runUntil:     s.RunUntil,
+		run:          s.Run,
+		timerSet:     func(i int, d time.Duration) { timers[i].Reset(d) },
+		timerCut:     func(i int) { timers[i].Stop() },
 	}
 }
 
 func refEngine(r *refSim, timers []*refTimer) engine {
 	return engine{
-		now:      func() time.Duration { return r.now },
-		after:    r.After,
-		at:       r.At,
-		afterArg: r.AfterArg,
-		runUntil: r.RunUntil,
-		run:      r.Run,
-		timerSet: func(i int, d time.Duration) { timers[i].Reset(d) },
-		timerCut: func(i int) { timers[i].Stop() },
+		now:          func() time.Duration { return r.now },
+		after:        r.After,
+		at:           r.At,
+		afterArg:     r.AfterArg,
+		laneAfter:    func(_ int, d time.Duration, fn func()) { r.After(d, fn) },
+		laneAfterArg: func(_ int, d time.Duration, fn func(any), arg any) { r.AfterArg(d, fn, arg) },
+		runUntil:     r.RunUntil,
+		run:          r.Run,
+		timerSet:     func(i int, d time.Duration) { timers[i].Reset(d) },
+		timerCut:     func(i int) { timers[i].Stop() },
 	}
 }
 
@@ -233,6 +253,9 @@ func workloadDelay(w uint64) time.Duration {
 // keyed off splitmix64 so the wheel and the reference heap see the
 // same decisions at the same points.
 func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
+	// The FIFO lane's one delay ranges over the same queue regions
+	// from workload to workload; zero makes same-time ties likely.
+	fifoDelay := max(0, workloadDelay(splitmix64(key^0x1a2e)))
 	var fire func(id uint64)
 	// fireArg is built once, as AfterArg's callers do: the id rides
 	// through the queue as the payload.
@@ -261,14 +284,22 @@ func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
 			if child < uint64(nSeed)*8 {
 				e.afterArg(workloadDelay(splitmix64(w+3)), fireArg, child)
 			}
+		case 5: // lane schedule, plain or payload-carrying
+			child := id*2 + 2
+			if child < uint64(nSeed)*8 {
+				laneSchedule(e, splitmix64(w+4), fifoDelay, fireArg, func() { fire(child) }, child)
+			}
 		}
 	}
 	for i := 0; i < nSeed; i++ {
 		w := splitmix64(key + uint64(i)*0x51ed2701)
 		id := uint64(i)
-		if w>>60 < 4 {
+		switch {
+		case w>>60 < 4:
 			e.afterArg(workloadDelay(w), fireArg, id)
-		} else {
+		case w>>60 < 8:
+			laneSchedule(e, w, fifoDelay, fireArg, func() { fire(id) }, id)
+		default:
 			e.after(workloadDelay(w), func() { fire(id) })
 		}
 	}
@@ -283,16 +314,35 @@ func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
 	e.run()
 }
 
+// laneSchedule pushes one event, chosen by the decision word w, onto
+// the FIFO lane at fifoDelay or onto the mixed lane at workloadDelay,
+// as a plain (fn) or a payload-carrying (fireArg, id) callback.
+func laneSchedule(e engine, w uint64, fifoDelay time.Duration, fireArg func(any), fn func(), id uint64) {
+	i, d := fifoLane, fifoDelay
+	if w>>40&1 == 1 {
+		i, d = mixedLane, workloadDelay(w)
+	}
+	if w>>41&1 == 1 {
+		e.laneAfterArg(i, d, fireArg, id)
+	} else {
+		e.laneAfter(i, d, fn)
+	}
+}
+
 // runBoth executes the identical workload on a wheel Simulator and the
 // reference heap and returns both logs. The Simulator s may be a
-// freshly-constructed or a Reset one — the log must not differ.
+// freshly-constructed or a Reset one — the log must not differ. Its
+// first numLanes lanes are made here if s has fewer.
 func runBoth(s *Simulator, key uint64, nSeed, nTimers int) (wheel, ref []string) {
 	wt := make([]*Timer, nTimers)
 	for i := range wt {
 		i := i
 		wt[i] = s.NewTimer(func() { wheel = append(wheel, fmt.Sprintf("T%d@%d", i, s.Now())) })
 	}
-	driveWorkload(wheelEngine(s, wt), key, nSeed, nTimers, &wheel)
+	for len(s.lanes) < numLanes {
+		s.NewLane()
+	}
+	driveWorkload(wheelEngine(s, wt, s.lanes), key, nSeed, nTimers, &wheel)
 
 	r := &refSim{}
 	rt := make([]*refTimer, nTimers)
@@ -323,8 +373,9 @@ func diffLogs(t *testing.T, label string, wheel, ref []string) {
 // TestWheelMatchesReferenceHeap is the main order-equivalence
 // property: across many randomized workloads — far-future events,
 // same-tick bursts, Timer Reset/Stop races over pending generations,
-// negative-delay clamping, RunUntil windows — the calendar queue
-// dispatches in exactly the reference heap's (at, seq) order.
+// negative-delay clamping, RunUntil windows, FIFO lane pushes and
+// out-of-order ones that fall back — the calendar queue and its lanes
+// dispatch in exactly the reference heap's (at, seq) order.
 func TestWheelMatchesReferenceHeap(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		key := splitmix64(uint64(trial) * 0x2545f4914f6cdd1d)
@@ -339,7 +390,8 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 
 // TestWheelMatchesReferenceAfterReset re-runs fresh workloads on a
 // Reset simulator: the recycled wheel (buckets, pool freelist, cur/far
-// heaps) must behave exactly like a new one against a fresh reference.
+// heaps, lane rings) must behave exactly like a new one against a
+// fresh reference.
 func TestWheelMatchesReferenceAfterReset(t *testing.T) {
 	s := New(1)
 	for round := 0; round < 8; round++ {

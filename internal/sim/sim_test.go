@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -63,6 +64,18 @@ func TestSchedulingInPastClamps(t *testing.T) {
 	}
 	if s.Now() != 10*time.Millisecond {
 		t.Errorf("clock went backwards: %v", s.Now())
+	}
+
+	// A timer armed with a negative delay fires now, and reports so.
+	var firedAt time.Duration
+	timer := s.NewTimer(func() { firedAt = s.Now() })
+	timer.Reset(-5 * time.Millisecond)
+	if d := timer.Deadline(); d != 10*time.Millisecond {
+		t.Errorf("Deadline after Reset(-5ms) at 10ms = %v, want 10ms", d)
+	}
+	s.Run()
+	if firedAt != 10*time.Millisecond {
+		t.Errorf("timer armed in the past fired at %v, want 10ms", firedAt)
 	}
 }
 
@@ -255,13 +268,17 @@ func TestEventCountsByKind(t *testing.T) {
 	stale.Reset(time.Millisecond)
 	stale.Reset(2 * time.Millisecond) // the first event goes stale
 	stale.Stop()                      // and so does the second
+	lane := s.NewLane()
+	lane.After(time.Millisecond, func() {})
+	lane.AfterArg(time.Millisecond, func(any) {}, new(int))
+	lane.After(0, func() {}) // earlier than the tail: main queue
 	s.Run()
-	want := EventCounts{TimerLive: 1, TimerStale: 2, Arg: 1, Func: 2}
+	want := EventCounts{TimerLive: 1, TimerStale: 2, Arg: 2, Func: 4}
 	if got := s.EventCounts(); got != want {
 		t.Errorf("counts = %+v, want %+v", got, want)
 	}
-	if s.Steps() != 6 {
-		t.Errorf("steps = %d, want 6", s.Steps())
+	if s.Steps() != 9 {
+		t.Errorf("steps = %d, want 9", s.Steps())
 	}
 	s.Reset(2)
 	if got := s.EventCounts(); got != (EventCounts{}) {
@@ -271,18 +288,25 @@ func TestEventCountsByKind(t *testing.T) {
 
 // TestForEachPendingArgVisitsExactlyPending places payloads in every
 // region of the queue — the cur heap (directly and as the rest of a
-// drained bucket), wheel buckets (directly and migrated from far) and
-// the far heap — dispatches some of them, and checks that each
-// payload still pending is visited exactly once and no dispatched one
-// is, and that nothing is visited after Reset.
+// drained bucket), wheel buckets (directly and migrated from far), the
+// far heap, and a lane (in its ring and through its fallback to the
+// main queue) — dispatches some of them, and checks that each payload
+// still pending is visited exactly once and no dispatched one is, and
+// that nothing is visited after Reset.
 func TestForEachPendingArgVisitsExactlyPending(t *testing.T) {
 	s := New(1)
+	lane := s.NewLane()
 	pending := map[*int]bool{}
 	fn := func(a any) { delete(pending, a.(*int)) }
 	add := func(at time.Duration) {
 		p := new(int)
 		pending[p] = true
 		s.AfterArg(at-s.Now(), fn, p)
+	}
+	addLane := func(at time.Duration) {
+		p := new(int)
+		pending[p] = true
+		lane.AfterArg(at-s.Now(), fn, p)
 	}
 	const tick = time.Duration(1) << tickBits
 	for _, at := range []time.Duration{
@@ -294,6 +318,14 @@ func TestForEachPendingArgVisitsExactlyPending(t *testing.T) {
 		(wheelSize + 900) * tick, // far throughout
 	} {
 		add(at)
+	}
+	for _, at := range []time.Duration{
+		15,       // dispatched in the first window
+		8 * tick, // dispatched in the second window
+		400 * tick,
+		200 * tick, // earlier than the tail: falls back to the main queue
+	} {
+		addLane(at)
 	}
 	s.After(7*tick, func() {}) // plain events carry no payload
 	check := func(label string) {
@@ -313,18 +345,94 @@ func TestForEachPendingArgVisitsExactlyPending(t *testing.T) {
 	}
 	check("before dispatch")
 	s.RunUntil(5*tick + 100)
-	if len(pending) != 6 {
-		t.Fatalf("setup: %d payloads pending after the first window, want 6", len(pending))
+	if len(pending) != 9 {
+		t.Fatalf("setup: %d payloads pending after the first window, want 9", len(pending))
 	}
 	check("bucket drained part way")
 	s.RunUntil(10 * tick)
-	if len(pending) != 4 {
-		t.Fatalf("setup: %d payloads pending after the second window, want 4", len(pending))
+	if len(pending) != 6 {
+		t.Fatalf("setup: %d payloads pending after the second window, want 6", len(pending))
 	}
 	check("far event migrated")
 	s.Reset(2)
 	s.ForEachPendingArg(func(any) { t.Error("visited a payload after Reset") })
 	pending = map[*int]bool{}
 	add(time.Millisecond)
+	addLane(2 * time.Millisecond)
 	check("after Reset")
+	s.Run()
+	if len(pending) != 0 {
+		t.Errorf("%d payloads never dispatched after Reset", len(pending))
+	}
+}
+
+// TestLaneFallbackKeepsOrder interleaves lane pushes (in order, tied,
+// and earlier than the lane's tail) with main-queue events and a timer
+// at the same instants: dispatch must follow (at, seq) exactly, and
+// only the out-of-order push may reach the main queue.
+func TestLaneFallbackKeepsOrder(t *testing.T) {
+	s := New(1)
+	lane := s.NewLane()
+	var got []string
+	mark := func(name string) func() { return func() { got = append(got, name+"@"+s.Now().String()) } }
+	lane.After(2*time.Millisecond, mark("L1"))
+	s.After(2*time.Millisecond, mark("M1"))
+	lane.After(2*time.Millisecond, mark("L2")) // tie with the tail: stays in the lane
+	if s.count != 1 {
+		t.Fatalf("main queue holds %d events, want 1", s.count)
+	}
+	lane.After(time.Millisecond, mark("L3")) // earlier than the tail: falls back
+	if s.count != 2 || lane.n != 2 {
+		t.Fatalf("after fallback: main %d, lane %d; want 2, 2", s.count, lane.n)
+	}
+	timer := s.NewTimer(mark("T"))
+	timer.Reset(2 * time.Millisecond)
+	lane.After(3*time.Millisecond, func() {
+		mark("L4")()
+		lane.After(0, mark("L5")) // pushed during dispatch, at the tail's time
+		s.After(0, mark("M2"))
+	})
+	s.Run()
+	want := []string{"L3@1ms", "L1@2ms", "M1@2ms", "L2@2ms", "T@2ms", "L4@3ms", "L5@3ms", "M2@3ms"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("dispatch order = %v, want %v", got, want)
+	}
+	if want := (EventCounts{TimerLive: 1, Func: 7}); s.EventCounts() != want {
+		t.Errorf("counts = %+v, want %+v", s.EventCounts(), want)
+	}
+}
+
+// TestLaneRingGrowsAndWraps pushes past the ring's capacity while the
+// head sits mid-ring, across a Reset that must keep the capacity.
+func TestLaneRingGrowsAndWraps(t *testing.T) {
+	s := New(1)
+	lane := s.NewLane()
+	var got []int
+	for round := 0; round < 2; round++ {
+		got = got[:0]
+		for i := 0; i < 5; i++ {
+			i := i
+			lane.After(time.Duration(i), func() { got = append(got, i) })
+		}
+		s.RunUntil(2) // head moves to ring index 3
+		for i := 5; i < 40; i++ {
+			i := i
+			lane.After(time.Duration(i), func() { got = append(got, i) })
+		}
+		s.Run()
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("round %d: lane dispatched out of order: %v", round, got)
+			}
+		}
+		if len(got) != 40 {
+			t.Fatalf("round %d: dispatched %d of 40", round, len(got))
+		}
+		capBefore := len(lane.ring)
+		lane.After(time.Hour, func() { t.Error("event survived Reset") })
+		s.Reset(1)
+		if lane.n != 0 || len(lane.ring) != capBefore {
+			t.Fatalf("Reset left %d entries, ring %d (was %d)", lane.n, len(lane.ring), capBefore)
+		}
+	}
 }
