@@ -159,6 +159,7 @@ func (w *World) RunSiteTrial(gs *website.GeneratedSite, p CorpusTrialParams) Sur
 	}
 
 	sess.Run()
+	w.countEvents(sink)
 
 	targetID := gs.Spec.TargetID
 	res := SurveyResult{
@@ -309,6 +310,7 @@ func (s *Survey) Run(cfg pipeline.Config, exporters ...pipeline.Exporter[CorpusT
 	}
 	newState := func() *surveyWorker {
 		w := NewWorld()
+		w.gauges = cfg.Gauges
 		if s.metrics != nil {
 			// Each worker counts into its own shard; no per-trial
 			// registry lock.

@@ -3,7 +3,10 @@ package experiment
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
+	"repro/internal/website"
 )
 
 // TestEventCountsPinned pins the simulator events a trial dispatches,
@@ -12,14 +15,17 @@ import (
 // change to the event queue that only makes each event cheaper leaves
 // them alone, and a change that adds or removes events must update the
 // pins and say why. One world runs every trial, so the counts must also
-// restart with each trial's simulator Reset.
+// restart with each trial's simulator Reset. Blocked-worker re-polls
+// are AfterArg events on the server's poll lane, so they count as Arg;
+// most of them are dispatched in place by sim.Lane.Cycle, which counts
+// each exactly as stepwise dispatch would.
 func TestEventCountsPinned(t *testing.T) {
 	cases := []struct {
 		mode AdversaryMode
 		want sim.EventCounts
 	}{
-		{ModeFullAttack, sim.EventCounts{TimerLive: 174, TimerStale: 6792, Arg: 24802, Func: 89122}},
-		{ModePassive, sim.EventCounts{TimerLive: 0, TimerStale: 8463, Arg: 18663, Func: 74616}},
+		{ModeFullAttack, sim.EventCounts{TimerLive: 174, TimerStale: 6792, Arg: 108167, Func: 5757}},
+		{ModePassive, sim.EventCounts{TimerLive: 0, TimerStale: 8463, Arg: 88893, Func: 4386}},
 	}
 	w := NewWorld()
 	for _, c := range cases {
@@ -37,6 +43,53 @@ func TestEventCountsPinned(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("mode %d, seeds 1-10: event counts %+v, want %+v", c.mode, got, c.want)
+		}
+	}
+}
+
+// TestEventCountsReachMetrics checks that both trial paths, the
+// sweeps' and the survey's, add each trial's simulator events by kind
+// to the sim.events.* obs counters and to the live gauges, once.
+func TestEventCountsReachMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.SetSegments("all")
+	g := &telemetry.Gauges{}
+	w := NewWorld()
+	w.SetMetrics(reg.NewShard())
+	w.gauges = g
+	var want sim.EventCounts
+	add := func() {
+		n := w.sess.Sim.EventCounts()
+		want.Func += n.Func
+		want.Arg += n.Arg
+		want.TimerLive += n.TimerLive
+		want.TimerStale += n.TimerStale
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		w.RunTrial(TrialParams{Seed: seed, Mode: ModeFullAttack})
+		add()
+	}
+	corpus := website.NewCorpus(website.CorpusConfig{Seed: 1, Sites: 2})
+	for i := 0; i < 2; i++ {
+		w.RunSiteTrial(corpus.Build(i), CorpusTrialParams{Site: i, Seed: int64(10 + i)})
+		add()
+	}
+	seg := reg.Snapshot().Segment("all")
+	for _, c := range []struct {
+		counter string
+		gauge   telemetry.GaugeID
+		want    uint64
+	}{
+		{"sim.events.func", telemetry.GSimEventsFunc, want.Func},
+		{"sim.events.arg", telemetry.GSimEventsArg, want.Arg},
+		{"sim.events.timer_live", telemetry.GSimEventsTimerLive, want.TimerLive},
+		{"sim.events.timer_stale", telemetry.GSimEventsTimerStale, want.TimerStale},
+	} {
+		if got := seg.Counter(c.counter); got != c.want || got == 0 {
+			t.Errorf("%s = %d, want %d (nonzero)", c.counter, got, c.want)
+		}
+		if got := g.Load(c.gauge); got != int64(c.want) {
+			t.Errorf("gauge %s = %d, want %d", c.gauge.Name(), got, c.want)
 		}
 	}
 }

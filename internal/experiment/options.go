@@ -54,10 +54,11 @@ func Metrics(reg *obs.Registry) Option {
 }
 
 // Telemetry publishes the sweep's live health samples (worker pool,
-// in-flight trials, reorder-ring occupancy) into g for the status
-// server to scrape. Wall-side only: unlike Metrics, nothing fed
-// through g can reach the sweep's output — the rows and every
-// deterministic aggregate are byte-identical with or without it.
+// in-flight trials, reorder-ring occupancy, simulator events by kind)
+// into g for the status server to scrape. Wall-side only: unlike
+// Metrics, nothing fed through g can reach the sweep's output — the
+// rows and every deterministic aggregate are byte-identical with or
+// without it.
 func Telemetry(g *telemetry.Gauges) Option {
 	return func(c *sweepConfig) { c.gauges = g }
 }
@@ -84,16 +85,15 @@ func setSegments(opts []Option, labels ...string) {
 // sweep; every aggregate already accounts broken trials.
 func runTrials(n int, opts []Option, mk func(i int) TrialParams) []TrialResult {
 	cfg := parseOpts(opts)
-	newState := NewWorld
-	if cfg.metrics != nil {
-		reg := cfg.metrics
-		newState = func() *World {
-			w := NewWorld()
+	newState := func() *World {
+		w := NewWorld()
+		w.gauges = cfg.gauges
+		if cfg.metrics != nil {
 			// Each worker counts into its own shard; no per-trial
 			// registry lock on the dispatch path.
-			w.SetMetrics(reg.NewShard())
-			return w
+			w.SetMetrics(cfg.metrics.NewShard())
 		}
+		return w
 	}
 	collect := pipeline.NewCollector[TrialParams, TrialResult](n)
 	sum, err := pipeline.Run(pipeline.Config{

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/h2sim"
 	"repro/internal/obs"
+	"repro/internal/telemetry"
 	"repro/internal/website"
 )
 
@@ -41,6 +42,10 @@ type World struct {
 	// RunTrial it holds the last trial's events).
 	shard *obs.Shard
 	rec   *obs.Recorder
+
+	// gauges, when set, receives every trial's simulator event counts
+	// for the live status server.
+	gauges *telemetry.Gauges
 }
 
 // NewWorld builds an empty world. The expensive components (session
@@ -132,6 +137,7 @@ func (w *World) RunTrial(p TrialParams) TrialResult {
 	}
 
 	sess.Run()
+	w.countEvents(sink)
 
 	res := TrialResult{
 		Broken:          sess.Broken(),
@@ -164,6 +170,20 @@ func (w *World) RunTrial(p TrialParams) TrialResult {
 		sink.Inc(obs.CTrialComplete)
 	}
 	return res
+}
+
+// countEvents adds the trial's dispatched simulator events, by kind,
+// to the trial's obs counters and to the live gauges.
+func (w *World) countEvents(sink obs.Sink) {
+	n := w.sess.Sim.EventCounts()
+	sink.Add(obs.CSimEventsFunc, n.Func)
+	sink.Add(obs.CSimEventsArg, n.Arg)
+	sink.Add(obs.CSimEventsTimerLive, n.TimerLive)
+	sink.Add(obs.CSimEventsTimerStale, n.TimerStale)
+	w.gauges.Add(telemetry.GSimEventsFunc, int64(n.Func))
+	w.gauges.Add(telemetry.GSimEventsArg, int64(n.Arg))
+	w.gauges.Add(telemetry.GSimEventsTimerLive, int64(n.TimerLive))
+	w.gauges.Add(telemetry.GSimEventsTimerStale, int64(n.TimerStale))
 }
 
 // pushConfig returns the server push map for the PushEmblems defence.

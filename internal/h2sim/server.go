@@ -20,6 +20,7 @@
 package h2sim
 
 import (
+	"math/rand"
 	"time"
 
 	"repro/internal/h2"
@@ -53,9 +54,17 @@ const (
 	// blockedPoll is how long a worker blocked on a full socket buffer
 	// waits before it looks again, so a stalled transport (e.g. during
 	// the attack's drop phase) does not turn blocked workers into an
-	// event storm.
+	// event storm. Each look also draws one service interval and
+	// discards it (see worker.step).
 	blockedPoll = 10 * time.Millisecond
 )
+
+// jitterMax is the largest Int63 value that rand.Int63n(serviceJitter)
+// keeps rather than draws again: the top of the last whole multiple of
+// serviceJitter below 2^63. As a constant it spares every draw
+// Int63n's run-time 64-bit division, and the reduction modulo the
+// constant serviceJitter compiles to a multiplication.
+const jitterMax = int64(1<<63 - 1 - (1<<63)%uint64(serviceJitter))
 
 // Every service interval is shorter than blockedPoll, so a blocked
 // re-poll always waits exactly blockedPoll and the server's poll lane
@@ -148,9 +157,13 @@ type Server struct {
 	wfree  []*worker
 	parked []*worker
 
-	// polls queues the blocked workers' re-polls: each waits exactly
-	// blockedPoll, so their times never decrease and they run FIFO.
-	polls *sim.Lane
+	// polls queues the blocked workers' re-polls as pollFn(worker)
+	// entries: each waits exactly blockedPoll, so their times never
+	// decrease and they run FIFO. keepFn is what a re-poll does while
+	// the buffer stays full, for Lane.Cycle to run in its place.
+	polls  *sim.Lane
+	pollFn func(any)
+	keepFn func(any) bool
 
 	// Per-chunk scratch, hoisted so the steady-state transmit path
 	// (worker.step → writeRecord) allocates nothing: record/frame/
@@ -186,6 +199,14 @@ func NewServer(s *sim.Simulator, cfg ServerConfig, site *website.Site) *Server {
 	sv.frameCb = func(f h2.Frame) error {
 		sv.handleFrame(f)
 		return nil
+	}
+	sv.pollFn = func(a any) { a.(*worker).step() }
+	sv.keepFn = func(a any) bool {
+		if a.(*worker).cancelled {
+			return false
+		}
+		jitterDraw(sv.s.Rand())
+		return true
 	}
 	sv.Reset(cfg, site)
 	return sv
@@ -438,7 +459,18 @@ func (sv *Server) respondBodyless(streamID uint32, status string) {
 
 // serviceInterval draws one per-chunk service time.
 func (sv *Server) serviceInterval() time.Duration {
-	return serviceTime + time.Duration(sv.s.Rand().Int63n(int64(serviceJitter)))
+	return serviceTime + time.Duration(jitterDraw(sv.s.Rand())%int64(serviceJitter))
+}
+
+// jitterDraw draws the value that r.Int63n(serviceJitter) reduces
+// modulo serviceJitter, through the same rejection loop, so it consumes
+// exactly the source values Int63n would.
+func jitterDraw(r *rand.Rand) int64 {
+	for {
+		if v := r.Int63(); v <= jitterMax {
+			return v
+		}
+	}
 }
 
 // worker is one server "thread" streaming one object copy. Workers
@@ -496,12 +528,17 @@ func (w *worker) step() {
 	sv := w.sv
 	if !sv.cfg.DisableBackpressure && sv.tcp.BufferedSend() >= sv.cfg.SendBufLimit {
 		// Socket buffer full: wait blockedPoll for the wire to drain
-		// before producing the next chunk. The discarded draw only
-		// keeps the rand stream, and so every output byte, as it was;
-		// it can go when blocked workers wake on ACK instead, which
-		// rebases the golden output anyway.
-		_ = sv.serviceInterval()
-		sv.polls.After(blockedPoll, w.stepFn)
+		// before producing the next chunk. The discarded draw (no
+		// modulo needed) only keeps the rand stream, and so every
+		// output byte, as it was; it can go when blocked workers wake
+		// on ACK instead, which rebases the golden output anyway.
+		jitterDraw(sv.s.Rand())
+		sv.polls.AfterArg(blockedPoll, sv.pollFn, w)
+		// Only another event can drain the buffer, so every re-poll
+		// due before the next one finds it full too and does what
+		// keepFn does: drop a cancelled worker, or draw and re-queue.
+		// Cycle runs those re-polls in place.
+		sv.polls.Cycle(blockedPoll, sv.keepFn)
 		return
 	}
 	n := ChunkPlain

@@ -101,6 +101,11 @@ type Session struct {
 	GroundTruth *trace.Trace
 
 	cfg SessionConfig
+
+	// loading is Run's RunWhile condition, built once: the simulator
+	// keeps the condition of the loop it runs, so a closure built per
+	// Run would be allocated per trial.
+	loading func() bool
 }
 
 // NewSession wires up a trial for the given site. Construction builds
@@ -112,6 +117,11 @@ func NewSession(site *website.Site, cfg SessionConfig) *Session {
 	sess := &Session{
 		Sim:         s,
 		GroundTruth: &trace.Trace{},
+	}
+	sess.loading = func() bool {
+		return sess.Sim.Now() < sess.cfg.TimeLimit &&
+			!sess.Conn.Broken() &&
+			!sess.Client.AllScheduledComplete()
 	}
 	sess.Server = NewServer(s, ServerConfig{}, site)
 	sess.Client = NewClient(s, ClientConfig{}, site)
@@ -172,12 +182,7 @@ func (sess *Session) Middlebox() *netem.Middlebox { return sess.Conn.Path.Mbox }
 // the time limit, then drains in-flight transmissions.
 func (sess *Session) Run() {
 	sess.Client.Start()
-	limit := sess.cfg.TimeLimit
-	sess.Sim.RunWhile(func() bool {
-		return sess.Sim.Now() < limit &&
-			!sess.Conn.Broken() &&
-			!sess.Client.AllScheduledComplete()
-	})
+	sess.Sim.RunWhile(sess.loading)
 	if !sess.Conn.Broken() {
 		sess.Sim.RunUntil(sess.Sim.Now() + sess.cfg.DrainTime)
 	}

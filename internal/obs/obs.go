@@ -41,9 +41,16 @@ import (
 type Counter uint8
 
 const (
+	// sim: the trial's dispatched events by kind (sim.EventCounts),
+	// folded in once per trial.
+	CSimEventsFunc Counter = iota
+	CSimEventsArg
+	CSimEventsTimerLive
+	CSimEventsTimerStale
+
 	// netem: link-level forwarding (each packet crosses two links per
 	// direction, so LinkSend counts link traversals, not packets).
-	CNetemLinkSend Counter = iota
+	CNetemLinkSend
 	CNetemDropLoss
 	CNetemDropQueue
 
@@ -92,6 +99,11 @@ const (
 // counterNames is the export schema: dotted layer.event names, one
 // per Counter, in declaration order.
 var counterNames = [counterCount]string{
+	CSimEventsFunc:       "sim.events.func",
+	CSimEventsArg:        "sim.events.arg",
+	CSimEventsTimerLive:  "sim.events.timer_live",
+	CSimEventsTimerStale: "sim.events.timer_stale",
+
 	CNetemLinkSend:  "netem.link.send",
 	CNetemDropLoss:  "netem.drop.loss",
 	CNetemDropQueue: "netem.drop.queue",

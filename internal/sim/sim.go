@@ -61,14 +61,33 @@
 // so no caller contract has to hold for the order to stay exact.
 // Lane events never touch the wheel, the pool or a heap.
 //
+// # Cycling
+//
+// Some lane events are polls that find nothing changed: a blocked
+// server worker that finds its socket buffer still full only draws and
+// re-queues itself blockedPoll later. Until some other event runs, the
+// state it looked at cannot change, so every poll due before the next
+// other event would do the same. Lane.Cycle runs those polls in one
+// tight loop instead of going back through the dispatch loop for each:
+// it pops the lane's head while the head precedes the earliest pending
+// event outside the lane (computed once per call) and the running
+// loop's stop rule (RunWhile's cond, RunUntil's bound) still allows it,
+// accounts each pop exactly as dispatch does (clock, Steps,
+// EventCounts, the MaxSteps panic), and lets the caller's keep stand in
+// for the callback. An entry keep keeps is re-queued d later with the
+// next seq, as AfterArg would do. keep must schedule nothing, so the
+// precomputed bound stays exact; Cycle panics if it does. The dispatch
+// order, every clock reading and every rand draw are therefore the
+// ones stepwise dispatch would produce.
+//
 // The queue stays off the garbage collector's books: there is no
 // per-event allocation and no container/heap interface boxing, timers
 // schedule themselves without closures, and AfterArg carries a payload
 // pointer through the queue so packet delivery needs no per-packet
 // closure either. In steady state — once the pool and heaps have grown
 // to the simulation's high-water mark — At, After, AfterArg,
-// Timer.Reset, Lane.After and Lane.AfterArg allocate zero bytes (see
-// sim_alloc_test.go).
+// Timer.Reset, Lane.After, Lane.AfterArg and Lane.Cycle allocate zero
+// bytes (see sim_alloc_test.go).
 //
 // Key types: Simulator (clock + event queue + seeded RNG streams),
 // Timer (a restartable scheduled callback) and Lane (a FIFO side
@@ -225,6 +244,10 @@ type Simulator struct {
 	steps  uint64
 	counts EventCounts
 
+	// rule is the stop rule of the dispatch loop that is running, which
+	// Lane.Cycle obeys; the zero rule means no loop is running.
+	rule stopRule
+
 	// MaxSteps aborts Run with a panic after this many events; zero
 	// means no limit. Used to catch livelocks in tests.
 	MaxSteps uint64
@@ -282,6 +305,7 @@ func (s *Simulator) Reset(seed int64) {
 	s.seq = 0
 	s.steps = 0
 	s.counts = EventCounts{}
+	s.rule = stopRule{}
 	s.MaxSteps = 0
 	s.rng.Seed(seed)
 }
@@ -448,9 +472,14 @@ func (s *Simulator) mainHead() *key {
 }
 
 // peekAt returns the virtual time of the next pending event, lanes
-// included, without dispatching it (and without moving the wheel).
+// included, without dispatching it. It may move the wheel (see
+// mainHead).
 func (s *Simulator) peekAt() (time.Duration, bool) {
-	min, ok := s.peekMain()
+	var min time.Duration
+	ok := s.count > 0
+	if ok {
+		min = s.mainHead().at
+	}
 	for _, l := range s.lanes {
 		if l.n > 0 {
 			if at := l.ring[l.head].at; !ok || at < min {
@@ -459,27 +488,6 @@ func (s *Simulator) peekAt() (time.Duration, bool) {
 		}
 	}
 	return min, ok
-}
-
-// peekMain is peekAt over the main queue alone.
-func (s *Simulator) peekMain() (time.Duration, bool) {
-	if len(s.cur) > 0 {
-		return s.cur[0].at, true
-	}
-	if s.near > 0 {
-		n := s.bh[s.scanNext()&wheelMask]
-		min := s.pool[n].at
-		for n = s.pool[n].next; n >= 0; n = s.pool[n].next {
-			if at := s.pool[n].at; at < min {
-				min = at
-			}
-		}
-		return min, true
-	}
-	if len(s.far) > 0 {
-		return s.far[0].at, true
-	}
-	return 0, false
 }
 
 // At schedules fn at absolute virtual time t. Scheduling in the past
@@ -555,28 +563,46 @@ func (s *Simulator) step() bool {
 	} else {
 		return false
 	}
-	s.now = at
-	s.steps++
-	if s.MaxSteps != 0 && s.steps > s.MaxSteps {
-		panic(fmt.Sprintf("sim: exceeded %d steps at t=%v", s.MaxSteps, s.now))
-	}
 	switch {
 	case timer != nil:
 		if timer.gen == gen && timer.set {
-			s.counts.TimerLive++
+			s.dispatch(at, &s.counts.TimerLive)
 			timer.set = false
 			timer.fn()
 		} else {
-			s.counts.TimerStale++
+			s.dispatch(at, &s.counts.TimerStale)
 		}
 	case pfn != nil:
-		s.counts.Arg++
+		s.dispatch(at, &s.counts.Arg)
 		pfn(parg)
 	default:
-		s.counts.Func++
+		s.dispatch(at, &s.counts.Func)
 		fn()
 	}
 	return true
+}
+
+// dispatch accounts one popped event before its callback runs: the
+// clock moves to its time at, Steps and the kind's count rise, and
+// exceeding MaxSteps panics. step and Lane.Cycle both go through it.
+func (s *Simulator) dispatch(at time.Duration, kind *uint64) {
+	s.now = at
+	s.steps++
+	if s.MaxSteps != 0 && s.steps > s.MaxSteps {
+		panic(stepLimit{s.MaxSteps, at})
+	}
+	*kind++
+}
+
+// stepLimit is the MaxSteps panic value. Its message is formatted only
+// when printed, which keeps dispatch small enough to inline.
+type stepLimit struct {
+	max uint64
+	at  time.Duration
+}
+
+func (e stepLimit) Error() string {
+	return fmt.Sprintf("sim: exceeded %d steps at t=%v", e.max, e.at)
 }
 
 // mainFirst returns the main queue's head key when it precedes the
@@ -593,8 +619,34 @@ func (s *Simulator) mainFirst(lk *laneEntry) *key {
 	return k
 }
 
+// stopRule is what ends the running dispatch loop, recorded so that
+// Lane.Cycle stops where the loop would: RunWhile's cond, checked
+// before each event, and RunUntil's bound on event times.
+type stopRule struct {
+	running bool          // a Run, RunWhile or RunUntil loop is dispatching
+	cond    func() bool   // RunWhile's condition; nil for the other loops
+	bounded bool          // RunUntil is running, with bound until
+	until   time.Duration // the latest event time RunUntil dispatches
+}
+
+// allows reports whether the running loop would dispatch an event at
+// time at next, calling cond as the loop would.
+func (r *stopRule) allows(at time.Duration) bool {
+	return (!r.bounded || at <= r.until) && (r.cond == nil || r.cond())
+}
+
+// runAs records rule as the running loop's for the rest of the caller,
+// and returns the rule it replaces for the caller to restore: a loop
+// run from inside a callback hands the outer loop's rule back.
+func (s *Simulator) runAs(rule stopRule) stopRule {
+	prev := s.rule
+	s.rule = rule
+	return prev
+}
+
 // Run executes events until the queue drains.
 func (s *Simulator) Run() {
+	defer s.runAs(s.runAs(stopRule{running: true}))
 	for s.step() {
 	}
 }
@@ -602,6 +654,7 @@ func (s *Simulator) Run() {
 // RunUntil executes events with time <= t, then advances the clock to
 // exactly t.
 func (s *Simulator) RunUntil(t time.Duration) {
+	defer s.runAs(s.runAs(stopRule{running: true, bounded: true, until: t}))
 	for {
 		at, ok := s.peekAt()
 		if !ok || at > t {
@@ -615,7 +668,11 @@ func (s *Simulator) RunUntil(t time.Duration) {
 }
 
 // RunWhile executes events while cond() stays true and events remain.
+// cond should be a predicate of the simulation's state with no side
+// effects: Lane.Cycle evaluates it before each event it dispatches, so
+// it may run more than once between two events.
 func (s *Simulator) RunWhile(cond func() bool) {
+	defer s.runAs(s.runAs(stopRule{running: true, cond: cond}))
 	for cond() && s.step() {
 	}
 }
@@ -721,6 +778,12 @@ func (l *Lane) After(d time.Duration, fn func()) {
 // AfterArg schedules fn(arg) d from now, exactly as
 // Simulator.AfterArg does.
 func (l *Lane) AfterArg(d time.Duration, fn func(any), arg any) {
+	l.afterArg(d, fn, arg)
+}
+
+// afterArg is AfterArg, reporting whether the entry went into the
+// ring rather than falling back to the main queue.
+func (l *Lane) afterArg(d time.Duration, fn func(any), arg any) bool {
 	if d < 0 {
 		d = 0
 	}
@@ -728,10 +791,64 @@ func (l *Lane) AfterArg(d time.Duration, fn func(any), arg any) {
 	if l.beforeTail(at) {
 		e := l.s.schedule(at)
 		e.pfn, e.parg = fn, arg
-		return
+		return false
 	}
 	e := l.push(at)
 	e.pfn, e.parg = fn, arg
+	return true
+}
+
+// Cycle dispatches the lane's AfterArg entries in place, without
+// returning to the dispatch loop, for as long as the lane's head is
+// the event the running loop would dispatch next (see "Cycling" in
+// the package doc). For each popped entry it calls keep(arg) where
+// dispatch would call the entry's callback; if keep returns true, the
+// entry is re-queued d later, as AfterArg(d, fn, arg) would do from
+// inside the callback. Call it at the end of an event's callback, and
+// only when, until some other event runs, keep does exactly what the
+// callback of each entry it pops would do. keep must schedule nothing;
+// Cycle panics if it does. Outside a Run, RunWhile or RunUntil loop,
+// Cycle does nothing.
+func (l *Lane) Cycle(d time.Duration, keep func(any) bool) {
+	s := l.s
+	if !s.rule.running || l.n == 0 {
+		return
+	}
+	// The earliest pending (at, seq) key outside this lane. Nothing but
+	// this lane changes while Cycle runs, so it stays the bound.
+	bound, bounded := key{}, s.count > 0
+	if bounded {
+		bound = *s.mainHead()
+	}
+	for _, o := range s.lanes {
+		if o != l && o.n > 0 {
+			if e := &o.ring[o.head]; !bounded || e.before(bound.at, bound.seq) {
+				bound.at, bound.seq, bounded = e.at, e.seq, true
+			}
+		}
+	}
+	for l.n > 0 {
+		e := &l.ring[l.head]
+		if e.pfn == nil || bounded && !e.before(bound.at, bound.seq) || !s.rule.allows(e.at) {
+			return
+		}
+		at, pfn, parg := e.at, e.pfn, e.parg
+		*e = laneEntry{}
+		l.head = (l.head + 1) & (len(l.ring) - 1)
+		l.n--
+		s.dispatch(at, &s.counts.Arg)
+		seq := s.seq
+		again := keep(parg)
+		if s.seq != seq {
+			panic("sim: Lane.Cycle's keep scheduled an event")
+		}
+		// The popped slot is free, so the ring does not grow. A
+		// re-queue that falls back to the main queue may precede the
+		// bound, so cycling stops there.
+		if again && !l.afterArg(d, pfn, parg) {
+			return
+		}
+	}
 }
 
 // beforeTail reports whether at is earlier than the newest pending

@@ -143,6 +143,47 @@ func TestLaneZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestLaneCycleZeroAlloc proves that cycling blocked polls in place
+// allocates nothing once the lane's ring has reached its high-water
+// mark: the pop, the accounting, keep's rand draw and the re-queue into
+// the freed slot. This is the blocked-worker path of the h2sim server.
+func TestLaneCycleZeroAlloc(t *testing.T) {
+	s := New(1)
+	lane := s.NewLane()
+	blocked := false
+	keep := func(any) bool {
+		s.Rand().Int63()
+		return true
+	}
+	var poll func(any)
+	poll = func(a any) {
+		if blocked {
+			s.Rand().Int63()
+			lane.AfterArg(time.Millisecond, poll, a)
+			lane.Cycle(time.Millisecond, keep)
+		}
+	}
+	unblock := func() { blocked = false }
+	args := []any{new(int), new(int), new(int)}
+	round := func() {
+		blocked = true
+		for _, a := range args {
+			lane.AfterArg(0, poll, a)
+		}
+		s.After(50*time.Millisecond, unblock)
+		s.Run()
+	}
+	round() // warm: grows the ring and the pool
+	steps := s.Steps()
+	allocs := testing.AllocsPerRun(200, round)
+	if allocs != 0 {
+		t.Errorf("Lane.Cycle + Run: %.1f allocs/op, want 0", allocs)
+	}
+	if per := (s.Steps() - steps) / 201; per != 3*51+1 {
+		t.Errorf("%d events per round, want %d", per, 3*51+1)
+	}
+}
+
 // BenchmarkAfter measures raw schedule+dispatch cost of the event
 // queue.
 func BenchmarkAfter(b *testing.B) {
@@ -173,6 +214,28 @@ func BenchmarkLaneAfterArg(b *testing.B) {
 		}
 	}
 	s.Run()
+}
+
+// BenchmarkLaneCycle measures one blocked poll cycled in place: the
+// pop, the accounting, keep's rand draw and the re-queue, with a
+// RunWhile condition checked before each, as a trial runs them.
+func BenchmarkLaneCycle(b *testing.B) {
+	s := New(1)
+	lane := s.NewLane()
+	keep := func(any) bool {
+		s.Rand().Int63()
+		return true
+	}
+	var poll func(any)
+	poll = func(a any) {
+		lane.AfterArg(time.Millisecond, poll, a)
+		lane.Cycle(time.Millisecond, keep)
+	}
+	for i := 0; i < 8; i++ {
+		lane.AfterArg(0, poll, new(int))
+	}
+	b.ReportAllocs()
+	s.RunWhile(func() bool { return s.Steps() < uint64(b.N) })
 }
 
 // BenchmarkTimerReset measures the timer re-arm path (the RTO timer

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -35,6 +36,7 @@ type refSim struct {
 	now    time.Duration
 	seq    uint64
 	events []refEvent
+	rng    *rand.Rand
 }
 
 func (r *refSim) push(e refEvent) {
@@ -124,6 +126,11 @@ func (r *refSim) Run() {
 	}
 }
 
+func (r *refSim) RunWhile(cond func() bool) {
+	for cond() && r.step() {
+	}
+}
+
 func (r *refSim) RunUntil(t time.Duration) {
 	for len(r.events) > 0 && r.events[0].at <= t {
 		r.step()
@@ -169,13 +176,20 @@ func splitmix64(x uint64) uint64 {
 // The lane hooks schedule on lane i of the wheel Simulator (numLanes
 // of them); the reference heap has no lanes, so it maps them to its
 // plain After and AfterArg, which is exactly what a lane must equal.
+// cycle runs Lane.Cycle on the poll lane; the reference heap maps it
+// to nothing, so there every re-poll goes through its dispatch loop
+// and draws from its own rand.Rand, which is exactly what cycling must
+// equal.
 type engine struct {
 	now          func() time.Duration
+	rand         func() *rand.Rand
 	after        func(time.Duration, func())
 	at           func(time.Duration, func())
 	afterArg     func(time.Duration, func(any), any)
 	laneAfter    func(i int, d time.Duration, fn func())
 	laneAfterArg func(i int, d time.Duration, fn func(any), arg any)
+	cycle        func(d time.Duration, keep func(any) bool)
+	runWhile     func(func() bool)
 	runUntil     func(time.Duration)
 	run          func()
 	timerSet     func(i int, d time.Duration)
@@ -184,38 +198,51 @@ type engine struct {
 
 // The workload's lanes: fifoLane is fed one constant delay per
 // workload, so its pushes never go back in time and all stay in its
-// ring, the way a link's deliveries and a server's blocked polls do;
-// mixedLane is fed workloadDelay, so many of its pushes are earlier
-// than its tail and take the fallback to the main queue.
+// ring, the way a link's deliveries do; mixedLane is fed
+// workloadDelay, so many of its pushes are earlier than its tail and
+// take the fallback to the main queue; pollLane carries pollers that
+// re-poll at one constant delay while a shared flag stays blocked and
+// cycle in place, the way a server's blocked workers do.
 const (
 	fifoLane  = 0
 	mixedLane = 1
-	numLanes  = 2
+	pollLane  = 2
+	numLanes  = 3
 )
 
-func wheelEngine(s *Simulator, timers []*Timer, lanes []*Lane) engine {
+// wheelEngine drives s; cycled counts the polls Lane.Cycle dispatched
+// in place.
+func wheelEngine(s *Simulator, timers []*Timer, lanes []*Lane, cycled *int) engine {
 	return engine{
 		now:          s.Now,
+		rand:         s.Rand,
 		after:        s.After,
 		at:           s.At,
 		afterArg:     s.AfterArg,
 		laneAfter:    func(i int, d time.Duration, fn func()) { lanes[i].After(d, fn) },
 		laneAfterArg: func(i int, d time.Duration, fn func(any), arg any) { lanes[i].AfterArg(d, fn, arg) },
-		runUntil:     s.RunUntil,
-		run:          s.Run,
-		timerSet:     func(i int, d time.Duration) { timers[i].Reset(d) },
-		timerCut:     func(i int) { timers[i].Stop() },
+		cycle: func(d time.Duration, keep func(any) bool) {
+			lanes[pollLane].Cycle(d, func(a any) bool { *cycled++; return keep(a) })
+		},
+		runWhile: s.RunWhile,
+		runUntil: s.RunUntil,
+		run:      s.Run,
+		timerSet: func(i int, d time.Duration) { timers[i].Reset(d) },
+		timerCut: func(i int) { timers[i].Stop() },
 	}
 }
 
 func refEngine(r *refSim, timers []*refTimer) engine {
 	return engine{
 		now:          func() time.Duration { return r.now },
+		rand:         func() *rand.Rand { return r.rng },
 		after:        r.After,
 		at:           r.At,
 		afterArg:     r.AfterArg,
 		laneAfter:    func(_ int, d time.Duration, fn func()) { r.After(d, fn) },
 		laneAfterArg: func(_ int, d time.Duration, fn func(any), arg any) { r.AfterArg(d, fn, arg) },
+		cycle:        func(time.Duration, func(any) bool) {},
+		runWhile:     r.RunWhile,
 		runUntil:     r.RunUntil,
 		run:          r.Run,
 		timerSet:     func(i int, d time.Duration) { timers[i].Reset(d) },
@@ -253,17 +280,53 @@ func workloadDelay(w uint64) time.Duration {
 // keyed off splitmix64 so the wheel and the reference heap see the
 // same decisions at the same points.
 func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
-	// The FIFO lane's one delay ranges over the same queue regions
-	// from workload to workload; zero makes same-time ties likely.
+	// The FIFO and poll lanes' delays range over the same queue
+	// regions from workload to workload; zero makes same-time ties
+	// likely.
 	fifoDelay := max(0, workloadDelay(splitmix64(key^0x1a2e)))
+	pollDelay := max(0, workloadDelay(splitmix64(key^0x9011)))
 	var fire func(id uint64)
 	// fireArg is built once, as AfterArg's callers do: the id rides
 	// through the queue as the payload.
 	fireArg := func(a any) { fire(a.(uint64)) }
+
+	// Pollers model blocked server workers. While blocked holds, a
+	// poll draws from the simulator's rand and re-polls pollDelay
+	// later; a stopped poller drops out, and an unblocked one goes on
+	// as an ordinary event. Only the other events flip blocked or
+	// stop a poller, so every poll Cycle runs in place finds the state
+	// its caller found. pollBudget bounds the re-polls, so that a
+	// workload whose flag never clears still ends.
+	blocked := splitmix64(key^0x77)&1 == 1
+	stopped := map[uint64]bool{}
+	pollBudget := 400
+	// poll logs one look and reports whether the poller re-polls.
+	poll := func(id uint64) bool {
+		*log = append(*log, fmt.Sprintf("p%d@%d", id, e.now()))
+		if stopped[id] || !blocked || pollBudget == 0 {
+			return false
+		}
+		pollBudget--
+		*log = append(*log, fmt.Sprintf("r%d", e.rand().Int63n(1000)))
+		return true
+	}
+	var pollArg func(a any)
+	keep := func(a any) bool { return poll(a.(uint64)) }
+	pollArg = func(a any) {
+		id := a.(uint64)
+		if poll(id) {
+			e.laneAfterArg(pollLane, pollDelay, pollArg, a)
+			e.cycle(pollDelay, keep)
+		} else if !stopped[id] && !blocked {
+			stopped[id] = true
+			fire(id)
+		}
+	}
+
 	fire = func(id uint64) {
 		*log = append(*log, fmt.Sprintf("%d@%d", id, e.now()))
 		w := splitmix64(key ^ id)
-		switch w % 6 {
+		switch w % 9 {
 		case 0: // chain a follow-up event
 			child := id*2 + 1
 			if child < uint64(nSeed)*8 {
@@ -289,6 +352,15 @@ func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
 			if child < uint64(nSeed)*8 {
 				laneSchedule(e, splitmix64(w+4), fifoDelay, fireArg, func() { fire(child) }, child)
 			}
+		case 6: // start a poller
+			child := id*2 + 1
+			if child < uint64(nSeed)*8 {
+				e.laneAfterArg(pollLane, pollDelay, pollArg, child)
+			}
+		case 7: // flip the pollers' shared state
+			blocked = !blocked
+		case 8: // stop a poller, which may be pending or not yet born
+			stopped[id*2+1+(w>>8)%4] = true
 		}
 	}
 	for i := 0; i < nSeed; i++ {
@@ -299,6 +371,8 @@ func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
 			e.afterArg(workloadDelay(w), fireArg, id)
 		case w>>60 < 8:
 			laneSchedule(e, w, fifoDelay, fireArg, func() { fire(id) }, id)
+		case w>>60 < 11:
+			e.laneAfterArg(pollLane, pollDelay, pollArg, id)
 		default:
 			e.after(workloadDelay(w), func() { fire(id) })
 		}
@@ -306,12 +380,17 @@ func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
 	for i := 0; i < nTimers; i++ {
 		e.timerSet(i, workloadDelay(splitmix64(key+uint64(i)*0xabcd)))
 	}
-	// Mix RunUntil windows (peek path: clock advances without
-	// dispatch) with a final drain.
+	// Mix a RunWhile whose condition can flip inside a cycle and
+	// RunUntil windows (peek path: clock advances without dispatch)
+	// with a final drain.
+	stopAt := len(*log) + int(splitmix64(key^0x5e)%200)
+	e.runWhile(func() bool { return len(*log) < stopAt && e.now() < 100*time.Millisecond })
 	e.runUntil(150 * time.Millisecond)
 	e.runUntil(150 * time.Millisecond) // idempotent re-run at same time
 	e.runUntil(2600 * time.Millisecond)
 	e.run()
+	// The rand streams must also end in the same state.
+	*log = append(*log, fmt.Sprintf("end r%d", e.rand().Int63()))
 }
 
 // laneSchedule pushes one event, chosen by the decision word w, onto
@@ -329,11 +408,12 @@ func laneSchedule(e engine, w uint64, fifoDelay time.Duration, fireArg func(any)
 	}
 }
 
-// runBoth executes the identical workload on a wheel Simulator and the
-// reference heap and returns both logs. The Simulator s may be a
+// runBoth executes the identical workload on a wheel Simulator seeded
+// with seed and on the reference heap, and returns both logs and the
+// number of polls the wheel cycled in place. The Simulator s may be a
 // freshly-constructed or a Reset one — the log must not differ. Its
 // first numLanes lanes are made here if s has fewer.
-func runBoth(s *Simulator, key uint64, nSeed, nTimers int) (wheel, ref []string) {
+func runBoth(s *Simulator, seed int64, key uint64, nSeed, nTimers int) (wheel, ref []string, cycled int) {
 	wt := make([]*Timer, nTimers)
 	for i := range wt {
 		i := i
@@ -342,16 +422,16 @@ func runBoth(s *Simulator, key uint64, nSeed, nTimers int) (wheel, ref []string)
 	for len(s.lanes) < numLanes {
 		s.NewLane()
 	}
-	driveWorkload(wheelEngine(s, wt, s.lanes), key, nSeed, nTimers, &wheel)
+	driveWorkload(wheelEngine(s, wt, s.lanes, &cycled), key, nSeed, nTimers, &wheel)
 
-	r := &refSim{}
+	r := &refSim{rng: rand.New(rand.NewSource(seed))}
 	rt := make([]*refTimer, nTimers)
 	for i := range rt {
 		i := i
 		rt[i] = &refTimer{r: r, fn: func() { ref = append(ref, fmt.Sprintf("T%d@%d", i, r.now)) }}
 	}
 	driveWorkload(refEngine(r, rt), key, nSeed, nTimers, &ref)
-	return wheel, ref
+	return wheel, ref, cycled
 }
 
 func diffLogs(t *testing.T, label string, wheel, ref []string) {
@@ -373,18 +453,24 @@ func diffLogs(t *testing.T, label string, wheel, ref []string) {
 // TestWheelMatchesReferenceHeap is the main order-equivalence
 // property: across many randomized workloads — far-future events,
 // same-tick bursts, Timer Reset/Stop races over pending generations,
-// negative-delay clamping, RunUntil windows, FIFO lane pushes and
-// out-of-order ones that fall back — the calendar queue and its lanes
-// dispatch in exactly the reference heap's (at, seq) order.
+// negative-delay clamping, RunWhile and RunUntil windows, FIFO lane
+// pushes and out-of-order ones that fall back, pollers cycled in place
+// — the calendar queue and its lanes dispatch in exactly the reference
+// heap's (at, seq) order, and draw the same rand values.
 func TestWheelMatchesReferenceHeap(t *testing.T) {
+	total := 0
 	for trial := 0; trial < 60; trial++ {
 		key := splitmix64(uint64(trial) * 0x2545f4914f6cdd1d)
 		s := New(int64(trial))
-		wheel, ref := runBoth(s, key, 40, 4)
+		wheel, ref, cycled := runBoth(s, int64(trial), key, 40, 4)
 		if len(wheel) == 0 {
 			t.Fatalf("trial %d: empty dispatch log", trial)
 		}
 		diffLogs(t, fmt.Sprintf("trial %d", trial), wheel, ref)
+		total += cycled
+	}
+	if total == 0 {
+		t.Fatal("no workload cycled a poll in place")
 	}
 }
 
@@ -399,7 +485,11 @@ func TestWheelMatchesReferenceAfterReset(t *testing.T) {
 		if round > 0 {
 			s.Reset(int64(round))
 		}
-		wheel, ref := runBoth(s, key, 30, 3)
+		seed := int64(1)
+		if round > 0 {
+			seed = int64(round)
+		}
+		wheel, ref, _ := runBoth(s, seed, key, 30, 3)
 		diffLogs(t, fmt.Sprintf("round %d", round), wheel, ref)
 	}
 }
@@ -415,7 +505,7 @@ func FuzzWheelOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, key uint64, n uint8) {
 		nSeed := int(n%64) + 1
 		s := New(int64(key))
-		wheel, ref := runBoth(s, key, nSeed, 3)
+		wheel, ref, _ := runBoth(s, int64(key), key, nSeed, 3)
 		nn := len(wheel)
 		if len(ref) < nn {
 			nn = len(ref)

@@ -56,6 +56,13 @@ const (
 	GRangeEnd   // one past the last trial index of this shard's range
 	GRangeDone  // trials completed in the range by this invocation
 
+	// experiment (the trial worlds): simulator events dispatched, by
+	// kind (sim.EventCounts), added once per trial.
+	GSimEventsFunc       // cumulative At/After callbacks
+	GSimEventsArg        // cumulative AfterArg callbacks
+	GSimEventsTimerLive  // cumulative timer firings that ran
+	GSimEventsTimerStale // cumulative timer events superseded before firing
+
 	gaugeCount // number of gauges; must stay last
 )
 
@@ -93,6 +100,11 @@ var gaugeInfos = [gaugeCount]gaugeInfo{
 	GRangeStart: {"shard_range_start", "First trial index of this shard's range."},
 	GRangeEnd:   {"shard_range_end", "One past the last trial index of this shard's range."},
 	GRangeDone:  {"shard_range_done", "Trials completed in the range by this invocation."},
+
+	GSimEventsFunc:       {"sim_events_func_total", "Simulator At/After callbacks dispatched."},
+	GSimEventsArg:        {"sim_events_arg_total", "Simulator AfterArg callbacks dispatched."},
+	GSimEventsTimerLive:  {"sim_events_timer_live_total", "Simulator timer firings that ran their callback."},
+	GSimEventsTimerStale: {"sim_events_timer_stale_total", "Simulator timer events superseded before firing."},
 }
 
 // Name returns the gauge's Prometheus metric name (without the
