@@ -177,10 +177,19 @@ func run(args []string) int {
 		}
 	}
 
-	if len(defs) > 0 && cli.trials < 1 {
+	var usageErr string
+	switch {
+	case len(defs) > 0 && cli.trials < 1:
 		// The tables divide by the trial count: zero trials would print
 		// NaN% cells, not results.
-		fmt.Fprintf(os.Stderr, "h2attack: -trials must be at least 1 when a sweep is selected, got %d\n", cli.trials)
+		usageErr = fmt.Sprintf("-trials must be at least 1 when a sweep is selected, got %d", cli.trials)
+	case cli.ckptEvery < 1:
+		usageErr = fmt.Sprintf("-checkpoint-every must be at least 1, got %d", cli.ckptEvery)
+	case cli.maxTrials < 0:
+		usageErr = fmt.Sprintf("-max-trials must be at least 0 (0 = no limit), got %d", cli.maxTrials)
+	}
+	if usageErr != "" {
+		fmt.Fprintf(os.Stderr, "h2attack: %s\n", usageErr)
 		fs.Usage()
 		return 2
 	}

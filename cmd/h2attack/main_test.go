@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/experiment"
 )
 
 // TestTrialsBelowOneIsUsageError pins that a sweep with fewer than one
@@ -26,6 +28,60 @@ func TestTrialsBelowOneIsUsageError(t *testing.T) {
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
 		t.Errorf("refused runs left files behind: %v (err %v)", entries, err)
+	}
+}
+
+// TestCheckpointBoundsAreUsageErrors pins that a -checkpoint-every
+// below 1 or a -max-trials below 0 is refused as a usage error (exit
+// 2) before anything runs, instead of silently meaning the default
+// interval or no limit.
+func TestCheckpointBoundsAreUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	ck := filepath.Join(dir, "ck.json")
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-checkpoint-every", []string{"-survey", "-corpus", "2", "-checkpoint", ck, "-checkpoint-every", "0"}},
+		{"-checkpoint-every", []string{"-survey", "-corpus", "2", "-checkpoint", ck, "-checkpoint-every", "-1"}},
+		{"-checkpoint-every", []string{"-table1", "-trials", "2", "-checkpoint-every", "-5", "-shard", "1/2", "-shard-dir", filepath.Join(dir, "b1")}},
+		{"-max-trials", []string{"-survey", "-corpus", "2", "-checkpoint", ck, "-max-trials", "-2"}},
+		{"-max-trials", []string{"-table1", "-trials", "2", "-max-trials", "-1"}},
+	} {
+		var code int
+		stderr, _ := captureStream(t, &os.Stderr, func() error { code = run(c.args); return nil })
+		if code != 2 {
+			t.Errorf("run(%q) = %d, want 2", c.args, code)
+		}
+		if !strings.HasPrefix(stderr, "h2attack: "+c.flag+" must be at least") {
+			t.Errorf("run(%q) printed %q, want a message naming %s", c.args, stderr, c.flag)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("refused runs left files behind: %v (err %v)", entries, err)
+	}
+}
+
+// TestModeErrorsNameTheFlagOnce pins that a -shard or -merge error is
+// printed with the flag's name once, not "-shard: -shard: ...".
+func TestModeErrorsNameTheFlagOnce(t *testing.T) {
+	dir := t.TempDir()
+	bundles := writeBundles(t, cliFlags{jobs: 1, ckptEvery: 4}, experiment.Sweeps(1, 1)[4:5])
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-table1", "-shard", "0/2", "-shard-dir", dir}, "h2attack: -shard: index 0 outside 1..2\n"},
+		{[]string{"-table1", "-shard", "2", "-shard-dir", dir}, "h2attack: -shard: want i/N (e.g. 2/3), got \"2\"\n"},
+		{[]string{"-table1", "-shard", "1/2"}, "h2attack: -shard: requires -shard-dir DIR (the bundle output directory)\n"},
+		{[]string{"-shard", "1/2", "-shard-dir", dir}, "h2attack: -shard: no campaigns selected (add -table1..-defenses, -all, or -survey)\n"},
+		{[]string{"-merge", strings.Join(bundles, ",")}, "h2attack: -merge: no campaigns selected (add the same campaign flags the shards ran with)\n"},
+	} {
+		var code int
+		stderr, _ := captureStream(t, &os.Stderr, func() error { code = run(c.args); return nil })
+		if code != 1 || stderr != c.want {
+			t.Errorf("run(%q) = %d, printed %q; want 1, %q", c.args, code, stderr, c.want)
+		}
 	}
 }
 

@@ -32,10 +32,10 @@ func parseShardSpec(spec string) (idx, count int, err error) {
 	i, ierr := strconv.Atoi(is)
 	n, nerr := strconv.Atoi(ns)
 	if !ok || ierr != nil || nerr != nil || strings.ContainsAny(spec, "+-") {
-		return 0, 0, fmt.Errorf("-shard: want i/N (e.g. 2/3), got %q", spec)
+		return 0, 0, fmt.Errorf("want i/N (e.g. 2/3), got %q", spec)
 	}
 	if n < 1 || i < 1 || i > n {
-		return 0, 0, fmt.Errorf("-shard: index %d outside 1..%d", i, n)
+		return 0, 0, fmt.Errorf("index %d outside 1..%d", i, n)
 	}
 	return i - 1, n, nil
 }
@@ -52,10 +52,10 @@ func runShardMode(cli *cliFlags, defs []experiment.SweepDef, tp *telemetryPlane)
 	}
 	dir := cli.shardDir
 	if dir == "" {
-		return fmt.Errorf("-shard requires -shard-dir DIR (the bundle output directory)")
+		return fmt.Errorf("requires -shard-dir DIR (the bundle output directory)")
 	}
 	if len(defs) == 0 && !cli.survey {
-		return fmt.Errorf("-shard: no campaigns selected (add -table1..-defenses, -all, or -survey)")
+		return fmt.Errorf("no campaigns selected (add -table1..-defenses, -all, or -survey)")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -213,7 +213,7 @@ func runMergeMode(cli *cliFlags, defs []experiment.SweepDef) error {
 		return err
 	}
 	if len(defs) == 0 && !cli.survey {
-		return fmt.Errorf("-merge: no campaigns selected (add the same campaign flags the shards ran with)")
+		return fmt.Errorf("no campaigns selected (add the same campaign flags the shards ran with)")
 	}
 
 	snaps := map[string]*obs.Snapshot{}

@@ -113,15 +113,22 @@ func TestShardModeRecoversSnapshotFromCheckpoint(t *testing.T) {
 // it printed.
 func captureStdout(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
-	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	return captureStream(t, &os.Stdout, fn)
+}
+
+// captureStream runs fn with *stream (os.Stdout or os.Stderr) sent to
+// a file and returns what it printed there.
+func captureStream(t *testing.T, stream **os.File, fn func() error) (string, error) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "out")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	saved := os.Stdout
-	os.Stdout = f
+	saved := *stream
+	*stream = f
 	runErr := fn()
-	os.Stdout = saved
+	*stream = saved
 	out, err := os.ReadFile(f.Name())
 	if err != nil {
 		t.Fatal(err)

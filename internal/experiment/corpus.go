@@ -424,6 +424,14 @@ func (s *SurveySummary) Restore(state json.RawMessage) error {
 	if err := json.Unmarshal(state, &st); err != nil {
 		return fmt.Errorf("summary state: %w", err)
 	}
+	if len(st.Buckets) > len(objectBucketLabels) {
+		return fmt.Errorf("summary state: %d buckets, want at most %d", len(st.Buckets), len(objectBucketLabels))
+	}
+	for name, agg := range st.Shapes {
+		if agg == nil {
+			return fmt.Errorf("summary state: shape %q has no counters", name)
+		}
+	}
 	for len(st.Buckets) < len(objectBucketLabels) {
 		st.Buckets = append(st.Buckets, surveyAgg{})
 	}

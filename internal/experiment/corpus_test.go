@@ -149,6 +149,50 @@ func TestSurveyRerunOfDoneCampaignRestoresSummary(t *testing.T) {
 	}
 }
 
+// TestSurveySummaryRestoreRefusesBadState feeds Restore checkpoint
+// states by hand: a well-formed one (short bucket lists are padded)
+// must restore and format, and a malformed one — a shape with null
+// counters, more buckets than size segments, not JSON — must be
+// refused with an error that leaves the summary as it was, never
+// accepted for Format to trip over.
+func TestSurveySummaryRestoreRefusesBadState(t *testing.T) {
+	five := `[{},{},{},{},{}]`
+	six := `[{},{},{},{},{},{}]`
+	for _, tc := range []struct {
+		name, state string
+		ok          bool
+	}{
+		{"full", `{"total":{"trials":2},"buckets":` + five + `,"shapes":{"x":{"trials":2}}}`, true},
+		{"short buckets", `{"total":{"trials":1},"buckets":[{"trials":1}],"shapes":{}}`, true},
+		{"no shapes", `{"total":{},"buckets":` + five + `}`, true},
+		{"null shape", `{"total":{},"buckets":` + five + `,"shapes":{"x":null}}`, false},
+		{"too many buckets", `{"total":{},"buckets":` + six + `,"shapes":{}}`, false},
+		{"not json", `{"total":`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSurveySummary()
+			var r SurveyResult
+			r.Objects, r.Shape = 3, "y"
+			s.Export(0, CorpusTrialParams{}, r)
+			before := s.Format()
+			err := s.Restore(json.RawMessage(tc.state))
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("Restore refused a good state: %v", err)
+				}
+				s.Format()
+				return
+			}
+			if err == nil {
+				t.Fatal("Restore accepted a malformed state")
+			}
+			if after := s.Format(); after != before {
+				t.Fatalf("refused Restore changed the summary:\n%s\nwant:\n%s", after, before)
+			}
+		})
+	}
+}
+
 // TestSurveyMetricsExactAcrossResume pins the survey's whole-campaign
 // metrics: with an ObsState riding the checkpoint, a survey stopped by
 // MaxTrials and resumed — and then rerun once finished — reports the

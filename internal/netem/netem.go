@@ -18,7 +18,7 @@
 // The forwarding plane is allocation-free in steady state: packets and
 // their payload buffers are recycled through a per-Path PacketPool,
 // each link schedules its deliveries on its own sim.Lane (a FIFO ring
-// beside the simulator's calendar queue) with AfterArg instead of
+// beside the simulator's main event heap) with AfterArg instead of
 // per-packet closures, and the Reassembler holds out-of-order
 // segments in a pooled, sorted slice rather than a map.
 //

@@ -13,36 +13,24 @@
 // Each pending event lives in one slot of a shared pool and does not
 // move until it is dispatched; a freelist recycles the slots, so the
 // pool grows only to the max-pending high-water mark. What the queue
-// orders is a 24-byte, pointer-free key (at, seq, slot index), in a
-// calendar queue (a single-level timer wheel with an overflow heap):
+// orders is a 24-byte, pointer-free key (at, seq, slot index), in one
+// 4-ary min-heap. Dispatch pops the minimal key, copies the callback
+// out of its slot and frees the slot before running it.
 //
-//   - Virtual time is divided into ticks of 2^tickBits ns (~524 µs). A
-//     wheel of wheelSize buckets covers the next ~2.1 s of ticks; each
-//     bucket is an unsorted intrusive list threaded through the pool
-//     slots, and a bitmap records which buckets are occupied, so
-//     finding the next non-empty tick is a word scan, not a search.
-//   - The keys of the tick currently being dispatched live in a small
-//     binary heap (`cur`) ordered by (at, seq); same-tick scheduling
-//     during dispatch pushes into it. When the wheel reaches a tick,
-//     its bucket's keys are appended to cur and heapified once.
-//   - Events beyond the wheel horizon (stall-timer backoffs, RTO
-//     exponential backoff, page time limits) keep their key in an
-//     overflow heap (`far`) and are linked into buckets as the wheel
-//     slides forward.
-//   - Dispatch pops the minimal key, copies the callback out of its
-//     slot and frees the slot before running it.
-//
-// Scheduling and dispatch are therefore amortized O(1) for the hot
-// paths (packet delivery, worker steps, ACK clocking — all within the
-// wheel horizon), with the exact (at, seq) total order of the original
-// heap: the dispatch sequence is byte-for-byte identical, which the
-// wheel-vs-reference-heap property tests in sim_order_test.go pin
-// down. A heap sift moves 24-byte keys that hold no pointers, so it
-// pays neither a large copy nor a GC write barrier; the callbacks and
-// payloads stay put in the pool. EventCounts splits the dispatched
-// events by kind, and a test in internal/experiment pins them for
-// fixed seeds, so a queue change is shown to move only the cost per
-// event.
+// A heap sift moves keys that hold no pointers, so it pays neither a
+// large copy nor a GC write barrier; the callbacks and payloads stay
+// put in the pool. The heap is small: lanes (below) carry link
+// deliveries and blocked-worker polls, nearly nine in ten events, so
+// the main queue holds only timers (most of them stale by the time
+// they come up), worker steps and middlebox delays — a few hundred
+// keys in a trial. Four children per node keep the heap half as deep
+// as a binary one, for the same code. Dispatch follows the exact
+// (at, seq) total order, which the property tests in
+// sim_order_test.go pin down against a reference binary heap, so the
+// queue's layout cannot move a result. EventCounts splits the
+// dispatched events by kind, and a test in internal/experiment pins
+// them for fixed seeds, so a queue change is shown to move only the
+// cost per event.
 //
 // # Lanes
 //
@@ -51,7 +39,7 @@
 // blocked server worker re-polls a fixed interval later, so in both
 // sources the event times never decrease in scheduling order. Such a
 // source schedules through a Lane (Simulator.NewLane): a FIFO ring
-// beside the calendar queue. Each lane entry takes the (at, seq) key
+// beside the main queue. Each lane entry takes the (at, seq) key
 // After or AfterArg would have given it, from the same seq counter,
 // and dispatch takes the global (at, seq) minimum over the main
 // queue's head and every lane's head. A lane is sorted because its
@@ -59,7 +47,7 @@
 // alone would produce; a push earlier than the lane's newest entry
 // (which the two sources never make) goes to the main queue instead,
 // so no caller contract has to hold for the order to stay exact.
-// Lane events never touch the wheel, the pool or a heap.
+// Lane events never touch the pool or the heap.
 //
 // # Cycling
 //
@@ -84,10 +72,10 @@
 // per-event allocation and no container/heap interface boxing, timers
 // schedule themselves without closures, and AfterArg carries a payload
 // pointer through the queue so packet delivery needs no per-packet
-// closure either. In steady state — once the pool and heaps have grown
-// to the simulation's high-water mark — At, After, AfterArg,
-// Timer.Reset, Lane.After, Lane.AfterArg and Lane.Cycle allocate zero
-// bytes (see sim_alloc_test.go).
+// closure either. In steady state — once the pool, the heap and the
+// lane rings have grown to the simulation's high-water mark — At,
+// After, AfterArg, Timer.Reset, Lane.After, Lane.AfterArg and
+// Lane.Cycle allocate zero bytes (see sim_alloc_test.go).
 //
 // Key types: Simulator (clock + event queue + seeded RNG streams),
 // Timer (a restartable scheduled callback) and Lane (a FIFO side
@@ -100,23 +88,8 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"time"
-)
-
-// Calendar-queue geometry. One tick is 2^tickBits ns (~524 µs), sized
-// so that sub-tick event chains (packet serialization, ACK clocking)
-// stay in the small cur heap while multi-tick delays (propagation,
-// worker service times, stall timeouts up to ~2 s) take the O(1)
-// bucket path. The wheel spans wheelSize ticks (~2.1 s); only genuine
-// long-delay events (RTO backoff, reset grace on slow paths, page
-// time limits) overflow to the far heap.
-const (
-	tickBits  = 19
-	wheelSize = 1 << 12
-	wheelMask = wheelSize - 1
-	occWords  = wheelSize / 64
 )
 
 // event is one scheduled callback, held in a pool slot that does not
@@ -125,22 +98,20 @@ const (
 // callback with argument), or timer+gen (a Timer firing, validated
 // against the timer's current generation at dispatch time).
 type event struct {
-	at    time.Duration
-	seq   uint64 // tie-breaker: FIFO among same-time events
 	fn    func()
 	pfn   func(any)
 	parg  any
 	timer *Timer
 	gen   uint64
-	next  int32 // pool index of the next slot in the bucket or freelist, -1 = end
+	next  int32 // pool index of the next free slot, -1 = end
 }
 
-// key is what the cur and far heaps order: an event's (at, seq) and
-// the pool slot holding the rest of it. It holds no pointers, so a
-// sift moves 24 bytes and pays no write barrier.
+// key is what the heap orders: an event's (at, seq) and the pool slot
+// holding the rest of it. It holds no pointers, so a sift moves 24
+// bytes and pays no write barrier.
 type key struct {
 	at  time.Duration
-	seq uint64
+	seq uint64 // tie-breaker: FIFO among same-time events
 	idx int32
 }
 
@@ -154,61 +125,6 @@ func (k *key) before(o *key) bool {
 	return k.seq < o.seq
 }
 
-// heapPush inserts k into the (at, seq) min-heap h (sift-up). The only
-// allocation is the amortized growth of the backing slice, which stops
-// once the heap reaches its high-water mark.
-func heapPush(h []key, k key) []key {
-	h = append(h, k)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !k.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = k
-	return h
-}
-
-// heapPop removes and returns the minimum key (sift-down).
-func heapPop(h []key) (key, []key) {
-	min := h[0]
-	n := len(h) - 1
-	if n > 0 {
-		siftDown(h[:n], 0, h[n])
-	}
-	return min, h[:n]
-}
-
-// siftDown places k in the hole at i, moving smaller children up.
-func siftDown(h []key, i int, k key) {
-	n := len(h)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && h[r].before(&h[c]) {
-			c = r
-		}
-		if !h[c].before(&k) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = k
-}
-
-// heapify establishes the heap invariant over an unsorted bucket.
-func heapify(h []key) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i, h[i])
-	}
-}
-
 // Simulator is a single-threaded discrete-event scheduler. It is not
 // safe for concurrent use; all callbacks run on the caller's
 // goroutine inside Run.
@@ -217,23 +133,12 @@ type Simulator struct {
 	seq uint64
 	rng *rand.Rand
 
-	// Calendar queue state. Every pending event sits in a pool slot
-	// that stays put until the event is dispatched. cur holds the keys
-	// of tick curTick as an (at, seq) min-heap; bh[t & wheelMask] heads
-	// the intrusive list of pool slots for a pending tick t in
-	// (curTick, curTick+wheelSize]; occ is the bucket-occupancy bitmap;
-	// far is the overflow min-heap of keys for ticks beyond the wheel
-	// horizon. count is the total number of pending events across all
-	// three.
-	curTick int64
-	cur     []key
-	bh      []int32 // bucket heads, len wheelSize, -1 = empty
-	pool    []event
-	free    int32 // pool freelist head, -1 = none
-	occ     [occWords]uint64
-	near    int // events currently linked into buckets
-	far     []key
-	count   int
+	// The main queue: heap is a 4-ary (at, seq) min-heap of the keys of
+	// the events pending in pool, whose slots stay put until dispatch;
+	// free heads the list of unused slots.
+	heap []key
+	pool []event
+	free int32 // -1 = none
 
 	// lanes are the FIFO side queues made by NewLane; they persist
 	// across Reset, which empties them.
@@ -255,15 +160,7 @@ type Simulator struct {
 
 // New returns a simulator whose randomness derives entirely from seed.
 func New(seed int64) *Simulator {
-	s := &Simulator{
-		rng:  rand.New(rand.NewSource(seed)),
-		bh:   make([]int32, wheelSize),
-		free: -1,
-	}
-	for i := range s.bh {
-		s.bh[i] = -1
-	}
-	return s
+	return &Simulator{rng: rand.New(rand.NewSource(seed)), free: -1}
 }
 
 // Reset rewinds the simulator to the state New(seed) would produce,
@@ -275,14 +172,7 @@ func New(seed int64) *Simulator {
 // stream a fresh rand.New(rand.NewSource(seed)) would, so trial
 // results do not depend on whether the simulator was reused.
 func (s *Simulator) Reset(seed int64) {
-	s.cur = s.cur[:0]
-	s.far = s.far[:0]
-	for w := range s.occ {
-		for word := s.occ[w]; word != 0; word &= word - 1 {
-			s.bh[w<<6+bits.TrailingZeros64(word)] = -1
-		}
-		s.occ[w] = 0
-	}
+	s.heap = s.heap[:0]
 	// Rebuild the pool freelist over every slot, zeroing the events so
 	// dead closures and payloads are unpinned. Freelist order only
 	// selects storage slots, never dispatch order, so this cannot
@@ -290,17 +180,10 @@ func (s *Simulator) Reset(seed int64) {
 	for i := range s.pool {
 		s.pool[i] = event{next: int32(i) - 1}
 	}
-	if len(s.pool) > 0 {
-		s.free = int32(len(s.pool)) - 1
-	} else {
-		s.free = -1
-	}
+	s.free = int32(len(s.pool)) - 1
 	for _, l := range s.lanes {
 		l.reset()
 	}
-	s.near = 0
-	s.count = 0
-	s.curTick = 0
 	s.now = 0
 	s.seq = 0
 	s.steps = 0
@@ -354,14 +237,12 @@ type EventCounts struct {
 func (s *Simulator) EventCounts() EventCounts { return s.counts }
 
 // schedule takes a pool slot for an event at time at with the next
-// seq, routes its key to the cur heap (current tick — or, defensively,
-// any past tick), a wheel bucket (within the horizon) or the far heap
-// (beyond it), and returns the slot for the caller to fill in before
-// anything else is scheduled. Every path is allocation-free once the
-// pool and heaps have reached their high-water marks.
+// seq, pushes its key onto the heap (sift-up) and returns the slot for
+// the caller to fill in before anything else is scheduled. The only
+// allocations are the amortized growth of the pool and the heap, which
+// stops once they reach their high-water marks.
 func (s *Simulator) schedule(at time.Duration) *event {
 	s.seq++
-	s.count++
 	idx := s.free
 	if idx >= 0 {
 		s.free = s.pool[idx].next
@@ -369,116 +250,59 @@ func (s *Simulator) schedule(at time.Duration) *event {
 		s.pool = append(s.pool, event{})
 		idx = int32(len(s.pool)) - 1
 	}
-	e := &s.pool[idx]
-	e.at, e.seq = at, s.seq
-	tk := int64(at) >> tickBits
-	d := tk - s.curTick
-	switch {
-	case d <= 0:
-		// Current tick (or an already-passed tick, which cannot arise
-		// from the public API but is safe regardless): the cur heap
-		// dispatches strictly by (at, seq), so ordering is exact.
-		s.cur = heapPush(s.cur, key{at: at, seq: s.seq, idx: idx})
-	case d <= wheelSize:
-		s.bucketPush(tk&wheelMask, idx)
-	default:
-		s.far = heapPush(s.far, key{at: at, seq: s.seq, idx: idx})
-	}
-	return e
-}
-
-// bucketPush links pool slot idx into the bucket at wheel index i.
-func (s *Simulator) bucketPush(i int64, idx int32) {
-	s.pool[idx].next = s.bh[i]
-	if s.bh[i] < 0 {
-		s.occ[i>>6] |= 1 << uint(i&63)
-	}
-	s.bh[i] = idx
-	s.near++
-}
-
-// scanNext returns the next occupied tick in (curTick,
-// curTick+wheelSize]. Callers must ensure s.near > 0.
-func (s *Simulator) scanNext() int64 {
-	start := (s.curTick + 1) & wheelMask
-	w := int(start >> 6)
-	word := s.occ[w] &^ (1<<uint(start&63) - 1)
-	for i := 0; i <= occWords; i++ {
-		if word != 0 {
-			idx := int64(w<<6 + bits.TrailingZeros64(word))
-			delta := (idx - start) & wheelMask
-			return s.curTick + 1 + delta
+	k := key{at: at, seq: s.seq, idx: idx}
+	h := append(s.heap, k)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !k.before(&h[p]) {
+			break
 		}
-		w = (w + 1) & (occWords - 1)
-		word = s.occ[w]
+		h[i] = h[p]
+		i = p
 	}
-	panic("sim: occupancy bitmap inconsistent with near count")
+	h[i] = k
+	s.heap = h
+	return &s.pool[idx]
 }
 
-// advanceTo moves the wheel to tick tk: tk's bucket list is appended
-// to the cur heap as keys and heapified, and the far heap is drained
-// into any buckets now inside the horizon. The events stay in their
-// pool slots; cur's backing array keeps its high-water capacity across
-// ticks, so steady state allocates nothing here.
-func (s *Simulator) advanceTo(tk int64) {
-	s.curTick = tk
-	// Drain tick tk's bucket BEFORE migrating far events: a far event
-	// at tick tk+wheelSize maps to the same bucket residue as tk, and
-	// draining far first would sweep it into cur a whole revolution
-	// early, dispatching it ahead of nearer buckets.
-	i := tk & wheelMask
-	s.occ[i>>6] &^= 1 << uint(i&63)
-	for n := s.bh[i]; n >= 0; n = s.pool[n].next {
-		s.cur = append(s.cur, key{at: s.pool[n].at, seq: s.pool[n].seq, idx: n})
+// popHead removes the heap's minimum key: the last key fills the hole
+// at the root and sifts down past the least of each node's children.
+func (s *Simulator) popHead() {
+	n := len(s.heap) - 1
+	h, k := s.heap[:n], s.heap[n]
+	s.heap = h
+	if n == 0 {
+		return
 	}
-	s.bh[i] = -1
-	s.near -= len(s.cur)
-	heapify(s.cur)
-	if len(s.far) > 0 {
-		s.drainFar()
-	}
-}
-
-// drainFar migrates far-heap events whose tick has come inside the
-// wheel horizon into their buckets.
-func (s *Simulator) drainFar() {
-	limit := s.curTick + wheelSize
-	for len(s.far) > 0 && int64(s.far[0].at)>>tickBits <= limit {
-		var k key
-		k, s.far = heapPop(s.far)
-		s.bucketPush((int64(k.at)>>tickBits)&wheelMask, k.idx)
-	}
-}
-
-// mainHead moves the wheel until the cur heap holds the main queue's
-// minimal (at, seq) key and returns that key, left in place. Moving
-// the wheel ahead of a pending lane event is safe: anything later
-// scheduled for a tick the wheel has passed lands in cur, which
-// dispatches strictly by (at, seq). Callers must ensure s.count > 0.
-func (s *Simulator) mainHead() *key {
+	i := 0
 	for {
-		if len(s.cur) > 0 {
-			return &s.cur[0]
+		c := 4*i + 1
+		if c >= n {
+			break
 		}
-		if s.near > 0 {
-			s.advanceTo(s.scanNext())
-			continue
+		m, end := c, min(c+4, n)
+		for j := c + 1; j < end; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
 		}
-		// Wheel empty: jump the horizon to the far heap's minimum and
-		// let the next iteration load its bucket.
-		s.curTick = int64(s.far[0].at)>>tickBits - 1
-		s.drainFar()
+		if !h[m].before(&k) {
+			break
+		}
+		h[i] = h[m]
+		i = m
 	}
+	h[i] = k
 }
 
 // peekAt returns the virtual time of the next pending event, lanes
-// included, without dispatching it. It may move the wheel (see
-// mainHead).
+// included, without dispatching it.
 func (s *Simulator) peekAt() (time.Duration, bool) {
 	var min time.Duration
-	ok := s.count > 0
+	ok := len(s.heap) > 0
 	if ok {
-		min = s.mainHead().at
+		min = s.heap[0].at
 	}
 	for _, l := range s.lanes {
 		if l.n > 0 {
@@ -549,8 +373,7 @@ func (s *Simulator) step() bool {
 		// closures.
 		idx := k.idx
 		at = k.at
-		_, s.cur = heapPop(s.cur)
-		s.count--
+		s.popHead()
 		e := &s.pool[idx]
 		fn, pfn, parg, timer, gen = e.fn, e.pfn, e.parg, e.timer, e.gen
 		*e = event{next: s.free}
@@ -609,10 +432,10 @@ func (e stepLimit) Error() string {
 // lane head lk (nil: no lane event pending), or nil when the main
 // queue is empty or the lane head comes first.
 func (s *Simulator) mainFirst(lk *laneEntry) *key {
-	if s.count == 0 {
+	if len(s.heap) == 0 {
 		return nil
 	}
-	k := s.mainHead()
+	k := &s.heap[0]
 	if lk != nil && lk.before(k.at, k.seq) {
 		return nil
 	}
@@ -816,9 +639,9 @@ func (l *Lane) Cycle(d time.Duration, keep func(any) bool) {
 	}
 	// The earliest pending (at, seq) key outside this lane. Nothing but
 	// this lane changes while Cycle runs, so it stays the bound.
-	bound, bounded := key{}, s.count > 0
+	bound, bounded := key{}, len(s.heap) > 0
 	if bounded {
-		bound = *s.mainHead()
+		bound = s.heap[0]
 	}
 	for _, o := range s.lanes {
 		if o != l && o.n > 0 {

@@ -94,28 +94,31 @@ func TestTimerResetZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCrossTickZeroAlloc exercises every calendar-queue region — the
-// current-tick heap, wheel buckets at many distinct ticks (the shared
-// node pool and its freelist), the horizon edge, and the far overflow
-// heap — and proves schedule+dispatch stays allocation-free once each
-// structure has reached its high-water mark.
-func TestCrossTickZeroAlloc(t *testing.T) {
+// TestMixedDelaysZeroAlloc schedules across the whole spread of delays
+// the simulation uses — same-time bursts, sub-µs chains, ms-scale
+// steps, about 2.1 s and several seconds out — so the heap and the
+// pool's freelist are exercised at many depths, and proves
+// schedule+dispatch stays allocation-free once both have reached
+// their high-water marks.
+func TestMixedDelaysZeroAlloc(t *testing.T) {
 	s := New(1)
 	fn := func() {}
 	mixed := func() {
 		base := s.Now()
 		for i := 0; i < 8; i++ {
-			s.At(base, fn)                                          // cur heap
-			s.After(time.Duration(i+1)<<tickBits, fn)               // wheel buckets
-			s.After(wheelSize<<tickBits, fn)                        // horizon edge
-			s.After((wheelSize+100+time.Duration(i))<<tickBits, fn) // far heap
+			d := time.Duration(i)
+			s.At(base, fn)                                            // same time
+			s.After(100*d, fn)                                        // sub-µs
+			s.After((d+1)*512*time.Microsecond, fn)                   // ms-scale
+			s.After(2147*time.Millisecond, fn)                        // about 2.1 s
+			s.After(2200*time.Millisecond+d*500*time.Millisecond, fn) // several seconds
 		}
 		s.Run()
 	}
-	mixed() // warm: grows pool, cur, far to high-water
+	mixed() // warm: grows the pool and the heap to high-water
 	allocs := testing.AllocsPerRun(100, mixed)
 	if allocs != 0 {
-		t.Errorf("cross-tick schedule + Run: %.1f allocs/op, want 0", allocs)
+		t.Errorf("mixed-delay schedule + Run: %.1f allocs/op, want 0", allocs)
 	}
 }
 

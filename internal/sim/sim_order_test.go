@@ -8,12 +8,12 @@ import (
 )
 
 // Order-equivalence oracle: refSim reimplements the Simulator's public
-// scheduling semantics on the slice-backed binary heap the calendar
-// queue replaced. Both engines are driven through an identical
+// scheduling semantics on a plain slice-backed binary heap of events,
+// with no pool and no lanes. Both engines are driven through an identical
 // deterministic workload (same schedule calls, same in-callback
 // decisions, same timer races) and must dispatch in the identical
 // order — this is the invariant that keeps every simulation result
-// byte-for-byte unchanged by the scheduler swap.
+// byte-for-byte unchanged by the queue's layout.
 
 type refEvent struct {
 	at    time.Duration
@@ -173,7 +173,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // engine abstracts the two schedulers so one workload drives both.
-// The lane hooks schedule on lane i of the wheel Simulator (numLanes
+// The lane hooks schedule on lane i of the Simulator (numLanes
 // of them); the reference heap has no lanes, so it maps them to its
 // plain After and AfterArg, which is exactly what a lane must equal.
 // cycle runs Lane.Cycle on the poll lane; the reference heap maps it
@@ -210,9 +210,9 @@ const (
 	numLanes  = 3
 )
 
-// wheelEngine drives s; cycled counts the polls Lane.Cycle dispatched
+// simEngine drives s; cycled counts the polls Lane.Cycle dispatched
 // in place.
-func wheelEngine(s *Simulator, timers []*Timer, lanes []*Lane, cycled *int) engine {
+func simEngine(s *Simulator, timers []*Timer, lanes []*Lane, cycled *int) engine {
 	return engine{
 		now:          s.Now,
 		rand:         s.Rand,
@@ -250,25 +250,25 @@ func refEngine(r *refSim, timers []*refTimer) engine {
 	}
 }
 
-// workloadDelay maps a decision word to a delay that exercises every
-// queue region: same-tick bursts (zero and sub-tick), in-wheel ticks,
-// the exact wheel-horizon edge, and far-future overflow events.
+// workloadDelay maps a decision word to a delay from the spread the
+// simulation schedules: same-time bursts, sub-µs chains, ms-scale
+// steps, about 2.1 s, several seconds out, and negative delays.
 func workloadDelay(w uint64) time.Duration {
 	switch w % 8 {
 	case 0:
 		return 0 // same-time burst: FIFO via seq
 	case 1:
-		return time.Duration(w % 1000) // sub-tick
+		return time.Duration(w % 1000) // sub-µs
 	case 2:
-		return time.Duration(w%64) << tickBits // nearby ticks
+		return time.Duration(w%64) * 512 * time.Microsecond // ms-scale
 	case 3:
-		return wheelSize << tickBits // horizon edge (d == wheelSize)
+		return 2147 * time.Millisecond // about 2.1 s
 	case 4:
-		return (wheelSize + 1 + time.Duration(w%977)) << tickBits // far heap
+		return 2148*time.Millisecond + time.Duration(w%977)*512*time.Microsecond // several seconds
 	case 5:
 		return -time.Duration(w % 100) // negative: clamps to "now"
 	case 6:
-		return time.Duration(w % (4 << tickBits)) // tick straddles
+		return time.Duration(w % uint64(2*time.Millisecond)) // up to 2 ms
 	default:
 		return time.Duration(w % uint64(3*time.Second)) // wide spread
 	}
@@ -277,7 +277,7 @@ func workloadDelay(w uint64) time.Duration {
 // driveWorkload runs one deterministic scripted scenario on an engine
 // and returns the dispatch log. Every callback appends its identity
 // and may schedule follow-ups or race the timer set, with all choices
-// keyed off splitmix64 so the wheel and the reference heap see the
+// keyed off splitmix64 so the Simulator and the reference heap see the
 // same decisions at the same points.
 func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
 	// The FIFO and poll lanes' delays range over the same queue
@@ -408,21 +408,21 @@ func laneSchedule(e engine, w uint64, fifoDelay time.Duration, fireArg func(any)
 	}
 }
 
-// runBoth executes the identical workload on a wheel Simulator seeded
-// with seed and on the reference heap, and returns both logs and the
-// number of polls the wheel cycled in place. The Simulator s may be a
-// freshly-constructed or a Reset one — the log must not differ. Its
-// first numLanes lanes are made here if s has fewer.
-func runBoth(s *Simulator, seed int64, key uint64, nSeed, nTimers int) (wheel, ref []string, cycled int) {
+// runBoth executes the identical workload on a Simulator seeded with
+// seed and on the reference heap, and returns both logs and the
+// number of polls the Simulator cycled in place. The Simulator s may
+// be a freshly-constructed or a Reset one — the log must not differ.
+// Its first numLanes lanes are made here if s has fewer.
+func runBoth(s *Simulator, seed int64, key uint64, nSeed, nTimers int) (got, ref []string, cycled int) {
 	wt := make([]*Timer, nTimers)
 	for i := range wt {
 		i := i
-		wt[i] = s.NewTimer(func() { wheel = append(wheel, fmt.Sprintf("T%d@%d", i, s.Now())) })
+		wt[i] = s.NewTimer(func() { got = append(got, fmt.Sprintf("T%d@%d", i, s.Now())) })
 	}
 	for len(s.lanes) < numLanes {
 		s.NewLane()
 	}
-	driveWorkload(wheelEngine(s, wt, s.lanes, &cycled), key, nSeed, nTimers, &wheel)
+	driveWorkload(simEngine(s, wt, s.lanes, &cycled), key, nSeed, nTimers, &got)
 
 	r := &refSim{rng: rand.New(rand.NewSource(seed))}
 	rt := make([]*refTimer, nTimers)
@@ -431,42 +431,42 @@ func runBoth(s *Simulator, seed int64, key uint64, nSeed, nTimers int) (wheel, r
 		rt[i] = &refTimer{r: r, fn: func() { ref = append(ref, fmt.Sprintf("T%d@%d", i, r.now)) }}
 	}
 	driveWorkload(refEngine(r, rt), key, nSeed, nTimers, &ref)
-	return wheel, ref, cycled
+	return got, ref, cycled
 }
 
-func diffLogs(t *testing.T, label string, wheel, ref []string) {
+func diffLogs(t *testing.T, label string, got, ref []string) {
 	t.Helper()
-	n := len(wheel)
+	n := len(got)
 	if len(ref) < n {
 		n = len(ref)
 	}
 	for i := 0; i < n; i++ {
-		if wheel[i] != ref[i] {
-			t.Fatalf("%s: dispatch %d diverges: wheel=%s ref=%s", label, i, wheel[i], ref[i])
+		if got[i] != ref[i] {
+			t.Fatalf("%s: dispatch %d diverges: got=%s ref=%s", label, i, got[i], ref[i])
 		}
 	}
-	if len(wheel) != len(ref) {
-		t.Fatalf("%s: dispatch count diverges: wheel=%d ref=%d", label, len(wheel), len(ref))
+	if len(got) != len(ref) {
+		t.Fatalf("%s: dispatch count diverges: got=%d ref=%d", label, len(got), len(ref))
 	}
 }
 
-// TestWheelMatchesReferenceHeap is the main order-equivalence
-// property: across many randomized workloads — far-future events,
-// same-tick bursts, Timer Reset/Stop races over pending generations,
+// TestQueueMatchesReferenceHeap is the main order-equivalence
+// property: across many randomized workloads — events seconds out,
+// same-time bursts, Timer Reset/Stop races over pending generations,
 // negative-delay clamping, RunWhile and RunUntil windows, FIFO lane
 // pushes and out-of-order ones that fall back, pollers cycled in place
-// — the calendar queue and its lanes dispatch in exactly the reference
+// — the key heap and its lanes dispatch in exactly the reference
 // heap's (at, seq) order, and draw the same rand values.
-func TestWheelMatchesReferenceHeap(t *testing.T) {
+func TestQueueMatchesReferenceHeap(t *testing.T) {
 	total := 0
 	for trial := 0; trial < 60; trial++ {
 		key := splitmix64(uint64(trial) * 0x2545f4914f6cdd1d)
 		s := New(int64(trial))
-		wheel, ref, cycled := runBoth(s, int64(trial), key, 40, 4)
-		if len(wheel) == 0 {
+		got, ref, cycled := runBoth(s, int64(trial), key, 40, 4)
+		if len(got) == 0 {
 			t.Fatalf("trial %d: empty dispatch log", trial)
 		}
-		diffLogs(t, fmt.Sprintf("trial %d", trial), wheel, ref)
+		diffLogs(t, fmt.Sprintf("trial %d", trial), got, ref)
 		total += cycled
 	}
 	if total == 0 {
@@ -474,11 +474,10 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
-// TestWheelMatchesReferenceAfterReset re-runs fresh workloads on a
-// Reset simulator: the recycled wheel (buckets, pool freelist, cur/far
-// heaps, lane rings) must behave exactly like a new one against a
-// fresh reference.
-func TestWheelMatchesReferenceAfterReset(t *testing.T) {
+// TestQueueMatchesReferenceAfterReset re-runs fresh workloads on a
+// Reset simulator: the recycled queue (pool freelist, heap, lane
+// rings) must behave exactly like a new one against a fresh reference.
+func TestQueueMatchesReferenceAfterReset(t *testing.T) {
 	s := New(1)
 	for round := 0; round < 8; round++ {
 		key := splitmix64(0xfeed + uint64(round))
@@ -489,34 +488,34 @@ func TestWheelMatchesReferenceAfterReset(t *testing.T) {
 		if round > 0 {
 			seed = int64(round)
 		}
-		wheel, ref, _ := runBoth(s, seed, key, 30, 3)
-		diffLogs(t, fmt.Sprintf("round %d", round), wheel, ref)
+		got, ref, _ := runBoth(s, seed, key, 30, 3)
+		diffLogs(t, fmt.Sprintf("round %d", round), got, ref)
 	}
 }
 
-// FuzzWheelOrder lets the fuzzer hunt for workload keys whose dispatch
-// order diverges between the wheel and the reference heap. Run as a
-// plain test it checks the seed corpus; `go test -fuzz=FuzzWheelOrder`
+// FuzzQueueOrder lets the fuzzer hunt for workload keys whose dispatch
+// order diverges between the Simulator and the reference heap. Run as
+// a plain test it checks the seed corpus; `go test -fuzz=FuzzQueueOrder`
 // explores further.
-func FuzzWheelOrder(f *testing.F) {
+func FuzzQueueOrder(f *testing.F) {
 	f.Add(uint64(0), uint8(10))
 	f.Add(uint64(0xdeadbeef), uint8(60))
 	f.Add(^uint64(0), uint8(33))
 	f.Fuzz(func(t *testing.T, key uint64, n uint8) {
 		nSeed := int(n%64) + 1
 		s := New(int64(key))
-		wheel, ref, _ := runBoth(s, int64(key), key, nSeed, 3)
-		nn := len(wheel)
+		got, ref, _ := runBoth(s, int64(key), key, nSeed, 3)
+		nn := len(got)
 		if len(ref) < nn {
 			nn = len(ref)
 		}
 		for i := 0; i < nn; i++ {
-			if wheel[i] != ref[i] {
-				t.Fatalf("dispatch %d diverges: wheel=%s ref=%s", i, wheel[i], ref[i])
+			if got[i] != ref[i] {
+				t.Fatalf("dispatch %d diverges: got=%s ref=%s", i, got[i], ref[i])
 			}
 		}
-		if len(wheel) != len(ref) {
-			t.Fatalf("dispatch count diverges: wheel=%d ref=%d", len(wheel), len(ref))
+		if len(got) != len(ref) {
+			t.Fatalf("dispatch count diverges: got=%d ref=%d", len(got), len(ref))
 		}
 	})
 }

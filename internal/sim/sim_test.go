@@ -286,13 +286,12 @@ func TestEventCountsByKind(t *testing.T) {
 	}
 }
 
-// TestForEachPendingArgVisitsExactlyPending places payloads in every
-// region of the queue — the cur heap (directly and as the rest of a
-// drained bucket), wheel buckets (directly and migrated from far), the
-// far heap, and a lane (in its ring and through its fallback to the
-// main queue) — dispatches some of them, and checks that each payload
-// still pending is visited exactly once and no dispatched one is, and
-// that nothing is visited after Reset.
+// TestForEachPendingArgVisitsExactlyPending places payloads on the
+// main queue (same-time and sub-µs, ms-scale, about 2.1 s and several
+// seconds out) and in a lane (in its ring and through its fallback to
+// the main queue), dispatches some of them, and checks that each
+// payload still pending is visited exactly once and no dispatched one
+// is, and that nothing is visited after Reset.
 func TestForEachPendingArgVisitsExactlyPending(t *testing.T) {
 	s := New(1)
 	lane := s.NewLane()
@@ -308,26 +307,26 @@ func TestForEachPendingArgVisitsExactlyPending(t *testing.T) {
 		pending[p] = true
 		lane.AfterArg(at-s.Now(), fn, p)
 	}
-	const tick = time.Duration(1) << tickBits
+	const ms = time.Millisecond
 	for _, at := range []time.Duration{
-		0, 10, 20, // cur heap of tick 0
-		5 * tick, 5*tick + 100, 5*tick + 200, // one bucket, drained into cur part way
-		10 * tick,                // a bucket the wheel reaches
-		300 * tick, 300*tick + 1, // a bucket the wheel never reaches
-		(wheelSize + 8) * tick,   // far, migrates into a bucket at tick 10
-		(wheelSize + 900) * tick, // far throughout
+		0, 10, 20, // same time and sub-µs
+		3 * ms, 3*ms + 100, 3*ms + 200, // a burst dispatched part way
+		5 * ms,               // dispatched in the second window
+		150 * ms, 150*ms + 1, // ms-scale, never reached
+		2150 * ms,       // about 2.1 s
+		4 * time.Second, // several seconds
 	} {
 		add(at)
 	}
 	for _, at := range []time.Duration{
-		15,       // dispatched in the first window
-		8 * tick, // dispatched in the second window
-		400 * tick,
-		200 * tick, // earlier than the tail: falls back to the main queue
+		15,     // dispatched in the first window
+		4 * ms, // dispatched in the second window
+		200 * ms,
+		100 * ms, // earlier than the tail: falls back to the main queue
 	} {
 		addLane(at)
 	}
-	s.After(7*tick, func() {}) // plain events carry no payload
+	s.After(3500*time.Microsecond, func() {}) // plain events carry no payload
 	check := func(label string) {
 		t.Helper()
 		seen := map[*int]int{}
@@ -344,16 +343,16 @@ func TestForEachPendingArgVisitsExactlyPending(t *testing.T) {
 		}
 	}
 	check("before dispatch")
-	s.RunUntil(5*tick + 100)
+	s.RunUntil(3*ms + 100)
 	if len(pending) != 9 {
 		t.Fatalf("setup: %d payloads pending after the first window, want 9", len(pending))
 	}
-	check("bucket drained part way")
-	s.RunUntil(10 * tick)
+	check("burst dispatched part way")
+	s.RunUntil(5 * ms)
 	if len(pending) != 6 {
 		t.Fatalf("setup: %d payloads pending after the second window, want 6", len(pending))
 	}
-	check("far event migrated")
+	check("second window")
 	s.Reset(2)
 	s.ForEachPendingArg(func(any) { t.Error("visited a payload after Reset") })
 	pending = map[*int]bool{}
@@ -378,12 +377,12 @@ func TestLaneFallbackKeepsOrder(t *testing.T) {
 	lane.After(2*time.Millisecond, mark("L1"))
 	s.After(2*time.Millisecond, mark("M1"))
 	lane.After(2*time.Millisecond, mark("L2")) // tie with the tail: stays in the lane
-	if s.count != 1 {
-		t.Fatalf("main queue holds %d events, want 1", s.count)
+	if len(s.heap) != 1 {
+		t.Fatalf("main queue holds %d events, want 1", len(s.heap))
 	}
 	lane.After(time.Millisecond, mark("L3")) // earlier than the tail: falls back
-	if s.count != 2 || lane.n != 2 {
-		t.Fatalf("after fallback: main %d, lane %d; want 2, 2", s.count, lane.n)
+	if len(s.heap) != 2 || lane.n != 2 {
+		t.Fatalf("after fallback: main %d, lane %d; want 2, 2", len(s.heap), lane.n)
 	}
 	timer := s.NewTimer(mark("T"))
 	timer.Reset(2 * time.Millisecond)
