@@ -185,6 +185,8 @@ func run(args []string) int {
 		usageErr = fmt.Sprintf("-trials must be at least 1 when a sweep is selected, got %d", cli.trials)
 	case cli.ckptEvery < 1:
 		usageErr = fmt.Sprintf("-checkpoint-every must be at least 1, got %d", cli.ckptEvery)
+	case cli.siteTrials < 1:
+		usageErr = fmt.Sprintf("-site-trials must be at least 1, got %d", cli.siteTrials)
 	case cli.maxTrials < 0:
 		usageErr = fmt.Sprintf("-max-trials must be at least 0 (0 = no limit), got %d", cli.maxTrials)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -28,6 +29,42 @@ func TestTrialsBelowOneIsUsageError(t *testing.T) {
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
 		t.Errorf("refused runs left files behind: %v (err %v)", entries, err)
+	}
+}
+
+// TestSurveyFlagsMeanWhatTheySay pins two -survey flags to their
+// help text: -site-trials below 1 is refused as a usage error (exit 2)
+// instead of running one repetition, and -seed 0 runs trial seeds 0,
+// 1, … ("trial i uses seed+i") instead of starting at 1.
+func TestSurveyFlagsMeanWhatTheySay(t *testing.T) {
+	dir := t.TempDir()
+	for _, n := range []string{"0", "-3"} {
+		args := []string{"-survey", "-corpus", "2", "-site-trials", n}
+		var code int
+		stderr, _ := captureStream(t, &os.Stderr, func() error { code = run(args); return nil })
+		if code != 2 || !strings.HasPrefix(stderr, "h2attack: -site-trials must be at least 1") {
+			t.Errorf("run(%q) = %d printing %q, want 2 and a message naming -site-trials", args, code, stderr)
+		}
+	}
+	jsonl := filepath.Join(dir, "s.jsonl")
+	args := []string{"-survey", "-corpus", "2", "-seed", "0", "-j", "1", "-export", "jsonl=" + jsonl}
+	var code int
+	captureStream(t, &os.Stdout, func() error { code = run(args); return nil })
+	if code != 0 {
+		t.Fatalf("run(%q) = %d, want 0", args, code)
+	}
+	data, err := os.ReadFile(jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	for i, line := range lines {
+		if want := fmt.Sprintf(`"trial_seed":%d,`, i); !strings.Contains(line, want) {
+			t.Errorf("-seed 0: line %d = %s, want %s", i+1, line, want)
+		}
+	}
+	if len(lines) != 2 {
+		t.Errorf("-seed 0: %d JSONL lines, want 2", len(lines))
 	}
 }
 

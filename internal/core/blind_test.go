@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -75,10 +76,10 @@ func tapBlind(site *website.Site, c2s, s2c []byte) blindRun {
 			}
 			b := tap.wire[off:min(off+chunk, len(tap.wire))]
 			at += 100 * time.Microsecond
-			s.At(at, func() { m.Tap(tap.dir, b) })
+			s.After(at, func() { m.Tap(tap.dir, b) })
 		}
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 	run.records = m.Records
 	run.count = m.GetCount()
 	run.infs = si.Inferences()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -40,7 +41,7 @@ func TestControllerSpacingEnforced(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		controllerTestPath.SendFromClient(&netem.Packet{Payload: []byte("GET")})
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 	if len(*deliveries) != 5 {
 		t.Fatalf("delivered %d packets", len(*deliveries))
 	}
@@ -67,7 +68,7 @@ func TestControllerPureAcksPass(t *testing.T) {
 	ctl.SetSpacing(100 * time.Millisecond)
 	controllerTestPath.SendFromClient(&netem.Packet{Payload: []byte("GET1")})
 	controllerTestPath.SendFromClient(&netem.Packet{}) // pure ACK
-	s.Run()
+	s.Run(math.MaxInt64)
 	if len(*deliveries) != 2 {
 		t.Fatalf("delivered %d", len(*deliveries))
 	}
@@ -91,7 +92,7 @@ func TestControllerTargetedDrops(t *testing.T) {
 		path.SendFromServer(&netem.Packet{Payload: []byte("data")})
 	}
 	path.SendFromServer(&netem.Packet{}) // pure ACK: never dropped
-	s.Run()
+	s.Run(math.MaxInt64)
 	if got := ctl.Stats.Dropped - dropped0; got != 10 {
 		t.Errorf("dropped %d, want 10 (payload only)", got)
 	}
@@ -103,7 +104,7 @@ func TestControllerTargetedDrops(t *testing.T) {
 	ctl.StopDrops()
 	before := ctl.Stats.Dropped
 	path.SendFromServer(&netem.Packet{Payload: []byte("data")})
-	s.Run()
+	s.Run(math.MaxInt64)
 	if ctl.Stats.Dropped != before {
 		t.Error("dropped after StopDrops")
 	}
@@ -113,7 +114,7 @@ func TestControllerBandwidth(t *testing.T) {
 	s, ctl, deliveries, _ := controllerFixture(t)
 	ctl.SetBandwidth(1_000_000) // 1 Mbps
 	controllerTestPath.SendFromClient(&netem.Packet{Payload: make([]byte, 1210)})
-	s.Run()
+	s.Run(math.MaxInt64)
 	if len(*deliveries) != 1 {
 		t.Fatal("packet lost")
 	}

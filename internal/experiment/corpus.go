@@ -114,36 +114,11 @@ func objectBucket(n int) int {
 // Spec.TargetID) and the predictor scores against the site's own size
 // table.
 func (w *World) RunSiteTrial(gs *website.GeneratedSite, p CorpusTrialParams) SurveyResult {
-	// Metric writes happen under the shard's trial lock (see
-	// World.RunTrial).
-	if w.shard != nil {
-		w.shard.Lock()
-		defer w.shard.Unlock()
-	}
-	w.rng.Seed(p.Seed)
-	path, _ := ambient(w.rng) // think time is baked into the site's schedule
-	site := gs.Site
-
-	sink := w.shard.Sink(objectBucket(gs.Spec.Objects))
-	if w.rec != nil {
-		w.rec.Reset()
-		sink = sink.WithRecorder(w.rec)
-	}
-	sessCfg := h2sim.SessionConfig{
-		Seed:   p.Seed,
-		Path:   path,
-		Server: h2sim.ServerConfig{},
-		Client: h2sim.ClientConfig{},
-		Obs:    sink,
-	}
-	if w.sess == nil {
-		w.sess = h2sim.NewSession(site, sessCfg)
-		w.atk = core.NewAttack(w.sess)
-	} else {
-		w.sess.Reset(site, sessCfg)
-	}
+	rng := w.begin(p.Seed)
+	defer w.unlock()
+	path, _ := ambient(rng) // think time is baked into the site's schedule
+	sink := w.setup(gs.Site, h2sim.SessionConfig{Seed: p.Seed, Path: path}, objectBucket(gs.Spec.Objects))
 	sess, atk := w.sess, w.atk
-	atk.Obs = sink
 
 	mode := p.Mode
 	if mode == 0 {
@@ -158,9 +133,7 @@ func (w *World) RunSiteTrial(gs *website.GeneratedSite, p CorpusTrialParams) Sur
 		atk.Arm(cfg)
 	}
 
-	sess.Run()
-	w.countEvents(sink)
-
+	copies := w.run(sink)
 	targetID := gs.Spec.TargetID
 	res := SurveyResult{
 		SiteSpec:        gs.Spec,
@@ -176,9 +149,6 @@ func (w *World) RunSiteTrial(gs *website.GeneratedSite, p CorpusTrialParams) Sur
 	if lt := sess.Client.CompletedAt(lastID); lt > 0 {
 		res.LoadTimeMs = float64(lt) / float64(time.Millisecond)
 	}
-	// The survey result keeps no transmission pointers, so scoring
-	// from the analyzer's arena is safe here.
-	copies := w.an.Copies(sess.GroundTruth)
 	res.TargetClean, res.TargetCleanOrig = analysis.CleanCopy(copies, targetID)
 	res.TargetDegree = analysis.OriginalDegree(copies, targetID)
 
@@ -194,14 +164,6 @@ func (w *World) RunSiteTrial(gs *website.GeneratedSite, p CorpusTrialParams) Sur
 		}
 	}
 	res.Success = !res.Broken && res.TargetClean && res.TargetIdentified
-
-	sink.Inc(obs.CTrial)
-	if res.Broken {
-		sink.Inc(obs.CTrialBroken)
-	}
-	if res.PageComplete {
-		sink.Inc(obs.CTrialComplete)
-	}
 	return res
 }
 
@@ -235,9 +197,6 @@ type Survey struct {
 func NewSurvey(cfg SurveyConfig) *Survey {
 	if cfg.SiteTrials <= 0 {
 		cfg.SiteTrials = 1
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
 	}
 	return &Survey{cfg: cfg, corpus: website.NewCorpus(cfg.Corpus)}
 }

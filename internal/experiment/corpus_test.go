@@ -266,3 +266,19 @@ func TestSurveyAttackWorksOnCorpusSites(t *testing.T) {
 		t.Fatal("no corpus page load ever completed")
 	}
 }
+
+// TestSurveySeedZeroStartsAtZero: trial i runs with Seed+i for every
+// Seed, zero included, as SurveyConfig.Seed documents.
+func TestSurveySeedZeroStartsAtZero(t *testing.T) {
+	cfg := testSurveyConfig(2)
+	cfg.Seed = 0
+	s := NewSurvey(cfg)
+	for i := 0; i < s.Trials(); i++ {
+		if got := s.Params(i).Seed; got != int64(i) {
+			t.Errorf("trial %d runs seed %d, want %d", i, got, i)
+		}
+	}
+	if fp := s.Fingerprint(); !strings.Contains(fp, "seed0=0 ") {
+		t.Errorf("fingerprint %q does not record seed0=0", fp)
+	}
+}

@@ -68,18 +68,8 @@ func (w *World) SetRecorder(rec *obs.Recorder) { w.rec = rec }
 // RunTrial executes one trial in this world. Equivalent to the
 // package-level RunTrial(p), amortizing construction across calls.
 func (w *World) RunTrial(p TrialParams) TrialResult {
-	// The trial's metric writes happen under the shard's trial lock
-	// (uncontended unless a checkpoint is merging the shard); the
-	// deferred unlock also covers a panicking trial.
-	if w.shard != nil {
-		w.shard.Lock()
-		defer w.shard.Unlock()
-	}
-	// Re-seeding replays the exact stream a fresh
-	// rand.New(rand.NewSource(p.Seed)) would produce, so the survey
-	// outcome and ambient draws match the fresh-world path.
-	w.rng.Seed(p.Seed)
-	rng := w.rng
+	rng := w.begin(p.Seed)
+	defer w.unlock()
 	order := website.RandomPermutation(rng)
 
 	path, htmlGap := ambient(rng)
@@ -97,28 +87,15 @@ func (w *World) RunTrial(p TrialParams) TrialResult {
 	if p.PushEmblems {
 		serverCfg.Push = w.pushConfig(site, serverCfg.Push)
 	}
-	sink := w.shard.Sink(p.ObsSegment)
-	if w.rec != nil {
-		w.rec.Reset()
-		sink = sink.WithRecorder(w.rec)
-	}
-	sessCfg := h2sim.SessionConfig{
+	sink := w.setup(site, h2sim.SessionConfig{
 		Seed:      p.Seed,
 		Path:      path,
 		TCP:       p.TCP,
 		Server:    serverCfg,
 		Client:    p.Client,
 		TimeLimit: p.TimeLimit,
-		Obs:       sink,
-	}
-	if w.sess == nil {
-		w.sess = h2sim.NewSession(site, sessCfg)
-		w.atk = core.NewAttack(w.sess)
-	} else {
-		w.sess.Reset(site, sessCfg)
-	}
+	}, p.ObsSegment)
 	sess, atk := w.sess, w.atk
-	atk.Obs = sink
 
 	switch p.Mode {
 	case ModeJitter:
@@ -136,9 +113,7 @@ func (w *World) RunTrial(p TrialParams) TrialResult {
 		atk.ArmPassive()
 	}
 
-	sess.Run()
-	w.countEvents(sink)
-
+	copies := w.run(sink)
 	res := TrialResult{
 		Broken:          sess.Broken(),
 		TruthOrder:      site.DisplayOrder,
@@ -149,9 +124,6 @@ func (w *World) RunTrial(p TrialParams) TrialResult {
 		LoadTime:        sess.Client.CompletedAt(45), // the trailing beacon
 	}
 	res.Requests = sess.Client.Requests
-	// The result keeps verdicts, not transmissions, so scoring from
-	// the analyzer's arena is safe here.
-	copies := w.an.Copies(sess.GroundTruth)
 	res.HTMLCleanAny, res.HTMLCleanOrig = analysis.CleanCopy(copies, website.ResultHTMLID)
 	res.HTMLDegree = analysis.OriginalDegree(copies, website.ResultHTMLID)
 
@@ -162,20 +134,62 @@ func (w *World) RunTrial(p TrialParams) TrialResult {
 		clean, _ := analysis.CleanCopy(copies, website.EmblemID(party))
 		res.ImageClean[i] = clean
 	}
-	sink.Inc(obs.CTrial)
-	if res.Broken {
-		sink.Inc(obs.CTrialBroken)
-	}
-	if res.PageComplete {
-		sink.Inc(obs.CTrialComplete)
-	}
 	return res
 }
 
-// countEvents adds the trial's dispatched simulator events, by kind,
-// to the trial's obs counters and to the live gauges.
-func (w *World) countEvents(sink obs.Sink) {
-	n := w.sess.Sim.EventCounts()
+// begin opens a trial, RunTrial's or RunSiteTrial's. It takes the
+// shard's trial lock, under which the trial's metric writes happen
+// (uncontended unless a checkpoint is merging the shard); the caller
+// defers unlock, so a panicking trial releases it too. It then
+// re-seeds the world's rand, which replays the exact stream a fresh
+// rand.New(rand.NewSource(seed)) would produce, so the site and
+// ambient draws match the fresh-world path.
+func (w *World) begin(seed int64) *rand.Rand {
+	if w.shard != nil {
+		w.shard.Lock()
+	}
+	w.rng.Seed(seed)
+	return w.rng
+}
+
+// unlock releases the shard's trial lock that begin took.
+func (w *World) unlock() {
+	if w.shard != nil {
+		w.shard.Unlock()
+	}
+}
+
+// setup points w.sess and w.atk at a new trial of site under cfg:
+// built on the world's first trial, reset in place after. The trial's
+// metrics go to the shard's segment and, with a recorder set, its
+// flight events to the recorder (reset first); setup returns that
+// sink. The caller arms w.atk next.
+func (w *World) setup(site *website.Site, cfg h2sim.SessionConfig, segment int) obs.Sink {
+	sink := w.shard.Sink(segment)
+	if w.rec != nil {
+		w.rec.Reset()
+		sink = sink.WithRecorder(w.rec)
+	}
+	cfg.Obs = sink
+	if w.sess == nil {
+		w.sess = h2sim.NewSession(site, cfg)
+		w.atk = core.NewAttack(w.sess)
+	} else {
+		w.sess.Reset(site, cfg)
+	}
+	w.atk.Obs = sink
+	return sink
+}
+
+// run runs the armed trial, adds its dispatched simulator events (by
+// kind) and its trial counters to sink and to the live gauges, and
+// returns the ground truth's copies. They are scored from the
+// analyzer's arena, which is safe because results keep verdicts, not
+// transmissions.
+func (w *World) run(sink obs.Sink) []*analysis.CopyTransmission {
+	sess := w.sess
+	sess.Run()
+	n := sess.Sim.EventCounts()
 	sink.Add(obs.CSimEventsFunc, n.Func)
 	sink.Add(obs.CSimEventsArg, n.Arg)
 	sink.Add(obs.CSimEventsTimerLive, n.TimerLive)
@@ -184,6 +198,14 @@ func (w *World) countEvents(sink obs.Sink) {
 	w.gauges.Add(telemetry.GSimEventsArg, int64(n.Arg))
 	w.gauges.Add(telemetry.GSimEventsTimerLive, int64(n.TimerLive))
 	w.gauges.Add(telemetry.GSimEventsTimerStale, int64(n.TimerStale))
+	sink.Inc(obs.CTrial)
+	if sess.Broken() {
+		sink.Inc(obs.CTrialBroken)
+	}
+	if sess.Client.AllScheduledComplete() {
+		sink.Inc(obs.CTrialComplete)
+	}
+	return w.an.Copies(sess.GroundTruth)
 }
 
 // pushConfig returns the server push map for the PushEmblems defence.

@@ -201,6 +201,11 @@ type Client struct {
 	// OnComplete, when non-nil, fires once per completed object.
 	OnComplete func(objectID int)
 
+	// OnAllComplete, when non-nil, fires once every scheduled object
+	// is complete: at the completion of the last one, or from Start
+	// when nothing is scheduled.
+	OnAllComplete func()
+
 	// Obs receives metric increments and flight events; the zero Sink
 	// discards them.
 	Obs obs.Sink
@@ -302,6 +307,7 @@ func (c *Client) Reset(cfg ClientConfig, site *website.Site) {
 	// log grows in one allocation instead of a doubling chain.
 	c.Requests = make([]RequestLog, 0, len(site.Schedule)+8)
 	c.OnComplete = nil
+	c.OnAllComplete = nil
 	c.Obs = obs.Sink{}
 }
 
@@ -415,6 +421,9 @@ func (c *Client) Start() {
 		// and small ints box allocation-free (the runtime preboxes
 		// values < 256, which covers every object ID).
 		c.s.AfterArg(at, c.issueFn, spec.ObjectID)
+	}
+	if c.scheduledLeft == 0 && c.OnAllComplete != nil {
+		c.OnAllComplete()
 	}
 }
 
@@ -604,6 +613,9 @@ func (c *Client) finishStream(st *clientStream) {
 		os.completedAt = c.s.Now()
 		if os.scheduled {
 			c.scheduledLeft--
+			if c.scheduledLeft == 0 && c.OnAllComplete != nil {
+				c.OnAllComplete()
+			}
 		}
 		c.Stats.Completed++
 		c.Obs.Inc(obs.CH2ObjComplete)
@@ -792,8 +804,7 @@ func (c *Client) CompletedAt(objectID int) time.Duration {
 
 // AllScheduledComplete reports whether every object in the schedule
 // has been fully received. O(1): the scheduledLeft counter is seeded
-// at Reset and decremented as scheduled objects complete, so the
-// per-event session loop no longer scans the schedule.
+// at Reset and decremented as scheduled objects complete.
 func (c *Client) AllScheduledComplete() bool { return c.scheduledLeft == 0 }
 
 // OpenStreams reports in-flight request count.

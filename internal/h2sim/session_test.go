@@ -139,10 +139,10 @@ func TestResetFlushesServerWorkers(t *testing.T) {
 	cfg.Client.StallBase = 200 * time.Millisecond
 	sess := NewSession(site, cfg)
 	// Blackhole server->client data from 0.3s to 6s.
-	sess.Sim.At(300*time.Millisecond, func() {
+	sess.Sim.After(300*time.Millisecond, func() {
 		sess.Conn.Path.LinkM2C.SetLoss(0.85)
 	})
-	sess.Sim.At(6*time.Second, func() {
+	sess.Sim.After(6*time.Second, func() {
 		sess.Conn.Path.LinkM2C.SetLoss(0)
 	})
 	sess.Run()

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func TestLinkSendZeroAlloc(t *testing.T) {
 			p.Payload = append(p.Payload[:0], make([]byte, 0)...)
 			l.Send(p)
 		}
-		s.Run()
+		s.Run(math.MaxInt64)
 	}
 	send(64) // warm up pool and heap
 
@@ -57,7 +58,7 @@ func TestMiddleboxPathZeroAlloc(t *testing.T) {
 			seq += uint32(len(payload))
 			path.SendFromClient(p)
 		}
-		s.Run()
+		s.Run(math.MaxInt64)
 	}
 	send(64)
 
@@ -109,8 +110,8 @@ func BenchmarkLinkSend(b *testing.B) {
 		p.Payload = append(p.Payload[:0], payload...)
 		l.Send(p)
 		if i%64 == 63 {
-			s.Run()
+			s.Run(math.MaxInt64)
 		}
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 }

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ func TestLinkDeliversWithPropDelay(t *testing.T) {
 		at = s.Now()
 	})
 	l.Send(&Packet{Payload: []byte("x")})
-	s.Run()
+	s.Run(math.MaxInt64)
 	if at != 10*time.Millisecond {
 		t.Errorf("delivered at %v, want 10ms", at)
 	}
@@ -29,7 +30,7 @@ func TestLinkSerializationDelay(t *testing.T) {
 	var at time.Duration
 	l := NewLink(s, LinkConfig{RateBitsPerSec: 1_000_000}, func(p *Packet) { at = s.Now() })
 	l.Send(&Packet{Payload: make([]byte, 1000)})
-	s.Run()
+	s.Run(math.MaxInt64)
 	want := 8320 * time.Microsecond
 	if at != want {
 		t.Errorf("delivered at %v, want %v", at, want)
@@ -45,7 +46,7 @@ func TestLinkBackToBackQueueing(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		l.Send(&Packet{Payload: make([]byte, 1000)})
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 	if len(times) != 3 {
 		t.Fatalf("delivered %d packets, want 3", len(times))
 	}
@@ -68,7 +69,7 @@ func TestLinkQueueOverflowDrops(t *testing.T) {
 	for i := 0; i < 10; i++ { // 8.32ms each; queue caps around 2 extra
 		l.Send(&Packet{Payload: make([]byte, 1000)})
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 	if l.Stats.DroppedQueue == 0 {
 		t.Error("no queue drops despite overload")
 	}
@@ -84,7 +85,7 @@ func TestLinkLoss(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		l.Send(&Packet{Payload: []byte("x")})
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 	if delivered < 400 || delivered > 600 {
 		t.Errorf("delivered %d of 1000 at 50%% loss", delivered)
 	}
@@ -104,14 +105,14 @@ func TestSetRateTakesEffect(t *testing.T) {
 	var times []time.Duration
 	l := NewLink(s, LinkConfig{}, func(p *Packet) { times = append(times, s.Now()) })
 	l.Send(&Packet{Payload: make([]byte, 1000)})
-	s.Run()
+	s.Run(math.MaxInt64)
 	l.SetRate(1_000_000)
 	if l.Rate() != 1_000_000 {
 		t.Fatalf("Rate = %d", l.Rate())
 	}
 	base := s.Now()
 	l.Send(&Packet{Payload: make([]byte, 1000)})
-	s.Run()
+	s.Run(math.MaxInt64)
 	if len(times) != 2 {
 		t.Fatalf("delivered %d", len(times))
 	}
@@ -139,7 +140,7 @@ func TestPathEndToEnd(t *testing.T) {
 		func(pkt *Packet) { gotServer, atServer = pkt, s.Now() },
 	)
 	p.SendFromClient(&Packet{Seq: 100, Payload: []byte("req")})
-	s.Run()
+	s.Run(math.MaxInt64)
 	if gotServer == nil || gotServer.Seq != 100 {
 		t.Fatal("server did not receive the client packet")
 	}
@@ -147,7 +148,7 @@ func TestPathEndToEnd(t *testing.T) {
 		t.Errorf("server delivery at %v, want 3ms", atServer)
 	}
 	p.SendFromServer(&Packet{Seq: 200, Payload: []byte("resp")})
-	s.Run()
+	s.Run(math.MaxInt64)
 	if gotClient == nil || gotClient.Seq != 200 {
 		t.Fatal("client did not receive the server packet")
 	}
@@ -170,10 +171,10 @@ func TestMiddleboxCaptureAndStats(t *testing.T) {
 	var got []tapped
 	p.Mbox.Tap = func(dir trace.Direction, b []byte) { got = append(got, tapped{dir, string(b)}) }
 	p.SendFromClient(&Packet{Seq: 0, Payload: []byte("abcd")})
-	s.Run()
+	s.Run(math.MaxInt64)
 	p.SendFromClient(&Packet{Seq: 0, Payload: []byte("abcd")}) // retransmission
 	p.SendFromServer(&Packet{Seq: 0, Payload: []byte("efgh")})
-	s.Run()
+	s.Run(math.MaxInt64)
 	want := []tapped{{trace.ClientToServer, "abcd"}, {trace.ServerToClient, "efgh"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tapped %+v, want %+v", got, want)
@@ -202,7 +203,7 @@ func TestMiddleboxInterceptorDropAndDelay(t *testing.T) {
 	p.SendFromClient(&Packet{Seq: 1, Payload: []byte("dropme")})
 	p.SendFromClient(&Packet{Seq: 2, Payload: []byte("delayme")})
 	p.SendFromClient(&Packet{Seq: 3, Payload: []byte("passme")})
-	s.Run()
+	s.Run(math.MaxInt64)
 	if len(deliveries) != 2 {
 		t.Fatalf("delivered %d packets, want 2 (one dropped)", len(deliveries))
 	}
@@ -227,13 +228,13 @@ func TestMiddleboxByteTapReassembly(t *testing.T) {
 	// Deliver out of order with a duplicate: tap must see in-order
 	// deduplicated bytes.
 	p.SendFromClient(&Packet{Seq: 1000, Payload: []byte("hello ")})
-	s.Run()
+	s.Run(math.MaxInt64)
 	p.SendFromClient(&Packet{Seq: 1012, Payload: []byte("attack")}) // future
-	s.Run()
+	s.Run(math.MaxInt64)
 	p.SendFromClient(&Packet{Seq: 1006, Payload: []byte("world ")}) // fills gap
-	s.Run()
+	s.Run(math.MaxInt64)
 	p.SendFromClient(&Packet{Seq: 1000, Payload: []byte("hello ")}) // duplicate
-	s.Run()
+	s.Run(math.MaxInt64)
 	if got.String() != "hello world attack" {
 		t.Errorf("tap saw %q, want %q", got.String(), "hello world attack")
 	}
@@ -248,10 +249,10 @@ func TestSetBandwidthThrottlesBothDirections(t *testing.T) {
 	)
 	p.SetBandwidth(1_000_000)
 	p.SendFromClient(&Packet{Payload: make([]byte, 1000)})
-	s.Run()
+	s.Run(math.MaxInt64)
 	mark := s.Now()
 	p.SendFromServer(&Packet{Payload: make([]byte, 1000)})
-	s.Run()
+	s.Run(math.MaxInt64)
 	// 8.32ms serialization at the middlebox + 3ms propagation.
 	if toServer < 11*time.Millisecond {
 		t.Errorf("c->s delivery at %v, want >= 11.3ms", toServer)
@@ -285,7 +286,7 @@ func TestLinkFIFOByDefault(t *testing.T) {
 		l.Send(&Packet{Seq: uint32(i), Payload: []byte("x")})
 		s.RunUntil(s.Now() + 200*time.Microsecond)
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 	for i := 1; i < len(order); i++ {
 		if order[i] < order[i-1] {
 			t.Fatalf("FIFO link reordered: %v before %v", order[i-1], order[i])
@@ -306,7 +307,7 @@ func TestMiddleboxTapBothDirections(t *testing.T) {
 	}
 	p.SendFromClient(&Packet{Seq: 0, Payload: []byte("req")})
 	p.SendFromServer(&Packet{Seq: 0, Payload: []byte("resp")})
-	s.Run()
+	s.Run(math.MaxInt64)
 	if c2s.String() != "req" || s2c.String() != "resp" {
 		t.Errorf("taps saw %q / %q", c2s.String(), s2c.String())
 	}
@@ -317,7 +318,7 @@ func TestLinkStatsAccounting(t *testing.T) {
 	l := NewLink(s, LinkConfig{}, func(*Packet) {})
 	l.Send(&Packet{Payload: make([]byte, 100)})
 	l.Send(&Packet{Payload: make([]byte, 200)})
-	s.Run()
+	s.Run(math.MaxInt64)
 	if l.Stats.Sent != 2 {
 		t.Errorf("sent = %d", l.Stats.Sent)
 	}
@@ -385,7 +386,7 @@ func TestPathReclaimPending(t *testing.T) {
 
 	s.Reset(2)
 	s.ForEachPendingArg(func(any) { t.Error("visited a payload after sim.Reset") })
-	s.Run()
+	s.Run(math.MaxInt64)
 	if delivered != 0 || s.Steps() != 0 {
 		t.Errorf("after sim.Reset: %d packets delivered, %d events run", delivered, s.Steps())
 	}

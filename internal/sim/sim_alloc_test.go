@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -15,34 +16,15 @@ func TestAfterZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		s.After(time.Duration(i)*time.Microsecond, fn)
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 32; i++ {
 			s.After(time.Duration(i)*time.Microsecond, fn)
 		}
-		s.Run()
+		s.Run(math.MaxInt64)
 	})
 	if allocs != 0 {
 		t.Errorf("After + Run: %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// TestAtZeroAlloc covers the absolute-time variant.
-func TestAtZeroAlloc(t *testing.T) {
-	s := New(1)
-	fn := func() {}
-	for i := 0; i < 64; i++ {
-		s.At(s.Now(), fn)
-	}
-	s.Run()
-	allocs := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 32; i++ {
-			s.At(s.Now()+time.Duration(i), fn)
-		}
-		s.Run()
-	})
-	if allocs != 0 {
-		t.Errorf("At + Run: %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -57,12 +39,12 @@ func TestAfterArgZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		s.AfterArg(time.Microsecond, fn, arg)
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 32; i++ {
 			s.AfterArg(time.Duration(i), fn, arg)
 		}
-		s.Run()
+		s.Run(math.MaxInt64)
 	})
 	if allocs != 0 {
 		t.Errorf("AfterArg + Run: %.1f allocs/op, want 0", allocs)
@@ -80,14 +62,14 @@ func TestTimerResetZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		timer.Reset(time.Duration(i) * time.Microsecond)
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 16; i++ {
 			timer.Reset(time.Duration(i+1) * time.Microsecond)
 		}
 		timer.Stop()
 		timer.Reset(time.Microsecond)
-		s.Run()
+		s.Run(math.MaxInt64)
 	})
 	if allocs != 0 {
 		t.Errorf("Timer.Reset/Stop + Run: %.1f allocs/op, want 0", allocs)
@@ -104,16 +86,15 @@ func TestMixedDelaysZeroAlloc(t *testing.T) {
 	s := New(1)
 	fn := func() {}
 	mixed := func() {
-		base := s.Now()
 		for i := 0; i < 8; i++ {
 			d := time.Duration(i)
-			s.At(base, fn)                                            // same time
+			s.After(0, fn)                                            // same time
 			s.After(100*d, fn)                                        // sub-µs
 			s.After((d+1)*512*time.Microsecond, fn)                   // ms-scale
 			s.After(2147*time.Millisecond, fn)                        // about 2.1 s
 			s.After(2200*time.Millisecond+d*500*time.Millisecond, fn) // several seconds
 		}
-		s.Run()
+		s.Run(math.MaxInt64)
 	}
 	mixed() // warm: grows the pool and the heap to high-water
 	allocs := testing.AllocsPerRun(100, mixed)
@@ -123,26 +104,24 @@ func TestMixedDelaysZeroAlloc(t *testing.T) {
 }
 
 // TestLaneZeroAlloc proves a lane schedules and dispatches without
-// allocating once its ring has reached its high-water mark, for plain
-// and payload-carrying callbacks alike — the per-packet path of every
-// netem link and the blocked-worker poll path of the h2sim server.
+// allocating once its ring has reached its high-water mark — the
+// per-packet path of every netem link and the blocked-worker poll path
+// of the h2sim server.
 func TestLaneZeroAlloc(t *testing.T) {
 	s := New(1)
 	lane := s.NewLane()
-	fn := func() {}
 	pfn := func(any) {}
 	arg := new(int)
 	burst := func() {
-		for i := 0; i < 32; i++ {
-			lane.After(time.Duration(i)*time.Microsecond, fn)
-			lane.AfterArg(time.Duration(i)*time.Microsecond, pfn, arg)
+		for i := 0; i < 64; i++ {
+			lane.AfterArg(time.Duration(i/2)*time.Microsecond, pfn, arg)
 		}
-		s.Run()
+		s.Run(math.MaxInt64)
 	}
 	burst() // warm: grows the ring to 64 entries
 	allocs := testing.AllocsPerRun(200, burst)
 	if allocs != 0 {
-		t.Errorf("Lane.After/AfterArg + Run: %.1f allocs/op, want 0", allocs)
+		t.Errorf("Lane.AfterArg + Run: %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -174,7 +153,7 @@ func TestLaneCycleZeroAlloc(t *testing.T) {
 			lane.AfterArg(0, poll, a)
 		}
 		s.After(50*time.Millisecond, unblock)
-		s.Run()
+		s.Run(math.MaxInt64)
 	}
 	round() // warm: grows the ring and the pool
 	steps := s.Steps()
@@ -196,10 +175,10 @@ func BenchmarkAfter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.After(time.Microsecond, fn)
 		if i%64 == 63 {
-			s.Run()
+			s.Run(math.MaxInt64)
 		}
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 }
 
 // BenchmarkLaneAfterArg measures schedule+dispatch through a lane,
@@ -213,24 +192,31 @@ func BenchmarkLaneAfterArg(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lane.AfterArg(time.Microsecond, fn, arg)
 		if i%64 == 63 {
-			s.Run()
+			s.Run(math.MaxInt64)
 		}
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 }
 
 // BenchmarkLaneCycle measures one blocked poll cycled in place: the
-// pop, the accounting, keep's rand draw and the re-queue, with a
-// RunWhile condition checked before each, as a trial runs them.
+// pop, the accounting, keep's rand draw and the re-queue, with Run's
+// stop flag and clock limit checked before each, as a trial runs them.
 func BenchmarkLaneCycle(b *testing.B) {
 	s := New(1)
 	lane := s.NewLane()
+	count := func() {
+		if s.Steps() >= uint64(b.N) {
+			s.Stop()
+		}
+	}
 	keep := func(any) bool {
 		s.Rand().Int63()
+		count()
 		return true
 	}
 	var poll func(any)
 	poll = func(a any) {
+		count()
 		lane.AfterArg(time.Millisecond, poll, a)
 		lane.Cycle(time.Millisecond, keep)
 	}
@@ -238,7 +224,7 @@ func BenchmarkLaneCycle(b *testing.B) {
 		lane.AfterArg(0, poll, new(int))
 	}
 	b.ReportAllocs()
-	s.RunWhile(func() bool { return s.Steps() < uint64(b.N) })
+	s.Run(math.MaxInt64)
 }
 
 // BenchmarkTimerReset measures the timer re-arm path (the RTO timer
@@ -250,8 +236,8 @@ func BenchmarkTimerReset(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		timer.Reset(time.Microsecond)
 		if i%64 == 63 {
-			s.Run()
+			s.Run(math.MaxInt64)
 		}
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 }

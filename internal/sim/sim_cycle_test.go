@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -22,13 +23,16 @@ const rigMaxSteps = 100_000
 // pollRig runs n pollers on one lane. While blocked holds, a poll
 // draws from the simulator's rand and re-polls pollEvery later; an
 // event at unblockAt clears blocked, after which each poller logs its
-// exit. With cycle set, a blocked poll calls Lane.Cycle.
+// exit. With cycle set, a blocked poll calls Lane.Cycle. The entry that
+// makes the log stopAt long calls Stop, so a Stop comes from a callback
+// or, when the poll is cycled, from keep.
 type pollRig struct {
 	s       *Simulator
 	lane    *Lane
 	cycle   bool
 	blocked bool
 	log     []string
+	stopAt  int // log length at which to call Stop; 0 = never
 	cycled  int // polls Cycle dispatched in place
 	pollFn  func(any)
 	keepFn  func(any) bool
@@ -54,9 +58,9 @@ func newPollRig(cycle bool, n int, unblockAt time.Duration) *pollRig {
 	for i := 0; i < n; i++ {
 		r.lane.AfterArg(time.Duration(i)*time.Millisecond, r.pollFn, i)
 	}
-	r.s.At(unblockAt, func() {
+	r.s.After(unblockAt, func() {
 		r.blocked = false
-		r.log = append(r.log, fmt.Sprintf("unblock@%v", r.s.Now()))
+		r.note(fmt.Sprintf("unblock@%v", r.s.Now()))
 	})
 	return r
 }
@@ -65,11 +69,19 @@ func newPollRig(cycle bool, n int, unblockAt time.Duration) *pollRig {
 // the poller re-polls.
 func (r *pollRig) look(id int) bool {
 	if !r.blocked {
-		r.log = append(r.log, fmt.Sprintf("%d done@%v", id, r.s.Now()))
+		r.note(fmt.Sprintf("%d done@%v", id, r.s.Now()))
 		return false
 	}
-	r.log = append(r.log, fmt.Sprintf("%d@%v r%d", id, r.s.Now(), r.s.Rand().Int63n(1000)))
+	r.note(fmt.Sprintf("%d@%v r%d", id, r.s.Now(), r.s.Rand().Int63n(1000)))
 	return true
+}
+
+// note logs entry and calls Stop if the log has reached stopAt.
+func (r *pollRig) note(entry string) {
+	r.log = append(r.log, entry)
+	if len(r.log) == r.stopAt {
+		r.s.Stop()
+	}
 }
 
 // state renders everything cycling must leave as stepwise dispatch
@@ -79,12 +91,13 @@ func (r *pollRig) state() string {
 		r.s.Now(), r.s.Steps(), r.s.EventCounts(), r.lane.n, strings.Join(r.log, ","))
 }
 
-// finish drains both rigs and compares their final states and rand
-// streams; the cycling rig must have cycled some polls.
+// finish drains both rigs with RunUntil, which ignores a Stop, and
+// compares their final states and rand streams; the cycling rig must
+// have cycled some polls.
 func finish(t *testing.T, label string, cyc, step *pollRig) {
 	t.Helper()
-	cyc.s.Run()
-	step.s.Run()
+	cyc.s.RunUntil(math.MaxInt64)
+	step.s.RunUntil(math.MaxInt64)
 	if c, s := cyc.state(), step.state(); c != s {
 		t.Errorf("%s: after the drain, cycling %s\nstepwise %s", label, c, s)
 	}
@@ -98,50 +111,47 @@ func finish(t *testing.T, label string, cyc, step *pollRig) {
 
 func TestCycleMatchesStepwise(t *testing.T) {
 	cyc, step := newPollRig(true, 3, time.Second), newPollRig(false, 3, time.Second)
+	cyc.s.Run(math.MaxInt64)
+	step.s.Run(math.MaxInt64)
 	finish(t, "Run", cyc, step)
 	if want := uint64(3*100 + 3 + 1); cyc.s.Steps() != want {
 		t.Errorf("steps = %d, want %d", cyc.s.Steps(), want)
 	}
 }
 
-// TestCycleFallbackMatchesStepwise queues pollers at 1, 15 and 55 ms
-// and cycles them from an event at 0 that is not one of them. The
-// 1 ms poller's re-poll at 11 ms is earlier than the lane's tail, so
-// it falls back to the main queue, where it precedes the 15 ms poll
-// and the bound Cycle computed: cycling must stop there, as stepwise
-// dispatch would.
-func TestCycleFallbackMatchesStepwise(t *testing.T) {
-	cyc, step := newPollRig(true, 0, time.Second), newPollRig(false, 0, time.Second)
-	for i, r := range []*pollRig{cyc, step} {
-		for id, at := range []time.Duration{1, 15, 55} {
-			r.lane.AfterArg(at*time.Millisecond, r.pollFn, id)
-		}
-		if i == 0 {
-			r.s.At(0, func() { cyc.lane.Cycle(pollEvery, cyc.keepFn) })
-		} else {
-			r.s.At(0, func() {})
-		}
-	}
-	finish(t, "fallback", cyc, step)
-}
-
-// TestCycleStopsWhereRunWhileStops flips RunWhile's condition after
-// each number of logged polls in turn. The first poll's Cycle runs
-// every poll up to the unblock event, so the condition flips inside a
-// cycle, which must stop on the same event as the loop.
-func TestCycleStopsWhereRunWhileStops(t *testing.T) {
-	for limit := 1; limit <= 40; limit++ {
+// TestCycleStopsWhereRunStops calls Stop at each number of logged
+// polls in turn. The first poll's Cycle runs every poll up to the
+// unblock event, so most Stops come from keep inside a cycle, which
+// must stop on the same event as the loop. It then puts Run's clock
+// limit between polls, on a poll's time and on the next nanosecond: a
+// cycle must dispatch every poll before the limit and the first one at
+// or past it, as the loop does, and no other.
+func TestCycleStopsWhereRunStops(t *testing.T) {
+	for stopAt := 1; stopAt <= 40; stopAt++ {
 		cyc, step := newPollRig(true, 3, time.Second), newPollRig(false, 3, time.Second)
-		for _, r := range []*pollRig{cyc, step} {
-			r := r
-			r.s.RunWhile(func() bool { return len(r.log) < limit })
-		}
-		label := fmt.Sprintf("RunWhile(%d polls)", limit)
+		cyc.stopAt, step.stopAt = stopAt, stopAt
+		cyc.s.Run(math.MaxInt64)
+		step.s.Run(math.MaxInt64)
+		label := fmt.Sprintf("Stop at %d polls", stopAt)
 		if c, s := cyc.state(), step.state(); c != s {
 			t.Fatalf("%s: cycling %s\nstepwise %s", label, c, s)
 		}
-		if cyc.s.Steps() != uint64(limit) {
+		if cyc.s.Steps() != uint64(stopAt) {
 			t.Fatalf("%s: stopped after %d steps", label, cyc.s.Steps())
+		}
+		finish(t, label, cyc, step)
+	}
+	for _, limit := range []time.Duration{0, time.Millisecond, 95 * time.Millisecond,
+		100 * time.Millisecond, 100*time.Millisecond + 1, 102 * time.Millisecond} {
+		cyc, step := newPollRig(true, 3, time.Second), newPollRig(false, 3, time.Second)
+		cyc.s.Run(limit)
+		step.s.Run(limit)
+		label := fmt.Sprintf("Run(%v)", limit)
+		if c, s := cyc.state(), step.state(); c != s {
+			t.Fatalf("%s: cycling %s\nstepwise %s", label, c, s)
+		}
+		if now := cyc.s.Now(); now < limit && cyc.lane.n > 0 {
+			t.Fatalf("%s: stopped at %v with polls pending", label, now)
 		}
 		finish(t, label, cyc, step)
 	}
@@ -172,7 +182,7 @@ func TestCycleStopsAtRunUntilBound(t *testing.T) {
 func TestCycleMaxStepsPanicsAsStepwise(t *testing.T) {
 	run := func(r *pollRig) (msg string) {
 		defer func() { msg = fmt.Sprint(recover()) }()
-		r.s.Run()
+		r.s.Run(math.MaxInt64)
 		return "no panic"
 	}
 	for _, limit := range []uint64{1, 2, 3, 4, 17, 299, 301, 303} {
@@ -204,7 +214,7 @@ func TestCycleKeepMustNotSchedule(t *testing.T) {
 			t.Errorf("panic = %q, want one about keep scheduling", msg)
 		}
 	}()
-	r.s.Run()
+	r.s.Run(math.MaxInt64)
 }
 
 // TestCycleOutsideLoop: no loop is running, so there is no next event

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -13,7 +14,7 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 	s.After(30*time.Millisecond, func() { got = append(got, 3) })
 	s.After(10*time.Millisecond, func() { got = append(got, 1) })
 	s.After(20*time.Millisecond, func() { got = append(got, 2) })
-	s.Run()
+	s.Run(math.MaxInt64)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("order = %v, want [1 2 3]", got)
 	}
@@ -27,9 +28,9 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(5*time.Millisecond, func() { got = append(got, i) })
+		s.After(5*time.Millisecond, func() { got = append(got, i) })
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-time events out of FIFO order: %v", got)
@@ -46,7 +47,7 @@ func TestNestedScheduling(t *testing.T) {
 			fired = append(fired, s.Now())
 		})
 	})
-	s.Run()
+	s.Run(math.MaxInt64)
 	if len(fired) != 2 || fired[0] != time.Millisecond || fired[1] != 3*time.Millisecond {
 		t.Errorf("fired = %v", fired)
 	}
@@ -56,9 +57,9 @@ func TestSchedulingInPastClamps(t *testing.T) {
 	s := New(1)
 	ran := false
 	s.After(10*time.Millisecond, func() {
-		s.At(time.Millisecond, func() { ran = true }) // in the past
+		s.After(-9*time.Millisecond, func() { ran = true }) // in the past
 	})
-	s.Run()
+	s.Run(math.MaxInt64)
 	if !ran {
 		t.Error("past-scheduled event never ran")
 	}
@@ -73,7 +74,7 @@ func TestSchedulingInPastClamps(t *testing.T) {
 	if d := timer.Deadline(); d != 10*time.Millisecond {
 		t.Errorf("Deadline after Reset(-5ms) at 10ms = %v, want 10ms", d)
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 	if firedAt != 10*time.Millisecond {
 		t.Errorf("timer armed in the past fired at %v, want 10ms", firedAt)
 	}
@@ -83,8 +84,9 @@ func TestRunUntil(t *testing.T) {
 	s := New(1)
 	var count int
 	for i := 1; i <= 5; i++ {
-		s.At(time.Duration(i)*time.Millisecond, func() { count++ })
+		s.After(time.Duration(i)*time.Millisecond, func() { count++ })
 	}
+	s.Stop() // RunUntil ignores the stop flag
 	s.RunUntil(3 * time.Millisecond)
 	if count != 3 {
 		t.Errorf("count = %d, want 3", count)
@@ -101,15 +103,56 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestRunWhile(t *testing.T) {
+// TestRunStopsOnFlagOrLimit: Run checks the stop flag and its clock
+// limit before each event, the first one included, so a Stop from a
+// callback ends it before the next event, the first event at or past
+// the limit still runs, and a Stop before Run dispatches nothing until
+// Reset clears the flag.
+func TestRunStopsOnFlagOrLimit(t *testing.T) {
 	s := New(1)
 	var count int
-	for i := 1; i <= 100; i++ {
-		s.At(time.Duration(i)*time.Millisecond, func() { count++ })
+	schedule := func() {
+		for i := 1; i <= 100; i++ {
+			s.After(time.Duration(i)*time.Millisecond, func() {
+				if count++; count == 7 {
+					s.Stop()
+				}
+			})
+		}
 	}
-	s.RunWhile(func() bool { return count < 7 })
+	schedule()
+	s.Run(math.MaxInt64)
+	if count != 7 || s.Now() != 7*time.Millisecond {
+		t.Errorf("Stop at the 7th event: count = %d at %v, want 7 at 7ms", count, s.Now())
+	}
+	s.Run(math.MaxInt64)
 	if count != 7 {
-		t.Errorf("count = %d, want 7", count)
+		t.Errorf("Run after Stop dispatched %d more events", count-7)
+	}
+
+	s.Reset(1)
+	count = 0
+	schedule()
+	s.Run(4*time.Millisecond + 1)
+	if count != 5 || s.Now() != 5*time.Millisecond {
+		t.Errorf("Run(4ms+1ns): count = %d at %v, want 5 at 5ms", count, s.Now())
+	}
+	s.Run(5 * time.Millisecond)
+	if count != 5 {
+		t.Errorf("Run at its limit dispatched %d events", count-5)
+	}
+	s.Run(math.MaxInt64)
+	if count != 7 {
+		t.Errorf("Run after the limit: count = %d, want 7", count)
+	}
+
+	s.Reset(1)
+	count = 0
+	schedule()
+	s.Stop()
+	s.Run(math.MaxInt64)
+	if s.Steps() != 0 {
+		t.Errorf("Run after Stop dispatched %d events", s.Steps())
 	}
 }
 
@@ -124,7 +167,7 @@ func TestTimerFires(t *testing.T) {
 	if tm.Deadline() != 5*time.Millisecond {
 		t.Errorf("deadline = %v", tm.Deadline())
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 	if fired != 1 {
 		t.Errorf("fired %d times, want 1", fired)
 	}
@@ -139,7 +182,7 @@ func TestTimerStopPreventsFiring(t *testing.T) {
 	tm := s.NewTimer(func() { fired++ })
 	tm.Reset(5 * time.Millisecond)
 	s.After(time.Millisecond, func() { tm.Stop() })
-	s.Run()
+	s.Run(math.MaxInt64)
 	if fired != 0 {
 		t.Errorf("stopped timer fired %d times", fired)
 	}
@@ -152,7 +195,7 @@ func TestTimerResetSupersedesOldDeadline(t *testing.T) {
 	tm := s.NewTimer(func() { at = s.Now() })
 	tm.Reset(5 * time.Millisecond)
 	s.After(time.Millisecond, func() { tm.Reset(20 * time.Millisecond) })
-	s.Run()
+	s.Run(math.MaxInt64)
 	if at != 21*time.Millisecond {
 		t.Errorf("timer fired at %v, want 21ms", at)
 	}
@@ -169,7 +212,7 @@ func TestTimerRearmInCallback(t *testing.T) {
 		}
 	})
 	tm.Reset(time.Millisecond)
-	s.Run()
+	s.Run(math.MaxInt64)
 	if count != 3 {
 		t.Errorf("periodic rearm fired %d times, want 3", count)
 	}
@@ -187,7 +230,7 @@ func TestDeterminismSameSeed(t *testing.T) {
 			}
 		}
 		s.After(0, tick)
-		s.Run()
+		s.Run(math.MaxInt64)
 		return out
 	}
 	a, b := run(42), run(42)
@@ -220,7 +263,7 @@ func TestMaxStepsGuard(t *testing.T) {
 			t.Error("runaway simulation did not panic")
 		}
 	}()
-	s.Run()
+	s.Run(math.MaxInt64)
 }
 
 func TestClockMonotoneQuick(t *testing.T) {
@@ -236,7 +279,7 @@ func TestClockMonotoneQuick(t *testing.T) {
 				last = s.Now()
 			})
 		}
-		s.Run()
+		s.Run(math.MaxInt64)
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -249,7 +292,7 @@ func TestStepsCounter(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.After(time.Duration(i)*time.Millisecond, func() {})
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 	if s.Steps() != 5 {
 		t.Errorf("steps = %d, want 5", s.Steps())
 	}
@@ -260,7 +303,7 @@ func TestStepsCounter(t *testing.T) {
 func TestEventCountsByKind(t *testing.T) {
 	s := New(1)
 	s.After(time.Millisecond, func() {})
-	s.At(2*time.Millisecond, func() {})
+	s.After(2*time.Millisecond, func() {})
 	s.AfterArg(time.Millisecond, func(any) {}, new(int))
 	live := s.NewTimer(func() {})
 	live.Reset(time.Millisecond)
@@ -269,16 +312,15 @@ func TestEventCountsByKind(t *testing.T) {
 	stale.Reset(2 * time.Millisecond) // the first event goes stale
 	stale.Stop()                      // and so does the second
 	lane := s.NewLane()
-	lane.After(time.Millisecond, func() {})
 	lane.AfterArg(time.Millisecond, func(any) {}, new(int))
-	lane.After(0, func() {}) // earlier than the tail: main queue
-	s.Run()
-	want := EventCounts{TimerLive: 1, TimerStale: 2, Arg: 2, Func: 4}
+	lane.AfterArg(time.Millisecond, func(any) {}, new(int))
+	s.Run(math.MaxInt64)
+	want := EventCounts{TimerLive: 1, TimerStale: 2, Arg: 3, Func: 2}
 	if got := s.EventCounts(); got != want {
 		t.Errorf("counts = %+v, want %+v", got, want)
 	}
-	if s.Steps() != 9 {
-		t.Errorf("steps = %d, want 9", s.Steps())
+	if s.Steps() != 8 {
+		t.Errorf("steps = %d, want 8", s.Steps())
 	}
 	s.Reset(2)
 	if got := s.EventCounts(); got != (EventCounts{}) {
@@ -288,8 +330,7 @@ func TestEventCountsByKind(t *testing.T) {
 
 // TestForEachPendingArgVisitsExactlyPending places payloads on the
 // main queue (same-time and sub-µs, ms-scale, about 2.1 s and several
-// seconds out) and in a lane (in its ring and through its fallback to
-// the main queue), dispatches some of them, and checks that each
+// seconds out) and in a lane, dispatches some of them, and checks that each
 // payload still pending is visited exactly once and no dispatched one
 // is, and that nothing is visited after Reset.
 func TestForEachPendingArgVisitsExactlyPending(t *testing.T) {
@@ -322,7 +363,6 @@ func TestForEachPendingArgVisitsExactlyPending(t *testing.T) {
 		15,     // dispatched in the first window
 		4 * ms, // dispatched in the second window
 		200 * ms,
-		100 * ms, // earlier than the tail: falls back to the main queue
 	} {
 		addLane(at)
 	}
@@ -344,13 +384,13 @@ func TestForEachPendingArgVisitsExactlyPending(t *testing.T) {
 	}
 	check("before dispatch")
 	s.RunUntil(3*ms + 100)
-	if len(pending) != 9 {
-		t.Fatalf("setup: %d payloads pending after the first window, want 9", len(pending))
+	if len(pending) != 8 {
+		t.Fatalf("setup: %d payloads pending after the first window, want 8", len(pending))
 	}
 	check("burst dispatched part way")
 	s.RunUntil(5 * ms)
-	if len(pending) != 6 {
-		t.Fatalf("setup: %d payloads pending after the second window, want 6", len(pending))
+	if len(pending) != 5 {
+		t.Fatalf("setup: %d payloads pending after the second window, want 5", len(pending))
 	}
 	check("second window")
 	s.Reset(2)
@@ -359,45 +399,81 @@ func TestForEachPendingArgVisitsExactlyPending(t *testing.T) {
 	add(time.Millisecond)
 	addLane(2 * time.Millisecond)
 	check("after Reset")
-	s.Run()
+	s.Run(math.MaxInt64)
 	if len(pending) != 0 {
 		t.Errorf("%d payloads never dispatched after Reset", len(pending))
 	}
 }
 
-// TestLaneFallbackKeepsOrder interleaves lane pushes (in order, tied,
-// and earlier than the lane's tail) with main-queue events and a timer
-// at the same instants: dispatch must follow (at, seq) exactly, and
-// only the out-of-order push may reach the main queue.
-func TestLaneFallbackKeepsOrder(t *testing.T) {
+// TestLaneKeepsOrder interleaves lane pushes (in order and tied with
+// the tail) with main-queue events and a timer at the same instants:
+// dispatch must follow (at, seq) exactly, and no lane push may reach
+// the main queue.
+func TestLaneKeepsOrder(t *testing.T) {
 	s := New(1)
 	lane := s.NewLane()
 	var got []string
-	mark := func(name string) func() { return func() { got = append(got, name+"@"+s.Now().String()) } }
-	lane.After(2*time.Millisecond, mark("L1"))
+	logAt := func(name string) { got = append(got, name+"@"+s.Now().String()) }
+	mark := func(name string) func() { return func() { logAt(name) } }
+	markArg := func(a any) { logAt(a.(string)) }
+	lane.AfterArg(time.Millisecond, markArg, "L0")
+	lane.AfterArg(2*time.Millisecond, markArg, "L1")
 	s.After(2*time.Millisecond, mark("M1"))
-	lane.After(2*time.Millisecond, mark("L2")) // tie with the tail: stays in the lane
-	if len(s.heap) != 1 {
-		t.Fatalf("main queue holds %d events, want 1", len(s.heap))
-	}
-	lane.After(time.Millisecond, mark("L3")) // earlier than the tail: falls back
-	if len(s.heap) != 2 || lane.n != 2 {
-		t.Fatalf("after fallback: main %d, lane %d; want 2, 2", len(s.heap), lane.n)
+	lane.AfterArg(2*time.Millisecond, markArg, "L2") // tie with the tail: stays in the lane
+	if len(s.heap) != 1 || lane.n != 3 {
+		t.Fatalf("main queue %d, lane %d; want 1, 3", len(s.heap), lane.n)
 	}
 	timer := s.NewTimer(mark("T"))
 	timer.Reset(2 * time.Millisecond)
-	lane.After(3*time.Millisecond, func() {
-		mark("L4")()
-		lane.After(0, mark("L5")) // pushed during dispatch, at the tail's time
+	lane.AfterArg(3*time.Millisecond, func(any) {
+		logAt("L3")
+		lane.AfterArg(0, markArg, "L4") // pushed during dispatch, at the tail's time
 		s.After(0, mark("M2"))
-	})
-	s.Run()
-	want := []string{"L3@1ms", "L1@2ms", "M1@2ms", "L2@2ms", "T@2ms", "L4@3ms", "L5@3ms", "M2@3ms"}
+	}, nil)
+	s.Run(math.MaxInt64)
+	want := []string{"L0@1ms", "L1@2ms", "M1@2ms", "L2@2ms", "T@2ms", "L3@3ms", "L4@3ms", "M2@3ms"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("dispatch order = %v, want %v", got, want)
 	}
-	if want := (EventCounts{TimerLive: 1, Func: 7}); s.EventCounts() != want {
+	if want := (EventCounts{TimerLive: 1, Arg: 5, Func: 2}); s.EventCounts() != want {
 		t.Errorf("counts = %+v, want %+v", s.EventCounts(), want)
+	}
+}
+
+// TestLaneOutOfOrderPushPanics: a push earlier than the lane's newest
+// entry would break the lane's order, so it panics, naming the lane
+// and both times, whether it comes from AfterArg or from Cycle's
+// re-queue. There pollers at 1, 15 and 55 ms are cycled from an event
+// at 0; the 1 ms poller's re-poll at 11 ms precedes the 55 ms tail.
+func TestLaneOutOfOrderPushPanics(t *testing.T) {
+	catch := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return "no panic"
+	}
+	nop := func(any) {}
+
+	s := New(1)
+	s.NewLane()
+	lane := s.NewLane()
+	lane.AfterArg(2*time.Millisecond, nop, nil)
+	want := "sim: lane 1: push at 1ms precedes its newest entry at 2ms"
+	if msg := catch(func() { lane.AfterArg(time.Millisecond, nop, nil) }); msg != want {
+		t.Errorf("AfterArg: panic = %q, want %q", msg, want)
+	}
+	if lane.n != 1 || s.seq != 1 {
+		t.Errorf("the refused push left lane %d, seq %d; want 1, 1", lane.n, s.seq)
+	}
+
+	s = New(1)
+	lane = s.NewLane()
+	for _, at := range []time.Duration{1, 15, 55} {
+		lane.AfterArg(at*time.Millisecond, nop, nil)
+	}
+	s.After(0, func() { lane.Cycle(10*time.Millisecond, func(any) bool { return true }) })
+	want = "sim: lane 0: push at 11ms precedes its newest entry at 55ms"
+	if msg := catch(func() { s.Run(math.MaxInt64) }); msg != want {
+		t.Errorf("Cycle: panic = %q, want %q", msg, want)
 	}
 }
 
@@ -407,18 +483,17 @@ func TestLaneRingGrowsAndWraps(t *testing.T) {
 	s := New(1)
 	lane := s.NewLane()
 	var got []int
+	record := func(a any) { got = append(got, a.(int)) }
 	for round := 0; round < 2; round++ {
 		got = got[:0]
 		for i := 0; i < 5; i++ {
-			i := i
-			lane.After(time.Duration(i), func() { got = append(got, i) })
+			lane.AfterArg(time.Duration(i), record, i)
 		}
 		s.RunUntil(2) // head moves to ring index 3
 		for i := 5; i < 40; i++ {
-			i := i
-			lane.After(time.Duration(i), func() { got = append(got, i) })
+			lane.AfterArg(time.Duration(i), record, i)
 		}
-		s.Run()
+		s.Run(math.MaxInt64)
 		for i, v := range got {
 			if v != i {
 				t.Fatalf("round %d: lane dispatched out of order: %v", round, got)
@@ -428,7 +503,7 @@ func TestLaneRingGrowsAndWraps(t *testing.T) {
 			t.Fatalf("round %d: dispatched %d of 40", round, len(got))
 		}
 		capBefore := len(lane.ring)
-		lane.After(time.Hour, func() { t.Error("event survived Reset") })
+		lane.AfterArg(time.Hour, func(any) { t.Error("event survived Reset") }, nil)
 		s.Reset(1)
 		if lane.n != 0 || len(lane.ring) != capBefore {
 			t.Fatalf("Reset left %d entries, ring %d (was %d)", lane.n, len(lane.ring), capBefore)

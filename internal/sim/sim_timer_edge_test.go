@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -24,7 +25,7 @@ func TestTimerResetInsideOwnCallback(t *testing.T) {
 		}
 	})
 	timer.Reset(10 * time.Millisecond)
-	s.Run()
+	s.Run(math.MaxInt64)
 	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
 	if len(fires) != len(want) {
 		t.Fatalf("fired %d times at %v, want %d", len(fires), fires, len(want))
@@ -46,18 +47,18 @@ func TestTimerStopAfterFire(t *testing.T) {
 	fired := 0
 	timer := s.NewTimer(func() { fired++ })
 	timer.Reset(time.Millisecond)
-	s.Run()
+	s.Run(math.MaxInt64)
 	if fired != 1 {
 		t.Fatalf("fired %d, want 1", fired)
 	}
 	timer.Stop() // already fired: must be a safe no-op
 	timer.Stop() // and idempotent
-	s.Run()
+	s.Run(math.MaxInt64)
 	if fired != 1 {
 		t.Fatalf("fired %d after post-fire Stop, want 1", fired)
 	}
 	timer.Reset(time.Millisecond)
-	s.Run()
+	s.Run(math.MaxInt64)
 	if fired != 2 {
 		t.Errorf("fired %d after re-arm, want 2", fired)
 	}
@@ -85,7 +86,7 @@ func TestTimerInterleavedResetStopDeterminism(t *testing.T) {
 		s.After(4*time.Millisecond, mark("e2")) // same time as a: FIFO by seq
 		b.Reset(6 * time.Millisecond)
 		s.After(6*time.Millisecond, mark("e3"))
-		s.Run()
+		s.Run(math.MaxInt64)
 		return order
 	}
 	want := []string{"e1@2ms", "a@4ms", "e2@4ms", "b@6ms", "e3@6ms"}
@@ -120,7 +121,7 @@ func TestTimerStopThenResetSameTick(t *testing.T) {
 	timer.Reset(time.Millisecond)
 	timer.Stop()
 	timer.Reset(time.Millisecond)
-	s.Run()
+	s.Run(math.MaxInt64)
 	if fired != 1 {
 		t.Errorf("fired %d, want exactly 1", fired)
 	}

@@ -1,6 +1,7 @@
 package tcpsim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -19,11 +20,11 @@ func TestSteadyStateTransferZeroAlloc(t *testing.T) {
 
 	// Warm up pools and buffers.
 	conn.Server.Write(payload)
-	s.Run()
+	s.Run(math.MaxInt64)
 
 	allocs := testing.AllocsPerRun(5, func() {
 		conn.Server.Write(payload)
-		s.Run()
+		s.Run(math.MaxInt64)
 	})
 	// With the Karn sentAt map replaced by the recycled sentQ slice,
 	// the transport data path is allocation-free outright.
@@ -39,7 +40,7 @@ func TestPacketPoolRecycles(t *testing.T) {
 	s := sim.New(1)
 	conn := NewConn(s, defaultPath(), Config{}, func([]byte) {}, nil)
 	conn.Server.Write(make([]byte, 1<<20))
-	s.Run()
+	s.Run(math.MaxInt64)
 	sent := conn.Server.Stats.SegmentsSent + conn.Server.Stats.AcksSent +
 		conn.Client.Stats.SegmentsSent + conn.Client.Stats.AcksSent
 	if free := conn.Path.Pool.Len(); free == 0 || free > sent/3 {
@@ -57,7 +58,7 @@ func BenchmarkBulkTransfer(b *testing.B) {
 		s := sim.New(1)
 		conn := NewConn(s, defaultPath(), Config{}, func([]byte) {}, nil)
 		conn.Server.Write(payload)
-		s.Run()
+		s.Run(math.MaxInt64)
 	}
 	b.SetBytes(1 << 20)
 }
@@ -76,7 +77,7 @@ func BenchmarkLossyTransfer(b *testing.B) {
 		s.MaxSteps = 5_000_000
 		conn := NewConn(s, cfg, Config{}, func([]byte) {}, nil)
 		conn.Server.Write(payload)
-		s.Run()
+		s.Run(math.MaxInt64)
 	}
 	b.SetBytes(256 << 10)
 }

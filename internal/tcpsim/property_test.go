@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -38,7 +39,7 @@ func TestDeliveryIntegrityQuick(t *testing.T) {
 			payload[i] = byte(i*7 + int(seed))
 		}
 		conn.Server.Write(payload)
-		s.Run()
+		s.Run(math.MaxInt64)
 		if conn.Broken() {
 			return true // breaking under loss is a legal outcome
 		}
@@ -66,7 +67,7 @@ func TestBidirectionalIntegrityQuick(t *testing.T) {
 		down := make([]byte, (int(bKB)%32+1)<<10)
 		conn.Client.Write(up)
 		conn.Server.Write(down)
-		s.Run()
+		s.Run(math.MaxInt64)
 		if conn.Broken() {
 			return true
 		}
@@ -94,7 +95,7 @@ func TestNoRetransmitWithoutImpairment(t *testing.T) {
 		}
 		conn := NewConn(s, cfg, Config{}, func([]byte) {}, nil)
 		conn.Server.Write(make([]byte, (int(sizeKB)%128+1)<<10))
-		s.Run()
+		s.Run(math.MaxInt64)
 		return conn.Server.Stats.Retransmits == 0 && !conn.Broken()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -137,7 +138,7 @@ func TestOnRetransmitCallbackRanges(t *testing.T) {
 	var ranges [][2]uint32
 	conn.Server.OnRetransmit = func(a, b uint32) { ranges = append(ranges, [2]uint32{a, b}) }
 	conn.Server.Write(make([]byte, 5000))
-	s.Run()
+	s.Run(math.MaxInt64)
 	if len(ranges) == 0 {
 		t.Fatal("no retransmit callbacks under blackout")
 	}
@@ -161,11 +162,11 @@ func TestRTORecoversAfterProgress(t *testing.T) {
 	conn := NewConn(s, cfg, Config{}, func([]byte) {}, nil)
 	conn.Server.Write(make([]byte, 40000))
 	// Heal after ~7s of backoff (RTO should have reached >= 4s).
-	s.At(7*time.Second, func() {
+	s.After(7*time.Second, func() {
 		conn.Path.LinkS2M.SetLoss(0)
 		conn.Path.LinkM2S.SetLoss(0)
 	})
-	s.Run()
+	s.Run(math.MaxInt64)
 	if conn.Broken() {
 		t.Fatal("connection broke despite healing")
 	}

@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -30,7 +31,7 @@ func runTransfer(t *testing.T, seed int64, pathCfg netem.PathConfig, size int) (
 		payload[i] = byte(i * 31)
 	}
 	conn.Server.Write(payload)
-	s.Run()
+	s.Run(math.MaxInt64)
 	if !conn.Broken() && !bytes.Equal(rcv.Bytes(), payload) {
 		t.Fatalf("transfer corrupted: got %d bytes, want %d", rcv.Len(), size)
 	}
@@ -86,7 +87,7 @@ func TestHeavyLossBreaksConnection(t *testing.T) {
 	conn := NewConn(s, cfg, Config{}, nil, nil)
 	conn.Server.OnBreak = func(err error) { gotBreak = err }
 	conn.Server.Write(make([]byte, 100<<10))
-	s.Run()
+	s.Run(math.MaxInt64)
 	if !conn.Server.Broken() {
 		t.Fatal("95% loss did not break the connection")
 	}
@@ -110,9 +111,9 @@ func TestReorderingCausesDupAcksAndSpuriousRetransmits(t *testing.T) {
 		msg := make([]byte, 200)
 		total += len(msg)
 		d := time.Duration(i) * 300 * time.Microsecond
-		s.At(d, func() { conn.Client.Write(msg) })
+		s.After(d, func() { conn.Client.Write(msg) })
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 	if rcv.Len() != total {
 		t.Fatalf("received %d bytes, want %d", rcv.Len(), total)
 	}
@@ -135,7 +136,7 @@ func TestThrottlingInflatesRTT(t *testing.T) {
 		conn := NewConn(s, defaultPath(), Config{}, nil, nil)
 		conn.Path.SetBandwidth(bps)
 		conn.Server.Write(make([]byte, 60<<10))
-		s.Run()
+		s.Run(math.MaxInt64)
 		return conn.Server.SRTT()
 	}
 	fast := srttAt(1_000_000_000)
@@ -156,11 +157,11 @@ func TestTimeoutRetransmitCompletes(t *testing.T) {
 	// Heal the path after 2.5 seconds (inside the retry budget). Both
 	// server-side links carry the ServerSide loss config: data flows
 	// over LinkS2M, the returning ACKs over LinkM2S.
-	s.At(2500*time.Millisecond, func() {
+	s.After(2500*time.Millisecond, func() {
 		conn.Path.LinkS2M.SetLoss(0)
 		conn.Path.LinkM2S.SetLoss(0)
 	})
-	s.Run()
+	s.Run(math.MaxInt64)
 	if conn.Broken() {
 		t.Fatal("connection broke despite healing within retry budget")
 	}
@@ -181,7 +182,7 @@ func TestRTOBackoffDoubling(t *testing.T) {
 	conn.Server.Write(make([]byte, 1000))
 	var breakTime time.Duration
 	conn.Server.OnBreak = func(error) { breakTime = s.Now() }
-	s.Run()
+	s.Run(math.MaxInt64)
 	if !conn.Server.Broken() {
 		t.Fatal("connection did not break under blackout")
 	}
@@ -235,7 +236,7 @@ func TestBidirectionalTraffic(t *testing.T) {
 	)
 	conn.Client.Write(bytes.Repeat([]byte("q"), 5000))
 	conn.Server.Write(bytes.Repeat([]byte("r"), 50000))
-	s.Run()
+	s.Run(math.MaxInt64)
 	if c2s.Len() != 5000 || s2c.Len() != 50000 {
 		t.Errorf("c2s=%d s2c=%d", c2s.Len(), s2c.Len())
 	}
@@ -248,13 +249,13 @@ func TestWriteAfterBreakIsNoop(t *testing.T) {
 	s.MaxSteps = 5_000_000
 	conn := NewConn(s, cfg, Config{MaxRetries: 1}, nil, nil)
 	conn.Server.Write(make([]byte, 100))
-	s.Run()
+	s.Run(math.MaxInt64)
 	if !conn.Server.Broken() {
 		t.Fatal("setup: connection should be broken")
 	}
 	sent := conn.Server.Stats.SegmentsSent
 	conn.Server.Write(make([]byte, 100))
-	s.Run()
+	s.Run(math.MaxInt64)
 	if conn.Server.Stats.SegmentsSent != sent {
 		t.Error("broken endpoint still sent segments")
 	}
@@ -269,7 +270,7 @@ func TestDeterministicTransfers(t *testing.T) {
 		s.MaxSteps = 5_000_000
 		conn := NewConn(s, cfg, Config{}, nil, nil)
 		conn.Server.Write(make([]byte, 100<<10))
-		s.Run()
+		s.Run(math.MaxInt64)
 		return conn.Server.Stats.Retransmits, conn.Server.Stats.SegmentsSent
 	}
 	r1, s1 := run()
@@ -306,7 +307,7 @@ func TestSendBufferCompaction(t *testing.T) {
 		}
 		s.RunUntil(s.Now() + 200*time.Microsecond)
 	}
-	s.Run()
+	s.Run(math.MaxInt64)
 	if conn.Broken() || !bytes.Equal(rcv.Bytes(), sent.Bytes()) {
 		t.Fatalf("delivered %d bytes (broken=%v), want the %d written", rcv.Len(), conn.Broken(), sent.Len())
 	}
