@@ -188,9 +188,9 @@ type Client struct {
 	issueFn  func(any) // AfterArg callback for scheduled issues
 
 	// Recycled per-stream and per-object state. A pooled clientStream
-	// keeps its stall Timer (whose generation counter makes any stale
-	// queued firing a no-op), so steady-state request issuance
-	// allocates nothing.
+	// keeps its stall Timer (a queued key fires only the deadline of
+	// its latest Reset, so a stale one is a no-op), so steady-state
+	// request issuance allocates nothing.
 	sfree []*clientStream
 	ofree []*objState
 
@@ -353,8 +353,9 @@ func (c *Client) object(id int) *objState {
 }
 
 // getStream returns a recycled stream (zeroed, keeping its prebuilt
-// stall timer) or a fresh one. The timer's generation counter makes
-// any stale firing queued for the stream's previous life a no-op.
+// stall timer) or a fresh one. The timer's keys fire only the deadline
+// of its latest Reset, so any stale key queued for the stream's
+// previous life is a no-op.
 func (c *Client) getStream() *clientStream {
 	if n := len(c.sfree); n > 0 {
 		st := c.sfree[n-1]
@@ -597,8 +598,8 @@ func (c *Client) handlePushPromise(f *h2.PushPromiseFrame) {
 }
 
 // finishStream handles END_STREAM on a live stream. The stream is
-// recycled immediately (its stall timer's generation guard disarms
-// any stale queued firing), so the body works from copied locals.
+// recycled immediately (its stall timer is stopped, so any stale queued
+// key is a no-op), so the body works from copied locals.
 func (c *Client) finishStream(st *clientStream) {
 	st.done = true
 	objectID, received := st.objectID, st.received

@@ -21,16 +21,40 @@
 // large copy nor a GC write barrier; the callbacks and payloads stay
 // put in the pool. The heap is small: lanes (below) carry link
 // deliveries and blocked-worker polls, nearly nine in ten events, so
-// the main queue holds only timers (most of them stale by the time
-// they come up), worker steps and middlebox delays — a few hundred
-// keys in a trial. Four children per node keep the heap half as deep
-// as a binary one, for the same code. Dispatch follows the exact
+// the main queue holds only timer keys (about one per armed timer, see
+// "Timers"), worker steps and middlebox delays. Four children per node
+// keep the heap half as deep as a binary one, for the same code. Dispatch follows the exact
 // (at, seq) total order, which the property tests in
 // sim_order_test.go pin down against a reference binary heap, so the
 // queue's layout cannot move a result. EventCounts splits the
 // dispatched events by kind, and a test in internal/experiment pins
 // them for fixed seeds, so a queue change is shown to move only the
 // cost per event.
+//
+// # Timers
+//
+// A timer is re-armed far more often than it fires: a stream's stall
+// timer on every DATA frame, TCP's RTO timer on every ACK. Each Reset
+// takes the next seq and stores the deadline (at, seq) in the Timer; a
+// popped key of the timer is live if the timer is set and the key's
+// seq is the deadline's, and is counted stale otherwise. A Reset
+// pushes a key for its deadline unless a Run loop (not the RunUntil
+// drain) is running, the deadline is before that loop's limit and the
+// timer's newest pushed key is still queued and fires no later. Then
+// it pushes nothing: when that key pops, stale, it pushes the deadline
+// with its stored (at, seq), and when Run returns it pushes every
+// deadline still off the heap.
+//
+// So every queued key is one an eager queue (a push per Reset) also
+// holds, with the same (at, seq), and comes up no later than the
+// deadlines it covers: the dispatch order, Lane.Cycle's bound and
+// RunUntil's peek are the eager queue's. The keys never pushed are
+// superseded deadlines before the running limit. An eager queue pops
+// them as stale, within that Run unless Stop ends it (then in the
+// drain), and the next event or the drain's end overwrites their clock
+// reading. The one other trace they leave is where Run returns when
+// the queue runs dry, so Run then moves the clock to the latest of
+// them. Only EventCounts.TimerStale and Steps see the difference.
 //
 // # Lanes
 //
@@ -108,14 +132,13 @@ import (
 // event is one scheduled callback, held in a pool slot that does not
 // move while the event is pending. Exactly one of the three dispatch
 // forms is used: fn (an After closure), pfn+parg (a closure-free
-// callback with argument), or timer+gen (a Timer firing, validated
-// against the timer's current generation at dispatch time).
+// callback with argument), or timer (a Timer key, live only if its
+// seq is still the timer's deadline's when it pops).
 type event struct {
 	fn    func()
 	pfn   func(any)
 	parg  any
 	timer *Timer
-	gen   uint64
 	next  int32 // pool index of the next free slot, -1 = end
 }
 
@@ -170,6 +193,13 @@ type Simulator struct {
 	// Lane.Cycle obeys; the zero rule means no loop is running.
 	rule stopRule
 
+	// unpushed lists the timers whose deadline a Reset left off the
+	// heap during the running Run, which pushes what is left of them
+	// when it returns. lost is the latest superseded deadline that was
+	// never pushed (see "Timers" in the package doc).
+	unpushed []*Timer
+	lost     time.Duration
+
 	// MaxSteps aborts Run with a panic after this many events; zero
 	// means no limit. Used to catch livelocks in tests.
 	MaxSteps uint64
@@ -183,7 +213,7 @@ func New(seed int64) *Simulator {
 // Reset rewinds the simulator to the state New(seed) would produce,
 // keeping every queue's backing storage so a reused simulator
 // schedules allocation-free from the first event. Pending events are
-// discarded; callers that pooled objects riding the queue (AfterArg
+// discarded and timers disarmed; callers that pooled objects riding the queue (AfterArg
 // payloads) should reclaim them with ForEachPendingArg first.
 // Re-seeding the existing rand.Rand in place yields the identical
 // stream a fresh rand.New(rand.NewSource(seed)) would, so trial
@@ -194,10 +224,17 @@ func (s *Simulator) Reset(seed int64) {
 	// dead closures and payloads are unpinned. Freelist order only
 	// selects storage slots, never dispatch order, so this cannot
 	// perturb results.
+	// A timer with a key in the pool is disarmed: its keys and any
+	// deadline they cover are discarded with the queue.
 	for i := range s.pool {
+		if t := s.pool[i].timer; t != nil {
+			t.set, t.qseq = false, 0
+		}
 		s.pool[i] = event{next: int32(i) - 1}
 	}
 	s.free = int32(len(s.pool)) - 1
+	s.clearUnpushed()
+	s.lost = 0
 	for _, l := range s.lanes {
 		l.reset()
 	}
@@ -246,7 +283,7 @@ func (s *Simulator) Steps() uint64 { return s.steps }
 // on the host or the queue layout, so tests pin them exactly.
 type EventCounts struct {
 	TimerLive  uint64 // Timer firings that ran the timer's callback
-	TimerStale uint64 // Timer events superseded by a later Reset or Stop
+	TimerStale uint64 // Timer keys that popped superseded by a later Reset or Stop
 	Arg        uint64 // AfterArg callbacks
 	Func       uint64 // After callbacks
 }
@@ -254,13 +291,18 @@ type EventCounts struct {
 // EventCounts reports the executed events by dispatch kind.
 func (s *Simulator) EventCounts() EventCounts { return s.counts }
 
-// schedule takes a pool slot for an event at time at with the next
-// seq, pushes its key onto the heap (sift-up) and returns the slot for
-// the caller to fill in before anything else is scheduled. The only
-// allocations are the amortized growth of the pool and the heap, which
-// stops once they reach their high-water marks.
+// schedule takes the next seq and pushes an event at time at.
 func (s *Simulator) schedule(at time.Duration) *event {
 	s.seq++
+	return s.push(at, s.seq)
+}
+
+// push takes a pool slot for an event keyed (at, seq), pushes its key
+// onto the heap (sift-up) and returns the slot for the caller to fill
+// in before anything else is scheduled. It is the one heap-insert
+// path. The only allocations are the amortized growth of the pool and
+// the heap, which stops once they reach their high-water marks.
+func (s *Simulator) push(at time.Duration, seq uint64) *event {
 	idx := s.free
 	if idx >= 0 {
 		s.free = s.pool[idx].next
@@ -268,7 +310,7 @@ func (s *Simulator) schedule(at time.Duration) *event {
 		s.pool = append(s.pool, event{})
 		idx = int32(len(s.pool)) - 1
 	}
-	k := key{at: at, seq: s.seq, idx: idx}
+	k := key{at: at, seq: seq, idx: idx}
 	h := append(s.heap, k)
 	i := len(h) - 1
 	for i > 0 {
@@ -370,21 +412,21 @@ func (s *Simulator) step() bool {
 	}
 	var (
 		at    time.Duration
+		seq   uint64
 		fn    func()
 		pfn   func(any)
 		parg  any
 		timer *Timer
-		gen   uint64
 	)
 	if k := s.mainFirst(lk); k != nil {
 		// Free the slot before dispatch, so the callback's own
 		// scheduling can reuse it and the pool does not pin dead
 		// closures.
 		idx := k.idx
-		at = k.at
+		at, seq = k.at, k.seq
 		s.popHead()
 		e := &s.pool[idx]
-		fn, pfn, parg, timer, gen = e.fn, e.pfn, e.parg, e.timer, e.gen
+		fn, pfn, parg, timer = e.fn, e.pfn, e.parg, e.timer
 		*e = event{next: s.free}
 		s.free = idx
 	} else if lane != nil {
@@ -397,12 +439,20 @@ func (s *Simulator) step() bool {
 	}
 	switch {
 	case timer != nil:
-		if timer.gen == gen && timer.set {
+		if seq == timer.qseq {
+			timer.qseq = 0
+		}
+		if timer.set && timer.seq == seq {
 			s.dispatch(at, &s.counts.TimerLive)
 			timer.set = false
 			timer.fn()
 		} else {
 			s.dispatch(at, &s.counts.TimerStale)
+			if timer.set && timer.qseq == 0 {
+				// The deadline a Reset left off the heap behind this
+				// key: queue it now, before it can come up.
+				timer.push()
+			}
 		}
 	case pfn != nil:
 		s.dispatch(at, &s.counts.Arg)
@@ -488,9 +538,36 @@ func (s *Simulator) Stop() { s.stopped = true }
 // first one included, so the first event at or past limit runs and
 // then Run returns.
 func (s *Simulator) Run(limit time.Duration) {
-	defer s.runAs(s.runAs(stopRule{running: true, limit: limit}))
+	defer s.endRun(s.runAs(stopRule{running: true, limit: limit}))
 	for !s.stopped && s.now < limit && s.step() {
 	}
+	if !s.stopped && s.now < limit {
+		// The queue ran dry. The superseded deadlines that were never
+		// pushed would have popped too, the latest one last.
+		s.now = max(s.now, s.lost)
+	}
+}
+
+// endRun pushes every deadline the returning Run left off the heap, so
+// that no later loop sees a different queue, and restores the rule
+// prev.
+func (s *Simulator) endRun(prev stopRule) {
+	for _, t := range s.unpushed {
+		if t.set && t.seq != t.qseq {
+			t.push()
+		}
+	}
+	s.clearUnpushed()
+	s.rule = prev
+}
+
+// clearUnpushed empties the unpushed list, keeping its capacity.
+func (s *Simulator) clearUnpushed() {
+	for i, t := range s.unpushed {
+		t.listed = false
+		s.unpushed[i] = nil
+	}
+	s.unpushed = s.unpushed[:0]
 }
 
 // RunUntil executes events with time <= t, then advances the clock to
@@ -512,17 +589,22 @@ func (s *Simulator) RunUntil(t time.Duration) {
 // Timer is a restartable one-shot timer bound to a Simulator. The
 // zero value is not usable; construct with NewTimer.
 //
-// A Timer schedules itself directly into the event queue: each Reset
-// pushes a by-value event carrying the timer pointer and its current
-// generation, and stale events (superseded by a later Reset or Stop)
-// are discarded at dispatch time by the generation check. Reset and
-// Stop therefore allocate nothing in steady state.
+// A Timer schedules itself directly into the event queue, without a
+// closure: each Reset takes a seq and stores the deadline (at, seq),
+// and a key carrying the timer pointer fires fn only if its seq is
+// still the deadline's when it pops. A Reset inside Run whose deadline
+// comes no earlier than the timer's newest queued key pushes nothing;
+// that key re-pushes the deadline when it pops (see "Timers" in the
+// package doc). Reset and Stop allocate nothing in steady state.
 type Timer struct {
-	s   *Simulator
-	fn  func()
-	gen uint64 // invalidates stale firings
-	at  time.Duration
-	set bool
+	s      *Simulator
+	fn     func()
+	at     time.Duration // the deadline, while set
+	seq    uint64        // the deadline's seq: the one key that fires fn
+	qat    time.Duration // the time of the newest key pushed for the timer
+	qseq   uint64        // its seq while it is queued, else 0
+	set    bool
+	listed bool // in the simulator's unpushed list
 }
 
 // NewTimer returns a stopped timer that runs fn when it fires.
@@ -536,16 +618,40 @@ func (t *Timer) Reset(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	t.gen++
-	t.set = true
-	t.at = t.s.now + d
-	e := t.s.schedule(t.at)
-	e.timer, e.gen = t, t.gen
+	s := t.s
+	t.supersede()
+	s.seq++
+	t.at, t.seq, t.set = s.now+d, s.seq, true
+	// Inside Run, before its limit, behind a queued key that fires no
+	// later: push nothing, as that key's pop or Run's return will.
+	// Outside Run the rule's limit is zero, which no deadline precedes.
+	if t.qseq != 0 && t.qat <= t.at && !s.rule.drain && t.at < s.rule.limit {
+		if !t.listed {
+			t.listed = true
+			s.unpushed = append(s.unpushed, t)
+		}
+		return
+	}
+	t.push()
+}
+
+// push queues a key for the timer's deadline.
+func (t *Timer) push() {
+	t.s.push(t.at, t.seq).timer = t
+	t.qat, t.qseq = t.at, t.seq
+}
+
+// supersede records a deadline that is about to be replaced or
+// cancelled while it was never pushed: it is lost to the queue.
+func (t *Timer) supersede() {
+	if t.set && t.seq != t.qseq {
+		t.s.lost = max(t.s.lost, t.at)
+	}
 }
 
 // Stop disarms the timer. It is safe to stop a stopped timer.
 func (t *Timer) Stop() {
-	t.gen++
+	t.supersede()
 	t.set = false
 }
 
@@ -617,7 +723,9 @@ func (l *Lane) AfterArg(d time.Duration, fn func(any), arg any) {
 	l.s.seq++
 	e := &l.ring[(l.head+l.n)&(len(l.ring)-1)]
 	l.n++
-	*e = laneEntry{at: at, seq: l.s.seq, pfn: fn, parg: arg}
+	// Field by field: a composite literal is built on the stack and
+	// copied with 16-byte loads that straddle its 8-byte stores.
+	e.at, e.seq, e.pfn, e.parg = at, l.s.seq, fn, arg
 }
 
 // laneOrder is the panic value of a lane push earlier than the lane's

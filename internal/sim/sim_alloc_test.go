@@ -58,7 +58,8 @@ func TestAfterArgZeroAlloc(t *testing.T) {
 func TestTimerResetZeroAlloc(t *testing.T) {
 	s := New(1)
 	timer := s.NewTimer(func() {})
-	// Warm up the heap, including stale generations left by re-Resets.
+	// Warm up the heap, including stale keys left by re-Resets outside
+	// a loop, each of which pushes.
 	for i := 0; i < 64; i++ {
 		timer.Reset(time.Duration(i) * time.Microsecond)
 	}
@@ -73,6 +74,48 @@ func TestTimerResetZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Timer.Reset/Stop + Run: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestTimerResetInRunZeroAlloc proves that re-arming timers from
+// inside a running loop allocates nothing in steady state: a Reset
+// behind a queued key that pushes nothing and lists the timer, the pop
+// that pushes its deadline, and the push of every deadline still off
+// the heap when a Stop ends Run, which the drain then fires.
+func TestTimerResetInRunZeroAlloc(t *testing.T) {
+	s := New(1)
+	timers := make([]*Timer, 3)
+	for i := range timers {
+		timers[i] = s.NewTimer(func() {})
+	}
+	ticks := 0
+	var tick func()
+	tick = func() {
+		for i, tm := range timers {
+			tm.Reset(time.Duration(i+2) * time.Millisecond)
+		}
+		if ticks++; ticks%16 == 0 {
+			s.Stop()
+			return
+		}
+		s.After(100*time.Microsecond, tick)
+	}
+	round := func() {
+		s.Reset(1)
+		for _, tm := range timers {
+			tm.Reset(time.Millisecond)
+		}
+		s.After(0, tick)
+		s.Run(time.Second)
+		s.RunUntil(s.Now() + 10*time.Millisecond)
+	}
+	round() // warm: grows the pool, the heap and the unpushed list
+	if c := s.EventCounts(); c.TimerLive != 3 || c.TimerStale > 6 {
+		t.Fatalf("event counts %+v, want 3 live and at most 6 stale keys", c)
+	}
+	allocs := testing.AllocsPerRun(200, round)
+	if allocs != 0 {
+		t.Errorf("Timer.Reset inside Run: %.1f allocs/op, want 0", allocs)
 	}
 }
 

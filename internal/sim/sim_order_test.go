@@ -10,10 +10,12 @@ import (
 
 // Order-equivalence oracle: refSim reimplements the Simulator's public
 // scheduling semantics on a plain slice-backed binary heap of events,
-// with no pool and no lanes. Both engines are driven through an identical
-// deterministic workload (same schedule calls, same in-callback
-// decisions, same timer races) and must dispatch in the identical
-// order — this is the invariant that keeps every simulation result
+// with no pool and no lanes, and its timers push a key on every Reset.
+// Both engines are driven through an identical deterministic workload
+// (same schedule calls, same in-callback decisions, same timer races)
+// and must dispatch in the identical order and count the same events,
+// apart from the superseded timer keys the Simulator never pushes —
+// this is the invariant that keeps every simulation result
 // byte-for-byte unchanged by the queue's layout.
 
 type refEvent struct {
@@ -39,6 +41,7 @@ type refSim struct {
 	events  []refEvent
 	rng     *rand.Rand
 	stopped bool
+	counts  EventCounts
 }
 
 func (r *refSim) push(e refEvent) {
@@ -103,15 +106,20 @@ func (r *refSim) step() bool {
 	if e.timer != nil {
 		t := e.timer
 		if t.gen == e.gen && t.set {
+			r.counts.TimerLive++
 			t.set = false
 			t.fn()
+		} else {
+			r.counts.TimerStale++
 		}
 		return true
 	}
 	if e.pfn != nil {
+		r.counts.Arg++
 		e.pfn(e.parg)
 		return true
 	}
+	r.counts.Func++
 	e.fn()
 	return true
 }
@@ -184,6 +192,8 @@ type engine struct {
 	runUntil     func(time.Duration)
 	timerSet     func(i int, d time.Duration)
 	timerCut     func(i int)
+	// onTimer is what timer i's callback calls; the workload sets it.
+	onTimer *func(i int)
 }
 
 // The workload's lanes: fifoLane is fed one constant delay per
@@ -201,8 +211,10 @@ const (
 )
 
 // simEngine drives s; cycled counts the polls Lane.Cycle dispatched
-// in place.
-func simEngine(s *Simulator, timers []*Timer, lanes []*Lane, cycled *int) engine {
+// in place. When a Run returns, every armed timer's deadline must be
+// on the heap, as it is in the eager reference; a line in log marks
+// each one that is not.
+func simEngine(s *Simulator, timers []*Timer, lanes []*Lane, onTimer *func(int), cycled *int, log *[]string) engine {
 	return engine{
 		now:          s.Now,
 		rand:         s.Rand,
@@ -212,15 +224,33 @@ func simEngine(s *Simulator, timers []*Timer, lanes []*Lane, cycled *int) engine
 		cycle: func(d time.Duration, keep func(any) bool) {
 			lanes[pollLane].Cycle(d, func(a any) bool { *cycled++; return keep(a) })
 		},
-		stop:     s.Stop,
-		run:      s.Run,
+		stop: s.Stop,
+		run: func(limit time.Duration) {
+			s.Run(limit)
+			for i, t := range timers {
+				if t.Armed() && !deadlineQueued(s, t) {
+					*log = append(*log, fmt.Sprintf("T%d's deadline is off the heap", i))
+				}
+			}
+		},
 		runUntil: s.RunUntil,
 		timerSet: func(i int, d time.Duration) { timers[i].Reset(d) },
 		timerCut: func(i int) { timers[i].Stop() },
+		onTimer:  onTimer,
 	}
 }
 
-func refEngine(r *refSim, timers []*refTimer) engine {
+// deadlineQueued reports whether the heap holds t's deadline key.
+func deadlineQueued(s *Simulator, t *Timer) bool {
+	for _, k := range s.heap {
+		if k.seq == t.seq && k.at == t.at && s.pool[k.idx].timer == t {
+			return true
+		}
+	}
+	return false
+}
+
+func refEngine(r *refSim, timers []*refTimer, onTimer *func(int)) engine {
 	return engine{
 		now:          func() time.Duration { return r.now },
 		rand:         func() *rand.Rand { return r.rng },
@@ -233,8 +263,12 @@ func refEngine(r *refSim, timers []*refTimer) engine {
 		runUntil:     r.RunUntil,
 		timerSet:     func(i int, d time.Duration) { timers[i].Reset(d) },
 		timerCut:     func(i int) { timers[i].Stop() },
+		onTimer:      onTimer,
 	}
 }
+
+// runWindow is the limit of the workload's Run window.
+const runWindow = 100 * time.Millisecond
 
 // workloadDelay maps a decision word to a delay from the spread the
 // simulation schedules: same-time bursts, sub-µs chains, ms-scale
@@ -260,6 +294,16 @@ func workloadDelay(w uint64) time.Duration {
 	}
 }
 
+// timerDelay maps a decision word to a timer delay: three in four
+// inside the Run window, where a re-arm can leave its deadline off the
+// heap, the rest from workloadDelay's spread.
+func timerDelay(w uint64) time.Duration {
+	if w%4 == 0 {
+		return workloadDelay(w >> 2)
+	}
+	return time.Duration(w % uint64(runWindow/4))
+}
+
 // driveWorkload runs one deterministic scripted scenario on an engine
 // and returns the dispatch log. Every callback appends its identity
 // and may schedule follow-ups or race the timer set, with all choices
@@ -282,6 +326,24 @@ func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
 		}
 	}
 	lanes := laneFeed{fifoDelay: fifoDelay}
+
+	// The workload tracks each timer's deadline as it set it, so that a
+	// re-arm can aim later or earlier than the pending one, or at the
+	// Run window's limit. A firing timer re-arms itself at times, within
+	// a budget so that the workload ends.
+	deadline := make([]time.Duration, nTimers)
+	arm := func(i int, d time.Duration) {
+		e.timerSet(i, d)
+		deadline[i] = e.now() + max(d, 0)
+	}
+	rearmBudget := 200
+	*e.onTimer = func(i int) {
+		note(fmt.Sprintf("T%d@%d", i, e.now()))
+		if w := splitmix64(key ^ uint64(i)<<40 ^ uint64(e.now())); w%3 == 0 && rearmBudget > 0 {
+			rearmBudget--
+			arm(i, timerDelay(splitmix64(w)))
+		}
+	}
 	var fire func(id uint64)
 	// fireArg is built once, as AfterArg's callers do: the id rides
 	// through the queue as the payload.
@@ -323,14 +385,14 @@ func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
 	fire = func(id uint64) {
 		note(fmt.Sprintf("%d@%d", id, e.now()))
 		w := splitmix64(key ^ id)
-		switch w % 9 {
+		switch w % 10 {
 		case 0: // chain a follow-up event
 			child := id*2 + 1
 			if child < uint64(nSeed)*8 {
 				e.after(workloadDelay(splitmix64(w)), func() { fire(child) })
 			}
-		case 1: // timer race: re-arm over a pending generation
-			e.timerSet(int(w%uint64(nTimers)), workloadDelay(splitmix64(w+1)))
+		case 1: // timer race: re-arm over a pending deadline
+			arm(int(w%uint64(nTimers)), timerDelay(splitmix64(w+1)))
 		case 2: // timer race: cancel whatever is pending
 			e.timerCut(int((w >> 8) % uint64(nTimers)))
 		case 3: // a schedule possibly in the past (negative delays clamp)
@@ -357,6 +419,19 @@ func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
 			blocked = !blocked
 		case 8: // stop a poller, which may be pending or not yet born
 			stopped[id*2+1+(w>>8)%4] = true
+		case 9: // re-arm a timer against its deadline or the window
+			i := int((w >> 16) % uint64(nTimers))
+			switch (w >> 24) % 4 {
+			case 0: // later than (or at) its deadline
+				arm(i, max(deadline[i]-e.now(), 0)+max(timerDelay(splitmix64(w+5)), 0))
+			case 1: // earlier than its deadline
+				arm(i, (deadline[i]-e.now())/2)
+			case 2: // at or past the Run window's limit
+				arm(i, runWindow-e.now()+time.Duration(w>>32%3)*time.Millisecond)
+			case 3: // stop, then re-arm
+				e.timerCut(i)
+				arm(i, timerDelay(splitmix64(w+6)))
+			}
 		}
 	}
 	for i := 0; i < nSeed; i++ {
@@ -374,14 +449,15 @@ func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
 		}
 	}
 	for i := 0; i < nTimers; i++ {
-		e.timerSet(i, workloadDelay(splitmix64(key+uint64(i)*0xabcd)))
+		arm(i, timerDelay(splitmix64(key+uint64(i)*0xabcd)))
 	}
 	// Mix a Run window that a Stop (possibly inside a cycle) or its
 	// clock limit ends and RunUntil windows (peek path: clock advances
 	// without dispatch), which ignore the stop flag, with a final
 	// drain, also a RunUntil. The clock where Run returns is logged,
-	// so a loop or a cycle that stops elsewhere diverges.
-	e.run(100 * time.Millisecond)
+	// so a loop or a cycle that stops elsewhere diverges. Timers re-arm
+	// in all of them.
+	e.run(runWindow)
 	*log = append(*log, fmt.Sprintf("run returned@%d", e.now()))
 	e.runUntil(150 * time.Millisecond)
 	e.runUntil(150 * time.Millisecond) // idempotent re-run at same time
@@ -411,30 +487,53 @@ func (f *laneFeed) push(e engine, w uint64, fireArg func(any), id uint64) {
 	e.laneAfterArg(mixedLane, d, fireArg, id)
 }
 
+// outcome is what one engine's run of a workload shows: its dispatch
+// log and its event counts.
+type outcome struct {
+	log    []string
+	counts EventCounts
+}
+
 // runBoth executes the identical workload on a Simulator seeded with
-// seed and on the reference heap, and returns both logs and the
+// seed and on the reference heap, and returns both outcomes and the
 // number of polls the Simulator cycled in place. The Simulator s may
-// be a freshly-constructed or a Reset one — the log must not differ.
-// Its first numLanes lanes are made here if s has fewer.
-func runBoth(s *Simulator, seed int64, key uint64, nSeed, nTimers int) (got, ref []string, cycled int) {
+// be a freshly-constructed or a Reset one — the outcome must not
+// differ. Its first numLanes lanes are made here if s has fewer.
+func runBoth(s *Simulator, seed int64, key uint64, nSeed, nTimers int) (got, ref outcome, cycled int) {
+	var onSim, onRef func(int)
 	wt := make([]*Timer, nTimers)
 	for i := range wt {
 		i := i
-		wt[i] = s.NewTimer(func() { got = append(got, fmt.Sprintf("T%d@%d", i, s.Now())) })
+		wt[i] = s.NewTimer(func() { onSim(i) })
 	}
 	for len(s.lanes) < numLanes {
 		s.NewLane()
 	}
-	driveWorkload(simEngine(s, wt, s.lanes, &cycled), key, nSeed, nTimers, &got)
+	driveWorkload(simEngine(s, wt, s.lanes, &onSim, &cycled, &got.log), key, nSeed, nTimers, &got.log)
+	got.counts = s.EventCounts()
 
 	r := &refSim{rng: rand.New(rand.NewSource(seed))}
 	rt := make([]*refTimer, nTimers)
 	for i := range rt {
 		i := i
-		rt[i] = &refTimer{r: r, fn: func() { ref = append(ref, fmt.Sprintf("T%d@%d", i, r.now)) }}
+		rt[i] = &refTimer{r: r, fn: func() { onRef(i) }}
 	}
-	driveWorkload(refEngine(r, rt), key, nSeed, nTimers, &ref)
+	driveWorkload(refEngine(r, rt, &onRef), key, nSeed, nTimers, &ref.log)
+	ref.counts = r.counts
 	return got, ref, cycled
+}
+
+// compareRuns fails the test unless the two outcomes have the same
+// log and the same event counts, except that the Simulator may pop
+// fewer stale timer keys than the reference, which pushes one on every
+// Reset.
+func compareRuns(t *testing.T, label string, got, ref outcome) {
+	t.Helper()
+	diffLogs(t, label, got.log, ref.log)
+	g, r := got.counts, ref.counts
+	if g.TimerLive != r.TimerLive || g.Arg != r.Arg || g.Func != r.Func || g.TimerStale > r.TimerStale {
+		t.Fatalf("%s: event counts %+v, reference %+v", label, g, r)
+	}
 }
 
 func diffLogs(t *testing.T, label string, got, ref []string) {
@@ -455,26 +554,32 @@ func diffLogs(t *testing.T, label string, got, ref []string) {
 
 // TestQueueMatchesReferenceHeap is the main order-equivalence
 // property: across many randomized workloads — events seconds out,
-// same-time bursts, Timer Reset/Stop races over pending generations,
-// negative-delay clamping, Run windows ended by a Stop or the clock
-// limit, RunUntil windows, FIFO lane pushes constant and clamped,
-// pollers cycled in place — the key heap and its lanes dispatch in
-// exactly the reference heap's (at, seq) order, and draw the same rand
-// values.
+// same-time bursts, Timer Reset/Stop races over pending deadlines,
+// re-arms later, earlier, at the Run window's limit, after a Stop and
+// inside the timer's own callback, negative-delay clamping, Run
+// windows ended by a Stop or the clock limit, RunUntil windows, FIFO
+// lane pushes constant and clamped, pollers cycled in place — the key
+// heap and its lanes dispatch in exactly the reference heap's
+// (at, seq) order, return from Run at the same clock, count the same
+// events and draw the same rand values.
 func TestQueueMatchesReferenceHeap(t *testing.T) {
-	total := 0
+	total, unpushed := 0, uint64(0)
 	for trial := 0; trial < 60; trial++ {
 		key := splitmix64(uint64(trial) * 0x2545f4914f6cdd1d)
 		s := New(int64(trial))
 		got, ref, cycled := runBoth(s, int64(trial), key, 40, 4)
-		if len(got) == 0 {
+		if len(got.log) == 0 {
 			t.Fatalf("trial %d: empty dispatch log", trial)
 		}
-		diffLogs(t, fmt.Sprintf("trial %d", trial), got, ref)
+		compareRuns(t, fmt.Sprintf("trial %d", trial), got, ref)
 		total += cycled
+		unpushed += ref.counts.TimerStale - got.counts.TimerStale
 	}
 	if total == 0 {
 		t.Fatal("no workload cycled a poll in place")
+	}
+	if unpushed == 0 {
+		t.Fatal("no workload left a superseded deadline off the heap")
 	}
 }
 
@@ -493,7 +598,7 @@ func TestQueueMatchesReferenceAfterReset(t *testing.T) {
 			seed = int64(round)
 		}
 		got, ref, _ := runBoth(s, seed, key, 30, 3)
-		diffLogs(t, fmt.Sprintf("round %d", round), got, ref)
+		compareRuns(t, fmt.Sprintf("round %d", round), got, ref)
 	}
 }
 
@@ -509,17 +614,6 @@ func FuzzQueueOrder(f *testing.F) {
 		nSeed := int(n%64) + 1
 		s := New(int64(key))
 		got, ref, _ := runBoth(s, int64(key), key, nSeed, 3)
-		nn := len(got)
-		if len(ref) < nn {
-			nn = len(ref)
-		}
-		for i := 0; i < nn; i++ {
-			if got[i] != ref[i] {
-				t.Fatalf("dispatch %d diverges: got=%s ref=%s", i, got[i], ref[i])
-			}
-		}
-		if len(got) != len(ref) {
-			t.Fatalf("dispatch count diverges: got=%d ref=%d", len(got), len(ref))
-		}
+		compareRuns(t, "fuzz", got, ref)
 	})
 }

@@ -7,10 +7,11 @@ import (
 	"time"
 )
 
-// Edge cases for the self-scheduling (generation-checked) timer
-// implementation: the event a Reset pushes stays in the heap even
-// after a Stop or a newer Reset, so every path below exercises stale
-// events being discarded at dispatch time.
+// Edge cases for the self-scheduling timer: a key a Reset pushes stays
+// in the heap after a Stop or a newer Reset and pops as stale, and a
+// Reset inside Run behind the timer's queued key pushes nothing until
+// that key pops, so every path below exercises keys checked against
+// the deadline's seq at dispatch time.
 
 // TestTimerResetInsideOwnCallback re-arms the timer from its own
 // firing, the pattern the TCP RTO backoff uses.
@@ -124,5 +125,90 @@ func TestTimerStopThenResetSameTick(t *testing.T) {
 	s.Run(math.MaxInt64)
 	if fired != 1 {
 		t.Errorf("fired %d, want exactly 1", fired)
+	}
+}
+
+// TestRunDryEndsAtSupersededDeadline re-arms a timer inside Run behind
+// its queued key, which pushes nothing, then stops it, leaving nothing
+// else queued. A queue that pushed every Reset would pop the
+// superseded deadline last, so Run must return with the clock there.
+func TestRunDryEndsAtSupersededDeadline(t *testing.T) {
+	s := New(1)
+	timer := s.NewTimer(func() { t.Error("stopped timer fired") })
+	timer.Reset(5 * time.Millisecond)
+	s.After(time.Millisecond, func() {
+		timer.Reset(10 * time.Millisecond)
+		timer.Stop()
+	})
+	s.Run(time.Second)
+	if s.Now() != 11*time.Millisecond {
+		t.Errorf("Run returned at %v, want 11ms", s.Now())
+	}
+	if c := s.EventCounts(); c.TimerStale != 1 || c.Func != 1 {
+		t.Errorf("event counts %+v, want one stale key and one callback", c)
+	}
+}
+
+// TestTimerResetBehindQueuedKeyFiresOnTime re-arms a timer later, from
+// inside Run, while its first key is queued: the deadline is pushed
+// only when that key pops, and still fires at its own time and after
+// an event scheduled for the same time earlier.
+func TestTimerResetBehindQueuedKeyFiresOnTime(t *testing.T) {
+	s := New(1)
+	var order []string
+	mark := func(name string) func() {
+		return func() { order = append(order, fmt.Sprintf("%s@%v", name, s.Now())) }
+	}
+	timer := s.NewTimer(mark("t"))
+	timer.Reset(2 * time.Millisecond)
+	s.After(time.Millisecond, func() {
+		s.After(3*time.Millisecond, mark("e"))
+		timer.Reset(3 * time.Millisecond) // same time as e, later seq
+	})
+	s.Run(time.Second)
+	want := []string{"e@4ms", "t@4ms"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("order %v, want %v", order, want)
+	}
+	if c := s.EventCounts(); c.TimerLive != 1 || c.TimerStale != 1 {
+		t.Errorf("event counts %+v, want one live and one stale key", c)
+	}
+}
+
+// TestResetDisarmsTimers discards a timer's queued key and its pending
+// deadline with the queue: after Reset the timer is disarmed, and it
+// re-arms in the new run as a new timer would, whether it is stopped
+// first or re-armed inside Run.
+func TestResetDisarmsTimers(t *testing.T) {
+	s := New(1)
+	fired := 0
+	timer := s.NewTimer(func() { fired++ })
+	arm := func() {
+		timer.Reset(5 * time.Millisecond)
+		s.After(time.Millisecond, func() {
+			timer.Reset(10 * time.Millisecond)
+			s.Stop()
+		})
+		s.Run(time.Second)
+	}
+	arm()
+	s.Reset(1)
+	if timer.Armed() {
+		t.Fatal("timer armed after Reset")
+	}
+	// A stopped timer's old deadline must not move the clock.
+	timer.Stop()
+	s.After(time.Millisecond, func() {})
+	s.Run(time.Second)
+	if s.Now() != time.Millisecond {
+		t.Errorf("Run returned at %v, want 1ms", s.Now())
+	}
+	arm()
+	s.Reset(1)
+	// A re-arm inside Run must not wait behind a key Reset discarded.
+	s.After(time.Millisecond, func() { timer.Reset(20 * time.Millisecond) })
+	s.Run(time.Second)
+	if fired != 1 || s.Now() != 21*time.Millisecond {
+		t.Errorf("fired %d times, Run returned at %v; want once at 21ms", fired, s.Now())
 	}
 }

@@ -177,8 +177,8 @@ func (e *Endpoint) SetPool(pp *netem.PacketPool) { e.pool = pp }
 // capacity (send buffer, reassembler, the RTT queue). The
 // OnBreak and OnRetransmit callbacks are cleared, matching a freshly
 // constructed endpoint; rewire them after Reset. Must be called after
-// the owning simulator has been Reset, so the stale RTO timer
-// generation cannot fire.
+// the owning simulator has been Reset, which discards the RTO timer's
+// queued key.
 func (e *Endpoint) Reset(cfg Config) {
 	e.cfg = cfg.withDefaults()
 	e.sndUna, e.sndNxt = 0, 0

@@ -61,7 +61,7 @@ const (
 	GSimEventsFunc       // cumulative At/After callbacks
 	GSimEventsArg        // cumulative AfterArg callbacks
 	GSimEventsTimerLive  // cumulative timer firings that ran
-	GSimEventsTimerStale // cumulative timer events superseded before firing
+	GSimEventsTimerStale // cumulative superseded timer keys that popped
 
 	gaugeCount // number of gauges; must stay last
 )
@@ -104,7 +104,7 @@ var gaugeInfos = [gaugeCount]gaugeInfo{
 	GSimEventsFunc:       {"sim_events_func_total", "Simulator At/After callbacks dispatched."},
 	GSimEventsArg:        {"sim_events_arg_total", "Simulator AfterArg callbacks dispatched."},
 	GSimEventsTimerLive:  {"sim_events_timer_live_total", "Simulator timer firings that ran their callback."},
-	GSimEventsTimerStale: {"sim_events_timer_stale_total", "Simulator timer events superseded before firing."},
+	GSimEventsTimerStale: {"sim_events_timer_stale_total", "Simulator timer keys that popped superseded by a later Reset or Stop."},
 }
 
 // Name returns the gauge's Prometheus metric name (without the

@@ -46,3 +46,26 @@ func FuzzOpener(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStreamParser feeds arbitrary byte streams, sealed or not, in
+// chunks whose lengths cycle through the fuzzed pattern, and requires
+// each Feed to return exactly the headers the buffered reference
+// parser returns from the same call.
+func FuzzStreamParser(f *testing.F) {
+	var s Sealer
+	wire := s.Seal(nil, TypeHandshake, []byte("hello"))
+	wire = s.Seal(wire, TypeAppData, make([]byte, 300))
+	f.Add(wire, []byte{1, 4, 7})
+	f.Add([]byte{23, 3, 3, 0, 0, 22, 3, 3, 0, 2, 9}, []byte{5})
+	f.Add([]byte{23, 3, 3, 255, 255}, []byte{2, 200})
+	f.Fuzz(func(t *testing.T, data, chunks []byte) {
+		i := 0
+		feedBoth(t, "fuzz", data, func() int {
+			if len(chunks) == 0 {
+				return len(data)
+			}
+			i++
+			return int(chunks[i%len(chunks)]) + 1
+		})
+	})
+}

@@ -16,8 +16,10 @@
 // The record path is built for the simulation hot loop: Seal appends
 // into a caller-recycled buffer, Opener.Feed and StreamParser.Feed
 // return scratch storage reused across calls (Opener record bodies
-// alias its stream buffer), and both parsers consume their buffers by
-// offset with compaction rather than reslicing.
+// alias its stream buffer), the Opener consumes its buffer by offset
+// with compaction rather than reslicing, and the StreamParser buffers
+// no body at all: it holds at most a header's 5 bytes and counts the
+// body bytes down.
 //
 // Key types: Sealer and Opener (the endpoint halves), Record,
 // HeaderInfo (what a sniffer reads from the 5 cleartext header
@@ -183,41 +185,44 @@ type HeaderInfo struct {
 
 // StreamParser extracts record headers from a passively observed byte
 // stream without decrypting, the way the paper's tshark monitor does.
+// It keeps the current record's header and skips its body by length.
 type StreamParser struct {
-	buf []byte
-	off int
-	out []HeaderInfo // Feed scratch
+	hdr  [HeaderLen]byte // the current record's header, nhdr bytes of it so far
+	nhdr int
+	body int          // body bytes still to come, once the header is whole
+	out  []HeaderInfo // Feed scratch
 }
 
-// Feed appends observed bytes and returns headers of all records whose
-// bytes have fully transited. The returned slice is scratch reused by
-// the next Feed call; copy the values out if they must survive it.
+// Feed consumes observed bytes and returns headers of all records
+// whose bytes have fully transited. The returned slice is scratch
+// reused by the next Feed call; copy the values out if they must
+// survive it.
 func (p *StreamParser) Feed(b []byte) []HeaderInfo {
-	if p.off > 0 {
-		n := copy(p.buf, p.buf[p.off:])
-		p.buf = p.buf[:n]
-		p.off = 0
-	}
-	p.buf = append(p.buf, b...)
 	out := p.out[:0]
-	for {
-		if len(p.buf)-p.off < HeaderLen {
-			break
+	for len(b) > 0 {
+		if p.nhdr < HeaderLen {
+			n := copy(p.hdr[p.nhdr:], b)
+			p.nhdr += n
+			b = b[n:]
+			if p.nhdr < HeaderLen {
+				break
+			}
+			p.body = int(binary.BigEndian.Uint16(p.hdr[3:]))
 		}
-		bodyLen := int(binary.BigEndian.Uint16(p.buf[p.off+3 : p.off+5]))
-		if len(p.buf)-p.off < HeaderLen+bodyLen {
-			break
+		n := min(p.body, len(b))
+		p.body -= n
+		b = b[n:]
+		if p.body == 0 {
+			out = append(out, HeaderInfo{ContentType: p.hdr[0], Length: int(binary.BigEndian.Uint16(p.hdr[3:]))})
+			p.nhdr = 0
 		}
-		out = append(out, HeaderInfo{ContentType: p.buf[p.off], Length: bodyLen})
-		p.off += HeaderLen + bodyLen
 	}
 	p.out = out
 	return out
 }
 
-// Reset discards buffered partial-record bytes so the parser can
-// observe a fresh stream, keeping buffer and scratch capacities.
+// Reset discards the partial record so the parser can observe a fresh
+// stream, keeping the scratch capacity.
 func (p *StreamParser) Reset() {
-	p.buf = p.buf[:0]
-	p.off = 0
+	p.nhdr = 0
 }
