@@ -73,8 +73,12 @@ survey-smoke:
 # run single-process and as three shard processes via scripts/shard.sh
 # must produce byte-identical tables, survey JSONL, and -metrics-json.
 # Deliberately uses different -j for the two runs: output must not
-# depend on worker count either. Mirrors the CI shard-merge-smoke job;
-# scratch lives in campaigns/ (gitignored).
+# depend on worker count either. A second campaign has more shards
+# than trials (1 table2 trial, 2 survey sites over 3 shards), so some
+# slices are empty: they must run nothing, and the merged tables,
+# -metrics and -metrics-json must still match a single process.
+# Mirrors the CI shard-merge-smoke job; scratch lives in campaigns/
+# (gitignored).
 shard-smoke:
 	@rm -rf campaigns/shardsmoke && mkdir -p campaigns/shardsmoke
 	go run ./cmd/h2attack -table1 -delay -trials 6 -seed 5 -j 3 \
@@ -91,6 +95,15 @@ shard-smoke:
 	cmp campaigns/shardsmoke/single.out campaigns/shardsmoke/merged.out
 	cmp campaigns/shardsmoke/single.jsonl campaigns/shardsmoke/merged.jsonl
 	cmp campaigns/shardsmoke/single.metrics.json campaigns/shardsmoke/merged.metrics.json
+	go run ./cmd/h2attack -table2 -trials 1 -metrics \
+		-metrics-json campaigns/shardsmoke/single-sparse.metrics.json \
+		-survey -corpus 2 > campaigns/shardsmoke/single-sparse.out
+	sh scripts/shard.sh 3 campaigns/shardsmoke/sparse \
+		-table2 -trials 1 -metrics \
+		-metrics-json campaigns/shardsmoke/merged-sparse.metrics.json \
+		-survey -corpus 2 > campaigns/shardsmoke/merged-sparse.out
+	cmp campaigns/shardsmoke/single-sparse.out campaigns/shardsmoke/merged-sparse.out
+	cmp campaigns/shardsmoke/single-sparse.metrics.json campaigns/shardsmoke/merged-sparse.metrics.json
 	@echo "shard-smoke OK"
 
 # Live-telemetry smoke: a race-built survey with -status on a random

@@ -10,11 +10,10 @@
 //	h2attack -delay             # Section IV-A control (uniform delay)
 //	h2attack -defenses          # Section VII defence evaluation
 //	h2attack -all               # everything
-//	h2attack -trial -seed 42    # one verbose full-attack trial
-//	h2attack -events 42         # flight-recorder dump of one trial
-//	                            # (seed=42 also accepted)
-//	h2attack -events-trace trial.json -seed 42
-//	                            # the same ring as a Perfetto timeline
+//
+// h2attack runs campaigns only. cmd/h2trace replays any single trial
+// a campaign counted: its narration, flight-recorder dump, Perfetto
+// timeline and CSV exports.
 //
 // Survey campaigns run the attack against a synthetic site corpus
 // through the streaming pipeline, with checkpointed resume:
@@ -67,14 +66,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
 	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/runner"
-	"repro/internal/website"
 )
 
 func main() {
@@ -90,11 +86,8 @@ type cliFlags struct {
 	delay      bool
 	defenses   bool
 	all        bool
-	trial      bool
 	metrics    bool
 	metricsOut string
-	events     string
-	evTrace    string
 	status     string
 	trials     int
 	seed       int64
@@ -125,11 +118,8 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 	fs.BoolVar(&c.delay, "delay", false, "run the section IV-A uniform-delay control")
 	fs.BoolVar(&c.defenses, "defenses", false, "evaluate the section VII defence proposals")
 	fs.BoolVar(&c.all, "all", false, "run every experiment")
-	fs.BoolVar(&c.trial, "trial", false, "run one verbose full-attack trial")
 	fs.BoolVar(&c.metrics, "metrics", false, "print a cross-layer metrics summary after each sweep")
 	fs.StringVar(&c.metricsOut, "metrics-json", "", "write every sweep's metrics snapshot into this one JSON file")
-	fs.StringVar(&c.events, "events", "", "dump one full-attack trial's flight-recorder events (value: seed=N or N)")
-	fs.StringVar(&c.evTrace, "events-trace", "", "write one trial's flight recorder as Perfetto trace_event JSON to this file (trial from -events, else -seed)")
 	fs.StringVar(&c.status, "status", "", "serve live campaign telemetry on this address (/metrics, /status, /events?seed=N); never affects campaign output")
 	fs.IntVar(&c.trials, "trials", 100, "page loads per configuration")
 	fs.Int64Var(&c.seed, "seed", 1, "base seed (trial i uses seed+i)")
@@ -286,24 +276,6 @@ func run(args []string) int {
 		}
 		ran = true
 	}
-	if cli.trial {
-		runOneTrial(cli.seed)
-		ran = true
-	}
-	if cli.events != "" {
-		if err := runEventDump(cli.events); err != nil {
-			fmt.Fprintf(os.Stderr, "h2attack: -events: %v\n", err)
-			return 1
-		}
-		ran = true
-	}
-	if cli.evTrace != "" {
-		if err := runEventsTrace(cli.events, cli.seed, cli.evTrace); err != nil {
-			fmt.Fprintf(os.Stderr, "h2attack: -events-trace: %v\n", err)
-			return 1
-		}
-		ran = true
-	}
 	if err := writeMetricsJSON(cli.metricsOut, snaps); err != nil {
 		fmt.Fprintf(os.Stderr, "h2attack: -metrics-json: %v\n", err)
 		return 1
@@ -363,70 +335,4 @@ func writeMetricsJSON(path string, snaps map[string]*obs.Snapshot) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// parseSeedSpec parses a trial selector: the seed, optionally
-// prefixed "seed=" (the -events / -events-trace flag value).
-func parseSeedSpec(spec string) (int64, error) {
-	seed, err := strconv.ParseInt(strings.TrimPrefix(spec, "seed="), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("want seed=N or N, got %q", spec)
-	}
-	return seed, nil
-}
-
-// runEventDump replays one full-attack trial with the flight recorder
-// attached and prints the recorded event stream. spec is the -events
-// flag value: the trial seed, optionally prefixed "seed=".
-func runEventDump(spec string) error {
-	seed, err := parseSeedSpec(spec)
-	if err != nil {
-		return err
-	}
-	var tr trialReplayer
-	r := tr.replay(seed)
-	fmt.Printf("seed %d: flight recorder, full paper attack (broken=%v resets=%d re-requests=%d retransmissions=%d)\n",
-		seed, r.Broken, r.Resets, r.ReRequests, r.Retransmissions)
-	fmt.Print(tr.rec.Dump())
-	return nil
-}
-
-// runOneTrial narrates a single full-attack page load.
-func runOneTrial(seed int64) {
-	r := experiment.RunTrial(experiment.TrialParams{
-		Seed: seed,
-		Mode: experiment.ModeFullAttack,
-	})
-	fmt.Printf("seed %d: full paper attack on the survey site\n", seed)
-	fmt.Printf("  connection broken:        %v\n", r.Broken)
-	fmt.Printf("  page completed:           %v (load time %v)\n", r.PageComplete, r.LoadTime)
-	fmt.Printf("  stream resets forced:     %d\n", r.Resets)
-	fmt.Printf("  duplicate requests:       %d\n", r.ReRequests)
-	fmt.Printf("  total retransmissions:    %d\n", r.Retransmissions)
-	fmt.Printf("  result HTML clean copy:   %v (degree of original %.2f)\n", r.HTMLCleanAny, r.HTMLDegree)
-	fmt.Printf("  result HTML identified:   %v\n", r.HTMLIdentified)
-	fmt.Printf("  survey outcome (truth):   %s\n", partyNames(r.TruthOrder))
-	fmt.Printf("  adversary's prediction:   %s\n", partyNames(r.PredOrder))
-	correct := 0
-	for i := range r.TruthOrder {
-		if r.ImageSuccess(i) {
-			correct++
-		}
-	}
-	fmt.Printf("  positions recovered:      %d/%d\n", correct, website.PartyCount)
-}
-
-func partyNames(order [website.PartyCount]int) string {
-	s := ""
-	for i, p := range order {
-		if i > 0 {
-			s += " > "
-		}
-		if p < 0 || p >= website.PartyCount {
-			s += "?"
-			continue
-		}
-		s += website.PartyLabels[p]
-	}
-	return s
 }

@@ -66,8 +66,9 @@ func runShardMode(cli *cliFlags, defs []experiment.SweepDef, tp *telemetryPlane)
 	done := true
 	// runSlice executes one campaign's [start, end) slice through run,
 	// writes the slice's obs snapshot, and records the campaign in the
-	// manifest. Base filenames derive from the campaign name.
-	runSlice := func(name, fingerprint string, trials int,
+	// manifest. Base filenames derive from the campaign name. segments
+	// labels the metrics registry as run would, for an empty slice.
+	runSlice := func(name, fingerprint string, trials int, segments func(*obs.Registry),
 		run func(cfg pipeline.Config, st *experiment.ObsState, jsonl string) (pipeline.Summary, error)) error {
 		r := shard.Plan(trials, count)[idx]
 		if g := tp.liveGauges(); g != nil {
@@ -93,7 +94,21 @@ func runShardMode(cli *cliFlags, defs []experiment.SweepDef, tp *telemetryPlane)
 		cfg.Checkpoint = filepath.Join(dir, cm.Checkpoint)
 		cfg.Stop = stop
 		st := experiment.NewObsState()
-		sum, err := run(cfg, st, filepath.Join(dir, cm.Results))
+		results := filepath.Join(dir, cm.Results)
+		var (
+			sum pipeline.Summary
+			err error
+		)
+		if r.Start == r.End {
+			// pipeline.Config reads End 0 as the whole campaign, so an
+			// empty slice never reaches run: it runs no trial and
+			// leaves an empty results file and a zero snapshot.
+			segments(st.Reg)
+			sum.Done = true
+			err = os.WriteFile(results, nil, 0o644)
+		} else {
+			sum, err = run(cfg, st, results)
+		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -112,7 +127,8 @@ func runShardMode(cli *cliFlags, defs []experiment.SweepDef, tp *telemetryPlane)
 	}
 
 	for _, d := range defs {
-		if err := runSlice(d.Name, d.Fingerprint(), d.Trials, d.RunShard); err != nil {
+		segments := func(reg *obs.Registry) { reg.SetSegments(d.Segments...) }
+		if err := runSlice(d.Name, d.Fingerprint(), d.Trials, segments, d.RunShard); err != nil {
 			return err
 		}
 	}
@@ -121,7 +137,7 @@ func runShardMode(cli *cliFlags, defs []experiment.SweepDef, tp *telemetryPlane)
 		if err != nil {
 			return err
 		}
-		err = runSlice(s.Name(), s.Fingerprint(), s.Trials(),
+		err = runSlice(s.Name(), s.Fingerprint(), s.Trials(), s.SetMetrics,
 			func(cfg pipeline.Config, st *experiment.ObsState, jsonl string) (pipeline.Summary, error) {
 				return runSurveyCampaign(s, cfg, st, experiment.SurveyJSONL(jsonl))
 			})

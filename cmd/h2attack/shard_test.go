@@ -281,3 +281,43 @@ func TestParseShardSpec(t *testing.T) {
 		}
 	}
 }
+
+// TestEmptyShardSliceRunsNothing splits a 1-trial -table2 and a 1-site
+// survey over two shards, so shard 1's slice of each is [0, 0). That
+// shard must run no trial and still leave a bundle -merge accepts, and
+// the merged tables and -metrics must equal a single-process run's.
+func TestEmptyShardSliceRunsNothing(t *testing.T) {
+	flags := []string{"-table2", "-trials", "1", "-survey", "-corpus", "1", "-metrics", "-j", "1"}
+	runOut := func(args ...string) string {
+		t.Helper()
+		out, _ := captureStdout(t, func() error {
+			if code := run(append(append([]string(nil), flags...), args...)); code != 0 {
+				t.Fatalf("run(%q) = %d", args, code)
+			}
+			return nil
+		})
+		return out
+	}
+	single := runOut()
+
+	root := t.TempDir()
+	dirs := []string{filepath.Join(root, "b1"), filepath.Join(root, "b2")}
+	for i, dir := range dirs {
+		runOut("-shard", fmt.Sprintf("%d/2", i+1), "-shard-dir", dir)
+	}
+	for _, name := range []string{"table2", "survey"} {
+		data, err := os.ReadFile(filepath.Join(dirs[0], name+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) != 0 {
+			t.Errorf("shard 1/2 wrote %d bytes of %s results for its empty slice", len(data), name)
+		}
+		if got := readTrialCount(t, filepath.Join(dirs[0], name+".obs.json")); got != 0 {
+			t.Errorf("shard 1/2 snapshot of %s counts %d trials, want 0", name, got)
+		}
+	}
+	if merged := runOut("-merge", strings.Join(dirs, ",")); merged != single {
+		t.Errorf("merged output differs from a single process:\n%s\nwant\n%s", merged, single)
+	}
+}

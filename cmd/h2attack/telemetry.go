@@ -49,36 +49,19 @@ func startTelemetry(addr string) (*telemetryPlane, error) {
 	return p, nil
 }
 
-// trialReplayer is the one trial replay behind -events,
-// -events-trace and the /events endpoint: a world with a 4096-event
-// flight recorder attached, both built on first use and reused after.
-// It always runs the full-attack trial on the paper site, which is
-// -table2's trial at that seed and no other campaign's: table1, fig5,
-// drops, delay, defenses and every survey run a different trial at the
-// same seed. Trials are pure functions of their parameters, so for
-// -table2 the replayed ring is what that campaign's trial recorded.
-type trialReplayer struct {
-	w   *experiment.World
-	rec *obs.Recorder
-}
-
-// replay runs seed's full-attack trial; rec then holds its events.
-func (tr *trialReplayer) replay(seed int64) experiment.TrialResult {
-	if tr.w == nil {
-		tr.w = experiment.NewWorld()
-		tr.rec = obs.NewRecorder(4096)
-		tr.w.SetRecorder(tr.rec)
-	}
-	return tr.w.RunTrial(experiment.TrialParams{Seed: seed, Mode: experiment.ModeFullAttack})
-}
-
-// newEventReplayer builds the /events hook. The server serializes
-// calls (Server.replayMu), so one replayer is safe.
+// newEventReplayer builds the /events hook: a world with a 4096-event
+// flight recorder attached that replays the full-attack trial on the
+// paper site, which is -table2's trial at that seed and no other
+// campaign's (cmd/h2trace replays the others). Trials are pure
+// functions of their parameters, so the replayed ring is what that
+// campaign's trial recorded. The server serializes calls
+// (Server.replayMu), so one world is safe.
 func newEventReplayer() func(seed int64) ([]obs.Event, error) {
-	tr := &trialReplayer{}
+	w, rec := experiment.NewWorld(), obs.NewRecorder(4096)
+	w.SetRecorder(rec)
 	return func(seed int64) ([]obs.Event, error) {
-		tr.replay(seed)
-		return tr.rec.Events(), nil
+		w.RunTrial(experiment.TrialParams{Seed: seed, Mode: experiment.ModeFullAttack})
+		return rec.Events(), nil
 	}
 }
 
@@ -152,28 +135,4 @@ func progressPrinter(name string) func(runner.Progress) {
 			fmt.Fprintln(os.Stderr)
 		}
 	}
-}
-
-// runEventsTrace replays one full-attack trial with the flight
-// recorder attached and writes the ring as Perfetto/Chrome
-// trace_event JSON (one track per simulated layer). spec is the
-// -events selector when given; otherwise the trial uses -seed.
-func runEventsTrace(spec string, seed int64, path string) error {
-	if spec != "" {
-		s, err := parseSeedSpec(spec)
-		if err != nil {
-			return err
-		}
-		seed = s
-	}
-	var tr trialReplayer
-	tr.replay(seed)
-	events := tr.rec.Events()
-	data := telemetry.AppendTrace(nil, events, fmt.Sprintf("seed %d", seed))
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d events, seed %d; open in https://ui.perfetto.dev)\n",
-		path, len(events), seed)
-	return nil
 }

@@ -5,13 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/obs"
 )
 
-// TestReplayIsTable2Trial pins what -events, -events-trace and /events
-// replay: the full-attack trial on the paper site, which is -table2's
-// trial at that seed. A campaign of any other sweep or a survey runs
-// a different trial at the same seed.
-func TestReplayIsTable2Trial(t *testing.T) {
+// TestEventsReplaysTable2Trial pins what /events replays: the trial
+// -table2 runs at that seed. A world running that campaign's own trial
+// parameters records the same ring.
+func TestEventsReplaysTable2Trial(t *testing.T) {
 	const trials, seed0 = 3, 11
 	var table2 experiment.SweepDef
 	for _, d := range experiment.Sweeps(trials, seed0) {
@@ -19,18 +19,18 @@ func TestReplayIsTable2Trial(t *testing.T) {
 			table2 = d
 		}
 	}
-	results := table2.Run()
-	if len(results) != trials {
-		t.Fatalf("table2 ran %d trials, want %d", len(results), trials)
-	}
-	var tr trialReplayer
-	for i, want := range results {
+	replay := newEventReplayer()
+	w, rec := experiment.NewWorld(), obs.NewRecorder(4096)
+	w.SetRecorder(rec)
+	for i := 0; i < table2.Trials; i++ {
 		seed := seed0 + int64(i)
-		if got := tr.replay(seed); !reflect.DeepEqual(got, want) {
-			t.Errorf("replay(%d) = %+v, want table2's trial %+v", seed, got, want)
+		got, err := replay(seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(tr.rec.Events()) == 0 {
-			t.Errorf("replay(%d) recorded no events", seed)
+		w.RunTrial(table2.Params(i))
+		if want := rec.Events(); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("/events?seed=%d replayed %d events, want table2 trial %d's %d", seed, len(got), i, len(want))
 		}
 	}
 }

@@ -1,17 +1,25 @@
-// Command h2trace runs one simulated trial and exports its traces as
-// CSV for external analysis or plotting: the middlebox's record
-// observations (the adversary's view), the server's ground-truth
-// frame events, and the predictor's inferences.
+// Command h2trace replays one campaign trial and exports it: as CSV
+// for external analysis or plotting (the middlebox's record
+// observations, the server's ground-truth frame events, the per-copy
+// multiplexing analysis and the predictor's inferences), as a
+// Perfetto timeline, as the flight-recorder event dump or as a
+// narrated summary.
+//
+// The trial is the one a campaign counts at that seed: -mode passive
+// is Table I's 0 ms column trial, -mode jitter its 50 ms column trial,
+// and -mode attack Table II's trial.
 //
 // Usage:
 //
 //	h2trace -seed 7 -mode attack -out trace        # writes trace-*.csv
 //	h2trace -seed 7 -mode passive -out -           # records CSV to stdout
+//	h2trace -seed 42 -format trial                 # narrate the trial
+//	h2trace -seed 42 -format events                # flight-recorder dump
 //
-// -format perfetto switches from the CSV exports to a single
-// Perfetto/Chrome trace_event JSON timeline of the trial's
-// flight-recorder events, one track per simulated layer — load it at
-// https://ui.perfetto.dev or chrome://tracing:
+// -format perfetto writes a single Perfetto/Chrome trace_event JSON
+// timeline of the trial's flight-recorder events, one track per
+// simulated layer — load it at https://ui.perfetto.dev or
+// chrome://tracing:
 //
 //	h2trace -seed 7 -format perfetto -out trial.json
 package main
@@ -22,85 +30,149 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/h2sim"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/website"
 )
 
+// modes maps -mode to the campaign trial it replays and the name the
+// events and trial headers give it.
+var modes = map[string]struct {
+	params experiment.TrialParams
+	name   string
+}{
+	"passive": {experiment.TrialParams{Mode: experiment.ModePassive}, "passive eavesdropper"},
+	"jitter":  {experiment.TrialParams{Mode: experiment.ModeJitter, Spacing: 50 * time.Millisecond}, "50ms request jitter"},
+	"attack":  {experiment.TrialParams{Mode: experiment.ModeFullAttack}, "full paper attack"},
+}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
+// formats lists the -format values; events and trial print to
+// stdout.
+var formats = []string{"csv", "perfetto", "events", "trial"}
+
+// cliFlags holds every h2trace flag value.
+type cliFlags struct {
+	seed              int64
+	mode, out, format string
+}
+
+// defineFlags registers every h2trace flag on fs (the README flag
+// table is checked against this set).
+func defineFlags(fs *flag.FlagSet) *cliFlags {
+	c := &cliFlags{}
+	fs.Int64Var(&c.seed, "seed", 1, "trial seed")
+	fs.StringVar(&c.mode, "mode", "attack", "trial replayed: passive (Table I, 0 ms) | jitter (Table I, 50 ms) | attack (Table II)")
+	fs.StringVar(&c.out, "out", "trace", "output prefix (csv) or file (perfetto); - for stdout")
+	fs.StringVar(&c.format, "format", "csv", "export format: "+strings.Join(formats, " | ")+" (events and trial print to stdout)")
+	return c
+}
+
 func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("h2trace", flag.ContinueOnError)
-	var (
-		seed   = fs.Int64("seed", 1, "trial seed")
-		mode   = fs.String("mode", "attack", "adversary: passive | jitter | attack")
-		out    = fs.String("out", "trace", "output prefix (csv) or file (perfetto); - for stdout")
-		format = fs.String("format", "csv", "export format: csv | perfetto")
-	)
+	cli := defineFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
 		}
 		return 2
 	}
+	if !slices.Contains(formats, cli.format) {
+		fmt.Fprintf(os.Stderr, "h2trace: unknown format %q (want %s)\n", cli.format, strings.Join(formats, ", "))
+		return 2
+	}
+	m, ok := modes[cli.mode]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "h2trace: unknown mode %q\n", cli.mode)
+		return 2
+	}
 
-	var rec *obs.Recorder
-	cfg := h2sim.SessionConfig{Seed: *seed}
-	switch *format {
-	case "csv":
+	p := m.params
+	p.Seed = cli.seed
+	w, rec, r := replay(p)
+	var err error
+	switch cli.format {
+	case "events":
+		fmt.Fprintf(stdout, "seed %d: flight recorder, %s (broken=%v resets=%d re-requests=%d retransmissions=%d)\n",
+			cli.seed, m.name, r.Broken, r.Resets, r.ReRequests, r.Retransmissions)
+		_, err = io.WriteString(stdout, rec.Dump())
+	case "trial":
+		writeTrial(stdout, cli.seed, m.name, r)
 	case "perfetto":
-		// The timeline renders the flight-recorder ring, so the trial
-		// runs with a recording sink attached (CSV mode keeps the zero
-		// sink — its exports read the ground-truth structures directly).
-		rec = obs.NewRecorder(4096)
-		cfg.Obs = obs.Sink{}.WithRecorder(rec)
+		err = writePerfetto(stdout, rec, cli.seed, cli.out)
 	default:
-		fmt.Fprintf(os.Stderr, "h2trace: unknown format %q (want csv or perfetto)\n", *format)
-		return 2
+		sess, atk := w.Last()
+		err = writeCSV(stdout, sess, atk, cli.out)
 	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "h2trace: %v\n", err)
+		return 1
+	}
+	return 0
+}
 
-	site := website.Survey(website.IdentityPermutation())
-	sess := h2sim.NewSession(site, cfg)
-	var atk *core.Attack
-	switch *mode {
-	case "passive":
-		atk = core.InstallPassive(sess)
-	case "jitter":
-		atk = core.Install(sess, core.AttackConfig{Phase1Spacing: 50 * time.Millisecond})
-	case "attack":
-		atk = core.Install(sess, core.PaperAttack())
-	default:
-		fmt.Fprintf(os.Stderr, "h2trace: unknown mode %q\n", *mode)
-		return 2
-	}
-	if rec != nil {
-		atk.Obs = cfg.Obs
-	}
-	sess.Run()
+// replay runs trial p in a world with a 4096-event flight recorder
+// attached. The world's Last holds the trial's session and adversary,
+// and the recorder its events.
+func replay(p experiment.TrialParams) (*experiment.World, *obs.Recorder, experiment.TrialResult) {
+	w, rec := experiment.NewWorld(), obs.NewRecorder(4096)
+	w.SetRecorder(rec)
+	return w, rec, w.RunTrial(p)
+}
 
-	if rec != nil {
-		if err := writePerfetto(stdout, rec, *seed, *mode, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "h2trace: %v\n", err)
-			return 1
+// writeTrial narrates the trial's outcome.
+func writeTrial(w io.Writer, seed int64, name string, r experiment.TrialResult) {
+	fmt.Fprintf(w, "seed %d: %s on the survey site\n", seed, name)
+	fmt.Fprintf(w, "  connection broken:        %v\n", r.Broken)
+	fmt.Fprintf(w, "  page completed:           %v (load time %v)\n", r.PageComplete, r.LoadTime)
+	fmt.Fprintf(w, "  stream resets forced:     %d\n", r.Resets)
+	fmt.Fprintf(w, "  duplicate requests:       %d\n", r.ReRequests)
+	fmt.Fprintf(w, "  total retransmissions:    %d\n", r.Retransmissions)
+	fmt.Fprintf(w, "  result HTML clean copy:   %v (degree of original %.2f)\n", r.HTMLCleanAny, r.HTMLDegree)
+	fmt.Fprintf(w, "  result HTML identified:   %v\n", r.HTMLIdentified)
+	fmt.Fprintf(w, "  survey outcome (truth):   %s\n", partyNames(r.TruthOrder))
+	fmt.Fprintf(w, "  adversary's prediction:   %s\n", partyNames(r.PredOrder))
+	correct := 0
+	for i := range r.TruthOrder {
+		if r.ImageSuccess(i) {
+			correct++
 		}
-		return 0
 	}
+	fmt.Fprintf(w, "  positions recovered:      %d/%d\n", correct, website.PartyCount)
+}
 
-	if *out == "-" {
-		if err := writeRecords(stdout, atk); err != nil {
-			fmt.Fprintf(os.Stderr, "h2trace: %v\n", err)
-			return 1
+func partyNames(order [website.PartyCount]int) string {
+	s := ""
+	for i, p := range order {
+		if i > 0 {
+			s += " > "
 		}
-		return 0
+		if p < 0 || p >= website.PartyCount {
+			s += "?"
+			continue
+		}
+		s += website.PartyLabels[p]
+	}
+	return s
+}
+
+// writeCSV writes the four CSV exports as out-records.csv and so on,
+// or only the records CSV to stdout when out is -.
+func writeCSV(stdout io.Writer, sess *h2sim.Session, atk *core.Attack, out string) error {
+	if out == "-" {
+		return writeRecords(stdout, atk)
 	}
 	files := []struct {
 		suffix string
@@ -108,32 +180,30 @@ func run(args []string, stdout io.Writer) int {
 	}{
 		{"-records.csv", func(w io.Writer) error { return writeRecords(w, atk) }},
 		{"-frames.csv", func(w io.Writer) error { return writeFrames(w, sess) }},
-		{"-copies.csv", func(w io.Writer) error { return writeCopies(w, sess, site) }},
+		{"-copies.csv", func(w io.Writer) error { return writeCopies(w, sess) }},
 		{"-inferences.csv", func(w io.Writer) error { return writeInferences(w, atk) }},
 	}
 	for _, file := range files {
-		name := *out + file.suffix
+		name := out + file.suffix
 		f, err := os.Create(name)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "h2trace: %v\n", err)
-			return 1
+			return err
 		}
 		werr := file.write(f)
 		cerr := f.Close()
 		if werr != nil || cerr != nil {
-			fmt.Fprintf(os.Stderr, "h2trace: writing %s: %v %v\n", name, werr, cerr)
-			return 1
+			return fmt.Errorf("writing %s: %v %v", name, werr, cerr)
 		}
 		fmt.Fprintf(stdout, "wrote %s\n", name)
 	}
-	return 0
+	return nil
 }
 
 // writePerfetto renders the trial's flight-recorder ring as
 // trace_event JSON. out is the target file (".json" is appended to a
 // bare prefix so the default -out writes trace.json), or - for stdout.
-func writePerfetto(stdout io.Writer, rec *obs.Recorder, seed int64, mode, out string) error {
-	data := telemetry.AppendTrace(nil, rec.Events(), fmt.Sprintf("seed %d %s", seed, mode))
+func writePerfetto(stdout io.Writer, rec *obs.Recorder, seed int64, out string) error {
+	data := telemetry.AppendTrace(nil, rec.Events(), fmt.Sprintf("seed %d", seed))
 	data = append(data, '\n')
 	if out == "-" {
 		_, err := stdout.Write(data)
@@ -193,13 +263,13 @@ func writeFrames(w io.Writer, sess *h2sim.Session) error {
 }
 
 // writeCopies dumps the per-copy multiplexing analysis.
-func writeCopies(w io.Writer, sess *h2sim.Session, site *website.Site) error {
+func writeCopies(w io.Writer, sess *h2sim.Session) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"object", "label", "copy", "bytes", "complete", "degree", "start_us", "end_us"}); err != nil {
 		return err
 	}
 	for _, c := range analysis.CopyTransmissions(sess.GroundTruth) {
-		obj, _ := site.Object(c.Key.ObjectID)
+		obj, _ := sess.Site.Object(c.Key.ObjectID)
 		if err := cw.Write([]string{
 			strconv.Itoa(c.Key.ObjectID),
 			obj.Label,

@@ -4,16 +4,24 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/experiment"
 )
 
 // h2traceGolden is the sha256 of each export of seeds 1–3 under each
 // adversary mode. Any change to the simulated trial, the attack or an
-// exporter shows up here first; rebase the table only on purpose.
+// exporter shows up here first; rebase the table only on purpose. The
+// attack rows' Perfetto digests equal singleTrialPins' trace digests.
 var h2traceGolden = []struct {
 	seed int64
 	mode string
@@ -21,68 +29,91 @@ var h2traceGolden = []struct {
 	sums [5]string
 }{
 	{1, "passive", [5]string{
-		"9330e98f400cd940f3adf47102f04a8549267b968c525bea0edf75b46861f08a",
-		"93cc406f3ef7d4693cfd4da3c2cd77fdee89dd26ca5331cda87cc9fbcdade194",
-		"aaea0909dfa327583325c4de7d9568a28e60767ceba836a7d9b0f6dba2ec31dd",
-		"59197c143905ddbed674eec4bac9e68ed7a5c42ebab76aab4dcbd15c4970c05e",
-		"fd1ac4c87c33def8fdb569f597307cae22bfe2f9ba18627d6135c9ce08ec9ff0",
+		"404c59afd037f290bfa94cb8140f976ad200e6051f29b0dbc39b54ac2ae61420",
+		"063e1d568b861aa67d7f5e41578b2867324bdb960dfe7aa4c60648779110f89b",
+		"b0d2fa38357f700bd2429c2dc9de666c31757a57c5de113d51493c81a6e8761b",
+		"dd9a5cfde05a663819efe1b2648fac48bbac37fb81f0d9cd39d8f661cd90f2d7",
+		"ad2d6119bd9f0aba85054734fe121330fd14036ddf3aabd6aedc9c587ab7df90",
 	}},
 	{1, "jitter", [5]string{
-		"05b254ce6c55ee5d2b8f43e18004bec86c1884e337898df2fc5e74c3e11f3bd4",
-		"278bd37ae5ebba987c42a679687086db52068d57fd77103d75dd143a7d99bdfe",
-		"2ca8ace291de87817170e076f9e378a55d669b8646725b0d9bb01a14d4d10bb0",
-		"b153e6cbddcf7bce2d6fe630137fd64129238fe51de3faf2daec1dca875feb68",
-		"e2c79e9678c5c9980aa2619fafa45d46895754000b9295a5f4a85eda8b6b38c4",
+		"4ef656687bab8e3214a8cda6a8850c7808f779b4d50d3964bb8a7f837cacac7b",
+		"4ed139cd9ee4a103c62929d478836416aabd7a7e27147d0dda2ae1ff7fdf453a",
+		"96f2a885a056c00011fba65ea8ae64e09311db6fd28faffa09a170b9f20d74a1",
+		"60adc19a21b135778348f8b1194ca7c8f68b7bad01768f0d7b93e8b6385a0c0b",
+		"b9808a8447a67e61808fd168e245049bdd6a38d880d0a14325a3c2f95b65274e",
 	}},
 	{1, "attack", [5]string{
-		"eee428a878d4b3ae280479e2e84455030ccb3f44de9c042b713e65b5a082fd10",
-		"398ccdb2ae63fe3aa08fe8261693b7002cca58d20cc16c95369a18c640f51c08",
-		"9951ec2211aaa9644b1b0a880c83632fd976da67653b8d359b74a2248bd1ef24",
-		"f60c12e915fa26b5e040cfa84a2d6ecb21ef8b2b75fb0e3fe5aa5eceff57235a",
-		"84d3b5c3965e3f6f5bb53ce683fa9d5f4faa4eade7cf8a3b77a79f512a18f3e5",
+		"349e616c0731061bff93ce40539ced6220fef6f4af69b6b2219ddd7aba6ca27e",
+		"50939dc24c6c2c6b30de5226fcf2ef8308855ea3dddbf9fdbb621d3167d0af0c",
+		"25cff752ba8f6ecf3fe56180cec3aa6dc8756dcdd61f49c8511a47da9c6b9d91",
+		"740a8c2cfca0ded3f4da0cdab1a8ee73f2f02d0caac9a4fa27b6c68ae7580e60",
+		"55cbca988b20c3a7c53b1b301d77229b7e1e805efb0f0568edb009090e681eb3",
 	}},
 	{2, "passive", [5]string{
-		"1be1ffcc52566661bf5e1a551a51f2d2c2f2139d18811e4346320aaaa6432e2b",
-		"e28aff8b3c1c5e6b099827321325a44d25506395e7a6a84e00a917a1ea955a54",
-		"40049457e523d6ac01b890a9146c0a52fb3261390dcedfc2b05d9698848c935d",
-		"e668d335ef7bb985e5200fd51d023c505fa2d127b530b3f935183f3703766dc2",
-		"e46ac2b022066528bd0d14cd8d7368ba2c77e7f1da820604da8b2949dba4bf81",
+		"866279606a6395cc9b6fc42c02b803badee9502f6bc7bc658a6c920e4af1db60",
+		"7528689bf6c65029dd35c9f4e3943a7e9017d948e09dea6eb5c3cdb96cd82285",
+		"41da9b91b19d7dc676641da3490e92ddc59ded2ca9c68fc4386a2c804a171ece",
+		"fa516c8edb7a0f0ad0082eadef278b932e9c3d58faba8337d08d4c542b776e98",
+		"471211a95cee82bf8d0e467a087de2be592d7b5e36ae76431e79803704c1f511",
 	}},
 	{2, "jitter", [5]string{
-		"03d287c555bbb681668213bde01704a5004fc62376e6a379abd381b177201e7a",
-		"19d132ecaf085d1fadebfee2848bc4b42b77b13426b2f55951c913a5a9404c88",
-		"3df716f9ebdca99fae315664720f38f6e3a9fb245e6c0f541f1a66f6781bdb3a",
-		"282a874834d5039552eea0a80588513406daab6c32941ad64662a5864d67df27",
-		"7f5523669f0d131dd896c6d9579ee1f81afd49d72a8703679b58a33fe5e57b47",
+		"360bdea717ab00c8929dba41691fa0501e4f71e6e9884b42170db86e832542e1",
+		"b9bdbf91622fb57f3661396c9f032769a81b172ef04bc06c393770543e5fdd48",
+		"0466625edd44067460833f9f911b268eefeb389eaaa05c535fcf936dc59be5d8",
+		"aaeac9f494836ccab00432a8c2ddefee85bd5609423b295bbb86150feb2a50a3",
+		"b517b517d04c3c9dcffed0a796fb9f8c286beee387a8e807671605236dbe7df7",
 	}},
 	{2, "attack", [5]string{
-		"d9d164419cb2aab5e369ff6f31946ed74917cc04dfcf41a51cc9985ef158d801",
-		"9dc6cd67d37986eaf500554235b204eb8b6cb817048a0077a4827f97d7a33ad2",
-		"8726ce298de3ce174bb0ffb4fd49a2db32db4fa47eb57559424a9639f2b74602",
-		"b04d92b2db2ad1a6657c00bceac4a7b7db55dcc83b84ecc1183d45bd6a9a85ff",
-		"5e84b70ff777bb2ee960d4969fb19ddf4eeac4b188737aad5906242501a84b33",
+		"75fe4c20b334b93a462790f4288ff2120ed713fcf2d4dfd07fed5b76437b9c22",
+		"694c16d4d9e55df2072e02c0da9ab636af45ff01fdf0b7c386a632fb45313435",
+		"e7d4bc0f650f5c2977b88c0787e2c423893b27abbb8e7704ba45575cc3dfc97a",
+		"b5745410b03b7a227e0008687321fee6c8052785fc6f08800793592bef0ae2fb",
+		"7f0a0b6b81b5fd2b2f89e9e9c473f1872634ef950693ae6154789e2d0de29aaa",
 	}},
 	{3, "passive", [5]string{
-		"4ddb093129563a1a275522062252c4a11cb6dc1dc072610300d7bb5571070555",
-		"a6e56cb6117c228ae01c33c95eeec4ed6034897531aeec1d07a9f0ee1212983c",
-		"49eab5c13a4b3fe8e6a9a8e06767721874e48e85916bc0f3e39ef4103e6356d5",
-		"5a41c3ee5f3405eadf98edd2a8a30c9af1dd0226713e71150bed0aba287cf946",
-		"d380995f867f5ce292a1a890f04f0cdd1cbe7e887b5298b5a8506af4934e4216",
+		"055b9a7cdabd8142790f7144f12fdd95d0b94b8747f28407158ff5b6bceb885d",
+		"fd7602444ff9dd3128bb96f4389e29b3737f817c6b3b6798766164881eefb540",
+		"3a1df7a2a714f79f6b52214d84cae3d132b2fce1ba1aaa2014fae98486a6e2bb",
+		"e36fa8c6fbb442dec8c2460424c5bd2327fa958e44a76d8ccb68f457c983a709",
+		"c92973f805d9b6ca21b2bdabcd26e1ab66992cbce324be8c5b76727aa9c1fd7b",
 	}},
 	{3, "jitter", [5]string{
-		"83dfbf740895d77181bb505fae488b5bbb1274cfc8867039675d0b2a4cc73e84",
-		"55d0b7955e72b484c43e4c3b0654343212426ef8e8e5849e105c5d27a267ea67",
-		"0589fe63d87fc9f63e97aca3b6b3f92d2d1ac8e16dce04abbe6ac75865f53b22",
-		"c48a7571dec77e8c0a570fff4ac5dc63c82e79893140bc30e72cb1e275cadaf4",
-		"81e5528dfabbe763860ed670a14b8c1d19f673e384becb31f05ca57c3b3b9fd0",
+		"31a9abc3e9e3a66eec60cd647f0c0fd7180011c1e531d54096c9ef77884fd5b9",
+		"0cf8de9fd56148ff1dfc0c87b8fa140582a0c313690b684819751dea8684e7e2",
+		"9bfbb19d15bdf9f5789fe29715cf0d2262e364c0460a8bc961b27a0896f43a3d",
+		"658187ffc3f7bc8addcda2484d24a9d4c365d8cc72d8e09b72ae63e382416795",
+		"a8d9ae02e771a0778da0d138ef9173459a7c75a687d60db42e7addc6f040f4ad",
 	}},
 	{3, "attack", [5]string{
-		"007e792c601b3f271ce3f057010b4ee2461426436152fdabf4d2212bf5bff8ca",
-		"83420146e3a5a780f77d732f2390b60d97a4a1bbfbe5d7be6ba2b1217da07af3",
-		"7be9876eee198c4d7117f9d5fde305ce647370b69f6133c3f05aa35ad79363f9",
-		"184ad29cd88c8400803a8ab6c3ee678620226856d1c89a79cbc4ec0b41c03189",
-		"8b07a05e0e746d8267273d1b9dd0663415ec00a4247319706a42782ca5c4126c",
+		"5788003f379fdb0d97c6a812a68ad9ded901a5dbd2b39a193bc6c90b2222969c",
+		"8840c0a0e9af91fdd80b810985a0ff3bd9ae9163aaa28fedcc85ad89b8ba581b",
+		"120dbf39ba195c4ca26c73477c24ea4639b1fee1471e1f8cd8ffcb9b0493e85b",
+		"ca46c61eab5a1b37f1618a9cd34fc3509dc3d8977897fa55f8bc55ac26dc42a5",
+		"efc0225330e23db1f44203871a20dd7d89ee64513b2b4e2995e107f969af6d7c",
 	}},
+}
+
+// singleTrialPins is the sha256 of each -mode attack single-trial
+// output of seeds 1–3: the -format events and -format trial stdout and
+// the -format perfetto file. They are the digests of the outputs
+// h2attack -events N, -trial -seed N and -events-trace printed before
+// those flags moved here, and must not move.
+var singleTrialPins = []struct {
+	seed                 int64
+	events, trial, trace string
+}{
+	{1,
+		"a3d9436666d5d2cbc02b2b9990373e50019f892d7328e17db3f6ec5a1839b55c",
+		"3a6d2bb84e5f5205b4415e1d4f858ec3398cf7cda42776ae3a7d72b5fd2db1a6",
+		"55cbca988b20c3a7c53b1b301d77229b7e1e805efb0f0568edb009090e681eb3"},
+	{2,
+		"83be2d0c3843d2721c09b2c41c7c8b246561573590101c499f30ac2f820a82aa",
+		"b1424b11b2ec231736bf81174710551a52be1661e9fae26331b758218d6fc291",
+		"7f0a0b6b81b5fd2b2f89e9e9c473f1872634ef950693ae6154789e2d0de29aaa"},
+	{3,
+		"5ebc21e11420bed5021a75634aa46ae87ea72c9dd21ff232c6b3ecc38df3bf50",
+		"31f5900556fc93ffaa253e0278dd275760726bc2938e94c4a164f35d7335eb84",
+		"efc0225330e23db1f44203871a20dd7d89ee64513b2b4e2995e107f969af6d7c"},
 }
 
 func runH2trace(t *testing.T, args ...string) string {
@@ -94,14 +125,18 @@ func runH2trace(t *testing.T, args ...string) string {
 	return stdout.String()
 }
 
+func sum(data []byte) string {
+	s := sha256.Sum256(data)
+	return hex.EncodeToString(s[:])
+}
+
 func fileSum(t *testing.T, path string) string {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	return sum(data)
 }
 
 // TestH2traceGolden runs every pinned (seed, mode) pair in both export
@@ -170,5 +205,131 @@ func TestH2traceUsageErrors(t *testing.T) {
 		if code := run(args, &stdout); code != 2 {
 			t.Errorf("h2trace %s: exit %d, want 2", strings.Join(args, " "), code)
 		}
+	}
+}
+
+// TestH2traceKeepsSingleTrialPins runs -mode attack in the events,
+// trial and perfetto formats and checks each output against
+// singleTrialPins.
+func TestH2traceKeepsSingleTrialPins(t *testing.T) {
+	for _, p := range singleTrialPins {
+		seed := fmt.Sprint(p.seed)
+		if got := sum([]byte(runH2trace(t, "-seed", seed, "-mode", "attack", "-format", "events"))); got != p.events {
+			t.Errorf("seed %d: events sha256 %s, want %s", p.seed, got, p.events)
+		}
+		if got := sum([]byte(runH2trace(t, "-seed", seed, "-mode", "attack", "-format", "trial"))); got != p.trial {
+			t.Errorf("seed %d: trial sha256 %s, want %s", p.seed, got, p.trial)
+		}
+		trace := filepath.Join(t.TempDir(), "trial.json")
+		runH2trace(t, "-seed", seed, "-mode", "attack", "-format", "perfetto", "-out", trace)
+		if got := fileSum(t, trace); got != p.trace {
+			t.Errorf("seed %d: perfetto sha256 %s, want %s", p.seed, got, p.trace)
+		}
+	}
+}
+
+// TestH2traceModesAreCampaignTrials pins which trial each mode
+// replays: passive is Table I's 0 ms column trial, jitter its 50 ms
+// column trial, and attack Table II's trial, at the same seed. The
+// events and trial headers name the mode.
+func TestH2traceModesAreCampaignTrials(t *testing.T) {
+	const trials, seed0 = 3, 11
+	sweeps := map[string][]experiment.TrialResult{}
+	for _, d := range experiment.Sweeps(trials, seed0) {
+		if d.Name == "table1" || d.Name == "table2" {
+			sweeps[d.Name] = d.Run()
+		}
+	}
+	for _, c := range []struct {
+		mode, sweep string
+		column      int
+		header      string
+	}{
+		{"passive", "table1", 0, "passive eavesdropper"},
+		{"jitter", "table1", 2, "50ms request jitter"},
+		{"attack", "table2", 0, "full paper attack"},
+	} {
+		for i := 0; i < trials; i++ {
+			seed := seed0 + int64(i)
+			p := modes[c.mode].params
+			p.Seed = seed
+			_, rec, got := replay(p)
+			if want := sweeps[c.sweep][c.column*trials+i]; !reflect.DeepEqual(got, want) {
+				t.Errorf("-mode %s -seed %d = %+v, want %s's trial %+v", c.mode, seed, got, c.sweep, want)
+			}
+			if len(rec.Events()) == 0 {
+				t.Errorf("-mode %s -seed %d recorded no events", c.mode, seed)
+			}
+		}
+		events := runH2trace(t, "-mode", c.mode, "-format", "events")
+		if want := "seed 1: flight recorder, " + c.header + " ("; !strings.HasPrefix(events, want) {
+			t.Errorf("-mode %s -format events header %q, want prefix %q", c.mode, strings.SplitN(events, "\n", 2)[0], want)
+		}
+		trial := runH2trace(t, "-mode", c.mode, "-format", "trial")
+		if want := "seed 1: " + c.header + " on the survey site\n"; !strings.HasPrefix(trial, want) {
+			t.Errorf("-mode %s -format trial header %q, want %q", c.mode, strings.SplitN(trial, "\n", 2)[0], want)
+		}
+	}
+}
+
+// TestH2traceREADMETableMatchesFlags keeps README's cmd/h2trace table
+// in step with the command: every registered flag has a row, every row
+// names a registered flag, and the -mode and -format rows list exactly
+// the values run accepts.
+func TestH2traceREADMETableMatchesFlags(t *testing.T) {
+	data, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, after, ok := strings.Cut(string(data), "`cmd/h2trace` — ")
+	if !ok {
+		t.Fatal("README has no cmd/h2trace flag table")
+	}
+	table, _, _ := strings.Cut(after, "\n## ")
+	flagName := regexp.MustCompile("^`-([a-z0-9-]+)")
+	value := regexp.MustCompile("`([a-z]+)`")
+	documented := map[string][]string{} // flag name -> the values its meaning cell lists
+	for _, line := range strings.Split(table, "\n") {
+		// Cells: "", flag, default, meaning, ""; an escaped \| stays
+		// inside its cell.
+		cells := strings.Split(strings.ReplaceAll(line, `\|`, "/"), "|")
+		if len(cells) != 5 {
+			continue
+		}
+		m := flagName.FindStringSubmatch(strings.TrimSpace(cells[1]))
+		if m == nil {
+			continue
+		}
+		documented[m[1]] = []string{}
+		for _, v := range value.FindAllStringSubmatch(cells[3], -1) {
+			documented[m[1]] = append(documented[m[1]], v[1])
+		}
+		sort.Strings(documented[m[1]])
+	}
+
+	fs := flag.NewFlagSet("h2trace", flag.ContinueOnError)
+	defineFlags(fs)
+	var registered, rows []string
+	fs.VisitAll(func(f *flag.Flag) { registered = append(registered, f.Name) })
+	for name := range documented {
+		rows = append(rows, name)
+	}
+	sort.Strings(rows)
+	if !reflect.DeepEqual(rows, registered) {
+		t.Errorf("README rows %v, registered flags %v", rows, registered)
+	}
+
+	wantModes := []string{}
+	for m := range modes {
+		wantModes = append(wantModes, m)
+	}
+	wantFormats := slices.Clone(formats)
+	sort.Strings(wantModes)
+	sort.Strings(wantFormats)
+	if got := documented["mode"]; !reflect.DeepEqual(got, wantModes) {
+		t.Errorf("README -mode row lists %v, want %v", got, wantModes)
+	}
+	if got := documented["format"]; !reflect.DeepEqual(got, wantFormats) {
+		t.Errorf("README -format row lists %v, want %v", got, wantFormats)
 	}
 }

@@ -55,9 +55,9 @@ func TestSweepMetricsDoNotChangeResults(t *testing.T) {
 }
 
 // TestWorldRecorderCapturesTrial pins the flight-recorder path used
-// by `h2attack -events`: a full-attack trial records typed events
-// with sim timestamps, and re-running the same seed replays the
-// identical event stream.
+// by `h2trace -format events` and `/events`: a full-attack trial
+// records typed events with sim timestamps, and re-running the same
+// seed replays the identical event stream.
 func TestWorldRecorderCapturesTrial(t *testing.T) {
 	w := NewWorld()
 	rec := obs.NewRecorder(4096)

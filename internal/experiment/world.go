@@ -65,6 +65,11 @@ func (w *World) SetMetrics(shard *obs.Shard) { w.shard = shard }
 // trial's (most recent) events. Pass nil to detach.
 func (w *World) SetRecorder(rec *obs.Recorder) { w.rec = rec }
 
+// Last returns the session and adversary of the world's most recent
+// trial (nil before the first). They are reset in place by the next
+// trial, so they are valid until then.
+func (w *World) Last() (*h2sim.Session, *core.Attack) { return w.sess, w.atk }
+
 // RunTrial executes one trial in this world. Equivalent to the
 // package-level RunTrial(p), amortizing construction across calls.
 func (w *World) RunTrial(p TrialParams) TrialResult {

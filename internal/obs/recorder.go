@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"time"
 )
@@ -92,40 +93,12 @@ type Event struct {
 // simulation, and dumped afterwards. Recording is allocation-free
 // (the ring is preallocated) and single-goroutine, like everything
 // else inside one trial.
-//
-// An optional kind filter (SetFilter) restricts recording to a subset
-// of event kinds. Filtered-out events are rejected before they touch
-// the ring: they consume no slot, evict nothing, and do not count
-// toward Total — so a noisy layer (per-packet netem drops) cannot
-// wash an interesting sparse signal (reset rounds) out of the ring.
 type Recorder struct {
 	ring    []Event
 	next    int
 	total   uint64
 	dropped uint64
-	filter  EventMask // 0 = record every kind
 }
-
-// EventMask is a bit set of EventKinds (bit k = kind k). The zero
-// mask means "no filter" on a Recorder: every kind records.
-type EventMask uint64
-
-// MaskOf builds a mask admitting exactly the given kinds.
-func MaskOf(kinds ...EventKind) EventMask {
-	var m EventMask
-	for _, k := range kinds {
-		m |= 1 << k
-	}
-	return m
-}
-
-// Has reports whether the mask admits kind k.
-func (m EventMask) Has(k EventKind) bool { return m&(1<<k) != 0 }
-
-// SetFilter restricts the recorder to the masked kinds (zero removes
-// the filter). The filter applies to subsequent Record calls only;
-// events already in the ring are kept.
-func (r *Recorder) SetFilter(m EventMask) { r.filter = m }
 
 // NewRecorder returns a recorder holding up to capacity events
 // (minimum 1).
@@ -136,9 +109,7 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{ring: make([]Event, 0, capacity)}
 }
 
-// Reset discards all recorded events, keeping the ring's capacity and
-// the kind filter (the filter is a recorder-lifetime configuration,
-// not per-trial state).
+// Reset discards all recorded events, keeping the ring's capacity.
 func (r *Recorder) Reset() {
 	r.ring = r.ring[:0]
 	r.next = 0
@@ -146,13 +117,8 @@ func (r *Recorder) Reset() {
 	r.dropped = 0
 }
 
-// Record appends one event, evicting the oldest when full. Events
-// rejected by the kind filter never reach the ring and count in
-// neither Total nor Dropped.
+// Record appends one event, evicting the oldest when full.
 func (r *Recorder) Record(at time.Duration, kind EventKind, a, b int64) {
-	if r.filter != 0 && !r.filter.Has(kind) {
-		return
-	}
 	r.total++
 	if len(r.ring) < cap(r.ring) {
 		r.ring = append(r.ring, Event{At: at, Kind: kind, A: a, B: b})
@@ -180,15 +146,23 @@ func (r *Recorder) Dropped() uint64 { return r.dropped }
 // ones.
 func (r *Recorder) Total() uint64 { return r.total }
 
-// Dump renders the recorded events as one line each — sim timestamp,
-// kind, payload — the -events seed=N output.
+// Dump renders the recorded events through WriteEvents, after a line
+// naming the evicted events when the ring overflowed: the h2trace
+// -format events output.
 func (r *Recorder) Dump() string {
 	var b strings.Builder
 	if r.dropped > 0 {
 		fmt.Fprintf(&b, "(ring full: %d oldest of %d events evicted)\n", r.dropped, r.total)
 	}
-	for _, e := range r.Events() {
-		fmt.Fprintf(&b, "%12s  %-16s a=%-8d b=%d\n", e.At, e.Kind, e.A, e.B)
-	}
+	WriteEvents(&b, r.Events())
 	return b.String()
+}
+
+// WriteEvents renders events as one line each: sim timestamp, kind,
+// payload. Recorder.Dump and the status server's /events text view
+// both render through it.
+func WriteEvents(w io.Writer, events []Event) {
+	for _, e := range events {
+		fmt.Fprintf(w, "%12s  %-16s a=%-8d b=%d\n", e.At, e.Kind, e.A, e.B)
+	}
 }

@@ -35,115 +35,3 @@ func TestRecorderWraparound(t *testing.T) {
 		}
 	}
 }
-
-// TestRecorderFilter pins the filter contract: filtered-out kinds
-// never touch the ring — they consume no slot, evict nothing, and
-// count in neither Total nor Dropped — so a sparse signal survives a
-// noisy interleaved one.
-func TestRecorderFilter(t *testing.T) {
-	r := NewRecorder(4)
-	r.SetFilter(MaskOf(EvH2ResetRound, EvAtkPhase))
-
-	// Interleave a flood of filtered-out drops with sparse admitted
-	// events. Without the filter the drops would wash every reset
-	// round out of a 4-slot ring.
-	for i := 0; i < 100; i++ {
-		r.Record(time.Duration(i), EvNetemDrop, int64(i), 0)
-		if i%20 == 0 {
-			r.Record(time.Duration(i), EvH2ResetRound, int64(i/20), 0)
-		}
-	}
-	r.Record(101, EvAtkPhase, 2, 0)
-
-	ev := r.Events()
-	if len(ev) != 4 {
-		t.Fatalf("len(Events) = %d, want 4", len(ev))
-	}
-	// 5 reset rounds + 1 phase admitted; ring keeps the last 4 in
-	// arrival order: rounds 3, 4 then the phase... rounds are at
-	// i=0,20,40,60,80 → A=0..4; admitted total 6, dropped 2 (A=0,1).
-	want := []struct {
-		kind EventKind
-		a    int64
-	}{
-		{EvH2ResetRound, 2},
-		{EvH2ResetRound, 3},
-		{EvH2ResetRound, 4},
-		{EvAtkPhase, 2},
-	}
-	for i, w := range want {
-		if ev[i].Kind != w.kind || ev[i].A != w.a {
-			t.Errorf("event %d = %v a=%d, want %v a=%d", i, ev[i].Kind, ev[i].A, w.kind, w.a)
-		}
-	}
-	if r.Total() != 6 {
-		t.Errorf("Total = %d, want 6 (filtered events must not count)", r.Total())
-	}
-	if r.Dropped() != 2 {
-		t.Errorf("Dropped = %d, want 2 (evictions among admitted events only)", r.Dropped())
-	}
-
-	// Reset keeps the filter (recorder-lifetime configuration).
-	r.Reset()
-	r.Record(1, EvNetemDrop, 1, 0)
-	r.Record(2, EvH2ResetRound, 7, 0)
-	if ev := r.Events(); len(ev) != 1 || ev[0].Kind != EvH2ResetRound {
-		t.Errorf("after Reset: events = %v, want the reset round only", ev)
-	}
-
-	// Clearing the filter admits everything again.
-	r.SetFilter(0)
-	r.Record(3, EvNetemDrop, 2, 0)
-	if ev := r.Events(); len(ev) != 2 {
-		t.Errorf("after clearing filter: %d events, want 2", len(ev))
-	}
-}
-
-// TestRecorderFilterWraparoundInteraction drives the filter and the
-// ring wraparound together: eviction order among admitted events must
-// be unaffected by any number of interleaved rejected events.
-func TestRecorderFilterWraparoundInteraction(t *testing.T) {
-	const capacity = 3
-	filtered := NewRecorder(capacity)
-	filtered.SetFilter(MaskOf(EvH2Request))
-	reference := NewRecorder(capacity)
-
-	// The reference recorder sees only the admitted stream; the
-	// filtered one sees it buried in noise. Their rings must match
-	// exactly at every step.
-	for i := 0; i < 50; i++ {
-		for j := 0; j < i%5; j++ { // bursty noise, including none
-			filtered.Record(time.Duration(i), EvNetemDrop, int64(j), 0)
-		}
-		filtered.Record(time.Duration(i), EvH2Request, int64(i), int64(i))
-		reference.Record(time.Duration(i), EvH2Request, int64(i), int64(i))
-
-		fe, re := filtered.Events(), reference.Events()
-		if len(fe) != len(re) {
-			t.Fatalf("step %d: %d events vs reference %d", i, len(fe), len(re))
-		}
-		for k := range fe {
-			if fe[k] != re[k] {
-				t.Fatalf("step %d: event %d = %+v, reference %+v", i, k, fe[k], re[k])
-			}
-		}
-		if filtered.Dropped() != reference.Dropped() || filtered.Total() != reference.Total() {
-			t.Fatalf("step %d: counters %d/%d vs reference %d/%d", i,
-				filtered.Dropped(), filtered.Total(), reference.Dropped(), reference.Total())
-		}
-	}
-}
-
-// TestMaskOf pins the mask helper.
-func TestMaskOf(t *testing.T) {
-	m := MaskOf(EvNetemDrop, EvPredRun)
-	if !m.Has(EvNetemDrop) || !m.Has(EvPredRun) {
-		t.Error("mask missing its own kinds")
-	}
-	if m.Has(EvH2Request) || m.Has(EvTCPBroken) {
-		t.Error("mask admits kinds it should not")
-	}
-	if MaskOf() != 0 {
-		t.Error("empty MaskOf should be the no-filter zero mask")
-	}
-}

@@ -208,7 +208,5 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, e := range events {
-		fmt.Fprintf(w, "%12s  %-16s a=%-8d b=%d\n", e.At, e.Kind, e.A, e.B)
-	}
+	obs.WriteEvents(w, events)
 }

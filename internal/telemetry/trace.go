@@ -222,7 +222,7 @@ func AppendTrace(dst []byte, events []obs.Event, name string) []byte {
 			[2]string{"phase"}, [2]int64{phase}, 1)
 	}
 	// Sorted by object ID so the rendered bytes are deterministic (a
-	// -events-trace file for a given seed is always the same file).
+	// Perfetto file for a given seed is always the same file).
 	open := make([]int64, 0, len(pendingReq))
 	for obj := range pendingReq {
 		open = append(open, obj)

@@ -187,7 +187,7 @@ func TestAppendTraceSpans(t *testing.T) {
 }
 
 // TestAppendTraceEmpty verifies an empty ring still renders a valid
-// document (metadata only — a passive trial with the filter set).
+// document (metadata only).
 func TestAppendTraceEmpty(t *testing.T) {
 	out := AppendTrace(nil, nil, "seed 0")
 	var doc traceDoc
