@@ -30,6 +30,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/trace"
 	"repro/internal/website"
+	"repro/internal/wire"
 )
 
 // benchTrials is the per-configuration page-load count used by the
@@ -198,14 +199,15 @@ func BenchmarkBaselineTrial(b *testing.B) {
 
 // BenchmarkFramerRoundTrip measures frame encode+decode throughput.
 func BenchmarkFramerRoundTrip(b *testing.B) {
-	f := &h2.DataFrame{StreamID: 1, Data: make([]byte, 1400)}
+	f := &h2.DataFrame{StreamID: 1, Len: 1400}
 	var sc h2.FrameScanner
-	var wire []byte
+	var stream wire.Bytes
 	emit := func(h2.Frame) error { return nil }
 	b.SetBytes(1400)
 	for i := 0; i < b.N; i++ {
-		wire = h2.AppendFrame(wire[:0], f)
-		if err := sc.FeedInto(wire, emit); err != nil {
+		stream.Reset()
+		h2.AppendFrame(&stream, f)
+		if err := sc.FeedInto(stream, emit); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -61,13 +61,18 @@ func CopyTransmissions(tr *trace.Trace) []*CopyTransmission {
 }
 
 // Analyzer reconstructs copy transmissions into reused internal
-// storage (the copy index, the sorted wire-frame buffer, the sorters
+// storage (the copy table, the sorted wire-frame buffer, the sorters
 // and the transmission arena), so a trial world that scores one
 // ground-truth trace per trial allocates nothing once the storage has
 // grown to its high-water mark. An Analyzer is not safe for concurrent
 // use; keep one per worker, like experiment.World.
 type Analyzer struct {
-	byKey map[CopyKey]int
+	// byObj is the copy table, indexed by object ID (object IDs are
+	// small and non-negative): each entry lists that object's copies
+	// with their arena index, in first-occurrence order. An object
+	// has one copy plus a few duplicates, so a lookup scans a list of
+	// one or two entries instead of hashing a key.
+	byObj [][]copySlot
 	wire  []trace.FrameEvent
 	arena []CopyTransmission
 	order []*CopyTransmission
@@ -82,22 +87,22 @@ type Analyzer struct {
 func (a *Analyzer) Copies(tr *trace.Trace) []*CopyTransmission {
 	// Pass 1: count the wire (Len>0) frames and the distinct copies,
 	// so the arena and scratch below are sized exactly once.
-	if a.byKey == nil {
-		a.byKey = make(map[CopyKey]int)
-	} else {
-		clear(a.byKey)
+	for i := range a.byObj {
+		a.byObj[i] = a.byObj[i][:0]
 	}
-	byKey := a.byKey
-	nWire := 0
+	nWire, nCopies := 0, 0
 	for i := range tr.Frames {
 		f := &tr.Frames[i]
 		if f.Len == 0 {
 			continue // HEADERS marker
 		}
 		nWire++
-		k := CopyKey{ObjectID: f.ObjectID, CopyID: f.CopyID}
-		if _, ok := byKey[k]; !ok {
-			byKey[k] = len(byKey)
+		if a.index(f.ObjectID, f.CopyID) < 0 {
+			if f.ObjectID >= len(a.byObj) {
+				a.byObj = append(a.byObj, make([][]copySlot, f.ObjectID+1-len(a.byObj))...)
+			}
+			a.byObj[f.ObjectID] = append(a.byObj[f.ObjectID], copySlot{copyID: f.CopyID, idx: nCopies})
+			nCopies++
 		}
 	}
 
@@ -106,18 +111,18 @@ func (a *Analyzer) Copies(tr *trace.Trace) []*CopyTransmission {
 	// were assigned in first-occurrence order, so while iterating the
 	// frames in the same order, index inited is hit exactly when its
 	// copy's first frame appears.
-	if cap(a.arena) < len(byKey) {
-		a.arena = make([]CopyTransmission, len(byKey))
+	if cap(a.arena) < nCopies {
+		a.arena = make([]CopyTransmission, nCopies)
 	} else {
-		a.arena = a.arena[:len(byKey)]
+		a.arena = a.arena[:nCopies]
 		for i := range a.arena {
 			a.arena[i] = CopyTransmission{}
 		}
 	}
-	if cap(a.order) < len(byKey) {
-		a.order = make([]*CopyTransmission, len(byKey))
+	if cap(a.order) < nCopies {
+		a.order = make([]*CopyTransmission, nCopies)
 	}
-	a.order = a.order[:len(byKey)]
+	a.order = a.order[:nCopies]
 	arena, order := a.arena, a.order
 	wire := a.wire[:0]
 	if cap(wire) < nWire {
@@ -129,12 +134,11 @@ func (a *Analyzer) Copies(tr *trace.Trace) []*CopyTransmission {
 			continue
 		}
 		wire = append(wire, f)
-		k := CopyKey{ObjectID: f.ObjectID, CopyID: f.CopyID}
-		idx := byKey[k]
+		idx := a.index(f.ObjectID, f.CopyID)
 		ct := &arena[idx]
 		if idx == inited {
 			inited++
-			ct.Key = k
+			ct.Key = CopyKey{ObjectID: f.ObjectID, CopyID: f.CopyID}
 			ct.StreamID = f.StreamID
 			ct.Start = f.Offset
 			ct.StartTime = f.Time
@@ -168,15 +172,14 @@ func (a *Analyzer) Copies(tr *trace.Trace) []*CopyTransmission {
 		return a.Start < b.End && b.Start < a.End
 	}
 	foreignNeighbor := func(x *CopyTransmission, idx int) bool {
-		f := wire[idx]
-		k := CopyKey{ObjectID: f.ObjectID, CopyID: f.CopyID}
-		if k == x.Key {
+		f := &wire[idx]
+		if f.ObjectID == x.Key.ObjectID && f.CopyID == x.Key.CopyID {
 			return false
 		}
-		return overlaps(x, &arena[byKey[k]])
+		return overlaps(x, &arena[a.index(f.ObjectID, f.CopyID)])
 	}
 	for i, f := range wire {
-		x := &arena[byKey[CopyKey{ObjectID: f.ObjectID, CopyID: f.CopyID}]]
+		x := &arena[a.index(f.ObjectID, f.CopyID)]
 		if (i > 0 && foreignNeighbor(x, i-1)) || (i+1 < len(wire) && foreignNeighbor(x, i+1)) {
 			x.InterleavedBytes += f.Len
 		}
@@ -192,6 +195,25 @@ func (a *Analyzer) Copies(tr *trace.Trace) []*CopyTransmission {
 	sort.Sort(&a.orderSorter)
 	a.orderSorter.c = nil
 	return order
+}
+
+// copySlot is one copy table entry: a copy number and the arena index
+// of its transmission.
+type copySlot struct {
+	copyID, idx int
+}
+
+// index returns the arena index of an object copy, or -1 if the copy
+// table does not hold it.
+func (a *Analyzer) index(objectID, copyID int) int {
+	if uint(objectID) < uint(len(a.byObj)) {
+		for _, s := range a.byObj[objectID] {
+			if s.copyID == copyID {
+				return s.idx
+			}
+		}
+	}
+	return -1
 }
 
 // wireByOffset sorts wire frames by stream byte offset without the

@@ -2,16 +2,22 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/h2"
+	"repro/internal/h2sim"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tlsrec"
 	"repro/internal/trace"
 	"repro/internal/website"
+	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // blindWire seals one session's worth of records in both directions,
@@ -19,9 +25,8 @@ import (
 // a reset burst and a SETTINGS ack; the server's HEADERS plus DATA
 // chunks for the result HTML and one emblem.
 func blindWire(fill byte) (c2s, s2c []byte) {
-	var sealer tlsrec.Sealer
 	seal := func(dst []byte, ct uint8, n int) []byte {
-		return sealer.Seal(dst, ct, bytes.Repeat([]byte{fill}, n))
+		return append(dst, wiretest.Plain(sealed(ct, bytes.Repeat([]byte{fill}, n)))...)
 	}
 	c2s = seal(c2s, tlsrec.TypeAppData, 30)
 	for i := 0; i < 3; i++ {
@@ -76,7 +81,7 @@ func tapBlind(site *website.Site, c2s, s2c []byte) blindRun {
 			}
 			b := tap.wire[off:min(off+chunk, len(tap.wire))]
 			at += 100 * time.Microsecond
-			s.After(at, func() { m.Tap(tap.dir, b) })
+			s.After(at, func() { m.Tap(tap.dir, wiretest.Lit(b)) })
 		}
 	}
 	s.Run(math.MaxInt64)
@@ -86,13 +91,14 @@ func tapBlind(site *website.Site, c2s, s2c []byte) blindRun {
 	return run
 }
 
-// TestMonitorPayloadBlind pins the adversary's payload-blindness:
-// record bodies travel as plaintext, so nothing but the types keeps
-// the monitor and predictor from reading them. Two sessions with
-// identical record headers but different bodies (all 0x00 vs all
-// 0xff) must yield identical observations, callbacks and inferences,
-// and the observation types must have no field that could carry a
-// body.
+// TestMonitorPayloadBlind pins the adversary's payload-blindness. The
+// monitor still accepts literal record bodies, so two sessions with
+// identical record headers but different literal bodies (all 0x00 vs
+// all 0xff) must yield identical observations, callbacks and
+// inferences, and the observation types must have no field that could
+// carry a body. In a real full-attack trial there is no body to read:
+// the tap's input must hold every DATA payload, and the TLS nonce and
+// tag placeholders, as zero runs and never as literal bytes.
 func TestMonitorPayloadBlind(t *testing.T) {
 	c2sA, s2cA := blindWire(0x00)
 	c2sB, s2cB := blindWire(0xff)
@@ -131,5 +137,57 @@ func TestMonitorPayloadBlind(t *testing.T) {
 					typ, f.Name, f.Type.Kind())
 			}
 		}
+	}
+
+	tapHoldsNoPayload(t)
+}
+
+// tapHoldsNoPayload runs full-attack trials with a recording wrapper
+// around the monitor's tap, parses the records and frames of each
+// direction's tapped stream, and fails if any byte of a DATA payload
+// or of a nonce or tag placeholder reached the tap as a literal byte.
+func tapHoldsNoPayload(t *testing.T) {
+	t.Helper()
+	dataFrames := 0
+	for seed := int64(1); seed <= 2; seed++ {
+		sess := h2sim.NewSession(website.Survey(website.IdentityPermutation()), h2sim.SessionConfig{Seed: seed, RandomizeAmbient: true})
+		NewAttack(sess).Arm(PaperAttack())
+		var tapped [2]wire.Bytes
+		mb := sess.Middlebox()
+		tap := mb.Tap
+		mb.Tap = func(dir trace.Direction, b wire.Bytes) {
+			tapped[dir-1].Append(b)
+			tap(dir, b)
+		}
+		sess.Run()
+		for i, stream := range tapped {
+			plain := wiretest.Plain(stream)
+			for off := 0; off+tlsrec.HeaderLen <= len(plain); {
+				ct, n := plain[off], int(binary.BigEndian.Uint16(plain[off+3:]))
+				body := off + tlsrec.HeaderLen
+				if body+n > len(plain) {
+					break // the trial ended mid-record
+				}
+				runs := []wire.Bytes{stream.Slice(body, body+8), stream.Slice(body+n-16, body+n)}
+				for f := body + 8; ct == tlsrec.TypeAppData && f+h2.FrameHeaderLen <= body+n-16; {
+					flen := int(plain[f])<<16 | int(plain[f+1])<<8 | int(plain[f+2])
+					if h2.FrameType(plain[f+3]) == h2.FrameData {
+						runs = append(runs, stream.Slice(f+h2.FrameHeaderLen, f+h2.FrameHeaderLen+flen))
+						dataFrames++
+					}
+					f += h2.FrameHeaderLen + flen
+				}
+				for _, r := range runs {
+					if r.Literal() != 0 {
+						t.Fatalf("seed %d dir %d: record at %d: %d payload or placeholder bytes reached the tap as literal bytes",
+							seed, i+1, off, r.Literal())
+					}
+				}
+				off = body + n
+			}
+		}
+	}
+	if dataFrames == 0 {
+		t.Fatal("degenerate trials: the tap saw no DATA frame")
 	}
 }

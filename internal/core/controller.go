@@ -124,7 +124,7 @@ func (c *Controller) Intercept(dir trace.Direction, p *netem.Packet) netem.Decis
 		// what caps the benefit of larger jitter (Table I's plateau)
 		// and what triggers the dup-ACK/fast-retransmit side effects
 		// the paper reports (section IV-B).
-		if c.spacing > 0 && len(p.Payload) > 0 {
+		if c.spacing > 0 && p.Payload.Len() > 0 {
 			release := c.s.Now()
 			if min := c.lastRelease + c.spacing; release < min {
 				release = min
@@ -142,7 +142,7 @@ func (c *Controller) Intercept(dir trace.Direction, p *netem.Packet) netem.Decis
 	case trace.ServerToClient:
 		// Targeted drops of application (payload) packets, mimicking a
 		// lossy network.
-		if c.DroppingNow() && len(p.Payload) > 0 {
+		if c.DroppingNow() && p.Payload.Len() > 0 {
 			if c.s.Rand().Float64() < c.dropRate {
 				c.Stats.Dropped++
 				c.Obs.Inc(obs.CCtlDropped)

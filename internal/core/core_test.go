@@ -10,6 +10,8 @@ import (
 	"repro/internal/tlsrec"
 	"repro/internal/trace"
 	"repro/internal/website"
+	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // --- Controller ---
@@ -25,7 +27,7 @@ func controllerFixture(t *testing.T) (*sim.Simulator, *Controller, *[]time.Durat
 	)
 	ctl := NewController(s, path)
 	ctl.Install()
-	sendReq := func() { path.SendFromClient(&netem.Packet{Payload: []byte("GET")}) }
+	sendReq := func() { path.SendFromClient(&netem.Packet{Payload: wiretest.Lit([]byte("GET"))}) }
 	_ = sendReq
 	t.Cleanup(func() {})
 	// expose the path via closure-captured send below
@@ -39,7 +41,7 @@ func TestControllerSpacingEnforced(t *testing.T) {
 	s, ctl, deliveries, _ := controllerFixture(t)
 	ctl.SetSpacing(50 * time.Millisecond)
 	for i := 0; i < 5; i++ {
-		controllerTestPath.SendFromClient(&netem.Packet{Payload: []byte("GET")})
+		controllerTestPath.SendFromClient(&netem.Packet{Payload: wiretest.Lit([]byte("GET"))})
 	}
 	s.Run(math.MaxInt64)
 	if len(*deliveries) != 5 {
@@ -66,7 +68,7 @@ func TestControllerSpacingEnforced(t *testing.T) {
 func TestControllerPureAcksPass(t *testing.T) {
 	s, ctl, deliveries, _ := controllerFixture(t)
 	ctl.SetSpacing(100 * time.Millisecond)
-	controllerTestPath.SendFromClient(&netem.Packet{Payload: []byte("GET1")})
+	controllerTestPath.SendFromClient(&netem.Packet{Payload: wiretest.Lit([]byte("GET1"))})
 	controllerTestPath.SendFromClient(&netem.Packet{}) // pure ACK
 	s.Run(math.MaxInt64)
 	if len(*deliveries) != 2 {
@@ -89,7 +91,7 @@ func TestControllerTargetedDrops(t *testing.T) {
 	ctl.StartDrops(1.0, time.Second) // drop everything for 1s
 	dropped0 := ctl.Stats.Dropped
 	for i := 0; i < 10; i++ {
-		path.SendFromServer(&netem.Packet{Payload: []byte("data")})
+		path.SendFromServer(&netem.Packet{Payload: wiretest.Lit([]byte("data"))})
 	}
 	path.SendFromServer(&netem.Packet{}) // pure ACK: never dropped
 	s.Run(math.MaxInt64)
@@ -103,7 +105,7 @@ func TestControllerTargetedDrops(t *testing.T) {
 	}
 	ctl.StopDrops()
 	before := ctl.Stats.Dropped
-	path.SendFromServer(&netem.Packet{Payload: []byte("data")})
+	path.SendFromServer(&netem.Packet{Payload: wiretest.Lit([]byte("data"))})
 	s.Run(math.MaxInt64)
 	if ctl.Stats.Dropped != before {
 		t.Error("dropped after StopDrops")
@@ -113,7 +115,7 @@ func TestControllerTargetedDrops(t *testing.T) {
 func TestControllerBandwidth(t *testing.T) {
 	s, ctl, deliveries, _ := controllerFixture(t)
 	ctl.SetBandwidth(1_000_000) // 1 Mbps
-	controllerTestPath.SendFromClient(&netem.Packet{Payload: make([]byte, 1210)})
+	controllerTestPath.SendFromClient(&netem.Packet{Payload: wiretest.Lit(make([]byte, 1210))})
 	s.Run(math.MaxInt64)
 	if len(*deliveries) != 1 {
 		t.Fatal("packet lost")
@@ -126,23 +128,31 @@ func TestControllerBandwidth(t *testing.T) {
 
 // --- Monitor ---
 
+// sealed returns one record carrying plain as literal bytes.
+func sealed(ct uint8, plain []byte) wire.Bytes {
+	var b wire.Bytes
+	tlsrec.SealHeader(&b, ct, len(plain))
+	b.AppendLiteral(plain)
+	tlsrec.SealTrailer(&b)
+	return b
+}
+
 func TestMonitorCountsGets(t *testing.T) {
 	s := sim.New(1)
 	m := NewMonitor(s)
 	var gets []int
 	m.OnGet = func(n int) { gets = append(gets, n) }
-	var sealer tlsrec.Sealer
 
 	// First record: SETTINGS (skipped).
-	m.Tap(trace.ClientToServer, sealer.Seal(nil, tlsrec.TypeAppData, make([]byte, 30)))
+	m.Tap(trace.ClientToServer, sealed(tlsrec.TypeAppData, make([]byte, 30)))
 	// Three GET-sized records.
 	for i := 0; i < 3; i++ {
-		m.Tap(trace.ClientToServer, sealer.Seal(nil, tlsrec.TypeAppData, make([]byte, 50)))
+		m.Tap(trace.ClientToServer, sealed(tlsrec.TypeAppData, make([]byte, 50)))
 	}
 	// A tiny control record (SETTINGS ack): not counted.
-	m.Tap(trace.ClientToServer, sealer.Seal(nil, tlsrec.TypeAppData, make([]byte, 9)))
+	m.Tap(trace.ClientToServer, sealed(tlsrec.TypeAppData, make([]byte, 9)))
 	// A data-sized record: not a GET.
-	m.Tap(trace.ClientToServer, sealer.Seal(nil, tlsrec.TypeAppData, make([]byte, 1400)))
+	m.Tap(trace.ClientToServer, sealed(tlsrec.TypeAppData, make([]byte, 1400)))
 
 	if m.GetCount() != 3 {
 		t.Errorf("GetCount = %d, want 3", m.GetCount())
@@ -157,10 +167,9 @@ func TestMonitorDetectsResetBurst(t *testing.T) {
 	m := NewMonitor(s)
 	resets := 0
 	m.OnResetBurst = func() { resets++ }
-	var sealer tlsrec.Sealer
-	m.Tap(trace.ClientToServer, sealer.Seal(nil, tlsrec.TypeAppData, make([]byte, 30))) // SETTINGS
+	m.Tap(trace.ClientToServer, sealed(tlsrec.TypeAppData, make([]byte, 30))) // SETTINGS
 	// A 40-stream RST batch: 40*13 = 520 plaintext bytes.
-	m.Tap(trace.ClientToServer, sealer.Seal(nil, tlsrec.TypeAppData, make([]byte, 520)))
+	m.Tap(trace.ClientToServer, sealed(tlsrec.TypeAppData, make([]byte, 520)))
 	if resets != 1 {
 		t.Errorf("reset bursts = %d, want 1", resets)
 	}
@@ -172,12 +181,11 @@ func TestMonitorDetectsResetBurst(t *testing.T) {
 func TestMonitorSplitRecordsAcrossTaps(t *testing.T) {
 	s := sim.New(1)
 	m := NewMonitor(s)
-	var sealer tlsrec.Sealer
-	wire := sealer.Seal(nil, tlsrec.TypeAppData, make([]byte, 30))
-	wire = sealer.Seal(wire, tlsrec.TypeAppData, make([]byte, 60))
+	stream := sealed(tlsrec.TypeAppData, make([]byte, 30))
+	stream.Append(sealed(tlsrec.TypeAppData, make([]byte, 60)))
 	// Feed byte by byte: records must still parse exactly once.
-	for _, b := range wire {
-		m.Tap(trace.ClientToServer, []byte{b})
+	for i := 0; i < stream.Len(); i++ {
+		m.Tap(trace.ClientToServer, stream.Slice(i, i+1))
 	}
 	if m.GetCount() != 1 {
 		t.Errorf("GetCount = %d, want 1", m.GetCount())
@@ -190,10 +198,9 @@ func TestMonitorSplitRecordsAcrossTaps(t *testing.T) {
 func TestMonitorResponseRecords(t *testing.T) {
 	s := sim.New(1)
 	m := NewMonitor(s)
-	var sealer tlsrec.Sealer
-	m.Tap(trace.ServerToClient, sealer.Seal(nil, tlsrec.TypeAppData, make([]byte, 1400)))
-	m.Tap(trace.ServerToClient, sealer.Seal(nil, tlsrec.TypeHandshake, make([]byte, 40)))
-	m.Tap(trace.ClientToServer, sealer.Seal(nil, tlsrec.TypeAppData, make([]byte, 50)))
+	m.Tap(trace.ServerToClient, sealed(tlsrec.TypeAppData, make([]byte, 1400)))
+	m.Tap(trace.ServerToClient, sealed(tlsrec.TypeHandshake, make([]byte, 40)))
+	m.Tap(trace.ClientToServer, sealed(tlsrec.TypeAppData, make([]byte, 50)))
 	rr := m.ResponseRecords()
 	if len(rr) != 1 || rr[0].Length != 1400+tlsrec.Overhead {
 		t.Errorf("ResponseRecords = %+v", rr)

@@ -5,6 +5,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tlsrec"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // The monitor's client-record classification thresholds.
@@ -80,7 +81,7 @@ func (m *Monitor) Reset() {
 }
 
 // Tap ingests reassembled stream bytes from the middlebox.
-func (m *Monitor) Tap(dir trace.Direction, b []byte) {
+func (m *Monitor) Tap(dir trace.Direction, b wire.Bytes) {
 	var infos []tlsrec.HeaderInfo
 	if dir == trace.ClientToServer {
 		infos = m.parserC2S.Feed(b)

@@ -7,11 +7,15 @@
 //
 //   - Framing: FrameHeader, the five frame types the sessions send
 //     (DATA, HEADERS, RST_STREAM, SETTINGS, PUSH_PROMISE), AppendFrame
-//     and MarshalFrame for encoding, and FrameScanner, which splits a
-//     byte stream fed in arbitrary chunks into those frames through
-//     one zero-copy path (FeedInto). Other frame types are consumed
-//     and skipped; padding, priority fields and CONTINUATION-split
-//     header blocks are refused rather than decoded.
+//     for encoding, and FrameScanner, which splits a byte stream fed in
+//     arbitrary chunks into those frames through one path (FeedInto).
+//     Frames travel as wire.Bytes: a DATA payload is a zero run given
+//     by its length (DataFrame carries Len, not bytes), so neither
+//     AppendFrame nor the scanner ever copies one; headers and the
+//     control frames' payloads are literal bytes. Other frame types
+//     are consumed and skipped; padding, priority fields and
+//     CONTINUATION-split header blocks are refused rather than
+//     decoded.
 //   - HPACK: HpackEncoder and HpackDecoder with the full static table,
 //     a dynamic table, and canonical Huffman coding. The encoder emits
 //     indexed and incrementally indexed literal representations; the

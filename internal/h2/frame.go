@@ -3,6 +3,9 @@ package h2
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+
+	"repro/internal/wire"
 )
 
 // Frame size constants from RFC 7540 section 4.2.
@@ -140,17 +143,18 @@ type Frame interface {
 	// Header returns the frame's header.
 	Header() FrameHeader
 
-	// appendPayload appends the frame's payload encoding to b and
-	// returns the extended slice. It must produce exactly
-	// Header().Length bytes.
-	appendPayload(b []byte) []byte
+	// appendPayload appends the frame's payload encoding to b. It
+	// must append exactly Header().Length bytes.
+	appendPayload(b *wire.Bytes)
 }
 
-// DataFrame carries stream payload bytes (RFC 7540 section 6.1).
+// DataFrame carries stream payload bytes (RFC 7540 section 6.1). Only
+// their number is modelled: a payload's content never matters to the
+// size side-channel, so it travels as a zero run of Len bytes.
 type DataFrame struct {
 	StreamID  uint32
 	EndStream bool
-	Data      []byte
+	Len       int
 }
 
 // Header implements Frame.
@@ -159,10 +163,10 @@ func (f *DataFrame) Header() FrameHeader {
 	if f.EndStream {
 		flags |= FlagEndStream
 	}
-	return FrameHeader{Length: uint32(len(f.Data)), Type: FrameData, Flags: flags, StreamID: f.StreamID}
+	return FrameHeader{Length: uint32(f.Len), Type: FrameData, Flags: flags, StreamID: f.StreamID}
 }
 
-func (f *DataFrame) appendPayload(b []byte) []byte { return append(b, f.Data...) }
+func (f *DataFrame) appendPayload(b *wire.Bytes) { b.AppendZeros(f.Len) }
 
 // HeadersFrame opens a stream and carries an HPACK-encoded header
 // block (RFC 7540 section 6.2).
@@ -185,7 +189,7 @@ func (f *HeadersFrame) Header() FrameHeader {
 	return FrameHeader{Length: uint32(len(f.BlockFragment)), Type: FrameHeaders, Flags: flags, StreamID: f.StreamID}
 }
 
-func (f *HeadersFrame) appendPayload(b []byte) []byte { return append(b, f.BlockFragment...) }
+func (f *HeadersFrame) appendPayload(b *wire.Bytes) { b.AppendLiteral(f.BlockFragment) }
 
 // RSTStreamFrame abruptly terminates a stream (RFC 7540 section 6.4).
 type RSTStreamFrame struct {
@@ -198,8 +202,9 @@ func (f *RSTStreamFrame) Header() FrameHeader {
 	return FrameHeader{Length: 4, Type: FrameRSTStream, StreamID: f.StreamID}
 }
 
-func (f *RSTStreamFrame) appendPayload(b []byte) []byte {
-	return binary.BigEndian.AppendUint32(b, uint32(f.Code))
+func (f *RSTStreamFrame) appendPayload(b *wire.Bytes) {
+	var p [4]byte
+	b.AppendLiteral(binary.BigEndian.AppendUint32(p[:0], uint32(f.Code)))
 }
 
 // Setting is a single identifier/value pair from a SETTINGS frame.
@@ -227,12 +232,13 @@ func (f *SettingsFrame) Header() FrameHeader {
 	return FrameHeader{Length: uint32(6 * len(f.Settings)), Type: FrameSettings, Flags: flags}
 }
 
-func (f *SettingsFrame) appendPayload(b []byte) []byte {
+func (f *SettingsFrame) appendPayload(b *wire.Bytes) {
 	for _, s := range f.Settings {
-		b = binary.BigEndian.AppendUint16(b, uint16(s.ID))
-		b = binary.BigEndian.AppendUint32(b, s.Val)
+		var p [6]byte
+		binary.BigEndian.PutUint16(p[:], uint16(s.ID))
+		binary.BigEndian.PutUint32(p[2:], s.Val)
+		b.AppendLiteral(p[:])
 	}
-	return b
 }
 
 // PushPromiseFrame announces a server push (RFC 7540 section 6.6).
@@ -252,22 +258,24 @@ func (f *PushPromiseFrame) Header() FrameHeader {
 	return FrameHeader{Length: uint32(4 + len(f.BlockFragment)), Type: FramePushPromise, Flags: flags, StreamID: f.StreamID}
 }
 
-func (f *PushPromiseFrame) appendPayload(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, f.PromiseID&0x7fffffff)
-	return append(b, f.BlockFragment...)
+func (f *PushPromiseFrame) appendPayload(b *wire.Bytes) {
+	var p [4]byte
+	b.AppendLiteral(binary.BigEndian.AppendUint32(p[:0], f.PromiseID&0x7fffffff))
+	b.AppendLiteral(f.BlockFragment)
 }
 
 // AppendFrame appends the full wire encoding (header + payload) of f
-// to b and returns the extended slice.
-func AppendFrame(b []byte, f Frame) []byte {
-	b = appendFrameHeader(b, f.Header())
-	return f.appendPayload(b)
-}
-
-// MarshalFrame returns the full wire encoding of f.
-func MarshalFrame(f Frame) []byte {
-	h := f.Header()
-	return AppendFrame(make([]byte, 0, h.WireLen()), f)
+// to b: the header as literal bytes, a DATA payload as a zero run and
+// any other payload as literal bytes.
+func AppendFrame(b *wire.Bytes, f Frame) {
+	var hdr [FrameHeaderLen]byte
+	h := appendFrameHeader(hdr[:0], f.Header())
+	if d, ok := f.(*DataFrame); ok {
+		b.AppendPiece(h, d.Len) // the header and the payload run in one step
+		return
+	}
+	b.AppendLiteral(h)
+	f.appendPayload(b)
 }
 
 // FrameScanner incrementally splits a byte stream into frames: feed
@@ -279,9 +287,17 @@ func MarshalFrame(f Frame) []byte {
 // PRIORITY flags, and a header block continued in CONTINUATION
 // frames (HEADERS or PUSH_PROMISE without END_HEADERS). Payloads
 // longer than DefaultMaxFrameSize are refused with ErrFrameTooLarge.
+//
+// The scanner keeps the current frame's header and, for the four
+// decoded control types, its small payload as plain bytes; a DATA
+// payload, and that of a skipped type, it consumes by length alone.
 type FrameScanner struct {
-	buf []byte
-	off int // parse position within buf
+	hdr  [FrameHeaderLen]byte // the current frame's header, nhdr bytes of it so far
+	nhdr int
+	h    FrameHeader // the current frame's header, once whole
+	got  int         // payload bytes of the current frame consumed so far
+	body []byte      // the current control frame's payload, got bytes of it
+	err  error
 
 	// Scratch values, one per decoded frame type, so steady-state
 	// scanning allocates nothing.
@@ -292,70 +308,76 @@ type FrameScanner struct {
 	push     PushPromiseFrame
 }
 
-// Reset discards buffered partial-frame bytes so the scanner can
-// start a fresh stream, keeping the buffer capacity and scratch
-// frames.
+// Reset discards the partial frame and any error so the scanner can
+// start a fresh stream, keeping the payload buffer's capacity and the
+// scratch frames.
 func (sc *FrameScanner) Reset() {
-	sc.buf = sc.buf[:0]
-	sc.off = 0
+	sc.nhdr, sc.got, sc.err = 0, 0, nil
 }
 
-// Buffered returns the number of bytes awaiting a complete frame.
-func (sc *FrameScanner) Buffered() int { return len(sc.buf) - sc.off }
+// Buffered returns the number of bytes of the frame not yet complete.
+func (sc *FrameScanner) Buffered() int { return sc.nhdr + sc.got }
 
-// FeedInto appends stream bytes and invokes emit once per newly
-// complete frame of a decoded type, in order, stopping at the first
-// error (emit's or the scanner's). It does not copy payloads: the
-// frame passed to emit is a scratch value reused across calls whose
-// slices alias the scanner's buffer, so it is valid only during the
-// callback. In steady state scanning costs zero allocations, which is
-// what the HTTP/2 session layers ride.
-func (sc *FrameScanner) FeedInto(b []byte, emit func(Frame) error) error {
-	// Compact the consumed prefix before appending, so the buffer's
-	// backing array is recycled instead of growing behind an
-	// advancing offset.
-	if sc.off > 0 {
-		n := copy(sc.buf, sc.buf[sc.off:])
-		sc.buf = sc.buf[:n]
-		sc.off = 0
-	}
-	sc.buf = append(sc.buf, b...)
-	for len(sc.buf)-sc.off >= FrameHeaderLen {
-		h := parseFrameHeader(sc.buf[sc.off:])
-		if h.Length > DefaultMaxFrameSize {
-			return fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, h.Length, DefaultMaxFrameSize)
+// FeedInto consumes stream bytes and invokes emit once per newly
+// complete frame of a decoded type, in order. The first error (emit's
+// or the scanner's) stops the scan for good: FeedInto returns it, now
+// and from every later call until Reset. The frame passed to emit is a
+// scratch value reused across calls, valid only during the callback.
+// In steady state scanning costs zero allocations, which is what the
+// HTTP/2 session layers ride.
+func (sc *FrameScanner) FeedInto(b wire.Bytes, emit func(Frame) error) error {
+	for pos := 0; sc.err == nil; {
+		if sc.nhdr < FrameHeaderLen {
+			n := b.ReadAt(sc.hdr[sc.nhdr:], pos)
+			sc.nhdr += n
+			pos += n
+			if sc.nhdr < FrameHeaderLen {
+				return nil
+			}
+			sc.h = parseFrameHeader(sc.hdr[:])
+			if sc.h.Length > DefaultMaxFrameSize {
+				sc.err = fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, sc.h.Length, DefaultMaxFrameSize)
+				break
+			}
+			sc.body = sc.body[:0]
 		}
-		start := sc.off + FrameHeaderLen
-		end := start + int(h.Length)
-		if len(sc.buf) < end {
+		n := min(int(sc.h.Length)-sc.got, b.Len()-pos)
+		switch sc.h.Type {
+		case FrameHeaders, FrameRSTStream, FrameSettings, FramePushPromise:
+			sc.body = slices.Grow(sc.body, n)[:sc.got+n]
+			b.ReadAt(sc.body[sc.got:], pos)
+		}
+		sc.got += n
+		pos += n
+		if sc.got < int(sc.h.Length) {
 			return nil
 		}
-		sc.off = end
-		payload := sc.buf[start:end]
-		var f Frame
-		var err error
-		switch h.Type {
-		case FrameData:
-			f, err = sc.parseData(h, payload)
-		case FrameHeaders:
-			f, err = sc.parseHeaders(h, payload)
-		case FrameRSTStream:
-			f, err = sc.parseRSTStream(h, payload)
-		case FrameSettings:
-			f, err = sc.parseSettings(h, payload)
-		case FramePushPromise:
-			f, err = sc.parsePushPromise(h, payload)
-		default:
-			continue // a type the sessions never send: skip it
-		}
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			return err
+		sc.nhdr, sc.got = 0, 0
+		if f, err := sc.parse(); err != nil {
+			sc.err = err
+		} else if f != nil {
+			sc.err = emit(f)
 		}
 	}
-	return nil
+	return sc.err
+}
+
+// parse decodes the complete current frame; a type the sessions never
+// send yields no frame.
+func (sc *FrameScanner) parse() (Frame, error) {
+	switch h, payload := sc.h, sc.body; h.Type {
+	case FrameData:
+		return sc.parseData(h)
+	case FrameHeaders:
+		return sc.parseHeaders(h, payload)
+	case FrameRSTStream:
+		return sc.parseRSTStream(h, payload)
+	case FrameSettings:
+		return sc.parseSettings(h, payload)
+	case FramePushPromise:
+		return sc.parsePushPromise(h, payload)
+	}
+	return nil, nil
 }
 
 // checkStream refuses a stream-scoped frame on stream 0 and the
@@ -370,11 +392,11 @@ func checkStream(h FrameHeader, refused Flags) error {
 	return nil
 }
 
-func (sc *FrameScanner) parseData(h FrameHeader, payload []byte) (Frame, error) {
+func (sc *FrameScanner) parseData(h FrameHeader) (Frame, error) {
 	if err := checkStream(h, FlagPadded); err != nil {
 		return nil, err
 	}
-	sc.data = DataFrame{StreamID: h.StreamID, EndStream: h.Flags.Has(FlagEndStream), Data: payload}
+	sc.data = DataFrame{StreamID: h.StreamID, EndStream: h.Flags.Has(FlagEndStream), Len: int(h.Length)}
 	return &sc.data, nil
 }
 

@@ -6,7 +6,17 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
+
+// marshal returns the plain wire bytes of f.
+func marshal(f Frame) []byte {
+	var b wire.Bytes
+	AppendFrame(&b, f)
+	return wiretest.Plain(b)
+}
 
 // cloneFrame copies a scratch frame emitted by FeedInto, slices
 // included, so it can be kept past the callback.
@@ -14,7 +24,6 @@ func cloneFrame(f Frame) Frame {
 	switch v := f.(type) {
 	case *DataFrame:
 		c := *v
-		c.Data = bytes.Clone(v.Data)
 		return &c
 	case *HeadersFrame:
 		c := *v
@@ -35,14 +44,18 @@ func cloneFrame(f Frame) Frame {
 	panic("unexpected frame type")
 }
 
-// scan feeds wire through a fresh FrameScanner in chunks of chunk
-// bytes and returns a copy of every emitted frame, the first error,
-// and the bytes left buffered.
+// scan feeds wire as literal bytes through a fresh FrameScanner in
+// chunks of chunk bytes and returns a copy of every emitted frame, the
+// first error, and the bytes left buffered.
 func scan(wire []byte, chunk int) (frames []Frame, buffered int, err error) {
+	return scanStream(wiretest.Lit(wire), chunk)
+}
+
+// scanStream is scan over a stream that may hold runs.
+func scanStream(b wire.Bytes, chunk int) (frames []Frame, buffered int, err error) {
 	var sc FrameScanner
-	for off := 0; off < len(wire) && err == nil; off += chunk {
-		end := min(off+chunk, len(wire))
-		err = sc.FeedInto(wire[off:end], func(f Frame) error {
+	for off := 0; off < b.Len() && err == nil; off += chunk {
+		err = sc.FeedInto(b.Slice(off, min(off+chunk, b.Len())), func(f Frame) error {
 			frames = append(frames, cloneFrame(f))
 			return nil
 		})
@@ -59,8 +72,8 @@ func rawFrame(h FrameHeader, payload []byte) []byte {
 
 func TestFrameRoundTripAllTypes(t *testing.T) {
 	frames := []Frame{
-		&DataFrame{StreamID: 1, Data: []byte("hello"), EndStream: true},
-		&DataFrame{StreamID: 3, Data: []byte("more")},
+		&DataFrame{StreamID: 1, Len: 5, EndStream: true},
+		&DataFrame{StreamID: 3, Len: 4},
 		&HeadersFrame{StreamID: 5, BlockFragment: []byte{0x82}, EndHeaders: true, EndStream: true},
 		&HeadersFrame{StreamID: 7, BlockFragment: []byte{0x82, 0x86}, EndHeaders: true},
 		&RSTStreamFrame{StreamID: 11, Code: ErrCodeCancel},
@@ -72,12 +85,12 @@ func TestFrameRoundTripAllTypes(t *testing.T) {
 		&PushPromiseFrame{StreamID: 13, PromiseID: 14, BlockFragment: []byte{0x84}, EndHeaders: true},
 	}
 	for _, f := range frames {
-		wire := MarshalFrame(f)
+		wire := marshal(f)
 		got, buffered, err := scan(wire, len(wire))
 		if err != nil || len(got) != 1 || buffered != 0 {
 			t.Fatalf("decode %v: %d frames, %d bytes buffered, err %v", f.Header(), len(got), buffered, err)
 		}
-		if got[0].Header() != f.Header() || !bytes.Equal(MarshalFrame(got[0]), wire) {
+		if got[0].Header() != f.Header() || !bytes.Equal(marshal(got[0]), wire) {
 			t.Errorf("round trip %v:\n got %#v\nwant %#v", f.Header(), got[0], f)
 		}
 	}
@@ -108,7 +121,7 @@ func TestFrameHeaderReservedBitMasked(t *testing.T) {
 }
 
 func TestFramerRejectsOversizedFrame(t *testing.T) {
-	over := MarshalFrame(&DataFrame{StreamID: 1, Data: make([]byte, DefaultMaxFrameSize+1)})
+	over := marshal(&DataFrame{StreamID: 1, Len: DefaultMaxFrameSize + 1})
 	if _, _, err := scan(over, len(over)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -116,7 +129,7 @@ func TestFramerRejectsOversizedFrame(t *testing.T) {
 	if _, _, err := scan(over[:FrameHeaderLen], FrameHeaderLen); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("header only: err = %v, want ErrFrameTooLarge", err)
 	}
-	at := MarshalFrame(&DataFrame{StreamID: 1, Data: make([]byte, DefaultMaxFrameSize)})
+	at := marshal(&DataFrame{StreamID: 1, Len: DefaultMaxFrameSize})
 	if _, _, err := scan(at, len(at)); err != nil {
 		t.Errorf("frame at the limit rejected: %v", err)
 	}
@@ -126,7 +139,7 @@ func TestFramerRejectsOversizedFrame(t *testing.T) {
 // yields no frame and no error, and that the frame comes out once its
 // last byte arrives.
 func TestFramerEOF(t *testing.T) {
-	full := MarshalFrame(&DataFrame{StreamID: 1, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}, EndStream: true})
+	full := marshal(&DataFrame{StreamID: 1, Len: 8, EndStream: true})
 	for _, cut := range []int{0, 2, FrameHeaderLen, len(full) - 1} {
 		var sc FrameScanner
 		var got []Frame
@@ -134,16 +147,16 @@ func TestFramerEOF(t *testing.T) {
 			got = append(got, cloneFrame(f))
 			return nil
 		}
-		if err := sc.FeedInto(full[:cut], emit); err != nil || len(got) != 0 {
+		if err := sc.FeedInto(wiretest.Lit(full[:cut]), emit); err != nil || len(got) != 0 {
 			t.Fatalf("first %d bytes: %d frames, err %v; want none", cut, len(got), err)
 		}
 		if sc.Buffered() != cut {
 			t.Errorf("first %d bytes: Buffered = %d", cut, sc.Buffered())
 		}
-		if err := sc.FeedInto(full[cut:], emit); err != nil || len(got) != 1 {
+		if err := sc.FeedInto(wiretest.Lit(full[cut:]), emit); err != nil || len(got) != 1 {
 			t.Fatalf("rest after %d bytes: %d frames, err %v; want one", cut, len(got), err)
 		}
-		if !bytes.Equal(MarshalFrame(got[0]), full) {
+		if !bytes.Equal(marshal(got[0]), full) {
 			t.Errorf("rest after %d bytes: got %#v", cut, got[0])
 		}
 	}
@@ -217,8 +230,8 @@ func TestDataFrameQuickRoundTrip(t *testing.T) {
 		if stream == 0 {
 			stream = 1
 		}
-		in := &DataFrame{StreamID: stream & 0x7fffffff, Data: data, EndStream: end}
-		out, _, err := scan(MarshalFrame(in), 1<<20)
+		in := &DataFrame{StreamID: stream & 0x7fffffff, Len: len(data), EndStream: end}
+		out, _, err := scan(marshal(in), 1<<20)
 		if err != nil || len(out) != 1 {
 			return false
 		}
@@ -228,7 +241,7 @@ func TestDataFrameQuickRoundTrip(t *testing.T) {
 		}
 		return got.StreamID == in.StreamID &&
 			got.EndStream == in.EndStream &&
-			bytes.Equal(got.Data, in.Data)
+			got.Len == in.Len
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -3,6 +3,8 @@ package h2
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/wire/wiretest"
 )
 
 // FuzzHpackDecode ensures the HPACK decoder never panics and that
@@ -34,20 +36,24 @@ func FuzzHpackDecode(f *testing.F) {
 }
 
 // FuzzFrameScanner ensures arbitrary byte streams never panic the
-// scanner and that chunking does not change the result: the whole
-// stream and the stream fed in chunks emit the same frames (compared
-// by header and a copy of the payload, via their re-encoding), end in
-// the same error and leave the same bytes buffered.
+// scanner and that neither chunking nor how zero bytes are held
+// changes the result: the whole stream as literal bytes and the stream
+// fed in chunks, its zero bytes held as literal bytes or as runs as
+// how decides (see wiretest.Mixed), emit the same frames (compared by
+// their re-encoding), end in the same error and leave the same bytes
+// buffered.
 func FuzzFrameScanner(f *testing.F) {
-	f.Add(rawFrame(FrameHeader{Type: FramePing}, make([]byte, 8)), 1)
-	f.Add(MarshalFrame(&DataFrame{StreamID: 1, Data: []byte("abc")}), 3)
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, 2)
-	f.Fuzz(func(t *testing.T, data []byte, chunk int) {
+	f.Add(rawFrame(FrameHeader{Type: FramePing}, make([]byte, 8)), 1, []byte{})
+	f.Add(marshal(&DataFrame{StreamID: 1, Len: 3}), 3, []byte{0xff})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, 2, []byte{})
+	f.Add(append(marshal(&HeadersFrame{StreamID: 1, BlockFragment: []byte{0, 0x82, 0}, EndHeaders: true}),
+		marshal(&RSTStreamFrame{StreamID: 1})...), 4, []byte{0x35})
+	f.Fuzz(func(t *testing.T, data []byte, chunk int, how []byte) {
 		if chunk <= 0 {
 			chunk = 1
 		}
 		wf, wbuf, werr := scan(data, max(len(data), 1))
-		pf, pbuf, perr := scan(data, chunk)
+		pf, pbuf, perr := scanStream(wiretest.Mixed(data, how), chunk)
 		if (werr == nil) != (perr == nil) || (werr != nil && werr.Error() != perr.Error()) {
 			t.Fatalf("error mismatch: whole=%v piecewise=%v", werr, perr)
 		}
@@ -55,7 +61,7 @@ func FuzzFrameScanner(f *testing.F) {
 			t.Fatalf("frame count mismatch: whole=%d piecewise=%d", len(wf), len(pf))
 		}
 		for i := range wf {
-			if w, p := MarshalFrame(wf[i]), MarshalFrame(pf[i]); !bytes.Equal(w, p) {
+			if w, p := marshal(wf[i]), marshal(pf[i]); !bytes.Equal(w, p) {
 				t.Fatalf("frame %d mismatch: whole=%x piecewise=%x", i, w, p)
 			}
 		}

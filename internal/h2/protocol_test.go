@@ -25,7 +25,7 @@ func scanAll(t *testing.T, wire []byte) []Frame {
 // block is a connection error with COMPRESSION_ERROR (RFC 7541 section
 // 2.3.3: index 0 is never valid).
 func TestCompressionErrorTearsDownConnection(t *testing.T) {
-	frames := scanAll(t, MarshalFrame(&HeadersFrame{StreamID: 1, BlockFragment: []byte{0x80}, EndHeaders: true}))
+	frames := scanAll(t, marshal(&HeadersFrame{StreamID: 1, BlockFragment: []byte{0x80}, EndHeaders: true}))
 	hf := frames[0].(*HeadersFrame)
 	_, err := NewHpackDecoder(4096).DecodeFull(hf.BlockFragment)
 	var ce ConnectionError
@@ -52,7 +52,7 @@ func TestRequestHeadersRoundTrip(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		block := enc.AppendHeaderBlock(nil, want)
 		lens = append(lens, len(block))
-		wire := MarshalFrame(&HeadersFrame{
+		wire := marshal(&HeadersFrame{
 			StreamID:      uint32(2*round + 1),
 			BlockFragment: block,
 			EndHeaders:    true,
@@ -82,8 +82,8 @@ func TestRequestHeadersRoundTrip(t *testing.T) {
 // 4.1: must be ignored) — are consumed without being emitted or
 // disturbing the frames around them, whatever flags they carry.
 func TestUnknownFrameTypeIgnored(t *testing.T) {
-	first := MarshalFrame(&RSTStreamFrame{StreamID: 3, Code: ErrCodeCancel})
-	last := MarshalFrame(&DataFrame{StreamID: 1, Data: []byte("x"), EndStream: true})
+	first := marshal(&RSTStreamFrame{StreamID: 3, Code: ErrCodeCancel})
+	last := marshal(&DataFrame{StreamID: 1, Len: 1, EndStream: true})
 	wire := append([]byte(nil), first...)
 	for _, typ := range []FrameType{FramePriority, FramePing, FrameGoAway, FrameWindowUpdate, FrameContinuation, FrameType(0x77)} {
 		// Set the bits that mean PADDED and PRIORITY on other types.
@@ -92,7 +92,7 @@ func TestUnknownFrameTypeIgnored(t *testing.T) {
 	wire = append(wire, last...)
 
 	frames := scanAll(t, wire)
-	if len(frames) != 2 || !bytes.Equal(MarshalFrame(frames[0]), first) || !bytes.Equal(MarshalFrame(frames[1]), last) {
+	if len(frames) != 2 || !bytes.Equal(marshal(frames[0]), first) || !bytes.Equal(marshal(frames[1]), last) {
 		t.Errorf("decoded %#v, want the RST_STREAM and DATA frames only", frames)
 	}
 }
@@ -103,12 +103,12 @@ func TestUnknownFrameTypeIgnored(t *testing.T) {
 // 6.5.2), while the maximum itself is accepted.
 func TestWindowOverflowIsFlowControlError(t *testing.T) {
 	var ce ConnectionError
-	settings := MarshalFrame(&SettingsFrame{Settings: []Setting{{ID: SettingInitialWindowSize, Val: MaxWindowSize + 1}}})
+	settings := marshal(&SettingsFrame{Settings: []Setting{{ID: SettingInitialWindowSize, Val: MaxWindowSize + 1}}})
 	if _, _, err := scan(settings, len(settings)); !errors.As(err, &ce) || ce.Code != ErrCodeFlowControl {
 		t.Fatalf("oversized SETTINGS_INITIAL_WINDOW_SIZE: err = %v, want ConnectionError with %v", err, ErrCodeFlowControl)
 	}
 
-	settings = MarshalFrame(&SettingsFrame{Settings: []Setting{{ID: SettingInitialWindowSize, Val: MaxWindowSize}}})
+	settings = marshal(&SettingsFrame{Settings: []Setting{{ID: SettingInitialWindowSize, Val: MaxWindowSize}}})
 	if _, _, err := scan(settings, len(settings)); err != nil {
 		t.Fatalf("SETTINGS_INITIAL_WINDOW_SIZE at the maximum rejected: %v", err)
 	}

@@ -140,7 +140,7 @@ func TestClientStallTriggersReRequest(t *testing.T) {
 	sess := NewSession(site, cfg)
 	// Black-hole all server data so the response stalls.
 	sess.Middlebox().Interceptor = func(dir trace.Direction, p *netem.Packet) netem.Decision {
-		if dir == trace.ServerToClient && len(p.Payload) > 0 {
+		if dir == trace.ServerToClient && p.Payload.Len() > 0 {
 			return netem.Drop()
 		}
 		return netem.Pass()
@@ -162,7 +162,7 @@ func TestClientResetAfterStallBurst(t *testing.T) {
 	cfg.Client.StallsForReset = 4
 	sess := NewSession(site, cfg)
 	sess.Middlebox().Interceptor = func(dir trace.Direction, p *netem.Packet) netem.Decision {
-		if dir == trace.ServerToClient && len(p.Payload) > 0 {
+		if dir == trace.ServerToClient && p.Payload.Len() > 0 {
 			return netem.Drop()
 		}
 		return netem.Pass()
@@ -188,7 +188,7 @@ func TestClientRefetchWindowPacing(t *testing.T) {
 	sess := NewSession(site, cfg)
 	dropping := true
 	sess.Middlebox().Interceptor = func(dir trace.Direction, p *netem.Packet) netem.Decision {
-		if dropping && dir == trace.ServerToClient && len(p.Payload) > 0 {
+		if dropping && dir == trace.ServerToClient && p.Payload.Len() > 0 {
 			return netem.Drop()
 		}
 		return netem.Pass()
@@ -232,7 +232,7 @@ func TestRetransmitTriggeredDuplicate(t *testing.T) {
 	// Now with an incomplete object: new session, intercept delivery.
 	sess2 := NewSession(site, SessionConfig{Seed: 10, Client: quietClient()})
 	sess2.Middlebox().Interceptor = func(dir trace.Direction, p *netem.Packet) netem.Decision {
-		if dir == trace.ServerToClient && len(p.Payload) > 0 {
+		if dir == trace.ServerToClient && p.Payload.Len() > 0 {
 			return netem.Drop()
 		}
 		return netem.Pass()
@@ -310,7 +310,7 @@ func TestCompletedAtAndOpenStreams(t *testing.T) {
 func TestSessionTimeLimitBoundsRun(t *testing.T) {
 	drop := func(from trace.Direction, payloadOnly bool) netem.Interceptor {
 		return func(dir trace.Direction, p *netem.Packet) netem.Decision {
-			if dir == from && (!payloadOnly || len(p.Payload) > 0) {
+			if dir == from && (!payloadOnly || p.Payload.Len() > 0) {
 				return netem.Drop()
 			}
 			return netem.Pass()

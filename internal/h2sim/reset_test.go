@@ -29,7 +29,7 @@ func recordPackets(sess *Session) *[]packetObs {
 			Time:       sess.Sim.Now(),
 			Dir:        dir,
 			Seq:        p.Seq,
-			PayloadLen: len(p.Payload),
+			PayloadLen: p.Payload.Len(),
 			WireLen:    p.WireLen(),
 		})
 		return netem.Pass()

@@ -30,6 +30,7 @@ import (
 	"repro/internal/tlsrec"
 	"repro/internal/trace"
 	"repro/internal/website"
+	"repro/internal/wire"
 )
 
 // The server's calibration: the paper's testbed (section V) is one
@@ -76,9 +77,15 @@ const _ = uint(blockedPoll - (serviceTime + serviceJitter))
 // conversion fails to compile if it does not.
 const _ = uint(tcpsim.MSS - (tlsrec.HeaderLen + tlsrec.Overhead + h2.FrameHeaderLen + ChunkPlain))
 
-// zeroBody is the synthetic DATA payload every chunk slices: content
-// never varies, only size (the side-channel). Read-only.
-var zeroBody [ChunkPlain]byte
+// serverSettings is the SETTINGS frame the server announces, and
+// settingsAck acknowledges the peer's. Read-only.
+var (
+	serverSettings = h2.SettingsFrame{Settings: []h2.Setting{
+		{ID: h2.SettingInitialWindowSize, Val: 1 << 30},
+		{ID: h2.SettingMaxConcurrentStreams, Val: 256},
+	}}
+	settingsAck = h2.SettingsFrame{Ack: true}
+)
 
 // ServerConfig tunes the server model.
 type ServerConfig struct {
@@ -132,7 +139,6 @@ type Server struct {
 	tcp  *tcpsim.Endpoint
 
 	opener  tlsrec.Opener
-	sealer  tlsrec.Sealer
 	scanner h2.FrameScanner
 	hdec    *h2.HpackDecoder
 	henc    *h2.HpackEncoder
@@ -166,15 +172,14 @@ type Server struct {
 	keepFn func(any) bool
 
 	// Per-chunk scratch, hoisted so the steady-state transmit path
-	// (worker.step → writeRecord) allocates nothing: record/frame/
-	// header-block build buffers, a reusable DATA frame value, and the
-	// FeedInto callback built once.
-	recBuf   []byte
-	frameBuf []byte
+	// (worker.step → writeRecord) allocates nothing: the header-block
+	// build buffer, a reusable DATA frame value, and the Opener.Feed and
+	// FeedInto callbacks built once.
 	blockBuf []byte
-	hdrFrame h2.HeadersFrame // scratch: a stack literal would escape through AppendFrame
+	hdrFrame h2.HeadersFrame // scratch: a stack literal would escape through writeRecord
 	dataF    h2.DataFrame
 	frameCb  func(h2.Frame) error
+	recordCb func(tlsrec.Record)
 
 	// Stats accumulates counters.
 	Stats ServerStats
@@ -199,6 +204,11 @@ func NewServer(s *sim.Simulator, cfg ServerConfig, site *website.Site) *Server {
 	sv.frameCb = func(f h2.Frame) error {
 		sv.handleFrame(f)
 		return nil
+	}
+	sv.recordCb = func(r tlsrec.Record) {
+		if r.ContentType == tlsrec.TypeAppData {
+			_ = sv.scanner.FeedInto(r.Body, sv.frameCb)
+		}
 	}
 	sv.pollFn = func(a any) { a.(*worker).step() }
 	sv.keepFn = func(a any) bool {
@@ -301,40 +311,32 @@ func (sv *Server) getWorker(streamID uint32, obj website.Object, copyID int) *wo
 // Attach wires the server to its TCP endpoint and announces SETTINGS.
 func (sv *Server) Attach(tcp *tcpsim.Endpoint) {
 	sv.tcp = tcp
-	settings := h2.MarshalFrame(&h2.SettingsFrame{Settings: []h2.Setting{
-		{ID: h2.SettingInitialWindowSize, Val: 1 << 30},
-		{ID: h2.SettingMaxConcurrentStreams, Val: 256},
-	}})
-	sv.writeRecord(tlsrec.TypeAppData, settings)
+	sv.writeRecord(&serverSettings)
 }
 
-// writeRecord seals plaintext into one record and writes it to TCP,
-// returning the record's wire offset and length. The sealed bytes go
-// through a recycled buffer (tcp.Write copies them into its send
-// buffer), so sealing allocates nothing in steady state.
-func (sv *Server) writeRecord(contentType uint8, plaintext []byte) (int64, int) {
-	sv.recBuf = sv.sealer.Seal(sv.recBuf[:0], contentType, plaintext)
-	off := sv.offset
-	sv.offset += int64(len(sv.recBuf))
-	sv.tcp.Write(sv.recBuf)
-	return off, len(sv.recBuf)
+// writeRecord seals f into one application-data record straight into
+// the TCP send queue and sends what the window allows, returning the
+// record's wire offset and length. A DATA payload goes in as a zero
+// run, so nothing is copied and nothing allocated.
+func (sv *Server) writeRecord(f h2.Frame) (int64, int) {
+	plain := f.Header().WireLen()
+	q := sv.tcp.SendQueue()
+	tlsrec.SealHeader(q, tlsrec.TypeAppData, plain)
+	h2.AppendFrame(q, f)
+	tlsrec.SealTrailer(q)
+	sv.tcp.Flush()
+	off, n := sv.offset, tlsrec.HeaderLen+plain+tlsrec.Overhead
+	sv.offset += int64(n)
+	return off, n
 }
 
 // OnBytes is the TCP delivery callback (ordered inbound byte stream).
 // The record and frame parse paths run on recycled scratch
 // (Opener.Feed, FrameScanner.FeedInto), which is safe because
-// handleFrame never retains frame memory past the call.
-func (sv *Server) OnBytes(b []byte) {
-	recs, err := sv.opener.Feed(b)
-	if err != nil {
-		return // corrupted stream: drop silently, TCP sim shouldn't produce this
-	}
-	for _, r := range recs {
-		if r.ContentType != tlsrec.TypeAppData {
-			continue
-		}
-		_ = sv.scanner.FeedInto(r.Body, sv.frameCb)
-	}
+// handleFrame never retains frame memory past the call. A corrupt
+// stream, which the TCP simulation never produces, stops the parse.
+func (sv *Server) OnBytes(b wire.Bytes) {
+	_ = sv.opener.Feed(b, sv.recordCb)
 }
 
 func (sv *Server) handleFrame(f h2.Frame) {
@@ -357,7 +359,7 @@ func (sv *Server) handleFrame(f h2.Frame) {
 		}
 	case *h2.SettingsFrame:
 		if !fv.Ack {
-			sv.writeRecord(tlsrec.TypeAppData, h2.MarshalFrame(&h2.SettingsFrame{Ack: true}))
+			sv.writeRecord(&settingsAck)
 		}
 	default:
 		// The client sends no DATA or PUSH_PROMISE.
@@ -424,13 +426,12 @@ func (sv *Server) pushFor(path string, parentStream uint32) {
 			{Name: ":scheme", Value: "https"},
 			{Name: ":path", Value: pushPath},
 		})
-		sv.frameBuf = h2.AppendFrame(sv.frameBuf[:0], &h2.PushPromiseFrame{
+		sv.writeRecord(&h2.PushPromiseFrame{
 			StreamID:      parentStream,
 			PromiseID:     promiseID,
 			BlockFragment: sv.blockBuf,
 			EndHeaders:    true,
 		})
-		sv.writeRecord(tlsrec.TypeAppData, sv.frameBuf)
 		w := sv.getWorker(promiseID, obj, sv.nextCopy(obj.ID))
 		sv.putWorker(promiseID, w)
 		sv.Obs.Inc(obs.CH2SrvPush)
@@ -451,10 +452,9 @@ func (sv *Server) respondEmpty(streamID uint32) {
 // build buffers.
 func (sv *Server) respondBodyless(streamID uint32, status string) {
 	sv.blockBuf = sv.henc.AppendHeaderBlock(sv.blockBuf[:0], []h2.HeaderField{{Name: ":status", Value: status}})
-	sv.frameBuf = h2.AppendFrame(sv.frameBuf[:0], &h2.HeadersFrame{
+	sv.writeRecord(&h2.HeadersFrame{
 		StreamID: streamID, BlockFragment: sv.blockBuf, EndHeaders: true, EndStream: true,
 	})
-	sv.writeRecord(tlsrec.TypeAppData, sv.frameBuf)
 }
 
 // serviceInterval draws one per-chunk service time.
@@ -503,8 +503,7 @@ func (w *worker) sendHeaders() {
 		BlockFragment: sv.blockBuf,
 		EndHeaders:    true,
 	}
-	sv.frameBuf = h2.AppendFrame(sv.frameBuf[:0], &sv.hdrFrame)
-	off, n := sv.writeRecord(tlsrec.TypeAppData, sv.frameBuf)
+	off, n := sv.writeRecord(&sv.hdrFrame)
 	if sv.GroundTruth != nil {
 		sv.GroundTruth.AddFrame(trace.FrameEvent{
 			Time:     sv.s.Now(),
@@ -546,15 +545,10 @@ func (w *worker) step() {
 		n = rem
 	}
 	end := w.sent+n == w.obj.Size
-	// Synthetic body bytes; content is irrelevant, size is the
+	// The body is a zero run: content is irrelevant, size is the
 	// side-channel.
-	sv.dataF = h2.DataFrame{
-		StreamID:  w.streamID,
-		Data:      zeroBody[:n],
-		EndStream: end,
-	}
-	sv.frameBuf = h2.AppendFrame(sv.frameBuf[:0], &sv.dataF)
-	off, wlen := sv.writeRecord(tlsrec.TypeAppData, sv.frameBuf)
+	sv.dataF = h2.DataFrame{StreamID: w.streamID, Len: n, EndStream: end}
+	off, wlen := sv.writeRecord(&sv.dataF)
 	w.sent += n
 	sv.Stats.DataFrames++
 	sv.Stats.BytesData += int64(n)

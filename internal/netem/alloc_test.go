@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // TestLinkSendZeroAlloc proves the closure-free delivery path: once
@@ -21,9 +22,7 @@ func TestLinkSendZeroAlloc(t *testing.T) {
 
 	send := func(n int) {
 		for i := 0; i < n; i++ {
-			p := pool.Get()
-			p.Payload = append(p.Payload[:0], make([]byte, 0)...)
-			l.Send(p)
+			l.Send(pool.Get())
 		}
 		s.Run(math.MaxInt64)
 	}
@@ -46,16 +45,18 @@ func TestMiddleboxPathZeroAlloc(t *testing.T) {
 		ClientSide: LinkConfig{PropDelay: time.Millisecond},
 		ServerSide: LinkConfig{PropDelay: time.Millisecond},
 	}, func(p *Packet) { path.Pool.Put(p) }, func(p *Packet) { path.Pool.Put(p) })
-	path.Mbox.Tap = func(trace.Direction, []byte) {}
+	path.Mbox.Tap = func(trace.Direction, wire.Bytes) {}
 
 	seq := uint32(0)
-	payload := make([]byte, 100)
+	var stream wire.Bytes // the sender's stream; packets carry views of it
+	stream.AppendLiteral(make([]byte, 14))
+	stream.AppendZeros(86)
 	send := func(n int) {
 		for i := 0; i < n; i++ {
 			p := path.Pool.Get()
 			p.Seq = seq
-			p.Payload = append(p.Payload[:0], payload...)
-			seq += uint32(len(payload))
+			p.Payload = stream
+			seq += uint32(stream.Len())
 			path.SendFromClient(p)
 		}
 		s.Run(math.MaxInt64)
@@ -69,13 +70,15 @@ func TestMiddleboxPathZeroAlloc(t *testing.T) {
 }
 
 // TestReassemblerSteadyStateZeroAlloc holds out-of-order segments and
-// drains them repeatedly: held-buffer recycling must make the loop
-// allocation-free after warm-up.
+// drains them repeatedly: holding views, not copies, must make the
+// loop allocation-free after warm-up.
 func TestReassemblerSteadyStateZeroAlloc(t *testing.T) {
 	var r Reassembler
-	seg := make([]byte, 64)
+	var seg wire.Bytes
+	seg.AppendLiteral(make([]byte, 14))
+	seg.AppendZeros(50)
 	delivered := 0
-	deliver := func(b []byte) { delivered += len(b) }
+	deliver := func(b wire.Bytes) { delivered += b.Len() }
 	cycle := func() {
 		// Arrivals 2,3 out of order, then 1 fills the gap.
 		next := r.Next
@@ -103,11 +106,13 @@ func BenchmarkLinkSend(b *testing.B) {
 	var l *Link
 	l = NewLink(s, LinkConfig{PropDelay: time.Millisecond}, func(p *Packet) { pool.Put(p) })
 	l.SetPool(pool)
-	payload := make([]byte, 1400)
+	var stream wire.Bytes
+	stream.AppendLiteral(make([]byte, 14))
+	stream.AppendZeros(1400)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p := pool.Get()
-		p.Payload = append(p.Payload[:0], payload...)
+		p.Payload = stream
 		l.Send(p)
 		if i%64 == 63 {
 			s.Run(math.MaxInt64)

@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 func TestLinkDeliversWithPropDelay(t *testing.T) {
@@ -17,7 +19,7 @@ func TestLinkDeliversWithPropDelay(t *testing.T) {
 	l := NewLink(s, LinkConfig{PropDelay: 10 * time.Millisecond}, func(p *Packet) {
 		at = s.Now()
 	})
-	l.Send(&Packet{Payload: []byte("x")})
+	l.Send(&Packet{Payload: wiretest.Lit([]byte("x"))})
 	s.Run(math.MaxInt64)
 	if at != 10*time.Millisecond {
 		t.Errorf("delivered at %v, want 10ms", at)
@@ -29,7 +31,7 @@ func TestLinkSerializationDelay(t *testing.T) {
 	// 1 Mbps; 1000-byte payload + 40 overhead = 8320 bits = 8.32 ms.
 	var at time.Duration
 	l := NewLink(s, LinkConfig{RateBitsPerSec: 1_000_000}, func(p *Packet) { at = s.Now() })
-	l.Send(&Packet{Payload: make([]byte, 1000)})
+	l.Send(&Packet{Payload: wiretest.Lit(make([]byte, 1000))})
 	s.Run(math.MaxInt64)
 	want := 8320 * time.Microsecond
 	if at != want {
@@ -44,7 +46,7 @@ func TestLinkBackToBackQueueing(t *testing.T) {
 		times = append(times, s.Now())
 	})
 	for i := 0; i < 3; i++ {
-		l.Send(&Packet{Payload: make([]byte, 1000)})
+		l.Send(&Packet{Payload: wiretest.Lit(make([]byte, 1000))})
 	}
 	s.Run(math.MaxInt64)
 	if len(times) != 3 {
@@ -67,7 +69,7 @@ func TestLinkQueueOverflowDrops(t *testing.T) {
 		MaxQueueDelay:  10 * time.Millisecond,
 	}, func(p *Packet) { delivered++ })
 	for i := 0; i < 10; i++ { // 8.32ms each; queue caps around 2 extra
-		l.Send(&Packet{Payload: make([]byte, 1000)})
+		l.Send(&Packet{Payload: wiretest.Lit(make([]byte, 1000))})
 	}
 	s.Run(math.MaxInt64)
 	if l.Stats.DroppedQueue == 0 {
@@ -83,7 +85,7 @@ func TestLinkLoss(t *testing.T) {
 	delivered := 0
 	l := NewLink(s, LinkConfig{Loss: 0.5}, func(p *Packet) { delivered++ })
 	for i := 0; i < 1000; i++ {
-		l.Send(&Packet{Payload: []byte("x")})
+		l.Send(&Packet{Payload: wiretest.Lit([]byte("x"))})
 	}
 	s.Run(math.MaxInt64)
 	if delivered < 400 || delivered > 600 {
@@ -104,14 +106,14 @@ func TestSetRateTakesEffect(t *testing.T) {
 	s := sim.New(1)
 	var times []time.Duration
 	l := NewLink(s, LinkConfig{}, func(p *Packet) { times = append(times, s.Now()) })
-	l.Send(&Packet{Payload: make([]byte, 1000)})
+	l.Send(&Packet{Payload: wiretest.Lit(make([]byte, 1000))})
 	s.Run(math.MaxInt64)
 	l.SetRate(1_000_000)
 	if l.Rate() != 1_000_000 {
 		t.Fatalf("Rate = %d", l.Rate())
 	}
 	base := s.Now()
-	l.Send(&Packet{Payload: make([]byte, 1000)})
+	l.Send(&Packet{Payload: wiretest.Lit(make([]byte, 1000))})
 	s.Run(math.MaxInt64)
 	if len(times) != 2 {
 		t.Fatalf("delivered %d", len(times))
@@ -139,7 +141,7 @@ func TestPathEndToEnd(t *testing.T) {
 		func(pkt *Packet) { gotClient, atClient = pkt, s.Now() },
 		func(pkt *Packet) { gotServer, atServer = pkt, s.Now() },
 	)
-	p.SendFromClient(&Packet{Seq: 100, Payload: []byte("req")})
+	p.SendFromClient(&Packet{Seq: 100, Payload: wiretest.Lit([]byte("req"))})
 	s.Run(math.MaxInt64)
 	if gotServer == nil || gotServer.Seq != 100 {
 		t.Fatal("server did not receive the client packet")
@@ -147,7 +149,7 @@ func TestPathEndToEnd(t *testing.T) {
 	if atServer != 3*time.Millisecond { // 1ms + 2ms
 		t.Errorf("server delivery at %v, want 3ms", atServer)
 	}
-	p.SendFromServer(&Packet{Seq: 200, Payload: []byte("resp")})
+	p.SendFromServer(&Packet{Seq: 200, Payload: wiretest.Lit([]byte("resp"))})
 	s.Run(math.MaxInt64)
 	if gotClient == nil || gotClient.Seq != 200 {
 		t.Fatal("client did not receive the server packet")
@@ -169,11 +171,11 @@ func TestMiddleboxCaptureAndStats(t *testing.T) {
 		b   string
 	}
 	var got []tapped
-	p.Mbox.Tap = func(dir trace.Direction, b []byte) { got = append(got, tapped{dir, string(b)}) }
-	p.SendFromClient(&Packet{Seq: 0, Payload: []byte("abcd")})
+	p.Mbox.Tap = func(dir trace.Direction, b wire.Bytes) { got = append(got, tapped{dir, string(wiretest.Plain(b))}) }
+	p.SendFromClient(&Packet{Seq: 0, Payload: wiretest.Lit([]byte("abcd"))})
 	s.Run(math.MaxInt64)
-	p.SendFromClient(&Packet{Seq: 0, Payload: []byte("abcd")}) // retransmission
-	p.SendFromServer(&Packet{Seq: 0, Payload: []byte("efgh")})
+	p.SendFromClient(&Packet{Seq: 0, Payload: wiretest.Lit([]byte("abcd"))}) // retransmission
+	p.SendFromServer(&Packet{Seq: 0, Payload: wiretest.Lit([]byte("efgh"))})
 	s.Run(math.MaxInt64)
 	want := []tapped{{trace.ClientToServer, "abcd"}, {trace.ServerToClient, "efgh"}}
 	if !reflect.DeepEqual(got, want) {
@@ -200,9 +202,9 @@ func TestMiddleboxInterceptorDropAndDelay(t *testing.T) {
 			return Pass()
 		}
 	}
-	p.SendFromClient(&Packet{Seq: 1, Payload: []byte("dropme")})
-	p.SendFromClient(&Packet{Seq: 2, Payload: []byte("delayme")})
-	p.SendFromClient(&Packet{Seq: 3, Payload: []byte("passme")})
+	p.SendFromClient(&Packet{Seq: 1, Payload: wiretest.Lit([]byte("dropme"))})
+	p.SendFromClient(&Packet{Seq: 2, Payload: wiretest.Lit([]byte("delayme"))})
+	p.SendFromClient(&Packet{Seq: 3, Payload: wiretest.Lit([]byte("passme"))})
 	s.Run(math.MaxInt64)
 	if len(deliveries) != 2 {
 		t.Fatalf("delivered %d packets, want 2 (one dropped)", len(deliveries))
@@ -220,20 +222,20 @@ func TestMiddleboxByteTapReassembly(t *testing.T) {
 	s := sim.New(1)
 	p := newTestPath(s, func(*Packet) {}, func(*Packet) {})
 	var got bytes.Buffer
-	p.Mbox.Tap = func(dir trace.Direction, b []byte) {
+	p.Mbox.Tap = func(dir trace.Direction, b wire.Bytes) {
 		if dir == trace.ClientToServer {
-			got.Write(b)
+			got.Write(wiretest.Plain(b))
 		}
 	}
 	// Deliver out of order with a duplicate: tap must see in-order
 	// deduplicated bytes.
-	p.SendFromClient(&Packet{Seq: 1000, Payload: []byte("hello ")})
+	p.SendFromClient(&Packet{Seq: 1000, Payload: wiretest.Lit([]byte("hello "))})
 	s.Run(math.MaxInt64)
-	p.SendFromClient(&Packet{Seq: 1012, Payload: []byte("attack")}) // future
+	p.SendFromClient(&Packet{Seq: 1012, Payload: wiretest.Lit([]byte("attack"))}) // future
 	s.Run(math.MaxInt64)
-	p.SendFromClient(&Packet{Seq: 1006, Payload: []byte("world ")}) // fills gap
+	p.SendFromClient(&Packet{Seq: 1006, Payload: wiretest.Lit([]byte("world "))}) // fills gap
 	s.Run(math.MaxInt64)
-	p.SendFromClient(&Packet{Seq: 1000, Payload: []byte("hello ")}) // duplicate
+	p.SendFromClient(&Packet{Seq: 1000, Payload: wiretest.Lit([]byte("hello "))}) // duplicate
 	s.Run(math.MaxInt64)
 	if got.String() != "hello world attack" {
 		t.Errorf("tap saw %q, want %q", got.String(), "hello world attack")
@@ -248,10 +250,10 @@ func TestSetBandwidthThrottlesBothDirections(t *testing.T) {
 		func(*Packet) { toServer = s.Now() },
 	)
 	p.SetBandwidth(1_000_000)
-	p.SendFromClient(&Packet{Payload: make([]byte, 1000)})
+	p.SendFromClient(&Packet{Payload: wiretest.Lit(make([]byte, 1000))})
 	s.Run(math.MaxInt64)
 	mark := s.Now()
-	p.SendFromServer(&Packet{Payload: make([]byte, 1000)})
+	p.SendFromServer(&Packet{Payload: wiretest.Lit(make([]byte, 1000))})
 	s.Run(math.MaxInt64)
 	// 8.32ms serialization at the middlebox + 3ms propagation.
 	if toServer < 11*time.Millisecond {
@@ -269,7 +271,7 @@ func TestDirectionHelpers(t *testing.T) {
 	if trace.ClientToServer.String() != "c->s" || trace.ServerToClient.String() != "s->c" {
 		t.Error("String broken")
 	}
-	if (&Packet{Payload: make([]byte, 10)}).WireLen() != 50 {
+	if (&Packet{Payload: wiretest.Lit(make([]byte, 10))}).WireLen() != 50 {
 		t.Error("WireLen broken")
 	}
 }
@@ -283,7 +285,7 @@ func TestLinkFIFOByDefault(t *testing.T) {
 		Jitter:    UniformJitter(30 * time.Millisecond),
 	}, func(p *Packet) { order = append(order, p.Seq) })
 	for i := 0; i < 80; i++ {
-		l.Send(&Packet{Seq: uint32(i), Payload: []byte("x")})
+		l.Send(&Packet{Seq: uint32(i), Payload: wiretest.Lit([]byte("x"))})
 		s.RunUntil(s.Now() + 200*time.Microsecond)
 	}
 	s.Run(math.MaxInt64)
@@ -298,15 +300,15 @@ func TestMiddleboxTapBothDirections(t *testing.T) {
 	s := sim.New(1)
 	p := newTestPath(s, func(*Packet) {}, func(*Packet) {})
 	var c2s, s2c bytes.Buffer
-	p.Mbox.Tap = func(dir trace.Direction, b []byte) {
+	p.Mbox.Tap = func(dir trace.Direction, b wire.Bytes) {
 		if dir == trace.ClientToServer {
-			c2s.Write(b)
+			c2s.Write(wiretest.Plain(b))
 		} else {
-			s2c.Write(b)
+			s2c.Write(wiretest.Plain(b))
 		}
 	}
-	p.SendFromClient(&Packet{Seq: 0, Payload: []byte("req")})
-	p.SendFromServer(&Packet{Seq: 0, Payload: []byte("resp")})
+	p.SendFromClient(&Packet{Seq: 0, Payload: wiretest.Lit([]byte("req"))})
+	p.SendFromServer(&Packet{Seq: 0, Payload: wiretest.Lit([]byte("resp"))})
 	s.Run(math.MaxInt64)
 	if c2s.String() != "req" || s2c.String() != "resp" {
 		t.Errorf("taps saw %q / %q", c2s.String(), s2c.String())
@@ -316,8 +318,8 @@ func TestMiddleboxTapBothDirections(t *testing.T) {
 func TestLinkStatsAccounting(t *testing.T) {
 	s := sim.New(1)
 	l := NewLink(s, LinkConfig{}, func(*Packet) {})
-	l.Send(&Packet{Payload: make([]byte, 100)})
-	l.Send(&Packet{Payload: make([]byte, 200)})
+	l.Send(&Packet{Payload: wiretest.Lit(make([]byte, 100))})
+	l.Send(&Packet{Payload: wiretest.Lit(make([]byte, 200))})
 	s.Run(math.MaxInt64)
 	if l.Stats.Sent != 2 {
 		t.Errorf("sent = %d", l.Stats.Sent)
@@ -347,7 +349,7 @@ func TestPathReclaimPending(t *testing.T) {
 	get := func(seq uint32) *Packet {
 		pkt := p.Pool.Get()
 		pkt.Seq = seq
-		pkt.Payload = append(pkt.Payload[:0], "payload"...)
+		pkt.Payload.AppendLiteral([]byte("payload"))
 		sent[pkt] = true
 		return pkt
 	}

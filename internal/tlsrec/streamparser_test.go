@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/wire/wiretest"
 )
 
 // refStreamParser is the buffered header parser StreamParser replaced:
@@ -32,22 +34,25 @@ func (p *refStreamParser) Feed(b []byte) []HeaderInfo {
 	return out
 }
 
-// feedBoth feeds data to a StreamParser and to the reference in chunks
-// whose lengths next draws, and fails at the first Feed whose headers
-// differ. It returns how many headers were emitted.
-func feedBoth(t *testing.T, label string, data []byte, next func() int) int {
+// feedBoth feeds data to the reference as plain bytes and to a
+// StreamParser as a stream whose zero bytes how holds as literal bytes
+// or runs (see wiretest.Mixed), both in chunks whose lengths next
+// draws, and fails at the first Feed whose headers differ. It returns
+// how many headers were emitted.
+func feedBoth(t *testing.T, label string, data, how []byte, next func() int) int {
 	t.Helper()
 	var p StreamParser
 	var ref refStreamParser
+	mixed := wiretest.Mixed(data, how)
 	total := 0
-	for call := 0; len(data) > 0; call++ {
-		n := min(next(), len(data))
-		got, want := p.Feed(data[:n]), ref.Feed(data[:n])
+	for call, off := 0, 0; off < len(data); call++ {
+		n := min(next(), len(data)-off)
+		got, want := p.Feed(mixed.Slice(off, off+n)), ref.Feed(data[off:off+n])
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: Feed %d (%d bytes): headers %v, want %v", label, call, n, got, want)
 		}
 		total += len(got)
-		data = data[n:]
+		off += n
 	}
 	return total
 }
@@ -56,12 +61,13 @@ func feedBoth(t *testing.T, label string, data []byte, next func() int) int {
 // every content type, empty to multi-record plaintexts, small and full
 // fragments — in random chunkings, from single bytes to whole streams,
 // and requires each Feed to return exactly the headers the buffered
-// parser returns from the same call.
+// parser returns from the same call, with the zero bytes held as runs
+// in half the trials.
 func TestStreamParserMatchesBufferedParser(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	types := []uint8{TypeChangeCipherSpec, TypeAlert, TypeHandshake, TypeAppData}
 	for trial := 0; trial < 200; trial++ {
-		s := Sealer{MaxPlain: []int{0, 1, 100, 1400}[trial%4]}
+		maxPlain := []int{MaxPlaintext, 1, 100, 1400}[trial%4]
 		maxChunk := []int{1, 6, 64, 2000, 1 << 20}[trial%5]
 		// Byte-sized chunks get plaintexts of at most a few records.
 		sizes := []int{0, 1, 37, 1400, 20000}[:3+min(2, trial%5)]
@@ -70,12 +76,13 @@ func TestStreamParserMatchesBufferedParser(t *testing.T) {
 		for i := rng.Intn(12); i >= 0; i-- {
 			plain := make([]byte, sizes[rng.Intn(len(sizes))])
 			before := len(wire)
-			wire = s.Seal(wire, types[rng.Intn(len(types))], plain)
+			wire = sealSplit(wire, types[rng.Intn(len(types))], plain, maxPlain)
 			for off := before; off < len(wire); off += HeaderLen + int(binary.BigEndian.Uint16(wire[off+3:])) {
 				records++
 			}
 		}
-		got := feedBoth(t, fmt.Sprintf("trial %d", trial), wire, func() int { return 1 + rng.Intn(maxChunk) })
+		how := []byte{0, 0xff, 0x5a, byte(rng.Intn(256))}[:1+trial%2*3]
+		got := feedBoth(t, fmt.Sprintf("trial %d", trial), wire, how, func() int { return 1 + rng.Intn(maxChunk) })
 		if got != records {
 			t.Fatalf("trial %d: %d headers, want %d", trial, got, records)
 		}
@@ -85,13 +92,12 @@ func TestStreamParserMatchesBufferedParser(t *testing.T) {
 // TestStreamParserResetDropsPartialRecord resets mid-header and
 // mid-body: the next stream parses from its own first byte.
 func TestStreamParserResetDropsPartialRecord(t *testing.T) {
-	var s Sealer
-	wire := s.Seal(nil, TypeAppData, make([]byte, 100))
+	wire := seal(nil, TypeAppData, make([]byte, 100))
 	for _, cut := range []int{3, HeaderLen + 10} {
 		var p StreamParser
-		p.Feed(wire[:cut])
+		p.Feed(wiretest.Lit(wire[:cut]))
 		p.Reset()
-		hs := p.Feed(wire)
+		hs := p.Feed(wiretest.Lit(wire))
 		if len(hs) != 1 || hs[0].ContentType != TypeAppData || hs[0].Length != 100+Overhead {
 			t.Errorf("cut at %d: headers %v after Reset", cut, hs)
 		}

@@ -2,35 +2,40 @@
 // sees it: plaintext is framed into records with the standard 5-byte
 // cleartext header (content type, version, length) and a fixed
 // per-record ciphertext expansion (explicit-nonce and AEAD-tag
-// placeholders). Record bodies travel as plaintext.
+// placeholders).
 //
 // Only the observables a passive adversary has against real TLS —
 // record boundaries, content types, ciphertext lengths, direction, and
 // timing — reach the reproduced attack (the paper's section II primer
-// and its tshark-based monitor, section V). Payload-blindness is
-// enforced by types, not by transforming bytes: the monitor parses
-// headers only (StreamParser yields HeaderInfo) and the predictor
-// consumes trace.RecordObs, and neither carries a body. A test in
-// internal/core pins this. (See DESIGN.md, substitutions table.)
+// and its tshark-based monitor, section V). Payload-blindness holds by
+// construction: records travel as wire.Bytes, in which the nonce and
+// tag placeholders and every DATA payload are zero runs given by their
+// length alone, so no payload byte exists to be read. On top of that
+// the monitor parses headers only (StreamParser yields HeaderInfo) and
+// the predictor consumes trace.RecordObs, and neither carries a body.
+// Tests in internal/core pin both. (See DESIGN.md, substitutions
+// table.)
 //
-// The record path is built for the simulation hot loop: Seal appends
-// into a caller-recycled buffer, Opener.Feed and StreamParser.Feed
-// return scratch storage reused across calls (Opener record bodies
-// alias its stream buffer), the Opener consumes its buffer by offset
-// with compaction rather than reslicing, and the StreamParser buffers
-// no body at all: it holds at most a header's 5 bytes and counts the
-// body bytes down.
+// Nothing here copies a payload: SealHeader and SealTrailer write a
+// record straight into the caller's stream (the TCP send queue) around
+// the plaintext the caller appends in between, Opener.Feed hands out
+// record bodies that are views of its input and keeps only the header
+// and the body pieces of a record split across Feed calls, and the
+// StreamParser holds at most a header's 5 bytes and counts the body
+// bytes down.
 //
-// Key types: Sealer and Opener (the endpoint halves), Record,
-// HeaderInfo (what a sniffer reads from the 5 cleartext header
-// bytes), and StreamParser (incremental header extraction from a
-// reassembled byte stream, used by core.Monitor).
+// Key types: Opener (the receiving half), Record, HeaderInfo (what a
+// sniffer reads from the 5 cleartext header bytes), and StreamParser
+// (incremental header extraction from a reassembled byte stream, used
+// by core.Monitor).
 package tlsrec
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"repro/internal/wire"
 )
 
 // TLS record constants.
@@ -66,115 +71,123 @@ const (
 // larger than MaxPlaintext+Overhead.
 var ErrRecordTooLarge = errors.New("tlsrec: record exceeds maximum size")
 
-// zeros backs the nonce and tag placeholders so Seal does not
-// allocate them per record.
-var zeros [Overhead]byte
-
-// Sealer frames plaintext into records.
-type Sealer struct {
-	// MaxPlain caps the plaintext per record; zero means MaxPlaintext.
-	// Real stacks often use smaller fragments; the simulation's server
-	// uses the TCP MSS so record boundaries align with segments.
-	MaxPlain int
-}
-
-func (s *Sealer) maxPlain() int {
-	if s.MaxPlain <= 0 || s.MaxPlain > MaxPlaintext {
-		return MaxPlaintext
+// SealHeader appends to dst the start of one record carrying n
+// plaintext bytes: the cleartext header and the explicit-nonce
+// placeholder. The caller appends exactly n plaintext bytes and closes
+// the record with SealTrailer. n must not exceed MaxPlaintext.
+func SealHeader(dst *wire.Bytes, contentType uint8, n int) {
+	if n < 0 || n > MaxPlaintext {
+		panic(fmt.Sprintf("tlsrec: %d plaintext bytes in one record", n))
 	}
-	return s.MaxPlain
+	body := n + Overhead
+	dst.AppendPiece([]byte{contentType, Version >> 8, Version & 0xff, byte(body >> 8), byte(body)}, nonceLen)
 }
 
-// Seal appends the record encoding of plaintext (split into fragments
-// of at most MaxPlain) to dst and returns the extended slice. Each
-// fragment is written unchanged between the nonce and tag
-// placeholders. An empty plaintext produces a single empty record.
-// Passing a recycled dst[:0] makes Seal allocation-free once the
-// buffer has reached its high-water capacity.
-func (s *Sealer) Seal(dst []byte, contentType uint8, plaintext []byte) []byte {
-	mp := s.maxPlain()
-	first := true
-	for first || len(plaintext) > 0 {
-		frag := plaintext
-		if len(frag) > mp {
-			frag = frag[:mp]
-		}
-		plaintext = plaintext[len(frag):]
-		bodyLen := len(frag) + Overhead
-		dst = append(dst, contentType, byte(Version>>8), byte(Version&0xff))
-		dst = binary.BigEndian.AppendUint16(dst, uint16(bodyLen))
-		dst = append(dst, zeros[:nonceLen]...)
-		dst = append(dst, frag...)
-		dst = append(dst, zeros[:tagLen]...)
-		first = false
-	}
-	return dst
-}
+// SealTrailer appends the AEAD-tag placeholder that closes a record.
+func SealTrailer(dst *wire.Bytes) { dst.AppendZeros(tagLen) }
 
 // Record is one parsed record.
 type Record struct {
 	ContentType uint8
-	// Body is the plaintext fragment. It aliases the Opener's stream
-	// buffer and is valid only until the next Feed.
-	Body []byte
+	// Body is the plaintext fragment, valid only during the Feed
+	// callback it is passed to.
+	Body wire.Bytes
 }
 
-// Opener incrementally parses a record stream. Feed arbitrary byte
-// chunks; complete records come out.
+// head tracks the record being parsed: its header, nhdr bytes of it
+// so far, and the body bytes still to come once the header is whole.
+type head struct {
+	hdr  [HeaderLen]byte
+	nhdr int
+	body int
+}
+
+// fill reads the header bytes h still lacks from b at pos and returns
+// how many it read; once the header is whole, body is its length.
+func (h *head) fill(b *wire.Bytes, pos int) int {
+	if h.nhdr == HeaderLen {
+		return 0
+	}
+	n := b.ReadAt(h.hdr[h.nhdr:], pos)
+	if h.nhdr += n; h.nhdr == HeaderLen {
+		h.body = h.length()
+	}
+	return n
+}
+
+// length is the body length the whole header declares.
+func (h *head) length() int { return int(binary.BigEndian.Uint16(h.hdr[3:])) }
+
+// Opener incrementally parses a record stream. Feed arbitrary chunks;
+// complete records come out.
 type Opener struct {
-	buf  []byte
-	off  int      // parse position within buf
-	recs []Record // Feed scratch
+	head
+	part wire.Bytes // the current record's body so far, if it spans Feed calls
+	err  error
 }
 
-// Feed appends stream bytes and returns all newly complete records.
-// The returned slice and the bodies it points into are scratch owned
-// by the Opener, valid only until the next Feed: copy a body out if it
-// must survive. In steady state Feed allocates nothing. A malformed
-// header stops the parse; the records before it are returned with the
-// error.
-func (o *Opener) Feed(b []byte) ([]Record, error) {
-	if o.off > 0 {
-		// Compact the consumed prefix (at most one partial record plus
-		// whatever arrived mid-parse) so the buffer is reused instead
-		// of growing behind an advancing offset.
-		n := copy(o.buf, o.buf[o.off:])
-		o.buf = o.buf[:n]
-		o.off = 0
+// Feed consumes stream bytes and calls emit with every newly complete
+// record, in order. A record's body is valid only during its call: a
+// record wholly inside b has a view of b as its body, and one split
+// across calls a view of the Opener's part buffer, which holds its
+// literal bytes and run lengths. In steady state Feed allocates
+// nothing. A malformed header stops the parse for good: Feed returns
+// the error, after emitting the records before it, and every later
+// Feed returns it again.
+func (o *Opener) Feed(b wire.Bytes, emit func(Record)) error {
+	for pos := 0; o.err == nil && pos < b.Len(); {
+		if pos += o.fill(&b, pos); o.nhdr < HeaderLen {
+			break
+		}
+		if o.body == o.length() {
+			if o.err = check(o.body); o.err != nil {
+				break
+			}
+		}
+		n := min(o.body, b.Len()-pos)
+		o.body -= n
+		pos += n
+		var body wire.Bytes
+		if o.body > 0 || o.part.Len() > 0 {
+			if o.part.Append(b.Slice(pos-n, pos)); o.body > 0 {
+				break
+			}
+			body = o.part.Slice(nonceLen, o.part.Len()-tagLen)
+		} else {
+			body = b.Slice(pos-n+nonceLen, pos-tagLen)
+		}
+		o.nhdr = 0
+		emit(Record{ContentType: o.hdr[0], Body: body})
+		o.part.Reset()
 	}
-	o.buf = append(o.buf, b...)
-	out := o.recs[:0]
-	var err error
-	for len(o.buf)-o.off >= HeaderLen {
-		bodyLen := int(binary.BigEndian.Uint16(o.buf[o.off+3 : o.off+5]))
-		if bodyLen > MaxPlaintext+Overhead {
-			err = fmt.Errorf("%w: %d", ErrRecordTooLarge, bodyLen)
-			break
-		}
-		if bodyLen < Overhead {
-			err = fmt.Errorf("tlsrec: body %d shorter than overhead", bodyLen)
-			break
-		}
-		if len(o.buf)-o.off < HeaderLen+bodyLen {
-			break
-		}
-		start := o.off + HeaderLen + nonceLen
-		end := o.off + HeaderLen + bodyLen - tagLen
-		out = append(out, Record{ContentType: o.buf[o.off], Body: o.buf[start:end:end]})
-		o.off += HeaderLen + bodyLen
+	return o.err
+}
+
+// check refuses a body length no record can declare.
+func check(n int) error {
+	if n > MaxPlaintext+Overhead {
+		return fmt.Errorf("%w: %d", ErrRecordTooLarge, n)
 	}
-	o.recs = out
-	return out, err
+	if n < Overhead {
+		return fmt.Errorf("tlsrec: body %d shorter than overhead", n)
+	}
+	return nil
 }
 
 // Buffered returns the number of bytes awaiting a complete record.
-func (o *Opener) Buffered() int { return len(o.buf) - o.off }
+func (o *Opener) Buffered() int {
+	if o.nhdr < HeaderLen {
+		return o.nhdr
+	}
+	return HeaderLen + o.length() - o.body
+}
 
-// Reset discards any buffered partial record so the Opener can start
-// a fresh stream, keeping the buffer and scratch capacities.
+// Reset discards any buffered partial record and a parse error so the
+// Opener can start a fresh stream, keeping the scratch capacities.
 func (o *Opener) Reset() {
-	o.buf = o.buf[:0]
-	o.off = 0
+	o.head = head{}
+	o.part.Reset()
+	o.err = nil
 }
 
 // HeaderInfo is what a passive observer reads from a record header.
@@ -187,33 +200,24 @@ type HeaderInfo struct {
 // stream without decrypting, the way the paper's tshark monitor does.
 // It keeps the current record's header and skips its body by length.
 type StreamParser struct {
-	hdr  [HeaderLen]byte // the current record's header, nhdr bytes of it so far
-	nhdr int
-	body int          // body bytes still to come, once the header is whole
-	out  []HeaderInfo // Feed scratch
+	head
+	out []HeaderInfo // Feed scratch
 }
 
 // Feed consumes observed bytes and returns headers of all records
 // whose bytes have fully transited. The returned slice is scratch
 // reused by the next Feed call; copy the values out if they must
 // survive it.
-func (p *StreamParser) Feed(b []byte) []HeaderInfo {
+func (p *StreamParser) Feed(b wire.Bytes) []HeaderInfo {
 	out := p.out[:0]
-	for len(b) > 0 {
-		if p.nhdr < HeaderLen {
-			n := copy(p.hdr[p.nhdr:], b)
-			p.nhdr += n
-			b = b[n:]
-			if p.nhdr < HeaderLen {
-				break
-			}
-			p.body = int(binary.BigEndian.Uint16(p.hdr[3:]))
+	for pos := 0; pos < b.Len(); {
+		if pos += p.fill(&b, pos); p.nhdr < HeaderLen {
+			break
 		}
-		n := min(p.body, len(b))
+		n := min(p.body, b.Len()-pos)
 		p.body -= n
-		b = b[n:]
-		if p.body == 0 {
-			out = append(out, HeaderInfo{ContentType: p.hdr[0], Length: int(binary.BigEndian.Uint16(p.hdr[3:]))})
+		if pos += n; p.body == 0 {
+			out = append(out, HeaderInfo{ContentType: p.hdr[0], Length: p.length()})
 			p.nhdr = 0
 		}
 	}

@@ -4,14 +4,62 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
+// sealTo appends one record carrying plain, as literal bytes, to dst.
+func sealTo(dst *wire.Bytes, ct uint8, plain []byte) {
+	SealHeader(dst, ct, len(plain))
+	dst.AppendLiteral(plain)
+	SealTrailer(dst)
+}
+
+// seal appends the plain bytes of one record carrying plain to dst.
+func seal(dst []byte, ct uint8, plain []byte) []byte {
+	var b wire.Bytes
+	sealTo(&b, ct, plain)
+	return append(dst, wiretest.Plain(b)...)
+}
+
+// sealSplit appends plain as records of at most maxPlain plaintext
+// bytes each; an empty plaintext gives one empty record.
+func sealSplit(dst []byte, ct uint8, plain []byte, maxPlain int) []byte {
+	for first := true; first || len(plain) > 0; first = false {
+		n := min(len(plain), maxPlain)
+		dst = seal(dst, ct, plain[:n])
+		plain = plain[n:]
+	}
+	return dst
+}
+
+// feed feeds p to o as literal bytes and returns copies of the
+// records, whose bodies are plain bytes.
+func feed(o *Opener, p []byte) ([]plainRecord, error) {
+	return feedStream(o, wiretest.Lit(p))
+}
+
+// feedStream feeds b to o and returns copies of the records.
+func feedStream(o *Opener, b wire.Bytes) ([]plainRecord, error) {
+	var out []plainRecord
+	err := o.Feed(b, func(r Record) {
+		out = append(out, plainRecord{r.ContentType, wiretest.Plain(r.Body)})
+	})
+	return out, err
+}
+
+// plainRecord is a Record whose body was read out as plain bytes.
+type plainRecord struct {
+	ContentType uint8
+	Body        []byte
+}
+
 func TestSealOpenRoundTrip(t *testing.T) {
-	var s Sealer
 	var o Opener
 	msg := []byte("GET /quiz HTTP/2")
-	wire := s.Seal(nil, TypeAppData, msg)
-	recs, err := o.Feed(wire)
+	wire := seal(nil, TypeAppData, msg)
+	recs, err := feed(&o, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,41 +77,37 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSealFragmentsLargePlaintext(t *testing.T) {
-	s := Sealer{MaxPlain: 1000}
-	var o Opener
-	msg := bytes.Repeat([]byte("x"), 2500)
-	wire := s.Seal(nil, TypeAppData, msg)
-	if got, want := len(wire), 3*(HeaderLen+Overhead)+2500; got != want {
-		t.Errorf("wire len = %d, want %d", got, want)
+// TestSealLayout checks what a sealed record holds literally: the
+// header and the plaintext the caller appended, with the nonce and tag
+// placeholders as zero runs; and that a record may not carry more than
+// MaxPlaintext bytes.
+func TestSealLayout(t *testing.T) {
+	var b wire.Bytes
+	SealHeader(&b, TypeAppData, 3)
+	b.AppendZeros(3)
+	SealTrailer(&b)
+	if b.Len() != HeaderLen+3+Overhead || b.Literal() != HeaderLen {
+		t.Errorf("record of a 3-byte run: %d bytes, %d literal; want %d and %d",
+			b.Len(), b.Literal(), HeaderLen+3+Overhead, HeaderLen)
 	}
-	recs, err := o.Feed(wire)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := wiretest.Plain(b)[:HeaderLen], []byte{TypeAppData, 3, 3, 0, 3 + Overhead}; !bytes.Equal(got, want) {
+		t.Errorf("header = %x, want %x", got, want)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want 3", len(recs))
-	}
-	var all []byte
-	for _, r := range recs {
-		all = append(all, r.Body...)
-	}
-	if !bytes.Equal(all, msg) {
-		t.Error("fragmented round trip corrupted data")
-	}
-	if len(recs[0].Body) != 1000 || len(recs[2].Body) != 500 {
-		t.Errorf("fragment sizes = %d,%d,%d", len(recs[0].Body), len(recs[1].Body), len(recs[2].Body))
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SealHeader accepted more than MaxPlaintext bytes")
+		}
+	}()
+	SealHeader(&b, TypeAppData, MaxPlaintext+1)
 }
 
 func TestSealEmptyPlaintext(t *testing.T) {
-	var s Sealer
 	var o Opener
-	wire := s.Seal(nil, TypeHandshake, nil)
+	wire := seal(nil, TypeHandshake, nil)
 	if len(wire) != HeaderLen+Overhead {
 		t.Errorf("empty record wire len = %d, want %d", len(wire), HeaderLen+Overhead)
 	}
-	recs, err := o.Feed(wire)
+	recs, err := feed(&o, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,20 +117,16 @@ func TestSealEmptyPlaintext(t *testing.T) {
 }
 
 func TestOpenerIncrementalFeed(t *testing.T) {
-	var s Sealer
 	var o Opener
 	msg := []byte("drip drip drip")
-	wire := s.Seal(nil, TypeAppData, msg)
-	var got []Record
+	wire := seal(nil, TypeAppData, msg)
+	var got []plainRecord
 	for _, b := range wire { // one byte at a time
-		recs, err := o.Feed([]byte{b})
+		recs, err := feed(&o, []byte{b})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Bodies are scratch: copy them out before the next Feed.
-		for _, r := range recs {
-			got = append(got, Record{ContentType: r.ContentType, Body: bytes.Clone(r.Body)})
-		}
+		got = append(got, recs...)
 	}
 	if len(got) != 1 || !bytes.Equal(got[0].Body, msg) {
 		t.Errorf("incremental feed got %+v", got)
@@ -97,18 +137,14 @@ func TestOpenerIncrementalFeed(t *testing.T) {
 }
 
 func TestStreamParserSeesHeadersOnly(t *testing.T) {
-	var s Sealer
 	var p StreamParser
-	wire := s.Seal(nil, TypeHandshake, make([]byte, 100))
-	wire = s.Seal(wire, TypeAppData, make([]byte, 700))
+	wire := seal(nil, TypeHandshake, make([]byte, 100))
+	wire = seal(wire, TypeAppData, make([]byte, 700))
 	var hdrs []HeaderInfo
 	// Feed in uneven chunks crossing record boundaries.
 	for len(wire) > 0 {
-		n := 37
-		if n > len(wire) {
-			n = len(wire)
-		}
-		hdrs = append(hdrs, p.Feed(wire[:n])...)
+		n := min(37, len(wire))
+		hdrs = append(hdrs, p.Feed(wiretest.Lit(wire[:n]))...)
 		wire = wire[n:]
 	}
 	if len(hdrs) != 2 {
@@ -125,25 +161,26 @@ func TestStreamParserSeesHeadersOnly(t *testing.T) {
 func TestOpenerRejectsOversizedRecord(t *testing.T) {
 	var o Opener
 	bad := []byte{TypeAppData, 3, 3, 0xff, 0xff} // 65535-byte body
-	if _, err := o.Feed(bad); err == nil {
+	if _, err := feed(&o, bad); err == nil {
 		t.Error("oversized record accepted")
+	}
+	if _, err := feed(&o, seal(nil, TypeAppData, nil)); err == nil {
+		t.Error("a record after the refused header was parsed")
 	}
 }
 
 func TestOpenerRejectsUndersizedRecord(t *testing.T) {
 	var o Opener
 	bad := []byte{TypeAppData, 3, 3, 0, 1, 0} // 1-byte body < Overhead
-	if _, err := o.Feed(bad); err == nil {
+	if _, err := feed(&o, bad); err == nil {
 		t.Error("undersized record accepted")
 	}
 }
 
 func TestSealOpenQuick(t *testing.T) {
 	f := func(data []byte, maxPlain uint16) bool {
-		s := Sealer{MaxPlain: int(maxPlain%4096) + 1}
 		var o Opener
-		wire := s.Seal(nil, TypeAppData, data)
-		recs, err := o.Feed(wire)
+		recs, err := feed(&o, sealSplit(nil, TypeAppData, data, int(maxPlain%4096)+1))
 		if err != nil {
 			return false
 		}
