@@ -4,7 +4,8 @@ package repro
 // (bench/run.sh, which drives real cmd/h2attack campaigns) does not:
 // the passive baselines and ablations of DESIGN.md sections 4–5, with
 // their headline numbers as custom metrics, and micro-benchmarks of
-// the substrate, the worker pool and the export path. The paper's
+// the substrate and the export path. The worker pool's dispatch
+// benchmark lives with the executor in internal/pipeline. The paper's
 // sweep tables come from cmd/h2attack (EXPERIMENTS.md records a
 // reference run) and their throughput from bench/run.sh's sweeps
 // workload.
@@ -13,7 +14,6 @@ package repro
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -27,7 +27,6 @@ import (
 	"repro/internal/h2sim"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/runner"
 	"repro/internal/trace"
 	"repro/internal/website"
 	"repro/internal/wire"
@@ -41,7 +40,7 @@ const benchTrials = 40
 // reportTrialsPerSec attaches the sweep throughput metric to an
 // experiment bench: trialsPerIter simulated page loads ran per
 // iteration (across all configurations of the sweep), fanned over the
-// default worker pool (internal/runner, GOMAXPROCS workers).
+// default worker pool (internal/pipeline, GOMAXPROCS workers).
 func reportTrialsPerSec(b *testing.B, trialsPerIter int) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(trialsPerIter*b.N)/s, "trials/s")
@@ -295,39 +294,6 @@ func BenchmarkInferStreaming(b *testing.B) {
 		}
 		if len(eng.Inferences()) == 0 {
 			b.Fatal("no inferences")
-		}
-	}
-}
-
-// BenchmarkStreamDispatch isolates the worker pool's dispatch and
-// delivery overhead with a near-free trial body: what the streaming
-// runner costs per trial when the trial itself does no work. Batch=64
-// claims a chunk of consecutive indices, buffers its results worker-
-// locally, and delivers them under one lock acquisition; Batch=1 is
-// the per-trial locking path. The spread between the two at high -j
-// is the coordination cost the chunk-buffered delivery removes.
-func BenchmarkStreamDispatch(b *testing.B) {
-	const trials = 1 << 14
-	for _, j := range []int{1, 8, 16} {
-		for _, batch := range []int{1, 64} {
-			b.Run(fmt.Sprintf("j%d/batch%d", j, batch), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					total := 0
-					runner.StreamWith(trials, runner.StreamOptions{
-						Options: runner.Options{Workers: j},
-						Batch:   batch,
-					}, func() struct{} { return struct{}{} },
-						func(struct{}, int) int { return 1 },
-						func(idx int, r int, err *runner.TrialError) bool {
-							total += r
-							return true
-						})
-					if total != trials {
-						b.Fatalf("delivered %d trials, want %d", total, trials)
-					}
-				}
-				reportTrialsPerSec(b, trials)
-			})
 		}
 	}
 }

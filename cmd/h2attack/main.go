@@ -70,7 +70,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/runner"
 )
 
 func main() {
@@ -296,7 +295,7 @@ func run(args []string) int {
 // shard's index range.
 func (cli *cliFlags) campaignConfig(tp *telemetryPlane, name, fingerprint, slice string, total int) pipeline.Config {
 	tp.campaign(name, fingerprint, slice, total)
-	var inner func(runner.Progress)
+	var inner func(pipeline.Progress)
 	if cli.progress {
 		inner = progressPrinter(name)
 	}

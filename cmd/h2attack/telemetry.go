@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/obs"
-	"repro/internal/runner"
+	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 )
 
@@ -65,7 +65,7 @@ func newEventReplayer() func(seed int64) ([]obs.Event, error) {
 	}
 }
 
-// liveGauges returns the gauge block to thread into runner/pipeline
+// liveGauges returns the gauge block to thread into pipeline
 // configs — nil when the plane is disabled, which every instrumented
 // layer treats as the no-op plane.
 func (p *telemetryPlane) liveGauges() *telemetry.Gauges {
@@ -89,12 +89,12 @@ func (p *telemetryPlane) campaign(name, fingerprint, shard string, total int) {
 // (inRange), the range-done gauge. inner may be nil; the result is nil
 // when both the plane and inner are disabled, so callers can assign it
 // to OnProgress unconditionally.
-func (p *telemetryPlane) progress(inner func(runner.Progress), inRange bool) func(runner.Progress) {
+func (p *telemetryPlane) progress(inner func(pipeline.Progress), inRange bool) func(pipeline.Progress) {
 	if p == nil || p.tracker == nil {
 		return inner
 	}
 	t, g := p.tracker, p.gauges
-	return func(pr runner.Progress) {
+	return func(pr pipeline.Progress) {
 		if inRange {
 			g.Set(telemetry.GRangeDone, int64(pr.Completed))
 		}
@@ -119,11 +119,11 @@ func (p *telemetryPlane) shutdown() {
 
 // progressPrinter renders the shared stderr progress line — percent,
 // live throughput, ETA — used by every campaign mode (sweeps, survey,
-// shard slices). The trials/s figure is runner.Progress.TrialsPerSec,
+// shard slices). The trials/s figure is pipeline.Progress.TrialsPerSec,
 // the same field /status reports, so the two can never disagree.
-func progressPrinter(name string) func(runner.Progress) {
+func progressPrinter(name string) func(pipeline.Progress) {
 	lastPct := -1
-	return func(p runner.Progress) {
+	return func(p pipeline.Progress) {
 		pct := 100 * p.Completed / p.Total
 		if pct == lastPct && p.Completed < p.Total {
 			return

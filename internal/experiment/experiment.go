@@ -10,7 +10,7 @@
 // and all packet-level noise — the variation the paper's ~500
 // volunteer sessions exhibit. RunTrial executes one such page load;
 // Sweeps returns the six fixed sweeps as SweepDefs, whose Run fans the
-// trials across an internal/runner worker pool (configure with
+// trials across the internal/pipeline worker pool (configure with
 // Workers and OnProgress) and, because every trial's seed derives from
 // its trial index, returns byte-identical results at any worker count.
 package experiment

@@ -3,19 +3,18 @@ package experiment
 import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/runner"
 	"repro/internal/telemetry"
 )
 
 // Option configures how a sweep executes its trials. Options affect
 // scheduling and observation only — the rows a sweep returns are
 // identical at every worker count, because each trial is a pure
-// function of its index (see internal/runner).
+// function of its index (see internal/pipeline).
 type Option func(*sweepConfig)
 
 type sweepConfig struct {
 	workers    int
-	onProgress func(runner.Progress)
+	onProgress func(pipeline.Progress)
 	metrics    *obs.Registry
 	gauges     *telemetry.Gauges
 }
@@ -29,9 +28,11 @@ func parseOpts(opts []Option) sweepConfig {
 	return cfg
 }
 
-// Workers sets the number of concurrent trial executors for a sweep.
-// Zero or negative selects runtime.GOMAXPROCS(0) (the default); 1
-// runs the trials serially on the calling goroutine.
+// Workers sets the number of worker goroutines executing a sweep's
+// trials. Zero or negative selects runtime.GOMAXPROCS(0) (the
+// default); 1 runs the trials one at a time on a single worker.
+// Every count runs the same pipeline executor and returns the same
+// rows.
 func Workers(n int) Option {
 	return func(c *sweepConfig) { c.workers = n }
 }
@@ -40,7 +41,7 @@ func Workers(n int) Option {
 // every trial completes across the whole sweep — all configurations
 // of a table share one progress stream, so Remaining estimates the
 // full sweep.
-func OnProgress(f func(runner.Progress)) Option {
+func OnProgress(f func(pipeline.Progress)) Option {
 	return func(c *sweepConfig) { c.onProgress = f }
 }
 

@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/runner"
+	"repro/internal/pipeline"
 )
 
 // The worker pool must be invisible in the results: every sweep's
@@ -30,9 +30,9 @@ func TestSweepProgressCoversWholeSweep(t *testing.T) {
 	// All configurations of a table share one progress stream: Table I
 	// has 4 jitter values, so Total must be 4*trials, and the stream
 	// must end exactly at completion.
-	var last runner.Progress
+	var last pipeline.Progress
 	calls := 0
-	tableIDef(3, 1).Run(Workers(2), OnProgress(func(p runner.Progress) {
+	tableIDef(3, 1).Run(Workers(2), OnProgress(func(p pipeline.Progress) {
 		last = p
 		calls++
 	}))

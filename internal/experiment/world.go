@@ -18,8 +18,8 @@ import (
 // same parameters — reuse is a pure performance optimization, which
 // the state-leak regression tests pin down.
 //
-// A World is not safe for concurrent use; the runner keeps one per
-// worker goroutine (see runner.StreamWith).
+// A World is not safe for concurrent use; the pipeline executor keeps
+// one per worker goroutine (see pipeline.Run).
 type World struct {
 	rng *rand.Rand
 	sb  website.SurveyBuilder

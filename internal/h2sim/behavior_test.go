@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/netem"
+	"repro/internal/sim"
 	"repro/internal/tcpsim"
 	"repro/internal/trace"
 	"repro/internal/website"
@@ -439,5 +440,45 @@ func TestServerPushOnlyOnce(t *testing.T) {
 	copies := analysis.CopiesOf(analysis.CopyTransmissions(sess.GroundTruth), 2)
 	if len(copies) != 1 {
 		t.Errorf("pushed object transmitted %d times, want 1", len(copies))
+	}
+}
+
+// TestCompletionStopsSiblingCopyTimers pins which stall timers an
+// object's completion stops: those of every other open copy of that
+// object, and no other stream's. The copies sit on a per-object list,
+// so the test opens several copies, closes one from the middle of the
+// list, and completes another one.
+func TestCompletionStopsSiblingCopyTimers(t *testing.T) {
+	site := tinySite(0, 1000, 1000)
+	c := NewClient(sim.New(1), quietClient(), site)
+	open := func(id uint32, objectID int) *clientStream {
+		st := c.getStream()
+		st.id, st.objectID = id, objectID
+		st.stall.Reset(time.Second)
+		c.putStream(id, st)
+		return st
+	}
+	copies := map[uint32]*clientStream{}
+	for _, id := range []uint32{1, 3, 5, 9} {
+		copies[id] = open(id, 1)
+	}
+	other := open(7, 2)
+	c.closeStream(copies[5])
+	done := copies[3]
+	done.received = 1000
+	c.finishStream(done)
+	if !c.objects[1].complete {
+		t.Fatal("object 1 not complete")
+	}
+	for _, id := range []uint32{1, 9} {
+		if copies[id].stall.Armed() {
+			t.Errorf("stream %d: stall timer still armed after its object completed", id)
+		}
+	}
+	if !other.stall.Armed() {
+		t.Error("stream 7 (another object): stall timer stopped")
+	}
+	if c.OpenStreams() != 3 {
+		t.Errorf("open streams = %d, want 3", c.OpenStreams())
 	}
 }

@@ -119,6 +119,10 @@ type clientStream struct {
 	// retransmission of those bytes already triggered a duplicate.
 	reqStart, reqEnd uint32
 	reRequested      bool
+
+	// prevSib/nextSib link the open streams of one object (its
+	// copies), headed by objState.openCopies.
+	prevSib, nextSib *clientStream
 }
 
 type objState struct {
@@ -130,6 +134,11 @@ type objState struct {
 	reRequests      int
 	exhaustedStalls int
 	pushed          bool // a server push for this object is in flight or done
+
+	// openCopies heads the list of this object's open streams, so
+	// completing the object stops its siblings' stall timers without
+	// walking the whole stream table.
+	openCopies *clientStream
 }
 
 // Client is the simulated browser: it issues the site's request
@@ -323,19 +332,36 @@ func (c *Client) stream(id uint32) *clientStream {
 	return c.streams[id]
 }
 
-// putStream registers an open stream in the dense table.
+// putStream registers an open stream in the dense table and on its
+// object's copy list.
 func (c *Client) putStream(id uint32, st *clientStream) {
 	if int(id) >= len(c.streams) {
 		c.streams = growTable(c.streams, int(id)+1)
 	}
 	c.streams[id] = st
 	c.open++
+	if os := c.object(st.objectID); os != nil {
+		st.nextSib = os.openCopies
+		if os.openCopies != nil {
+			os.openCopies.prevSib = st
+		}
+		os.openCopies = st
+	}
 }
 
-// delStream removes an open stream. The id must be present.
-func (c *Client) delStream(id uint32) {
-	c.streams[id] = nil
+// delStream removes an open stream from the table and from its
+// object's copy list. The stream must be present.
+func (c *Client) delStream(st *clientStream) {
+	c.streams[st.id] = nil
 	c.open--
+	if st.prevSib != nil {
+		st.prevSib.nextSib = st.nextSib
+	} else if os := c.object(st.objectID); os != nil {
+		os.openCopies = st.nextSib
+	}
+	if st.nextSib != nil {
+		st.nextSib.prevSib = st.prevSib
+	}
 }
 
 // nextCopy returns and advances the object's copy sequence number.
@@ -611,7 +637,7 @@ func (c *Client) handlePushPromise(f *h2.PushPromiseFrame) {
 func (c *Client) finishStream(st *clientStream) {
 	st.done = true
 	objectID, received := st.objectID, st.received
-	c.delStream(st.id)
+	c.delStream(st)
 	c.freeStream(st)
 	os := c.object(objectID)
 	if os == nil || os.complete {
@@ -635,10 +661,8 @@ func (c *Client) finishStream(st *clientStream) {
 			c.pumpRefetch()
 		}
 		// Quiesce sibling copies' timers: the object is done.
-		for _, other := range c.streams {
-			if other != nil && other.objectID == objectID {
-				other.stall.Stop()
-			}
+		for other := os.openCopies; other != nil; other = other.nextSib {
+			other.stall.Stop()
 		}
 		if c.OnComplete != nil {
 			c.OnComplete(objectID)
@@ -648,7 +672,7 @@ func (c *Client) finishStream(st *clientStream) {
 
 func (c *Client) closeStream(st *clientStream) {
 	st.closed = true
-	c.delStream(st.id)
+	c.delStream(st)
 	c.freeStream(st)
 }
 

@@ -5,13 +5,13 @@
 //
 // Determinism is the design constraint. Every sweep in this
 // repository must produce byte-identical aggregates at any worker
-// count, and the metrics layer inherits that contract: each runner
+// count, and the metrics layer inherits that contract: each pipeline
 // worker owns one Shard, every simulated event increments plain
 // integer cells in that shard, and Registry.Snapshot merges the
 // shards by integer addition — which is commutative, so the merged
 // totals do not depend on which worker ran which trial. Nothing in
 // obs reads the wall clock: trial latency and trials/s belong to
-// internal/telemetry and runner.Progress.
+// internal/telemetry and pipeline.Progress.
 //
 // Zero cost when disabled is the other constraint. Layers hold an
 // obs.Sink by value; the zero Sink is valid and every method on it is
@@ -277,7 +277,7 @@ func (b *block) merge(o *block) {
 
 // Shard is one worker's private metric cells, preallocated with one
 // block per registry segment. Only its owning worker writes it (the
-// runner keeps one per worker goroutine, the same ownership rule as
+// pipeline keeps one per worker goroutine, the same ownership rule as
 // experiment.World), bracketing each trial's writes with Lock and
 // Unlock so a Registry.Snapshot taken mid-campaign — a checkpoint
 // while other workers are mid-trial — reads whole trials and never

@@ -125,7 +125,7 @@ func TestShardSegmentsAndClamping(t *testing.T) {
 
 // TestRegistryMergeDeterminism distributes a deterministic workload
 // across different shard counts and checks the snapshot text is
-// byte-identical — the same invariant the runner relies on at -j 1 vs
+// byte-identical — the same invariant the pipeline relies on at -j 1 vs
 // -j 8.
 func TestRegistryMergeDeterminism(t *testing.T) {
 	const trials = 96

@@ -43,7 +43,7 @@ func (r *Registry) SetSegments(labels ...string) {
 }
 
 // NewShard allocates one worker's shard, registered for the final
-// merge. Safe for concurrent use (runner workers build their state
+// merge. Safe for concurrent use (pipeline workers build their state
 // concurrently).
 func (r *Registry) NewShard() *Shard {
 	r.mu.Lock()

@@ -1,5 +1,5 @@
 // Package pipeline is the streaming experiment surface of the
-// repository: a generator → runner → exporter pipeline that executes
+// repository: a generator → executor → exporter pipeline that executes
 // seeded trial campaigns of any length in bounded memory, with
 // checkpointed progress and byte-identical resume.
 //
@@ -10,11 +10,13 @@
 //     of i — that one rule is what makes the whole pipeline
 //     deterministic at any worker count, resumable from any index,
 //     and free to re-derive parameters instead of storing them.
-//   - The runner (internal/runner.StreamWith) fans trial indices
-//     across a worker pool, each worker holding one reusable state
-//     arena, and delivers results in strict index order through a
-//     bounded reorder window, so memory stays bounded no matter how
-//     long the campaign runs.
+//   - The executor fans trial indices across a worker pool, each
+//     worker holding one reusable state arena, and delivers results in
+//     strict index order through a bounded reorder window, so memory
+//     stays bounded no matter how long the campaign runs. A panicking
+//     trial is isolated and reported as a TrialError. Every worker
+//     count, -j 1 included, runs the same claim/deliver loop, and
+//     Config is the one place its knobs are declared.
 //   - Exporters consume the ordered (index, params, result) stream:
 //     accumulate a table, append a JSONL line, feed a metrics
 //     registry. Because the stream order is index order, an
@@ -46,27 +48,29 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/runner"
 	"repro/internal/telemetry"
 )
 
-// Config tunes one Run. The zero value runs serially-scheduled on all
-// CPUs with no checkpointing.
+// Config tunes one Run. The zero value runs on all CPUs with no
+// checkpointing.
 type Config struct {
-	// Workers is the trial worker count (internal/runner semantics:
-	// <=0 means GOMAXPROCS, 1 is the serial path).
+	// Workers is the number of worker goroutines executing trials;
+	// zero or negative means runtime.GOMAXPROCS(0). It never affects
+	// exported bytes.
 	Workers int
 
 	// Batch is the number of consecutive trial indices one worker
-	// claims at a time (internal/runner.StreamOptions.Batch). Set it
-	// to the campaign's parameter period — e.g. the survey's
-	// SiteTrials — so per-worker caches (built sites, primed size
-	// tables) serve the whole period instead of being diluted across
-	// workers. Zero claims one index. Never affects exported bytes.
+	// claims at a time. Chunks are aligned to multiples of Batch (the
+	// first after a resume may be short), so set it to the campaign's
+	// parameter period — e.g. the survey's SiteTrials — and per-worker
+	// caches (built sites, primed size tables) serve the whole period
+	// instead of being diluted across workers. Zero claims one index.
+	// Never affects exported bytes.
 	Batch int
 
-	// OnProgress receives completion/ETA snapshots (serialized).
-	OnProgress func(runner.Progress)
+	// OnProgress receives completion/ETA snapshots, serialized, after
+	// every trial. It runs under the executor's lock; keep it cheap.
+	OnProgress func(Progress)
 
 	// Start is the first trial index this invocation executes (default
 	// 0). A checkpointed resume overrides it with the recorded next
@@ -105,15 +109,17 @@ type Config struct {
 	// readable (e.g. closed on SIGINT): workers claim no further
 	// trials, trials already claimed complete and export, and the
 	// pipeline checkpoints the stop point, returning with
-	// Summary.Done == false. Draining — rather than discarding
-	// in-flight trials — is what keeps execution-time side effects
-	// (metrics shards) exact across the stop/resume boundary.
+	// Summary.Done == false. At most Workers×Batch trials execute
+	// after the signal. Draining — rather than discarding in-flight
+	// trials — is what keeps execution-time side effects (metrics
+	// shards) exact across the stop/resume boundary.
 	Stop <-chan struct{}
 
-	// Gauges, when non-nil, receives live pipeline health samples —
-	// exported-trial/byte cursors and checkpoint lag — alongside the
-	// runner gauges (the same *Gauges is handed down to the worker
-	// pool). Write-only from the pipeline's perspective: the telemetry
+	// Gauges, when non-nil, receives live health samples: the worker
+	// pool's size, busy count, claims and busy clock, reorder-ring
+	// occupancy, and the exported-trial/byte cursors and checkpoint
+	// lag. Setting it enables per-trial wall timing (the busy clock).
+	// Write-only from the pipeline's perspective: the telemetry
 	// status server samples it, nothing is read back, so exported
 	// bytes are identical with the plane on or off. Nil (default)
 	// disables it at zero cost.
@@ -142,7 +148,7 @@ type Summary struct {
 
 	// Failures are this invocation's panicked trials, in index order
 	// (their results were exported as zero values).
-	Failures []*runner.TrialError
+	Failures []*TrialError
 
 	// Done reports whether the campaign range completed. False means
 	// a MaxTrials/Stop stop was checkpointed for resume.
@@ -152,8 +158,8 @@ type Summary struct {
 // Run executes gen's campaign through a worker pool and streams every
 // trial, in index order, to each exporter. newState builds one
 // reusable worker arena (e.g. an experiment.World) and trial executes
-// one trial in it; trial(state, gen.Params(i)) must depend only on i,
-// the same purity contract as internal/runner.
+// one trial in it; trial(state, gen.Params(i)) must depend only on i
+// (see execute for the purity contract).
 //
 // With cfg.Checkpoint set, Run resumes from an existing checkpoint
 // file (restoring exporter state and the next index, after verifying
@@ -245,7 +251,7 @@ func Run[P, R, S any](cfg Config, gen Generator[P], newState func() S, trial fun
 		every = 1000
 	}
 	// MaxTrials is a tighter end bound, not an emit-side abort: the
-	// runner executes exactly [sum.Start, execEnd), so nothing runs
+	// executor runs exactly [sum.Start, execEnd), so nothing runs
 	// beyond the checkpointed stop point.
 	execEnd := end
 	if cfg.MaxTrials > 0 && sum.Start+cfg.MaxTrials < execEnd {
@@ -253,16 +259,11 @@ func Run[P, R, S any](cfg Config, gen Generator[P], newState func() S, trial fun
 	}
 	exported := 0
 	var runErr error
-	runner.StreamWith(execEnd, runner.StreamOptions{
-		Options: runner.Options{Workers: cfg.Workers, OnProgress: cfg.OnProgress, Gauges: cfg.Gauges},
-		Start:   sum.Start,
-		Batch:   cfg.Batch,
-		Stop:    cfg.Stop,
-	}, newState, func(s S, i int) R {
+	execute(cfg, sum.Start, execEnd, newState, func(s S, i int) R {
 		return trial(s, gen.Params(i))
-	}, func(i int, result R, err *runner.TrialError) bool {
-		// Exporters run here, on the runner's serialized, index-ordered
-		// emit callback.
+	}, func(i int, result R, err *TrialError) bool {
+		// Exporters run here, on the executor's serialized,
+		// index-ordered emit callback.
 		if err != nil {
 			sum.Failures = append(sum.Failures, err)
 		}

@@ -119,7 +119,7 @@
 // queue for a source whose event times never decrease). The package
 // replaces the paper's physical testbed (section V): one Simulator
 // hosts one page load, and every sweep trial owns a private
-// Simulator, which is what lets internal/runner execute trials
+// Simulator, which is what lets internal/pipeline execute trials
 // concurrently without sharing.
 package sim
 

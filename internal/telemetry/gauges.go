@@ -1,10 +1,11 @@
 // Package telemetry is the wall-clock-side live observability plane
 // of the attack stack: lock-free sampled gauges threaded through the
-// runner, the export pipeline, and the shard driver, an HTTP status
-// server exposing them while a campaign is in flight (/metrics
-// Prometheus text, /status JSON, /events flight-recorder views), and
-// a Perfetto/Chrome trace_event converter that renders one trial's
-// flight-recorder ring as a per-layer timeline.
+// campaign pipeline (its worker pool and exporters) and the shard
+// driver, an HTTP status server exposing them while a campaign is in
+// flight (/metrics Prometheus text, /status JSON, /events
+// flight-recorder views), and a Perfetto/Chrome trace_event converter
+// that renders one trial's flight-recorder ring as a per-layer
+// timeline.
 //
 // The design constraint is the inverse of internal/obs: obs is the
 // deterministic side (sim-domain counters whose snapshots must be
@@ -31,8 +32,8 @@ import "sync/atomic"
 type GaugeID uint8
 
 const (
-	// runner (internal/runner.StreamWith): worker-pool and reorder-
-	// ring occupancy.
+	// trial executor (internal/pipeline's worker pool): worker-pool
+	// and reorder-ring occupancy, exported under the runner_ prefix.
 	GWorkers      GaugeID = iota // worker goroutines in the pool
 	GWorkersBusy                 // workers currently executing a trial chunk
 	GBusyNanos                   // cumulative wall nanoseconds spent inside trial functions
@@ -125,8 +126,8 @@ func (g GaugeID) Help() string {
 }
 
 // Gauges is the live gauge block: one atomic cell per GaugeID,
-// preallocated, updated lock-free from the runner's and pipeline's
-// hot paths and sampled racily by the status server. A nil *Gauges is
+// preallocated, updated lock-free from the pipeline's worker-pool and
+// export hot paths and sampled racily by the status server. A nil *Gauges is
 // the disabled plane — every method nil-checks and returns, so
 // instrumented layers call unconditionally (the obs.Sink contract).
 //

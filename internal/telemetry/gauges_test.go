@@ -6,8 +6,8 @@ import "testing"
 // allocate nothing — on the disabled (nil-receiver) path, where they
 // must be pure nil-checks, and on the enabled path, where they are
 // single atomic operations on preallocated cells. The disabled pin is
-// what lets the runner and pipeline call unconditionally from their
-// hot paths (the obs.Sink contract).
+// what lets the pipeline's executor and exporters call
+// unconditionally from their hot paths (the obs.Sink contract).
 func TestGaugesZeroAlloc(t *testing.T) {
 	var disabled *Gauges
 	enabled := &Gauges{}

@@ -25,7 +25,7 @@ type MetricsSnapshot struct {
 	Gauges [GaugeCount]int64
 
 	// TrialsDone/TrialsTotal/TrialsPerSec describe campaign progress
-	// (Tracker values; TrialsPerSec is runner.Progress.TrialsPerSec).
+	// (Tracker values; TrialsPerSec is pipeline.Progress.TrialsPerSec).
 	TrialsDone   int64
 	TrialsTotal  int64
 	TrialsPerSec float64
@@ -59,7 +59,7 @@ var promExtras = []promExtra{
 		intVal: func(s *MetricsSnapshot) int64 { return s.TrialsDone }},
 	{name: "trials_total", help: "Total trials in the current campaign.",
 		intVal: func(s *MetricsSnapshot) int64 { return s.TrialsTotal }},
-	{name: "trials_per_sec", help: "Wall-clock trial throughput (runner.Progress.TrialsPerSec).", isFloat: true,
+	{name: "trials_per_sec", help: "Wall-clock trial throughput (pipeline.Progress.TrialsPerSec).", isFloat: true,
 		fltVal: func(s *MetricsSnapshot) float64 { return s.TrialsPerSec }},
 	{name: "uptime_seconds", help: "Seconds since the status server started.", isFloat: true,
 		fltVal: func(s *MetricsSnapshot) float64 { return s.UptimeSeconds }},

@@ -7,10 +7,10 @@ import (
 
 // Tracker is the campaign-level side of the plane: which campaign is
 // running (name, fingerprint, total trials) and its latest progress
-// snapshot (done count, throughput, ETA). The runner's OnProgress
+// snapshot (done count, throughput, ETA). The pipeline's OnProgress
 // callback feeds it plain values — the telemetry package deliberately
-// does not import internal/runner (runner imports telemetry for the
-// gauges, and the dependency must stay one-way) — and the status
+// does not import internal/pipeline (pipeline imports telemetry for
+// the gauges, and the dependency must stay one-way) — and the status
 // server samples it per request.
 //
 // Unlike the Gauges cells, tracker updates set several fields that
@@ -40,7 +40,7 @@ type TrackerSnapshot struct {
 	Done   int
 	Failed int
 	Total  int
-	// TrialsPerSec and Remaining mirror runner.Progress — the one
+	// TrialsPerSec and Remaining mirror pipeline.Progress — the one
 	// code path both the -progress line and /status report from.
 	TrialsPerSec float64
 	Remaining    time.Duration

@@ -1,9 +1,10 @@
 #!/bin/sh
 # CI gate for the repository: vet, build everything, then run the full
 # test suite under the race detector. The -race pass is load-bearing,
-# not ceremony — the experiment sweeps run trials across a worker pool
-# (internal/runner), and TestSweepsIdenticalAcrossWorkerCounts only
-# proves trial isolation if the detector watches it happen.
+# not ceremony — the experiment sweeps run trials across the worker
+# pool of internal/pipeline's executor, and
+# TestSweepsIdenticalAcrossWorkerCounts only proves trial isolation if
+# the detector watches it happen.
 #
 # Usage: scripts/ci.sh            (or: make ci)
 set -eu
