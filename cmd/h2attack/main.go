@@ -135,7 +135,7 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 	fs.StringVar(&c.export, "export", "summary", "survey: comma-separated exporters (summary, jsonl=FILE, obs=FILE)")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "survey: checkpoint file for resumable campaigns")
 	fs.IntVar(&c.ckptEvery, "checkpoint-every", 1000, "survey: trials between checkpoint writes")
-	fs.IntVar(&c.maxTrials, "max-trials", 0, "survey: stop (checkpointing) after this many trials this run; 0 = no limit")
+	fs.IntVar(&c.maxTrials, "max-trials", 0, "survey and -shard: stop (checkpointing) after this many trials this run; 0 = no limit")
 	return c
 }
 
@@ -250,17 +250,11 @@ func run(args []string) int {
 		// callback or the telemetry plane (trial seeds derive from the
 		// trial index).
 		cfg := cli.campaignConfig(tp, d.Name, d.Fingerprint(), "", d.Trials)
-		opts := []experiment.Option{
-			experiment.Workers(cfg.Workers),
-			experiment.OnProgress(cfg.OnProgress),
-			experiment.Telemetry(cfg.Gauges),
-		}
 		var reg *obs.Registry
 		if cli.metrics || cli.metricsOut != "" {
 			reg = obs.NewRegistry()
-			opts = append(opts, experiment.Metrics(reg))
 		}
-		results := d.Run(opts...)
+		results := d.Collect(cfg, reg)
 		var snap *obs.Snapshot
 		if reg != nil {
 			snap = reg.Snapshot()
@@ -288,11 +282,12 @@ func run(args []string) int {
 
 // campaignConfig announces one campaign to the telemetry plane and
 // builds the pipeline configuration every mode runs it under: -j,
-// -checkpoint-every, -max-trials, the live gauges, and one progress
-// callback feeding the -progress line, the /status tracker and, for a
-// shard slice (slice "i/N"; "" for a whole campaign), the range
-// gauge. Callers add the checkpoint path, the stop channel and a
-// shard's index range.
+// -checkpoint-every, the live gauges, and one progress callback
+// feeding the -progress line, the /status tracker and, for a shard
+// slice (slice "i/N"; "" for a whole campaign), the range gauge.
+// Checkpointed callers (survey, shard) add -max-trials, the checkpoint
+// path, the stop channel and a shard's index range; an in-memory sweep
+// always runs whole.
 func (cli *cliFlags) campaignConfig(tp *telemetryPlane, name, fingerprint, slice string, total int) pipeline.Config {
 	tp.campaign(name, fingerprint, slice, total)
 	var inner func(pipeline.Progress)
@@ -302,7 +297,6 @@ func (cli *cliFlags) campaignConfig(tp *telemetryPlane, name, fingerprint, slice
 	return pipeline.Config{
 		Workers:         cli.jobs,
 		CheckpointEvery: cli.ckptEvery,
-		MaxTrials:       cli.maxTrials,
 		OnProgress:      tp.progress(inner, slice != ""),
 		Gauges:          tp.liveGauges(),
 	}

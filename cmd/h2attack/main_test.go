@@ -99,6 +99,27 @@ func TestCheckpointBoundsAreUsageErrors(t *testing.T) {
 	}
 }
 
+// TestSweepsIgnoreMaxTrials pins that -max-trials, which bounds a
+// checkpointed survey or shard run, leaves a single-process sweep
+// whole: an in-memory sweep cannot resume, so a bounded one would
+// format a table from part of its trials.
+func TestSweepsIgnoreMaxTrials(t *testing.T) {
+	var outs [2]string
+	for i, args := range [][]string{
+		{"-table2", "-trials", "3", "-j", "1"},
+		{"-table2", "-trials", "3", "-max-trials", "1", "-j", "1"},
+	} {
+		var code int
+		outs[i], _ = captureStream(t, &os.Stdout, func() error { code = run(args); return nil })
+		if code != 0 {
+			t.Fatalf("run(%q) = %d, want 0", args, code)
+		}
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("-max-trials 1 changed the Table II output:\n%s\nwant:\n%s", outs[1], outs[0])
+	}
+}
+
 // TestModeErrorsNameTheFlagOnce pins that a -shard or -merge error is
 // printed with the flag's name once, not "-shard: -shard: ...".
 func TestModeErrorsNameTheFlagOnce(t *testing.T) {

@@ -91,8 +91,7 @@ func runShardMode(cli *cliFlags, defs []experiment.SweepDef, tp *telemetryPlane)
 		}
 		cfg := cli.campaignConfig(tp, name, fingerprint, fmt.Sprintf("%d/%d", idx+1, count), r.End-r.Start)
 		cfg.Start, cfg.End = r.Start, r.End
-		cfg.Checkpoint = filepath.Join(dir, cm.Checkpoint)
-		cfg.Stop = stop
+		cfg.MaxTrials, cfg.Checkpoint, cfg.Stop = cli.maxTrials, filepath.Join(dir, cm.Checkpoint), stop
 		st := experiment.NewObsState()
 		results := filepath.Join(dir, cm.Results)
 		var (

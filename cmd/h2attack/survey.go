@@ -100,8 +100,7 @@ func runSurvey(cli *cliFlags, tp *telemetryPlane) error {
 	}
 
 	cfg := cli.campaignConfig(tp, s.Name(), s.Fingerprint(), "", s.Trials())
-	cfg.Checkpoint = cli.checkpoint
-	cfg.Stop = interruptChannel()
+	cfg.MaxTrials, cfg.Checkpoint, cfg.Stop = cli.maxTrials, cli.checkpoint, interruptChannel()
 	sum, err := runSurveyCampaign(s, cfg, st, exporters...)
 	if err != nil {
 		return err

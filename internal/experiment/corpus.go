@@ -205,7 +205,8 @@ func NewSurvey(cfg SurveyConfig) *Survey {
 func (s *Survey) Corpus() *website.Corpus { return s.corpus }
 
 // SetMetrics collects the campaign's cross-layer metrics into reg,
-// segmented by site-size bucket (sweep Metrics-option semantics).
+// segmented by site-size bucket (as SweepDef.Collect's reg is by
+// configuration).
 // A registry only sees the trials this process runs; to cover a
 // campaign across checkpointed resumes, pass an ObsState's Reg and
 // add its ObsStateExporter to Run's exporters.
@@ -267,16 +268,8 @@ func (s *Survey) Run(cfg pipeline.Config, exporters ...pipeline.Exporter[CorpusT
 	if cfg.Batch == 0 {
 		cfg.Batch = s.cfg.SiteTrials
 	}
-	newState := func() *surveyWorker {
-		w := NewWorld()
-		w.gauges = cfg.Gauges
-		if s.metrics != nil {
-			// Each worker counts into its own shard; no per-trial
-			// registry lock.
-			w.SetMetrics(s.metrics.NewShard())
-		}
-		return &surveyWorker{w: w, s: s}
-	}
+	newWorld := worlds(s.metrics, cfg.Gauges)
+	newState := func() *surveyWorker { return &surveyWorker{w: newWorld(), s: s} }
 	return pipeline.Run(cfg, s, newState,
 		func(sw *surveyWorker, p CorpusTrialParams) SurveyResult { return sw.run(p) },
 		exporters...)

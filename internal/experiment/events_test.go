@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"path/filepath"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/website"
@@ -94,6 +96,67 @@ func TestEventCountsReachMetrics(t *testing.T) {
 		}
 		if got := g.Load(c.gauge); got != int64(c.want) {
 			t.Errorf("gauge %s = %d, want %d", c.gauge.Name(), got, c.want)
+		}
+	}
+}
+
+// TestGaugesOnEveryCampaignPath checks that every campaign path — an
+// in-memory sweep (Collect), a shard slice (RunShard) and a survey —
+// hands the pipeline config's gauges to the worlds it builds, so the
+// live sim-events gauges equal the run's sim.events.* counters.
+// TestEventCountsReachMetrics wires one world by hand; this pins the
+// wiring the campaigns themselves do.
+func TestGaugesOnEveryCampaignPath(t *testing.T) {
+	d := tableIIDef(2, 1)
+	legs := []struct {
+		name string
+		run  func(cfg pipeline.Config) *obs.Snapshot
+	}{
+		{"Collect", func(cfg pipeline.Config) *obs.Snapshot {
+			reg := obs.NewRegistry()
+			d.Collect(cfg, reg)
+			return reg.Snapshot()
+		}},
+		{"RunShard", func(cfg pipeline.Config) *obs.Snapshot {
+			st := NewObsState()
+			if _, err := d.RunShard(cfg, st, filepath.Join(t.TempDir(), "s.jsonl")); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := st.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return snap
+		}},
+		{"Survey", func(cfg pipeline.Config) *obs.Snapshot {
+			s := NewSurvey(SurveyConfig{Corpus: website.CorpusConfig{Seed: 1, Sites: 2}, Seed: 1})
+			reg := obs.NewRegistry()
+			s.SetMetrics(reg)
+			if _, err := s.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			return reg.Snapshot()
+		}},
+	}
+	for _, leg := range legs {
+		g := &telemetry.Gauges{}
+		snap := leg.run(pipeline.Config{Workers: 2, Gauges: g})
+		for _, c := range []struct {
+			counter string
+			gauge   telemetry.GaugeID
+		}{
+			{"sim.events.func", telemetry.GSimEventsFunc},
+			{"sim.events.arg", telemetry.GSimEventsArg},
+			{"sim.events.timer_live", telemetry.GSimEventsTimerLive},
+			{"sim.events.timer_stale", telemetry.GSimEventsTimerStale},
+		} {
+			var want uint64
+			for i := range snap.Segments {
+				want += snap.Segments[i].Counter(c.counter)
+			}
+			if got := g.Load(c.gauge); want == 0 || got != int64(want) {
+				t.Errorf("%s: gauge %s = %d, want %s = %d (nonzero)", leg.name, c.gauge.Name(), got, c.counter, want)
+			}
 		}
 	}
 }

@@ -32,10 +32,10 @@ func TestSweepProgressCoversWholeSweep(t *testing.T) {
 	// must end exactly at completion.
 	var last pipeline.Progress
 	calls := 0
-	tableIDef(3, 1).Run(Workers(2), OnProgress(func(p pipeline.Progress) {
+	tableIDef(3, 1).Collect(pipeline.Config{Workers: 2, OnProgress: func(p pipeline.Progress) {
 		last = p
 		calls++
-	}))
+	}}, nil)
 	if calls != 12 {
 		t.Errorf("progress callbacks = %d, want one per trial (12)", calls)
 	}

@@ -58,9 +58,9 @@ func TestSweepShardMergeByteIdentical(t *testing.T) {
 }
 
 func TestSweepShardBrokenOnPanic(t *testing.T) {
-	// A shard process must export a panicked trial as the same Broken
-	// record runTrials patches into in-process aggregates — not a zero
-	// line, and not a dead process. A nil world panics on first use.
+	// Every sweep, in process or sharded, must export a panicked trial
+	// as a Broken record — not a zero line, and not a dead process. A
+	// nil world panics on first use.
 	res := brokenOnPanic(nil, TrialParams{})
 	if !res.Broken {
 		t.Fatal("brokenOnPanic did not convert the panic into a Broken result")

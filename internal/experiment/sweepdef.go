@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
@@ -75,11 +76,33 @@ func (d SweepDef) generator() pipeline.Fixed[TrialParams] {
 	return pipeline.Fixed[TrialParams]{CampaignName: d.Name, N: d.Trials, Fn: d.Params, FP: d.fingerprint}
 }
 
-// Run executes the whole sweep in-process and returns the results in
-// trial order; Format (or the sweep's row aggregator) consumes them.
+// Run executes the whole sweep in-process at the given worker count
+// and metrics registry and returns the results in trial order; Format
+// (or the sweep's row aggregator) consumes them. It is Collect with
+// only Workers set.
 func (d SweepDef) Run(opts ...Option) []TrialResult {
-	setSegments(opts, d.Segments...)
-	return runTrials(d.Trials, opts, d.Params)
+	var c sweepConfig
+	for _, o := range opts {
+		o(&c)
+	}
+	return d.Collect(pipeline.Config{Workers: c.workers}, c.metrics)
+}
+
+// Collect executes the whole sweep in-process under cfg, with its
+// metrics in reg (nil for none), and returns the results in trial
+// order. It panics unless every trial ran: no table may be formatted
+// from part of a sweep, so cfg sets no Checkpoint, Start, End or
+// MaxTrials, and a Stop that fires is a caller bug.
+func (d SweepDef) Collect(cfg pipeline.Config, reg *obs.Registry) []TrialResult {
+	collect := pipeline.NewCollector[TrialParams, TrialResult](d.Trials)
+	sum, err := d.run(cfg, reg, collect)
+	if err != nil {
+		panic(err)
+	}
+	if sum.Exported != d.Trials {
+		panic(fmt.Sprintf("experiment: sweep %s stopped after %d of %d trials", d.Name, sum.Exported, d.Trials))
+	}
+	return collect.Results()
 }
 
 // Sweeps returns the shardable definitions of the paper's six fixed
@@ -104,35 +127,36 @@ const ShardWriterBuf = 1 << 18
 // RunShard executes the [cfg.Start, cfg.End) slice of the sweep
 // through the checkpointable pipeline, writing one JSON-marshalled
 // TrialResult per trial as a line of jsonlPath. st, when non-nil,
-// receives the slice's metrics (segment labels set here) and rides the
-// checkpoint cycle so the snapshot covers the whole range across
-// restarts. A trial that panics is recorded as
-// TrialResult{Broken: true}, matching what runTrials feeds the
-// in-process aggregators, so a merged shard set aggregates
-// identically to a single-process run.
+// receives the slice's metrics and rides the checkpoint cycle so the
+// snapshot covers the whole range across restarts. A merged shard set
+// aggregates identically to Collect: both run the same sweep path.
 func (d SweepDef) RunShard(cfg pipeline.Config, st *ObsState, jsonlPath string) (pipeline.Summary, error) {
-	newState := NewWorld
 	jsonl := pipeline.NewJSONL(jsonlPath, func(_ int, _ TrialParams, r TrialResult) (any, error) {
 		return r, nil
 	}).WithAppender(pipeline.AppendFunc[TrialParams, TrialResult](AppendTrialResultLine)).
 		WithBufferSize(ShardWriterBuf)
-	exporters := []pipeline.Exporter[TrialParams, TrialResult]{jsonl}
-	if st != nil {
-		reg := st.Reg
-		reg.SetSegments(d.Segments...)
-		newState = func() *World {
-			w := NewWorld()
-			w.SetMetrics(reg.NewShard())
-			return w
-		}
-		exporters = append(exporters, ObsStateExporter[TrialParams, TrialResult](st))
+	if st == nil {
+		return d.run(cfg, nil, jsonl)
 	}
-	return pipeline.Run(cfg, d.generator(), newState, brokenOnPanic, exporters...)
+	return d.run(cfg, st.Reg, jsonl, ObsStateExporter[TrialParams, TrialResult](st))
 }
 
-// brokenOnPanic runs one trial, converting a panic into the broken
-// trial runTrials would aggregate — the exported record must carry
-// the verdict, not a zero value.
+// run is the one execution path of every sweep: it labels reg's
+// segments with the configuration axis and streams the trials through
+// pipeline.Run to the exporters, on worlds that count into reg and
+// cfg.Gauges. A trial that panics is exported as a broken trial
+// (TrialResult{Broken: true}), so a single bad seed cannot kill a
+// sweep; every aggregate already accounts broken trials.
+func (d SweepDef) run(cfg pipeline.Config, reg *obs.Registry, exporters ...pipeline.Exporter[TrialParams, TrialResult]) (pipeline.Summary, error) {
+	if reg != nil {
+		reg.SetSegments(d.Segments...)
+	}
+	return pipeline.Run(cfg, d.generator(), worlds(reg, cfg.Gauges), brokenOnPanic, exporters...)
+}
+
+// brokenOnPanic runs one trial, converting a panic into a broken
+// trial — the exported record must carry the verdict, not a zero
+// value.
 func brokenOnPanic(w *World, p TrialParams) (r TrialResult) {
 	defer func() {
 		if recover() != nil {

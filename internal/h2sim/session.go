@@ -35,10 +35,12 @@ type SessionConfig struct {
 	// Default 2s.
 	DrainTime time.Duration
 
-	// RandomizeAmbient perturbs the default path per trial (RTT and
-	// jitter drawn from the seed), modelling the day-to-day network
-	// variation across the paper's ~500 volunteer sessions. Only
-	// applies when Path is left at the default.
+	// RandomizeAmbient redraws the path's RTT per trial from the
+	// session's seeded RNG, modelling the day-to-day network variation
+	// across the paper's ~500 volunteer sessions: Reset overwrites
+	// both directions' PropDelay (server side 30-62ms, client side
+	// 1-4ms) whatever Path holds, and leaves every other Path field,
+	// jitter included, as configured.
 	RandomizeAmbient bool
 
 	// Obs, when enabled, receives metric increments and flight events

@@ -50,7 +50,7 @@ func TestBaselineHTMLIsHeavilyMultiplexed(t *testing.T) {
 		}
 	}
 	t.Logf("baseline: clean %d/%d trials; mean degree when multiplexed %.2f",
-		cleanTrials, trials, degreeSum/float64(maxi(degreeTrials, 1)))
+		cleanTrials, trials, degreeSum/float64(max(degreeTrials, 1)))
 	if cleanTrials == trials {
 		t.Error("HTML was never multiplexed at baseline; paper reports ~98% default degree")
 	}
@@ -152,11 +152,4 @@ func TestResetFlushesServerWorkers(t *testing.T) {
 	if sess.Server.Stats.Resets == 0 {
 		t.Fatal("server never received RST_STREAM")
 	}
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -315,7 +315,7 @@ func (e *Endpoint) onRTO() {
 	e.Obs.Inc(obs.CTCPTimeoutRetx)
 	e.Obs.Event(e.s.Now(), obs.EvTCPTimeoutRetx, int64(e.sndUna), int64(e.retries))
 	flight := float64(e.Outstanding())
-	e.ssthresh = maxf(flight/2, float64(2*MSS))
+	e.ssthresh = max(flight/2, float64(2*MSS))
 	e.cwnd = float64(MSS)
 	e.dupAcks = 0
 	e.rto *= 2
@@ -394,7 +394,7 @@ func (e *Endpoint) handleAck(ack uint32, pureAck bool) {
 		e.rto = e.clampRTO(e.computeRTO())
 		// Congestion window growth.
 		if e.cwnd < e.ssthresh {
-			e.cwnd += float64(minInt(int(acked), MSS)) // slow start
+			e.cwnd += float64(min(int(acked), MSS)) // slow start
 		} else {
 			e.cwnd += float64(MSS) * float64(MSS) / e.cwnd // AIMD
 		}
@@ -415,7 +415,7 @@ func (e *Endpoint) handleAck(ack uint32, pureAck bool) {
 			// Fast retransmit + fast recovery entry.
 			e.Stats.FastRetransmits++
 			flight := float64(e.Outstanding())
-			e.ssthresh = maxf(flight/2, float64(2*MSS))
+			e.ssthresh = max(flight/2, float64(2*MSS))
 			e.cwnd = e.ssthresh + float64(dupAckThreshold*MSS)
 			e.Obs.Inc(obs.CTCPFastRetx)
 			e.Obs.Event(e.s.Now(), obs.EvTCPFastRetx, int64(e.sndUna), int64(e.cwnd))
@@ -479,20 +479,6 @@ func (e *Endpoint) BackoffRTO(factor int) {
 
 func seqLess(a, b uint32) bool { return int32(a-b) < 0 }
 func seqLEQ(a, b uint32) bool  { return int32(a-b) <= 0 }
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // Conn couples two endpoints across a netem.Path.
 type Conn struct {

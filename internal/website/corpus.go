@@ -196,7 +196,7 @@ func (c *Corpus) Build(i int) *GeneratedSite {
 	// The attacked HTML document sits mid-schedule — late enough that
 	// skeleton objects precede it (the attack throttles during them),
 	// early enough that a tail of embedded objects follows.
-	targetPos := 2 + rng.Intn(maxInt(1, nObjects-4)) // 0-based, in [2, nObjects-3]
+	targetPos := 2 + rng.Intn(max(1, nObjects-4)) // 0-based, in [2, nObjects-3]
 	if targetPos > nObjects-2 {
 		targetPos = nObjects - 2
 	}
@@ -313,12 +313,4 @@ func (c *Corpus) Build(i int) *GeneratedSite {
 			TotalBytes: total,
 		},
 	}
-}
-
-// maxInt is a pre-generics helper kept local to the corpus.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
