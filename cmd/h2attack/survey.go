@@ -122,7 +122,7 @@ func reportSurvey(cli *cliFlags, ex surveyExports, sum pipeline.Summary, summary
 	fmt.Printf("survey: %d sites x %d trials, %d/%d trials exported (this run: %d)\n",
 		cli.corpus, sum.Trials/cli.corpus, sum.Exported, sum.Trials, sum.Exported-sum.Start)
 	if len(sum.Failures) > 0 {
-		fmt.Printf("survey: %d trials panicked and were exported as zero results\n", len(sum.Failures))
+		fmt.Printf("survey: %d trials panicked and were exported as broken\n", len(sum.Failures))
 	}
 	if !sum.Done {
 		if cli.checkpoint != "" {

@@ -258,6 +258,26 @@ func (sw *surveyWorker) run(p CorpusTrialParams) SurveyResult {
 	return sw.w.RunSiteTrial(sw.site, p)
 }
 
+// PanicResult implements pipeline.PanicResulter: a panicked trial is
+// exported as broken, with its site's spec, as a sweep's is by
+// brokenOnPanic, and pipeline.Run still reports it in
+// Summary.Failures. If building the site is what panicked, the spec
+// keeps only the site's index and seed.
+func (s *Survey) PanicResult(p CorpusTrialParams) SurveyResult {
+	return SurveyResult{SiteSpec: s.siteSpec(p.Site), Rep: p.Rep, TrialSeed: p.Seed, Broken: true}
+}
+
+// siteSpec returns site i's spec, or only its index and seed when its
+// build panics.
+func (s *Survey) siteSpec(i int) (spec website.SiteSpec) {
+	defer func() {
+		if recover() != nil {
+			spec = website.SiteSpec{Index: i, Seed: s.corpus.SiteSeed(i)}
+		}
+	}()
+	return s.corpus.Build(i).Spec
+}
+
 // Run executes the campaign through pipeline.Run with the given
 // pipeline configuration and exporters. Unless the caller set one,
 // the worker claim batch defaults to SiteTrials, so all repetitions
@@ -270,9 +290,7 @@ func (s *Survey) Run(cfg pipeline.Config, exporters ...pipeline.Exporter[CorpusT
 	}
 	newWorld := worlds(s.metrics, cfg.Gauges)
 	newState := func() *surveyWorker { return &surveyWorker{w: newWorld(), s: s} }
-	return pipeline.Run(cfg, s, newState,
-		func(sw *surveyWorker, p CorpusTrialParams) SurveyResult { return sw.run(p) },
-		exporters...)
+	return pipeline.Run(cfg, s, newState, (*surveyWorker).run, exporters...)
 }
 
 // SurveyJSONL returns the campaign's raw per-trial exporter: one JSON

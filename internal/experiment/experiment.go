@@ -16,12 +16,12 @@
 package experiment
 
 import (
-	"math/rand"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/h2sim"
 	"repro/internal/netem"
+	"repro/internal/sim"
 	"repro/internal/tcpsim"
 	"repro/internal/website"
 )
@@ -138,7 +138,7 @@ const (
 )
 
 // ambient draws the per-trial network/think-time variation.
-func ambient(rng *rand.Rand) (path netem.PathConfig, htmlGap time.Duration) {
+func ambient(rng *sim.Rand) (path netem.PathConfig, htmlGap time.Duration) {
 	path = h2sim.DefaultPath()
 	path.ServerSide.PropDelay = AmbientDelayLo +
 		time.Duration(rng.Int63n(int64(AmbientDelaySpread)))

@@ -1,12 +1,11 @@
 package experiment
 
 import (
-	"math/rand"
-
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/h2sim"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/website"
 )
@@ -21,7 +20,7 @@ import (
 // A World is not safe for concurrent use; the pipeline executor keeps
 // one per worker goroutine (see pipeline.Run).
 type World struct {
-	rng *rand.Rand
+	rng sim.Rand // seeded by begin
 	sb  website.SurveyBuilder
 
 	sess *h2sim.Session
@@ -52,7 +51,7 @@ type World struct {
 // stack, adversary) are constructed lazily on the first trial and
 // reused afterwards.
 func NewWorld() *World {
-	return &World{rng: rand.New(rand.NewSource(1))}
+	return &World{}
 }
 
 // SetMetrics points the world's trials at one worker shard. Pass nil
@@ -146,15 +145,15 @@ func (w *World) RunTrial(p TrialParams) TrialResult {
 // shard's trial lock, under which the trial's metric writes happen
 // (uncontended unless a checkpoint is merging the shard); the caller
 // defers unlock, so a panicking trial releases it too. It then
-// re-seeds the world's rand, which replays the exact stream a fresh
-// rand.New(rand.NewSource(seed)) would produce, so the site and
-// ambient draws match the fresh-world path.
-func (w *World) begin(seed int64) *rand.Rand {
+// re-seeds the world's generator in place, which replays the exact
+// stream a fresh sim.NewRand(seed) would produce, so the site and
+// ambient draws match the fresh-world path without allocating one.
+func (w *World) begin(seed int64) *sim.Rand {
 	if w.shard != nil {
 		w.shard.Lock()
 	}
 	w.rng.Seed(seed)
-	return w.rng
+	return &w.rng
 }
 
 // unlock releases the shard's trial lock that begin took.

@@ -42,25 +42,25 @@ const (
 
 // ClientConfig tunes the browser model.
 type ClientConfig struct {
-	// StallBase is the floor of the per-stream stall timeout. Default
-	// 2s (a browser-scale response deadline; baseline loads must not
-	// trip it).
+	// StallBase is the floor of the per-stream stall timeout. Zero
+	// means DefaultStallBase.
 	StallBase time.Duration
 
 	// StallsForReset triggers a reset when this many stream stalls
 	// burst (within 2.5s of one another) without any object
 	// completing — the "highly lossy communication channel" signal of
-	// paper section IV-D. Default 6.
+	// paper section IV-D. Zero means DefaultStallsForReset.
 	StallsForReset int
 
 	// RefetchWindow bounds outstanding post-reset refetches. Small
 	// windows keep the recovering connection near single-threaded (the
 	// paper's observation); large windows re-create the pre-reset
-	// interleaving (ablation). Default 2.
+	// interleaving (ablation). Zero means DefaultRefetchWindow.
 	RefetchWindow int
 
 	// GapNoiseFrac randomizes schedule gaps by ±frac (client-side
-	// think-time noise). Default 0.15; negative disables.
+	// think-time noise). Zero means DefaultGapNoiseFrac; negative
+	// disables.
 	GapNoiseFrac float64
 
 	// DisableReRequest turns off duplicate requests (ablation 2).
@@ -70,18 +70,34 @@ type ClientConfig struct {
 	DisableReset bool
 }
 
+// ClientConfig's defaults, which withDefaults fills into zero fields.
+const (
+	// DefaultStallBase is a browser-scale response deadline; baseline
+	// loads must not trip it.
+	DefaultStallBase = 2 * time.Second
+
+	// DefaultStallsForReset is the stall burst that triggers a reset.
+	DefaultStallsForReset = 6
+
+	// DefaultRefetchWindow bounds outstanding post-reset refetches.
+	DefaultRefetchWindow = 2
+
+	// DefaultGapNoiseFrac is the ± fraction of schedule-gap noise.
+	DefaultGapNoiseFrac = 0.15
+)
+
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.StallBase == 0 {
-		c.StallBase = 2 * time.Second
+		c.StallBase = DefaultStallBase
 	}
 	if c.StallsForReset == 0 {
-		c.StallsForReset = 6
+		c.StallsForReset = DefaultStallsForReset
 	}
 	if c.RefetchWindow == 0 {
-		c.RefetchWindow = 2
+		c.RefetchWindow = DefaultRefetchWindow
 	}
 	if c.GapNoiseFrac == 0 {
-		c.GapNoiseFrac = 0.15
+		c.GapNoiseFrac = DefaultGapNoiseFrac
 	}
 	return c
 }

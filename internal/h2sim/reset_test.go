@@ -1,11 +1,11 @@
 package h2sim
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/netem"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/website"
 )
@@ -88,7 +88,7 @@ func TestSessionResetReplaysFreshRun(t *testing.T) {
 	reused := NewSession(site, SessionConfig{Seed: 5, RandomizeAmbient: true})
 	recordPackets(reused)
 	reused.Run()
-	otherSite := website.Survey(website.RandomPermutation(rand.New(rand.NewSource(9))))
+	otherSite := website.Survey(website.RandomPermutation(sim.NewRand(9)))
 	reused.Reset(otherSite, SessionConfig{Seed: 6})
 	recordPackets(reused)
 	reused.Run()

@@ -20,7 +20,6 @@
 package h2sim
 
 import (
-	"math/rand"
 	"time"
 
 	"repro/internal/h2"
@@ -60,11 +59,12 @@ const (
 	blockedPoll = 10 * time.Millisecond
 )
 
-// jitterMax is the largest Int63 value that rand.Int63n(serviceJitter)
-// keeps rather than draws again: the top of the last whole multiple of
-// serviceJitter below 2^63. As a constant it spares every draw
-// Int63n's run-time 64-bit division, and the reduction modulo the
-// constant serviceJitter compiles to a multiplication.
+// jitterMax is sim.Int63nLimit(serviceJitter), the largest Int63 value
+// that Int63n(serviceJitter) keeps rather than draws again: the top of
+// the last whole multiple of serviceJitter below 2^63. As a constant it
+// spares every draw Int63n's run-time 64-bit division, and the
+// reduction modulo the constant serviceJitter compiles to a
+// multiplication.
 const jitterMax = int64(1<<63 - 1 - (1<<63)%uint64(serviceJitter))
 
 // Every service interval is shorter than blockedPoll, so a blocked
@@ -94,7 +94,7 @@ type ServerConfig struct {
 	// bytes, so the enqueue (interleaving) order tracks the wire pace.
 	// This is what lets slow-start over a long-RTT path stretch early
 	// object transmissions across later requests — the baseline
-	// multiplexing source. Default 56 KiB.
+	// multiplexing source. Zero means DefaultSendBufLimit.
 	SendBufLimit int
 
 	// DisableDuplicates suppresses the paper-observed behaviour of
@@ -115,9 +115,12 @@ type ServerConfig struct {
 	Push map[string][]string
 }
 
+// DefaultSendBufLimit is ServerConfig.SendBufLimit's default, 56 KiB.
+const DefaultSendBufLimit = 56 << 10
+
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.SendBufLimit == 0 {
-		c.SendBufLimit = 56 << 10
+		c.SendBufLimit = DefaultSendBufLimit
 	}
 	return c
 }
@@ -465,13 +468,7 @@ func (sv *Server) serviceInterval() time.Duration {
 // jitterDraw draws the value that r.Int63n(serviceJitter) reduces
 // modulo serviceJitter, through the same rejection loop, so it consumes
 // exactly the source values Int63n would.
-func jitterDraw(r *rand.Rand) int64 {
-	for {
-		if v := r.Int63(); v <= jitterMax {
-			return v
-		}
-	}
-}
+func jitterDraw(r *sim.Rand) int64 { return r.Int63Below(jitterMax) }
 
 // worker is one server "thread" streaming one object copy. Workers
 // are recycled through Server.wfree (see getWorker); the stepFn

@@ -27,12 +27,13 @@ type SessionConfig struct {
 	Server ServerConfig
 	Client ClientConfig
 
-	// TimeLimit bounds the simulated wall clock. Default 120s.
+	// TimeLimit bounds the simulated wall clock. Zero means
+	// DefaultTimeLimit.
 	TimeLimit time.Duration
 
 	// DrainTime lets in-flight transmissions settle after the page
-	// completes, so ground truth captures trailing duplicates.
-	// Default 2s.
+	// completes, so ground truth captures trailing duplicates. Zero
+	// means DefaultDrainTime.
 	DrainTime time.Duration
 
 	// RandomizeAmbient redraws the path's RTT per trial from the
@@ -72,6 +73,16 @@ func DefaultPath() netem.PathConfig {
 	}
 }
 
+// SessionConfig's defaults, which withDefaults fills into zero fields.
+const (
+	// DefaultTimeLimit bounds a page load's simulated time.
+	DefaultTimeLimit = 120 * time.Second
+
+	// DefaultDrainTime is how long a session runs on after the page
+	// completes.
+	DefaultDrainTime = 2 * time.Second
+)
+
 func (c SessionConfig) withDefaults() SessionConfig {
 	unset := func(lc netem.LinkConfig) bool {
 		return lc.RateBitsPerSec == 0 && lc.PropDelay == 0 && lc.Jitter == nil &&
@@ -81,10 +92,10 @@ func (c SessionConfig) withDefaults() SessionConfig {
 		c.Path = DefaultPath()
 	}
 	if c.TimeLimit == 0 {
-		c.TimeLimit = 120 * time.Second
+		c.TimeLimit = DefaultTimeLimit
 	}
 	if c.DrainTime == 0 {
-		c.DrainTime = 2 * time.Second
+		c.DrainTime = DefaultDrainTime
 	}
 	return c
 }

@@ -35,7 +35,6 @@
 package netem
 
 import (
-	"math/rand"
 	"time"
 
 	"repro/internal/obs"
@@ -122,20 +121,24 @@ type LinkConfig struct {
 	// stays FIFO: jitter varies delay but preserves order, as real
 	// queues do. (On-path adversarial reordering comes from middlebox
 	// Delay decisions, which bypass this.)
-	Jitter func(rng *rand.Rand) time.Duration
+	Jitter func(rng *sim.Rand) time.Duration
 
 	// Loss is the probability in [0,1] that a packet is dropped.
 	Loss float64
 
 	// MaxQueueDelay bounds the transmit backlog: a packet that would
 	// wait longer than this for serialization is tail-dropped. Zero
-	// means 500ms (a large router buffer).
+	// means DefaultMaxQueueDelay.
 	MaxQueueDelay time.Duration
 }
 
+// DefaultMaxQueueDelay is LinkConfig.MaxQueueDelay's default: the
+// backlog of a large router buffer.
+const DefaultMaxQueueDelay = 500 * time.Millisecond
+
 func (c LinkConfig) withDefaults() LinkConfig {
 	if c.MaxQueueDelay == 0 {
-		c.MaxQueueDelay = 500 * time.Millisecond
+		c.MaxQueueDelay = DefaultMaxQueueDelay
 	}
 	return c
 }
@@ -257,13 +260,16 @@ func (l *Link) Send(p *Packet) {
 }
 
 // UniformJitter returns a jitter function drawing uniformly from
-// [0, max].
-func UniformJitter(max time.Duration) func(*rand.Rand) time.Duration {
+// [0, max]: rng.Int63n(max+1), with Int63n's rejection limit computed
+// here once rather than on every packet.
+func UniformJitter(max time.Duration) func(*sim.Rand) time.Duration {
 	if max <= 0 {
 		return nil
 	}
-	return func(rng *rand.Rand) time.Duration {
-		return time.Duration(rng.Int63n(int64(max) + 1))
+	n := int64(max) + 1
+	limit := sim.Int63nLimit(n)
+	return func(rng *sim.Rand) time.Duration {
+		return time.Duration(rng.Int63Below(limit) % n)
 	}
 }
 

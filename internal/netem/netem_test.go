@@ -3,6 +3,7 @@ package netem
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -99,6 +100,25 @@ func TestLinkLoss(t *testing.T) {
 func TestUniformJitterZero(t *testing.T) {
 	if UniformJitter(0) != nil {
 		t.Error("UniformJitter(0) should be nil (no jitter)")
+	}
+}
+
+// TestUniformJitterMatchesInt63n pins UniformJitter(max) to
+// math/rand's Int63n(max+1), draw for draw, for bounds whose max+1 is
+// a power of two (Int63n's mask path) and for bounds that are not (its
+// rejection path, with the limit UniformJitter computes once).
+func TestUniformJitterMatchesInt63n(t *testing.T) {
+	for _, max := range []time.Duration{1, 7, 1<<20 - 1, 1<<62 - 1, 10 * time.Millisecond, 30 * time.Millisecond, 1 << 62} {
+		jitter := UniformJitter(max)
+		got, want := sim.NewRand(int64(max)), rand.New(rand.NewSource(int64(max)))
+		for i := 0; i < 1000; i++ {
+			if g, w := jitter(got), time.Duration(want.Int63n(int64(max)+1)); g != w {
+				t.Fatalf("max %v draw %d: %v, Int63n gives %v", max, i, g, w)
+			}
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("max %v: the generators diverge after the draws", max)
+		}
 	}
 }
 

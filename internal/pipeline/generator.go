@@ -28,6 +28,14 @@ type Generator[P any] interface {
 	Fingerprint() string
 }
 
+// PanicResulter is implemented by a Generator whose panicked trials
+// export a verdict of their own: Run exports PanicResult(p) in place
+// of R's zero value and still reports the trial in Summary.Failures.
+// It runs on the export path, so it must not panic.
+type PanicResulter[P, R any] interface {
+	PanicResult(p P) R
+}
+
 // Fixed is the simplest Generator: n trials whose parameters come
 // from a function of the index. The paper's six sweeps are Fixed
 // generators over their configuration grids.

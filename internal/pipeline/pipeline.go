@@ -147,7 +147,8 @@ type Summary struct {
 	Exported int
 
 	// Failures are this invocation's panicked trials, in index order
-	// (their results were exported as zero values).
+	// (their results were exported as zero values, or as the
+	// generator's PanicResult).
 	Failures []*TrialError
 
 	// Done reports whether the campaign range completed. False means
@@ -257,6 +258,7 @@ func Run[P, R, S any](cfg Config, gen Generator[P], newState func() S, trial fun
 	if cfg.MaxTrials > 0 && sum.Start+cfg.MaxTrials < execEnd {
 		execEnd = sum.Start + cfg.MaxTrials
 	}
+	panicResult, _ := any(gen).(PanicResulter[P, R])
 	exported := 0
 	var runErr error
 	execute(cfg, sum.Start, execEnd, newState, func(s S, i int) R {
@@ -264,10 +266,13 @@ func Run[P, R, S any](cfg Config, gen Generator[P], newState func() S, trial fun
 	}, func(i int, result R, err *TrialError) bool {
 		// Exporters run here, on the executor's serialized,
 		// index-ordered emit callback.
+		p := gen.Params(i)
 		if err != nil {
 			sum.Failures = append(sum.Failures, err)
+			if panicResult != nil {
+				result = panicResult.PanicResult(p)
+			}
 		}
-		p := gen.Params(i)
 		for _, e := range exporters {
 			if expErr := e.Export(i, p, result); expErr != nil {
 				runErr = fmt.Errorf("pipeline: exporter %q at trial %d: %w", e.Name(), i, expErr)

@@ -1,6 +1,6 @@
 // Package sim provides a deterministic discrete-event simulator: a
-// virtual clock, an event queue, restartable timers, and seeded
-// randomness.
+// virtual clock, an event queue, restartable timers, and a seeded
+// random generator.
 //
 // All of the network, transport, and HTTP/2 simulation layers in this
 // repository are event-driven callbacks scheduled on one Simulator, so
@@ -99,7 +99,12 @@
 // RunUntil's bound on event times), accounts each pop exactly as
 // dispatch does (clock, Steps, EventCounts, the MaxSteps panic), and
 // lets the caller's keep stand in for the callback. An entry keep
-// keeps is re-queued d later with the next seq, as AfterArg would do.
+// keeps is re-queued d later with the next seq, as AfterArg would do,
+// but in place: the pop has just freed a slot, so Cycle writes the
+// entry straight into the ring's tail slot, checking only that it does
+// not precede the lane's newest entry (the panic AfterArg gives). It
+// advances the lane's head and count before each dispatch, so a
+// MaxSteps panic leaves the lane as stepwise dispatch would.
 // keep must schedule nothing, so the precomputed bound stays exact;
 // Cycle panics if it does. The dispatch order, every clock reading and
 // every rand draw are therefore the ones stepwise dispatch would
@@ -114,18 +119,27 @@
 // AfterArg, Timer.Reset, Lane.AfterArg and Lane.Cycle allocate zero
 // bytes (see sim_alloc_test.go).
 //
-// Key types: Simulator (clock + event queue + seeded RNG streams),
-// Timer (a restartable scheduled callback) and Lane (a FIFO side
-// queue for a source whose event times never decrease). The package
-// replaces the paper's physical testbed (section V): one Simulator
-// hosts one page load, and every sweep trial owns a private
+// # Randomness
+//
+// Every draw of a trial comes from one Rand per Simulator, seeded by
+// New and Reset. Rand is math/rand's additive lagged Fibonacci source
+// with the methods the model calls, as one concrete type: a draw is a
+// direct, mostly inlined call instead of an interface dispatch, and
+// its stream equals rand.New(rand.NewSource(seed))'s for every seed
+// (rand_test.go pins it), so determinism rests on this package, not on
+// the toolchain's math/rand.
+//
+// Key types: Simulator (clock + event queue + seeded generator), Rand
+// (the generator), Timer (a restartable scheduled callback) and Lane
+// (a FIFO side queue for a source whose event times never decrease).
+// The package replaces the paper's physical testbed (section V): one
+// Simulator hosts one page load, and every sweep trial owns a private
 // Simulator, which is what lets internal/pipeline execute trials
 // concurrently without sharing.
 package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 )
 
@@ -167,7 +181,7 @@ func (k *key) before(o *key) bool {
 type Simulator struct {
 	now time.Duration
 	seq uint64
-	rng *rand.Rand
+	rng Rand
 
 	// The main queue: heap is a 4-ary (at, seq) min-heap of the keys of
 	// the events pending in pool, whose slots stay put until dispatch;
@@ -207,7 +221,9 @@ type Simulator struct {
 
 // New returns a simulator whose randomness derives entirely from seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed)), free: -1}
+	s := &Simulator{free: -1}
+	s.rng.Seed(seed)
+	return s
 }
 
 // Reset rewinds the simulator to the state New(seed) would produce,
@@ -215,9 +231,9 @@ func New(seed int64) *Simulator {
 // schedules allocation-free from the first event. Pending events are
 // discarded and timers disarmed; callers that pooled objects riding the queue (AfterArg
 // payloads) should reclaim them with ForEachPendingArg first.
-// Re-seeding the existing rand.Rand in place yields the identical
-// stream a fresh rand.New(rand.NewSource(seed)) would, so trial
-// results do not depend on whether the simulator was reused.
+// Re-seeding the generator in place yields the identical stream a
+// fresh one would, so trial results do not depend on whether the
+// simulator was reused.
 func (s *Simulator) Reset(seed int64) {
 	s.heap = s.heap[:0]
 	// Rebuild the pool freelist over every slot, zeroing the events so
@@ -272,8 +288,8 @@ func (s *Simulator) ForEachPendingArg(f func(any)) {
 // start).
 func (s *Simulator) Now() time.Duration { return s.now }
 
-// Rand returns the simulator's deterministic random source.
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
+// Rand returns the simulator's deterministic random generator.
+func (s *Simulator) Rand() *Rand { return &s.rng }
 
 // Steps reports how many events have executed.
 func (s *Simulator) Steps() uint64 { return s.steps }
@@ -744,12 +760,12 @@ func (e laneOrder) Error() string {
 // the event the running loop would dispatch next (see "Cycling" in
 // the package doc). For each popped entry it calls keep(arg) where
 // dispatch would call the entry's callback; if keep returns true, the
-// entry is re-queued d later, as AfterArg(d, fn, arg) would do from
-// inside the callback. Call it at the end of an event's callback, and
-// only when, until some other event runs, keep does exactly what the
-// callback of each entry it pops would do. keep must schedule nothing;
-// Cycle panics if it does. Outside a Run or RunUntil loop, Cycle does
-// nothing.
+// entry is re-queued d later, in the lane's tail slot, as
+// AfterArg(d, fn, arg) would do from inside the callback. Call it at
+// the end of an event's callback, and only when, until some other
+// event runs, keep does exactly what the callback of each entry it
+// pops would do. keep must schedule nothing; Cycle panics if it does.
+// Outside a Run or RunUntil loop, Cycle does nothing.
 func (l *Lane) Cycle(d time.Duration, keep func(any) bool) {
 	s := l.s
 	if !s.rule.running || l.n == 0 {
@@ -768,14 +784,18 @@ func (l *Lane) Cycle(d time.Duration, keep func(any) bool) {
 			}
 		}
 	}
+	d = max(d, 0)
+	mask := len(l.ring) - 1
 	for l.n > 0 {
 		e := &l.ring[l.head]
 		if bounded && !e.before(bound.at, bound.seq) || !s.allows(e.at) {
 			return
 		}
 		at, pfn, parg := e.at, e.pfn, e.parg
+		// The lane is left as step leaves it before the dispatch,
+		// which may panic (MaxSteps).
 		*e = laneEntry{}
-		l.head = (l.head + 1) & (len(l.ring) - 1)
+		l.head = (l.head + 1) & mask
 		l.n--
 		s.dispatch(at, &s.counts.Arg)
 		seq := s.seq
@@ -783,10 +803,22 @@ func (l *Lane) Cycle(d time.Duration, keep func(any) bool) {
 		if s.seq != seq {
 			panic("sim: Lane.Cycle's keep scheduled an event")
 		}
-		// The popped slot is free, so the ring does not grow.
-		if again {
-			l.AfterArg(d, pfn, parg)
+		if !again {
+			continue
 		}
+		// Re-queue the entry d later, as AfterArg would: the popped
+		// slot is free, so the tail slot needs no growth check, only
+		// the order check.
+		at = s.now + d
+		if l.n > 0 {
+			if tail := l.ring[(l.head+l.n-1)&mask].at; at < tail {
+				panic(laneOrder{l.id, at, tail})
+			}
+		}
+		s.seq++
+		t := &l.ring[(l.head+l.n)&mask]
+		l.n++
+		t.at, t.seq, t.pfn, t.parg = at, s.seq, pfn, parg
 	}
 }
 

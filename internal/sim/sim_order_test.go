@@ -178,11 +178,11 @@ func splitmix64(x uint64) uint64 {
 // AfterArg, which is exactly what a lane must equal.
 // cycle runs Lane.Cycle on the poll lane; the reference heap maps it
 // to nothing, so there every re-poll goes through its dispatch loop
-// and draws from its own rand.Rand, which is exactly what cycling must
-// equal.
+// and draws from its own math/rand generator, which is exactly what
+// cycling (and the Simulator's Rand) must equal.
 type engine struct {
 	now          func() time.Duration
-	rand         func() *rand.Rand
+	rand         func() drawer
 	after        func(time.Duration, func())
 	afterArg     func(time.Duration, func(any), any)
 	laneAfterArg func(i int, d time.Duration, fn func(any), arg any)
@@ -194,6 +194,13 @@ type engine struct {
 	timerCut     func(i int)
 	// onTimer is what timer i's callback calls; the workload sets it.
 	onTimer *func(i int)
+}
+
+// drawer is the part of a generator the workload draws from: the
+// Simulator's Rand or the reference's math/rand.Rand.
+type drawer interface {
+	Int63() int64
+	Int63n(n int64) int64
 }
 
 // The workload's lanes: fifoLane is fed one constant delay per
@@ -217,7 +224,7 @@ const (
 func simEngine(s *Simulator, timers []*Timer, lanes []*Lane, onTimer *func(int), cycled *int, log *[]string) engine {
 	return engine{
 		now:          s.Now,
-		rand:         s.Rand,
+		rand:         func() drawer { return s.Rand() },
 		after:        s.After,
 		afterArg:     s.AfterArg,
 		laneAfterArg: func(i int, d time.Duration, fn func(any), arg any) { lanes[i].AfterArg(d, fn, arg) },
@@ -253,7 +260,7 @@ func deadlineQueued(s *Simulator, t *Timer) bool {
 func refEngine(r *refSim, timers []*refTimer, onTimer *func(int)) engine {
 	return engine{
 		now:          func() time.Duration { return r.now },
-		rand:         func() *rand.Rand { return r.rng },
+		rand:         func() drawer { return r.rng },
 		after:        r.After,
 		afterArg:     r.AfterArg,
 		laneAfterArg: func(_ int, d time.Duration, fn func(any), arg any) { r.AfterArg(d, fn, arg) },

@@ -70,13 +70,17 @@ const (
 // Config tunes an endpoint. The zero value means defaults.
 type Config struct {
 	// MaxRetries is the number of consecutive RTO expiries tolerated
-	// before the connection is declared broken. Default 6.
+	// before the connection is declared broken. Zero means
+	// DefaultMaxRetries.
 	MaxRetries int
 }
 
+// DefaultMaxRetries is Config.MaxRetries's default.
+const DefaultMaxRetries = 6
+
 func (c Config) withDefaults() Config {
 	if c.MaxRetries == 0 {
-		c.MaxRetries = 6
+		c.MaxRetries = DefaultMaxRetries
 	}
 	return c
 }

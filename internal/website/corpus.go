@@ -3,8 +3,9 @@ package website
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // ScheduleShape classifies the request-timing profile of a synthetic
@@ -188,7 +189,8 @@ func (c *Corpus) SiteSeed(i int) uint64 {
 func (c *Corpus) Build(i int) *GeneratedSite {
 	cfg := c.cfg
 	seed := c.SiteSeed(i)
-	rng := rand.New(rand.NewSource(int64(seed)))
+	var rng sim.Rand // on the stack: a site costs no generator allocation
+	rng.Seed(int64(seed))
 
 	nObjects := cfg.MinObjects + rng.Intn(cfg.MaxObjects-cfg.MinObjects+1)
 	shape := AllShapes[rng.Intn(len(AllShapes))]

@@ -8,8 +8,9 @@ package website
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // Kind classifies an object. The enum starts at 1 so the zero value
@@ -194,7 +195,7 @@ func SurveyCustom(order [PartyCount]int, opts SurveyOptions) *Site {
 	// byte distance from every emblem size so the adversary's
 	// size->identity table is unambiguous. 47 embedded objects + the
 	// result HTML, as in the paper.
-	rng := rand.New(rand.NewSource(20200622)) // fixed: the site itself does not vary
+	rng := sim.NewRand(20200622) // fixed: the site itself does not vary
 	used := make(map[int]bool)
 	for _, s := range EmblemSizes {
 		used[s] = true
@@ -393,8 +394,23 @@ func IdentityPermutation() [PartyCount]int {
 	return p
 }
 
-// RandomPermutation draws a survey outcome from rng.
-func RandomPermutation(rng *rand.Rand) [PartyCount]int {
+// Shuffler is a generator a survey outcome can be drawn from: the
+// trial path's *sim.Rand, or a *math/rand.Rand seeded alike, whose
+// Shuffle draws the same permutation (the campaign benchmark's probe
+// passes one).
+type Shuffler interface {
+	Shuffle(n int, swap func(i, j int))
+}
+
+// RandomPermutation draws a survey outcome from rng. A *sim.Rand's
+// concrete Shuffle keeps the swap closure, and so the permutation, on
+// the stack; any other Shuffler costs them a heap allocation.
+func RandomPermutation(rng Shuffler) [PartyCount]int {
+	if r, ok := rng.(*sim.Rand); ok {
+		p := IdentityPermutation()
+		r.Shuffle(PartyCount, func(i, j int) { p[i], p[j] = p[j], p[i] })
+		return p
+	}
 	p := IdentityPermutation()
 	rng.Shuffle(PartyCount, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 func TestSurveyStructureMatchesPaper(t *testing.T) {
@@ -152,10 +154,16 @@ func TestLookupHelpers(t *testing.T) {
 	}
 }
 
+// TestRandomPermutationIsPermutation draws through both of
+// RandomPermutation's paths, a *sim.Rand and a *math/rand.Rand seeded
+// alike, which must give the same permutations.
 func TestRandomPermutationIsPermutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+	rng, ref := sim.NewRand(42), rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		p := RandomPermutation(rng)
+		if q := RandomPermutation(ref); p != q {
+			t.Fatalf("trial %d: sim.Rand draws %v, math/rand %v", trial, p, q)
+		}
 		var seen [PartyCount]bool
 		for _, v := range p {
 			if v < 0 || v >= PartyCount || seen[v] {
