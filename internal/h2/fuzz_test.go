@@ -2,13 +2,19 @@ package h2
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/wire/wiretest"
 )
 
-// FuzzHpackDecode ensures the HPACK decoder never panics and that
-// whatever it accepts re-encodes to something it accepts again.
+// FuzzHpackDecode ensures the HPACK decoder never panics, that a warm
+// decoder decodes every block as a fresh one does, and that whatever
+// it accepts re-encodes to something it accepts again. The warm
+// decoder's literal cache holds a request block's literals and the
+// input's own before a Reset, so cache hits and misses on both raw and
+// Huffman literals must give the same fields and errors as decoding
+// from scratch.
 func FuzzHpackDecode(f *testing.F) {
 	f.Add([]byte{0x82})
 	f.Add([]byte{0x40, 0x0a, 'c', 'u', 's', 't', 'o', 'm', '-', 'k', 'e', 'y', 0x01, 'v'})
@@ -18,6 +24,14 @@ func FuzzHpackDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewHpackDecoder(4096)
 		fields, err := d.DecodeFull(data)
+		warm := NewHpackDecoder(4096)
+		warm.DecodeFull(warmBlock)
+		warm.DecodeFull(data)
+		warm.Reset(4096)
+		wfields, werr := warm.DecodeFull(data)
+		if fmt.Sprint(werr) != fmt.Sprint(err) || fmt.Sprint(wfields) != fmt.Sprint(fields) {
+			t.Fatalf("warm decoder: %q, %v; fresh: %q, %v", wfields, werr, fields, err)
+		}
 		if err != nil {
 			return
 		}
@@ -34,6 +48,18 @@ func FuzzHpackDecode(f *testing.F) {
 		}
 	})
 }
+
+// warmBlock fills FuzzHpackDecode's warm decoder's literal cache with a
+// request's raw and Huffman-coded literals.
+var warmBlock = func() []byte {
+	e := NewHpackEncoder(4096)
+	blk := e.AppendHeaderBlock(nil, []HeaderField{
+		{Name: ":method", Value: "GET"},
+		{Name: ":path", Value: "/assets/emblem-3.png"},
+		{Name: "custom-key", Value: "v"},
+	})
+	return append(blk, 0x40, 0x0a, 'c', 'u', 's', 't', 'o', 'm', '-', 'k', 'e', 'y', 0x01, 'v')
+}()
 
 // FuzzFrameScanner ensures arbitrary byte streams never panic the
 // scanner and that neither chunking nor how zero bytes are held

@@ -319,11 +319,13 @@ type HpackDecoder struct {
 	maxAllowedTableSize uint32
 
 	// fields is the DecodeFull scratch; huffBuf is the Huffman decode
-	// scratch; strings interns decoded literals so repeated header
-	// values (paths, status codes) cost one allocation per cache
-	// generation rather than one per block.
+	// scratch and keyBuf builds literal-cache keys. strings caches
+	// decoded literals by their encoding (see readString), so repeated
+	// header values (paths, status codes) cost one decode and one
+	// allocation per cache generation rather than one per block.
 	fields  []HeaderField
 	huffBuf []byte
+	keyBuf  []byte
 	strings map[string]string
 }
 
@@ -337,45 +339,30 @@ func NewHpackDecoder(maxTableSize uint32) *HpackDecoder {
 
 // Reset restores protocol state (dynamic table and its capacity) to
 // what NewHpackDecoder(maxTableSize) would produce, so a reused
-// decoder tracks a fresh peer encoder. Decode scratch and the string
-// intern cache are deliberately kept: they hold no protocol state,
-// identical literals decode to equal strings either way, and intern
+// decoder tracks a fresh peer encoder. Decode scratch and the literal
+// cache are deliberately kept: they hold no protocol state, a literal's
+// encoding decodes to the same string under any peer, and remember
 // bounds the cache on its own.
 func (d *HpackDecoder) Reset(maxTableSize uint32) {
 	d.table.reset(maxTableSize)
 	d.maxAllowedTableSize = maxTableSize
 }
 
-// internCap bounds the intern cache. A session's recurring literals
+// internCap bounds the literal cache. A session's recurring literals
 // (status codes, authorities, a site's paths) number a few dozen, but
 // a decoder reused across many sites sees every path of every site.
 const internCap = 1024
 
-// intern returns a string equal to b, reusing a previously decoded
-// instance when available. A full cache is emptied before the next
-// insert, so it holds at most internCap strings and keeps recent ones.
-func (d *HpackDecoder) intern(b []byte) string {
-	if s, ok := d.strings[string(b)]; ok { // no-alloc map probe
-		return s
-	}
-	if d.strings == nil {
-		d.strings = make(map[string]string)
-	} else if len(d.strings) >= internCap {
-		clear(d.strings)
-	}
-	s := string(b)
-	d.strings[s] = s
-	return s
-}
-
-// readString decodes an HPACK string literal using the decoder's
-// Huffman scratch and intern cache; allocation-free for literals seen
-// before.
+// readString decodes an HPACK string literal. Its cache key is the
+// literal's Huffman flag byte followed by its encoded bytes, so a
+// literal seen before returns its cached string with neither a Huffman
+// decode nor an allocation. A literal that fails to decode is never
+// cached.
 func (d *HpackDecoder) readString(b []byte) (s string, rest []byte, err error) {
 	if len(b) == 0 {
 		return "", nil, errNeedMore
 	}
-	huff := b[0]&0x80 != 0
+	flag := b[0] & 0x80
 	n, b, err := readHpackInt(b, 7)
 	if err != nil {
 		return "", nil, err
@@ -384,15 +371,40 @@ func (d *HpackDecoder) readString(b []byte) (s string, rest []byte, err error) {
 		return "", nil, errNeedMore
 	}
 	raw, rest := b[:n], b[n:]
-	if !huff {
-		return d.intern(raw), rest, nil
+	d.keyBuf = append(append(d.keyBuf[:0], flag), raw...)
+	if s, ok := d.strings[string(d.keyBuf)]; ok { // no-alloc map probe
+		return s, rest, nil
+	}
+	if flag == 0 {
+		return d.remember(raw), rest, nil
 	}
 	dec, err := HuffmanDecode(d.huffBuf[:0], raw)
 	if err != nil {
 		return "", nil, err
 	}
 	d.huffBuf = dec
-	return d.intern(dec), rest, nil
+	return d.remember(dec), rest, nil
+}
+
+// remember caches dec under the key in keyBuf and returns it as a
+// string. Key and value share one allocation: the key followed by the
+// value for a Huffman literal, and the key alone for a raw one, whose
+// value is its encoding. A full cache is emptied before the insert, so
+// it holds at most internCap literals and keeps recent ones.
+func (d *HpackDecoder) remember(dec []byte) string {
+	if d.strings == nil {
+		d.strings = make(map[string]string)
+	} else if len(d.strings) >= internCap {
+		clear(d.strings)
+	}
+	n, off := len(d.keyBuf), 1
+	if d.keyBuf[0] != 0 {
+		d.keyBuf = append(d.keyBuf, dec...)
+		off = n
+	}
+	entry := string(d.keyBuf)
+	d.strings[entry[:n]] = entry[off:]
+	return entry[off:]
 }
 
 // DecodeFull decodes a complete header block (all fragments already

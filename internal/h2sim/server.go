@@ -166,13 +166,10 @@ type Server struct {
 	wfree  []*worker
 	parked []*worker
 
-	// polls queues the blocked workers' re-polls as pollFn(worker)
-	// entries: each waits exactly blockedPoll, so their times never
-	// decrease and they run FIFO. keepFn is what a re-poll does while
-	// the buffer stays full, for Lane.Cycle to run in its place.
-	polls  *sim.Lane
-	pollFn func(any)
-	keepFn func(any) bool
+	// polls queues the blocked workers' re-polls, each a step of its
+	// worker: each waits exactly blockedPoll, so their times never
+	// decrease and they run FIFO.
+	polls *sim.Lane
 
 	// Per-chunk scratch, hoisted so the steady-state transmit path
 	// (worker.step → writeRecord) allocates nothing: the header-block
@@ -202,7 +199,7 @@ func NewServer(s *sim.Simulator, cfg ServerConfig, site *website.Site) *Server {
 		hdec:          h2.NewHpackDecoder(4096),
 		henc:          h2.NewHpackEncoder(4096),
 		pushedAlready: make(map[string]bool),
-		polls:         s.NewLane(),
+		polls:         s.NewLane(pollWorker),
 	}
 	sv.frameCb = func(f h2.Frame) error {
 		sv.handleFrame(f)
@@ -212,14 +209,6 @@ func NewServer(s *sim.Simulator, cfg ServerConfig, site *website.Site) *Server {
 		if r.ContentType == tlsrec.TypeAppData {
 			_ = sv.scanner.FeedInto(r.Body, sv.frameCb)
 		}
-	}
-	sv.pollFn = func(a any) { a.(*worker).step() }
-	sv.keepFn = func(a any) bool {
-		if a.(*worker).cancelled {
-			return false
-		}
-		jitterDraw(sv.s.Rand())
-		return true
 	}
 	sv.Reset(cfg, site)
 	return sv
@@ -353,10 +342,12 @@ func (sv *Server) handleFrame(f h2.Frame) {
 			// Flush the stream: the worker stops enqueueing segments
 			// (paper section IV-D: "the server closes the stream and
 			// flushes the corresponding object segments from its
-			// queue"). Its pending step event still references it, so
+			// queue"). A pending re-poll is dropped from the poll lane;
+			// any other pending step event still references it, so
 			// park it for recycling at the next Reset rather than
 			// reusing it immediately.
 			w.cancelled = true
+			sv.polls.Drop(w)
 			sv.delWorker(fv.StreamID)
 			sv.parked = append(sv.parked, w)
 		}
@@ -470,6 +461,9 @@ func (sv *Server) serviceInterval() time.Duration {
 // exactly the source values Int63n would.
 func jitterDraw(r *sim.Rand) int64 { return r.Int63Below(jitterMax) }
 
+// pollWorker is the poll lane's handler: a blocked worker's re-poll.
+func pollWorker(a any) { a.(*worker).step() }
+
 // worker is one server "thread" streaming one object copy. Workers
 // are recycled through Server.wfree (see getWorker); the stepFn
 // method value is created once per worker object and survives reuse.
@@ -528,13 +522,16 @@ func (w *worker) step() {
 		// modulo needed) only keeps the rand stream, and so every
 		// output byte, as it was; it can go when blocked workers wake
 		// on ACK instead, which rebases the golden output anyway.
-		jitterDraw(sv.s.Rand())
-		sv.polls.AfterArg(blockedPoll, sv.pollFn, w)
+		r := sv.s.Rand()
+		jitterDraw(r)
+		sv.polls.AfterArg(blockedPoll, w)
 		// Only another event can drain the buffer, so every re-poll
-		// due before the next one finds it full too and does what
-		// keepFn does: drop a cancelled worker, or draw and re-queue.
-		// Cycle runs those re-polls in place.
-		sv.polls.Cycle(blockedPoll, sv.keepFn)
+		// due before the next one finds it full too and does just
+		// this: draw and re-queue (a cancelled worker's poll is
+		// dropped, see handleFrame). Cycle re-queues those polls in
+		// place, and their draws follow in one batch, since nothing
+		// else draws in between.
+		r.SkipBelow(sv.polls.Cycle(blockedPoll), jitterMax)
 		return
 	}
 	n := ChunkPlain

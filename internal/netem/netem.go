@@ -157,8 +157,7 @@ type Link struct {
 	sim         *sim.Simulator
 	cfg         LinkConfig
 	dst         Handler
-	deliverFn   func(any) // reused AfterArg callback: dst(p)
-	deliveries  *sim.Lane // arrivals never decrease, so they queue FIFO
+	deliveries  *sim.Lane // arrivals never decrease, so they queue FIFO; its handler is dst(p)
 	pool        *PacketPool
 	nextFree    time.Duration
 	lastArrival time.Duration
@@ -173,8 +172,8 @@ type Link struct {
 
 // NewLink returns a link delivering packets to dst.
 func NewLink(s *sim.Simulator, cfg LinkConfig, dst Handler) *Link {
-	l := &Link{sim: s, cfg: cfg.withDefaults(), dst: dst, deliveries: s.NewLane()}
-	l.deliverFn = func(x any) { l.dst(x.(*Packet)) }
+	l := &Link{sim: s, cfg: cfg.withDefaults(), dst: dst}
+	l.deliveries = s.NewLane(func(x any) { l.dst(x.(*Packet)) })
 	return l
 }
 
@@ -256,7 +255,7 @@ func (l *Link) Send(p *Packet) {
 	l.Stats.Sent++
 	l.Stats.Bytes += int64(p.WireLen())
 	l.Obs.Inc(obs.CNetemLinkSend)
-	l.deliveries.AfterArg(delay, l.deliverFn, p)
+	l.deliveries.AfterArg(delay, p)
 }
 
 // UniformJitter returns a jitter function drawing uniformly from

@@ -192,3 +192,43 @@ func TestInt63BelowRejectsAsInt63n(t *testing.T) {
 		}
 	}
 }
+
+// TestSkipBelowMatchesInt63Below: SkipBelow(k, limit) must leave the
+// generator exactly where k Int63Below(limit) calls do. A limit of
+// 2^60 rejects seven draws in eight, and the scripted registers force
+// rejections at the top of the range, at the limit and just above it.
+func TestSkipBelowMatchesInt63Below(t *testing.T) {
+	const top = 1<<63 - 1
+	limits := []int64{Int63nLimit(200_000), Int63nLimit(3), Int63nLimit(1<<62 + 1), 1 << 60, top}
+	for _, seed := range []int64{1, 7, -1 << 40} {
+		for _, limit := range limits {
+			for _, k := range []int{-1, 0, 1, 2, 7, 1000} {
+				got, want := NewRand(seed), NewRand(seed)
+				got.SkipBelow(k, limit)
+				for i := 0; i < k; i++ {
+					want.Int63Below(limit)
+				}
+				if *got != *want {
+					t.Errorf("seed %d, limit %d, k %d: SkipBelow left a different state", seed, limit, k)
+				}
+			}
+		}
+	}
+	lim := Int63nLimit(3)
+	for _, vals := range [][]int64{
+		{lim + 1, 12345, top, lim, top - 1, 0},
+		{top, top - 1, lim + 1, lim, 7, 8},
+		{lim, lim + 1, lim, lim + 1, 1, 2},
+	} {
+		for k := 0; k <= 3; k++ {
+			got, want := scripted(vals), scripted(vals)
+			got.SkipBelow(k, lim)
+			for i := 0; i < k; i++ {
+				want.Int63Below(lim)
+			}
+			if *got != *want {
+				t.Errorf("values %v, k %d: SkipBelow left a different state", vals, k)
+			}
+		}
+	}
+}

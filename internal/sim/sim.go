@@ -63,7 +63,9 @@
 // blocked server worker re-polls a fixed interval later, so in both
 // sources the event times never decrease in scheduling order. Such a
 // source schedules through a Lane (Simulator.NewLane): a FIFO ring
-// beside the main queue. Each lane entry takes the (at, seq) key
+// beside the main queue whose entries all run the one handler the lane
+// was made with, so an entry is just its argument and its key (events
+// by owner: a link's deliveries, a server's polls). Each lane entry takes the (at, seq) key
 // AfterArg would have given it, from the same seq counter, and
 // dispatch takes the global (at, seq) minimum over the main
 // queue's head and every lane's head. A lane is sorted because its
@@ -91,24 +93,29 @@
 // server worker that finds its socket buffer still full only draws and
 // re-queues itself blockedPoll later. Until some other event runs, the
 // state it looked at cannot change, so every poll due before the next
-// other event would do the same. Lane.Cycle runs those polls in one
-// tight loop instead of going back through the dispatch loop for each:
-// it pops the lane's head while the head precedes the earliest pending
-// event outside the lane (computed once per call) and the running
-// loop's stop rule still allows it (Run's stop flag and clock limit,
-// RunUntil's bound on event times), accounts each pop exactly as
-// dispatch does (clock, Steps, EventCounts, the MaxSteps panic), and
-// lets the caller's keep stand in for the callback. An entry keep
-// keeps is re-queued d later with the next seq, as AfterArg would do,
-// but in place: the pop has just freed a slot, so Cycle writes the
-// entry straight into the ring's tail slot, checking only that it does
-// not precede the lane's newest entry (the panic AfterArg gives). It
-// advances the lane's head and count before each dispatch, so a
-// MaxSteps panic leaves the lane as stepwise dispatch would.
-// keep must schedule nothing, so the precomputed bound stays exact;
-// Cycle panics if it does. The dispatch order, every clock reading and
-// every rand draw are therefore the ones stepwise dispatch would
-// produce.
+// other event would do the same. Lane.Cycle runs those polls as one
+// pass that calls nothing per poll: it pops the lane's head while the
+// head precedes the earliest pending event outside the lane (computed
+// once per call) and the running loop's stop rule still allows it
+// (Run's stop flag and clock limit, RunUntil's bound on event times),
+// and re-queues each popped live entry d later with the next seq, as
+// AfterArg from its handler would, straight into the ring's tail slot.
+// Only the order check stays per re-queue (the panic AfterArg gives).
+// The pass keeps head, count, seq and clock in locals and writes them
+// back once, with its pops added to Steps and EventCounts.Arg. Cycle
+// returns the number of entries it re-queued, and the caller then
+// takes that many discarded draws in one loop (Rand.SkipBelow): nothing
+// else draws in between, so the stream is the stepwise one.
+//
+// A dead entry (Lane.Drop, a cancelled worker's poll) still takes its
+// turn: the pass or the loop dispatches and counts it, then removes it
+// with no draw and no call, as a handler that returned at once would.
+// MaxSteps is a budget: the pass stops before the pop that would
+// exceed it, which the dispatch loop then pops and panics on, with the
+// same time and, since the caller has taken its draws, the same
+// generator state as stepwise dispatch. The dispatch order, every
+// clock reading and every rand draw are therefore the ones stepwise
+// dispatch would produce.
 //
 // The queue stays off the garbage collector's books: there is no
 // per-event allocation and no container/heap interface boxing, timers
@@ -140,6 +147,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -277,8 +285,8 @@ func (s *Simulator) ForEachPendingArg(f func(any)) {
 	}
 	for _, l := range s.lanes {
 		for i := 0; i < l.n; i++ {
-			if e := &l.ring[(l.head+i)&(len(l.ring)-1)]; e.parg != nil {
-				f(e.parg)
+			if e := &l.ring[(l.head+i)&(len(l.ring)-1)]; e.arg != nil {
+				f(e.arg)
 			}
 		}
 	}
@@ -446,10 +454,15 @@ func (s *Simulator) step() bool {
 		*e = event{next: s.free}
 		s.free = idx
 	} else if lane != nil {
-		at, pfn, parg = lk.at, lk.pfn, lk.parg
+		at, arg := lk.at, lk.arg
 		*lk = laneEntry{}
 		lane.head = (lane.head + 1) & (len(lane.ring) - 1)
 		lane.n--
+		s.dispatch(at, &s.counts.Arg)
+		if arg != nil {
+			lane.fn(arg)
+		}
+		return true
 	} else {
 		return false
 	}
@@ -525,15 +538,6 @@ type stopRule struct {
 	running bool          // a Run or RunUntil loop is dispatching
 	drain   bool          // RunUntil is running: the stop flag is ignored
 	limit   time.Duration // Run: the clock limit; RunUntil: the latest event time
-}
-
-// allows reports whether the running loop would dispatch an event at
-// time at next.
-func (s *Simulator) allows(at time.Duration) bool {
-	if s.rule.drain {
-		return at <= s.rule.limit
-	}
-	return !s.stopped && s.now < s.rule.limit
 }
 
 // runAs records rule as the running loop's for the rest of the caller,
@@ -679,25 +683,26 @@ func (t *Timer) Deadline() time.Duration { return t.at }
 
 // Lane is a FIFO side queue of a Simulator for a source whose event
 // times never decrease in scheduling order (see "Lanes" in the package
-// doc). AfterArg behaves exactly as the Simulator's own: the same
-// (at, seq) key, the same dispatch order, the same EventCounts kind.
-// A push earlier than the lane's newest pending entry panics. Like the
+// doc). Every entry runs the lane's one handler, and AfterArg behaves
+// exactly as the Simulator's own with that handler: the same (at, seq)
+// key, the same dispatch order, the same EventCounts kind. A push
+// earlier than the lane's newest pending entry panics. Like the
 // Simulator, a Lane is not safe for concurrent use.
 type Lane struct {
 	s    *Simulator
+	fn   func(any)   // the handler every live entry runs
 	id   int         // index among the simulator's lanes, for the order panic
 	ring []laneEntry // len is zero or a power of two
 	head int         // ring index of the earliest pending entry
 	n    int         // pending entries
 }
 
-// laneEntry is one pending lane event: an AfterArg callback with its
-// (at, seq) key.
+// laneEntry is one pending lane event: the handler's argument with its
+// (at, seq) key. A nil arg marks a dead entry (see Lane.Drop).
 type laneEntry struct {
-	at   time.Duration
-	seq  uint64
-	pfn  func(any)
-	parg any
+	at  time.Duration
+	seq uint64
+	arg any
 }
 
 // before orders a lane entry against the key (at, seq) in the main
@@ -706,20 +711,21 @@ func (e *laneEntry) before(at time.Duration, seq uint64) bool {
 	return e.at < at || (e.at == at && e.seq < seq)
 }
 
-// NewLane returns an empty lane dispatched by s. The lane lives as
-// long as s: Reset empties it but keeps its ring's capacity, so a
-// reused simulator's lanes schedule allocation-free.
-func (s *Simulator) NewLane() *Lane {
-	l := &Lane{s: s, id: len(s.lanes)}
+// NewLane returns an empty lane dispatched by s, whose entries run
+// fn(arg). The lane lives as long as s: Reset empties it but keeps its
+// ring's capacity, so a reused simulator's lanes schedule
+// allocation-free.
+func (s *Simulator) NewLane(fn func(any)) *Lane {
+	l := &Lane{s: s, fn: fn, id: len(s.lanes)}
 	s.lanes = append(s.lanes, l)
 	return l
 }
 
-// AfterArg schedules fn(arg) d from now, exactly as
+// AfterArg schedules the lane's handler on arg d from now, exactly as
 // Simulator.AfterArg does, doubling the ring when it is full. The
 // event time must not precede the lane's newest pending entry;
 // AfterArg panics if it does.
-func (l *Lane) AfterArg(d time.Duration, fn func(any), arg any) {
+func (l *Lane) AfterArg(d time.Duration, arg any) {
 	if d < 0 {
 		d = 0
 	}
@@ -741,7 +747,7 @@ func (l *Lane) AfterArg(d time.Duration, fn func(any), arg any) {
 	l.n++
 	// Field by field: a composite literal is built on the stack and
 	// copied with 16-byte loads that straddle its 8-byte stores.
-	e.at, e.seq, e.pfn, e.parg = at, l.s.seq, fn, arg
+	e.at, e.seq, e.arg = at, l.s.seq, arg
 }
 
 // laneOrder is the panic value of a lane push earlier than the lane's
@@ -755,78 +761,118 @@ func (e laneOrder) Error() string {
 	return fmt.Sprintf("sim: lane %d: push at %v precedes its newest entry at %v", e.lane, e.at, e.tail)
 }
 
-// Cycle dispatches the lane's AfterArg entries in place, without
-// returning to the dispatch loop, for as long as the lane's head is
-// the event the running loop would dispatch next (see "Cycling" in
-// the package doc). For each popped entry it calls keep(arg) where
-// dispatch would call the entry's callback; if keep returns true, the
-// entry is re-queued d later, in the lane's tail slot, as
-// AfterArg(d, fn, arg) would do from inside the callback. Call it at
-// the end of an event's callback, and only when, until some other
-// event runs, keep does exactly what the callback of each entry it
-// pops would do. keep must schedule nothing; Cycle panics if it does.
-// Outside a Run or RunUntil loop, Cycle does nothing.
-func (l *Lane) Cycle(d time.Duration, keep func(any) bool) {
+// Drop marks every pending entry whose arg is arg dead: it keeps its
+// place and is still dispatched and counted, but runs nothing, and
+// Cycle does not re-queue it. That is what the entry would do if the
+// handler returned at once for arg, so a source drops a cancelled
+// entry rather than have the handler (or Cycle) ask about it. Drop
+// scans the lane's pending entries; arg's dynamic type must be
+// comparable.
+func (l *Lane) Drop(arg any) {
+	mask := len(l.ring) - 1
+	for i := 0; i < l.n; i++ {
+		if e := &l.ring[(l.head+i)&mask]; e.arg == arg {
+			e.arg = nil
+		}
+	}
+}
+
+// Cycle dispatches the lane's entries in place, without returning to
+// the dispatch loop and without running the handler, for as long as
+// the lane's head is the event the running loop would dispatch next
+// and MaxSteps allows it (see "Cycling" in the package doc). Each live
+// entry it pops is re-queued d later, in the lane's tail slot, as
+// AfterArg(d, arg) from inside the handler would do; a dead one is
+// removed. It returns the number of entries re-queued.
+//
+// Call it at the end of a handler, and only when, until some other
+// event runs, the handler would do for each live entry nothing but
+// re-queue it d later and take the draws the caller then takes for
+// each re-queued entry: since nothing else runs in between, taking
+// them after Cycle returns keeps the random stream unchanged. Outside
+// a Run or RunUntil loop, Cycle does nothing and returns 0.
+func (l *Lane) Cycle(d time.Duration) int {
 	s := l.s
-	if !s.rule.running || l.n == 0 {
-		return
+	if !s.rule.running || l.n == 0 || !s.rule.drain && s.stopped {
+		return 0
 	}
 	// The earliest pending (at, seq) key outside this lane. Nothing but
-	// this lane changes while Cycle runs, so it stays the bound.
-	bound, bounded := key{}, len(s.heap) > 0
-	if bounded {
+	// this lane changes while Cycle runs, so it stays the bound; with
+	// nothing outside the lane, no entry reaches the largest key.
+	bound := key{at: math.MaxInt64, seq: math.MaxUint64}
+	if len(s.heap) > 0 {
 		bound = s.heap[0]
 	}
 	for _, o := range s.lanes {
 		if o != l && o.n > 0 {
-			if e := &o.ring[o.head]; !bounded || e.before(bound.at, bound.seq) {
-				bound.at, bound.seq, bounded = e.at, e.seq, true
+			if e := &o.ring[o.head]; e.before(bound.at, bound.seq) {
+				bound.at, bound.seq = e.at, e.seq
 			}
 		}
 	}
+	// The pops MaxSteps leaves: the pass stops before the one that
+	// would exceed it, which the dispatch loop then pops and panics on.
+	budget := uint64(math.MaxUint64)
+	if s.MaxSteps != 0 {
+		budget = s.MaxSteps - min(s.steps, s.MaxSteps)
+	}
+	drain, limit := s.rule.drain, s.rule.limit
 	d = max(d, 0)
-	mask := len(l.ring) - 1
-	for l.n > 0 {
-		e := &l.ring[l.head]
-		if bounded && !e.before(bound.at, bound.seq) || !s.allows(e.at) {
-			return
+	ring, mask := l.ring, len(l.ring)-1
+	head, n, seq, now := l.head, l.n, s.seq, s.now
+	// The newest pending entry's time, for the order check. Once the
+	// entry it was read from is popped the lane is empty, and every
+	// re-queue is at or after it.
+	tail := ring[(head+n-1)&mask].at
+	var popped uint64
+	kept := 0
+	for ; n > 0 && popped < budget; popped++ {
+		e := &ring[head&mask]
+		if !e.before(bound.at, bound.seq) || drain && e.at > limit || !drain && now >= limit {
+			break
 		}
-		at, pfn, parg := e.at, e.pfn, e.parg
-		// The lane is left as step leaves it before the dispatch,
-		// which may panic (MaxSteps).
-		*e = laneEntry{}
-		l.head = (l.head + 1) & mask
-		l.n--
-		s.dispatch(at, &s.counts.Arg)
-		seq := s.seq
-		again := keep(parg)
-		if s.seq != seq {
-			panic("sim: Lane.Cycle's keep scheduled an event")
-		}
-		if !again {
+		now = e.at
+		arg := e.arg
+		head = (head + 1) & mask
+		n--
+		if arg == nil {
 			continue
 		}
 		// Re-queue the entry d later, as AfterArg would: the popped
 		// slot is free, so the tail slot needs no growth check, only
-		// the order check.
-		at = s.now + d
-		if l.n > 0 {
-			if tail := l.ring[(l.head+l.n-1)&mask].at; at < tail {
-				panic(laneOrder{l.id, at, tail})
-			}
+		// the order check. The old slot is left as it is; it is
+		// outside the pending window and the next push overwrites it.
+		at := now + d
+		if at < tail {
+			l.settle(head, n, seq, now, popped+1)
+			panic(laneOrder{l.id, at, tail})
 		}
-		s.seq++
-		t := &l.ring[(l.head+l.n)&mask]
-		l.n++
-		t.at, t.seq, t.pfn, t.parg = at, s.seq, pfn, parg
+		tail = at
+		seq++
+		t := &ring[(head+n)&mask]
+		n++
+		t.at, t.seq, t.arg = at, seq, arg
+		kept++
 	}
+	l.settle(head, n, seq, now, popped)
+	return kept
 }
 
-// reset discards the pending entries, zeroing them so dead closures
-// and payloads are unpinned, and keeps the ring.
+// settle writes a Cycle pass's state back: the lane's head and count,
+// the seq counter and the clock, and its popped dispatches, each an
+// AfterArg event, into Steps and EventCounts.
+func (l *Lane) settle(head, n int, seq uint64, now time.Duration, popped uint64) {
+	s := l.s
+	l.head, l.n = head, n
+	s.seq, s.now = seq, now
+	s.steps += popped
+	s.counts.Arg += popped
+}
+
+// reset discards the pending entries and keeps the ring. It zeroes the
+// whole ring, since Cycle leaves stale copies of re-queued entries in
+// free slots, so no payload stays pinned.
 func (l *Lane) reset() {
-	for i := 0; i < l.n; i++ {
-		l.ring[(l.head+i)&(len(l.ring)-1)] = laneEntry{}
-	}
+	clear(l.ring)
 	l.head, l.n = 0, 0
 }

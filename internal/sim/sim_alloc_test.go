@@ -152,12 +152,11 @@ func TestMixedDelaysZeroAlloc(t *testing.T) {
 // of the h2sim server.
 func TestLaneZeroAlloc(t *testing.T) {
 	s := New(1)
-	lane := s.NewLane()
-	pfn := func(any) {}
+	lane := s.NewLane(func(any) {})
 	arg := new(int)
 	burst := func() {
 		for i := 0; i < 64; i++ {
-			lane.AfterArg(time.Duration(i/2)*time.Microsecond, pfn, arg)
+			lane.AfterArg(time.Duration(i/2)*time.Microsecond, arg)
 		}
 		s.Run(math.MaxInt64)
 	}
@@ -170,30 +169,26 @@ func TestLaneZeroAlloc(t *testing.T) {
 
 // TestLaneCycleZeroAlloc proves that cycling blocked polls in place
 // allocates nothing once the lane's ring has reached its high-water
-// mark: the pop, the accounting, keep's rand draw and the re-queue into
-// the freed slot. This is the blocked-worker path of the h2sim server.
+// mark: the pass's pops, its accounting and its re-queues into the
+// freed slots, and the caller's batched draws. This is the
+// blocked-worker path of the h2sim server.
 func TestLaneCycleZeroAlloc(t *testing.T) {
 	s := New(1)
-	lane := s.NewLane()
 	blocked := false
-	keep := func(any) bool {
-		s.Rand().Int63()
-		return true
-	}
-	var poll func(any)
-	poll = func(a any) {
+	var lane *Lane
+	lane = s.NewLane(func(a any) {
 		if blocked {
 			s.Rand().Int63()
-			lane.AfterArg(time.Millisecond, poll, a)
-			lane.Cycle(time.Millisecond, keep)
+			lane.AfterArg(time.Millisecond, a)
+			s.Rand().SkipBelow(lane.Cycle(time.Millisecond), 1<<63-1)
 		}
-	}
+	})
 	unblock := func() { blocked = false }
 	args := []any{new(int), new(int), new(int)}
 	round := func() {
 		blocked = true
 		for _, a := range args {
-			lane.AfterArg(0, poll, a)
+			lane.AfterArg(0, a)
 		}
 		s.After(50*time.Millisecond, unblock)
 		s.Run(math.MaxInt64)
@@ -228,12 +223,11 @@ func BenchmarkAfter(b *testing.B) {
 // the path a link delivery takes.
 func BenchmarkLaneAfterArg(b *testing.B) {
 	s := New(1)
-	lane := s.NewLane()
-	fn := func(any) {}
+	lane := s.NewLane(func(any) {})
 	arg := new(int)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		lane.AfterArg(time.Microsecond, fn, arg)
+		lane.AfterArg(time.Microsecond, arg)
 		if i%64 == 63 {
 			s.Run(math.MaxInt64)
 		}
@@ -241,31 +235,25 @@ func BenchmarkLaneAfterArg(b *testing.B) {
 	s.Run(math.MaxInt64)
 }
 
-// BenchmarkLaneCycle measures one blocked poll cycled in place: the
-// pop, the accounting, keep's rand draw and the re-queue, with Run's
-// stop flag and clock limit checked before each, as a trial runs them.
+// BenchmarkLaneCycle measures one blocked poll cycled in place: its
+// share of a pass (the pop, the accounting and the re-queue, with
+// Run's clock limit checked before each) and its batched discarded
+// draw, as a trial runs them. Eight pollers share a lane, one each
+// 1/8 ms, and a Stop event ends the run after about b.N polls; the
+// first poll's pass runs all the others.
 func BenchmarkLaneCycle(b *testing.B) {
 	s := New(1)
-	lane := s.NewLane()
-	count := func() {
-		if s.Steps() >= uint64(b.N) {
-			s.Stop()
-		}
-	}
-	keep := func(any) bool {
-		s.Rand().Int63()
-		count()
-		return true
-	}
-	var poll func(any)
-	poll = func(a any) {
-		count()
-		lane.AfterArg(time.Millisecond, poll, a)
-		lane.Cycle(time.Millisecond, keep)
-	}
+	limit := Int63nLimit(1000)
+	var lane *Lane
+	lane = s.NewLane(func(a any) {
+		s.Rand().Int63Below(limit)
+		lane.AfterArg(time.Millisecond, a)
+		s.Rand().SkipBelow(lane.Cycle(time.Millisecond), limit)
+	})
 	for i := 0; i < 8; i++ {
-		lane.AfterArg(0, poll, new(int))
+		lane.AfterArg(time.Duration(i)*time.Millisecond/8, new(int))
 	}
+	s.After(time.Duration(b.N)*time.Millisecond/8, s.Stop)
 	b.ReportAllocs()
 	s.Run(math.MaxInt64)
 }

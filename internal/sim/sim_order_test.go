@@ -17,6 +17,12 @@ import (
 // apart from the superseded timer keys the Simulator never pushes —
 // this is the invariant that keeps every simulation result
 // byte-for-byte unchanged by the queue's layout.
+//
+// The pollers' delay is always positive. A zero-delay blocked poller
+// would poll forever at one instant, and Lane.Cycle, which runs no code
+// per poll, has no way to stop it, so zero-delay cycling is outside
+// Cycle's contract and these tests no longer cover same-instant
+// re-queues of a cycled poll.
 
 type refEvent struct {
 	at    time.Duration
@@ -173,27 +179,34 @@ func splitmix64(x uint64) uint64 {
 }
 
 // engine abstracts the two schedulers so one workload drives both.
-// The lane hook schedules on lane i of the Simulator (numLanes of
-// them); the reference heap has no lanes, so it maps it to its plain
-// AfterArg, which is exactly what a lane must equal.
-// cycle runs Lane.Cycle on the poll lane; the reference heap maps it
-// to nothing, so there every re-poll goes through its dispatch loop
-// and draws from its own math/rand generator, which is exactly what
-// cycling (and the Simulator's Rand) must equal.
+// The lane hook schedules arg for lane i's handler on lane i of the
+// Simulator (numLanes of them); the reference heap has no lanes, so it
+// maps it to its plain AfterArg with that handler, which is exactly
+// what a lane must equal. cycle runs Lane.Cycle on the poll lane and
+// takes one discarded poll draw per re-queued poll, and drop drops a
+// poller's pending entries; the reference heap maps both to nothing,
+// so there every re-poll goes through its dispatch loop and draws from
+// its own math/rand generator, and a stopped poller's poll returns at
+// once, which is exactly what cycling, dead entries (and the
+// Simulator's Rand) must equal.
 type engine struct {
 	now          func() time.Duration
 	rand         func() drawer
+	argCount     func() uint64 // AfterArg events dispatched
 	after        func(time.Duration, func())
 	afterArg     func(time.Duration, func(any), any)
-	laneAfterArg func(i int, d time.Duration, fn func(any), arg any)
-	cycle        func(d time.Duration, keep func(any) bool)
+	laneAfterArg func(i int, d time.Duration, arg any)
+	cycle        func(d time.Duration)
+	drop         func(arg any)
 	stop         func()
 	run          func(limit time.Duration)
 	runUntil     func(time.Duration)
 	timerSet     func(i int, d time.Duration)
 	timerCut     func(i int)
-	// onTimer is what timer i's callback calls; the workload sets it.
+	// onTimer is what timer i's callback calls and onLane[i] is lane
+	// i's handler; the workload sets them.
 	onTimer *func(i int)
+	onLane  *[numLanes]func(any)
 }
 
 // drawer is the part of a generator the workload draws from: the
@@ -208,8 +221,8 @@ type drawer interface {
 // worker's re-polls do; mixedLane is fed workloadDelay clamped to its
 // newest entry, the way a link clamps each arrival to the previous
 // one, so its pushes tie and spread; pollLane carries pollers that
-// re-poll at one constant delay while a shared flag stays blocked and
-// cycle in place, the way a server's blocked workers do.
+// re-poll at one constant positive delay while a shared flag stays
+// blocked and cycle in place, the way a server's blocked workers do.
 const (
 	fifoLane  = 0
 	mixedLane = 1
@@ -217,20 +230,27 @@ const (
 	numLanes  = 3
 )
 
-// simEngine drives s; cycled counts the polls Lane.Cycle dispatched
-// in place. When a Run returns, every armed timer's deadline must be
-// on the heap, as it is in the eager reference; a line in log marks
-// each one that is not.
-func simEngine(s *Simulator, timers []*Timer, lanes []*Lane, onTimer *func(int), cycled *int, log *[]string) engine {
+// pollDrawLimit is the rejection limit of a poll's Int63n(1000) draw.
+var pollDrawLimit = Int63nLimit(1000)
+
+// simEngine drives s; cycled counts the polls Lane.Cycle re-queued in
+// place. When a Run returns, every armed timer's deadline must be on
+// the heap, as it is in the eager reference; a line in log marks each
+// one that is not.
+func simEngine(s *Simulator, timers []*Timer, lanes []*Lane, onTimer *func(int), onLane *[numLanes]func(any), cycled *int, log *[]string) engine {
 	return engine{
 		now:          s.Now,
 		rand:         func() drawer { return s.Rand() },
+		argCount:     func() uint64 { return s.counts.Arg },
 		after:        s.After,
 		afterArg:     s.AfterArg,
-		laneAfterArg: func(i int, d time.Duration, fn func(any), arg any) { lanes[i].AfterArg(d, fn, arg) },
-		cycle: func(d time.Duration, keep func(any) bool) {
-			lanes[pollLane].Cycle(d, func(a any) bool { *cycled++; return keep(a) })
+		laneAfterArg: func(i int, d time.Duration, arg any) { lanes[i].AfterArg(d, arg) },
+		cycle: func(d time.Duration) {
+			k := lanes[pollLane].Cycle(d)
+			s.Rand().SkipBelow(k, pollDrawLimit)
+			*cycled += k
 		},
+		drop: lanes[pollLane].Drop,
 		stop: s.Stop,
 		run: func(limit time.Duration) {
 			s.Run(limit)
@@ -244,6 +264,7 @@ func simEngine(s *Simulator, timers []*Timer, lanes []*Lane, onTimer *func(int),
 		timerSet: func(i int, d time.Duration) { timers[i].Reset(d) },
 		timerCut: func(i int) { timers[i].Stop() },
 		onTimer:  onTimer,
+		onLane:   onLane,
 	}
 }
 
@@ -257,20 +278,27 @@ func deadlineQueued(s *Simulator, t *Timer) bool {
 	return false
 }
 
-func refEngine(r *refSim, timers []*refTimer, onTimer *func(int)) engine {
+func refEngine(r *refSim, timers []*refTimer, onTimer *func(int), onLane *[numLanes]func(any)) engine {
+	var handlers [numLanes]func(any)
+	for i := range handlers {
+		handlers[i] = func(a any) { onLane[i](a) }
+	}
 	return engine{
 		now:          func() time.Duration { return r.now },
 		rand:         func() drawer { return r.rng },
+		argCount:     func() uint64 { return r.counts.Arg },
 		after:        r.After,
 		afterArg:     r.AfterArg,
-		laneAfterArg: func(_ int, d time.Duration, fn func(any), arg any) { r.AfterArg(d, fn, arg) },
-		cycle:        func(time.Duration, func(any) bool) {},
+		laneAfterArg: func(i int, d time.Duration, arg any) { r.AfterArg(d, handlers[i], arg) },
+		cycle:        func(time.Duration) {},
+		drop:         func(any) {},
 		stop:         r.Stop,
 		run:          r.Run,
 		runUntil:     r.RunUntil,
 		timerSet:     func(i int, d time.Duration) { timers[i].Reset(d) },
 		timerCut:     func(i int) { timers[i].Stop() },
 		onTimer:      onTimer,
+		onLane:       onLane,
 	}
 }
 
@@ -317,14 +345,16 @@ func timerDelay(w uint64) time.Duration {
 // keyed off splitmix64 so the Simulator and the reference heap see the
 // same decisions at the same points.
 func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
-	// The FIFO and poll lanes' delays range over the same queue
-	// regions from workload to workload; zero makes same-time ties
-	// likely.
+	// The FIFO lane's delay ranges over the same queue regions from
+	// workload to workload; zero makes same-time ties likely. The poll
+	// lane's is a positive multiple of 512µs, which ties with the
+	// ms-scale events: a blocked poller at zero delay would poll
+	// forever at one instant, in any engine.
 	fifoDelay := max(0, workloadDelay(splitmix64(key^0x1a2e)))
-	pollDelay := max(0, workloadDelay(splitmix64(key^0x9011)))
+	pollDelay := time.Duration(1+splitmix64(key^0x9011)%64) * 512 * time.Microsecond
 	// The entry that makes the log stopAt long, or any after it, calls
-	// Stop: a fired event, a poll dispatched in the loop or one cycled
-	// in place (from keep).
+	// Stop: a fired event, a timer or a poller's exit. A blocked poll
+	// logs nothing, since the polls Cycle re-queues run no code.
 	stopAt := len(*log) + 1 + int(splitmix64(key^0x5e)%200)
 	note := func(entry string) {
 		*log = append(*log, entry)
@@ -345,7 +375,7 @@ func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
 	}
 	rearmBudget := 200
 	*e.onTimer = func(i int) {
-		note(fmt.Sprintf("T%d@%d", i, e.now()))
+		note(fmt.Sprintf("T%d@%d a%d", i, e.now(), e.argCount()))
 		if w := splitmix64(key ^ uint64(i)<<40 ^ uint64(e.now())); w%3 == 0 && rearmBudget > 0 {
 			rearmBudget--
 			arm(i, timerDelay(splitmix64(w)))
@@ -357,40 +387,51 @@ func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
 	fireArg := func(a any) { fire(a.(uint64)) }
 
 	// Pollers model blocked server workers. While blocked holds, a
-	// poll draws from the simulator's rand and re-polls pollDelay
-	// later; a stopped poller drops out, and an unblocked one goes on
-	// as an ordinary event. Only the other events flip blocked or
-	// stop a poller, so every poll Cycle runs in place finds the state
-	// its caller found. pollBudget bounds the re-polls, so that a
-	// workload whose flag never clears still ends.
+	// poll draws from the simulator's rand, logs nothing and re-polls
+	// pollDelay later; a stopped poller's entries are dropped (the
+	// reference's poll returns at once), and an unblocked one logs its
+	// exit and goes on as an ordinary event. Only the other events flip
+	// blocked or stop a poller, so every poll Cycle re-queues in place
+	// finds the state its caller found. An event at twice the Run window
+	// releases the pollers for good, so that a workload whose flag never
+	// clears still ends; every fired event and timer logs the AfterArg
+	// count and fired events a draw, so a poll dispatched, drawn or
+	// re-queued differently shows at the next one.
 	blocked := splitmix64(key^0x77)&1 == 1
+	released := false
 	stopped := map[uint64]bool{}
-	pollBudget := 400
-	// poll logs one look and reports whether the poller re-polls.
-	poll := func(id uint64) bool {
-		note(fmt.Sprintf("p%d@%d", id, e.now()))
-		if stopped[id] || !blocked || pollBudget == 0 {
-			return false
-		}
-		pollBudget--
-		note(fmt.Sprintf("r%d", e.rand().Int63n(1000)))
-		return true
+	stopPoller := func(id uint64) {
+		stopped[id] = true
+		e.drop(id)
 	}
-	var pollArg func(a any)
-	keep := func(a any) bool { return poll(a.(uint64)) }
-	pollArg = func(a any) {
+	*e.onLane = [numLanes]func(any){fireArg, fireArg, func(a any) {
 		id := a.(uint64)
-		if poll(id) {
-			e.laneAfterArg(pollLane, pollDelay, pollArg, a)
-			e.cycle(pollDelay, keep)
-		} else if !stopped[id] && !blocked {
-			stopped[id] = true
-			fire(id)
+		if stopped[id] {
+			return
+		}
+		if blocked && !released {
+			e.rand().Int63n(1000)
+			e.laneAfterArg(pollLane, pollDelay, a)
+			e.cycle(pollDelay)
+			return
+		}
+		note(fmt.Sprintf("p%d@%d", id, e.now()))
+		stopPoller(id)
+		fire(id)
+	}}
+	startPoller := func(id uint64) {
+		e.laneAfterArg(pollLane, pollDelay, id)
+		if stopped[id] {
+			e.drop(id)
 		}
 	}
+	e.after(2*runWindow, func() {
+		released = true
+		note(fmt.Sprintf("release@%d", e.now()))
+	})
 
 	fire = func(id uint64) {
-		note(fmt.Sprintf("%d@%d", id, e.now()))
+		note(fmt.Sprintf("%d@%d a%d r%d", id, e.now(), e.argCount(), e.rand().Int63n(1000)))
 		w := splitmix64(key ^ id)
 		switch w % 10 {
 		case 0: // chain a follow-up event
@@ -415,17 +456,17 @@ func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
 		case 5: // lane schedule
 			child := id*2 + 2
 			if child < uint64(nSeed)*8 {
-				lanes.push(e, splitmix64(w+4), fireArg, child)
+				lanes.push(e, splitmix64(w+4), child)
 			}
 		case 6: // start a poller
 			child := id*2 + 1
 			if child < uint64(nSeed)*8 {
-				e.laneAfterArg(pollLane, pollDelay, pollArg, child)
+				startPoller(child)
 			}
 		case 7: // flip the pollers' shared state
 			blocked = !blocked
 		case 8: // stop a poller, which may be pending or not yet born
-			stopped[id*2+1+(w>>8)%4] = true
+			stopPoller(id*2 + 1 + (w>>8)%4)
 		case 9: // re-arm a timer against its deadline or the window
 			i := int((w >> 16) % uint64(nTimers))
 			switch (w >> 24) % 4 {
@@ -448,9 +489,9 @@ func driveWorkload(e engine, key uint64, nSeed, nTimers int, log *[]string) {
 		case w>>60 < 4:
 			e.afterArg(workloadDelay(w), fireArg, id)
 		case w>>60 < 8:
-			lanes.push(e, w, fireArg, id)
+			lanes.push(e, w, id)
 		case w>>60 < 11:
-			e.laneAfterArg(pollLane, pollDelay, pollArg, id)
+			startPoller(id)
 		default:
 			e.after(workloadDelay(w), func() { fire(id) })
 		}
@@ -481,17 +522,17 @@ type laneFeed struct {
 	mixedLast time.Duration
 }
 
-// push schedules fireArg(id), chosen by the decision word w, on the
-// FIFO lane at fifoDelay or on the mixed lane at workloadDelay clamped
-// to the lane's newest push.
-func (f *laneFeed) push(e engine, w uint64, fireArg func(any), id uint64) {
+// push schedules id, chosen by the decision word w, on the FIFO lane
+// at fifoDelay or on the mixed lane at workloadDelay clamped to the
+// lane's newest push; both lanes' handler fires it.
+func (f *laneFeed) push(e engine, w uint64, id uint64) {
 	if w>>40&1 == 0 {
-		e.laneAfterArg(fifoLane, f.fifoDelay, fireArg, id)
+		e.laneAfterArg(fifoLane, f.fifoDelay, id)
 		return
 	}
 	d := max(workloadDelay(w), 0, f.mixedLast-e.now())
 	f.mixedLast = e.now() + d
-	e.laneAfterArg(mixedLane, d, fireArg, id)
+	e.laneAfterArg(mixedLane, d, id)
 }
 
 // outcome is what one engine's run of a workload shows: its dispatch
@@ -505,18 +546,23 @@ type outcome struct {
 // seed and on the reference heap, and returns both outcomes and the
 // number of polls the Simulator cycled in place. The Simulator s may
 // be a freshly-constructed or a Reset one — the outcome must not
-// differ. Its first numLanes lanes are made here if s has fewer.
+// differ. Its first numLanes lanes are made here if s has fewer, and
+// their handlers are bound to this workload's.
 func runBoth(s *Simulator, seed int64, key uint64, nSeed, nTimers int) (got, ref outcome, cycled int) {
 	var onSim, onRef func(int)
+	var laneSim, laneRef [numLanes]func(any)
 	wt := make([]*Timer, nTimers)
 	for i := range wt {
 		i := i
 		wt[i] = s.NewTimer(func() { onSim(i) })
 	}
 	for len(s.lanes) < numLanes {
-		s.NewLane()
+		s.NewLane(nil)
 	}
-	driveWorkload(simEngine(s, wt, s.lanes, &onSim, &cycled, &got.log), key, nSeed, nTimers, &got.log)
+	for i := 0; i < numLanes; i++ {
+		s.lanes[i].fn = func(a any) { laneSim[i](a) }
+	}
+	driveWorkload(simEngine(s, wt, s.lanes, &onSim, &laneSim, &cycled, &got.log), key, nSeed, nTimers, &got.log)
 	got.counts = s.EventCounts()
 
 	r := &refSim{rng: rand.New(rand.NewSource(seed))}
@@ -525,7 +571,7 @@ func runBoth(s *Simulator, seed int64, key uint64, nSeed, nTimers int) (got, ref
 		i := i
 		rt[i] = &refTimer{r: r, fn: func() { onRef(i) }}
 	}
-	driveWorkload(refEngine(r, rt, &onRef), key, nSeed, nTimers, &ref.log)
+	driveWorkload(refEngine(r, rt, &onRef, &laneRef), key, nSeed, nTimers, &ref.log)
 	ref.counts = r.counts
 	return got, ref, cycled
 }

@@ -311,9 +311,9 @@ func TestEventCountsByKind(t *testing.T) {
 	stale.Reset(time.Millisecond)
 	stale.Reset(2 * time.Millisecond) // the first event goes stale
 	stale.Stop()                      // and so does the second
-	lane := s.NewLane()
-	lane.AfterArg(time.Millisecond, func(any) {}, new(int))
-	lane.AfterArg(time.Millisecond, func(any) {}, new(int))
+	lane := s.NewLane(func(any) {})
+	lane.AfterArg(time.Millisecond, new(int))
+	lane.AfterArg(time.Millisecond, new(int))
 	s.Run(math.MaxInt64)
 	want := EventCounts{TimerLive: 1, TimerStale: 2, Arg: 3, Func: 2}
 	if got := s.EventCounts(); got != want {
@@ -335,9 +335,9 @@ func TestEventCountsByKind(t *testing.T) {
 // is, and that nothing is visited after Reset.
 func TestForEachPendingArgVisitsExactlyPending(t *testing.T) {
 	s := New(1)
-	lane := s.NewLane()
 	pending := map[*int]bool{}
 	fn := func(a any) { delete(pending, a.(*int)) }
+	lane := s.NewLane(fn)
 	add := func(at time.Duration) {
 		p := new(int)
 		pending[p] = true
@@ -346,7 +346,7 @@ func TestForEachPendingArgVisitsExactlyPending(t *testing.T) {
 	addLane := func(at time.Duration) {
 		p := new(int)
 		pending[p] = true
-		lane.AfterArg(at-s.Now(), fn, p)
+		lane.AfterArg(at-s.Now(), p)
 	}
 	const ms = time.Millisecond
 	for _, at := range []time.Duration{
@@ -411,25 +411,27 @@ func TestForEachPendingArgVisitsExactlyPending(t *testing.T) {
 // the main queue.
 func TestLaneKeepsOrder(t *testing.T) {
 	s := New(1)
-	lane := s.NewLane()
 	var got []string
 	logAt := func(name string) { got = append(got, name+"@"+s.Now().String()) }
 	mark := func(name string) func() { return func() { logAt(name) } }
-	markArg := func(a any) { logAt(a.(string)) }
-	lane.AfterArg(time.Millisecond, markArg, "L0")
-	lane.AfterArg(2*time.Millisecond, markArg, "L1")
+	var lane *Lane
+	lane = s.NewLane(func(a any) {
+		logAt(a.(string))
+		if a == "L3" {
+			lane.AfterArg(0, "L4") // pushed during dispatch, at the tail's time
+			s.After(0, mark("M2"))
+		}
+	})
+	lane.AfterArg(time.Millisecond, "L0")
+	lane.AfterArg(2*time.Millisecond, "L1")
 	s.After(2*time.Millisecond, mark("M1"))
-	lane.AfterArg(2*time.Millisecond, markArg, "L2") // tie with the tail: stays in the lane
+	lane.AfterArg(2*time.Millisecond, "L2") // tie with the tail: stays in the lane
 	if len(s.heap) != 1 || lane.n != 3 {
 		t.Fatalf("main queue %d, lane %d; want 1, 3", len(s.heap), lane.n)
 	}
 	timer := s.NewTimer(mark("T"))
 	timer.Reset(2 * time.Millisecond)
-	lane.AfterArg(3*time.Millisecond, func(any) {
-		logAt("L3")
-		lane.AfterArg(0, markArg, "L4") // pushed during dispatch, at the tail's time
-		s.After(0, mark("M2"))
-	}, nil)
+	lane.AfterArg(3*time.Millisecond, "L3")
 	s.Run(math.MaxInt64)
 	want := []string{"L0@1ms", "L1@2ms", "M1@2ms", "L2@2ms", "T@2ms", "L3@3ms", "L4@3ms", "M2@3ms"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -440,11 +442,51 @@ func TestLaneKeepsOrder(t *testing.T) {
 	}
 }
 
+// TestLaneDrop: Drop marks every pending entry with its arg dead and
+// no other. A dead entry keeps its place: it is dispatched in (at, seq)
+// order and counted as Arg, but the handler never sees it, nor does
+// ForEachPendingArg, and it does not move the clock any differently
+// from a live one. Dropping an arg with nothing pending changes
+// nothing.
+func TestLaneDrop(t *testing.T) {
+	s := New(1)
+	var got []string
+	lane := s.NewLane(func(a any) { got = append(got, fmt.Sprintf("%s@%v", *a.(*string), s.Now())) })
+	a, b, c := new(string), new(string), new(string)
+	*a, *b, *c = "a", "b", "c"
+	for i, arg := range []*string{a, b, a, c, a} {
+		lane.AfterArg(time.Duration(i)*time.Millisecond, arg)
+	}
+	s.After(5*time.Millisecond, func() { got = append(got, "M@"+s.Now().String()) })
+	lane.Drop(a)
+	lane.Drop(new(string))
+	if lane.n != 5 {
+		t.Fatalf("Drop removed entries: lane %d, want 5", lane.n)
+	}
+	var pending []string
+	s.ForEachPendingArg(func(x any) { pending = append(pending, *x.(*string)) })
+	if fmt.Sprint(pending) != "[b c]" {
+		t.Errorf("pending args = %v, want [b c]", pending)
+	}
+	s.Run(math.MaxInt64)
+	if want := "[b@1ms c@3ms M@5ms]"; fmt.Sprint(got) != want {
+		t.Errorf("dispatched %v, want %s", got, want)
+	}
+	if want := (EventCounts{Arg: 5, Func: 1}); s.EventCounts() != want {
+		t.Errorf("counts = %+v, want %+v", s.EventCounts(), want)
+	}
+	if s.Now() != 5*time.Millisecond || s.seq != 6 {
+		t.Errorf("now %v, seq %d; want 5ms, 6", s.Now(), s.seq)
+	}
+}
+
 // TestLaneOutOfOrderPushPanics: a push earlier than the lane's newest
 // entry would break the lane's order, so it panics, naming the lane
 // and both times, whether it comes from AfterArg or from Cycle's
 // re-queue. There pollers at 1, 15 and 55 ms are cycled from an event
 // at 0; the 1 ms poller's re-poll at 11 ms precedes the 55 ms tail.
+// The pass's state is written back before the panic: the refused
+// re-queue's pop is dispatched, its push is not.
 func TestLaneOutOfOrderPushPanics(t *testing.T) {
 	catch := func(f func()) (msg string) {
 		defer func() { msg = fmt.Sprint(recover()) }()
@@ -454,11 +496,11 @@ func TestLaneOutOfOrderPushPanics(t *testing.T) {
 	nop := func(any) {}
 
 	s := New(1)
-	s.NewLane()
-	lane := s.NewLane()
-	lane.AfterArg(2*time.Millisecond, nop, nil)
+	s.NewLane(nop)
+	lane := s.NewLane(nop)
+	lane.AfterArg(2*time.Millisecond, 1)
 	want := "sim: lane 1: push at 1ms precedes its newest entry at 2ms"
-	if msg := catch(func() { lane.AfterArg(time.Millisecond, nop, nil) }); msg != want {
+	if msg := catch(func() { lane.AfterArg(time.Millisecond, 2) }); msg != want {
 		t.Errorf("AfterArg: panic = %q, want %q", msg, want)
 	}
 	if lane.n != 1 || s.seq != 1 {
@@ -466,14 +508,18 @@ func TestLaneOutOfOrderPushPanics(t *testing.T) {
 	}
 
 	s = New(1)
-	lane = s.NewLane()
+	lane = s.NewLane(nop)
 	for _, at := range []time.Duration{1, 15, 55} {
-		lane.AfterArg(at*time.Millisecond, nop, nil)
+		lane.AfterArg(at*time.Millisecond, int(at))
 	}
-	s.After(0, func() { lane.Cycle(10*time.Millisecond, func(any) bool { return true }) })
+	s.After(0, func() { lane.Cycle(10 * time.Millisecond) })
 	want = "sim: lane 0: push at 11ms precedes its newest entry at 55ms"
 	if msg := catch(func() { s.Run(math.MaxInt64) }); msg != want {
 		t.Errorf("Cycle: panic = %q, want %q", msg, want)
+	}
+	if lane.n != 2 || s.seq != 4 || s.Now() != time.Millisecond || s.Steps() != 2 || s.EventCounts().Arg != 1 {
+		t.Errorf("the refused re-queue left lane %d, seq %d, now %v, steps %d, counts %+v; want 2, 4, 1ms, 2, Arg 1",
+			lane.n, s.seq, s.Now(), s.Steps(), s.EventCounts())
 	}
 }
 
@@ -481,17 +527,22 @@ func TestLaneOutOfOrderPushPanics(t *testing.T) {
 // head sits mid-ring, across a Reset that must keep the capacity.
 func TestLaneRingGrowsAndWraps(t *testing.T) {
 	s := New(1)
-	lane := s.NewLane()
 	var got []int
-	record := func(a any) { got = append(got, a.(int)) }
+	lane := s.NewLane(func(a any) {
+		if a == "late" {
+			t.Error("event survived Reset")
+			return
+		}
+		got = append(got, a.(int))
+	})
 	for round := 0; round < 2; round++ {
 		got = got[:0]
 		for i := 0; i < 5; i++ {
-			lane.AfterArg(time.Duration(i), record, i)
+			lane.AfterArg(time.Duration(i), i)
 		}
 		s.RunUntil(2) // head moves to ring index 3
 		for i := 5; i < 40; i++ {
-			lane.AfterArg(time.Duration(i), record, i)
+			lane.AfterArg(time.Duration(i), i)
 		}
 		s.Run(math.MaxInt64)
 		for i, v := range got {
@@ -503,10 +554,15 @@ func TestLaneRingGrowsAndWraps(t *testing.T) {
 			t.Fatalf("round %d: dispatched %d of 40", round, len(got))
 		}
 		capBefore := len(lane.ring)
-		lane.AfterArg(time.Hour, func(any) { t.Error("event survived Reset") }, nil)
+		lane.AfterArg(time.Hour, "late")
 		s.Reset(1)
 		if lane.n != 0 || len(lane.ring) != capBefore {
 			t.Fatalf("Reset left %d entries, ring %d (was %d)", lane.n, len(lane.ring), capBefore)
+		}
+		for _, e := range lane.ring {
+			if e.arg != nil {
+				t.Fatalf("Reset left a payload in the ring")
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package website
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/sim"
@@ -235,7 +236,15 @@ func (c *Corpus) Build(i int) *GeneratedSite {
 		return distinct(int(math.Round(math.Exp(logMin + u*(logMax-logMin)))))
 	}
 
-	site := &Site{Name: fmt.Sprintf("corpus-%d", i)}
+	// The site's name and its objects' labels and paths are appended
+	// to one buffer, which becomes one string that each name slices;
+	// ends records where each name ends. Both buffers sit on the stack
+	// up to the default MaxObjects.
+	var nameArr [4096]byte
+	var endArr [1 + 2*64]int
+	buf := strconv.AppendInt(append(nameArr[:0], "corpus-"...), int64(i), 10)
+	ends := append(endArr[:0], len(buf))
+	site := &Site{Objects: make([]Object, 0, nObjects)}
 	total := 0
 	var targetSize int
 	for j := 0; j < nObjects; j++ {
@@ -243,12 +252,12 @@ func (c *Corpus) Build(i int) *GeneratedSite {
 		size := drawSize()
 		total += size
 		kind := KindImage
-		label := fmt.Sprintf("asset-%d", id)
 		if j == targetPos {
 			kind = KindHTML
-			label = "target-html"
+			buf = append(buf, "target-html"...)
 			targetSize = size
 		} else {
+			buf = strconv.AppendInt(append(buf, "asset-"...), int64(id), 10)
 			switch rng.Intn(5) {
 			case 0:
 				kind = KindScript
@@ -258,13 +267,17 @@ func (c *Corpus) Build(i int) *GeneratedSite {
 				kind = KindHTML
 			}
 		}
-		site.Objects = append(site.Objects, Object{
-			ID:    id,
-			Path:  fmt.Sprintf("/corpus/%d/%s-%d", i, kind, id),
-			Size:  size,
-			Kind:  kind,
-			Label: label,
-		})
+		ends = append(ends, len(buf))
+		buf = strconv.AppendInt(append(buf, "/corpus/"...), int64(i), 10)
+		buf = strconv.AppendInt(append(append(append(buf, '/'), kind.String()...), '-'), int64(id), 10)
+		ends = append(ends, len(buf))
+		site.Objects = append(site.Objects, Object{ID: id, Size: size, Kind: kind})
+	}
+	names := string(buf)
+	site.Name = names[:ends[0]]
+	for j := range site.Objects {
+		o := &site.Objects[j]
+		o.Label, o.Path = names[ends[2*j]:ends[2*j+1]], names[ends[2*j+1]:ends[2*j+2]]
 	}
 
 	// Request schedule: IDs in order, gaps by shape, with a think-time
